@@ -10,7 +10,7 @@ BACKEND_COVER_MIN ?= 80
 # placement seams (make cover-serve / CI).
 SERVE_COVER_MIN ?= 85
 
-.PHONY: all fmt fmt-check vet staticcheck build examples test test-short race-serve fuzz-smoke fleet autoscale megafleet resilience bench bench-check bench-baseline cover cover-serve ci
+.PHONY: all fmt fmt-check vet staticcheck build examples test test-short race-serve race-pricing fuzz-smoke fleet autoscale megafleet resilience bench bench-check bench-baseline cover cover-serve ci
 
 all: build
 
@@ -59,6 +59,12 @@ test-short:
 # schedule-order race that only bites on a warm second run still fails.
 race-serve:
 	$(GO) test -race -count=2 -timeout 10m ./internal/serve/
+
+# The cold-pricing race lane: goroutines pricing overlapping cold shapes
+# on one perfmodel.Service share the pooled command buffers and scheduler
+# scratch; ten repetitions under the race detector.
+race-pricing:
+	$(GO) test -race -count=10 -run TestConcurrentColdPricing ./internal/perfmodel/
 
 # 30-second fuzz smoke over the DES spine: randomized (seed,
 # arrival-mix, fleet-shape) tuples must keep every synchronization
@@ -141,4 +147,4 @@ cover-serve:
 			exit bad; \
 		}' coverage-serve.out || { echo "serve spine coverage below $(SERVE_COVER_MIN)%" >&2; exit 1; }
 
-ci: fmt-check vet staticcheck build examples test-short race-serve bench bench-check cover cover-serve
+ci: fmt-check vet staticcheck build examples test-short race-serve race-pricing bench bench-check cover cover-serve

@@ -47,43 +47,57 @@ func NewConfig(d timing.Device, b Buffers) Config { return Config{Dev: d, Buf: b
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
+// validate rejects buffer geometries no kernel can be built for: without
+// at least one GBuf entry and one accumulator the builders would never
+// advance or would divide by zero.
+func (b Buffers) validate() error {
+	if b.GBufEntries <= 0 || b.OutEntries <= 0 {
+		return fmt.Errorf("kernels: buffers need at least one GBuf entry and one accumulator, got %+v", b)
+	}
+	return nil
+}
+
 // ---------------------------------------------------------------------------
 // Allocator helpers
 // ---------------------------------------------------------------------------
 
-// gbufAlloc manages Global Buffer residency for input tiles. Acquiring a
-// non-resident tile emits a WR-INP into a round-robin entry; acquiring a
-// resident tile is free (data reuse).
-type gbufAlloc struct {
-	s       *pim.Stack
-	entries int
-	owner   []int       // entry -> tile key (-1 free)
-	slot    map[int]int // tile key -> entry
-	next    int
-	writes  int
+// negOnes returns a slice of n entries all set to -1 ("none").
+func negOnes(n int) []int32 {
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = -1
+	}
+	return s
 }
 
-func newGBufAlloc(s *pim.Stack, entries int) *gbufAlloc {
-	owner := make([]int, entries)
-	for i := range owner {
-		owner[i] = -1
-	}
-	return &gbufAlloc{s: s, entries: entries, owner: owner, slot: make(map[int]int)}
+// gbufAlloc manages Global Buffer residency for input tiles. Acquiring a
+// non-resident tile emits a WR-INP into a round-robin entry; acquiring a
+// resident tile is free (data reuse). Tile keys are dense in [0, keys).
+type gbufAlloc struct {
+	s      *pim.Stack
+	owner  []int32 // entry -> tile key (-1 free)
+	slot   []int32 // tile key -> entry (-1 not resident)
+	next   int
+	writes int
+}
+
+func newGBufAlloc(s *pim.Stack, entries, keys int) *gbufAlloc {
+	return &gbufAlloc{s: s, owner: negOnes(entries), slot: negOnes(keys)}
 }
 
 // acquire returns the GBuf entry holding the tile, streaming it in first if
 // needed.
 func (a *gbufAlloc) acquire(key int) int {
-	if e, ok := a.slot[key]; ok {
-		return e
+	if e := a.slot[key]; e >= 0 {
+		return int(e)
 	}
 	e := a.next
-	a.next = (a.next + 1) % a.entries
+	a.next = (a.next + 1) % len(a.owner)
 	if old := a.owner[e]; old >= 0 {
-		delete(a.slot, old)
+		a.slot[old] = -1
 	}
-	a.owner[e] = key
-	a.slot[key] = e
+	a.owner[e] = int32(key)
+	a.slot[key] = int32(e)
 	a.s.WrInp(e)
 	a.writes++
 	return e
@@ -91,52 +105,49 @@ func (a *gbufAlloc) acquire(key int) int {
 
 // invalidateAll drops residency info (e.g. when a kernel phase reuses keys).
 func (a *gbufAlloc) invalidateAll() {
-	for i := range a.owner {
-		a.owner[i] = -1
+	for e, key := range a.owner {
+		if key >= 0 {
+			a.slot[key] = -1
+			a.owner[e] = -1
+		}
 	}
-	a.slot = make(map[int]int)
 }
 
 // outAlloc manages per-bank accumulator entries. Acquiring an accumulator
 // for a new logical output while all entries are live evicts the
 // round-robin victim with a partial RD-OUT drain (the EPU merges partial
-// sums in the GPR).
+// sums in the GPR). Output keys are dense in [0, keys).
 type outAlloc struct {
-	s       *pim.Stack
-	entries int
-	owner   []int // entry -> logical output key (-1 free)
-	dirty   []bool
-	slot    map[int]int
-	next    int
-	drains  int
+	s      *pim.Stack
+	owner  []int32 // entry -> logical output key (-1 free)
+	dirty  []bool
+	slot   []int32 // output key -> entry (-1 not live)
+	next   int
+	drains int
 }
 
-func newOutAlloc(s *pim.Stack, entries int) *outAlloc {
-	owner := make([]int, entries)
-	for i := range owner {
-		owner[i] = -1
-	}
-	return &outAlloc{s: s, entries: entries, owner: owner, dirty: make([]bool, entries), slot: make(map[int]int)}
+func newOutAlloc(s *pim.Stack, entries, keys int) *outAlloc {
+	return &outAlloc{s: s, owner: negOnes(entries), dirty: make([]bool, entries), slot: negOnes(keys)}
 }
 
 // acquire returns the accumulator entry for the logical output key,
 // draining a victim if necessary.
 func (a *outAlloc) acquire(key int) int {
-	if e, ok := a.slot[key]; ok {
-		return e
+	if e := a.slot[key]; e >= 0 {
+		return int(e)
 	}
 	e := a.next
-	a.next = (a.next + 1) % a.entries
+	a.next = (a.next + 1) % len(a.owner)
 	if old := a.owner[e]; old >= 0 {
 		if a.dirty[e] {
 			a.s.RdOut(e)
 			a.drains++
 			a.dirty[e] = false
 		}
-		delete(a.slot, old)
+		a.slot[old] = -1
 	}
-	a.owner[e] = key
-	a.slot[key] = e
+	a.owner[e] = int32(key)
+	a.slot[key] = int32(e)
 	return e
 }
 
@@ -146,16 +157,16 @@ func (a *outAlloc) mac(e int) { a.dirty[e] = true }
 // release drains the accumulator of key if live and dirty (a completed
 // logical output).
 func (a *outAlloc) release(key int) {
-	e, ok := a.slot[key]
-	if !ok {
+	e := a.slot[key]
+	if e < 0 {
 		return
 	}
 	if a.dirty[e] {
-		a.s.RdOut(e)
+		a.s.RdOut(int(e))
 		a.drains++
 		a.dirty[e] = false
 	}
-	delete(a.slot, key)
+	a.slot[key] = -1
 	a.owner[e] = -1
 }
 
@@ -216,6 +227,9 @@ func (c Config) GEMV(din, dout int) (*pim.Stack, error) {
 	if din <= 0 || dout <= 0 {
 		return nil, fmt.Errorf("kernels: GEMV dims must be positive, got (%d,%d)", din, dout)
 	}
+	if err := c.Buf.validate(); err != nil {
+		return nil, err
+	}
 	d := c.Dev
 	s := pim.NewStack(c.Buf.GBufEntries, c.Buf.OutEntries)
 	e := d.ElemsPerTile()
@@ -227,8 +241,8 @@ func (c Config) GEMV(din, dout int) (*pim.Stack, error) {
 		block = inTiles
 	}
 
-	gb := newGBufAlloc(s, c.Buf.GBufEntries)
-	out := newOutAlloc(s, c.Buf.OutEntries)
+	gb := newGBufAlloc(s, c.Buf.GBufEntries, inTiles)
+	out := newOutAlloc(s, c.Buf.OutEntries, groups)
 	rows := newRowTracker(s)
 
 	addr := 0 // weights laid out in traversal order
@@ -275,6 +289,9 @@ func (c Config) QKT(tokens, dh, queries int, rowReuse bool) (*pim.Stack, error) 
 	if tokens <= 0 || dh <= 0 || queries <= 0 {
 		return nil, fmt.Errorf("kernels: QKT args must be positive, got tokens=%d dh=%d queries=%d", tokens, dh, queries)
 	}
+	if err := c.Buf.validate(); err != nil {
+		return nil, err
+	}
 	d := c.Dev
 	s := pim.NewStack(c.Buf.GBufEntries, c.Buf.OutEntries)
 	e := d.ElemsPerTile()
@@ -287,8 +304,8 @@ func (c Config) QKT(tokens, dh, queries int, rowReuse bool) (*pim.Stack, error) 
 	}
 	nRows := ceilDiv(groups, slotsPerRow)
 
-	gb := newGBufAlloc(s, c.Buf.GBufEntries)
-	out := newOutAlloc(s, c.Buf.OutEntries)
+	gb := newGBufAlloc(s, c.Buf.GBufEntries, queries*dhTiles)
+	out := newOutAlloc(s, c.Buf.OutEntries, queries*groups)
 	rows := newRowTracker(s)
 
 	macGroup := func(q, g int) {
@@ -353,6 +370,9 @@ func (c Config) SV(tokens, dh, queries int, rowReuse bool) (*pim.Stack, error) {
 	if tokens <= 0 || dh <= 0 || queries <= 0 {
 		return nil, fmt.Errorf("kernels: SV args must be positive, got tokens=%d dh=%d queries=%d", tokens, dh, queries)
 	}
+	if err := c.Buf.validate(); err != nil {
+		return nil, err
+	}
 	d := c.Dev
 	s := pim.NewStack(c.Buf.GBufEntries, c.Buf.OutEntries)
 	e := d.ElemsPerTile()
@@ -360,8 +380,8 @@ func (c Config) SV(tokens, dh, queries int, rowReuse bool) (*pim.Stack, error) {
 	groups := ceilDiv(dh, d.Banks) // output groups (dh across banks)
 	tilesPerRow := d.TilesPerRow()
 
-	gb := newGBufAlloc(s, c.Buf.GBufEntries)
-	out := newOutAlloc(s, c.Buf.OutEntries)
+	gb := newGBufAlloc(s, c.Buf.GBufEntries, queries*chunks)
+	out := newOutAlloc(s, c.Buf.OutEntries, queries*groups)
 	rows := newRowTracker(s)
 
 	// V layout is token-major per group batch: addr = k*groups + o so a

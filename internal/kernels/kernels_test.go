@@ -105,6 +105,33 @@ func TestGEMVRejectsBadDims(t *testing.T) {
 	}
 }
 
+// TestBuildersRejectEmptyBuffers: a geometry without a GBuf entry or an
+// accumulator must be an error from every builder, not a hang (GEMV's
+// block loop would never advance) or a divide by zero (QKT, SV).
+func TestBuildersRejectEmptyBuffers(t *testing.T) {
+	d := timing.AiM16()
+	for _, buf := range []Buffers{
+		{GBufEntries: 0, OutEntries: 32},
+		{GBufEntries: 64, OutEntries: 0},
+		{GBufEntries: -1, OutEntries: 32},
+		{GBufEntries: 64, OutEntries: -2},
+	} {
+		c := NewConfig(d, buf)
+		for _, build := range []struct {
+			name string
+			f    func() (*pim.Stack, error)
+		}{
+			{"gemv", func() (*pim.Stack, error) { return c.GEMV(128, 128) }},
+			{"qkt", func() (*pim.Stack, error) { return c.QKT(1024, 128, 2, true) }},
+			{"sv", func() (*pim.Stack, error) { return c.SV(1024, 128, 2, false) }},
+		} {
+			if _, err := build.f(); err == nil {
+				t.Errorf("%s accepted buffers %+v", build.name, buf)
+			}
+		}
+	}
+}
+
 func TestQKTCounts(t *testing.T) {
 	c := cfg(t, false)
 	tokens, dh := 1024, 128

@@ -266,7 +266,24 @@ func scale(l Latency, f float64) Latency {
 	}
 }
 
+// simulate prices one quantized query cold: it resolves the controller,
+// builds the kernel's command stack, schedules it, tallies it and hands
+// the stack's command buffer back for the next miss. The stack never
+// leaves this function, so releasing it here is safe.
 func (s *Service) simulate(q Query) (Latency, error) {
+	var scheduler sched.Scheduler
+	switch q.Sched {
+	case Static:
+		scheduler = &sched.Static{Dev: s.dev}
+	case PingPong:
+		scheduler = &sched.PingPong{Dev: s.dev}
+	case DCS:
+		scheduler = &sched.DCS{Dev: s.dev}
+	case DCSNoIsMAC:
+		scheduler = &sched.DCS{Dev: s.dev, DisableIsMAC: true}
+	default:
+		return Latency{}, fmt.Errorf("perfmodel: unknown scheduler %d", q.Sched)
+	}
 	var buf kernels.Buffers
 	if q.Baseline {
 		buf = kernels.BaselineBuffers(s.dev)
@@ -291,19 +308,7 @@ func (s *Service) simulate(q Query) (Latency, error) {
 	if err != nil {
 		return Latency{}, err
 	}
-	var scheduler sched.Scheduler
-	switch q.Sched {
-	case Static:
-		scheduler = &sched.Static{Dev: s.dev}
-	case PingPong:
-		scheduler = &sched.PingPong{Dev: s.dev}
-	case DCS:
-		scheduler = &sched.DCS{Dev: s.dev}
-	case DCSNoIsMAC:
-		scheduler = &sched.DCS{Dev: s.dev, DisableIsMAC: true}
-	default:
-		return Latency{}, fmt.Errorf("perfmodel: unknown scheduler %d", q.Sched)
-	}
+	defer stack.Release()
 	res, err := scheduler.Schedule(stack)
 	if err != nil {
 		return Latency{}, err

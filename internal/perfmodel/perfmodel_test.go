@@ -2,6 +2,7 @@ package perfmodel
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -128,6 +129,26 @@ func TestInvalidQueries(t *testing.T) {
 	}
 }
 
+// TestZeroOBufIsAnError: a device whose OBuf cannot hold one accumulator
+// fails validation, and pricing against it anyway returns an error for
+// every OBuf kernel instead of panicking.
+func TestZeroOBufIsAnError(t *testing.T) {
+	d := timing.AiM16()
+	d.OBufBytes = 0
+	if err := d.Validate(); err == nil {
+		t.Fatal("Validate accepted a zero-byte OBuf")
+	}
+	s := New(d)
+	for _, k := range []Kernel{QKT, SV, GEMV} {
+		if _, err := s.Price(Query{Kernel: k, Tokens: 1024, Dh: 128, Queries: 1, Sched: DCS}); err == nil {
+			t.Errorf("%s priced against a zero-entry OBuf", k)
+		}
+	}
+	if s.CacheMisses() != 0 {
+		t.Errorf("failed prices were cached: %d misses", s.CacheMisses())
+	}
+}
+
 func TestGEMVPath(t *testing.T) {
 	s := New(timing.AiM16())
 	l, err := s.Price(Query{Kernel: GEMV, Tokens: 4096, Dh: 4096, Sched: Static})
@@ -212,5 +233,65 @@ func TestCacheLookupsCounted(t *testing.T) {
 	}
 	if s.CacheMisses() != 1 {
 		t.Errorf("repeat pricing missed %d times, want 1", s.CacheMisses())
+	}
+}
+
+// TestConcurrentColdPricing: goroutines pricing overlapping cold shapes on
+// one Service share the pooled command buffers and scheduler scratch, and
+// must get exactly the latencies of a sequential pass, with every shape
+// simulated into the cache once.
+func TestConcurrentColdPricing(t *testing.T) {
+	var qs []Query
+	for _, k := range []Kernel{QKT, SV, GEMV} {
+		for _, sc := range []Sched{Static, PingPong, DCS, DCSNoIsMAC} {
+			for _, baseline := range []bool{false, true} {
+				for _, tokens := range []int{100, 1000, 3000} {
+					qs = append(qs, Query{Kernel: k, Tokens: tokens, Dh: 128, Queries: 4, RowReuse: tokens == 1000, Baseline: baseline, Sched: sc})
+				}
+			}
+		}
+	}
+	seq := New(timing.AiM16())
+	want := make([]Latency, len(qs))
+	for i, q := range qs {
+		l, err := seq.Price(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = l
+	}
+
+	const workers = 4
+	s := New(timing.AiM16())
+	got := make([][]Latency, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		got[w] = make([]Latency, len(qs))
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Each worker starts a quarter further along, so every shape is
+			// priced cold by one worker while others price their own.
+			for j := range qs {
+				i := (j + w*len(qs)/workers) % len(qs)
+				l, err := s.Price(qs[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[w][i] = l
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		for i := range qs {
+			if got[w][i] != want[i] {
+				t.Fatalf("worker %d %+v: got %+v, sequential %+v", w, qs[i], got[w][i], want[i])
+			}
+		}
+	}
+	if s.CacheMisses() != len(qs) {
+		t.Errorf("%d distinct shapes cached %d times", len(qs), s.CacheMisses())
 	}
 }

@@ -9,7 +9,10 @@
 // materialised by the kernel builders when a MAC touches a closed row.
 package pim
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Kind enumerates PIM command kinds.
 type Kind uint8
@@ -71,11 +74,35 @@ type Stack struct {
 	// built for; schedulers validate against their device config.
 	GBufEntries int
 	OutEntries  int
+
+	buf *[]Command // pooled buffer holder, nil once released
 }
 
-// NewStack returns an empty stack for the given buffer geometry.
+// cmdBufs recycles command buffers between stacks. A cold kernel price
+// builds, schedules and drops one stack of up to a few hundred thousand
+// commands; reusing the buffer spares the allocator and the garbage
+// collector the repeated slice growth.
+var cmdBufs = sync.Pool{New: func() any { return new([]Command) }}
+
+// NewStack returns an empty stack for the given buffer geometry. Its
+// command buffer comes from a pool; Release returns it.
 func NewStack(gbufEntries, outEntries int) *Stack {
-	return &Stack{GBufEntries: gbufEntries, OutEntries: outEntries}
+	buf := cmdBufs.Get().(*[]Command)
+	s := &Stack{Cmds: (*buf)[:0], GBufEntries: gbufEntries, OutEntries: outEntries, buf: buf}
+	*buf = nil
+	return s
+}
+
+// Release hands the stack's command buffer back for reuse by a later
+// NewStack. The stack is empty afterwards and must not be used again;
+// only the owner of a stack that no caller can still see may release it.
+func (s *Stack) Release() {
+	if s.buf == nil {
+		return
+	}
+	*s.buf = s.Cmds[:0]
+	cmdBufs.Put(s.buf)
+	s.Cmds, s.buf = nil, nil
 }
 
 // push appends a command, assigning the next dense ID, and returns it.
@@ -114,13 +141,16 @@ func (s *Stack) Pre(row int) Command {
 // Len is the number of commands in the stack.
 func (s *Stack) Len() int { return len(s.Cmds) }
 
-// Counts tallies commands by kind.
-func (s *Stack) Counts() map[Kind]int {
-	m := make(map[Kind]int, 5)
+// Counts tallies commands by kind, indexed by Kind. Kinds outside
+// [WRINP, PRE] are not counted (Validate rejects them).
+func (s *Stack) Counts() [PRE + 1]int {
+	var n [PRE + 1]int
 	for _, c := range s.Cmds {
-		m[c.Kind]++
+		if c.Kind <= PRE {
+			n[c.Kind]++
+		}
 	}
-	return m
+	return n
 }
 
 // Validate checks stack-level invariants: IDs are dense and in order, buffer

@@ -15,7 +15,7 @@
 //   - The I/O data bus pipelines 32 B tiles: consecutive WR-INP/RD-OUT
 //     issues are at least tCCDS apart. The MAC pipeline likewise accepts one
 //     MAC per tCCDS.
-//   - A command's effect completes execLatency(kind) cycles after issue
+//   - A command's effect completes exec[kind] cycles after issue
 //     (tWR-INP, tMAC, tRD-OUT, tRCD, tRP).
 //   - A RD-OUT additionally waits tOBufCommit for the last accumulate to
 //     commit into the output buffer.
@@ -34,6 +34,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"pimphony/internal/pim"
 	"pimphony/internal/timing"
@@ -135,24 +136,6 @@ type Scheduler interface {
 	Schedule(s *pim.Stack) (*Result, error)
 }
 
-// execLatency is the completion latency of a command kind.
-func execLatency(d timing.Device, k pim.Kind) timing.Cycles {
-	switch k {
-	case pim.WRINP:
-		return d.TWRINP
-	case pim.MAC:
-		return d.TMAC
-	case pim.RDOUT:
-		return d.TRDOUT
-	case pim.ACT:
-		return d.TRCD
-	case pim.PRE:
-		return d.TRP
-	default:
-		return d.TCCDS
-	}
-}
-
 const inf = timing.Cycles(math.MaxInt64 / 4)
 
 // negOnes returns an int slice of length n filled with -1 ("no command").
@@ -162,6 +145,41 @@ func negOnes(n int) []int {
 		s[i] = -1
 	}
 	return s
+}
+
+// nKinds bounds the command kinds a validated stack can hold.
+const nKinds = int(pim.PRE) + 1
+
+// kindTimes holds the per-kind timings of one device, resolved once per
+// Schedule so the per-command loops index a small table instead of
+// switching over (and copying) the whole device description.
+type kindTimes struct {
+	tccds  timing.Cycles
+	commit timing.Cycles // tOBufCommit: a RD-OUT waits this after the last MAC completes
+	// exec is a command's completion latency (tWR-INP, tMAC, tRD-OUT,
+	// tRCD, tRP).
+	exec [nKinds]timing.Cycles
+	// gap[prev][cur] is the static controller's mandatory issue gap when
+	// cur follows prev in program order: the predecessor's completion
+	// latency, except that same-kind I/O streams pipeline at tCCDS.
+	gap [nKinds][nKinds]timing.Cycles
+}
+
+func newKindTimes(d *timing.Device) *kindTimes {
+	kt := &kindTimes{tccds: d.TCCDS, commit: d.TOBufCommit}
+	kt.exec[pim.WRINP] = d.TWRINP
+	kt.exec[pim.MAC] = d.TMAC
+	kt.exec[pim.RDOUT] = d.TRDOUT
+	kt.exec[pim.ACT] = d.TRCD
+	kt.exec[pim.PRE] = d.TRP
+	for prev := range kt.gap {
+		for cur := range kt.gap[prev] {
+			kt.gap[prev][cur] = kt.exec[prev]
+		}
+	}
+	kt.gap[pim.WRINP][pim.WRINP] = d.TCCDS // pipelined tile streaming
+	kt.gap[pim.RDOUT][pim.RDOUT] = d.TCCDS
+	return kt
 }
 
 // ---------------------------------------------------------------------------
@@ -178,15 +196,6 @@ type Static struct {
 
 // Name implements Scheduler.
 func (s *Static) Name() string { return "static" }
-
-// staticGap returns the static controller's mandatory issue gap after prev
-// when cur follows it in program order.
-func staticGap(d timing.Device, prev, cur pim.Kind) timing.Cycles {
-	if prev == cur && (prev == pim.WRINP || prev == pim.RDOUT) {
-		return d.TCCDS // pipelined tile streaming
-	}
-	return execLatency(d, prev)
-}
 
 // gapReason attributes a static gap to the breakdown category of the
 // command that imposed it.
@@ -210,23 +219,22 @@ func (s *Static) Schedule(st *pim.Stack) (*Result, error) {
 	if err := st.Validate(); err != nil {
 		return nil, fmt.Errorf("sched: invalid stack: %w", err)
 	}
+	kt := newKindTimes(&s.Dev)
 	n := len(st.Cmds)
 	res := &Result{Scheduler: s.Name(), Issue: make([]timing.Cycles, n), Reasons: make([]Reason, n)}
 	var t timing.Cycles
-	for i, c := range st.Cmds {
-		if i > 0 {
-			prev := st.Cmds[i-1]
-			gap := staticGap(s.Dev, prev.Kind, c.Kind)
-			t += gap
-			if gap > s.Dev.TCCDS {
-				res.Reasons[i] = gapReason(prev.Kind)
-			} else {
-				res.Reasons[i] = ReasonBus
-			}
+	for i := 1; i < n; i++ {
+		prev := st.Cmds[i-1].Kind
+		gap := kt.gap[prev][st.Cmds[i].Kind]
+		t += gap
+		if gap > kt.tccds {
+			res.Reasons[i] = gapReason(prev)
+		} else {
+			res.Reasons[i] = ReasonBus
 		}
 		res.Issue[i] = t
 	}
-	finalize(s.Dev, st, res)
+	finalize(&s.Dev, kt, st, res)
 	return res, nil
 }
 
@@ -234,19 +242,52 @@ func (s *Static) Schedule(st *pim.Stack) (*Result, error) {
 // Shared two-queue engine (DCS and ping-pong)
 // ---------------------------------------------------------------------------
 
-// dep is a dependency edge: the command may not issue before the wait bound
-// derived from the dependee's issue time.
-type dep struct {
-	id     int    // dependee command ID
-	pipe   bool   // true: wait issue+tCCDS (is-MAC chain); false: wait completion
-	commit bool   // true: add tOBufCommit after completion (RD-OUT after MAC)
-	why    Reason // attribution if this edge is binding
+// edge is a D-Table dependency: the command may not issue before the
+// dependee's issue cycle plus wait.
+type edge struct {
+	id   int32         // dependee command ID
+	why  Reason        // attribution if this edge is binding
+	wait timing.Cycles // tCCDS for an is-MAC chain, else completion (+ commit)
 }
 
-// queued pairs a command with its dependency edges.
-type queued struct {
-	cmd  pim.Command
-	deps []dep
+// dTable is the dependency table of one stack in CSR form: the edges of
+// command i are edges[start[i]:start[i+1]]. A command has at most four
+// edges (a MAC: input tile, output drain, output accumulate, open row).
+type dTable struct {
+	start []int32
+	edges []edge
+}
+
+// add records an edge of the command currently being visited.
+func (t *dTable) add(id int, wait timing.Cycles, why Reason) {
+	t.edges = append(t.edges, edge{id: int32(id), why: why, wait: wait})
+}
+
+// next closes the edge list of the command just visited.
+func (t *dTable) next() { t.start = append(t.start, int32(len(t.edges))) }
+
+// scratch is the per-Schedule working memory of the two-queue engine,
+// recycled through scratchPool: the D-Table and both issue queues hold
+// only int32 command IDs, so a cold price allocates them once per worker
+// rather than once per stack.
+type scratch struct {
+	dt      dTable
+	ioQ, cQ []int32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// getScratch returns empty working memory sized for n commands.
+func getScratch(n int) *scratch {
+	sc := scratchPool.Get().(*scratch)
+	if cap(sc.dt.start) < n+1 {
+		sc.dt = dTable{start: make([]int32, 0, n+1), edges: make([]edge, 0, 2*n)}
+		sc.ioQ, sc.cQ = make([]int32, 0, n), make([]int32, 0, n)
+	}
+	sc.dt.start = append(sc.dt.start[:0], 0)
+	sc.dt.edges = sc.dt.edges[:0]
+	sc.ioQ, sc.cQ = sc.ioQ[:0], sc.cQ[:0]
+	return sc
 }
 
 // isIO reports whether a command issues on the I/O transfer queue.
@@ -254,86 +295,81 @@ func isIO(k pim.Kind) bool { return k == pim.WRINP || k == pim.RDOUT }
 
 // runQueues executes the dual-queue out-of-order engine: in-order within the
 // I/O and compute queues, out-of-order across them, waiting only on the
-// provided dependency edges. Ties are broken in favour of the I/O queue so
-// input prefetches are not starved by long MAC chains.
-func runQueues(d timing.Device, st *pim.Stack, name string, depsOf func() [][]dep) (*Result, error) {
+// D-Table edges the dependency pass fills in, one command at a time in
+// program order. Ties are broken in favour of the I/O queue so input
+// prefetches are not starved by long MAC chains.
+func runQueues(d *timing.Device, st *pim.Stack, name string, fill func(kt *kindTimes, dt *dTable)) (*Result, error) {
 	if err := st.Validate(); err != nil {
 		return nil, fmt.Errorf("sched: invalid stack: %w", err)
 	}
+	kt := newKindTimes(d)
 	n := len(st.Cmds)
-	allDeps := depsOf()
-	if len(allDeps) != n {
-		return nil, fmt.Errorf("sched: dependency pass returned %d entries for %d commands", len(allDeps), n)
+	sc := getScratch(n)
+	defer scratchPool.Put(sc)
+	dt := &sc.dt
+	fill(kt, dt)
+	if len(dt.start) != n+1 {
+		return nil, fmt.Errorf("sched: dependency pass returned %d entries for %d commands", len(dt.start)-1, n)
 	}
-	var ioQ, cQ []queued
 	for i, c := range st.Cmds {
-		q := queued{cmd: c, deps: allDeps[i]}
 		if isIO(c.Kind) {
-			ioQ = append(ioQ, q)
+			sc.ioQ = append(sc.ioQ, int32(i))
 		} else {
-			cQ = append(cQ, q)
+			sc.cQ = append(sc.cQ, int32(i))
 		}
 	}
 	res := &Result{Scheduler: name, Issue: make([]timing.Cycles, n), Reasons: make([]Reason, n)}
-	issued := make([]bool, n)
+	for i := range res.Issue {
+		res.Issue[i] = -1 // not issued yet
+	}
 	var ioFree, macFree timing.Cycles
 	ioHead, cHead := 0, 0
 
-	earliest := func(q queued, resFree timing.Cycles) (timing.Cycles, Reason) {
+	earliest := func(id int32, resFree timing.Cycles) (timing.Cycles, Reason) {
 		t := resFree
 		why := ReasonNone
 		if resFree > 0 {
 			why = ReasonBus
 		}
-		for _, dp := range q.deps {
-			if !issued[dp.id] {
+		for _, e := range dt.edges[dt.start[id]:dt.start[id+1]] {
+			at := res.Issue[e.id]
+			if at < 0 {
 				return inf, ReasonInOrder
 			}
-			bound := res.Issue[dp.id]
-			if dp.pipe {
-				bound += d.TCCDS
-			} else {
-				bound += execLatency(d, st.Cmds[dp.id].Kind)
-				if dp.commit {
-					bound += d.TOBufCommit
-				}
-			}
-			if bound > t {
-				t, why = bound, dp.why
+			if bound := at + e.wait; bound > t {
+				t, why = bound, e.why
 			}
 		}
 		return t, why
 	}
 
-	for ioHead < len(ioQ) || cHead < len(cQ) {
+	for ioHead < len(sc.ioQ) || cHead < len(sc.cQ) {
 		tIO, whyIO := inf, ReasonNone
-		if ioHead < len(ioQ) {
-			tIO, whyIO = earliest(ioQ[ioHead], ioFree)
+		if ioHead < len(sc.ioQ) {
+			tIO, whyIO = earliest(sc.ioQ[ioHead], ioFree)
 		}
 		tC, whyC := inf, ReasonNone
-		if cHead < len(cQ) {
-			tC, whyC = earliest(cQ[cHead], macFree)
+		if cHead < len(sc.cQ) {
+			tC, whyC = earliest(sc.cQ[cHead], macFree)
 		}
 		if tIO == inf && tC == inf {
 			return nil, fmt.Errorf("sched: %s deadlocked with io head %d / compute head %d", name, ioHead, cHead)
 		}
 		if tIO <= tC {
-			q := ioQ[ioHead]
-			res.Issue[q.cmd.ID] = tIO
-			res.Reasons[q.cmd.ID] = whyIO
-			issued[q.cmd.ID] = true
-			ioFree = tIO + d.TCCDS
+			id := sc.ioQ[ioHead]
+			res.Issue[id] = tIO
+			res.Reasons[id] = whyIO
+			ioFree = tIO + kt.tccds
 			ioHead++
 		} else {
-			q := cQ[cHead]
-			res.Issue[q.cmd.ID] = tC
-			res.Reasons[q.cmd.ID] = whyC
-			issued[q.cmd.ID] = true
-			macFree = tC + d.TCCDS
+			id := sc.cQ[cHead]
+			res.Issue[id] = tC
+			res.Reasons[id] = whyC
+			macFree = tC + kt.tccds
 			cHead++
 		}
 	}
-	finalize(d, st, res)
+	finalize(d, kt, st, res)
 	return res, nil
 }
 
@@ -361,65 +397,63 @@ func (s *DCS) Name() string {
 
 // Schedule implements Scheduler.
 func (s *DCS) Schedule(st *pim.Stack) (*Result, error) {
-	return runQueues(s.Dev, st, s.Name(), func() [][]dep {
+	return runQueues(&s.Dev, st, s.Name(), func(kt *kindTimes, dt *dTable) {
 		// D-Table: last writer / reader per GBuf entry, last MAC / drain per
 		// output entry, plus row-state tracking.
-		n := len(st.Cmds)
-		deps := make([][]dep, n)
 		lastGW := negOnes(st.GBufEntries) // GBuf entry -> last WR-INP
 		lastGR := negOnes(st.GBufEntries) // GBuf entry -> last MAC reader
 		lastOW := negOnes(st.OutEntries)  // out entry -> last MAC accumulate
 		lastOR := negOnes(st.OutEntries)  // out entry -> last RD-OUT
 		lastAct, lastPre, lastRowMAC := -1, -1, -1
-		add := func(i int, dp dep) { deps[i] = append(deps[i], dp) }
+		wr, mac, rd := kt.exec[pim.WRINP], kt.exec[pim.MAC], kt.exec[pim.RDOUT]
+		accum := kt.tccds // is-MAC chain: the next MAC pipelines behind this one
+		if s.DisableIsMAC {
+			accum = mac
+		}
 		for i, c := range st.Cmds {
 			switch c.Kind {
 			case pim.WRINP:
 				if id := lastGW[c.GBuf]; id >= 0 {
-					add(i, dep{id: id, why: ReasonDepWR}) // WAW
+					dt.add(id, wr, ReasonDepWR) // WAW
 				}
 				if id := lastGR[c.GBuf]; id >= 0 {
-					add(i, dep{id: id, why: ReasonDepMAC}) // WAR: reader must finish
+					dt.add(id, mac, ReasonDepMAC) // WAR: reader must finish
 				}
 				lastGW[c.GBuf] = i
 			case pim.MAC:
 				if id := lastGW[c.GBuf]; id >= 0 {
-					add(i, dep{id: id, why: ReasonDepWR}) // RAW on input tile
+					dt.add(id, wr, ReasonDepWR) // RAW on input tile
 				}
 				if id := lastOR[c.Out]; id >= 0 {
-					add(i, dep{id: id, why: ReasonDepRD}) // WAR: drain before reuse
+					dt.add(id, rd, ReasonDepRD) // WAR: drain before reuse
 				}
 				if id := lastOW[c.Out]; id >= 0 {
-					if s.DisableIsMAC {
-						add(i, dep{id: id, why: ReasonDepMAC})
-					} else {
-						add(i, dep{id: id, pipe: true, why: ReasonDepMAC}) // is-MAC chain
-					}
+					dt.add(id, accum, ReasonDepMAC)
 				}
 				if lastAct >= 0 {
-					add(i, dep{id: lastAct, why: ReasonRow})
+					dt.add(lastAct, kt.exec[pim.ACT], ReasonRow)
 				}
 				lastGR[c.GBuf] = i
 				lastOW[c.Out] = i
 				lastRowMAC = i
 			case pim.RDOUT:
 				if id := lastOW[c.Out]; id >= 0 {
-					add(i, dep{id: id, commit: true, why: ReasonDepMAC})
+					dt.add(id, mac+kt.commit, ReasonDepMAC)
 				}
 				lastOR[c.Out] = i
 			case pim.ACT:
 				if lastPre >= 0 {
-					add(i, dep{id: lastPre, why: ReasonRow})
+					dt.add(lastPre, kt.exec[pim.PRE], ReasonRow)
 				}
 				lastAct = i
 			case pim.PRE:
 				if lastRowMAC >= 0 {
-					add(i, dep{id: lastRowMAC, why: ReasonDepMAC})
+					dt.add(lastRowMAC, mac, ReasonDepMAC)
 				}
 				lastPre = i
 			}
+			dt.next()
 		}
-		return deps
 	})
 }
 
@@ -448,61 +482,55 @@ func (s *PingPong) Schedule(st *pim.Stack) (*Result, error) {
 	if oHalf == 0 {
 		oHalf = 1
 	}
-	gRegion := func(e int) int { return e / gHalf }
-	oRegion := func(e int) int { return e / oHalf }
-	return runQueues(s.Dev, st, s.Name(), func() [][]dep {
-		n := len(st.Cmds)
-		deps := make([][]dep, n)
-		gRegions := st.GBufEntries/gHalf + 1
-		oRegions := st.OutEntries/oHalf + 1
-		lastGW := negOnes(gRegions) // gbuf region -> last WR-INP
-		lastGR := negOnes(gRegions) // gbuf region -> last MAC reader
-		lastOW := negOnes(oRegions) // out region -> last MAC
-		lastOR := negOnes(oRegions) // out region -> last RD-OUT
+	return runQueues(&s.Dev, st, s.Name(), func(kt *kindTimes, dt *dTable) {
+		lastGW := negOnes(st.GBufEntries/gHalf + 1) // gbuf region -> last WR-INP
+		lastGR := negOnes(st.GBufEntries/gHalf + 1) // gbuf region -> last MAC reader
+		lastOW := negOnes(st.OutEntries/oHalf + 1)  // out region -> last MAC
+		lastOR := negOnes(st.OutEntries/oHalf + 1)  // out region -> last RD-OUT
 		lastAct, lastPre, lastRowMAC := -1, -1, -1
-		add := func(i int, dp dep) { deps[i] = append(deps[i], dp) }
+		wr, mac, rd := kt.exec[pim.WRINP], kt.exec[pim.MAC], kt.exec[pim.RDOUT]
 		for i, c := range st.Cmds {
 			switch c.Kind {
 			case pim.WRINP:
-				r := gRegion(c.GBuf)
+				r := c.GBuf / gHalf
 				if id := lastGR[r]; id >= 0 {
-					add(i, dep{id: id, why: ReasonDepMAC}) // region hand-off
+					dt.add(id, mac, ReasonDepMAC) // region hand-off
 				}
 				lastGW[r] = i
 			case pim.MAC:
-				r := gRegion(c.GBuf)
+				r := c.GBuf / gHalf
 				if id := lastGW[r]; id >= 0 {
-					add(i, dep{id: id, why: ReasonDepWR}) // whole region filled
+					dt.add(id, wr, ReasonDepWR) // whole region filled
 				}
-				or := oRegion(c.Out)
+				or := c.Out / oHalf
 				if id := lastOR[or]; id >= 0 {
-					add(i, dep{id: id, why: ReasonDepRD})
+					dt.add(id, rd, ReasonDepRD)
 				}
 				if lastAct >= 0 {
-					add(i, dep{id: lastAct, why: ReasonRow})
+					dt.add(lastAct, kt.exec[pim.ACT], ReasonRow)
 				}
 				lastGR[r] = i
 				lastOW[or] = i
 				lastRowMAC = i
 			case pim.RDOUT:
-				or := oRegion(c.Out)
+				or := c.Out / oHalf
 				if id := lastOW[or]; id >= 0 {
-					add(i, dep{id: id, commit: true, why: ReasonDepMAC})
+					dt.add(id, mac+kt.commit, ReasonDepMAC)
 				}
 				lastOR[or] = i
 			case pim.ACT:
 				if lastPre >= 0 {
-					add(i, dep{id: lastPre, why: ReasonRow})
+					dt.add(lastPre, kt.exec[pim.PRE], ReasonRow)
 				}
 				lastAct = i
 			case pim.PRE:
 				if lastRowMAC >= 0 {
-					add(i, dep{id: lastRowMAC, why: ReasonDepMAC})
+					dt.add(lastRowMAC, mac, ReasonDepMAC)
 				}
 				lastPre = i
 			}
+			dt.next()
 		}
-		return deps
 	})
 }
 
@@ -516,19 +544,7 @@ func (s *PingPong) Schedule(st *pim.Stack) (*Result, error) {
 // MAC issues are attributed to the binding constraint of the waiting MAC;
 // the lead-in before the first MAC and the drain after the last are
 // attributed to their binding causes. A refresh stretch is applied last.
-func finalize(d timing.Device, st *pim.Stack, res *Result) {
-	var end timing.Cycles
-	for i, c := range st.Cmds {
-		done := res.Issue[i] + execLatency(d, c.Kind)
-		if done > end {
-			end = done
-		}
-		if c.Kind == pim.MAC {
-			res.NumMAC++
-		} else if isIO(c.Kind) {
-			res.NumIO++
-		}
-	}
+func finalize(d *timing.Device, kt *kindTimes, st *pim.Stack, res *Result) {
 	b := &res.Breakdown
 	attribute := func(cycles timing.Cycles, why Reason) {
 		if cycles <= 0 {
@@ -545,29 +561,35 @@ func finalize(d timing.Device, st *pim.Stack, res *Result) {
 			b.Penalty += cycles
 		}
 	}
-	if res.NumMAC > 0 {
-		b.MAC = timing.Cycles(res.NumMAC) * d.TCCDS
-		prev := timing.Cycles(-1)
-		var lastMAC timing.Cycles
-		first := true
-		for i, c := range st.Cmds {
-			if c.Kind != pim.MAC {
-				continue
-			}
-			t := res.Issue[i]
-			if first {
+	// One pass in program order: the completion horizon over all
+	// commands, and the MAC-pipeline gaps in MAC issue order.
+	var end, prevMAC, lastMAC timing.Cycles
+	for i := range st.Cmds {
+		k := st.Cmds[i].Kind
+		t := res.Issue[i]
+		if done := t + kt.exec[k]; done > end {
+			end = done
+		}
+		switch {
+		case k == pim.MAC:
+			if res.NumMAC == 0 {
 				attribute(t, leadReason(res.Reasons[i]))
-				first = false
 			} else {
-				attribute(t-prev-d.TCCDS, res.Reasons[i])
+				attribute(t-prevMAC-kt.tccds, res.Reasons[i])
 			}
-			prev = t
+			res.NumMAC++
+			prevMAC = t
 			if t > lastMAC {
 				lastMAC = t
 			}
+		case isIO(k):
+			res.NumIO++
 		}
+	}
+	if res.NumMAC > 0 {
+		b.MAC = timing.Cycles(res.NumMAC) * kt.tccds
 		// Drain: everything after the last MAC slot is output drain time.
-		b.DTOutReg += end - (lastMAC + d.TCCDS)
+		b.DTOutReg += end - (lastMAC + kt.tccds)
 	} else {
 		// Pure I/O stack: attribute everything to transfer time.
 		b.DTGBuf = end

@@ -136,6 +136,8 @@ func (d Device) Validate() error {
 		return fmt.Errorf("timing: ElemBytes must be positive, got %d", d.ElemBytes)
 	case d.OutRegBytes < 2*d.ElemBytes:
 		return fmt.Errorf("timing: OutRegBytes %d cannot hold one accumulator", d.OutRegBytes)
+	case d.OBufBytes < d.ElemBytes:
+		return fmt.Errorf("timing: OBufBytes %d cannot hold one accumulator of %d B", d.OBufBytes, d.ElemBytes)
 	case d.TCCDS <= 0 || d.TWRINP <= 0 || d.TMAC <= 0 || d.TRDOUT <= 0:
 		return fmt.Errorf("timing: command timings must be positive")
 	case d.TREFI <= d.TRFC:

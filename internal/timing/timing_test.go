@@ -48,6 +48,8 @@ func TestValidateRejectsBrokenConfigs(t *testing.T) {
 		{"tiny row", func(d *Device) { d.RowBytes = 8 }},
 		{"zero elem", func(d *Device) { d.ElemBytes = 0 }},
 		{"tiny outreg", func(d *Device) { d.OutRegBytes = 1 }},
+		{"zero obuf", func(d *Device) { d.OBufBytes = 0 }},
+		{"obuf below one element", func(d *Device) { d.OBufBytes = d.ElemBytes - 1 }},
 		{"zero tccds", func(d *Device) { d.TCCDS = 0 }},
 		{"refresh interval", func(d *Device) { d.TREFI = d.TRFC }},
 	}
