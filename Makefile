@@ -66,11 +66,14 @@ race-serve:
 race-pricing:
 	$(GO) test -race -count=10 -run TestConcurrentColdPricing ./internal/perfmodel/
 
-# 30-second fuzz smoke over the DES spine: randomized (seed,
+# Fuzz smoke: 30 seconds over the DES spine — randomized (seed,
 # arrival-mix, fleet-shape) tuples must keep every synchronization
-# discipline byte-identical and every DES invariant intact.
+# discipline byte-identical and every DES invariant intact — then 10
+# seconds of the DPA differential oracle (the lazy allocator against
+# the eager reference).
 fuzz-smoke:
 	$(GO) test -fuzz FuzzDESSchedule -fuzztime 30s ./internal/serve/
+	$(GO) test -fuzz FuzzDPA -fuzztime 10s ./internal/memory/
 
 # Render the fleet study on the full grids: homogeneous PIM-only and
 # GPU fleets vs the disaggregated xPU-prefill/PIM-decode split at an

@@ -429,9 +429,6 @@ func (e *Engine) Step(ctx context.Context) (StepResult, error) {
 // callers that inject events the analytic horizon cannot see.
 func (e *Engine) Leap(ctx context.Context, now, until float64) (StepResult, error) {
 	n := e.leapDistance()
-	if e.horizon > 0 && n > e.horizon {
-		n = e.horizon
-	}
 	if n < 2 {
 		return e.Step(ctx)
 	}
@@ -442,9 +439,11 @@ func (e *Engine) Leap(ctx context.Context, now, until float64) (StepResult, erro
 // run before an event requires the full Step path. The horizon is the
 // minimum over every active request of its tokens to completion, to
 // T_max truncation and to the next perfmodel quantization-bucket
-// crossing, and over the batch of the allocator's lockstep growth budget
-// (the next chunk/page allocation — the preemption trigger). Zero when
-// the engine is idle or the next iteration may admit a pending request.
+// crossing, then the SetHorizon clamp, and over the batch of the
+// allocator's lockstep growth budget (the next chunk/page allocation —
+// the preemption trigger), which the allocator need only probe up to the
+// bound so far. Zero when the engine is idle or the next iteration may
+// admit a pending request.
 func (e *Engine) leapDistance() int {
 	ad := e.ad
 	if len(ad.active) == 0 || ad.wouldAdmit() {
@@ -470,13 +469,13 @@ func (e *Engine) leapDistance() int {
 		ids = append(ids, r.ID)
 	}
 	e.idScratch = ids
+	if e.horizon > 0 && n > e.horizon {
+		n = e.horizon
+	}
 	if n < 2 {
 		return n
 	}
-	if g := ad.alloc.GrowBudget(ids); g < n {
-		n = g // next allocation boundary (chunk/page growth)
-	}
-	return n
+	return ad.alloc.GrowBudget(ids, n) // next allocation boundary (chunk/page growth)
 }
 
 // fastForward prices n event-free iterations in one pass. The per-step

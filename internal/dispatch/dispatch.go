@@ -169,7 +169,11 @@ func (d *Dispatcher) Decode(reqID int) (*DecodeResult, error) {
 
 // Translate resolves a virtual row index of a request to a physical row via
 // the attached VA2PA table, mirroring Fig. 11a's per-request resolution.
+// A negative virtual row is an error, with or without a table.
 func (d *Dispatcher) Translate(reqID, vrow, rowBytes int) (int, error) {
+	if vrow < 0 {
+		return 0, fmt.Errorf("dispatch: request %d virtual row %d is negative", reqID, vrow)
+	}
 	if d.va2pa == nil {
 		return vrow, nil
 	}

@@ -199,3 +199,30 @@ func TestTranslateThroughVA2PA(t *testing.T) {
 		t.Error("translation beyond mapping should fail")
 	}
 }
+
+// TestTranslateRejectsNegativeRow: a negative virtual row is an error
+// with or without a VA2PA table. Through the table, a row just below
+// zero used to resolve into the physically preceding chunk — here
+// request 4's KV — with a nil error.
+func TestTranslateRejectsNegativeRow(t *testing.T) {
+	dev := timing.AiM16()
+	alloc, err := memory.NewDPA(1<<30, 128<<10, memory.DefaultChunkBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{4, 5} {
+		if err := alloc.Admit(id, 8); err != nil { // one chunk each
+			t.Fatal(err)
+		}
+	}
+	d := New(dev)
+	d.AttachVA2PA(alloc)
+	for _, vrow := range []int{-1, -2} {
+		if row, err := d.Translate(5, vrow, dev.RowBytes); err == nil {
+			t.Errorf("Translate(5, %d) = row %d, want an error", vrow, row)
+		}
+	}
+	if row, err := New(dev).Translate(5, -1, dev.RowBytes); err == nil {
+		t.Errorf("identity Translate(5, -1) = row %d, want an error", row)
+	}
+}

@@ -31,12 +31,14 @@ type Allocator interface {
 	// of the given admitted requests can absorb, all growing one token
 	// per step in lockstep, before a Grow call could fail (the
 	// preemption/eviction trigger a fast-forward must not skip past).
-	// Growth within the budget may still map memory — allocation that
-	// cannot fail is not an event, and a single batched Grow to the
-	// final count leaves the allocator in the same observable state as
-	// one call per token. Zero means the very next lockstep Grow could
-	// hit a boundary; an unknown request ID also yields zero.
-	GrowBudget(reqIDs []int) int
+	// The answer is min(budget, limit): a caller that will not leap past
+	// limit anyway lets the allocator stop probing there. Growth within
+	// the budget may still map memory — allocation that cannot fail is
+	// not an event, and a single batched Grow to the final count leaves
+	// the allocator in the same observable state as one call per token.
+	// Zero means the very next lockstep Grow could hit a boundary; an
+	// unknown request ID or a non-positive limit also yields zero.
+	GrowBudget(reqIDs []int, limit int) int
 	// LiveBytes is the memory holding actual KV data.
 	LiveBytes() int64
 	// ReservedBytes is the memory unavailable to other requests.
@@ -158,19 +160,17 @@ func (s *Static) CanAdmit(tokens int) bool {
 // GrowBudget implements Allocator: static regions are pre-reserved, so
 // growth never allocates and can only fail past T_max — each request's
 // budget is its headroom to the window.
-func (s *Static) GrowBudget(reqIDs []int) int {
-	budget := -1
+func (s *Static) GrowBudget(reqIDs []int, limit int) int {
+	if len(reqIDs) == 0 || limit <= 0 {
+		return 0
+	}
+	budget := limit
 	for _, id := range reqIDs {
 		b, ok := s.live[id]
 		if !ok {
 			return 0
 		}
-		if h := s.tmax - int(b/s.bytesPerToken); budget < 0 || h < budget {
-			budget = h
-		}
-	}
-	if budget < 0 {
-		return 0
+		budget = min(budget, s.tmax-int(b/s.bytesPerToken))
 	}
 	return budget
 }
@@ -194,34 +194,58 @@ func (s *Static) MaxBatch() int { return int(s.capacity / s.reservePer) }
 // ChunkID is a physical chunk index within the pool.
 type ChunkID int
 
+// maxGrowBudget caps every DPA GrowBudget answer: a budget this large
+// outlasts any leap, and the cap keeps chunk-demand probes far from
+// integer overflow.
+const maxGrowBudget = 1 << 30
+
 // DPA implements lazy chunked allocation with virtual-to-physical chunk
 // translation, the software model of the on-module dispatcher's VA2PA table
 // (Fig. 11). Chunks are handed out on demand as requests grow, so internal
 // fragmentation is limited to the final chunk of each request.
+//
+// The host-side bookkeeping is lazy too, so its cost follows the live
+// requests, not the pool size. Chunks that were never mapped are only a
+// high-water mark; released chunks sit on a stack above them. Chunks
+// come off in the order of an eager free list holding every
+// never-mapped ID in descending order beneath the released stack,
+// popped from the back. A released request's VA2PA row is kept for a
+// later admission, so a steady admit/grow/release cycle allocates
+// nothing.
 type DPA struct {
 	capacity      int64
 	bytesPerToken int64
 	chunkBytes    int64
 	nChunks       int
-	freeList      []ChunkID
-	va2pa         map[int][]ChunkID // request -> virtual chunk order -> physical
-	liveTokens    map[int]int
-	hostMessages  int // host<->module allocation messages (Sec. VI-C)
+	fresh         int       // chunks [fresh, nChunks) have never been mapped
+	released      []ChunkID // freed chunks; the next one handed out is last
+	reqs          map[int]*dpaReq
+	spare         []*dpaReq // released entries, rows kept for reuse
+	hostMessages  int       // host<->module allocation messages (Sec. VI-C)
 
 	// Running aggregates so LiveBytes/ReservedBytes are O(1) — the
 	// serving engine samples capacity on every leap, which made the map
 	// walks here a measurable share of the whole simulation.
-	liveTokSum int64 // Σ liveTokens
-	mappedSum  int64 // Σ len(va2pa[id])
+	liveTokSum int64 // Σ live tokens
+	mappedSum  int64 // Σ mapped chunks
 
-	// growScratch snapshots (liveTokens, mapped chunks) per request so
-	// GrowBudget's monotone probes walk a slice instead of two maps.
+	// growScratch snapshots (live tokens, mapped chunks) per request so
+	// GrowBudget's probes walk a slice instead of the map.
 	growScratch []growSnap
+}
+
+// dpaReq is one admitted request: its live token count and its VA2PA
+// row (virtual chunk order -> physical chunk).
+type dpaReq struct {
+	live int
+	row  []ChunkID
 }
 
 type growSnap struct{ live, have int }
 
-// NewDPA builds a DPA allocator with the given chunk granularity.
+// NewDPA builds a DPA allocator with the given chunk granularity. Its
+// cost does not depend on the pool size: no chunk is listed until one is
+// released.
 func NewDPA(capacity, bytesPerToken, chunkBytes int64) (*DPA, error) {
 	if capacity <= 0 || bytesPerToken <= 0 || chunkBytes <= 0 {
 		return nil, fmt.Errorf("memory: DPA allocator params must be positive")
@@ -230,18 +254,12 @@ func NewDPA(capacity, bytesPerToken, chunkBytes int64) (*DPA, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("memory: capacity %d below one chunk (%d)", capacity, chunkBytes)
 	}
-	free := make([]ChunkID, n)
-	for i := range free {
-		free[i] = ChunkID(n - 1 - i) // pop from the end -> ascending IDs
-	}
 	return &DPA{
 		capacity:      capacity,
 		bytesPerToken: bytesPerToken,
 		chunkBytes:    chunkBytes,
 		nChunks:       n,
-		freeList:      free,
-		va2pa:         make(map[int][]ChunkID),
-		liveTokens:    make(map[int]int),
+		reqs:          make(map[int]*dpaReq),
 	}, nil
 }
 
@@ -254,17 +272,73 @@ func (d *DPA) chunksFor(tokens int) int {
 	return int((b + d.chunkBytes - 1) / d.chunkBytes)
 }
 
+// free is the number of unmapped chunks.
+func (d *DPA) free() int { return d.nChunks - d.fresh + len(d.released) }
+
+// take appends k free chunks to row, in the order the eager free list's
+// tail held them: when the released stack runs short, the lowest
+// never-mapped IDs first, highest first; then the top of the stack in
+// stack order.
+func (d *DPA) take(row []ChunkID, k int) []ChunkID {
+	if r := len(d.released); k > r {
+		for c := d.fresh + k - r - 1; c >= d.fresh; c-- {
+			row = append(row, ChunkID(c))
+		}
+		d.fresh += k - r
+		k = r
+	}
+	n := len(d.released) - k
+	row = append(row, d.released[n:]...)
+	d.released = d.released[:n]
+	return row
+}
+
+// entry returns a request entry whose row can hold need chunks: the
+// spare with the smallest row that fits, else the spare with the
+// largest row given a new one sized exactly (a fresh entry when there
+// are no spares). Best fit keeps long rows for long requests, so the
+// rows a pool keeps track its concurrent demand instead of each growing
+// to the longest request it ever served.
+func (d *DPA) entry(need int) *dpaReq {
+	best, largest := -1, -1
+	for i, r := range d.spare {
+		c := cap(r.row)
+		if c >= need && (best < 0 || c < cap(d.spare[best].row)) {
+			best = i
+		}
+		if largest < 0 || c > cap(d.spare[largest].row) {
+			largest = i
+		}
+	}
+	if best < 0 {
+		best = largest
+	}
+	if best < 0 {
+		return &dpaReq{row: make([]ChunkID, 0, need)}
+	}
+	r := d.spare[best]
+	last := len(d.spare) - 1
+	d.spare[best], d.spare[last] = d.spare[last], nil
+	d.spare = d.spare[:last]
+	if cap(r.row) < need {
+		r.row = make([]ChunkID, 0, need)
+	}
+	return r
+}
+
 // Admit implements Allocator.
 func (d *DPA) Admit(reqID, tokens int) error {
-	if _, ok := d.va2pa[reqID]; ok {
+	if _, ok := d.reqs[reqID]; ok {
 		return fmt.Errorf("memory: request %d already admitted", reqID)
 	}
 	need := d.chunksFor(tokens)
-	if need > len(d.freeList) {
-		return fmt.Errorf("memory: DPA pool has %d free chunks, need %d", len(d.freeList), need)
+	if free := d.free(); need > free {
+		return fmt.Errorf("memory: DPA pool has %d free chunks, need %d", free, need)
 	}
-	d.va2pa[reqID] = d.pop(need)
-	d.liveTokens[reqID] = tokens
+	r := d.entry(need)
+	r.live = tokens
+	r.row = d.take(r.row[:0], need)
+	d.reqs[reqID] = r
 	d.liveTokSum += int64(tokens)
 	d.mappedSum += int64(need)
 	d.hostMessages++ // initial VA2PA setup
@@ -274,74 +348,73 @@ func (d *DPA) Admit(reqID, tokens int) error {
 // Grow implements Allocator: allocates additional chunks only when the new
 // context spills past the last mapped chunk (lazy allocation).
 func (d *DPA) Grow(reqID, newTokens int) error {
-	cur, ok := d.liveTokens[reqID]
+	r, ok := d.reqs[reqID]
 	if !ok {
 		return fmt.Errorf("memory: request %d not admitted", reqID)
 	}
-	if newTokens < cur {
-		return fmt.Errorf("memory: request %d shrank (%d -> %d)", reqID, cur, newTokens)
+	if newTokens < r.live {
+		return fmt.Errorf("memory: request %d shrank (%d -> %d)", reqID, r.live, newTokens)
 	}
-	have := len(d.va2pa[reqID])
-	need := d.chunksFor(newTokens)
-	if extra := need - have; extra > 0 {
-		if extra > len(d.freeList) {
-			return fmt.Errorf("memory: DPA pool exhausted growing request %d (need %d chunks, %d free)", reqID, extra, len(d.freeList))
+	if extra := d.chunksFor(newTokens) - len(r.row); extra > 0 {
+		if free := d.free(); extra > free {
+			return fmt.Errorf("memory: DPA pool exhausted growing request %d (need %d chunks, %d free)", reqID, extra, free)
 		}
-		// Append straight off the free-list tail (the same ascending IDs
-		// pop hands out) without materializing an intermediate slice.
-		tail := d.freeList[len(d.freeList)-extra:]
-		d.va2pa[reqID] = append(d.va2pa[reqID], tail...)
-		d.freeList = d.freeList[:len(d.freeList)-extra]
+		r.row = d.take(r.row, extra)
 		d.mappedSum += int64(extra)
 		d.hostMessages++ // one host message per chunk-allocation event
 	}
-	d.liveTokSum += int64(newTokens - cur)
-	d.liveTokens[reqID] = newTokens
+	d.liveTokSum += int64(newTokens - r.live)
+	r.live = newTokens
 	return nil
 }
 
-// Release implements Allocator.
+// Release implements Allocator: the request's chunks go on top of the
+// released stack and its entry to the spares.
 func (d *DPA) Release(reqID int) error {
-	chunks, ok := d.va2pa[reqID]
+	r, ok := d.reqs[reqID]
 	if !ok {
 		return fmt.Errorf("memory: request %d not admitted", reqID)
 	}
-	d.freeList = append(d.freeList, chunks...)
-	d.mappedSum -= int64(len(chunks))
-	d.liveTokSum -= int64(d.liveTokens[reqID])
-	delete(d.va2pa, reqID)
-	delete(d.liveTokens, reqID)
+	d.released = append(d.released, r.row...)
+	d.mappedSum -= int64(len(r.row))
+	d.liveTokSum -= int64(r.live)
+	delete(d.reqs, reqID)
+	r.row = r.row[:0]
+	d.spare = append(d.spare, r)
 	d.hostMessages++
 	return nil
 }
 
 // CanAdmit implements Allocator.
-func (d *DPA) CanAdmit(tokens int) bool { return d.chunksFor(tokens) <= len(d.freeList) }
+func (d *DPA) CanAdmit(tokens int) bool { return d.chunksFor(tokens) <= d.free() }
 
-// GrowBudget implements Allocator: the largest lockstep growth whose
-// chunk demand across the whole batch fits the free list. Growth within
-// the budget cannot fail at any step prefix (chunk demand is monotone
-// in the step count), so the fast-forward can leap through it; lazy
-// allocation past the budget can exhaust the pool — the preemption
-// trigger. A batched Grow covering several chunks coalesces the
-// per-chunk host messages into one, which only the host-message
-// counter (not any capacity or serving metric) can observe.
-func (d *DPA) GrowBudget(reqIDs []int) int {
-	if len(reqIDs) == 0 {
+// GrowBudget implements Allocator: the largest lockstep growth, up to
+// limit, whose chunk demand across the whole batch fits the free
+// chunks. Growth within the budget cannot fail at any step prefix
+// (chunk demand is monotone in the step count), so the fast-forward can
+// leap through it; lazy allocation past the budget can exhaust the pool
+// — the preemption trigger. One probe at the limit settles the common
+// case; only a pool too tight for it pays a binary search below it. A
+// batched Grow covering several chunks coalesces the per-chunk host
+// messages into one, which only the host-message counter (not any
+// capacity or serving metric) can observe.
+func (d *DPA) GrowBudget(reqIDs []int, limit int) int {
+	if len(reqIDs) == 0 || limit <= 0 {
 		return 0
 	}
+	limit = min(limit, maxGrowBudget)
 	// Snapshot each request's live tokens and mapped chunks once; the
-	// monotone probes below then walk a slice instead of two maps.
+	// probes below then walk a slice instead of the map.
 	snap := d.growScratch[:0]
 	for _, id := range reqIDs {
-		live, ok := d.liveTokens[id]
+		r, ok := d.reqs[id]
 		if !ok {
 			return 0
 		}
-		snap = append(snap, growSnap{live: live, have: len(d.va2pa[id])})
+		snap = append(snap, growSnap{live: r.live, have: len(r.row)})
 	}
 	d.growScratch = snap
-	free := len(d.freeList)
+	free := d.free()
 	// Chunks the batch must allocate to grow n tokens per request.
 	need := func(n int) int {
 		total := 0
@@ -350,20 +423,12 @@ func (d *DPA) GrowBudget(reqIDs []int) int {
 		}
 		return total
 	}
-	if need(1) > free {
-		return 0
+	if need(limit) <= free {
+		return limit
 	}
-	// Exponential then binary search for the largest affordable n: the
-	// demand is monotone in n, and the probe stays cheap because leap
-	// horizons are bounded by completions long before the cap.
-	hi := 1
-	for need(hi) <= free && hi < 1<<30 {
-		hi <<= 1
-	}
-	lo := hi >> 1 // need(lo) <= free < need(hi), or hi hit the cap
-	if hi >= 1<<30 && need(hi) <= free {
-		return hi
-	}
+	// need(0) <= 0 <= free < need(limit): every row already maps its
+	// live tokens. Search for the largest affordable n below the limit.
+	lo, hi := 0, limit
 	for lo+1 < hi {
 		mid := lo + (hi-lo)/2
 		if need(mid) <= free {
@@ -390,32 +455,30 @@ func (d *DPA) HostMessages() int { return d.hostMessages }
 
 // Translate resolves a request-relative virtual byte address to a physical
 // byte address through the VA2PA table, mirroring the on-module
-// dispatcher's decode step.
+// dispatcher's decode step. Negative addresses are rejected before the
+// division: truncation toward zero would put (-chunkBytes, 0) in virtual
+// chunk 0 and resolve into the physically preceding chunk, which may
+// belong to another request.
 func (d *DPA) Translate(reqID int, vaddr int64) (int64, error) {
-	chunks, ok := d.va2pa[reqID]
+	r, ok := d.reqs[reqID]
 	if !ok {
 		return 0, fmt.Errorf("memory: request %d not admitted", reqID)
 	}
-	vc := int(vaddr / d.chunkBytes)
-	if vc < 0 || vc >= len(chunks) {
+	if vaddr < 0 || vaddr/d.chunkBytes >= int64(len(r.row)) {
 		return 0, fmt.Errorf("memory: request %d vaddr %d beyond mapped region", reqID, vaddr)
 	}
-	return int64(chunks[vc])*d.chunkBytes + vaddr%d.chunkBytes, nil
+	return int64(r.row[vaddr/d.chunkBytes])*d.chunkBytes + vaddr%d.chunkBytes, nil
 }
 
 // Chunks returns a copy of the request's physical chunk list (for tests and
 // the dispatcher model).
 func (d *DPA) Chunks(reqID int) []ChunkID {
-	src := d.va2pa[reqID]
+	var src []ChunkID
+	if r, ok := d.reqs[reqID]; ok {
+		src = r.row
+	}
 	out := make([]ChunkID, len(src))
 	copy(out, src)
-	return out
-}
-
-func (d *DPA) pop(n int) []ChunkID {
-	out := make([]ChunkID, n)
-	copy(out, d.freeList[len(d.freeList)-n:])
-	d.freeList = d.freeList[:len(d.freeList)-n]
 	return out
 }
 
@@ -508,8 +571,8 @@ func (p *Paged) CanAdmit(tokens int) bool {
 // pool split evenly across the growing requests (conservative for
 // requests still decoding inside an upfront high-water reservation,
 // whose Grow calls no-op).
-func (p *Paged) GrowBudget(reqIDs []int) int {
-	if len(reqIDs) == 0 {
+func (p *Paged) GrowBudget(reqIDs []int, limit int) int {
+	if len(reqIDs) == 0 || limit <= 0 {
 		return 0
 	}
 	for _, id := range reqIDs {
@@ -517,7 +580,7 @@ func (p *Paged) GrowBudget(reqIDs []int) int {
 			return 0
 		}
 	}
-	return int((p.capacity - p.reserved) / p.bytesPerToken / int64(len(reqIDs)))
+	return min(limit, int((p.capacity-p.reserved)/p.bytesPerToken/int64(len(reqIDs))))
 }
 
 // LiveBytes implements Allocator: every reserved byte is backed by KV

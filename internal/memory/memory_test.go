@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -581,16 +582,16 @@ func TestGrowBudgetStatic(t *testing.T) {
 	if err := s.Admit(2, 990); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.GrowBudget([]int{1}); got != 900 {
+	if got := s.GrowBudget([]int{1}, math.MaxInt); got != 900 {
 		t.Errorf("budget %d, want 900 (T_max headroom)", got)
 	}
-	if got := s.GrowBudget([]int{1, 2}); got != 10 {
+	if got := s.GrowBudget([]int{1, 2}, math.MaxInt); got != 10 {
 		t.Errorf("batch budget %d, want the tightest request's 10", got)
 	}
-	if got := s.GrowBudget([]int{1, 99}); got != 0 {
+	if got := s.GrowBudget([]int{1, 99}, math.MaxInt); got != 0 {
 		t.Errorf("unknown request budgeted %d, want 0", got)
 	}
-	if got := s.GrowBudget(nil); got != 0 {
+	if got := s.GrowBudget(nil, math.MaxInt); got != 0 {
 		t.Errorf("empty batch budgeted %d, want 0", got)
 	}
 	// Growing through the budget must succeed without error.
@@ -599,7 +600,7 @@ func TestGrowBudgetStatic(t *testing.T) {
 			t.Fatalf("in-budget grow to %d failed: %v", 990+k, err)
 		}
 	}
-	if got := s.GrowBudget([]int{2}); got != 0 {
+	if got := s.GrowBudget([]int{2}, math.MaxInt); got != 0 {
 		t.Errorf("budget at T_max is %d, want 0", got)
 	}
 }
@@ -617,7 +618,7 @@ func TestGrowBudgetDPA(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One free chunk holds 4 more tokens.
-	if got := d.GrowBudget([]int{1}); got != 4 {
+	if got := d.GrowBudget([]int{1}, math.MaxInt); got != 4 {
 		t.Errorf("budget %d, want 4 (one free chunk)", got)
 	}
 	for k := 1; k <= 4; k++ {
@@ -625,16 +626,16 @@ func TestGrowBudgetDPA(t *testing.T) {
 			t.Fatalf("in-budget grow to %d failed: %v", 4+k, err)
 		}
 	}
-	if got := d.GrowBudget([]int{1}); got != 0 {
+	if got := d.GrowBudget([]int{1}, math.MaxInt); got != 0 {
 		t.Errorf("budget of an exhausted pool is %d, want 0", got)
 	}
 	if err := d.Grow(1, 9); err == nil {
 		t.Error("growth past the budget should exhaust the pool")
 	}
-	if got := d.GrowBudget([]int{1, 3}); got != 0 {
+	if got := d.GrowBudget([]int{1, 3}, math.MaxInt); got != 0 {
 		t.Errorf("unknown request budgeted %d, want 0", got)
 	}
-	if got := d.GrowBudget(nil); got != 0 {
+	if got := d.GrowBudget(nil, math.MaxInt); got != 0 {
 		t.Errorf("empty batch budgeted %d, want 0", got)
 	}
 	// Two requests sharing the pool split the chunk demand.
@@ -650,7 +651,7 @@ func TestGrowBudgetDPA(t *testing.T) {
 	}
 	// 2 free chunks, both requests at a chunk edge: each can take one
 	// chunk's worth of lockstep growth.
-	if got := d2.GrowBudget([]int{1, 2}); got != 4 {
+	if got := d2.GrowBudget([]int{1, 2}, math.MaxInt); got != 4 {
 		t.Errorf("batch budget %d, want 4", got)
 	}
 }
@@ -668,7 +669,7 @@ func TestGrowBudgetPaged(t *testing.T) {
 	if err := p.Admit(2, 30); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.GrowBudget([]int{1, 2}); got != 20 {
+	if got := p.GrowBudget([]int{1, 2}, math.MaxInt); got != 20 {
 		t.Errorf("budget %d, want 20 (40 free tokens over 2 requests)", got)
 	}
 	// Growing both through the budget must succeed.
@@ -680,13 +681,13 @@ func TestGrowBudgetPaged(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := p.GrowBudget([]int{1, 2}); got != 0 {
+	if got := p.GrowBudget([]int{1, 2}, math.MaxInt); got != 0 {
 		t.Errorf("budget of a full pool is %d, want 0", got)
 	}
-	if got := p.GrowBudget([]int{1, 9}); got != 0 {
+	if got := p.GrowBudget([]int{1, 9}, math.MaxInt); got != 0 {
 		t.Errorf("unknown request budgeted %d, want 0", got)
 	}
-	if got := p.GrowBudget(nil); got != 0 {
+	if got := p.GrowBudget(nil, math.MaxInt); got != 0 {
 		t.Errorf("empty batch budgeted %d, want 0", got)
 	}
 }

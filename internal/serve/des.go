@@ -1,8 +1,9 @@
 // The discrete-event spine shared by the classic load-balanced
 // simulator (serve.go) and the heterogeneous fleet simulator
 // (fleet.go). Both paths run the same loop over one priority heap of
-// typed events — arrivals, prefill handoffs, migration and steal
-// landings, and replica-ready ticks — with every replica keeping an
+// typed events — prefill handoffs, migration and steal landings,
+// lifecycle, fault and scale timers, and replica-ready ticks — merged
+// with a cursor over the arrival schedule, and every replica keeps an
 // independent clock. What differs between the paths is only the
 // synchronization discipline: how far other replicas must have
 // simulated before an event may be dispatched. A replica synchronizes
@@ -24,9 +25,19 @@
 //     free headroom for held requests, idle replicas steal), so busy
 //     replicas advance one engine call at a time in global clock
 //     order. Each busy replica owns one evReady entry at its clock;
-//     popping it advances that replica bounded by the next heap entry,
-//     which is exactly "the earliest pending event or the
+//     popping it advances that replica bounded by the next pending
+//     entry, which is exactly "the earliest pending event or the
 //     next-lagging replica's clock, whichever comes first".
+//
+// The heap holds only events in flight, so a push or pop costs the
+// logarithm of the work in flight, not of the schedule. Arrivals never
+// enter it: the schedule is validated and sorted before the run, and a
+// cursor over it is merged with the heap top, an arrival dispatching
+// ahead of any heap entry at its own time — exactly where the run's
+// lowest sequence numbers would sort it had the whole schedule been
+// pushed first. Each replica's evReady entry is one reusable heap entry
+// that wake moves in place (heap.Fix), so re-arming leaves no stale
+// entry behind.
 //
 // Exactness. Every per-token timestamp is bit-identical across
 // disciplines and leap granularities because engine advancement
@@ -56,7 +67,8 @@ import (
 type eventKind int
 
 const (
-	// evArrival: a request enters the system at its schedule time.
+	// evArrival: a request enters the system at its schedule time. The
+	// spine's arrival cursor dispatches these; they are never queued.
 	evArrival eventKind = iota
 	// evHandoff: a prompt prefill finished and (for disaggregated
 	// fleets) its KV landed; the request is ready to decode.
@@ -111,11 +123,11 @@ type event struct {
 	gen  int              // evMigrated: tokens already generated (migration progress)
 	dst  int              // target decoder index; -1 = placement decides at dispatch
 
-	// evReady fields: the replica the entry belongs to and the arming
-	// generation — a stale generation means the replica was re-armed
-	// (its clock moved) and the entry is discarded on pop.
+	// replica owns an evReady entry. index is the entry's heap slot (-1
+	// while it is not queued), kept current by the queue so wake can move
+	// a queued entry in place.
 	replica int
-	rgen    int
+	index   int
 }
 
 // eventQueue is a min-heap on (at, kind class, seq | replica): at equal
@@ -140,13 +152,22 @@ func (q eventQueue) Less(i, j int) bool {
 	}
 	return a.seq < b.seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
+func (q eventQueue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].index = i
+	q[j].index = j
+}
+func (q *eventQueue) Push(x any) {
+	e := x.(*event)
+	e.index = len(*q)
+	*q = append(*q, e)
+}
 func (q *eventQueue) Pop() any {
 	old := *q
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
+	e.index = -1
 	*q = old[:n-1]
 	return e
 }
@@ -181,7 +202,8 @@ type scheduler interface {
 }
 
 // spine is the discrete-event core: the per-request tracker, the
-// replica set with independent clocks, and the event heap.
+// replica set with independent clocks, the event heap and the cursor
+// over the arrival schedule.
 type spine struct {
 	tracker
 	replicas []*replica
@@ -189,16 +211,62 @@ type spine struct {
 	sched    scheduler
 	events   eventQueue
 	seq      int
-	readyGen []int
+	// arrivals is the validated schedule, sorted by time; cursor indexes
+	// the first arrival not yet dispatched, and arrival is the entry each
+	// one is dispatched through (reused, so a dispatched arrival leaves
+	// nothing behind).
+	arrivals []workload.Arrival
+	cursor   int
+	arrival  event
+	// ready holds each replica's one evReady entry (interleaved only).
+	ready []event
 	// clock is the scheduler's notion of now: the latest dispatched
 	// event time.
 	clock float64
 }
 
-// pushArrival schedules a request's entry into the system.
-func (s *spine) pushArrival(rec *record, a workload.Arrival) {
-	s.seq++
-	heap.Push(&s.events, &event{at: a.At, seq: s.seq, kind: evArrival, rec: rec, arr: a, dst: -1})
+// schedule validates a timed arrival schedule — sorted by At, unique
+// request IDs — records every request (one allocation for all of them)
+// and points the arrival cursor at its head.
+func (s *spine) schedule(arrivals []workload.Arrival) error {
+	recs := make([]record, len(arrivals))
+	for i, a := range arrivals {
+		if i > 0 && a.At < arrivals[i-1].At {
+			return fmt.Errorf("serve: arrivals not sorted at %d (%g after %g)", i, a.At, arrivals[i-1].At)
+		}
+		if _, dup := s.recs[a.Req.ID]; dup {
+			return fmt.Errorf("serve: duplicate request ID %d in schedule", a.Req.ID)
+		}
+		recs[i] = record{req: a.Req, arrival: a.At, replica: -1}
+		s.recs[a.Req.ID] = &recs[i]
+	}
+	s.arrivals, s.cursor = arrivals, 0
+	return nil
+}
+
+// arrivalPending reports whether the schedule still holds an arrival
+// the cursor has not dispatched.
+func (s *spine) arrivalPending() bool { return s.cursor < len(s.arrivals) }
+
+// arrivalFirst reports whether the cursor's next arrival is the
+// earliest pending entry. It sorts ahead of any heap entry at its own
+// time: ready entries yield to every global event, and arrivals hold
+// the lowest sequence numbers of the run.
+func (s *spine) arrivalFirst() bool {
+	return s.arrivalPending() && (len(s.events) == 0 || s.arrivals[s.cursor].At <= s.events[0].at)
+}
+
+// nextAt is the time of the earliest pending entry, heap or cursor
+// (+Inf when there is none).
+func (s *spine) nextAt() float64 {
+	t := math.Inf(1)
+	if len(s.events) > 0 {
+		t = s.events[0].at
+	}
+	if s.arrivalPending() && s.arrivals[s.cursor].At < t {
+		t = s.arrivals[s.cursor].At
+	}
+	return t
 }
 
 // push schedules a handoff/migration/steal landing.
@@ -207,16 +275,21 @@ func (s *spine) push(kind eventKind, rec *record, gen, dst int, at float64) {
 	heap.Push(&s.events, &event{at: at, seq: s.seq, kind: kind, rec: rec, gen: gen, dst: dst})
 }
 
-// wake (re-)arms a replica's ready entry at its current clock,
-// invalidating any previous entry. Call it whenever a replica gains
-// work or its clock moves; arming an already-armed replica is safe.
-// Only the interleaved discipline uses ready entries.
+// wake arms replica i's ready entry at its current clock, moving the
+// entry in place when it is already queued. Call it whenever a replica
+// gains work or its clock moves; arming an already-armed replica is
+// safe. Only the interleaved discipline uses ready entries.
 func (s *spine) wake(i int) {
 	if s.sync != syncInterleaved || s.replicas[i].eng.Idle() {
 		return
 	}
-	s.readyGen[i]++
-	heap.Push(&s.events, &event{at: s.replicas[i].clock, kind: evReady, replica: i, rgen: s.readyGen[i]})
+	e := &s.ready[i]
+	e.at = s.replicas[i].clock
+	if e.index < 0 {
+		heap.Push(&s.events, e)
+		return
+	}
+	heap.Fix(&s.events, e.index)
 }
 
 // busyCount reports how many replicas still hold work.
@@ -253,19 +326,29 @@ func (s *spine) advanceAll(ctx context.Context, t float64) error {
 	return err
 }
 
-// run is the event loop. It pops the globally earliest entry: a ready
-// entry advances its replica by one engine call bounded by the next
-// entry, a global event is dispatched once the discipline's
-// synchronization requirement holds — by construction for interleaved
-// mode (a lagging busy replica's ready entry sorts first), by an
-// explicit concurrent barrier advance for barrier mode, and vacuously
-// for lazy mode (the dispatch advances its destination itself).
+// run is the event loop. It takes the globally earliest entry — the
+// cursor's next arrival or the heap top: a ready entry advances its
+// replica by one engine call bounded by the next entry, a global event
+// is dispatched once the discipline's synchronization requirement holds
+// — by construction for interleaved mode (a lagging busy replica's
+// ready entry sorts first), by an explicit concurrent barrier advance
+// for barrier mode, and vacuously for lazy mode (the dispatch advances
+// its destination itself).
 func (s *spine) run(ctx context.Context) error {
 	for {
-		if s.events.Len() == 0 {
-			if s.busyCount() > 0 {
+		var e *event
+		switch {
+		case s.arrivalFirst():
+			a := &s.arrivals[s.cursor]
+			s.arrival = event{at: a.At, kind: evArrival, rec: s.recs[a.Req.ID], arr: *a, dst: -1}
+			s.cursor++
+			e = &s.arrival
+		case len(s.events) > 0:
+			e = heap.Pop(&s.events).(*event)
+		default:
+			if n := s.busyCount(); n > 0 {
 				if s.sync == syncInterleaved {
-					return fmt.Errorf("serve: event heap drained with %d replicas still busy", s.busyCount())
+					return fmt.Errorf("serve: event heap drained with %d replicas still busy", n)
 				}
 				// Classic drain: no more arrivals, run everything out.
 				if err := s.advanceAll(ctx, math.Inf(1)); err != nil {
@@ -273,57 +356,13 @@ func (s *spine) run(ctx context.Context) error {
 				}
 			}
 			made, err := s.sched.idleWork()
-			if err != nil {
+			if err != nil || !made {
 				return err
 			}
-			if made {
-				continue
-			}
-			return nil
+			continue
 		}
-		e := s.events[0]
 		if e.kind == evReady {
-			heap.Pop(&s.events)
-			d := s.replicas[e.replica]
-			if e.rgen != s.readyGen[e.replica] || d.eng.Idle() {
-				continue // re-armed or drained since push
-			}
-			// DES invariants, checked on every pop: a fresh ready entry
-			// sits exactly at its replica's clock (wake re-arms on every
-			// clock move, so a mismatch means a replica advanced without
-			// re-arming), and no entry fires behind the scheduler clock
-			// (the heap dispatched something out of order).
-			if e.at != d.clock {
-				return fmt.Errorf("serve: replica %d ready entry at t=%g fired off its clock t=%g", e.replica, e.at, d.clock)
-			}
-			if e.at < s.clock {
-				return fmt.Errorf("serve: replica %d ready entry at t=%g fired behind the scheduler clock t=%g", e.replica, e.at, s.clock)
-			}
-			// Bound the engine call by the next entry: the earliest
-			// pending event or the next-lagging replica's clock.
-			until := math.Inf(1)
-			if s.events.Len() > 0 {
-				until = s.events[0].at
-			}
-			before := d.clock
-			res, err := s.step(ctx, d, until)
-			if err != nil {
-				return err
-			}
-			// A stall — no iteration ran, nothing drained, the clock did
-			// not move — would re-arm this entry at the same timestamp
-			// forever (the classic symptom: a stolen or misplaced request
-			// queued on a replica that can never admit it). Fail loudly
-			// instead of spinning.
-			if res.Batch == 0 && !d.eng.Idle() && d.clock == before {
-				return fmt.Errorf("serve: replica %d stalled at t=%g with %d queued requests it cannot admit",
-					e.replica, d.clock, d.eng.Pending())
-			}
-			s.wake(e.replica)
-			if err := s.sched.onStep(e.replica, res); err != nil {
-				return err
-			}
-			if err := s.sched.react(d.clock); err != nil {
+			if err := s.advanceReady(ctx, e); err != nil {
 				return err
 			}
 			continue
@@ -333,7 +372,6 @@ func (s *spine) run(ctx context.Context) error {
 				return err
 			}
 		}
-		heap.Pop(&s.events)
 		if e.at < s.clock {
 			return fmt.Errorf("serve: event kind %d at t=%g fired behind the scheduler clock t=%g", int(e.kind), e.at, s.clock)
 		}
@@ -356,4 +394,46 @@ func (s *spine) run(ctx context.Context) error {
 			return err
 		}
 	}
+}
+
+// advanceReady runs one popped ready entry: its replica advances by one
+// engine call bounded by the next pending entry — the earliest event,
+// arrival or next-lagging replica's clock — and the scheduler reacts to
+// the step. The entry of a replica that drained since it was armed
+// (withdrawn or crashed) is dropped; wake pushes it again when work
+// returns.
+func (s *spine) advanceReady(ctx context.Context, e *event) error {
+	d := s.replicas[e.replica]
+	if d.eng.Idle() {
+		return nil
+	}
+	// DES invariants, checked on every pop: a ready entry sits exactly
+	// at its replica's clock (wake re-arms on every clock move, so a
+	// mismatch means a replica advanced without re-arming), and no entry
+	// fires behind the scheduler clock (the heap dispatched something out
+	// of order).
+	if e.at != d.clock {
+		return fmt.Errorf("serve: replica %d ready entry at t=%g fired off its clock t=%g", e.replica, e.at, d.clock)
+	}
+	if e.at < s.clock {
+		return fmt.Errorf("serve: replica %d ready entry at t=%g fired behind the scheduler clock t=%g", e.replica, e.at, s.clock)
+	}
+	before := d.clock
+	res, err := s.step(ctx, d, s.nextAt())
+	if err != nil {
+		return err
+	}
+	// A stall — no iteration ran, nothing drained, the clock did not
+	// move — would re-arm this entry at the same timestamp forever (the
+	// classic symptom: a stolen or misplaced request queued on a replica
+	// that can never admit it). Fail loudly instead of spinning.
+	if res.Batch == 0 && !d.eng.Idle() && d.clock == before {
+		return fmt.Errorf("serve: replica %d stalled at t=%g with %d queued requests it cannot admit",
+			e.replica, d.clock, d.eng.Pending())
+	}
+	s.wake(e.replica)
+	if err := s.sched.onStep(e.replica, res); err != nil {
+		return err
+	}
+	return s.sched.react(d.clock)
 }

@@ -216,6 +216,56 @@ func TestExhaustedRetryBudgetFailsLoudly(t *testing.T) {
 	}
 }
 
+// holdUntilSeen is a test placement that holds every request until the
+// request with ID open has been offered, then places on the first
+// fitting replica: capacity that only a later arrival unlocks.
+type holdUntilSeen struct {
+	open int
+	seen bool
+}
+
+func (*holdUntilSeen) Name() string { return "hold-until-seen" }
+func (p *holdUntilSeen) Place(r workload.Request, loads []serve.FleetLoad) int {
+	if r.ID == p.open {
+		p.seen = true
+	}
+	if p.seen {
+		for i, l := range loads {
+			if l.Fits {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// TestFaultQuiescenceCountsScheduledArrivals is the stall-guard
+// regression for arrivals that are not heap events: a crash recovers
+// while request 1 is held and nothing but request 2's arrival is still
+// to come. That arrival is pending work, so the recovery must not
+// declare the fleet quiescent and fail the run as a permanent stall;
+// request 2 releases the hold and both complete.
+func TestFaultQuiescenceCountsScheduledArrivals(t *testing.T) {
+	arr := []workload.Arrival{
+		{At: 0, Req: workload.Request{ID: 1, Context: 64, Decode: 8}},
+		{At: 1, Req: workload.Request{ID: 2, Context: 64, Decode: 8}},
+	}
+	rep := mustRun(t, serve.Config{
+		Fleet:     []serve.ReplicaSpec{{System: simtest.System("pim-dpa"), Count: 1, Role: serve.RoleUnified}},
+		Placement: &holdUntilSeen{open: 2},
+		Faults: &serve.FaultPlan{
+			Injections: []serve.Injection{{Replica: 0, Mode: serve.FaultCrash, At: 0.1, DurationSeconds: 0.05}},
+			MaxRetries: -1,
+		},
+		SLO: serve.SLO{TTFT: 10, TBT: 1},
+	}, arr)
+	simtest.CheckInvariants(t, rep, arr)
+	if rep.Faults.Crashes != 1 || rep.Fleet.Held != 1 {
+		t.Errorf("crashes %d, held %d; want the crash and its recovery while request 1 is held",
+			rep.Faults.Crashes, rep.Fleet.Held)
+	}
+}
+
 // TestDegradationModesBite: slowdown and link faults must change the
 // tables they claim to price — a slowed replica stretches latency, a
 // degraded fabric stretches transfer seconds — while crash accounting

@@ -367,8 +367,11 @@ func newFleetSim(cfg Config, n int) (*fleetSim, error) {
 		tracker:  tracker{recs: make(map[int]*record, n), singleStep: cfg.SingleStep},
 		replicas: reps,
 		sync:     syncInterleaved,
-		readyGen: make([]int, len(reps)),
+		ready:    make([]event, len(reps)),
 		sched:    fs,
+	}
+	for i := range fs.ready {
+		fs.ready[i] = event{kind: evReady, replica: i, index: -1}
 	}
 	fs.indexed, _ = fs.placement.(indexedPlacement)
 	fs.initViews()
@@ -381,23 +384,25 @@ func runFleet(ctx context.Context, cfg Config, arrivals []workload.Arrival) (*Re
 	if err != nil {
 		return nil, err
 	}
-	for i, a := range arrivals {
-		if i > 0 && a.At < arrivals[i-1].At {
-			return nil, fmt.Errorf("serve: arrivals not sorted at %d (%g after %g)", i, a.At, arrivals[i-1].At)
-		}
-		if _, dup := fs.recs[a.Req.ID]; dup {
-			return nil, fmt.Errorf("serve: duplicate request ID %d in schedule", a.Req.ID)
-		}
-		rec := &record{req: a.Req, arrival: a.At, replica: -1}
-		fs.recs[a.Req.ID] = rec
-		fs.pushArrival(rec, a)
+	if err := fs.start(arrivals); err != nil {
+		return nil, err
 	}
-	fs.firstArrival = arrivals[0].At
-	fs.initFaults()
 	if err := fs.spine.run(ctx); err != nil {
 		return nil, err
 	}
 	return fs.report(arrivals)
+}
+
+// start loads a non-empty arrival schedule onto the spine's cursor and
+// compiles the fault plan, whose group chains start at the first
+// arrival.
+func (fs *fleetSim) start(arrivals []workload.Arrival) error {
+	if err := fs.schedule(arrivals); err != nil {
+		return err
+	}
+	fs.firstArrival = arrivals[0].At
+	fs.initFaults()
+	return nil
 }
 
 // onStep reacts to one decoder engine call: first tokens retire their
@@ -470,11 +475,15 @@ func (fs *fleetSim) idleWork() (bool, error) {
 	return false, fmt.Errorf("serve: %d requests held with no fleet replica able to admit them", n)
 }
 
-// pendingProgress reports whether the heap holds an event that can move
-// work or create capacity. Fault chains, scale-eval timers and ready
-// ticks do not count: an eternal fault chain must not keep a stalled
-// simulation alive, and a bare timer resolves at its own dispatch.
+// pendingProgress reports whether an arrival is still scheduled or the
+// heap holds an event that can move work or create capacity. Fault
+// chains, scale-eval timers and ready ticks do not count: an eternal
+// fault chain must not keep a stalled simulation alive, and a bare
+// timer resolves at its own dispatch.
 func (fs *fleetSim) pendingProgress() bool {
+	if fs.arrivalPending() {
+		return true
+	}
 	for _, ev := range fs.events {
 		switch ev.kind {
 		case evFail, evRecover, evScaleEval, evReady:

@@ -405,16 +405,8 @@ func Run(ctx context.Context, cfg Config, arrivals []workload.Arrival) (*Report,
 		s.replicas = append(s.replicas, &replica{sys: sys, eng: eng})
 	}
 	s.loads = make([]Load, len(s.replicas))
-	for i, a := range arrivals {
-		if i > 0 && a.At < arrivals[i-1].At {
-			return nil, fmt.Errorf("serve: arrivals not sorted at %d (%g after %g)", i, a.At, arrivals[i-1].At)
-		}
-		if _, dup := s.recs[a.Req.ID]; dup {
-			return nil, fmt.Errorf("serve: duplicate request ID %d in schedule", a.Req.ID)
-		}
-		rec := &record{req: a.Req, arrival: a.At, replica: -1}
-		s.recs[a.Req.ID] = rec
-		s.pushArrival(rec, a)
+	if err := s.schedule(arrivals); err != nil {
+		return nil, err
 	}
 	if err := s.spine.run(ctx); err != nil {
 		return nil, err
