@@ -67,10 +67,11 @@ race-pricing:
 	$(GO) test -race -count=10 -run TestConcurrentColdPricing ./internal/perfmodel/
 
 # Fuzz smoke: 30 seconds over the DES spine — randomized (seed,
-# arrival-mix, fleet-shape) tuples must keep every synchronization
-# discipline byte-identical and every DES invariant intact — then 10
-# seconds of the DPA differential oracle (the lazy allocator against
-# the eager reference).
+# arrival-mix, fleet-shape, fault-schedule) tuples must keep every
+# leaping run, whichever bound the spine derives, byte-identical to
+# single stepping and every DES invariant intact — then 10 seconds of
+# the DPA differential oracle (the lazy allocator against the eager
+# reference).
 fuzz-smoke:
 	$(GO) test -fuzz FuzzDESSchedule -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz FuzzDPA -fuzztime 10s ./internal/memory/

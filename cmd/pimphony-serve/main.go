@@ -80,7 +80,7 @@ func printCatalog() {
 		fmt.Fprintf(w, "  %s\n", strings.Join(serve.PlacementNames(), ", "))
 		fmt.Fprintln(w, "\nfleet replica roles (-fleet backend:role:count[:kv=GiB][:alloc=static|dpa]):")
 		fmt.Fprintln(w, "  prefill — prompt processing only; hands KV to a decode replica over the interconnect")
-		fmt.Fprintln(w, "  decode  — continuous-batching decode only; receives prefilled KV")
+		fmt.Fprintln(w, "  decode  — continuous-batching decode only; receives KV from prefill replicas (without them, prompts are prefilled outside the fleet)")
 		fmt.Fprintln(w, "  unified — prefills and decodes locally (no handoff transfer)")
 		fmt.Fprintln(w, "\nfleet autoscaling policies (-autoscale, with -fleet; 'fixed' keeps every replica online):")
 		fmt.Fprintf(w, "  %s\n", strings.Join(serve.AutoscalerNames(), ", "))
@@ -262,7 +262,7 @@ func main() {
 			fatal("-fleet and -capacity are mutually exclusive")
 		}
 		if *prefill {
-			fatal("-prefill is implicit in fleet mode: every role prices its own prefill, and prefill replicas price the KV handoff too")
+			fatal("-prefill does not apply in fleet mode: prefill and unified replicas price their own prompts (prefill replicas the KV handoff too), and a decode-only fleet's prompts are prefilled outside it")
 		}
 		policySet := false
 		flag.Visit(func(f *flag.Flag) { policySet = policySet || f.Name == "policy" || f.Name == "replicas" })

@@ -11,6 +11,7 @@ import (
 type record struct {
 	req     workload.Request
 	arrival float64
+	session int     // the arrival's session key, for session-affine placement
 	first   float64 // end of the iteration that produced token 1
 	done    float64 // end of the iteration that produced the last token
 	tokens  int     // tokens actually generated (Decode, unless truncated at T_max)
@@ -36,10 +37,9 @@ type replica struct {
 // tracker owns the per-request records and the replica-advancement
 // machinery — how an engine is driven and how its event stream becomes
 // per-token timestamps. It is the half of the simulator that does not
-// know about routing: the load-balanced simulator (sim) and the fleet
-// simulator (fleetSim) both embed it, so placement, handoff and
-// migration policies can differ while the advancement semantics — and
-// therefore every timestamp — stay shared and byte-identical.
+// know about routing, so placement, handoff and migration policies can
+// differ while the advancement semantics — and therefore every
+// timestamp — stay shared and byte-identical.
 type tracker struct {
 	recs       map[int]*record
 	singleStep bool
@@ -48,9 +48,8 @@ type tracker struct {
 // step advances a replica by one engine call — a single decode
 // iteration, or a multi-iteration leap bounded by t (the time the
 // replica is advancing toward) — and stamps the resulting events with
-// the replica's clock. The engine result is returned so callers that
-// react to per-step events (the fleet scheduler's migration decisions)
-// can inspect it; the load balancer ignores it.
+// the replica's clock. The engine result is returned so the scheduler
+// can react to per-step events (migration decisions, completions).
 func (tk *tracker) step(ctx context.Context, r *replica, t float64) (cluster.StepResult, error) {
 	var res cluster.StepResult
 	var err error
@@ -109,18 +108,4 @@ func (tk *tracker) apply(res cluster.StepResult, r *replica) {
 		tk.recs[q.ID].done = end
 	}
 	r.clock = end
-}
-
-// advance simulates a replica up to time t (or through its current work
-// if it empties earlier); an idle replica's clock jumps to t.
-func (tk *tracker) advance(ctx context.Context, r *replica, t float64) error {
-	for r.clock < t && !r.eng.Idle() {
-		if _, err := tk.step(ctx, r, t); err != nil {
-			return err
-		}
-	}
-	if r.eng.Idle() && r.clock < t {
-		r.clock = t
-	}
-	return nil
 }

@@ -1,55 +1,59 @@
-// The discrete-event spine shared by the classic load-balanced
-// simulator (serve.go) and the heterogeneous fleet simulator
-// (fleet.go). Both paths run the same loop over one priority heap of
-// typed events — prefill handoffs, migration and steal landings,
-// lifecycle, fault and scale timers, and replica-ready ticks — merged
-// with a cursor over the arrival schedule, and every replica keeps an
-// independent clock. What differs between the paths is only the
-// synchronization discipline: how far other replicas must have
-// simulated before an event may be dispatched. A replica synchronizes
-// exactly when the scheduler genuinely observes cross-replica state,
-// and never otherwise:
+// The discrete-event spine under the serving simulator. Every run —
+// the Config{System, Replicas, Policy} shorthand and every explicit
+// fleet — plays out on one loop over three sources of work, each
+// replica keeping an independent clock:
 //
-//   - syncBarrier (classic, load-aware policy): routing reads every
-//     replica's live queue state, so all replicas advance to the
-//     arrival time before it dispatches. Replicas share no state
-//     between events, so the barrier advance runs them concurrently
-//     (internal/sweep) with byte-identical results at any parallelism.
-//   - syncLazy (classic, LoadOblivious policy): routing reads nothing,
-//     so only the destination replica advances to the arrival time —
-//     the others keep simulating in larger leaps and catch up when
-//     they are next routed to (or at drain). Exact by the
-//     leap-partitioning argument below.
-//   - syncInterleaved (fleet): the global scheduler reacts to every
-//     engine-call boundary (preemptions become migrations, completions
-//     free headroom for held requests, idle replicas steal), so busy
-//     replicas advance one engine call at a time in global clock
-//     order. Each busy replica owns one evReady entry at its clock;
-//     popping it advances that replica bounded by the next pending
-//     entry, which is exactly "the earliest pending event or the
-//     next-lagging replica's clock, whichever comes first".
+//   - the arrival cursor, over the validated, time-sorted schedule;
+//   - the event heap: prefill handoffs, migration and steal landings,
+//     lifecycle, fault, retry and scale timers;
+//   - the ready heap: one entry per busy replica at its clock, ordered
+//     by clock and then replica index.
 //
-// The heap holds only events in flight, so a push or pop costs the
-// logarithm of the work in flight, not of the schedule. Arrivals never
-// enter it: the schedule is validated and sorted before the run, and a
-// cursor over it is merged with the heap top, an arrival dispatching
-// ahead of any heap entry at its own time — exactly where the run's
-// lowest sequence numbers would sort it had the whole schedule been
-// pushed first. Each replica's evReady entry is one reusable heap entry
-// that wake moves in place (heap.Fix), so re-arming leaves no stale
-// entry behind.
+// The next global entry is the cursor or the event-heap top, found
+// without a scan. At equal timestamps the cursor goes first (arrivals
+// hold the lowest sequence numbers of the run), then global events in
+// push order, then ready entries: the scheduler sees every event at
+// that boundary before any replica advances past it. A global entry
+// dispatches once every busy replica stands at its first iteration
+// boundary at or after the entry's time — by construction, since ready
+// entries behind it pop first.
 //
-// Exactness. Every per-token timestamp is bit-identical across
-// disciplines and leap granularities because engine advancement
-// composes: cluster.Engine.Leap prices the same per-iteration sequence
-// of (batch, tokens) no matter where the until clamp partitions it,
-// and tracker.apply replays IterSeconds one float addition at a time
-// in iteration order. A partition boundary inserted where no enqueue,
-// admission or retirement happens (the only thing lazy advancement
-// removes) therefore changes which Leap call prices an iteration, but
-// never what the iteration costs or when it ends. The equivalence
-// suite (equiv_test.go) pins this across backends, allocators,
-// policies, horizons and sweep parallelism.
+// Popping a ready entry advances its replica by one engine call, and
+// the bound of that call comes from the scheduler:
+//
+//   - Decoupled: the scheduler cannot act on one replica in reaction to
+//     another's engine call — no migration or stealing over a usable
+//     interconnect, no autoscaler, and no held request waiting for
+//     headroom. Replicas then share no state between global events, so
+//     the replica leaps straight to the next global entry.
+//   - Coupled: otherwise the scheduler reacts to every engine-call
+//     boundary (preemptions become migrations, completions free
+//     headroom for held requests, idle replicas steal), so the replica
+//     leaps only to the next entry of either heap — the next global
+//     entry or the next-lagging replica's clock — and busy replicas
+//     advance in global clock order.
+//
+// The bound is re-derived at every pop, so a run flips between the two
+// as its held queue fills and drains.
+//
+// The heaps hold only work in flight, so a push or pop costs the
+// logarithm of the work in flight, not of the schedule. Each replica's
+// ready entry is one reusable entry that wake moves in place
+// (heap.Fix), so re-arming leaves no stale entry behind.
+//
+// Exactness. Every per-token timestamp is bit-identical across leap
+// bounds and granularities because engine advancement composes:
+// cluster.Engine.Leap prices the same per-iteration sequence of (batch,
+// tokens) no matter where the until clamp partitions it, and
+// tracker.apply replays IterSeconds one float addition at a time in
+// iteration order. A partition boundary inserted where no enqueue,
+// admission or retirement happens (the only thing a shorter bound
+// adds) therefore changes which Leap call prices an iteration, but
+// never what the iteration costs or when it ends. Single stepping
+// (Config.SingleStep) prices one iteration per pop in global clock
+// order whatever the bound, which makes it the reference. The
+// equivalence suite (equiv_test.go) pins this across backends,
+// allocators, placements, horizons and sweep parallelism.
 package serve
 
 import (
@@ -59,11 +63,10 @@ import (
 	"math"
 
 	"pimphony/internal/cluster"
-	"pimphony/internal/sweep"
 	"pimphony/internal/workload"
 )
 
-// eventKind labels one entry in the spine's heap.
+// eventKind labels one spine entry.
 type eventKind int
 
 const (
@@ -88,10 +91,11 @@ const (
 	// is the replica index.
 	evDrain
 	// evReady: a busy replica's next engine-call boundary — its clock.
-	// Popping it advances that replica by one (horizon-clamped) engine
+	// Ready entries live in the ready heap, never the event heap.
+	// Popping one advances that replica by one (horizon-clamped) engine
 	// call; a leap cut short by Engine.SetHorizon simply re-arms the
 	// entry at the new clock, so horizon expiry needs no separate
-	// bookkeeping. Only the interleaved discipline arms these.
+	// bookkeeping.
 	evReady
 	// evFail: a fault chain fires on a replica (crash, transient
 	// slowdown or link degradation; see faults.go). gen is the chain
@@ -113,29 +117,27 @@ const (
 	evScaleEval
 )
 
-// event is one scheduled entry in the spine's heap.
+// event is one spine entry.
 type event struct {
-	at   float64
-	seq  int // push order among non-ready events; FIFO tie-break
+	at float64
+	// seq breaks ties at equal at: push order among global events
+	// (FIFO), the replica index for ready entries.
+	seq  int
 	kind eventKind
 	rec  *record
-	arr  workload.Arrival // evArrival: the arrival being routed
-	gen  int              // evMigrated: tokens already generated (migration progress)
-	dst  int              // target decoder index; -1 = placement decides at dispatch
-
-	// replica owns an evReady entry. index is the entry's heap slot (-1
-	// while it is not queued), kept current by the queue so wake can move
-	// a queued entry in place.
-	replica int
-	index   int
+	gen  int // evMigrated: tokens already generated (migration progress)
+	// dst is the target decoder index (-1 = placement decides at
+	// dispatch), or the replica a ready entry belongs to.
+	dst int
+	// index is the entry's heap slot (-1 while it is not queued), kept
+	// current by the queue so wake can move a queued entry in place.
+	index int
 }
 
-// eventQueue is a min-heap on (at, kind class, seq | replica): at equal
-// timestamps global events dispatch before any replica advances past
-// them (the scheduler must see the event at that boundary), events keep
-// FIFO push order among themselves, and ready entries tie-break to the
-// lowest replica index — the same total order the sequential
-// lagging-replica scan produced.
+// eventQueue is a min-heap on (at, seq). The event heap and the ready
+// heap are both eventQueues: the first orders global events by time and
+// then push order, the second ready entries by clock and then replica
+// index.
 type eventQueue []*event
 
 func (q eventQueue) Len() int { return len(q) }
@@ -143,12 +145,6 @@ func (q eventQueue) Less(i, j int) bool {
 	a, b := q[i], q[j]
 	if a.at != b.at {
 		return a.at < b.at
-	}
-	if ar, br := a.kind == evReady, b.kind == evReady; ar != br {
-		return br // the non-ready event first
-	}
-	if a.kind == evReady {
-		return a.replica < b.replica
 	}
 	return a.seq < b.seq
 }
@@ -172,21 +168,11 @@ func (q *eventQueue) Pop() any {
 	return e
 }
 
-// syncMode selects the spine's synchronization discipline.
-type syncMode int
-
-const (
-	syncBarrier syncMode = iota
-	syncLazy
-	syncInterleaved
-)
-
-// scheduler is the policy half a simulator plugs into the spine: how
-// events are applied and how the global scheduler reacts to progress.
-// The spine owns when replicas advance; the scheduler owns where work
-// goes.
+// scheduler is the policy half plugged into the spine: how events are
+// applied and how the global scheduler reacts to progress. The spine
+// owns when replicas advance; the scheduler owns where work goes.
 type scheduler interface {
-	// dispatch applies one popped non-ready event at its timestamp.
+	// dispatch applies one global event at its timestamp.
 	dispatch(ctx context.Context, e *event) error
 	// onStep reacts to one replica engine call (the fleet scheduler
 	// turns preemptions into migrations here).
@@ -195,22 +181,32 @@ type scheduler interface {
 	// boundary's time (the fleet scheduler retries held requests and
 	// considers steals here).
 	react(now float64) error
-	// idleWork runs when the heap is drained and every replica is
-	// idle; it reports whether new work was created (the fleet's held
-	// queue being retried) or the simulation is complete.
+	// coupled reports whether onStep or react may act on one replica in
+	// reaction to another's engine call before the next global event.
+	// While it is false a ready replica leaps straight to the next
+	// global entry.
+	coupled() bool
+	// idleWork runs when no entry is left and every replica is idle; it
+	// reports whether new work was created (the fleet's held queue being
+	// retried) or the simulation is complete.
 	idleWork() (bool, error)
 }
 
 // spine is the discrete-event core: the per-request tracker, the
-// replica set with independent clocks, the event heap and the cursor
+// replica set with independent clocks, the two heaps and the cursor
 // over the arrival schedule.
 type spine struct {
 	tracker
 	replicas []*replica
-	sync     syncMode
 	sched    scheduler
-	events   eventQueue
-	seq      int
+	// events holds the global events in flight; seq numbers them in
+	// push order.
+	events eventQueue
+	seq    int
+	// ready holds one entry per busy replica, at its clock; readyAt is
+	// the backing store, one reusable entry per replica.
+	ready   eventQueue
+	readyAt []event
 	// arrivals is the validated schedule, sorted by time; cursor indexes
 	// the first arrival not yet dispatched, and arrival is the entry each
 	// one is dispatched through (reused, so a dispatched arrival leaves
@@ -218,26 +214,35 @@ type spine struct {
 	arrivals []workload.Arrival
 	cursor   int
 	arrival  event
-	// ready holds each replica's one evReady entry (interleaved only).
-	ready []event
 	// clock is the scheduler's notion of now: the latest dispatched
 	// event time.
 	clock float64
 }
 
-// schedule validates a timed arrival schedule — sorted by At, unique
-// request IDs — records every request (one allocation for all of them)
-// and points the arrival cursor at its head.
+// initReady gives every replica its ready entry, not yet queued.
+func (s *spine) initReady() {
+	s.readyAt = make([]event, len(s.replicas))
+	for i := range s.readyAt {
+		s.readyAt[i] = event{kind: evReady, seq: i, dst: i, index: -1}
+	}
+}
+
+// schedule validates a timed arrival schedule — finite times sorted by
+// At, unique request IDs — records every request (one allocation for
+// all of them) and points the arrival cursor at its head.
 func (s *spine) schedule(arrivals []workload.Arrival) error {
 	recs := make([]record, len(arrivals))
 	for i, a := range arrivals {
+		if math.IsNaN(a.At) || math.IsInf(a.At, 0) {
+			return fmt.Errorf("serve: arrival %d at non-finite time %g", i, a.At)
+		}
 		if i > 0 && a.At < arrivals[i-1].At {
 			return fmt.Errorf("serve: arrivals not sorted at %d (%g after %g)", i, a.At, arrivals[i-1].At)
 		}
 		if _, dup := s.recs[a.Req.ID]; dup {
 			return fmt.Errorf("serve: duplicate request ID %d in schedule", a.Req.ID)
 		}
-		recs[i] = record{req: a.Req, arrival: a.At, replica: -1}
+		recs[i] = record{req: a.Req, arrival: a.At, session: a.Session, replica: -1}
 		s.recs[a.Req.ID] = &recs[i]
 	}
 	s.arrivals, s.cursor = arrivals, 0
@@ -248,48 +253,45 @@ func (s *spine) schedule(arrivals []workload.Arrival) error {
 // the cursor has not dispatched.
 func (s *spine) arrivalPending() bool { return s.cursor < len(s.arrivals) }
 
-// arrivalFirst reports whether the cursor's next arrival is the
-// earliest pending entry. It sorts ahead of any heap entry at its own
-// time: ready entries yield to every global event, and arrivals hold
-// the lowest sequence numbers of the run.
-func (s *spine) arrivalFirst() bool {
-	return s.arrivalPending() && (len(s.events) == 0 || s.arrivals[s.cursor].At <= s.events[0].at)
-}
-
-// nextAt is the time of the earliest pending entry, heap or cursor
-// (+Inf when there is none).
-func (s *spine) nextAt() float64 {
-	t := math.Inf(1)
+// nextGlobal is the time of the next global entry — the cursor's next
+// arrival or the event-heap top, whichever is earlier (the cursor on a
+// tie) — and whether that entry is the arrival. It is +Inf when neither
+// holds an entry.
+func (s *spine) nextGlobal() (at float64, arrival bool) {
+	at = math.Inf(1)
 	if len(s.events) > 0 {
-		t = s.events[0].at
+		at = s.events[0].at
 	}
-	if s.arrivalPending() && s.arrivals[s.cursor].At < t {
-		t = s.arrivals[s.cursor].At
+	if s.arrivalPending() && s.arrivals[s.cursor].At <= at {
+		return s.arrivals[s.cursor].At, true
 	}
-	return t
+	return at, false
 }
 
-// push schedules a handoff/migration/steal landing.
+// push schedules a global event.
 func (s *spine) push(kind eventKind, rec *record, gen, dst int, at float64) {
 	s.seq++
 	heap.Push(&s.events, &event{at: at, seq: s.seq, kind: kind, rec: rec, gen: gen, dst: dst})
 }
 
-// wake arms replica i's ready entry at its current clock, moving the
-// entry in place when it is already queued. Call it whenever a replica
-// gains work or its clock moves; arming an already-armed replica is
-// safe. Only the interleaved discipline uses ready entries.
+// wake keeps replica i's ready entry in step with its engine: armed at
+// its clock while it holds work (moved in place when already queued),
+// taken off the ready heap once it is idle. Call it whenever a replica
+// gains work or its clock moves; waking an armed replica is safe.
 func (s *spine) wake(i int) {
-	if s.sync != syncInterleaved || s.replicas[i].eng.Idle() {
+	e := &s.readyAt[i]
+	if s.replicas[i].eng.Idle() {
+		if e.index >= 0 {
+			heap.Remove(&s.ready, e.index)
+		}
 		return
 	}
-	e := &s.ready[i]
 	e.at = s.replicas[i].clock
 	if e.index < 0 {
-		heap.Push(&s.events, e)
+		heap.Push(&s.ready, e)
 		return
 	}
-	heap.Fix(&s.events, e.index)
+	heap.Fix(&s.ready, e.index)
 }
 
 // busyCount reports how many replicas still hold work.
@@ -303,57 +305,32 @@ func (s *spine) busyCount() int {
 	return n
 }
 
-// syncIdle jumps idle replicas' clocks forward to t (never backward).
-func (s *spine) syncIdle(t float64) {
-	for _, r := range s.replicas {
-		if r.eng.Idle() && r.clock < t {
-			r.clock = t
-		}
-	}
-}
-
-// advanceAll advances every replica up to time t. Replicas share no
-// state between events, so they advance concurrently through the sweep
-// engine; every load snapshot — and therefore every table — is
-// byte-identical to the sequential loop at any parallelism.
-func (s *spine) advanceAll(ctx context.Context, t float64) error {
-	if len(s.replicas) == 1 {
-		return s.advance(ctx, s.replicas[0], t)
-	}
-	_, err := sweep.Run(ctx, s.replicas, func(ctx context.Context, r *replica) (struct{}, error) {
-		return struct{}{}, s.advance(ctx, r, t)
-	})
-	return err
-}
-
-// run is the event loop. It takes the globally earliest entry — the
-// cursor's next arrival or the heap top: a ready entry advances its
-// replica by one engine call bounded by the next entry, a global event
-// is dispatched once the discipline's synchronization requirement holds
-// — by construction for interleaved mode (a lagging busy replica's
-// ready entry sorts first), by an explicit concurrent barrier advance
-// for barrier mode, and vacuously for lazy mode (the dispatch advances
-// its destination itself).
+// run is the event loop. Each turn takes the earliest entry: a ready
+// entry strictly before the next global entry advances its replica, and
+// otherwise the global entry — the cursor's next arrival or the
+// event-heap top — is dispatched. With every source empty the
+// scheduler's idleWork decides whether the run is over.
 func (s *spine) run(ctx context.Context) error {
 	for {
+		at, arrival := s.nextGlobal()
+		if len(s.ready) > 0 && s.ready[0].at < at {
+			if err := s.advanceReady(ctx, at); err != nil {
+				return err
+			}
+			continue
+		}
 		var e *event
 		switch {
-		case s.arrivalFirst():
+		case arrival:
 			a := &s.arrivals[s.cursor]
-			s.arrival = event{at: a.At, kind: evArrival, rec: s.recs[a.Req.ID], arr: *a, dst: -1}
+			s.arrival = event{at: a.At, kind: evArrival, rec: s.recs[a.Req.ID], dst: -1}
 			s.cursor++
 			e = &s.arrival
 		case len(s.events) > 0:
 			e = heap.Pop(&s.events).(*event)
 		default:
 			if n := s.busyCount(); n > 0 {
-				if s.sync == syncInterleaved {
-					return fmt.Errorf("serve: event heap drained with %d replicas still busy", n)
-				}
-				// Classic drain: no more arrivals, run everything out.
-				if err := s.advanceAll(ctx, math.Inf(1)); err != nil {
-					return err
-				}
+				return fmt.Errorf("serve: spine drained with %d replicas still busy", n)
 			}
 			made, err := s.sched.idleWork()
 			if err != nil || !made {
@@ -361,32 +338,10 @@ func (s *spine) run(ctx context.Context) error {
 			}
 			continue
 		}
-		if e.kind == evReady {
-			if err := s.advanceReady(ctx, e); err != nil {
-				return err
-			}
-			continue
-		}
-		if s.sync == syncBarrier {
-			if err := s.advanceAll(ctx, e.at); err != nil {
-				return err
-			}
-		}
 		if e.at < s.clock {
 			return fmt.Errorf("serve: event kind %d at t=%g fired behind the scheduler clock t=%g", int(e.kind), e.at, s.clock)
 		}
-		if e.at > s.clock {
-			s.clock = e.at
-		}
-		// Interleaved mode pulls idle clocks lazily at their use sites
-		// (enqueue, resume, provision, the []FleetLoad snapshot) instead
-		// of sweeping all n replicas on every event — the sweep is the
-		// one per-event cost that grows with fleet size. The classic
-		// disciplines keep the eager sync: their policies see Load.Clock
-		// for every replica on every pick.
-		if s.sync != syncInterleaved {
-			s.syncIdle(e.at)
-		}
+		s.clock = e.at
 		if err := s.sched.dispatch(ctx, e); err != nil {
 			return err
 		}
@@ -396,30 +351,42 @@ func (s *spine) run(ctx context.Context) error {
 	}
 }
 
-// advanceReady runs one popped ready entry: its replica advances by one
-// engine call bounded by the next pending entry — the earliest event,
-// arrival or next-lagging replica's clock — and the scheduler reacts to
-// the step. The entry of a replica that drained since it was armed
-// (withdrawn or crashed) is dropped; wake pushes it again when work
-// returns.
-func (s *spine) advanceReady(ctx context.Context, e *event) error {
-	d := s.replicas[e.replica]
+// advanceReady runs the ready-heap top: its replica advances by one
+// engine call bounded by the next global entry (global is its time) —
+// and, while the scheduler is coupled, by the next-lagging replica's
+// clock — then the scheduler reacts to the step. The entry of a replica
+// that drained since it was armed (withdrawn or crashed) is dropped;
+// wake queues it again when work returns.
+func (s *spine) advanceReady(ctx context.Context, global float64) error {
+	e := s.ready[0]
+	i := e.dst
+	d := s.replicas[i]
 	if d.eng.Idle() {
+		heap.Pop(&s.ready)
 		return nil
 	}
 	// DES invariants, checked on every pop: a ready entry sits exactly
 	// at its replica's clock (wake re-arms on every clock move, so a
 	// mismatch means a replica advanced without re-arming), and no entry
-	// fires behind the scheduler clock (the heap dispatched something out
+	// fires behind the scheduler clock (a heap dispatched something out
 	// of order).
 	if e.at != d.clock {
-		return fmt.Errorf("serve: replica %d ready entry at t=%g fired off its clock t=%g", e.replica, e.at, d.clock)
+		return fmt.Errorf("serve: replica %d ready entry at t=%g fired off its clock t=%g", i, e.at, d.clock)
 	}
 	if e.at < s.clock {
-		return fmt.Errorf("serve: replica %d ready entry at t=%g fired behind the scheduler clock t=%g", e.replica, e.at, s.clock)
+		return fmt.Errorf("serve: replica %d ready entry at t=%g fired behind the scheduler clock t=%g", i, e.at, s.clock)
+	}
+	until := global
+	if s.sched.coupled() {
+		// The next-lagging replica is the smaller child of the top.
+		for _, c := range [2]int{1, 2} {
+			if c < len(s.ready) && s.ready[c].at < until {
+				until = s.ready[c].at
+			}
+		}
 	}
 	before := d.clock
-	res, err := s.step(ctx, d, s.nextAt())
+	res, err := s.step(ctx, d, until)
 	if err != nil {
 		return err
 	}
@@ -429,10 +396,10 @@ func (s *spine) advanceReady(ctx context.Context, e *event) error {
 	// that can never admit it). Fail loudly instead of spinning.
 	if res.Batch == 0 && !d.eng.Idle() && d.clock == before {
 		return fmt.Errorf("serve: replica %d stalled at t=%g with %d queued requests it cannot admit",
-			e.replica, d.clock, d.eng.Pending())
+			i, d.clock, d.eng.Pending())
 	}
-	s.wake(e.replica)
-	if err := s.sched.onStep(e.replica, res); err != nil {
+	s.wake(i)
+	if err := s.sched.onStep(i, res); err != nil {
 		return err
 	}
 	return s.sched.react(d.clock)

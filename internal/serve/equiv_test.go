@@ -1,15 +1,17 @@
 // The simulation-equivalence suite: the serving spine (des.go) must
 // produce byte-identical reports across every axis that is supposed to
 // change only how fast the simulation runs, never what it computes —
-// synchronization discipline (barrier vs lazy destination-only
-// advancement), leap granularity (SingleStep, LeapHorizon), sweep
-// parallelism, and the push order of commuting equal-timestamp events.
-// The suite runs black-box through internal/simtest so the same
-// oracles serve the fuzz target and any future simulator front end.
+// the leap bound the spine derives from the scheduler, leap
+// granularity (LeapHorizon), sweep parallelism, and the push order of
+// commuting equal-timestamp events. Single stepping (SingleStep) is the
+// reference every leaping run must match. The suite runs black-box
+// through internal/simtest so the same oracles serve the fuzz target
+// and any future simulator front end.
 package serve_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"pimphony/internal/serve"
@@ -37,10 +39,10 @@ func fp(t *testing.T, cfg serve.Config, arr []workload.Arrival) string {
 	return simtest.Fingerprint(rep)
 }
 
-// classicPolicies builds fresh instances of every routing policy
-// (policies may keep state, so each run needs its own).
-func classicPolicies() map[string]func() serve.Policy {
-	return map[string]func() serve.Policy{
+// classicPolicies builds fresh instances of every load-balancing policy
+// of the shorthand (policies may keep state, so each run needs its own).
+func classicPolicies() map[string]func() serve.Placement {
+	return map[string]func() serve.Placement{
 		"round-robin":  serve.RoundRobin,
 		"least-tokens": serve.LeastOutstandingTokens,
 		"session":      serve.SessionAffinity,
@@ -48,10 +50,10 @@ func classicPolicies() map[string]func() serve.Policy {
 }
 
 // TestClassicSpineEquivalence sweeps the backend × allocator grid with
-// every routing policy and pins, per cell: leap against single-step
-// advancement, the lazy destination-only discipline against the
-// barrier (via simtest.Opaque), and parallel against sequential
-// replica advancement.
+// every load-balancing policy of the Config{System, Replicas, Policy}
+// shorthand and pins, per cell, leaps straight to the next global event
+// (the decoupled bound) against single-step advancement and against
+// tight leap horizons.
 func TestClassicSpineEquivalence(t *testing.T) {
 	long, err := simtest.PoissonSchedule(16, 24, 42)
 	if err != nil {
@@ -68,27 +70,24 @@ func TestClassicSpineEquivalence(t *testing.T) {
 		}
 		for polName, mkPol := range classicPolicies() {
 			t.Run(sysName+"/"+polName, func(t *testing.T) {
-				mk := func(pol serve.Policy, single bool) string {
+				mk := func(single bool, horizon int) string {
 					return fp(t, serve.Config{
-						System:     simtest.System(sysName),
-						Replicas:   2,
-						Policy:     pol,
-						SLO:        serve.SLO{TTFT: 1, TBT: 0.2},
-						SingleStep: single,
+						System:      simtest.System(sysName),
+						Replicas:    2,
+						Policy:      mkPol(),
+						SLO:         serve.SLO{TTFT: 1, TBT: 0.2},
+						SingleStep:  single,
+						LeapHorizon: horizon,
 					}, arr)
 				}
-				leap := mk(mkPol(), false)
-				if single := mk(mkPol(), true); single != leap {
+				leap := mk(false, 0)
+				if single := mk(true, 0); single != leap {
 					t.Errorf("single-step diverged from leap advancement")
 				}
-				if barrier := mk(simtest.Opaque(mkPol()), false); barrier != leap {
-					t.Errorf("barrier discipline diverged from the spine's default")
-				}
-				prev := sweep.SetDefault(8)
-				par := mk(mkPol(), false)
-				sweep.SetDefault(prev)
-				if par != leap {
-					t.Errorf("parallel replica advancement diverged from sequential")
+				for _, horizon := range []int{1, 5} {
+					if clamped := mk(false, horizon); clamped != leap {
+						t.Errorf("LeapHorizon %d changed the report", horizon)
+					}
 				}
 			})
 		}
@@ -142,7 +141,7 @@ func TestFleetSpineEquivalence(t *testing.T) {
 // determinism contract as the rest of the spine: a fault plan compiles
 // to explicit heap events, so crash, slowdown and link schedules — and
 // every retry, recompute and re-placement they trigger — must be
-// byte-identical across sync discipline, leap horizon and sweep
+// byte-identical across single stepping, leap horizon and sweep
 // parallelism. The autoscaled variant doubles as the regression pin for
 // timer-driven scale evaluation: autoscaled runs are now leap-invariant
 // too, faults or no faults.
@@ -242,20 +241,20 @@ func TestFaultedSpineEquivalence(t *testing.T) {
 
 // TestEqualTimestampPermutationInvariance is the metamorphic
 // event-order oracle: two arrivals at the same timestamp that route to
-// different replicas commute — swapping their push order permutes heap
-// sequence numbers but may not change a single timestamp. Session
-// affinity routes independently of arrival order, so the invariance is
-// checkable end to end.
+// different replicas commute — swapping their order in the schedule
+// permutes the cursor's dispatch order but may not change a single
+// timestamp. Session affinity routes independently of arrival order, so
+// the invariance is checkable end to end.
 func TestEqualTimestampPermutationInvariance(t *testing.T) {
 	const replicas = 4
 	// Pick three session keys that hash to pairwise-distinct replicas,
 	// so the requests in each equal-time group never share a queue.
 	pol := serve.SessionAffinity()
-	probe := make([]serve.Load, replicas)
+	probe := make([]serve.FleetLoad, replicas)
 	var sessions []int
 	seen := map[int]bool{}
 	for s := 0; len(sessions) < 3 && s < 256; s++ {
-		idx := pol.Pick(workload.Arrival{Session: s}, probe)
+		idx := pol.Place(workload.Arrival{Session: s}, probe)
 		if !seen[idx] {
 			seen[idx] = true
 			sessions = append(sessions, s)
@@ -284,5 +283,72 @@ func TestEqualTimestampPermutationInvariance(t *testing.T) {
 	}
 	if a, b := fp(t, cfg(), arr), fp(t, cfg(), perm); a != b {
 		t.Error("permuting commuting equal-timestamp arrivals changed the report")
+	}
+}
+
+// TestDecodeOnlyFleet pins the meaning of a fleet of RoleDecode replicas
+// without prefill servers: its prompts are prefilled outside the fleet,
+// so an arrival joins its replica's queue at once. Under kv-headroom,
+// which holds what fits nowhere, such a fleet runs to completion with
+// the report oracles intact and leaping equal to single stepping. Under
+// a load-balancing policy it is the Config{System, Replicas, Policy}
+// shorthand, byte for byte, with and without IncludePrefill; only the
+// explicit fleet reports its FleetStats.
+func TestDecodeOnlyFleet(t *testing.T) {
+	t.Run("kv-headroom", func(t *testing.T) {
+		arr, err := simtest.TightSchedule(10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mk := func(single bool, horizon int) *serve.Report {
+			rep := mustRun(t, serve.Config{
+				Fleet:       []serve.ReplicaSpec{{System: simtest.System("pim-tight"), Count: 2, Role: serve.RoleDecode}},
+				SLO:         serve.SLO{TTFT: 1, TBT: 0.2},
+				SingleStep:  single,
+				LeapHorizon: horizon,
+			}, arr)
+			simtest.CheckInvariants(t, rep, arr)
+			return rep
+		}
+		leap := mk(false, 0)
+		if leap.Fleet == nil || leap.Fleet.DecodeReplicas != 2 || leap.Fleet.PrefillSeconds != 0 {
+			t.Fatalf("fleet stats %+v, want two decode replicas and no prefill in the fleet", leap.Fleet)
+		}
+		if leap.Fleet.Held == 0 {
+			t.Error("kv-headroom held nothing; the held-queue path went unexercised")
+		}
+		for _, v := range []struct {
+			single  bool
+			horizon int
+		}{{true, 0}, {false, 1}, {false, 5}} {
+			if got := mk(v.single, v.horizon); simtest.Fingerprint(got) != simtest.Fingerprint(leap) {
+				t.Errorf("single=%v horizon=%d diverged from leap advancement", v.single, v.horizon)
+			}
+		}
+	})
+	arr, err := simtest.PoissonSchedule(16, 24, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mkPol := range classicPolicies() {
+		for _, prefill := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/prefill=%v", name, prefill), func(t *testing.T) {
+				short := mustRun(t, serve.Config{System: simtest.System("pim-dpa"), Replicas: 3, Policy: mkPol(),
+					IncludePrefill: prefill, SLO: serve.SLO{TTFT: 1, TBT: 0.2}}, arr)
+				fleet := mustRun(t, serve.Config{
+					Fleet:          []serve.ReplicaSpec{{System: simtest.System("pim-dpa"), Count: 3, Role: serve.RoleDecode}},
+					Placement:      mkPol(),
+					IncludePrefill: prefill,
+					SLO:            serve.SLO{TTFT: 1, TBT: 0.2},
+				}, arr)
+				if short.Fleet != nil || fleet.Fleet == nil {
+					t.Fatalf("FleetStats: shorthand %v, explicit fleet %v; want nil and set", short.Fleet, fleet.Fleet)
+				}
+				fleet.Fleet = nil
+				if simtest.Fingerprint(short) != simtest.Fingerprint(fleet) {
+					t.Errorf("explicit decode-only fleet diverged from the shorthand:\n%+v\n%+v", short, fleet)
+				}
+			})
+		}
 	}
 }

@@ -8,7 +8,7 @@
 // replica), draws exponential time-between-failure and time-to-repair
 // intervals from it, and schedules each failure and recovery as a heap
 // event. Failure timing is therefore a pure function of the plan — the
-// same instants at any leap horizon, sync discipline or sweep
+// same instants at any leap horizon, leap bound or sweep
 // parallelism — and a zero plan compiles to nothing, leaving every
 // fault-free table byte-identical.
 //

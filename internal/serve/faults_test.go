@@ -225,8 +225,8 @@ type holdUntilSeen struct {
 }
 
 func (*holdUntilSeen) Name() string { return "hold-until-seen" }
-func (p *holdUntilSeen) Place(r workload.Request, loads []serve.FleetLoad) int {
-	if r.ID == p.open {
+func (p *holdUntilSeen) Place(a workload.Arrival, loads []serve.FleetLoad) int {
+	if a.Req.ID == p.open {
 		p.seen = true
 	}
 	if p.seen {

@@ -1,16 +1,20 @@
-// Fleet mode: a heterogeneous pool of replicas under one global
-// scheduler, instead of N identical replicas behind a load balancer.
+// The fleet: a pool of replicas under one global scheduler — the one
+// serving simulator, of which the Config{System, Replicas, Policy}
+// shorthand (N identical decode replicas behind a load balancer) is the
+// decode-only special case.
 //
 // A fleet is described by []ReplicaSpec — each spec is its own
 // cluster.Config (backend, allocator technique, KV budget) times a
 // replica count, tagged with a Role. Unified replicas prefill and
-// decode locally, like the classic path. A disaggregated fleet splits
-// the phases: RolePrefill replicas run prompt prefills only (they are
-// dense-engine servers, not decode engines), and every prefilled
-// request is handed off to a RoleDecode replica with its prompt KV
-// moving over Config.Interconnect — the PIM-side disaggregation the
-// paper's hybrid systems argue for, with the transfer hop explicitly
-// priced (bytes = live KV footprint, seconds = latency + bytes/BW).
+// decode locally. A disaggregated fleet splits the phases: RolePrefill
+// replicas run prompt prefills only (they are dense-engine servers, not
+// decode engines), and every prefilled request is handed off to a
+// RoleDecode replica with its prompt KV moving over Config.Interconnect
+// — the PIM-side disaggregation the paper's hybrid systems argue for,
+// with the transfer hop explicitly priced (bytes = live KV footprint,
+// seconds = latency + bytes/BW). In a fleet without prefill servers a
+// RoleDecode replica takes its requests prefilled outside the fleet:
+// an arrival placed on it joins its queue at once.
 //
 // The global scheduler owns three decisions the per-replica engines
 // cannot make:
@@ -27,15 +31,17 @@
 //     zero-progress request from the most backlogged replica, paying
 //     the prompt-KV transfer.
 //
-// The simulation runs on the shared discrete-event spine (des.go)
-// under the interleaved discipline: replicas advance their own clocks
-// via the tracker one engine call at a time in global clock order, and
-// a global event (arrival, handoff completion, migration/steal
-// landing) is dispatched only once every busy replica has simulated up
-// to it, with Engine.SetHorizon bounding how far one leap can
-// overshoot. Everything is deterministic, and the fleet loop is
-// internally sequential — tables over fleets sweep across grid points,
-// not inside one run — so fleet tables are byte-identical at any sweep
+// The simulation runs on the discrete-event spine (des.go): replicas
+// advance their own clocks via the tracker, and a global event
+// (arrival, handoff completion, migration/steal landing, timer) is
+// dispatched only once every busy replica has simulated up to it, with
+// Engine.SetHorizon bounding how far one leap can overshoot. While the
+// scheduler can act on one replica in reaction to another (migration,
+// stealing, autoscaling, held requests), busy replicas advance one
+// engine call at a time in global clock order; otherwise each leaps
+// straight to the next global event. Everything is deterministic, and
+// the loop is internally sequential — tables sweep across grid points,
+// not inside one run — so they are byte-identical at any sweep
 // parallelism.
 package serve
 
@@ -58,14 +64,15 @@ const fleetLeapHorizon = 64
 type Role int
 
 const (
-	// RoleUnified replicas prefill and decode locally (the classic
-	// colocated serving shape).
+	// RoleUnified replicas prefill and decode locally (the colocated
+	// serving shape).
 	RoleUnified Role = iota
 	// RolePrefill replicas run prompt prefills only; every request they
 	// finish is handed off to a decode replica over the interconnect.
 	RolePrefill
 	// RoleDecode replicas decode only; their prompts were prefilled
-	// elsewhere.
+	// elsewhere — on the fleet's prefill servers, or outside the fleet
+	// when it has none.
 	RoleDecode
 )
 
@@ -213,9 +220,9 @@ func (p *prefillServer) serve(at float64, contextTokens int) float64 {
 	return p.free
 }
 
-// fleetReplica is one decode-capable fleet replica: the shared
-// advancement replica plus its fleet role and, for unified replicas,
-// the colocated prefill engine.
+// fleetReplica is one decode-capable fleet replica: the advancement
+// replica plus its fleet role and, for unified replicas, the colocated
+// prefill engine.
 type fleetReplica struct {
 	replica
 	role Role
@@ -227,9 +234,10 @@ type fleetReplica struct {
 // admit at its decision point.
 type heldReq struct {
 	rec *record
-	// needsPrefill: the request has not been prefilled yet (unified
-	// fleets place before prefilling, so a held request still owes its
-	// prompt pass once placed).
+	// needsPrefill: the request has not been prefilled yet (fleets
+	// without prefill servers place before prefilling, so a held request
+	// still owes its prompt pass — or, on a decode replica, its
+	// outside-the-fleet prefill accounting — once placed).
 	needsPrefill bool
 	// recompute: the request was crash-lost with gen tokens of progress;
 	// placing it re-admits through the engine's recompute-charging path
@@ -238,12 +246,14 @@ type heldReq struct {
 	gen       int
 }
 
-// fleetSim drives one fleet simulation: the shared discrete-event
-// spine under the interleaved discipline, plus the global scheduler
-// state (placement, held queue, in-flight transfers).
+// fleetSim drives one simulation: the discrete-event spine plus the
+// global scheduler state (placement, held queue, in-flight transfers).
 type fleetSim struct {
 	spine
+	// cfg is the run's configuration in fleet form; shorthand records
+	// that it was given as Config{System, Replicas, Policy}.
 	cfg       Config
+	shorthand bool
 	ic        timing.Interconnect
 	placement Placement
 	// indexed is the placement's O(log n) fast path (nil for custom
@@ -302,8 +312,11 @@ type fleetSim struct {
 }
 
 func newFleetSim(cfg Config, n int) (*fleetSim, error) {
+	shorthand := len(cfg.Fleet) == 0
+	cfg = cfg.fleetForm()
 	fs := &fleetSim{
 		cfg:       cfg,
+		shorthand: shorthand,
 		ic:        cfg.Interconnect,
 		placement: cfg.Placement,
 	}
@@ -366,31 +379,12 @@ func newFleetSim(cfg Config, n int) (*fleetSim, error) {
 	fs.spine = spine{
 		tracker:  tracker{recs: make(map[int]*record, n), singleStep: cfg.SingleStep},
 		replicas: reps,
-		sync:     syncInterleaved,
-		ready:    make([]event, len(reps)),
 		sched:    fs,
 	}
-	for i := range fs.ready {
-		fs.ready[i] = event{kind: evReady, replica: i, index: -1}
-	}
+	fs.initReady()
 	fs.indexed, _ = fs.placement.(indexedPlacement)
 	fs.initViews()
 	return fs, nil
-}
-
-// runFleet serves a timed arrival schedule on a heterogeneous fleet.
-func runFleet(ctx context.Context, cfg Config, arrivals []workload.Arrival) (*Report, error) {
-	fs, err := newFleetSim(cfg, len(arrivals))
-	if err != nil {
-		return nil, err
-	}
-	if err := fs.start(arrivals); err != nil {
-		return nil, err
-	}
-	if err := fs.spine.run(ctx); err != nil {
-		return nil, err
-	}
-	return fs.report(arrivals)
 }
 
 // start loads a non-empty arrival schedule onto the spine's cursor and
@@ -444,6 +438,15 @@ func (fs *fleetSim) react(now float64) error {
 	return nil
 }
 
+// coupled reports whether one replica's engine call can lead the
+// scheduler to act on another before the next global event: a held
+// request waiting for the headroom a completion frees, migration or
+// stealing over a usable interconnect, or an autoscaler reacting to
+// completions.
+func (fs *fleetSim) coupled() bool {
+	return fs.held.len() > 0 || fs.auto != nil || ((fs.cfg.Migrate || fs.cfg.Steal) && fs.ic.Usable())
+}
+
 // idleWork retries the held queue once the fleet is fully drained. An
 // autoscaled fleet gets a policy decision first, and — if the policy
 // holds back (cooldown) while requests sit unplaceable — a backstop
@@ -476,17 +479,17 @@ func (fs *fleetSim) idleWork() (bool, error) {
 }
 
 // pendingProgress reports whether an arrival is still scheduled or the
-// heap holds an event that can move work or create capacity. Fault
-// chains, scale-eval timers and ready ticks do not count: an eternal
-// fault chain must not keep a stalled simulation alive, and a bare
-// timer resolves at its own dispatch.
+// event heap holds an event that can move work or create capacity.
+// Fault chains and scale-eval timers do not count: an eternal fault
+// chain must not keep a stalled simulation alive, and a bare timer
+// resolves at its own dispatch.
 func (fs *fleetSim) pendingProgress() bool {
 	if fs.arrivalPending() {
 		return true
 	}
 	for _, ev := range fs.events {
 		switch ev.kind {
-		case evFail, evRecover, evScaleEval, evReady:
+		case evFail, evRecover, evScaleEval:
 		default:
 			return true
 		}
@@ -557,7 +560,7 @@ func (fs *fleetSim) dispatch(_ context.Context, e *event) error {
 		// Disaggregated handoff: the KV is staged, place it now (after
 		// an autoscale decision — the landing is a placement boundary).
 		fs.autoscale(e.at)
-		if dst := fs.place(e.rec.req); dst >= 0 {
+		if dst := fs.place(e.rec); dst >= 0 {
 			return fs.enqueueOn(dst, e.rec)
 		}
 		fs.held.pushBack(heldReq{rec: e.rec})
@@ -637,7 +640,7 @@ func (fs *fleetSim) dispatch(_ context.Context, e *event) error {
 		if e.gen > 0 {
 			// Progress to recompute: the request decodes from gen, but its
 			// re-admission charges the full Context+gen KV rebuild.
-			if dst := fs.place(e.rec.req); dst >= 0 {
+			if dst := fs.place(e.rec); dst >= 0 {
 				return fs.enqueueRecomputeOn(dst, e.rec, e.gen)
 			}
 			fs.held.pushBack(heldReq{rec: e.rec, recompute: true, gen: e.gen})
@@ -659,8 +662,8 @@ func (fs *fleetSim) dispatch(_ context.Context, e *event) error {
 // routeArrival sends a new request into its prefill phase. In a
 // disaggregated fleet the earliest-free prefill server takes it and the
 // handoff (prefill end + KV transfer) is scheduled with placement
-// deferred to landing time; in a unified fleet placement happens now —
-// the prompt KV is built where the request will decode — and a held
+// deferred to landing time; otherwise placement happens now — the
+// prompt KV is built where the request will decode — and a held
 // request owes its prefill once placed.
 func (fs *fleetSim) routeArrival(e *event) error {
 	rec := e.rec
@@ -692,22 +695,33 @@ func (fs *fleetSim) routeBody(rec *record, at float64) error {
 		fs.push(evHandoff, rec, 0, -1, end+transfer)
 		return nil
 	}
-	if dst := fs.place(rec.req); dst >= 0 {
-		fs.localPrefill(dst, rec, at)
-		return nil
+	if dst := fs.place(rec); dst >= 0 {
+		return fs.prefillOn(dst, rec, at)
 	}
 	fs.held.pushBack(heldReq{rec: rec, needsPrefill: true})
 	fs.stats.Held++
 	return nil
 }
 
-// localPrefill runs a unified replica's colocated prompt pass and
-// schedules the (transfer-free) handoff into its own decode queue.
-func (fs *fleetSim) localPrefill(dst int, rec *record, now float64) {
-	end := fs.decoders[dst].pre.serve(now, rec.req.Context)
+// prefillOn starts a placed, not yet prefilled request on decoder dst.
+// A unified replica runs its colocated prompt pass and schedules the
+// (transfer-free) handoff into its own decode queue. A decode replica
+// of a fleet without prefill servers takes the request at once, its
+// prompt prefilled outside the fleet; IncludePrefill charges that
+// prefill to the request's TTFT and E2E.
+func (fs *fleetSim) prefillOn(dst int, rec *record, now float64) error {
+	d := fs.decoders[dst]
+	if d.pre == nil {
+		if fs.cfg.IncludePrefill {
+			rec.prefill = d.sys.PrefillSeconds(rec.req.Context)
+		}
+		return fs.enqueueOn(dst, rec)
+	}
+	end := d.pre.serve(now, rec.req.Context)
 	fs.landing[dst]++
 	fs.touch(dst)
 	fs.push(evHandoff, rec, 0, dst, end)
+	return nil
 }
 
 // pickPrefill picks the earliest-available dedicated prefill server
@@ -716,16 +730,18 @@ func (fs *fleetSim) pickPrefill() int {
 	return fs.views.prefillFree.first()
 }
 
-// place asks the placement policy for a decode replica, -1 to hold.
-// Replicas that are not online (standby, warming, draining) are never
-// placement targets: they show as non-fitting with zero headroom. The
-// built-in policies answer from the ordered indexes in O(log n); a
-// custom Placement still sees the full []FleetLoad snapshot, built into
-// a reused scratch buffer.
-func (fs *fleetSim) place(r workload.Request) int {
+// place asks the placement policy for a decode replica for a
+// request, -1 to hold. Replicas that are not online (standby, warming,
+// draining) are never placement targets: they show as non-fitting with
+// zero headroom. The built-in policies answer from the ordered indexes
+// in O(log n); a custom Placement still sees the full []FleetLoad
+// snapshot, built into a reused scratch buffer.
+func (fs *fleetSim) place(rec *record) int {
+	a := workload.Arrival{Req: rec.req, At: rec.arrival, Session: rec.session}
 	if fs.indexed != nil {
-		return fs.indexed.placeIndexed(fs, r)
+		return fs.indexed.placeIndexed(fs, a)
 	}
+	r := a.Req
 	v := &fs.views
 	if cap(v.loadScratch) < len(fs.decoders) {
 		v.loadScratch = make([]FleetLoad, len(fs.decoders))
@@ -740,22 +756,20 @@ func (fs *fleetSim) place(r workload.Request) int {
 			clk = fs.clock
 		}
 		loads[i] = FleetLoad{
-			Load: Load{
-				OutstandingTokens: d.eng.OutstandingTokens(),
-				Active:            d.eng.Active(),
-				Pending:           d.eng.Pending(),
-				Clock:             clk,
-			},
-			Role:        d.role,
-			FreeKVBytes: d.eng.FreeKVBytes(),
-			Fits:        d.eng.HasHeadroom(r),
+			OutstandingTokens: d.eng.OutstandingTokens(),
+			Active:            d.eng.Active(),
+			Pending:           d.eng.Pending(),
+			Clock:             clk,
+			Role:              d.role,
+			FreeKVBytes:       d.eng.FreeKVBytes(),
+			Fits:              d.eng.HasHeadroom(r),
 		}
 		if fs.state[i] != stateOnline || fs.degraded(i) {
 			loads[i].Fits = false
 			loads[i].FreeKVBytes = 0
 		}
 	}
-	dst := fs.placement.Place(r, loads)
+	dst := fs.placement.Place(a, loads)
 	if dst >= len(fs.decoders) {
 		return -1
 	}
@@ -764,7 +778,7 @@ func (fs *fleetSim) place(r workload.Request) int {
 
 // enqueueOn commits a prefilled request to a decoder's queue. An idle
 // destination's clock is pulled up to the scheduler clock first (the
-// lazy counterpart of the old every-event syncIdle sweep), so the ready
+// lazy counterpart of the old every-event idle-clock sweep), so the ready
 // entry wake arms lands at now, not at a stale idle timestamp.
 func (fs *fleetSim) enqueueOn(dst int, rec *record) error {
 	rec.replica = dst
@@ -803,7 +817,7 @@ func (fs *fleetSim) enqueueRecomputeOn(dst int, rec *record, gen int) error {
 func (fs *fleetSim) placeHeld(now float64) {
 	for fs.held.len() > 0 {
 		h := fs.held.front()
-		dst := fs.place(h.rec.req)
+		dst := fs.place(h.rec)
 		if dst < 0 {
 			return
 		}
@@ -812,17 +826,16 @@ func (fs *fleetSim) placeHeld(now float64) {
 		if d.eng.Idle() && d.clock < now {
 			d.clock = now
 		}
-		if h.needsPrefill {
-			fs.localPrefill(dst, h.rec, now)
-			continue
-		}
 		// Unplaceable enqueue errors cannot happen here: place() only
 		// returns fitting replicas for the built-in policies, and a
 		// custom policy routing a duplicate would have failed earlier.
 		var err error
-		if h.recompute {
+		switch {
+		case h.needsPrefill:
+			err = fs.prefillOn(dst, h.rec, now)
+		case h.recompute:
 			err = fs.enqueueRecomputeOn(dst, h.rec, h.gen)
-		} else {
+		default:
 			err = fs.enqueueOn(dst, h.rec)
 		}
 		if err != nil {
@@ -1039,11 +1052,7 @@ func (fs *fleetSim) recordScale(at float64, delta int) {
 
 // report folds the shared per-request records plus the fleet extras.
 func (fs *fleetSim) report(arrivals []workload.Arrival) (*Report, error) {
-	reps := make([]*replica, len(fs.decoders))
-	for i, d := range fs.decoders {
-		reps[i] = &d.replica
-	}
-	rep, err := foldReport(fs.recs, arrivals, fs.cfg.SLO, fs.placement.Name(), reps)
+	rep, err := foldReport(fs.recs, arrivals, fs.cfg.SLO, fs.placement.Name(), fs.replicas)
 	if err != nil {
 		return nil, err
 	}
@@ -1106,7 +1115,9 @@ func (fs *fleetSim) report(arrivals []workload.Arrival) (*Report, error) {
 	if rep.MakespanSeconds > 0 {
 		st.AvgOnlineReplicas = rep.Energy.ReplicaSeconds / rep.MakespanSeconds
 	}
-	rep.Fleet = &st
+	if !fs.shorthand {
+		rep.Fleet = &st
+	}
 	rep.Faults = fs.fstats
 	return rep, nil
 }

@@ -44,7 +44,7 @@ func tinyArrivals(n int) []workload.Arrival {
 type pinFirst struct{}
 
 func (pinFirst) Name() string { return "pin-first" }
-func (pinFirst) Place(_ workload.Request, loads []FleetLoad) int {
+func (pinFirst) Place(_ workload.Arrival, loads []FleetLoad) int {
 	if loads[0].Fits {
 		return 0
 	}
@@ -258,7 +258,7 @@ func TestStealSkipsUnadmittableThief(t *testing.T) {
 type pinSecond struct{}
 
 func (pinSecond) Name() string                                { return "pin-second" }
-func (pinSecond) Place(_ workload.Request, _ []FleetLoad) int { return 1 }
+func (pinSecond) Place(_ workload.Arrival, _ []FleetLoad) int { return 1 }
 
 // TestSpineStallIsLoud: a request queued on a replica that can never
 // admit it (the failure mode the steal guard prevents) must surface as
@@ -440,11 +440,11 @@ func TestPlacementByName(t *testing.T) {
 // TestPlacements exercises the built-in policies' selection rules.
 func TestPlacements(t *testing.T) {
 	loads := []FleetLoad{
-		{Load: Load{OutstandingTokens: 5}, FreeKVBytes: 10, Fits: true},
-		{Load: Load{OutstandingTokens: 1}, FreeKVBytes: 30, Fits: true},
-		{Load: Load{OutstandingTokens: 0}, FreeKVBytes: 99, Fits: false},
+		{OutstandingTokens: 5, FreeKVBytes: 10, Fits: true},
+		{OutstandingTokens: 1, FreeKVBytes: 30, Fits: true},
+		{OutstandingTokens: 0, FreeKVBytes: 99, Fits: false},
 	}
-	r := workload.Request{ID: 1, Context: 10, Decode: 5}
+	r := workload.Arrival{Req: workload.Request{ID: 1, Context: 10, Decode: 5}}
 	if got := KVHeadroom().Place(r, loads); got != 1 {
 		t.Errorf("kv-headroom picked %d, want 1 (most free among fitting)", got)
 	}
@@ -459,6 +459,15 @@ func TestPlacements(t *testing.T) {
 	for _, p := range []Placement{KVHeadroom(), LeastTokensFit(), RoundRobinFit()} {
 		if got := p.Place(r, none); got != -1 {
 			t.Errorf("%s placed %d with nothing fitting, want -1 (hold)", p.Name(), got)
+		}
+	}
+	// The shorthand's policies never hold: fit does not enter.
+	if got := LeastOutstandingTokens().Place(r, loads); got != 2 {
+		t.Errorf("least-tokens picked %d, want 2 (fewest tokens, fitting or not)", got)
+	}
+	for _, p := range []Placement{RoundRobin(), LeastOutstandingTokens(), SessionAffinity()} {
+		if got := p.Place(r, none); got != 0 {
+			t.Errorf("%s placed %d with nothing fitting, want 0 (never hold)", p.Name(), got)
 		}
 	}
 }

@@ -8,9 +8,10 @@
 //     busy replicas, or a stalled replica, is a loud error);
 //   - the report oracles (simtest.CheckInvariants): conservation of
 //     requests and tokens, latency clock order, capacity bounds;
-//   - simulation equivalence: leap and single-step advancement, the
-//     lazy and barrier disciplines, and tight leap horizons must agree
-//     byte-for-byte — and if one discipline rejects an input, all must.
+//   - simulation equivalence: leaping runs — under whichever bound the
+//     spine derives — and tight leap horizons must agree byte-for-byte
+//     with single-step advancement, the reference; and if one variant
+//     rejects an input, all must.
 package serve_test
 
 import (
@@ -110,30 +111,35 @@ func FuzzDESSchedule(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, nn, mix, shape uint8, fault uint16) {
 		arr := fuzzSchedule(seed, nn, mix)
 
-		// Classic path: replicas 1..3, load-oblivious and load-aware
-		// policies, across leap granularity and both disciplines.
+		// The Config{System, Replicas, Policy} shorthand: replicas 1..3,
+		// load-oblivious and load-aware policies, leaping to the next
+		// global event against single-step and a one-iteration horizon.
 		replicas := 1 + int(shape)%3
-		classic := func(pol serve.Policy, single bool) serve.Config {
+		shorthand := func(single bool, horizon int) serve.Config {
+			var pol serve.Placement
+			switch {
+			case shape&4 != 0:
+				pol = serve.SessionAffinity()
+			case shape&2 != 0:
+				pol = serve.LeastOutstandingTokens()
+			default:
+				pol = serve.RoundRobin()
+			}
 			return serve.Config{
-				System:     simtest.System("pim-dpa"),
-				Replicas:   replicas,
-				Policy:     pol,
-				SLO:        serve.SLO{TTFT: 1, TBT: 0.2},
-				SingleStep: single,
+				System:      simtest.System("pim-dpa"),
+				Replicas:    replicas,
+				Policy:      pol,
+				SLO:         serve.SLO{TTFT: 1, TBT: 0.2},
+				SingleStep:  single,
+				LeapHorizon: horizon,
 			}
 		}
-		pol := func() serve.Policy {
-			if shape&4 != 0 {
-				return serve.SessionAffinity()
-			}
-			return serve.RoundRobin()
-		}
-		leap, okLeap := runVariant(t, classic(pol(), false), arr)
-		single, okSingle := runVariant(t, classic(pol(), true), arr)
-		barrier, okBarrier := runVariant(t, classic(simtest.Opaque(pol()), false), arr)
-		if okLeap != okSingle || okLeap != okBarrier || leap != single || leap != barrier {
-			t.Errorf("classic variants diverged:\n leap    (%v) %s\n single  (%v) %s\n barrier (%v) %s",
-				okLeap, leap, okSingle, single, okBarrier, barrier)
+		leap, okLeap := runVariant(t, shorthand(false, 0), arr)
+		single, okSingle := runVariant(t, shorthand(true, 0), arr)
+		tight, okTight := runVariant(t, shorthand(false, 1), arr)
+		if okLeap != okSingle || okLeap != okTight || leap != single || leap != tight {
+			t.Errorf("shorthand variants diverged:\n leap      (%v) %s\n single    (%v) %s\n horizon 1 (%v) %s",
+				okLeap, leap, okSingle, single, okTight, tight)
 		}
 
 		// Fleet path: 1..2 decoders, optionally a dedicated prefill

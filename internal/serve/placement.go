@@ -6,11 +6,20 @@ import (
 	"pimphony/internal/workload"
 )
 
-// FleetLoad is one decode replica's state at a fleet placement
-// decision: the routing Load plus the KV-headroom view the global
-// scheduler admits against.
+// FleetLoad is one decode replica's state at a placement decision: its
+// queue state plus the KV-headroom view the global scheduler admits
+// against.
 type FleetLoad struct {
-	Load
+	// OutstandingTokens is the decode work still owed by the replica:
+	// remaining generation tokens of active requests plus the full
+	// generation length of pending ones.
+	OutstandingTokens int
+	// Active and Pending are the replica's admitted and queued request
+	// counts.
+	Active, Pending int
+	// Clock is the replica's simulated time (it can run ahead of the
+	// request being placed by up to one decode iteration).
+	Clock float64
 	// Role is the replica's place in the prefill/decode split
 	// (RoleUnified or RoleDecode; pure-prefill replicas are not decode
 	// targets and never appear in a placement decision).
@@ -29,10 +38,12 @@ type FleetLoad struct {
 // to hold it in the fleet's global queue until a later decision point
 // (the cross-replica admission control: no replica has KV headroom, so
 // the request should not yet be committed to any per-replica queue).
-// Placements may keep state, so each simulation needs its own instance.
+// Placement receives the arrival the request came with, so a policy
+// can key on its session. Placements may keep state, so each simulation
+// needs its own instance.
 type Placement interface {
 	Name() string
-	Place(r workload.Request, loads []FleetLoad) int
+	Place(a workload.Arrival, loads []FleetLoad) int
 }
 
 // indexedPlacement is the built-in policies' O(log n) fast path: answer
@@ -44,7 +55,7 @@ type Placement interface {
 // suite in views_test.go pins the equivalence. Custom Placements
 // without this interface still get the full snapshot scan.
 type indexedPlacement interface {
-	placeIndexed(fs *fleetSim, r workload.Request) int
+	placeIndexed(fs *fleetSim, a workload.Arrival) int
 }
 
 // KVHeadroom places on the fitting replica with the most free KV pool
@@ -57,7 +68,7 @@ type kvHeadroom struct{}
 
 func (kvHeadroom) Name() string { return "kv-headroom" }
 
-func (kvHeadroom) Place(_ workload.Request, loads []FleetLoad) int {
+func (kvHeadroom) Place(_ workload.Arrival, loads []FleetLoad) int {
 	best := -1
 	for i, l := range loads {
 		if !l.Fits {
@@ -72,10 +83,10 @@ func (kvHeadroom) Place(_ workload.Request, loads []FleetLoad) int {
 
 // placeIndexed walks online decoders by free KV descending (ties to the
 // lowest index) and takes the first that can admit the request.
-func (kvHeadroom) placeIndexed(fs *fleetSim, r workload.Request) int {
+func (kvHeadroom) placeIndexed(fs *fleetSim, a workload.Arrival) int {
 	dst := -1
 	fs.views.byFreeKV.ascend(func(i int) bool {
-		if !fs.decoders[i].eng.HasHeadroom(r) {
+		if !fs.decoders[i].eng.HasHeadroom(a.Req) {
 			return true
 		}
 		dst = i
@@ -94,7 +105,7 @@ type leastTokensFit struct{}
 
 func (leastTokensFit) Name() string { return "least-tokens-fit" }
 
-func (leastTokensFit) Place(_ workload.Request, loads []FleetLoad) int {
+func (leastTokensFit) Place(_ workload.Arrival, loads []FleetLoad) int {
 	best := -1
 	for i, l := range loads {
 		if !l.Fits {
@@ -110,10 +121,10 @@ func (leastTokensFit) Place(_ workload.Request, loads []FleetLoad) int {
 // placeIndexed walks online decoders by outstanding decode tokens
 // ascending (ties to the lowest index) and takes the first that can
 // admit the request.
-func (leastTokensFit) placeIndexed(fs *fleetSim, r workload.Request) int {
+func (leastTokensFit) placeIndexed(fs *fleetSim, a workload.Arrival) int {
 	dst := -1
 	fs.views.byTokens.ascend(func(i int) bool {
-		if !fs.decoders[i].eng.HasHeadroom(r) {
+		if !fs.decoders[i].eng.HasHeadroom(a.Req) {
 			return true
 		}
 		dst = i
@@ -130,7 +141,7 @@ type roundRobinFit struct{ next int }
 
 func (*roundRobinFit) Name() string { return "round-robin-fit" }
 
-func (p *roundRobinFit) Place(_ workload.Request, loads []FleetLoad) int {
+func (p *roundRobinFit) Place(_ workload.Arrival, loads []FleetLoad) int {
 	for probe := 0; probe < len(loads); probe++ {
 		i := (p.next + probe) % len(loads)
 		if loads[i].Fits {
@@ -148,11 +159,11 @@ func (p *roundRobinFit) Place(_ workload.Request, loads []FleetLoad) int {
 // cursor advances only on a successful placement, as in Place. Degraded
 // replicas stay in the online index (they are online), so the probe
 // skips them explicitly, matching the snapshot's Fits=false.
-func (p *roundRobinFit) placeIndexed(fs *fleetSim, r workload.Request) int {
+func (p *roundRobinFit) placeIndexed(fs *fleetSim, a workload.Arrival) int {
 	start := p.next % len(fs.decoders)
 	dst := -1
 	probe := func(i int) bool {
-		if fs.degraded(i) || !fs.decoders[i].eng.HasHeadroom(r) {
+		if fs.degraded(i) || !fs.decoders[i].eng.HasHeadroom(a.Req) {
 			return true
 		}
 		dst = i

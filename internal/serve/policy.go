@@ -7,54 +7,30 @@ import (
 	"pimphony/internal/workload"
 )
 
-// Load is one replica's queue state at a routing decision, as a policy
-// sees it.
-type Load struct {
-	// OutstandingTokens is the decode work still owed by the replica:
-	// remaining generation tokens of active requests plus the full
-	// generation length of pending ones.
-	OutstandingTokens int
-	// Active and Pending are the replica's admitted and queued request
-	// counts.
-	Active, Pending int
-	// Clock is the replica's simulated time (it can run ahead of the
-	// arrival being routed by up to one decode iteration).
-	Clock float64
-}
-
-// Policy routes one arrival to a replica index. Policies may keep state
-// (round-robin does), so each simulation needs its own instance.
-type Policy interface {
-	Name() string
-	Pick(a workload.Arrival, loads []Load) int
-}
-
-// LoadOblivious marks a Policy whose Pick reads nothing from the loads
-// slice beyond its length. The serving spine exploits the marker: a
-// routing decision that observes no replica state needs no replica
-// synchronized, so only the destination is advanced to the arrival
-// time and the rest keep simulating in larger leaps (des.go). Reports
-// are byte-identical either way — the equivalence suite pins it — so
-// the marker is purely a performance contract; implement it only if
-// Pick truly never inspects a Load.
-type LoadOblivious interface {
-	LoadOblivious()
-}
+// The load-balancing policies of the Config{System, Replicas, Policy}
+// shorthand. Each is a Placement that never holds a request: the
+// shorthand's replicas are all online, healthy decode engines that
+// queue what they cannot admit yet, as a load balancer's backends do.
+// On an explicit fleet they would route to replicas that cannot take
+// work; PlacementByName does not offer them there.
 
 // RoundRobin cycles through replicas in arrival order, the baseline
 // load-oblivious policy.
-func RoundRobin() Policy { return &roundRobin{} }
+func RoundRobin() Placement { return &roundRobin{} }
 
 type roundRobin struct{ next int }
 
 func (p *roundRobin) Name() string { return "round-robin" }
 
-// LoadOblivious marks round-robin for destination-only advancement: it
-// cycles by arrival order alone.
-func (p *roundRobin) LoadOblivious() {}
+func (p *roundRobin) Place(_ workload.Arrival, loads []FleetLoad) int { return p.pick(len(loads)) }
 
-func (p *roundRobin) Pick(_ workload.Arrival, loads []Load) int {
-	i := p.next % len(loads)
+// placeIndexed picks by index alone; it reads no view.
+func (p *roundRobin) placeIndexed(fs *fleetSim, _ workload.Arrival) int {
+	return p.pick(len(fs.decoders))
+}
+
+func (p *roundRobin) pick(n int) int {
+	i := p.next % n
 	p.next++
 	return i
 }
@@ -62,13 +38,13 @@ func (p *roundRobin) Pick(_ workload.Arrival, loads []Load) int {
 // LeastOutstandingTokens routes to the replica owing the fewest decode
 // tokens (ties break to the lowest index), the serving analogue of
 // least-outstanding-requests that weights long generations more.
-func LeastOutstandingTokens() Policy { return leastTokens{} }
+func LeastOutstandingTokens() Placement { return leastTokens{} }
 
 type leastTokens struct{}
 
 func (leastTokens) Name() string { return "least-tokens" }
 
-func (leastTokens) Pick(_ workload.Arrival, loads []Load) int {
+func (leastTokens) Place(_ workload.Arrival, loads []FleetLoad) int {
 	best := 0
 	for i, l := range loads {
 		if l.OutstandingTokens < loads[best].OutstandingTokens {
@@ -78,32 +54,47 @@ func (leastTokens) Pick(_ workload.Arrival, loads []Load) int {
 	return best
 }
 
+// placeIndexed takes the first entry of the outstanding-tokens index:
+// the fewest tokens owed, ties to the lowest index. The index covers
+// online, healthy replicas — every replica of the shorthand.
+func (leastTokens) placeIndexed(fs *fleetSim, _ workload.Arrival) int {
+	return fs.views.byTokens.first()
+}
+
 // SessionAffinity hashes the arrival's session key to a replica, so all
 // requests of one conversation land on the same engine (where a KV-prefix
 // cache would make their contexts cheap to re-admit).
-func SessionAffinity() Policy { return sessionAffinity{} }
+func SessionAffinity() Placement { return sessionAffinity{} }
 
 type sessionAffinity struct{}
 
 func (sessionAffinity) Name() string { return "session" }
 
-// LoadOblivious marks session affinity for destination-only
-// advancement: it hashes the session key alone.
-func (sessionAffinity) LoadOblivious() {}
+func (sessionAffinity) Place(a workload.Arrival, loads []FleetLoad) int {
+	return sessionReplica(a.Session, len(loads))
+}
 
-func (sessionAffinity) Pick(a workload.Arrival, loads []Load) int {
+// placeIndexed picks by index alone; it reads no view.
+func (sessionAffinity) placeIndexed(fs *fleetSim, a workload.Arrival) int {
+	return sessionReplica(a.Session, len(fs.decoders))
+}
+
+// sessionReplica hashes a session key (FNV-1a over its 8 little-endian
+// bytes) onto one of n replicas.
+func sessionReplica(session, n int) int {
 	h := fnv.New32a()
 	var buf [8]byte
-	v := uint64(a.Session)
+	v := uint64(session)
 	for i := range buf {
 		buf[i] = byte(v >> (8 * i))
 	}
 	h.Write(buf[:])
-	return int(h.Sum32() % uint32(len(loads)))
+	return int(h.Sum32() % uint32(n))
 }
 
-// PolicyByName builds a fresh policy instance from its CLI name.
-func PolicyByName(name string) (Policy, error) {
+// PolicyByName builds a fresh load-balancing policy for the shorthand
+// from its CLI name.
+func PolicyByName(name string) (Placement, error) {
 	switch name {
 	case "round-robin":
 		return RoundRobin(), nil

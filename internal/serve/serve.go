@@ -1,33 +1,39 @@
 // Package serve is the online serving simulator: it feeds a timed
-// arrival stream (internal/workload's Poisson or trace-replay schedules)
-// into one or more continuous-batching decode replicas (cluster.Engine),
-// routes each arrival through a pluggable load-balancing policy, and
-// reports the SLO metrics a serving system is judged on — TTFT, TBT and
-// end-to-end latency at p50/p95/p99, plus goodput (decode tokens per
+// arrival stream (internal/workload's Poisson, bursty or trace-replay
+// schedules) into continuous-batching decode replicas (cluster.Engine)
+// and reports the SLO metrics a serving system is judged on — TTFT, TBT
+// and end-to-end latency at p50/p95/p99, plus goodput (decode tokens per
 // second from requests that met the SLO).
 //
-// The simulation is a discrete-event simulation on the shared spine
-// (des.go): each replica advances its own clock by the duration of its
-// decode iterations, and an arrival is routed only after every replica
-// whose state the policy observes has simulated up to the arrival time
-// — all of them for a load-aware policy, only the destination for a
-// LoadOblivious one. Between events a replica does not step one
-// iteration at a time — cluster.Engine.Leap fast-forwards a stable
-// batch through its analytically computed event horizon in one call,
-// and independent replicas advance concurrently through
-// internal/sweep — but every optimization is exact: every per-token timestamp, and therefore
-// every report, is bit-identical to the naive single-stepped
-// sequential loop (Config.SingleStep pins this in tests). Everything
-// is deterministic — same arrival schedule, same configuration, same
-// report — which is what lets the latency–throughput tables in CI be
-// byte-identical at any sweep parallelism.
+// There is one simulator. A run is a fleet of replicas under a global
+// scheduler (fleet.go): placement, the held queue, migration, stealing,
+// autoscaling and faults. The Config{System, Replicas, Policy}
+// shorthand is the decode-only fleet of Replicas copies of System, with
+// Policy as its placement and prompts prefilled outside the fleet — the
+// classic load balancer in front of N identical decode engines.
+//
+// The simulation is a discrete-event simulation on the spine (des.go):
+// each replica advances its own clock by the duration of its decode
+// iterations, and a global event (an arrival, a KV landing, a timer) is
+// dispatched only once every busy replica has simulated up to it.
+// Between events a replica does not step one iteration at a time —
+// cluster.Engine.Leap fast-forwards a stable batch through its
+// analytically computed event horizon in one call, as far as the
+// scheduler lets replicas run independently — but every optimization is
+// exact: every per-token timestamp, and therefore every report, is
+// bit-identical to the naive single-stepped loop (Config.SingleStep pins
+// this in tests). Everything is deterministic — same arrival schedule,
+// same configuration, same report — which is what lets the
+// latency–throughput tables in CI be byte-identical at any sweep
+// parallelism.
 //
 // Metric definitions (all per request, in seconds):
 //
 //   - TTFT (time to first token): from arrival to the end of the first
-//     decode iteration that includes the request, i.e. queueing delay +
-//     one iteration; with Config.IncludePrefill it also adds the prompt
-//     prefill time on the system's dense engine.
+//     decode iteration that includes the request, i.e. queueing delay
+//     (and any modelled prefill) + one iteration; with
+//     Config.IncludePrefill it also adds the prompt prefill time of
+//     prompts prefilled outside the fleet.
 //   - TBT (time between tokens): the request's mean gap between
 //     subsequent tokens, (completion - first token) / (tokens - 1),
 //     over the tokens actually generated (a request whose KV cache hits
@@ -66,27 +72,37 @@ func (s SLO) Met(ttft, tbt float64) bool {
 	return true
 }
 
-// Config describes one serving simulation.
+// Config describes one serving simulation: either an explicit Fleet, or
+// the Config{System, Replicas, Policy} shorthand for a decode-only
+// fleet. The shorthand runs as that fleet, LeapHorizon included, but
+// reports as a load balancer: Migrate, Steal, Autoscaler and Faults
+// need explicit Fleet specs, and Report.Fleet stays nil.
 type Config struct {
-	// System is the replica template; every replica is an independent
-	// cluster.System built from it. Every registered backend is
-	// servable — PIM systems admit against their static/DPA allocator,
-	// the GPU baseline against its paged pool (see
-	// cluster.System.NewEngine).
+	// System is the shorthand's replica template: every replica is an
+	// independent cluster.System built from it, serving as RoleDecode.
+	// Every registered backend is servable — PIM systems admit against
+	// their static/DPA allocator, the GPU baseline against its paged
+	// pool (see cluster.System.NewEngine). Ignored when Fleet is set.
 	System cluster.Config
-	// Replicas is the number of identical decode engines behind the
-	// load balancer (>= 1).
+	// Replicas is the shorthand's number of identical decode engines
+	// (>= 1). Ignored when Fleet is set.
 	Replicas int
-	// Policy routes arrivals to replicas. Each Run needs a fresh
-	// instance (policies may keep state).
-	Policy Policy
+	// Policy is the shorthand's placement, normally a PolicyByName
+	// load-balancing policy: those never hold a request, so every arrival
+	// joins its replica's queue at once. Each Run needs a fresh instance
+	// (policies may keep state). Ignored when Fleet is set; Placement
+	// places an explicit fleet.
+	Policy Placement
 	// SLO classifies completed requests for the goodput metric.
 	SLO SLO
-	// IncludePrefill adds each request's prompt-processing time on the
-	// system's dense engine (cluster.System.PrefillSeconds) to its TTFT
-	// and E2E. The prefill is modelled as offloaded — it delays the
-	// request's tokens but does not occupy the decode engine, the
-	// disaggregation NeuPIMs and Hybe argue for.
+	// IncludePrefill adds each prompt's processing time on its decode
+	// replica's dense engine (cluster.System.PrefillSeconds) to the
+	// request's TTFT and E2E when the prompt is prefilled outside the
+	// fleet: on a RoleDecode replica of a fleet without prefill servers,
+	// the shorthand among them. The prefill delays the request's tokens
+	// but does not occupy the decode engine, the disaggregation NeuPIMs
+	// and Hybe argue for. Prefill and unified replicas price their
+	// prefills themselves, so the flag does not touch them.
 	IncludePrefill bool
 	// SingleStep forces the one-iteration-per-call engine path instead
 	// of multi-step fast-forward (cluster.Engine.Leap). Reports are
@@ -95,68 +111,79 @@ type Config struct {
 	// runs leave it off and simulate the same traffic many times faster.
 	SingleStep bool
 
-	// Fleet, when non-empty, switches Run to the heterogeneous fleet
-	// simulator: replicas are built from these specs (each with its own
-	// backend, allocator technique and KV budget) instead of Replicas
-	// copies of System, prefill and decode can run on different
-	// replicas with an explicitly priced KV-transfer hop, and the
-	// global scheduler (Placement, Migrate, Steal) replaces Policy.
-	// System, Replicas, Policy and IncludePrefill are ignored in fleet
-	// mode; see fleet.go.
+	// Fleet, when non-empty, describes the replicas explicitly: each
+	// spec with its own backend, allocator technique, KV budget and role,
+	// so prefill and decode can run on different replicas with an
+	// explicitly priced KV-transfer hop (see fleet.go). A RoleDecode
+	// replica in a fleet without RolePrefill specs takes its requests
+	// prefilled outside the fleet, as the shorthand's replicas do.
 	Fleet []ReplicaSpec
-	// Interconnect prices every inter-replica KV movement in fleet mode
-	// (prefill→decode handoffs, migrations, steals). The zero value is
-	// an unusable fabric: fine for unified fleets (KV stays local and
+	// Interconnect prices every inter-replica KV movement (prefill→decode
+	// handoffs, migrations, steals). The zero value is an unusable
+	// fabric: fine for fleets without prefill servers (KV stays local and
 	// migration/stealing simply never win), an error for disaggregated
 	// ones (handoffs need a link).
 	Interconnect timing.Interconnect
-	// Placement places decode work on fleet replicas against fleet-wide
-	// KV headroom (nil = KVHeadroom()). Like Policy, each Run needs a
-	// fresh instance.
+	// Placement places decode work on the replicas of an explicit Fleet
+	// against fleet-wide KV headroom (nil = KVHeadroom()). Like Policy,
+	// each Run needs a fresh instance.
 	Placement Placement
 	// Migrate lets the fleet scheduler move a preempted request's KV to
 	// another replica when the transfer is cheaper than the recompute
-	// its re-admission would charge.
+	// its re-admission would charge. It needs an explicit Fleet.
 	Migrate bool
 	// Steal lets idle decode replicas take queued zero-progress
 	// requests from the most backlogged replica (prompt KV moves over
-	// the interconnect).
+	// the interconnect). It needs an explicit Fleet.
 	Steal bool
 	// Autoscaler, when non-nil, lets the fleet's global scheduler grow
 	// and shrink the online decode-replica set while the run plays out:
 	// each spec starts with Min replicas online, the rest standby, and
-	// scale-ups pay the spec's WarmupSeconds (see autoscale.go). Fleet
-	// mode only; nil keeps every replica online for the whole run. Like
-	// Policy, each Run needs a fresh instance.
+	// scale-ups pay the spec's WarmupSeconds (see autoscale.go). It needs
+	// an explicit Fleet; nil keeps every replica online for the whole
+	// run. Like Policy, each Run needs a fresh instance.
 	Autoscaler Autoscaler
-	// LeapHorizon caps iterations per engine leap in fleet mode, so a
-	// draining replica cannot run arbitrarily far past the next global
-	// event (0 = the fleetLeapHorizon default). Reports are identical
-	// at any value; only simulation granularity changes.
+	// LeapHorizon caps iterations per engine leap, so a draining replica
+	// cannot run arbitrarily far past the next global event (0 = the
+	// fleetLeapHorizon default). Reports are identical at any value; only
+	// simulation granularity changes.
 	LeapHorizon int
 	// Faults injects deterministic replica failures — crashes, transient
 	// slowdowns, interconnect degradation — compiled into explicit heap
-	// events (see faults.go). Fleet mode only; nil or an empty plan
-	// reproduces the fault-free run byte-for-byte.
+	// events (see faults.go). It needs an explicit Fleet; nil or an
+	// empty plan reproduces the fault-free run byte-for-byte.
 	Faults *FaultPlan
 }
 
 // Validate reports configuration errors.
 func (c *Config) Validate() error {
-	if len(c.Fleet) > 0 {
-		return c.validateFleet()
+	if len(c.Fleet) == 0 {
+		switch {
+		case c.Replicas <= 0:
+			return fmt.Errorf("serve: Replicas must be positive, got %d", c.Replicas)
+		case c.Policy == nil:
+			return fmt.Errorf("serve: Policy is required")
+		case c.Autoscaler != nil:
+			return fmt.Errorf("serve: Autoscaler requires fleet mode (set Fleet specs)")
+		case c.Faults.active():
+			return fmt.Errorf("serve: Faults require fleet mode (set Fleet specs)")
+		case c.Migrate || c.Steal:
+			return fmt.Errorf("serve: Migrate and Steal require fleet mode (set Fleet specs)")
+		}
 	}
-	switch {
-	case c.Replicas <= 0:
-		return fmt.Errorf("serve: Replicas must be positive, got %d", c.Replicas)
-	case c.Policy == nil:
-		return fmt.Errorf("serve: Policy is required")
-	case c.Autoscaler != nil:
-		return fmt.Errorf("serve: Autoscaler requires fleet mode (set Fleet specs)")
-	case c.Faults.active():
-		return fmt.Errorf("serve: Faults require fleet mode (set Fleet specs)")
+	f := c.fleetForm()
+	return f.validateFleet()
+}
+
+// fleetForm returns the configuration with the shorthand spelled out:
+// Replicas RoleDecode copies of System, placed by Policy. A Config with
+// Fleet specs comes back unchanged.
+func (c Config) fleetForm() Config {
+	if len(c.Fleet) == 0 {
+		c.Fleet = []ReplicaSpec{{System: c.System, Count: c.Replicas, Role: RoleDecode}}
+		c.Placement = c.Policy
 	}
-	return nil
+	return c
 }
 
 // Quantiles summarises one latency distribution.
@@ -303,9 +330,11 @@ type Report struct {
 	Energy EnergyStats
 	// PerReplica breaks the work down by replica.
 	PerReplica []ReplicaStats
-	// Fleet carries the fleet-mode extras — roles, transfer accounting,
-	// scheduler actions, joules/token — and is nil for the load-balanced
-	// path.
+	// Fleet carries the fleet extras — roles, transfer accounting,
+	// scheduler actions, joules/token — for a run with explicit Fleet
+	// specs. It is nil for the shorthand, whose fleet shape the Config
+	// already states and whose scheduler hands off, migrates, steals and
+	// scales nothing (and, under a PolicyByName policy, holds nothing).
 	Fleet *FleetStats
 	// Faults carries the failure-and-recovery accounting — crashes,
 	// retries, permanently failed requests, lost KV, downtime — and is
@@ -313,65 +342,9 @@ type Report struct {
 	Faults *FaultStats
 }
 
-// sim is the load-balanced path on the discrete-event spine: identical
-// replicas, a Policy routing arrivals, and a synchronization discipline
-// chosen by what the policy observes — a load-aware policy needs every
-// replica advanced to the arrival time (syncBarrier), a LoadOblivious
-// one only the destination (syncLazy).
-type sim struct {
-	spine
-	cfg  Config
-	lazy bool
-	// loads is the per-arrival snapshot buffer, reused across dispatches
-	// (valid only during the Policy.Pick call; in lazy mode it stays
-	// zeroed, matching the empty snapshot LoadOblivious policies see).
-	loads []Load
-}
-
-// onStep and idleWork are no-ops: the load balancer reacts to nothing
-// between arrivals, and a drained schedule leaves no deferred work.
-func (s *sim) onStep(int, cluster.StepResult) error { return nil }
-func (s *sim) react(float64) error                  { return nil }
-func (s *sim) idleWork() (bool, error)              { return false, nil }
-
-// dispatch routes one arrival: snapshot every replica's load (barrier
-// mode — the spine has already advanced them all to e.at) or none of
-// them (lazy mode — only the destination is advanced, here), ask the
-// Policy, and enqueue.
-func (s *sim) dispatch(ctx context.Context, e *event) error {
-	loads := s.loads
-	if !s.lazy {
-		for j, r := range s.replicas {
-			loads[j] = Load{
-				OutstandingTokens: r.eng.OutstandingTokens(),
-				Active:            r.eng.Active(),
-				Pending:           r.eng.Pending(),
-				Clock:             r.clock,
-			}
-		}
-	}
-	idx := s.cfg.Policy.Pick(e.arr, loads)
-	if idx < 0 || idx >= len(s.replicas) {
-		return fmt.Errorf("serve: policy %s routed to replica %d of %d", s.cfg.Policy.Name(), idx, len(s.replicas))
-	}
-	if s.lazy {
-		if err := s.advance(ctx, s.replicas[idx], e.at); err != nil {
-			return err
-		}
-	}
-	rec := e.rec
-	rec.replica = idx
-	if s.cfg.IncludePrefill {
-		rec.prefill = s.replicas[idx].sys.PrefillSeconds(e.arr.Req.Context)
-	}
-	return s.replicas[idx].eng.Enqueue(e.arr.Req)
-}
-
 // Run serves a timed arrival schedule to completion and reports the SLO
-// metrics. Arrivals must be sorted by At with unique request IDs; every
-// request needs a positive Decode length. With Config.Fleet set, the
-// heterogeneous fleet simulator serves the schedule instead (see
-// fleet.go); everything below is the classic load-balanced path.
+// metrics. Arrivals must be sorted by At, at finite times, with unique
+// request IDs; every request needs a positive Decode length.
 func Run(ctx context.Context, cfg Config, arrivals []workload.Arrival) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -379,63 +352,22 @@ func Run(ctx context.Context, cfg Config, arrivals []workload.Arrival) (*Report,
 	if len(arrivals) == 0 {
 		return nil, fmt.Errorf("serve: empty arrival schedule")
 	}
-	if len(cfg.Fleet) > 0 {
-		return runFleet(ctx, cfg, arrivals)
-	}
-	s := &sim{cfg: cfg}
-	_, s.lazy = cfg.Policy.(LoadOblivious)
-	mode := syncBarrier
-	if s.lazy {
-		mode = syncLazy
-	}
-	s.spine = spine{
-		tracker: tracker{recs: make(map[int]*record, len(arrivals)), singleStep: cfg.SingleStep},
-		sync:    mode,
-		sched:   s,
-	}
-	for i := 0; i < cfg.Replicas; i++ {
-		sys, err := cluster.New(cfg.System)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := sys.NewEngine()
-		if err != nil {
-			return nil, err
-		}
-		s.replicas = append(s.replicas, &replica{sys: sys, eng: eng})
-	}
-	s.loads = make([]Load, len(s.replicas))
-	if err := s.schedule(arrivals); err != nil {
-		return nil, err
-	}
-	if err := s.spine.run(ctx); err != nil {
-		return nil, err
-	}
-	return s.report(arrivals)
-}
-
-// report folds the per-request records into the SLO metrics and prices
-// the run: every classic-path replica is provisioned for the whole
-// makespan.
-func (s *sim) report(arrivals []workload.Arrival) (*Report, error) {
-	rep, err := foldReport(s.recs, arrivals, s.cfg.SLO, s.cfg.Policy.Name(), s.replicas)
+	fs, err := newFleetSim(cfg, len(arrivals))
 	if err != nil {
 		return nil, err
 	}
-	secs := make([]float64, len(s.replicas))
-	hourly := make([]float64, len(s.replicas))
-	for i, r := range s.replicas {
-		secs[i] = rep.MakespanSeconds
-		hourly[i] = r.sys.CostPerHour()
+	if err := fs.start(arrivals); err != nil {
+		return nil, err
 	}
-	priceReport(rep, secs, hourly, 0)
-	return rep, nil
+	if err := fs.spine.run(ctx); err != nil {
+		return nil, err
+	}
+	return fs.report(arrivals)
 }
 
 // foldReport turns per-request records and replica counters into a
-// Report. The metric definitions are shared verbatim by the
-// load-balanced and fleet paths — only how work reached a replica
-// differs between them, never how its latencies are scored.
+// Report: how work reached a replica never changes how its latencies
+// are scored.
 func foldReport(recs map[int]*record, arrivals []workload.Arrival, slo SLO, policyName string,
 	replicas []*replica) (*Report, error) {
 	rep := &Report{

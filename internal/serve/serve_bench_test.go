@@ -48,8 +48,8 @@ func BenchmarkServeRun(b *testing.B) {
 // BenchmarkFleetPlacement measures one placement decision on a
 // few-hundred-replica fleet and pins the allocation contract the
 // indexed scheduler exists for: zero allocations per decision, for
-// every built-in policy's O(log n) path and for the custom-policy
-// fallback once its []FleetLoad scratch is warm.
+// every built-in placement and load-balancing policy and for the
+// custom-policy fallback once its []FleetLoad scratch is warm.
 func BenchmarkFleetPlacement(b *testing.B) {
 	const replicas = 256
 	fs, err := newFleetSim(Config{
@@ -66,7 +66,7 @@ func BenchmarkFleetPlacement(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	probe := workload.Request{ID: 1 << 20, Context: 64, Decode: 32}
+	probe := &record{req: workload.Request{ID: 1 << 20, Context: 64, Decode: 32}, session: 3}
 	cases := []struct {
 		name string
 		p    Placement
@@ -74,6 +74,9 @@ func BenchmarkFleetPlacement(b *testing.B) {
 		{"kv-headroom", KVHeadroom()},
 		{"least-tokens-fit", LeastTokensFit()},
 		{"round-robin-fit", RoundRobinFit()},
+		{"round-robin", RoundRobin()},
+		{"least-tokens", LeastOutstandingTokens()},
+		{"session", SessionAffinity()},
 		{"custom-fallback", linearOnly{KVHeadroom()}},
 	}
 	for _, c := range cases {

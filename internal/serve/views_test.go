@@ -1,14 +1,15 @@
 // The indexed-scheduler oracle suite: every O(log n) decision the fleet
-// scheduler answers from its maintained views (views.go, placement.go)
-// is pinned byte-identical to the O(n) linear scan it replaced, two
-// ways. End-to-end: full fleet simulations — migration, stealing,
-// autoscaling, disaggregation — run once through the indexed fast path
-// and once through a wrapper that hides the fast-path interface, and
-// the reports must be deeply equal. Per-decision: a randomized driver
-// pushes a fleetSim through admit/step/preempt/provision/drain/steal
-// sequences and, after every operation, audits each index's membership,
-// keys and order against the live engine state, and each decision
-// procedure against its scan.
+// scheduler answers from its maintained views (views.go, placement.go,
+// policy.go) is pinned byte-identical to the O(n) linear scan it
+// replaced, two ways. End-to-end: full simulations — migration,
+// stealing, autoscaling, disaggregation, and the load-balancing
+// policies of the Config{System, Replicas, Policy} shorthand — run once
+// through the indexed fast path and once through a wrapper that hides
+// the fast-path interface, and the reports must be deeply equal.
+// Per-decision: randomized drivers push a fleetSim through
+// admit/step/preempt/provision/drain/steal sequences and, after every
+// operation, audit each index's membership, keys and order against the
+// live engine state, and each decision procedure against its scan.
 package serve
 
 import (
@@ -99,6 +100,31 @@ func TestIndexedPlacementMatchesLinearEndToEnd(t *testing.T) {
 			})
 		}
 	}
+	// The shorthand's policies on the preempting tight system, with
+	// sessions spread so session affinity has choices to make.
+	arr := fleetTestArrivals(14, 5)
+	for i := range arr {
+		arr[i].Session = i % 5
+	}
+	for _, pl := range []struct {
+		name string
+		mk   func() Placement
+	}{
+		{"round-robin", RoundRobin},
+		{"least-tokens", LeastOutstandingTokens},
+		{"session", SessionAffinity},
+	} {
+		t.Run("shorthand/"+pl.name, func(t *testing.T) {
+			idx := run(t, Config{System: tightSystem(), Replicas: 3, Policy: pl.mk()}, arr)
+			lin := run(t, Config{System: tightSystem(), Replicas: 3, Policy: linearOnly{pl.mk()}}, arr)
+			if !reflect.DeepEqual(idx, lin) {
+				t.Errorf("indexed policy diverged from linear scan:\n%+v\n%+v", idx, lin)
+			}
+			if idx.Capacity.Preemptions == 0 {
+				t.Error("scenario did not preempt; the queue states stayed trivial")
+			}
+		})
+	}
 }
 
 // linearLoads replicates the pre-index []FleetLoad build the linear
@@ -111,15 +137,13 @@ func linearLoads(fs *fleetSim, r workload.Request) []FleetLoad {
 			clk = fs.clock
 		}
 		loads[i] = FleetLoad{
-			Load: Load{
-				OutstandingTokens: d.eng.OutstandingTokens(),
-				Active:            d.eng.Active(),
-				Pending:           d.eng.Pending(),
-				Clock:             clk,
-			},
-			Role:        d.role,
-			FreeKVBytes: d.eng.FreeKVBytes(),
-			Fits:        d.eng.HasHeadroom(r),
+			OutstandingTokens: d.eng.OutstandingTokens(),
+			Active:            d.eng.Active(),
+			Pending:           d.eng.Pending(),
+			Clock:             clk,
+			Role:              d.role,
+			FreeKVBytes:       d.eng.FreeKVBytes(),
+			Fits:              d.eng.HasHeadroom(r),
 		}
 		if fs.state[i] != stateOnline {
 			loads[i].Fits = false
@@ -190,20 +214,21 @@ func auditViews(t *testing.T, op int, fs *fleetSim) {
 
 // auditDecisions pins each decision procedure against its linear scan
 // at the current state.
-func auditDecisions(t *testing.T, op int, fs *fleetSim, r workload.Request, now float64) {
+func auditDecisions(t *testing.T, op int, fs *fleetSim, a workload.Arrival, now float64) {
 	t.Helper()
+	r := a.Req
 	loads := linearLoads(fs, r)
-	if lin, idx := (kvHeadroom{}).Place(r, loads), (kvHeadroom{}).placeIndexed(fs, r); lin != idx {
+	if lin, idx := (kvHeadroom{}).Place(a, loads), (kvHeadroom{}).placeIndexed(fs, a); lin != idx {
 		t.Fatalf("op %d: kv-headroom linear %d, indexed %d", op, lin, idx)
 	}
-	if lin, idx := (leastTokensFit{}).Place(r, loads), (leastTokensFit{}).placeIndexed(fs, r); lin != idx {
+	if lin, idx := (leastTokensFit{}).Place(a, loads), (leastTokensFit{}).placeIndexed(fs, a); lin != idx {
 		t.Fatalf("op %d: least-tokens-fit linear %d, indexed %d", op, lin, idx)
 	}
 	for start := 0; start <= len(fs.decoders); start++ {
-		a, b := &roundRobinFit{next: start}, &roundRobinFit{next: start}
-		if lin, idx := a.Place(r, loads), b.placeIndexed(fs, r); lin != idx || a.next != b.next {
+		x, y := &roundRobinFit{next: start}, &roundRobinFit{next: start}
+		if lin, idx := x.Place(a, loads), y.placeIndexed(fs, a); lin != idx || x.next != y.next {
 			t.Fatalf("op %d: round-robin(next=%d) linear (%d,%d), indexed (%d,%d)",
-				op, start, lin, a.next, idx, b.next)
+				op, start, lin, x.next, idx, y.next)
 		}
 	}
 	// Migration destination: roomiest fitting online replica != di.
@@ -337,9 +362,9 @@ func TestViewsOracle(t *testing.T) {
 	}
 	now := 0.0
 	id := 0
-	probes := []workload.Request{
-		{ID: 1 << 20, Context: 16, Decode: 8},
-		{ID: 1<<20 + 1, Context: 400, Decode: 2800},
+	probes := []workload.Arrival{
+		{Req: workload.Request{ID: 1 << 20, Context: 16, Decode: 8}},
+		{Req: workload.Request{ID: 1<<20 + 1, Context: 400, Decode: 2800}},
 	}
 	for op := 0; op < 700; op++ {
 		switch c := next(100); {
@@ -355,8 +380,10 @@ func TestViewsOracle(t *testing.T) {
 			fs.waiting[req.ID] = rec
 			fs.waitq.pushBack(rec)
 			fs.autoscale(now)
-			if dst := fs.place(req); dst >= 0 {
-				fs.localPrefill(dst, rec, now)
+			if dst := fs.place(rec); dst >= 0 {
+				if err := fs.prefillOn(dst, rec, now); err != nil {
+					t.Fatalf("op %d: prefill on %d: %v", op, dst, err)
+				}
 			} else {
 				fs.held.pushBack(heldReq{rec: rec, needsPrefill: true})
 			}
@@ -412,6 +439,99 @@ func TestViewsOracle(t *testing.T) {
 		}
 		auditViews(t, op, fs)
 		auditDecisions(t, op, fs, probes[op%len(probes)], now)
+	}
+}
+
+// auditShorthand pins each load-balancing policy of the shorthand
+// against its scan at the current state, from every round-robin cursor.
+func auditShorthand(t *testing.T, op int, fs *fleetSim, a workload.Arrival) {
+	t.Helper()
+	loads := linearLoads(fs, a.Req)
+	if lin, idx := (leastTokens{}).Place(a, loads), (leastTokens{}).placeIndexed(fs, a); lin != idx {
+		t.Fatalf("op %d: least-tokens linear %d, indexed %d", op, lin, idx)
+	}
+	if lin, idx := (sessionAffinity{}).Place(a, loads), (sessionAffinity{}).placeIndexed(fs, a); lin != idx {
+		t.Fatalf("op %d: session %d linear %d, indexed %d", op, a.Session, lin, idx)
+	}
+	for start := 0; start <= len(fs.decoders); start++ {
+		x, y := &roundRobin{next: start}, &roundRobin{next: start}
+		if lin, idx := x.Place(a, loads), y.placeIndexed(fs, a); lin != idx || x.next != y.next {
+			t.Fatalf("op %d: round-robin(next=%d) linear (%d,%d), indexed (%d,%d)",
+				op, start, lin, x.next, idx, y.next)
+		}
+	}
+}
+
+// TestShorthandViewsOracle is the per-decision oracle for the
+// shorthand's load-balancing policies: a randomized driver takes a
+// tight-budget decode-only fleet through placements under each policy
+// and single engine steps, preemptions included, auditing every index
+// and each policy's pick against its scan after each operation.
+func TestShorthandViewsOracle(t *testing.T) {
+	fs, err := newFleetSim(Config{System: tightSystem(), Replicas: 4, Policy: RoundRobin(), SingleStep: true}, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	policies := []Placement{RoundRobin(), LeastOutstandingTokens(), SessionAffinity()}
+	ctx := t.Context()
+	s := uint64(2027)
+	next := func(m int) int {
+		s ^= s << 13
+		s ^= s >> 7
+		s ^= s << 17
+		return int(s % uint64(m))
+	}
+	now := 0.0
+	id := 0
+	preempted := 0
+	for op := 0; op < 600; op++ {
+		if c := next(100); c < 45 { // arrive under one of the policies
+			id++
+			now += 0.001 * float64(next(8))
+			rec := &record{req: workload.Request{ID: id, Context: 16 + next(300), Decode: 4 + next(48)},
+				arrival: now, session: next(7), replica: -1}
+			if next(6) == 0 {
+				rec.req.Decode = 2000 + next(1000) // pressure the tight pool
+			}
+			fs.recs[id] = rec
+			fs.placement = policies[next(len(policies))]
+			fs.indexed = fs.placement.(indexedPlacement)
+			dst := fs.place(rec)
+			if dst < 0 {
+				t.Fatalf("op %d: %s held a request", op, fs.placement.Name())
+			}
+			if err := fs.prefillOn(dst, rec, now); err != nil {
+				t.Fatalf("op %d: enqueue on %d: %v", op, dst, err)
+			}
+		} else { // step one busy replica
+			busy := make([]int, 0, len(fs.decoders))
+			for i, d := range fs.decoders {
+				if !d.eng.Idle() {
+					busy = append(busy, i)
+				}
+			}
+			if len(busy) == 0 {
+				continue
+			}
+			i := busy[next(len(busy))]
+			d := fs.decoders[i]
+			res, err := fs.step(ctx, &d.replica, math.Inf(1))
+			if err != nil {
+				t.Fatalf("op %d: step replica %d: %v", op, i, err)
+			}
+			preempted += len(res.Preempted)
+			if d.clock > now {
+				now = d.clock
+			}
+			if err := fs.onStep(i, res); err != nil {
+				t.Fatalf("op %d: onStep: %v", op, err)
+			}
+		}
+		auditViews(t, op, fs)
+		auditShorthand(t, op, fs, workload.Arrival{Req: workload.Request{ID: 1 << 20, Context: 16, Decode: 8}, Session: next(7)})
+	}
+	if preempted == 0 {
+		t.Error("the driver never preempted; the queue states stayed trivial")
 	}
 }
 

@@ -1,16 +1,15 @@
 // Package simtest is the simulation-equivalence toolkit behind the
 // serving spine's correctness suite. The simulator's core guarantee is
 // that every report is a pure, deterministic function of (configuration,
-// arrival schedule) — independent of leap granularity, synchronization
-// discipline, sweep parallelism and event-push order among commuting
-// events. This package provides the pieces tests and fuzz targets need
-// to pin that guarantee:
+// arrival schedule) — independent of leap bound and granularity, sweep
+// parallelism and event-push order among commuting events. Single
+// stepping is the reference: it prices one iteration per engine call in
+// global clock order, whatever bound the spine derives. This package
+// provides the pieces tests and fuzz targets need to pin that
+// guarantee:
 //
 //   - Fingerprint: a stable content hash of a serve.Report, so
 //     equivalence checks compare one string instead of walking structs.
-//   - Opaque: a Policy wrapper that strips the LoadOblivious marker,
-//     forcing the spine's barrier discipline for a policy that would
-//     otherwise advance lazily — the two disciplines must agree.
 //   - Scenario builders: deterministic systems and arrival schedules
 //     spanning the backend × allocator grid, including a
 //     preemption-heavy configuration.
@@ -47,18 +46,6 @@ func Fingerprint(rep *serve.Report) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
-
-// Opaque wraps a Policy so the serving spine cannot see its
-// LoadOblivious marker: routing decisions are unchanged, but every
-// replica is advanced to each arrival (the barrier discipline) as if
-// the policy were load-aware. Comparing a run against its Opaque twin
-// pins the lazy destination-only advancement as exact.
-func Opaque(p serve.Policy) serve.Policy { return opaquePolicy{p} }
-
-type opaquePolicy struct{ p serve.Policy }
-
-func (o opaquePolicy) Name() string                                    { return o.p.Name() }
-func (o opaquePolicy) Pick(a workload.Arrival, loads []serve.Load) int { return o.p.Pick(a, loads) }
 
 // System returns the named deterministic replica template. The names
 // span the backend × allocator grid the equivalence suite sweeps:
@@ -128,7 +115,7 @@ func TightSchedule(n int) ([]workload.Arrival, error) {
 }
 
 // CheckInvariants asserts the oracles every valid report satisfies, no
-// matter the configuration, discipline or schedule that produced it.
+// matter the configuration, leap bound or schedule that produced it.
 func CheckInvariants(tb testing.TB, rep *serve.Report, arrivals []workload.Arrival) {
 	tb.Helper()
 	// Conservation: every arrival is served exactly once — except

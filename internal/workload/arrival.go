@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 )
@@ -31,8 +32,8 @@ func PoissonArrivals(gen *Generator, rate float64, sessions, n int, seed int64) 
 	switch {
 	case gen == nil:
 		return nil, fmt.Errorf("workload: PoissonArrivals needs a generator")
-	case rate <= 0:
-		return nil, fmt.Errorf("workload: arrival rate must be positive, got %g", rate)
+	case !positiveFinite(rate):
+		return nil, fmt.Errorf("workload: arrival rate must be positive and finite, got %g", rate)
 	case sessions <= 0:
 		return nil, fmt.Errorf("workload: session count must be positive, got %d", sessions)
 	case n < 0:
@@ -47,6 +48,11 @@ func PoissonArrivals(gen *Generator, rate float64, sessions, n int, seed int64) 
 	}
 	return arr, nil
 }
+
+// positiveFinite reports whether x is a usable rate or duration: above
+// zero and finite. NaN fails every comparison, so a plain x <= 0 check
+// lets it through.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // ReplayArrivals pairs an explicit timestamp schedule with requests,
 // replaying a recorded production trace: times[i] is when reqs[i]
@@ -101,10 +107,10 @@ func (s MultiTurnSpec) Validate() error {
 	switch {
 	case s.Sessions <= 0 || s.Turns <= 0:
 		return fmt.Errorf("workload: multi-turn needs positive Sessions and Turns")
-	case s.Rate <= 0:
-		return fmt.Errorf("workload: multi-turn session rate must be positive, got %g", s.Rate)
-	case s.ThinkMean < 0:
-		return fmt.Errorf("workload: negative think time %g", s.ThinkMean)
+	case !positiveFinite(s.Rate):
+		return fmt.Errorf("workload: multi-turn session rate must be positive and finite, got %g", s.Rate)
+	case !(s.ThinkMean >= 0) || math.IsInf(s.ThinkMean, 1):
+		return fmt.Errorf("workload: think time must be non-negative and finite, got %g", s.ThinkMean)
 	case s.PromptMin < 0 || s.PromptMax < s.PromptMin:
 		return fmt.Errorf("workload: prompt-delta bounds [%d,%d] out of range", s.PromptMin, s.PromptMax)
 	}

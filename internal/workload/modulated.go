@@ -23,25 +23,26 @@ import (
 // same mean rate (index of dispersion > 1).
 type MMPPSpec struct {
 	// RateHigh / RateLow are the arrival rates (requests/second) in the
-	// burst and lull states. RateHigh must be positive; RateLow may be
-	// zero (complete silence between bursts) but not negative.
+	// burst and lull states. RateHigh must be positive and finite;
+	// RateLow may be zero (complete silence between bursts) but not
+	// negative.
 	RateHigh, RateLow float64
 	// DwellHigh / DwellLow are the mean dwell times (seconds) in each
-	// state; actual dwells are exponential.
+	// state, positive and finite; actual dwells are exponential.
 	DwellHigh, DwellLow float64
 }
 
 // Validate reports inconsistent specs.
 func (s MMPPSpec) Validate() error {
 	switch {
-	case s.RateHigh <= 0:
-		return fmt.Errorf("workload: MMPP burst rate must be positive, got %g", s.RateHigh)
-	case s.RateLow < 0:
+	case !positiveFinite(s.RateHigh):
+		return fmt.Errorf("workload: MMPP burst rate must be positive and finite, got %g", s.RateHigh)
+	case !(s.RateLow >= 0):
 		return fmt.Errorf("workload: MMPP lull rate must be non-negative, got %g", s.RateLow)
 	case s.RateLow > s.RateHigh:
 		return fmt.Errorf("workload: MMPP lull rate %g above burst rate %g", s.RateLow, s.RateHigh)
-	case s.DwellHigh <= 0 || s.DwellLow <= 0:
-		return fmt.Errorf("workload: MMPP dwell times must be positive, got %g/%g", s.DwellHigh, s.DwellLow)
+	case !positiveFinite(s.DwellHigh) || !positiveFinite(s.DwellLow):
+		return fmt.Errorf("workload: MMPP dwell times must be positive and finite, got %g/%g", s.DwellHigh, s.DwellLow)
 	}
 	return nil
 }
@@ -122,12 +123,12 @@ type DiurnalSpec struct {
 // Validate reports inconsistent specs.
 func (s DiurnalSpec) Validate() error {
 	switch {
-	case s.BaseRate <= 0:
-		return fmt.Errorf("workload: diurnal base rate must be positive, got %g", s.BaseRate)
-	case s.Amplitude < 0 || s.Amplitude > 1:
+	case !positiveFinite(s.BaseRate):
+		return fmt.Errorf("workload: diurnal base rate must be positive and finite, got %g", s.BaseRate)
+	case !(s.Amplitude >= 0 && s.Amplitude <= 1):
 		return fmt.Errorf("workload: diurnal amplitude must be in [0,1], got %g", s.Amplitude)
-	case s.PeriodSeconds <= 0:
-		return fmt.Errorf("workload: diurnal period must be positive, got %g", s.PeriodSeconds)
+	case !positiveFinite(s.PeriodSeconds):
+		return fmt.Errorf("workload: diurnal period must be positive and finite, got %g", s.PeriodSeconds)
 	}
 	return nil
 }
@@ -183,6 +184,9 @@ func DiurnalArrivals(gen *Generator, spec DiurnalSpec, sessions, n int, seed int
 //	"diurnal:<period-s>[:<amp>]" sinusoidal day-curve with mean rate,
 //	                             amplitude amp (default 0.8)
 func ArrivalsByFlag(spec string, gen *Generator, rate float64, sessions, n int, seed int64) ([]Arrival, error) {
+	if !positiveFinite(rate) {
+		return nil, fmt.Errorf("workload: arrival rate must be positive and finite, got %g", rate)
+	}
 	if spec == "" || spec == "poisson" {
 		return PoissonArrivals(gen, rate, sessions, n, seed)
 	}
@@ -192,13 +196,13 @@ func ArrivalsByFlag(spec string, gen *Generator, rate float64, sessions, n int, 
 			return nil, fmt.Errorf("workload: bad arrivals %q (want mmpp:<burst>[:<dwell-s>])", spec)
 		}
 		burst, err := strconv.ParseFloat(parts[0], 64)
-		if err != nil || burst < 1 {
-			return nil, fmt.Errorf("workload: bad arrivals %q: burst factor must be >= 1", spec)
+		if err != nil || !(burst >= 1) || math.IsInf(burst, 1) {
+			return nil, fmt.Errorf("workload: bad arrivals %q: burst factor must be finite and >= 1", spec)
 		}
 		dwell := 8.0
 		if len(parts) == 2 {
-			if dwell, err = strconv.ParseFloat(parts[1], 64); err != nil || dwell <= 0 {
-				return nil, fmt.Errorf("workload: bad arrivals %q: dwell must be positive seconds", spec)
+			if dwell, err = strconv.ParseFloat(parts[1], 64); err != nil || !positiveFinite(dwell) {
+				return nil, fmt.Errorf("workload: bad arrivals %q: dwell must be positive, finite seconds", spec)
 			}
 		}
 		// Lull at rate/burst, burst at rate*burst, then both scaled so
@@ -217,12 +221,12 @@ func ArrivalsByFlag(spec string, gen *Generator, rate float64, sessions, n int, 
 			return nil, fmt.Errorf("workload: bad arrivals %q (want diurnal:<period-s>[:<amp>])", spec)
 		}
 		period, err := strconv.ParseFloat(parts[0], 64)
-		if err != nil || period <= 0 {
-			return nil, fmt.Errorf("workload: bad arrivals %q: period must be positive seconds", spec)
+		if err != nil || !positiveFinite(period) {
+			return nil, fmt.Errorf("workload: bad arrivals %q: period must be positive, finite seconds", spec)
 		}
 		amp := 0.8
 		if len(parts) == 2 {
-			if amp, err = strconv.ParseFloat(parts[1], 64); err != nil || amp < 0 || amp > 1 {
+			if amp, err = strconv.ParseFloat(parts[1], 64); err != nil || !(amp >= 0 && amp <= 1) {
 				return nil, fmt.Errorf("workload: bad arrivals %q: amplitude must be in [0,1]", spec)
 			}
 		}

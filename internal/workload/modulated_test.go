@@ -1,9 +1,11 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
+	"time"
 )
 
 func modGen(t *testing.T, seed int64) *Generator {
@@ -235,5 +237,71 @@ func TestMMPPMeanRateNormalisation(t *testing.T) {
 	got := OfferedRate(arr)
 	if got < 0.75*6 || got > 1.25*6 {
 		t.Errorf("empirical mmpp rate %g, want ~6", got)
+	}
+}
+
+// TestNonFiniteArrivalInputs feeds NaN and infinite rates, bursts,
+// dwells, periods and amplitudes to every schedule builder. NaN passes
+// any x <= 0 check, and before the finiteness checks some of these
+// inputs hung the samplers, so each case runs against a deadline: a
+// regression fails here instead of hanging the suite.
+func TestNonFiniteArrivalInputs(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	type buildCase struct {
+		name  string
+		build func(*Generator) ([]Arrival, error)
+	}
+	mmpp := func(name string, spec MMPPSpec) buildCase {
+		return buildCase{name, func(gen *Generator) ([]Arrival, error) { return MMPPArrivals(gen, spec, 4, 10, 1) }}
+	}
+	diurnal := func(name string, spec DiurnalSpec) buildCase {
+		return buildCase{name, func(gen *Generator) ([]Arrival, error) { return DiurnalArrivals(gen, spec, 4, 10, 1) }}
+	}
+	multiTurn := func(name string, spec MultiTurnSpec) buildCase {
+		return buildCase{name, func(gen *Generator) ([]Arrival, error) { return MultiTurnArrivals(gen, spec, 1) }}
+	}
+	cases := []buildCase{
+		{"poisson rate nan", func(gen *Generator) ([]Arrival, error) { return PoissonArrivals(gen, nan, 4, 10, 1) }},
+		{"poisson rate inf", func(gen *Generator) ([]Arrival, error) { return PoissonArrivals(gen, inf, 4, 10, 1) }},
+		mmpp("mmpp burst rate nan", MMPPSpec{RateHigh: nan, RateLow: 1, DwellHigh: 5, DwellLow: 5}),
+		mmpp("mmpp burst rate inf", MMPPSpec{RateHigh: inf, RateLow: 1, DwellHigh: 5, DwellLow: 5}),
+		mmpp("mmpp lull rate nan", MMPPSpec{RateHigh: 4, RateLow: nan, DwellHigh: 5, DwellLow: 5}),
+		mmpp("mmpp dwell nan", MMPPSpec{RateHigh: 4, RateLow: 1, DwellHigh: nan, DwellLow: 5}),
+		mmpp("mmpp dwell inf", MMPPSpec{RateHigh: 4, RateLow: 1, DwellHigh: 5, DwellLow: inf}),
+		diurnal("diurnal base rate nan", DiurnalSpec{BaseRate: nan, Amplitude: 0.5, PeriodSeconds: 60}),
+		diurnal("diurnal base rate inf", DiurnalSpec{BaseRate: inf, Amplitude: 0.5, PeriodSeconds: 60}),
+		diurnal("diurnal amplitude nan", DiurnalSpec{BaseRate: 4, Amplitude: nan, PeriodSeconds: 60}),
+		diurnal("diurnal period nan", DiurnalSpec{BaseRate: 4, Amplitude: 0.5, PeriodSeconds: nan}),
+		diurnal("diurnal period inf", DiurnalSpec{BaseRate: 4, Amplitude: 0.5, PeriodSeconds: inf}),
+		multiTurn("multi-turn rate nan", MultiTurnSpec{Sessions: 2, Turns: 2, Rate: nan, ThinkMean: 0.1, PromptMax: 64, MaxContext: 4096}),
+		multiTurn("multi-turn think inf", MultiTurnSpec{Sessions: 2, Turns: 2, Rate: 1, ThinkMean: inf, PromptMax: 64, MaxContext: 4096}),
+	}
+	for _, spec := range []string{"mmpp:nan", "mmpp:inf", "mmpp:2:nan", "mmpp:2:inf", "diurnal:nan", "diurnal:inf", "diurnal:10:nan"} {
+		cases = append(cases, buildCase{spec, func(gen *Generator) ([]Arrival, error) {
+			return ArrivalsByFlag(spec, gen, 4, 4, 10, 1)
+		}})
+	}
+	for _, spec := range []string{"poisson", "mmpp:4", "diurnal:60"} {
+		for _, rate := range []float64{nan, inf} {
+			cases = append(cases, buildCase{fmt.Sprintf("%s at rate %g", spec, rate), func(gen *Generator) ([]Arrival, error) {
+				return ArrivalsByFlag(spec, gen, rate, 4, 10, 1)
+			}})
+		}
+	}
+	for _, c := range cases {
+		gen := modGen(t, 3)
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.build(gen)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s: accepted", c.name)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: still sampling after 5 s", c.name)
+		}
 	}
 }
