@@ -55,6 +55,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -185,8 +186,17 @@ func main() {
 		fatal(err)
 	}
 	sysCfg := preset.Make(m, core.PIMphony())
-	if *kvBudget > 0 {
-		sysCfg.KVBudgetBytes = int64(*kvBudget * float64(1<<30))
+	budget, err := budgetBytes(*kvBudget)
+	if err != nil {
+		fatalf("-kv-budget: %v", err)
+	}
+	if budget > 0 {
+		sysCfg.KVBudgetBytes = budget
+	}
+	// NaN fails every comparison, so "-mtbf nan" would otherwise run
+	// fault-free without a word.
+	if !(*mtbf >= 0) {
+		fatalf("-mtbf must be a non-negative number of seconds (0 disables), got %g", *mtbf)
 	}
 	// Probe whether the backend owns its allocator (the GPU's paged
 	// pool): the -alloc/-capacity static-vs-dpa toggles act through the
@@ -246,10 +256,11 @@ func main() {
 		workDesc = fmt.Sprintf("%d sessions x %d turns", *sessions, *turns)
 	}
 
-	emit := func(t interface {
-		CSV() string
-		String() string
-	}) {
+	render := func(st serve.Study) {
+		t, err := st.Table(context.Background())
+		if err != nil {
+			fatal(err)
+		}
 		if *csv {
 			fmt.Print(t.CSV())
 			return
@@ -269,8 +280,7 @@ func main() {
 		if policySet {
 			fatal("-policy/-replicas do not apply in fleet mode; the fleet shape comes from -fleet and routing from -placement")
 		}
-		defBudget := int64(*kvBudget * float64(1<<30))
-		specs, err := parseFleetSpecs(*fleet, m, defBudget)
+		specs, err := parseFleetSpecs(*fleet, m, budget)
 		if err != nil {
 			fatal(err)
 		}
@@ -310,11 +320,13 @@ func main() {
 					ascSpecs[i].WarmupSeconds = *warmup
 				}
 			}
-			var pts []serve.AutoscalePoint
+			base := serve.Config{Fleet: ascSpecs, SLO: slo, Interconnect: ic, Migrate: *migrate, Steal: *steal, Faults: faults}
+			st := experiments.AutoscaleLayout
+			st.Title = fmt.Sprintf("autoscale %s / %s / %s / %s — %s, decode %d, min %d, warm-up %gs, SLO ttft<=%gms tbt<=%gms (ttft-p95 in ms)",
+				strings.TrimSpace(*fleet), m.Name, strings.TrimSpace(*traceName), arrFlag, workDesc, *decode, *minOnline, *warmup, *sloTTFT, *sloTBT)
 			for _, mode := range strings.Split(*autoscale, ",") {
-				mode = strings.TrimSpace(mode)
-				if mode == "fixed" {
-					mode = ""
+				if mode = strings.TrimSpace(mode); mode == "" {
+					mode = "fixed"
 				}
 				for _, rate := range rateList {
 					name := arrFlag
@@ -324,41 +336,31 @@ func main() {
 					if len(rateList) > 1 {
 						name = fmt.Sprintf("%s@%g", name, rate)
 					}
-					rate := rate
-					pts = append(pts, serve.AutoscalePoint{
-						Name: name, Specs: ascSpecs, AutoscalerName: mode,
-						PlacementName: strings.TrimSpace(*placements),
-						Cfg:           serve.Config{Interconnect: ic, Migrate: *migrate, Steal: *steal, Faults: faults},
-						Arrivals:      func() ([]workload.Arrival, error) { return mkArrivals(rate) },
+					st.Scenarios = append(st.Scenarios, serve.Scenario{
+						Labels:   []any{name, mode, serve.RoleSummary(ascSpecs)},
+						Config:   experiments.FleetConfig(base, strings.TrimSpace(*placements), mode),
+						Arrivals: func() ([]workload.Arrival, error) { return mkArrivals(rate) },
 					})
 				}
 			}
-			title := fmt.Sprintf("autoscale %s / %s / %s / %s — %s, decode %d, min %d, warm-up %gs, SLO ttft<=%gms tbt<=%gms (ttft-p95 in ms)",
-				strings.TrimSpace(*fleet), m.Name, strings.TrimSpace(*traceName), arrFlag, workDesc, *decode, *minOnline, *warmup, *sloTTFT, *sloTBT)
-			t, err := serve.AutoscaleTable(context.Background(), title, pts, slo)
-			if err != nil {
-				fatal(err)
-			}
-			emit(t)
+			render(st)
 			return
 		}
-		var pts []serve.FleetPoint
+		base := serve.Config{Fleet: specs, SLO: slo, Interconnect: ic, Migrate: *migrate, Steal: *steal, Faults: faults}
+		st := experiments.FleetLayout
+		st.Title = fmt.Sprintf("fleet %s / %s / %s — %s, decode %d, ic %ggbps+%gus, SLO ttft<=%gms tbt<=%gms (latencies in ms)",
+			strings.TrimSpace(*fleet), m.Name, strings.TrimSpace(*traceName), workDesc, *decode, *icGbps, *icLatUs, *sloTTFT, *sloTBT)
 		for _, pl := range strings.Split(*placements, ",") {
 			pl = strings.TrimSpace(pl)
 			for _, rate := range rateList {
-				pts = append(pts, serve.FleetPoint{
-					Name: pl, Specs: specs, Rate: rate, PlacementName: pl,
-					Cfg: serve.Config{Interconnect: ic, Migrate: *migrate, Steal: *steal, Faults: faults},
+				st.Scenarios = append(st.Scenarios, serve.Scenario{
+					Labels:   []any{pl, serve.RoleSummary(specs), rate},
+					Config:   experiments.FleetConfig(base, pl, "fixed"),
+					Arrivals: func() ([]workload.Arrival, error) { return mkArrivals(rate) },
 				})
 			}
 		}
-		title := fmt.Sprintf("fleet %s / %s / %s — %s, decode %d, ic %ggbps+%gus, SLO ttft<=%gms tbt<=%gms (latencies in ms)",
-			strings.TrimSpace(*fleet), m.Name, strings.TrimSpace(*traceName), workDesc, *decode, *icGbps, *icLatUs, *sloTTFT, *sloTBT)
-		t, err := serve.FleetTable(context.Background(), title, pts, slo, mkArrivals)
-		if err != nil {
-			fatal(err)
-		}
-		emit(t)
+		render(st)
 		return
 	}
 
@@ -380,15 +382,6 @@ func main() {
 		if allocList == "" {
 			allocList = "static,dpa"
 		}
-		var pts []serve.CapacityPoint
-		for _, al := range strings.Split(allocList, ",") {
-			al = strings.TrimSpace(al)
-			for _, r := range replList {
-				for _, rate := range rateList {
-					pts = append(pts, serve.CapacityPoint{Alloc: al, Replicas: r, Rate: rate})
-				}
-			}
-		}
 		// The capacity table sweeps allocators under one fixed policy:
 		// a multi-policy sweep would need a policy column it does not
 		// have. The curve-mode default (two policies) silently becomes
@@ -402,13 +395,33 @@ func main() {
 			}
 			policy = strings.TrimSpace(*policies)
 		}
-		title := fmt.Sprintf("capacity %s / %s / %s — %s, decode %d, KV budget %s, SLO ttft<=%gms tbt<=%gms (latencies in ms)",
+		st := experiments.CapacityLayout
+		st.Title = fmt.Sprintf("capacity %s / %s / %s — %s, decode %d, KV budget %s, SLO ttft<=%gms tbt<=%gms (latencies in ms)",
 			*system, m.Name, strings.TrimSpace(*traceName), workDesc, *decode, budgetDesc(sysCfg.KVBudgetBytes), *sloTTFT, *sloTBT)
-		t, err := serve.CapacityTable(context.Background(), title, sysCfg, policy, pts, slo, mkArrivals)
-		if err != nil {
-			fatal(err)
+		for _, al := range strings.Split(allocList, ",") {
+			al = strings.TrimSpace(al)
+			for _, r := range replList {
+				for _, rate := range rateList {
+					st.Scenarios = append(st.Scenarios, serve.Scenario{
+						Labels: []any{al, r, rate},
+						Config: func() (serve.Config, error) {
+							cfg := sysCfg
+							switch al {
+							case "static":
+								cfg.Tech.DPA = false
+							case "dpa":
+								cfg.Tech.DPA = true
+							default:
+								return serve.Config{}, fmt.Errorf("serve: unknown allocator %q (static, dpa)", al)
+							}
+							return experiments.Balanced(serve.Config{System: cfg, Replicas: r, SLO: slo}, policy)()
+						},
+						Arrivals: func() ([]workload.Arrival, error) { return mkArrivals(rate) },
+					})
+				}
+			}
 		}
-		emit(t)
+		render(st)
 		return
 	}
 
@@ -423,22 +436,33 @@ func main() {
 	if fixedAlloc && strings.TrimSpace(*alloc) != "" {
 		fatalf("-alloc selects the technique KV allocator; the %s backend always admits against its own fixed pool", sysCfg.Backend)
 	}
-	var pts []serve.CurvePoint
+	st := experiments.CurveLayout
+	st.Title = fmt.Sprintf("serving %s / %s / %s — %s, decode %d, SLO ttft<=%gms tbt<=%gms (latencies in ms)",
+		*system, m.Name, strings.TrimSpace(*traceName), workDesc, *decode, *sloTTFT, *sloTBT)
 	for _, pol := range strings.Split(*policies, ",") {
 		pol = strings.TrimSpace(pol)
 		for _, r := range replList {
 			for _, rate := range rateList {
-				pts = append(pts, serve.CurvePoint{Policy: pol, Replicas: r, Rate: rate})
+				st.Scenarios = append(st.Scenarios, serve.Scenario{
+					Labels:   []any{pol, r, rate},
+					Config:   experiments.Balanced(serve.Config{System: sysCfg, Replicas: r, SLO: slo, IncludePrefill: *prefill}, pol),
+					Arrivals: func() ([]workload.Arrival, error) { return mkArrivals(rate) },
+				})
 			}
 		}
 	}
-	title := fmt.Sprintf("serving %s / %s / %s — %s, decode %d, SLO ttft<=%gms tbt<=%gms (latencies in ms)",
-		*system, m.Name, strings.TrimSpace(*traceName), workDesc, *decode, *sloTTFT, *sloTBT)
-	t, err := serve.CurveTable(context.Background(), title, sysCfg, pts, slo, *prefill, mkArrivals)
-	if err != nil {
-		fatal(err)
+	render(st)
+}
+
+// budgetBytes converts a KV budget in GiB to bytes. Zero keeps the
+// whole pool; anything else must come to a finite budget of at least
+// one byte, since cluster.Config reads 0 bytes as the whole pool.
+func budgetBytes(gib float64) (int64, error) {
+	b := gib * (1 << 30)
+	if gib != 0 && !(b >= 1 && b < math.MaxInt64) {
+		return 0, fmt.Errorf("KV budget %g GiB is neither 0 (the whole pool) nor a finite budget of at least one byte", gib)
 	}
-	emit(t)
+	return int64(b), nil
 }
 
 // budgetDesc renders the KV budget for titles.
@@ -488,10 +512,12 @@ func parseFleetSpecs(s string, m model.Config, defBudget int64) ([]serve.Replica
 			switch {
 			case strings.HasPrefix(opt, "kv="):
 				gib, err := strconv.ParseFloat(opt[len("kv="):], 64)
-				if err != nil || gib <= 0 {
+				if err != nil || !(gib > 0) {
 					return nil, fmt.Errorf("fleet spec %q: bad KV budget %q", raw, opt)
 				}
-				cfg.KVBudgetBytes = int64(gib * float64(1<<30))
+				if cfg.KVBudgetBytes, err = budgetBytes(gib); err != nil {
+					return nil, fmt.Errorf("fleet spec %q: %w", raw, err)
+				}
 			case strings.HasPrefix(opt, "alloc="):
 				switch opt[len("alloc="):] {
 				case "static":

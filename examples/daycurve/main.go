@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"pimphony/internal/core"
+	"pimphony/internal/experiments"
 	"pimphony/internal/model"
 	"pimphony/internal/serve"
 	"pimphony/internal/workload"
@@ -72,12 +73,16 @@ func main() {
 	// 4. The economics table: the same day served fixed (every replica
 	//    online throughout) vs autoscaled, at equal offered work —
 	//    goodput per dollar is the axis the autoscaler moves.
-	pts := []serve.AutoscalePoint{
-		{Name: "daycurve", Specs: specs(), PlacementName: "round-robin-fit", Arrivals: arrivals},
-		{Name: "daycurve", Specs: specs(), AutoscalerName: "slo", PlacementName: "round-robin-fit", Arrivals: arrivals},
+	st := experiments.AutoscaleLayout
+	st.Title = "fixed vs SLO-autoscaled over one compressed day (ttft-p95 in ms)"
+	for _, mode := range []string{"fixed", "slo"} {
+		st.Scenarios = append(st.Scenarios, serve.Scenario{
+			Labels:   []any{"daycurve", mode, serve.RoleSummary(specs())},
+			Config:   experiments.FleetConfig(serve.Config{Fleet: specs(), SLO: slo}, "round-robin-fit", mode),
+			Arrivals: arrivals,
+		})
 	}
-	t, err := serve.AutoscaleTable(context.Background(),
-		"fixed vs SLO-autoscaled over one compressed day (ttft-p95 in ms)", pts, slo)
+	t, err := st.Table(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -43,6 +43,31 @@ func autoscaleArrivals(flag string, n int) func() ([]workload.Arrival, error) {
 	}
 }
 
+// autoscaleSpecs is the autoscale and resilience studies' fleet: four
+// CENT+PIMphony replicas at a quarter of the fleet budget each, one
+// always online and the rest standby behind a warm-up.
+func autoscaleSpecs(m model.Config) []serve.ReplicaSpec {
+	cfg := core.CENT(m, core.PIMphony())
+	cfg.KVBudgetBytes = fleetBudgetBytes / 4
+	return []serve.ReplicaSpec{{
+		System: cfg, Count: 4, Role: serve.RoleUnified,
+		Min: 1, WarmupSeconds: autoscaleWarmup,
+	}}
+}
+
+// AutoscaleLayout is the provisioning-economics table the autoscale
+// and megafleet experiments, cmd/pimphony-serve -autoscale and
+// examples/daycurve render: the time-weighted online replica count and
+// the scale-up/drain activity next to goodput and SLO attainment, then
+// the cost axis those decisions move — joules per token, dollars per
+// million tokens, and SLO-compliant tokens per dollar — per (arrivals,
+// mode, shape) row.
+var AutoscaleLayout = serve.Study{
+	Labels: []string{"arrivals", "mode", "repl"},
+	Columns: []string{"avg-onl", "ups", "drains", "goodput", "slo-met%", "ttft-p95",
+		"j/tok", "$/Mtok", "goodtok/$"},
+}
+
 // AutoscaleStudy is the provisioning-economics study: a four-replica
 // CENT+PIMphony fleet serving bursty diurnal and MMPP traffic, fixed
 // (all replicas online for the whole run) versus SLO-driven autoscaled
@@ -54,38 +79,28 @@ func autoscaleArrivals(flag string, n int) func() ([]workload.Arrival, error) {
 func AutoscaleStudy() (*Result, error) {
 	m := model.LLM7B32K()
 	n := pool(64)
-	specs := func() []serve.ReplicaSpec {
-		cfg := core.CENT(m, core.PIMphony())
-		cfg.KVBudgetBytes = fleetBudgetBytes / 4
-		return []serve.ReplicaSpec{{
-			System: cfg, Count: 4, Role: serve.RoleUnified,
-			Min: 1, WarmupSeconds: autoscaleWarmup,
-		}}
-	}
+	specs := autoscaleSpecs(m)
 	patterns := []struct{ name, flag string }{
 		{"diurnal", "diurnal:60:0.9"},
 		{"mmpp", "mmpp:6:8"},
 	}
-	var pts []serve.AutoscalePoint
+	slo := serve.SLO{TTFT: 2.5, TBT: 0.025}
+	st := AutoscaleLayout
+	st.Title = fmt.Sprintf("Autoscale — fixed vs SLO-driven fleet under bursty traffic (%s, 4x%d GiB CENT+PIMphony, ctx 256-2K, decode %d, %d reqs @ %g req/s avg, warm-up %gs, SLO ttft<=2.5s tbt<=25ms; ttft-p95 in ms)",
+		m.Name, (fleetBudgetBytes/4)>>30, fleetDecodeLen, n, autoscaleRate, autoscaleWarmup)
 	for _, p := range patterns {
-		for _, mode := range []string{"", "slo"} {
-			pts = append(pts, serve.AutoscalePoint{
-				Name:           p.name,
-				Specs:          specs(),
-				AutoscalerName: mode,
+		for _, mode := range []string{"fixed", "slo"} {
+			st.Scenarios = append(st.Scenarios, serve.Scenario{
+				Labels: []any{p.name, mode, serve.RoleSummary(specs)},
 				// Round-robin spreads burst fronts across the colocated
 				// prefill servers; kv-headroom ties to the lowest index
 				// until KV diverges and serializes them on one replica.
-				PlacementName: "round-robin-fit",
-				Arrivals:      autoscaleArrivals(p.flag, n),
+				Config:   FleetConfig(serve.Config{Fleet: specs, SLO: slo}, "round-robin-fit", mode),
+				Arrivals: autoscaleArrivals(p.flag, n),
 			})
 		}
 	}
-	slo := serve.SLO{TTFT: 2.5, TBT: 0.025}
-	t, err := serve.AutoscaleTable(context.Background(),
-		fmt.Sprintf("Autoscale — fixed vs SLO-driven fleet under bursty traffic (%s, 4x%d GiB CENT+PIMphony, ctx 256-2K, decode %d, %d reqs @ %g req/s avg, warm-up %gs, SLO ttft<=2.5s tbt<=25ms; ttft-p95 in ms)",
-			m.Name, (fleetBudgetBytes/4)>>30, fleetDecodeLen, n, autoscaleRate, autoscaleWarmup),
-		pts, slo)
+	t, err := st.Table(context.Background())
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"pimphony/internal/cluster"
 	"pimphony/internal/core"
 	"pimphony/internal/model"
 	"pimphony/internal/serve"
@@ -47,6 +48,38 @@ func capacityArrivals(n int) func(rate float64) ([]workload.Arrival, error) {
 	}
 }
 
+// CapacityLayout is the Static-vs-DPA table the capacity experiment and
+// cmd/pimphony-serve -capacity render: how admission, preemption and
+// the live/reserved pool high-water marks translate into latency and
+// goodput per (allocator, replicas, rate) row.
+var CapacityLayout = serve.Study{
+	Labels: []string{"alloc", "repl", "req/s"},
+	Columns: []string{"max-act", "preempt", "blocked-s", "recomp-s",
+		"peak-live-gib", "peak-resv-gib", "tok/s", "goodput", "slo-met%", "ttft-p95", "tbt-p95"},
+}
+
+// capacityStudy sweeps both allocators across replicas x rates on sys
+// under one policy, every row serving mk(rate) at the same budget.
+func capacityStudy(title string, sys cluster.Config, policy string, replicas []int, rates []float64,
+	slo serve.SLO, mk func(rate float64) ([]workload.Arrival, error)) serve.Study {
+	st := CapacityLayout
+	st.Title = title
+	for _, alloc := range []string{"static", "dpa"} {
+		cfg := sys
+		cfg.Tech.DPA = alloc == "dpa"
+		for _, r := range replicas {
+			for _, rate := range rates {
+				st.Scenarios = append(st.Scenarios, serve.Scenario{
+					Labels:   []any{alloc, r, rate},
+					Config:   Balanced(serve.Config{System: cfg, Replicas: r, SLO: slo}, policy),
+					Arrivals: func() ([]workload.Arrival, error) { return mk(rate) },
+				})
+			}
+		}
+	}
+	return st
+}
+
 // CapacityGap is the online Static-vs-DPA capacity study — the serving
 // counterpart of Fig. 19. Both schemes serve identical heavy-tailed
 // long-context schedules at the same per-replica KV budget; the table
@@ -60,20 +93,12 @@ func CapacityGap() (*Result, error) {
 	sysCfg := core.CENT(m, core.PIMphony())
 	sysCfg.KVBudgetBytes = capacityBudgetBytes
 	rates, replicas := capacityGrid()
-	var pts []serve.CapacityPoint
-	for _, alloc := range []string{"static", "dpa"} {
-		for _, r := range replicas {
-			for _, rate := range rates {
-				pts = append(pts, serve.CapacityPoint{Alloc: alloc, Replicas: r, Rate: rate})
-			}
-		}
-	}
 	slo := serve.SLO{TTFT: 0.05, TBT: 0.025}
 	nReqs := pool(64)
-	single, err := serve.CapacityTable(context.Background(),
+	single, err := capacityStudy(
 		fmt.Sprintf("Capacity — Static vs DPA at a %d GiB/replica KV budget (CENT, %s, heavy-tailed ctx 2K-30K, decode 256, %d reqs, SLO ttft<=50ms tbt<=25ms; latencies in ms)",
 			capacityBudgetBytes>>30, m.Name, nReqs),
-		sysCfg, "round-robin", pts, slo, capacityArrivals(nReqs))
+		sysCfg, "round-robin", replicas, rates, slo, capacityArrivals(nReqs)).Table(context.Background())
 	if err != nil {
 		return nil, err
 	}
@@ -98,14 +123,11 @@ func CapacityGap() (*Result, error) {
 			MaxContext: m.ContextWindow - 128,
 		}, 45)
 	}
-	var mpts []serve.CapacityPoint
-	for _, alloc := range []string{"static", "dpa"} {
-		mpts = append(mpts, serve.CapacityPoint{Alloc: alloc, Replicas: 1, Rate: rates[len(rates)-1]})
-	}
-	multi, err := serve.CapacityTable(context.Background(),
+	top := rates[len(rates)-1:]
+	multi, err := capacityStudy(
 		fmt.Sprintf("Capacity — multi-turn sessions (%d sessions x 3 turns, contexts re-extend per turn, same %d GiB budget)",
 			sessions, capacityBudgetBytes>>30),
-		sysCfg, "session", mpts, slo, mkMulti)
+		sysCfg, "session", []int{1}, top, slo, mkMulti).Table(context.Background())
 	if err != nil {
 		return nil, err
 	}
@@ -115,14 +137,10 @@ func CapacityGap() (*Result, error) {
 	// gap must reproduce on it — the registry seam exercised end to end.
 	dimmCfg := core.DIMMPIM(m, core.PIMphony())
 	dimmCfg.KVBudgetBytes = capacityBudgetBytes
-	var dpts []serve.CapacityPoint
-	for _, alloc := range []string{"static", "dpa"} {
-		dpts = append(dpts, serve.CapacityPoint{Alloc: alloc, Replicas: 1, Rate: rates[len(rates)-1]})
-	}
-	dimm, err := serve.CapacityTable(context.Background(),
+	dimm, err := capacityStudy(
 		fmt.Sprintf("Capacity — DIMM-PIM backend at the same %d GiB/replica budget (host-GPU FC, DIMM-rank attention, %s)",
 			capacityBudgetBytes>>30, m.Name),
-		dimmCfg, "round-robin", dpts, slo, capacityArrivals(nReqs))
+		dimmCfg, "round-robin", []int{1}, top, slo, capacityArrivals(nReqs)).Table(context.Background())
 	if err != nil {
 		return nil, err
 	}

@@ -130,14 +130,15 @@ func TestIDsSortedAndStable(t *testing.T) {
 
 // TestParallelMatchesSequential is the determinism contract of the sweep
 // refactor: for a representative slice of drivers (system-study ladder,
-// (TP,PP) grid, microbenchmark, capacity study), the rendered output
-// under parallelism=8 must be byte-identical to a parallelism=1 run.
+// (TP,PP) grid, microbenchmark) and every serving study, the rendered
+// output under parallelism=8 must be byte-identical to a parallelism=1
+// run.
 // The scaled-down grids keep it cheap; grid size is orthogonal to the
 // ordering guarantees under test.
 func TestParallelMatchesSequential(t *testing.T) {
 	prevShort := SetShort(true)
 	t.Cleanup(func() { SetShort(prevShort) })
-	for _, id := range []string{"fig8", "fig13", "fig15", "fig19", "serve", "capacity", "fleet", "megafleet"} {
+	for _, id := range []string{"fig8", "fig13", "fig15", "fig19", "serve", "capacity", "fleet", "autoscale", "megafleet", "resilience"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			prev := sweep.SetDefault(1)

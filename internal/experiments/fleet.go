@@ -78,6 +78,37 @@ func fleetSpecs(m model.Config) map[string][]serve.ReplicaSpec {
 	}
 }
 
+// FleetLayout is the disaggregation table the fleet experiment and
+// cmd/pimphony-serve -fleet render: goodput and SLO attainment next to
+// the TTFT/TBT tails, the explicitly priced transfer seconds against
+// the recompute seconds they displaced, the scheduler's migration and
+// steal counts, and joules per generated token, per (fleet, shape,
+// rate) row.
+var FleetLayout = serve.Study{
+	Labels: []string{"fleet", "repl", "req/s"},
+	Columns: []string{"tok/s", "goodput", "slo-met%", "ttft-p50", "ttft-p95", "tbt-p95",
+		"xfer-s", "recomp-s", "migr", "steal", "j/tok"},
+}
+
+// FleetConfig returns a Scenario.Config builder over base that builds
+// the named placement ("" keeps the kv-headroom default) and autoscaler
+// ("fixed" keeps every replica online) afresh per render.
+func FleetConfig(base serve.Config, placement, autoscaler string) func() (serve.Config, error) {
+	return func() (serve.Config, error) {
+		cfg := base
+		var err error
+		if placement != "" {
+			if cfg.Placement, err = serve.PlacementByName(placement); err != nil {
+				return cfg, err
+			}
+		}
+		if autoscaler != "fixed" {
+			cfg.Autoscaler, err = serve.AutoscalerByName(autoscaler)
+		}
+		return cfg, err
+	}
+}
+
 // FleetCompare is the disaggregated-serving study: homogeneous PIM-only
 // and GPU fleets against an xPU-prefill/PIM-decode split, all at the
 // same aggregate KV budget and SLO, under the global scheduler
@@ -90,26 +121,28 @@ func FleetCompare() (*Result, error) {
 	m := model.LLM7B32K()
 	specs := fleetSpecs(m)
 	nReqs := pool(32)
-	var pts []serve.FleetPoint
+	slo := serve.SLO{TTFT: 1.0, TBT: 0.025}
+	mk := fleetArrivals(nReqs)
+	st := FleetLayout
+	st.Title = fmt.Sprintf("Fleet — homogeneous vs disaggregated prefill/decode at a %d GiB aggregate KV budget (%s, heavy-tailed ctx 1K-24K, decode %d, %d reqs, SLO ttft<=1s tbt<=25ms; latencies in ms)",
+		fleetBudgetBytes>>30, m.Name, fleetDecodeLen, nReqs)
 	for _, name := range []string{"pim", "gpu", "disagg"} {
+		cfg := serve.Config{
+			Fleet:        specs[name],
+			SLO:          slo,
+			Interconnect: timing.DefaultInterconnect(),
+			Migrate:      true,
+			Steal:        true,
+		}
 		for _, rate := range fleetRates() {
-			pts = append(pts, serve.FleetPoint{
-				Name:  name,
-				Specs: specs[name],
-				Rate:  rate,
-				Cfg: serve.Config{
-					Interconnect: timing.DefaultInterconnect(),
-					Migrate:      true,
-					Steal:        true,
-				},
+			st.Scenarios = append(st.Scenarios, serve.Scenario{
+				Labels:   []any{name, serve.RoleSummary(cfg.Fleet), rate},
+				Config:   func() (serve.Config, error) { return cfg, nil },
+				Arrivals: func() ([]workload.Arrival, error) { return mk(rate) },
 			})
 		}
 	}
-	slo := serve.SLO{TTFT: 1.0, TBT: 0.025}
-	t, err := serve.FleetTable(context.Background(),
-		fmt.Sprintf("Fleet — homogeneous vs disaggregated prefill/decode at a %d GiB aggregate KV budget (%s, heavy-tailed ctx 1K-24K, decode %d, %d reqs, SLO ttft<=1s tbt<=25ms; latencies in ms)",
-			fleetBudgetBytes>>30, m.Name, fleetDecodeLen, nReqs),
-		pts, slo, fleetArrivals(nReqs))
+	t, err := st.Table(context.Background())
 	if err != nil {
 		return nil, err
 	}

@@ -70,10 +70,10 @@ func megafleetArrivals(rate float64, n int) func() ([]workload.Arrival, error) {
 // baseline.json) pins that property.
 func MegafleetScale() (*Result, error) {
 	m := model.LLM7B32K()
-	var pts []serve.AutoscalePoint
+	slo := serve.SLO{TTFT: 2.5, TBT: 0.025}
+	st := AutoscaleLayout
 	var sizes []string
 	for _, size := range megafleetSizes() {
-		size := size
 		rate := megafleetPerRate() * float64(size)
 		n := int(3.6 * float64(size))
 		min := size / 20
@@ -82,25 +82,22 @@ func MegafleetScale() (*Result, error) {
 		}
 		cfg := core.CENT(m, core.PIMphony())
 		cfg.KVBudgetBytes = megafleetBudgetBytes
-		pts = append(pts, serve.AutoscalePoint{
-			Name: fmt.Sprintf("n=%d", size),
-			Specs: []serve.ReplicaSpec{{
-				System: cfg, Count: size, Role: serve.RoleUnified,
-				Min: min, WarmupSeconds: autoscaleWarmup,
-			}},
-			AutoscalerName: "slo",
+		specs := []serve.ReplicaSpec{{
+			System: cfg, Count: size, Role: serve.RoleUnified,
+			Min: min, WarmupSeconds: autoscaleWarmup,
+		}}
+		st.Scenarios = append(st.Scenarios, serve.Scenario{
+			Labels: []any{fmt.Sprintf("n=%d", size), "slo", serve.RoleSummary(specs)},
 			// Round-robin spreads the diurnal peak across the fleet
 			// instead of serializing on the lowest-index replicas.
-			PlacementName: "round-robin-fit",
-			Arrivals:      megafleetArrivals(rate, n),
+			Config:   FleetConfig(serve.Config{Fleet: specs, SLO: slo}, "round-robin-fit", "slo"),
+			Arrivals: megafleetArrivals(rate, n),
 		})
 		sizes = append(sizes, fmt.Sprintf("%d", size))
 	}
-	slo := serve.SLO{TTFT: 2.5, TBT: 0.025}
-	t, err := serve.AutoscaleTable(context.Background(),
-		fmt.Sprintf("Megafleet — scheduler scaling across fleet sizes {%s} (%s, %d GiB CENT+PIMphony per replica, diurnal trace, %g req/s per replica, ~3.6 reqs/replica, 5%% initially online, warm-up %gs, SLO ttft<=2.5s tbt<=25ms)",
-			strings.Join(sizes, ", "), m.Name, megafleetBudgetBytes>>30, megafleetPerRate(), autoscaleWarmup),
-		pts, slo)
+	st.Title = fmt.Sprintf("Megafleet — scheduler scaling across fleet sizes {%s} (%s, %d GiB CENT+PIMphony per replica, diurnal trace, %g req/s per replica, ~3.6 reqs/replica, 5%% initially online, warm-up %gs, SLO ttft<=2.5s tbt<=25ms)",
+		strings.Join(sizes, ", "), m.Name, megafleetBudgetBytes>>30, megafleetPerRate(), autoscaleWarmup)
+	t, err := st.Table(context.Background())
 	if err != nil {
 		return nil, err
 	}

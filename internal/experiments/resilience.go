@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"pimphony/internal/core"
 	"pimphony/internal/model"
 	"pimphony/internal/serve"
 	"pimphony/internal/tablefmt"
@@ -31,14 +30,7 @@ const resilienceBackoff = 0.25
 func ResilienceStudy() (*Result, error) {
 	m := model.LLM7B32K()
 	n := pool(64)
-	specs := func() []serve.ReplicaSpec {
-		cfg := core.CENT(m, core.PIMphony())
-		cfg.KVBudgetBytes = fleetBudgetBytes / 4
-		return []serve.ReplicaSpec{{
-			System: cfg, Count: 4, Role: serve.RoleUnified,
-			Min: 1, WarmupSeconds: autoscaleWarmup,
-		}}
-	}
+	specs := autoscaleSpecs(m)
 	type schedule struct {
 		name       string
 		mtbf, mttr float64
@@ -51,12 +43,21 @@ func ResilienceStudy() (*Result, error) {
 			})
 		}
 	}
-	var pts []serve.ResiliencePoint
-	for _, mode := range []string{"", "slo"} {
+	slo := serve.SLO{TTFT: 2.5, TBT: 0.025}
+	st := serve.Study{
+		Title: fmt.Sprintf("Resilience — fixed vs SLO-autoscaled fleet under replica crashes (%s, 4x%d GiB CENT+PIMphony, diurnal @ %g req/s avg, %d reqs, retries %d, backoff %gs, SLO ttft<=2.5s tbt<=25ms; ttft-p99 in ms)",
+			m.Name, (fleetBudgetBytes/4)>>30, autoscaleRate, n, resilienceRetries, resilienceBackoff),
+		Labels: []string{"mode", "faults"},
+		Columns: []string{"crashes", "retries", "failed", "lost-kv(MiB)", "down(s)",
+			"goodput", "retained%", "ttft-p99", "goodtok/$"},
+	}
+	for _, mode := range []string{"fixed", "slo"} {
+		// Each mode's zero-fault row is the baseline of its faulted rows.
+		baseline := len(st.Scenarios)
 		for _, g := range grid {
-			var plan *serve.FaultPlan
+			cfg := serve.Config{Fleet: specs, SLO: slo}
 			if g.mtbf > 0 {
-				plan = &serve.FaultPlan{
+				cfg.Faults = &serve.FaultPlan{
 					Seed: 41,
 					Groups: []serve.FaultGroup{{
 						Spec: -1, Mode: serve.FaultCrash,
@@ -66,21 +67,15 @@ func ResilienceStudy() (*Result, error) {
 					BackoffSeconds: resilienceBackoff,
 				}
 			}
-			pts = append(pts, serve.ResiliencePoint{
-				Name:           g.name,
-				Specs:          specs(),
-				AutoscalerName: mode,
-				PlacementName:  "round-robin-fit",
-				Faults:         plan,
-				Arrivals:       autoscaleArrivals("diurnal:60:0.9", n),
+			st.Scenarios = append(st.Scenarios, serve.Scenario{
+				Labels:   []any{mode, g.name},
+				Config:   FleetConfig(cfg, "round-robin-fit", mode),
+				Arrivals: autoscaleArrivals("diurnal:60:0.9", n),
+				Baseline: baseline,
 			})
 		}
 	}
-	slo := serve.SLO{TTFT: 2.5, TBT: 0.025}
-	t, err := serve.ResilienceTable(context.Background(),
-		fmt.Sprintf("Resilience — fixed vs SLO-autoscaled fleet under replica crashes (%s, 4x%d GiB CENT+PIMphony, diurnal @ %g req/s avg, %d reqs, retries %d, backoff %gs, SLO ttft<=2.5s tbt<=25ms; ttft-p99 in ms)",
-			m.Name, (fleetBudgetBytes/4)>>30, autoscaleRate, n, resilienceRetries, resilienceBackoff),
-		pts, slo)
+	t, err := st.Table(context.Background())
 	if err != nil {
 		return nil, err
 	}

@@ -29,6 +29,28 @@ func serveGrid() (rates []float64, replicas []int) {
 	return []float64{50, 100, 200}, []int{1, 2, 4}
 }
 
+// CurveLayout is the latency–throughput table the serve experiment and
+// cmd/pimphony-serve's default mode render: goodput and SLO attainment
+// next to p50/p95/p99 TTFT and TBT (milliseconds) per (policy,
+// replicas, rate) row.
+var CurveLayout = serve.Study{
+	Labels: []string{"policy", "repl", "req/s"},
+	Columns: []string{"tok/s", "goodput", "slo-met%",
+		"ttft-p50", "ttft-p95", "ttft-p99", "tbt-p50", "tbt-p95", "tbt-p99"},
+}
+
+// Balanced returns a Scenario.Config builder over base, a
+// Config{System, Replicas, Policy} shorthand, that builds the named
+// load-balancing policy afresh per render.
+func Balanced(base serve.Config, policy string) func() (serve.Config, error) {
+	return func() (serve.Config, error) {
+		cfg := base
+		var err error
+		cfg.Policy, err = serve.PolicyByName(policy)
+		return cfg, err
+	}
+}
+
 // ServeCurve is the online serving study (beyond the paper's batch
 // evaluation, toward the ROADMAP's serving regime): a Poisson stream of
 // QMSum-sized requests is balanced across CENT+PIMphony decode replicas
@@ -39,27 +61,30 @@ func ServeCurve() (*Result, error) {
 	m := model.LLM7B32K()
 	sysCfg := core.CENT(m, core.PIMphony())
 	rates, replicas := serveGrid()
-	var pts []serve.CurvePoint
+	nReqs := pool(48)
+	slo := serve.SLO{TTFT: 0.1, TBT: 0.025}
+	st := CurveLayout
+	st.Title = fmt.Sprintf("Serving — latency–throughput curve (CENT+PIMphony, %s, QMSum, %d reqs, decode %d, SLO ttft<=100ms tbt<=25ms; latencies in ms)",
+		m.Name, nReqs, serveDecodeLen)
 	for _, pol := range []string{"round-robin", "least-tokens"} {
 		for _, r := range replicas {
 			for _, rate := range rates {
-				pts = append(pts, serve.CurvePoint{Policy: pol, Replicas: r, Rate: rate})
+				st.Scenarios = append(st.Scenarios, serve.Scenario{
+					Labels: []any{pol, r, rate},
+					Config: Balanced(serve.Config{System: sysCfg, Replicas: r, SLO: slo}, pol),
+					// Distinct seeds keep the size and arrival-timing RNG
+					// streams independent (the same source would correlate
+					// them draw for draw).
+					Arrivals: func() ([]workload.Arrival, error) {
+						gen := workload.NewGenerator(workload.QMSum(), 42)
+						gen.DecodeLen = serveDecodeLen
+						return workload.PoissonArrivals(gen, rate, 8, nReqs, 43)
+					},
+				})
 			}
 		}
 	}
-	nReqs := pool(48)
-	// Distinct seeds keep the size and arrival-timing RNG streams
-	// independent (the same source would correlate them draw for draw).
-	mkArrivals := func(rate float64) ([]workload.Arrival, error) {
-		gen := workload.NewGenerator(workload.QMSum(), 42)
-		gen.DecodeLen = serveDecodeLen
-		return workload.PoissonArrivals(gen, rate, 8, nReqs, 43)
-	}
-	slo := serve.SLO{TTFT: 0.1, TBT: 0.025}
-	t, err := serve.CurveTable(context.Background(),
-		fmt.Sprintf("Serving — latency–throughput curve (CENT+PIMphony, %s, QMSum, %d reqs, decode %d, SLO ttft<=100ms tbt<=25ms; latencies in ms)",
-			m.Name, nReqs, serveDecodeLen),
-		sysCfg, pts, slo, false, mkArrivals)
+	t, err := st.Table(context.Background())
 	if err != nil {
 		return nil, err
 	}

@@ -95,16 +95,17 @@ type FaultGroup struct {
 	// every decode-capable replica). Prefill specs cannot fault.
 	Spec int
 	Mode FaultMode
-	// MTBFSeconds is the mean up-time between failures (> 0).
+	// MTBFSeconds is the mean up-time between failures (positive,
+	// finite).
 	MTBFSeconds float64
-	// MTTRSeconds is the mean down-time per failure (>= 0; zero means
-	// instant recovery — for crashes, a pure KV-loss event).
+	// MTTRSeconds is the mean down-time per failure (finite, >= 0; zero
+	// means instant recovery — for crashes, a pure KV-loss event).
 	MTTRSeconds float64
-	// Slowdown (> 1) is the iteration-pricing factor while a
+	// Slowdown (finite, > 1) is the iteration-pricing factor while a
 	// FaultSlowdown chain is down; ignored for other modes.
 	Slowdown float64
-	// LinkFactor (> 1) is the interconnect transfer-time factor while a
-	// FaultLink chain is down; ignored for other modes.
+	// LinkFactor (finite, > 1) is the interconnect transfer-time factor
+	// while a FaultLink chain is down; ignored for other modes.
 	LinkFactor float64
 }
 
@@ -152,19 +153,19 @@ func (p *FaultPlan) validate(specs []ReplicaSpec, decoders int) error {
 	if p == nil {
 		return nil
 	}
-	if p.BackoffSeconds < 0 {
-		return fmt.Errorf("serve: fault plan: BackoffSeconds must be non-negative, got %g", p.BackoffSeconds)
+	if !finiteNonNeg(p.BackoffSeconds) {
+		return fmt.Errorf("serve: fault plan: BackoffSeconds must be non-negative and finite, got %g", p.BackoffSeconds)
 	}
 	checkMode := func(what string, i int, mode FaultMode, slowdown, link float64) error {
 		switch mode {
 		case FaultCrash:
 		case FaultSlowdown:
-			if slowdown <= 1 {
-				return fmt.Errorf("serve: fault %s %d: Slowdown must be > 1, got %g", what, i, slowdown)
+			if !(slowdown > 1) || math.IsInf(slowdown, 1) {
+				return fmt.Errorf("serve: fault %s %d: Slowdown must be finite and > 1, got %g", what, i, slowdown)
 			}
 		case FaultLink:
-			if link <= 1 {
-				return fmt.Errorf("serve: fault %s %d: LinkFactor must be > 1, got %g", what, i, link)
+			if !(link > 1) || math.IsInf(link, 1) {
+				return fmt.Errorf("serve: fault %s %d: LinkFactor must be finite and > 1, got %g", what, i, link)
 			}
 		default:
 			return fmt.Errorf("serve: fault %s %d: unknown mode %d", what, i, int(mode))
@@ -178,11 +179,11 @@ func (p *FaultPlan) validate(specs []ReplicaSpec, decoders int) error {
 		if g.Spec >= 0 && specs[g.Spec].Role == RolePrefill {
 			return fmt.Errorf("serve: fault group %d: spec %d is a prefill spec; faults cover decode-capable replicas only", i, g.Spec)
 		}
-		if g.MTBFSeconds <= 0 {
-			return fmt.Errorf("serve: fault group %d: MTBFSeconds must be positive, got %g", i, g.MTBFSeconds)
+		if !(g.MTBFSeconds > 0) || math.IsInf(g.MTBFSeconds, 1) {
+			return fmt.Errorf("serve: fault group %d: MTBFSeconds must be positive and finite, got %g", i, g.MTBFSeconds)
 		}
-		if g.MTTRSeconds < 0 {
-			return fmt.Errorf("serve: fault group %d: MTTRSeconds must be non-negative, got %g", i, g.MTTRSeconds)
+		if !finiteNonNeg(g.MTTRSeconds) {
+			return fmt.Errorf("serve: fault group %d: MTTRSeconds must be non-negative and finite, got %g", i, g.MTTRSeconds)
 		}
 		if err := checkMode("group", i, g.Mode, g.Slowdown, g.LinkFactor); err != nil {
 			return err
@@ -192,8 +193,9 @@ func (p *FaultPlan) validate(specs []ReplicaSpec, decoders int) error {
 		if inj.Replica < 0 || inj.Replica >= decoders {
 			return fmt.Errorf("serve: fault injection %d: Replica %d outside [0, %d)", i, inj.Replica, decoders)
 		}
-		if inj.At < 0 || inj.DurationSeconds < 0 {
-			return fmt.Errorf("serve: fault injection %d: At and DurationSeconds must be non-negative", i)
+		if !finiteNonNeg(inj.At) || !finiteNonNeg(inj.DurationSeconds) {
+			return fmt.Errorf("serve: fault injection %d: At and DurationSeconds must be non-negative and finite, got %g and %g",
+				i, inj.At, inj.DurationSeconds)
 		}
 		if err := checkMode("injection", i, inj.Mode, inj.Slowdown, inj.LinkFactor); err != nil {
 			return err

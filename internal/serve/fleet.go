@@ -119,8 +119,8 @@ func (c *Config) validateFleet() error {
 		if spec.Min < 0 || spec.Min > spec.Count {
 			return fmt.Errorf("serve: fleet spec %d: Min %d outside [0, Count=%d]", i, spec.Min, spec.Count)
 		}
-		if spec.WarmupSeconds < 0 {
-			return fmt.Errorf("serve: fleet spec %d: WarmupSeconds must be non-negative, got %g", i, spec.WarmupSeconds)
+		if !finiteNonNeg(spec.WarmupSeconds) {
+			return fmt.Errorf("serve: fleet spec %d: WarmupSeconds must be non-negative and finite, got %g", i, spec.WarmupSeconds)
 		}
 		switch spec.Role {
 		case RoleUnified, RoleDecode:
@@ -133,6 +133,12 @@ func (c *Config) validateFleet() error {
 	}
 	if decode == 0 {
 		return fmt.Errorf("serve: fleet has no decode-capable replica (every spec is RolePrefill)")
+	}
+	// Bandwidth may be +Inf (free transfers), but every transfer pays
+	// the latency, so a NaN or negative one corrupts every timestamp
+	// behind a handoff.
+	if !finiteNonNeg(c.Interconnect.LatencySeconds) {
+		return fmt.Errorf("serve: Interconnect.LatencySeconds must be non-negative and finite, got %g", c.Interconnect.LatencySeconds)
 	}
 	if prefill > 0 && !c.Interconnect.Usable() {
 		return fmt.Errorf("serve: disaggregated fleet (RolePrefill replicas) needs a usable Interconnect to hand KV off")
@@ -172,10 +178,6 @@ type FleetStats struct {
 	// interconnect (handoffs, migrations, steals).
 	TransferBytes   int64
 	TransferSeconds float64
-	// JoulesPerToken is decode energy per generated token across the
-	// fleet (internal/energy; zero for backends without an energy
-	// model).
-	JoulesPerToken float64
 	// ScaleUps / Drains count the autoscaler's replica provisioning and
 	// retirement actions (zero for a fixed fleet).
 	ScaleUps int
@@ -1067,9 +1069,6 @@ func (fs *fleetSim) report(arrivals []workload.Arrival) (*Report, error) {
 			st.PrefillSeconds += d.pre.busy
 		}
 	}
-	// The energy fold (foldReport) accumulated the decoders' joules in
-	// the same replica order as before; mirror its per-token figure.
-	st.JoulesPerToken = rep.Energy.JoulesPerToken
 	// Provisioning: decode replicas for their online seconds — the
 	// whole makespan for a fixed fleet, the provision-to-drain integral
 	// for an autoscaled one — plus dedicated prefill servers, kept

@@ -171,7 +171,7 @@ func TestFleetDisaggregatedHandoff(t *testing.T) {
 	if rep.TTFT.P50 <= 0 {
 		t.Error("disaggregated TTFT does not include the handoff")
 	}
-	if fl.JoulesPerToken <= 0 {
+	if rep.Energy.JoulesPerToken <= 0 {
 		t.Error("PIM decode fleet accrued no energy")
 	}
 }

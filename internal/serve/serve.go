@@ -157,6 +157,11 @@ type Config struct {
 
 // Validate reports configuration errors.
 func (c *Config) Validate() error {
+	// NaN and negative targets would switch the SLO off without a word
+	// (SLO.Met enforces only positive ones).
+	if !(c.SLO.TTFT >= 0) || !(c.SLO.TBT >= 0) {
+		return fmt.Errorf("serve: SLO targets must be non-negative seconds (0 disables), got TTFT %g, TBT %g", c.SLO.TTFT, c.SLO.TBT)
+	}
 	if len(c.Fleet) == 0 {
 		switch {
 		case c.Replicas <= 0:
@@ -185,6 +190,10 @@ func (c Config) fleetForm() Config {
 	}
 	return c
 }
+
+// finiteNonNeg reports whether x is a usable duration or count: not
+// NaN, not negative, not infinite.
+func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // Quantiles summarises one latency distribution.
 type Quantiles struct {
@@ -331,10 +340,10 @@ type Report struct {
 	// PerReplica breaks the work down by replica.
 	PerReplica []ReplicaStats
 	// Fleet carries the fleet extras — roles, transfer accounting,
-	// scheduler actions, joules/token — for a run with explicit Fleet
-	// specs. It is nil for the shorthand, whose fleet shape the Config
-	// already states and whose scheduler hands off, migrates, steals and
-	// scales nothing (and, under a PolicyByName policy, holds nothing).
+	// scheduler actions — for a run with explicit Fleet specs. It is nil
+	// for the shorthand, whose fleet shape the Config already states and
+	// whose scheduler hands off, migrates, steals and scales nothing
+	// (and, under a PolicyByName policy, holds nothing).
 	Fleet *FleetStats
 	// Faults carries the failure-and-recovery accounting — crashes,
 	// retries, permanently failed requests, lost KV, downtime — and is

@@ -262,6 +262,87 @@ func TestRunRejectsNonFiniteArrivalTimes(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadInputs feeds Run the NaN, infinite and negative
+// knobs that used to hang it (fault chains drawing NaN intervals),
+// print nonsense (a NaN link latency), fail deep inside the spine, or
+// pass silently (a NaN SLO switched goodput's SLO off). Each must be a
+// Validate error; each case runs against a deadline, so a regression
+// fails here instead of hanging the suite.
+func TestRunRejectsBadInputs(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	fleet := func(mutate func(*Config)) Config {
+		cfg := Config{Fleet: []ReplicaSpec{{System: testSystem(), Count: 2, Role: RoleUnified}}}
+		mutate(&cfg)
+		return cfg
+	}
+	group := func(g FaultGroup) Config {
+		g.Spec = -1
+		return fleet(func(c *Config) { c.Faults = &FaultPlan{Seed: 1, Groups: []FaultGroup{g}} })
+	}
+	inject := func(at, dur float64) Config {
+		return fleet(func(c *Config) {
+			c.Faults = &FaultPlan{Injections: []Injection{{Mode: FaultCrash, At: at, DurationSeconds: dur}}}
+		})
+	}
+	warmup := func(w float64) Config {
+		return fleet(func(c *Config) {
+			c.Fleet[0].Min, c.Fleet[0].WarmupSeconds = 1, w
+			c.Autoscaler = MaxScaler{}
+		})
+	}
+	latency := func(l float64) Config {
+		return fleet(func(c *Config) {
+			c.Fleet = append(c.Fleet, ReplicaSpec{System: testSystem(), Count: 1, Role: RolePrefill})
+			c.Interconnect = timing.Interconnect{BytesPerSecond: 64 << 30, LatencySeconds: l}
+		})
+	}
+	slo := func(s SLO) Config { return Config{System: testSystem(), Replicas: 1, Policy: RoundRobin(), SLO: s} }
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"mtbf nan", group(FaultGroup{MTBFSeconds: nan, MTTRSeconds: 1})},
+		{"mttr nan", group(FaultGroup{MTBFSeconds: 0.5, MTTRSeconds: nan})},
+		{"slowdown nan", group(FaultGroup{Mode: FaultSlowdown, MTBFSeconds: 0.5, MTTRSeconds: 0.1, Slowdown: nan})},
+		{"slowdown inf", group(FaultGroup{Mode: FaultSlowdown, MTBFSeconds: 0.5, MTTRSeconds: 0.1, Slowdown: inf})},
+		{"link factor nan", group(FaultGroup{Mode: FaultLink, MTBFSeconds: 0.5, MTTRSeconds: 0.1, LinkFactor: nan})},
+		{"backoff nan", fleet(func(c *Config) {
+			c.Faults = &FaultPlan{Groups: []FaultGroup{{Spec: -1, MTBFSeconds: 0.5}}, BackoffSeconds: nan}
+		})},
+		{"injection at nan", inject(nan, 0.1)},
+		{"injection duration nan", inject(0.01, nan)},
+		{"warmup nan", warmup(nan)},
+		{"warmup inf", warmup(inf)},
+		{"interconnect latency nan", latency(nan)},
+		{"interconnect latency negative", latency(-5e-6)},
+		{"slo ttft nan", slo(SLO{TTFT: nan})},
+		{"slo ttft negative", slo(SLO{TTFT: -1})},
+		{"slo tbt nan", slo(SLO{TBT: nan})},
+		{"slo tbt negative", slo(SLO{TBT: -1})},
+	} {
+		if err := c.cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", c.name)
+		}
+		arr := testArrivals(t, 4, 8)
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(ctx, c.cfg, arr)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s: Run accepted it", c.name)
+			}
+		case <-time.After(5 * time.Second):
+			cancel()
+			t.Fatalf("%s: still running after 5 s", c.name)
+		}
+		cancel()
+	}
+}
+
 func TestPolicyByName(t *testing.T) {
 	for _, name := range PolicyNames() {
 		p, err := PolicyByName(name)

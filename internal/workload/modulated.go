@@ -32,6 +32,13 @@ type MMPPSpec struct {
 	DwellHigh, DwellLow float64
 }
 
+// maxSwitchesPerArrival bounds an MMPP's expected state switches per
+// arrival. The sampler steps the clock once per switch, so a dwell far
+// below the arrival gap (mmpp:2:1e-300) would spin through ~1e300
+// switches, each moving the clock by less than its ULP. Every study
+// schedule sits far below the bound (mmpp:6:8 at 3 req/s expects 0.04).
+const maxSwitchesPerArrival = 1e4
+
 // Validate reports inconsistent specs.
 func (s MMPPSpec) Validate() error {
 	switch {
@@ -43,8 +50,18 @@ func (s MMPPSpec) Validate() error {
 		return fmt.Errorf("workload: MMPP lull rate %g above burst rate %g", s.RateLow, s.RateHigh)
 	case !positiveFinite(s.DwellHigh) || !positiveFinite(s.DwellLow):
 		return fmt.Errorf("workload: MMPP dwell times must be positive and finite, got %g/%g", s.DwellHigh, s.DwellLow)
+	case s.switchesPerArrival() > maxSwitchesPerArrival:
+		return fmt.Errorf("workload: MMPP dwells %g/%g s are far below the arrival gap: %.3g expected state switches per arrival, want at most %g",
+			s.DwellHigh, s.DwellLow, s.switchesPerArrival(), float64(maxSwitchesPerArrival))
 	}
 	return nil
+}
+
+// switchesPerArrival is the expected number of state switches per
+// arrival: a high/low cycle (two switches) carries
+// RateHigh·DwellHigh + RateLow·DwellLow arrivals on average.
+func (s MMPPSpec) switchesPerArrival() float64 {
+	return 2 / (s.RateHigh*s.DwellHigh + s.RateLow*s.DwellLow)
 }
 
 // MeanRate is the spec's time-averaged arrival rate (dwell-weighted).

@@ -241,10 +241,12 @@ func TestMMPPMeanRateNormalisation(t *testing.T) {
 }
 
 // TestNonFiniteArrivalInputs feeds NaN and infinite rates, bursts,
-// dwells, periods and amplitudes to every schedule builder. NaN passes
-// any x <= 0 check, and before the finiteness checks some of these
-// inputs hung the samplers, so each case runs against a deadline: a
-// regression fails here instead of hanging the suite.
+// dwells, periods and amplitudes to every schedule builder, plus an
+// MMPP dwell so far below the arrival gap that each state switch moves
+// the clock by less than its ULP. NaN passes any x <= 0 check, and
+// before these checks some of the inputs hung the samplers, so each
+// case runs against a deadline: a regression fails here instead of
+// hanging the suite.
 func TestNonFiniteArrivalInputs(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	type buildCase struct {
@@ -273,10 +275,11 @@ func TestNonFiniteArrivalInputs(t *testing.T) {
 		diurnal("diurnal amplitude nan", DiurnalSpec{BaseRate: 4, Amplitude: nan, PeriodSeconds: 60}),
 		diurnal("diurnal period nan", DiurnalSpec{BaseRate: 4, Amplitude: 0.5, PeriodSeconds: nan}),
 		diurnal("diurnal period inf", DiurnalSpec{BaseRate: 4, Amplitude: 0.5, PeriodSeconds: inf}),
+		mmpp("mmpp dwell far below the arrival gap", MMPPSpec{RateHigh: 1.6, RateLow: 0.4, DwellHigh: 1e-300, DwellLow: 1e-300}),
 		multiTurn("multi-turn rate nan", MultiTurnSpec{Sessions: 2, Turns: 2, Rate: nan, ThinkMean: 0.1, PromptMax: 64, MaxContext: 4096}),
 		multiTurn("multi-turn think inf", MultiTurnSpec{Sessions: 2, Turns: 2, Rate: 1, ThinkMean: inf, PromptMax: 64, MaxContext: 4096}),
 	}
-	for _, spec := range []string{"mmpp:nan", "mmpp:inf", "mmpp:2:nan", "mmpp:2:inf", "diurnal:nan", "diurnal:inf", "diurnal:10:nan"} {
+	for _, spec := range []string{"mmpp:nan", "mmpp:inf", "mmpp:2:nan", "mmpp:2:inf", "mmpp:2:1e-300", "diurnal:nan", "diurnal:inf", "diurnal:10:nan"} {
 		cases = append(cases, buildCase{spec, func(gen *Generator) ([]Arrival, error) {
 			return ArrivalsByFlag(spec, gen, 4, 4, 10, 1)
 		}})
