@@ -155,7 +155,7 @@ type Backend interface {
 	// Describe is the one-line summary CLI -list flags print.
 	Describe() string
 	// PIMAttention reports whether attention executes on PIM channels,
-	// i.e. whether the compiler / on-module dispatcher path applies.
+	// i.e. whether the model compiles to PIM attention programs.
 	PIMAttention() bool
 	// Validate checks the backend-specific parts of a configuration.
 	Validate(env *Env) error

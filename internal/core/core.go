@@ -1,10 +1,10 @@
-// Package core is PIMphony's public orchestration API: it wires the
-// compiler (kernel detection and PIM program lowering), the on-module
-// dispatcher (DPA program loading and per-request state) and the
-// multi-node cluster simulator behind one facade, and provides the
-// paper's evaluated system presets (CENT-style PIM-only, NeuPIMs-style
-// xPU+PIM, the A100 GPU baseline and an L3/LoL-PIM-style DIMM-PIM
-// system), each resolved through the internal/backend registry.
+// Package core is PIMphony's public orchestration API: it puts the
+// multi-node cluster simulator and, for instruction footprints, the
+// compiler (kernel detection and PIM program lowering) behind one
+// facade, and provides the paper's evaluated system presets (CENT-style
+// PIM-only, NeuPIMs-style xPU+PIM, the A100 GPU baseline and an
+// L3/LoL-PIM-style DIMM-PIM system), each resolved through the
+// internal/backend registry.
 //
 // Typical use:
 //
@@ -24,7 +24,6 @@ import (
 	"pimphony/internal/backend"
 	"pimphony/internal/cluster"
 	"pimphony/internal/compiler"
-	"pimphony/internal/dispatch"
 	"pimphony/internal/model"
 	"pimphony/internal/sweep"
 	"pimphony/internal/timing"
@@ -206,79 +205,48 @@ func PresetByFlag(name string) (Preset, error) {
 	return Preset{}, fmt.Errorf("unknown system %q (known: %s)", name, strings.Join(known, ", "))
 }
 
-// System is the orchestrator facade: a compiled model, per-module
-// dispatchers and the cluster simulator.
+// System is the orchestrator facade over the cluster simulator.
 type System struct {
-	cfg      Config
-	sim      *cluster.System
-	compiled *compiler.Compiled
-	// dispatchers is one on-module dispatcher per module (nil for
-	// backends without PIM attention, which have no PIM programs).
-	dispatchers []*dispatch.Dispatcher
+	cfg Config
+	sim *cluster.System
 }
 
-// NewSystem compiles the model for the configured target, loads the DPA
-// programs into every module's dispatcher and prepares the simulator.
-// Backends without PIM attention (the GPU baseline) skip the compile
-// and dispatch stages — they have no PIM programs to run.
+// NewSystem prepares the simulator for a configuration.
 func NewSystem(cfg Config) (*System, error) {
 	sim, err := cluster.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, sim: sim}
-	if !sim.Backend().PIMAttention() {
-		return s, nil
-	}
-	comp, err := compiler.Compile(cfg.Model, compiler.Target{Dev: cfg.Dev, TCP: cfg.Tech.TCP})
-	if err != nil {
-		return nil, fmt.Errorf("core: compiling %s: %w", cfg.Model.Name, err)
-	}
-	s.compiled = comp
-	for i := 0; i < cfg.Modules; i++ {
-		d := dispatch.New(cfg.Dev)
-		for _, p := range comp.DPAttn {
-			if err := d.LoadProgram(p); err != nil {
-				return nil, fmt.Errorf("core: module %d: %w", i, err)
-			}
-		}
-		for _, p := range comp.FCProgs {
-			if err := d.LoadProgram(p); err != nil {
-				return nil, fmt.Errorf("core: module %d: %w", i, err)
-			}
-		}
-		s.dispatchers = append(s.dispatchers, d)
-	}
-	return s, nil
+	return &System{cfg: cfg, sim: sim}, nil
 }
 
 // Config returns the system configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// Compiled exposes the compilation result (nil for backends without PIM
-// attention).
-func (s *System) Compiled() *compiler.Compiled { return s.compiled }
-
-// InstructionFootprint reports the per-layer attention instruction bytes
-// for this system: the DPA encoding when DPA is enabled, otherwise the
-// static unrolling at the model's context window.
+// InstructionFootprint compiles the model for this system's target and
+// reports the per-layer attention instruction bytes: the DPA encoding
+// when DPA is enabled, otherwise the static unrolling at the model's
+// context window. Backends without PIM attention (the GPU baseline)
+// have no PIM programs and return an error.
 func (s *System) InstructionFootprint() (int64, error) {
-	if s.compiled == nil {
+	if !s.sim.Backend().PIMAttention() {
 		return 0, fmt.Errorf("core: %s has no PIM programs", s.cfg.Name)
 	}
+	comp, err := compiler.Compile(s.cfg.Model, compiler.Target{Dev: s.cfg.Dev, TCP: s.cfg.Tech.TCP})
+	if err != nil {
+		return 0, fmt.Errorf("core: compiling %s: %w", s.cfg.Model.Name, err)
+	}
 	if s.cfg.Tech.DPA {
-		return s.compiled.DPAFootprint(), nil
+		return comp.DPAFootprint(), nil
 	}
 	tmax := s.cfg.TMaxOverride
 	if tmax == 0 {
 		tmax = s.cfg.Model.ContextWindow
 	}
-	return s.compiled.StaticFootprint(tmax)
+	return comp.StaticFootprint(tmax)
 }
 
-// Serve simulates a decode window over the candidate requests, registering
-// them with the module dispatchers first (DPA systems track per-request
-// token state on-module).
+// Serve simulates a decode window over the candidate requests.
 func (s *System) Serve(reqs []workload.Request) (*Report, error) {
 	return s.ServeCtx(context.Background(), reqs)
 }
@@ -287,30 +255,17 @@ func (s *System) Serve(reqs []workload.Request) (*Report, error) {
 // iterations once ctx is done, so grid sweeps can stop in-flight
 // simulations when a sibling point fails.
 func (s *System) ServeCtx(ctx context.Context, reqs []workload.Request) (*Report, error) {
-	if s.cfg.Tech.DPA && len(s.dispatchers) > 0 {
-		prog := s.compiled.DPAttn[0].Name
-		d := s.dispatchers[0]
-		for _, r := range reqs {
-			// Registration is idempotent per request across Serve calls.
-			if _, err := d.TCur(r.ID); err == nil {
-				continue
-			}
-			if err := d.Register(r.ID, r.Context, prog); err != nil {
-				return nil, fmt.Errorf("core: registering request %d: %w", r.ID, err)
-			}
-		}
-	}
 	return s.sim.RunCtx(ctx, reqs)
 }
 
-// Sweep builds one full System (compile + dispatcher load) per
-// configuration and serves each against the shared candidate pool,
-// fanning the independent simulations through the sweep engine. Reports
-// come back in input order; the first failing configuration cancels the
-// rest (in-flight decode loops abort between iterations). It is the
-// facade-level counterpart of cluster.Sweep for grids that share one
-// request pool; grids with per-point pools (e.g. cmd/pimphony-sim's
-// trace cross-product) call sweep.Run with ServeCtx directly.
+// Sweep builds one System per configuration and serves each against the
+// shared candidate pool, fanning the independent simulations through the
+// sweep engine. Reports come back in input order; the first failing
+// configuration cancels the rest (in-flight decode loops abort between
+// iterations). It is the facade-level counterpart of cluster.Sweep for
+// grids that share one request pool; grids with per-point pools (e.g.
+// cmd/pimphony-sim's trace cross-product) call sweep.Run with ServeCtx
+// directly.
 func Sweep(ctx context.Context, cfgs []Config, reqs []workload.Request, opts ...sweep.Option) ([]*Report, error) {
 	return sweep.Run(ctx, cfgs, func(ctx context.Context, cfg Config) (*Report, error) {
 		sys, err := NewSystem(cfg)

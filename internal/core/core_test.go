@@ -75,19 +75,25 @@ func TestOptimalParallelism(t *testing.T) {
 	}
 }
 
-func TestNewSystemLoadsPrograms(t *testing.T) {
-	sys, err := NewSystem(CENT(model.LLM7B32K(), PIMphony()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.Compiled() == nil {
-		t.Fatal("compiled model missing")
-	}
-	if len(sys.dispatchers) != 8 {
-		t.Fatalf("dispatchers = %d, want 8", len(sys.dispatchers))
-	}
-	if sys.dispatchers[0].BufferUsed() == 0 {
-		t.Fatal("programs not loaded")
+// TestNewSystemCostsNoMoreThanCluster guards NewSystem's cost: for every
+// evaluated preset it allocates at most one object beyond the
+// cluster.New inside it, so building a system compiles nothing.
+func TestNewSystemCostsNoMoreThanCluster(t *testing.T) {
+	for _, cfg := range []Config{
+		CENT(model.LLM7B32K(), PIMphony()),
+		CENT(model.LLM72B128KGQA(), PIMphony()),
+		NeuPIMs(model.LLM7B32K(), PIMphony()),
+		GPU(model.LLM7B32K()),
+		DIMMPIM(model.LLM7B32K(), PIMphony()),
+	} {
+		if _, err := NewSystem(cfg); err != nil {
+			t.Fatalf("%s: %v", cfg.Name, err)
+		}
+		sim := testing.AllocsPerRun(10, func() { _, _ = cluster.New(cfg) })
+		sys := testing.AllocsPerRun(10, func() { _, _ = NewSystem(cfg) })
+		if sys > sim+1 {
+			t.Errorf("%s: NewSystem makes %v allocations, cluster.New %v; want at most one more", cfg.Name, sys, sim)
+		}
 	}
 }
 
@@ -226,17 +232,17 @@ func TestPresetsCoverRegistry(t *testing.T) {
 }
 
 // TestDIMMPIMSystem: the fourth backend end to end through the facade —
-// compiled PIM programs (DIMM attention is PIM attention), an all-KV
-// pool larger than the memory-matched AiM systems, and a working
-// serving engine.
+// an instruction footprint (DIMM attention is PIM attention, so the
+// model compiles to PIM programs), an all-KV pool larger than the
+// memory-matched AiM systems, and a working serving engine.
 func TestDIMMPIMSystem(t *testing.T) {
 	m := model.LLM7B32K()
 	sys, err := NewSystem(DIMMPIM(m, PIMphony()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Compiled() == nil {
-		t.Fatal("dimm-pim must compile PIM programs")
+	if fp, err := sys.InstructionFootprint(); err != nil || fp <= 0 {
+		t.Fatalf("dimm-pim must compile PIM programs: footprint %d, %v", fp, err)
 	}
 	rep, err := sys.Serve(workload.NewGenerator(workload.QMSum(), 9).Batch(16))
 	if err != nil {

@@ -7,8 +7,8 @@
 // possibly non-contiguous, KV cache.
 //
 // The Instruction Sequencer expands instructions by unrolling Op-size
-// repetitions into channel commands; the on-module dispatcher (package
-// dispatch) resolves DPA loops and virtual addresses before sequencing.
+// repetitions into channel commands; the on-module dispatcher (Fig. 11a)
+// resolves DPA loops and virtual addresses before sequencing.
 package isa
 
 import (

@@ -471,7 +471,7 @@ func (d *DPA) Translate(reqID int, vaddr int64) (int64, error) {
 }
 
 // Chunks returns a copy of the request's physical chunk list (for tests and
-// the dispatcher model).
+// the chunk-size ablation's VA2PA entry counts).
 func (d *DPA) Chunks(reqID int) []ChunkID {
 	var src []ChunkID
 	if r, ok := d.reqs[reqID]; ok {

@@ -250,7 +250,7 @@ func TestEqualTimestampPermutationInvariance(t *testing.T) {
 	// Pick three session keys that hash to pairwise-distinct replicas,
 	// so the requests in each equal-time group never share a queue.
 	pol := serve.SessionAffinity()
-	probe := make([]serve.FleetLoad, replicas)
+	probe := serve.NoCandidates(replicas)
 	var sessions []int
 	seen := map[int]bool{}
 	for s := 0; len(sessions) < 3 && s < 256; s++ {

@@ -217,24 +217,21 @@ func TestExhaustedRetryBudgetFailsLoudly(t *testing.T) {
 }
 
 // holdUntilSeen is a test placement that holds every request until the
-// request with ID open has been offered, then places on the first
-// fitting replica: capacity that only a later arrival unlocks.
+// request with ID open has been offered, then places on the
+// lowest-index fitting replica: capacity that only a later arrival
+// unlocks.
 type holdUntilSeen struct {
 	open int
 	seen bool
 }
 
 func (*holdUntilSeen) Name() string { return "hold-until-seen" }
-func (p *holdUntilSeen) Place(a workload.Arrival, loads []serve.FleetLoad) int {
+func (p *holdUntilSeen) Place(a workload.Arrival, v serve.FleetView) int {
 	if a.Req.ID == p.open {
 		p.seen = true
 	}
 	if p.seen {
-		for i, l := range loads {
-			if l.Fits {
-				return i
-			}
-		}
+		return v.FirstFit(serve.ByIndex, 0)
 	}
 	return -1
 }

@@ -223,11 +223,10 @@ func (p *prefillServer) serve(at float64, contextTokens int) float64 {
 }
 
 // fleetReplica is one decode-capable fleet replica: the advancement
-// replica plus its fleet role and, for unified replicas, the colocated
-// prefill engine.
+// replica plus its fleet spec index and, for unified replicas, the
+// colocated prefill engine.
 type fleetReplica struct {
 	replica
-	role Role
 	spec int
 	pre  *prefillServer // non-nil only for RoleUnified
 }
@@ -258,12 +257,11 @@ type fleetSim struct {
 	shorthand bool
 	ic        timing.Interconnect
 	placement Placement
-	// indexed is the placement's O(log n) fast path (nil for custom
-	// policies, which fall back to the scratch-built []FleetLoad scan).
-	indexed  indexedPlacement
-	decoders []*fleetReplica
-	prefills []*prefillServer
-	held     deque[heldReq]
+	// placeView is the FleetView every placement decision searches.
+	placeView placeView
+	decoders  []*fleetReplica
+	prefills  []*prefillServer
+	held      deque[heldReq]
 	// views holds the incrementally maintained scheduler indexes and
 	// autoscale aggregates (views.go), kept in step with every engine
 	// call and lifecycle change via touch/setState.
@@ -350,7 +348,7 @@ func newFleetSim(cfg Config, n int) (*fleetSim, error) {
 				return nil, err
 			}
 			eng.SetHorizon(horizon)
-			fr := &fleetReplica{replica: replica{sys: sys, eng: eng}, role: spec.Role, spec: si}
+			fr := &fleetReplica{replica: replica{sys: sys, eng: eng}, spec: si}
 			if spec.Role == RoleUnified {
 				fr.pre = &prefillServer{sys: sys, spec: si}
 			}
@@ -384,7 +382,7 @@ func newFleetSim(cfg Config, n int) (*fleetSim, error) {
 		sched:    fs,
 	}
 	fs.initReady()
-	fs.indexed, _ = fs.placement.(indexedPlacement)
+	fs.placeView.fs = fs
 	fs.initViews()
 	return fs, nil
 }
@@ -733,45 +731,13 @@ func (fs *fleetSim) pickPrefill() int {
 }
 
 // place asks the placement policy for a decode replica for a
-// request, -1 to hold. Replicas that are not online (standby, warming,
-// draining) are never placement targets: they show as non-fitting with
-// zero headroom. The built-in policies answer from the ordered indexes
-// in O(log n); a custom Placement still sees the full []FleetLoad
-// snapshot, built into a reused scratch buffer.
+// request, -1 to hold. The policy searches the placement indexes in
+// O(log n), and they hold only online, non-degraded replicas, so a
+// standby, warming, draining, failed or degraded replica is never a
+// search result. A custom policy's out-of-range index holds.
 func (fs *fleetSim) place(rec *record) int {
-	a := workload.Arrival{Req: rec.req, At: rec.arrival, Session: rec.session}
-	if fs.indexed != nil {
-		return fs.indexed.placeIndexed(fs, a)
-	}
-	r := a.Req
-	v := &fs.views
-	if cap(v.loadScratch) < len(fs.decoders) {
-		v.loadScratch = make([]FleetLoad, len(fs.decoders))
-	}
-	loads := v.loadScratch[:len(fs.decoders)]
-	for i, d := range fs.decoders {
-		// An idle replica's clock is pulled lazily (enqueueOn); the
-		// snapshot shows what the eager every-event sync would have: the
-		// scheduler clock.
-		clk := d.clock
-		if clk < fs.clock && d.eng.Idle() {
-			clk = fs.clock
-		}
-		loads[i] = FleetLoad{
-			OutstandingTokens: d.eng.OutstandingTokens(),
-			Active:            d.eng.Active(),
-			Pending:           d.eng.Pending(),
-			Clock:             clk,
-			Role:              d.role,
-			FreeKVBytes:       d.eng.FreeKVBytes(),
-			Fits:              d.eng.HasHeadroom(r),
-		}
-		if fs.state[i] != stateOnline || fs.degraded(i) {
-			loads[i].Fits = false
-			loads[i].FreeKVBytes = 0
-		}
-	}
-	dst := fs.placement.Place(a, loads)
+	fs.placeView.req = rec.req
+	dst := fs.placement.Place(workload.Arrival{Req: rec.req, At: rec.arrival, Session: rec.session}, &fs.placeView)
 	if dst >= len(fs.decoders) {
 		return -1
 	}

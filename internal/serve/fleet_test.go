@@ -44,8 +44,8 @@ func tinyArrivals(n int) []workload.Arrival {
 type pinFirst struct{}
 
 func (pinFirst) Name() string { return "pin-first" }
-func (pinFirst) Place(_ workload.Arrival, loads []FleetLoad) int {
-	if loads[0].Fits {
+func (pinFirst) Place(_ workload.Arrival, v FleetView) int {
+	if v.FirstFit(ByIndex, 0) == 0 {
 		return 0
 	}
 	return -1
@@ -257,8 +257,8 @@ func TestStealSkipsUnadmittableThief(t *testing.T) {
 // replica that can never admit it fails loudly instead of spinning.
 type pinSecond struct{}
 
-func (pinSecond) Name() string                                { return "pin-second" }
-func (pinSecond) Place(_ workload.Arrival, _ []FleetLoad) int { return 1 }
+func (pinSecond) Name() string                              { return "pin-second" }
+func (pinSecond) Place(_ workload.Arrival, _ FleetView) int { return 1 }
 
 // TestSpineStallIsLoud: a request queued on a replica that can never
 // admit it (the failure mode the steal guard prevents) must surface as
@@ -437,32 +437,34 @@ func TestPlacementByName(t *testing.T) {
 	}
 }
 
-// TestPlacements exercises the built-in policies' selection rules.
+// TestPlacements exercises the built-in policies' selection rules over
+// hand-built linear views.
 func TestPlacements(t *testing.T) {
-	loads := []FleetLoad{
-		{OutstandingTokens: 5, FreeKVBytes: 10, Fits: true},
-		{OutstandingTokens: 1, FreeKVBytes: 30, Fits: true},
-		{OutstandingTokens: 0, FreeKVBytes: 99, Fits: false},
+	v := linearView{
+		{candidate: true, fits: true, tokens: 5, free: 10},
+		{candidate: true, fits: true, tokens: 1, free: 30},
+		{candidate: true, fits: false, tokens: 0, free: 99},
+		{candidate: false, fits: true, tokens: 0, free: 200}, // offline or degraded
 	}
 	r := workload.Arrival{Req: workload.Request{ID: 1, Context: 10, Decode: 5}}
-	if got := KVHeadroom().Place(r, loads); got != 1 {
+	if got := KVHeadroom().Place(r, v); got != 1 {
 		t.Errorf("kv-headroom picked %d, want 1 (most free among fitting)", got)
 	}
-	if got := LeastTokensFit().Place(r, loads); got != 1 {
+	if got := LeastTokensFit().Place(r, v); got != 1 {
 		t.Errorf("least-tokens-fit picked %d, want 1", got)
 	}
 	rr := RoundRobinFit()
-	if a, b := rr.Place(r, loads), rr.Place(r, loads); a != 0 || b != 1 {
-		t.Errorf("round-robin-fit picked %d,%d, want 0,1 (skipping the non-fitting)", a, b)
+	if a, b, c := rr.Place(r, v), rr.Place(r, v), rr.Place(r, v); a != 0 || b != 1 || c != 0 {
+		t.Errorf("round-robin-fit picked %d,%d,%d, want 0,1,0 (skipping the non-fitting and non-candidates)", a, b, c)
 	}
-	none := []FleetLoad{{Fits: false}}
+	none := linearView{{candidate: true}}
 	for _, p := range []Placement{KVHeadroom(), LeastTokensFit(), RoundRobinFit()} {
 		if got := p.Place(r, none); got != -1 {
 			t.Errorf("%s placed %d with nothing fitting, want -1 (hold)", p.Name(), got)
 		}
 	}
 	// The shorthand's policies never hold: fit does not enter.
-	if got := LeastOutstandingTokens().Place(r, loads); got != 2 {
+	if got := LeastOutstandingTokens().Place(r, v); got != 2 {
 		t.Errorf("least-tokens picked %d, want 2 (fewest tokens, fitting or not)", got)
 	}
 	for _, p := range []Placement{RoundRobin(), LeastOutstandingTokens(), SessionAffinity()} {

@@ -22,15 +22,8 @@ type roundRobin struct{ next int }
 
 func (p *roundRobin) Name() string { return "round-robin" }
 
-func (p *roundRobin) Place(_ workload.Arrival, loads []FleetLoad) int { return p.pick(len(loads)) }
-
-// placeIndexed picks by index alone; it reads no view.
-func (p *roundRobin) placeIndexed(fs *fleetSim, _ workload.Arrival) int {
-	return p.pick(len(fs.decoders))
-}
-
-func (p *roundRobin) pick(n int) int {
-	i := p.next % n
+func (p *roundRobin) Place(_ workload.Arrival, v FleetView) int {
+	i := p.next % v.Len()
 	p.next++
 	return i
 }
@@ -44,22 +37,7 @@ type leastTokens struct{}
 
 func (leastTokens) Name() string { return "least-tokens" }
 
-func (leastTokens) Place(_ workload.Arrival, loads []FleetLoad) int {
-	best := 0
-	for i, l := range loads {
-		if l.OutstandingTokens < loads[best].OutstandingTokens {
-			best = i
-		}
-	}
-	return best
-}
-
-// placeIndexed takes the first entry of the outstanding-tokens index:
-// the fewest tokens owed, ties to the lowest index. The index covers
-// online, healthy replicas — every replica of the shorthand.
-func (leastTokens) placeIndexed(fs *fleetSim, _ workload.Arrival) int {
-	return fs.views.byTokens.first()
-}
+func (leastTokens) Place(_ workload.Arrival, v FleetView) int { return v.First(FewestTokens) }
 
 // SessionAffinity hashes the arrival's session key to a replica, so all
 // requests of one conversation land on the same engine (where a KV-prefix
@@ -70,13 +48,8 @@ type sessionAffinity struct{}
 
 func (sessionAffinity) Name() string { return "session" }
 
-func (sessionAffinity) Place(a workload.Arrival, loads []FleetLoad) int {
-	return sessionReplica(a.Session, len(loads))
-}
-
-// placeIndexed picks by index alone; it reads no view.
-func (sessionAffinity) placeIndexed(fs *fleetSim, a workload.Arrival) int {
-	return sessionReplica(a.Session, len(fs.decoders))
+func (sessionAffinity) Place(a workload.Arrival, v FleetView) int {
+	return sessionReplica(a.Session, v.Len())
 }
 
 // sessionReplica hashes a session key (FNV-1a over its 8 little-endian

@@ -48,8 +48,8 @@ func BenchmarkServeRun(b *testing.B) {
 // BenchmarkFleetPlacement measures one placement decision on a
 // few-hundred-replica fleet and pins the allocation contract the
 // indexed scheduler exists for: zero allocations per decision, for
-// every built-in placement and load-balancing policy and for the
-// custom-policy fallback once its []FleetLoad scratch is warm.
+// every built-in placement and load-balancing policy and for a custom
+// policy that searches the FleetView.
 func BenchmarkFleetPlacement(b *testing.B) {
 	const replicas = 256
 	fs, err := newFleetSim(Config{
@@ -77,13 +77,11 @@ func BenchmarkFleetPlacement(b *testing.B) {
 		{"round-robin", RoundRobin()},
 		{"least-tokens", LeastOutstandingTokens()},
 		{"session", SessionAffinity()},
-		{"custom-fallback", linearOnly{KVHeadroom()}},
+		{"custom", pinFirst{}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			fs.placement = c.p
-			fs.indexed, _ = c.p.(indexedPlacement)
-			fs.place(probe) // warm the fallback's scratch buffer
 			if allocs := testing.AllocsPerRun(100, func() { fs.place(probe) }); allocs != 0 {
 				b.Fatalf("%s: %v allocs per placement, want 0", c.name, allocs)
 			}

@@ -129,10 +129,10 @@ func TestSessionAffinityPinsSessions(t *testing.T) {
 	// Re-derive the routing: same session must always map to the same
 	// replica index.
 	pol := SessionAffinity()
-	loads := make([]FleetLoad, 4)
+	view := NoCandidates(4)
 	bySession := map[int]int{}
 	for _, a := range arr {
-		idx := pol.Place(a, loads)
+		idx := pol.Place(a, view)
 		if prev, ok := bySession[a.Session]; ok && prev != idx {
 			t.Fatalf("session %d routed to both %d and %d", a.Session, prev, idx)
 		}

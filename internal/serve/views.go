@@ -15,23 +15,27 @@
 // Every view reproduces its linear scan byte for byte: the indexes
 // order by (key, replica index), so "first acceptable entry in index
 // order" is exactly "best entry, ties to the lowest index" — the oracle
-// suite in views_test.go pins each one against the scan it replaced.
+// suite in views_test.go pins each one against a linear scan over
+// engine state.
 package serve
 
-import "math"
+import (
+	"math"
+
+	"pimphony/internal/workload"
+)
 
 // fleetViews is the indexed-scheduler state embedded in fleetSim.
 type fleetViews struct {
-	// byFreeKV orders online decoders by free KV descending (key is
-	// -FreeKVBytes): KVHeadroom placement and migration-destination
-	// picks take the first entry that admits the request.
+	// byFreeKV, byTokens and byIndex are the placement indexes, one per
+	// Order, over the same members: the online decoders that are not
+	// slowdown-degraded. byFreeKV keys by free KV descending (key is
+	// -FreeKVBytes) and also serves migration-destination picks;
+	// byTokens keys by outstanding decode tokens; byIndex keys by
+	// replica index.
 	byFreeKV ordIndex
-	// byTokens orders online decoders by outstanding decode tokens
-	// ascending: LeastTokensFit takes the first entry that admits.
 	byTokens ordIndex
-	// online is the online decoder set in index order — the cyclic
-	// cursor domain of RoundRobinFit.
-	online ordIndex
+	byIndex  ordIndex
 	// stealSrc orders steal sources — decoders with an active batch and
 	// a backlog — by pending count descending (key is -Pending): the
 	// first entry is the most backlogged replica, ties to lowest index.
@@ -64,11 +68,8 @@ type fleetViews struct {
 	onlineCnt, warmingCnt, standbyCnt int
 	failedCnt                         int
 
-	// thiefScratch and loadScratch are reused per-decision buffers: the
-	// steal loop's thief snapshot and the []FleetLoad build for custom
-	// (non-indexed) placements.
+	// thiefScratch is the steal loop's reused thief snapshot.
 	thiefScratch []int
-	loadScratch  []FleetLoad
 }
 
 // initViews sizes the indexes and folds in the fleet's initial replica
@@ -78,7 +79,7 @@ func (fs *fleetSim) initViews() {
 	n := len(fs.decoders)
 	v.byFreeKV.init(n)
 	v.byTokens.init(n)
-	v.online.init(n)
+	v.byIndex.init(n)
 	v.stealSrc.init(n)
 	v.thieves.init(n)
 	v.drainable.init(n)
@@ -93,7 +94,6 @@ func (fs *fleetSim) initViews() {
 		case stateOnline:
 			v.onlineCnt++
 			v.poolSum += v.pool[i]
-			v.online.set(i, int64(i))
 			fs.touch(i)
 		case stateOffline:
 			v.standbyCnt++
@@ -130,9 +130,11 @@ func (fs *fleetSim) touch(i int) {
 		// (it is online and still serving) and stays a steal source.
 		v.byFreeKV.remove(i)
 		v.byTokens.remove(i)
+		v.byIndex.remove(i)
 	} else {
 		v.byFreeKV.set(i, -free)
 		v.byTokens.set(i, int64(eng.OutstandingTokens()))
+		v.byIndex.set(i, int64(i))
 	}
 	if active > 0 && pending > 0 {
 		v.stealSrc.set(i, -int64(pending))
@@ -169,7 +171,7 @@ func (fs *fleetSim) setState(i int, st replState) {
 		v.pending[i], v.active[i], v.free[i] = 0, 0, 0
 		v.byFreeKV.remove(i)
 		v.byTokens.remove(i)
-		v.online.remove(i)
+		v.byIndex.remove(i)
 		v.stealSrc.remove(i)
 		v.thieves.remove(i)
 		v.drainable.remove(i)
@@ -186,7 +188,6 @@ func (fs *fleetSim) setState(i int, st replState) {
 	case stateOnline:
 		v.onlineCnt++
 		v.poolSum += v.pool[i]
-		v.online.set(i, int64(i))
 		fs.touch(i)
 	case stateWarming:
 		v.warmingCnt++
@@ -204,4 +205,52 @@ func (fs *fleetSim) setState(i int, st replState) {
 // lowest index — exactly the scan pickPrefill ran.
 func (fs *fleetSim) touchPrefill(pi int, p *prefillServer) {
 	fs.views.prefillFree.set(pi, int64(math.Float64bits(p.free)))
+}
+
+// placeView is the production FleetView: the placement indexes, searched
+// for the request being placed. Each Order is one index's (key, replica
+// index) order, so the first acceptable entry is the best candidate with
+// ties to the lowest index, and a decision walks one concrete ordIndex
+// without allocating.
+type placeView struct {
+	fs  *fleetSim
+	req workload.Request
+}
+
+func (v *placeView) Len() int { return len(v.fs.decoders) }
+
+func (v *placeView) First(o Order) int { return v.index(o).first() }
+
+func (v *placeView) FirstFit(o Order, from int) int {
+	dst := -1
+	fits := func(i int) bool {
+		if !v.fs.decoders[i].eng.HasHeadroom(v.req) {
+			return true
+		}
+		dst = i
+		return false
+	}
+	x := v.index(o)
+	if o != ByIndex {
+		x.ascend(fits)
+		return dst
+	}
+	// Resume at the cursor, then wrap to the replicas before it.
+	x.ascendFrom(int64(from), from, fits)
+	if dst < 0 {
+		x.ascend(func(i int) bool { return i < from && fits(i) })
+	}
+	return dst
+}
+
+// index is the placement index that orders by o.
+func (v *placeView) index(o Order) *ordIndex {
+	switch o {
+	case MostFreeKV:
+		return &v.fs.views.byFreeKV
+	case FewestTokens:
+		return &v.fs.views.byTokens
+	default:
+		return &v.fs.views.byIndex
+	}
 }

@@ -1,15 +1,19 @@
 // The indexed-scheduler oracle suite: every O(log n) decision the fleet
-// scheduler answers from its maintained views (views.go, placement.go,
-// policy.go) is pinned byte-identical to the O(n) linear scan it
-// replaced, two ways. End-to-end: full simulations — migration,
-// stealing, autoscaling, disaggregation, and the load-balancing
-// policies of the Config{System, Replicas, Policy} shorthand — run once
-// through the indexed fast path and once through a wrapper that hides
-// the fast-path interface, and the reports must be deeply equal.
-// Per-decision: randomized drivers push a fleetSim through
-// admit/step/preempt/provision/drain/steal sequences and, after every
-// operation, audit each index's membership, keys and order against the
-// live engine state, and each decision procedure against its scan.
+// scheduler answers from its maintained views (views.go) is pinned
+// byte-identical to an O(n) linear scan over engine state, two ways.
+// Placement policies run unchanged over two implementations of
+// FleetView: the production placeView and linearView below, whose rows
+// are built straight from engine and lifecycle state and searched by
+// scans that share no code with the indexes. End-to-end: full
+// simulations — migration, stealing, autoscaling, disaggregation,
+// slowdown faults, and the load-balancing policies of the
+// Config{System, Replicas, Policy} shorthand — run once over each view,
+// and the reports must be deeply equal. Per-decision: randomized
+// drivers push a fleetSim through admit/step/preempt/provision/drain/
+// steal sequences and, after every operation, audit each index's
+// membership, keys and order against the live engine state, every view
+// search and policy pick against the linear view, and each remaining
+// decision procedure against its scan.
 package serve
 
 import (
@@ -22,17 +26,76 @@ import (
 	"pimphony/internal/workload"
 )
 
-// linearOnly hides a built-in placement's placeIndexed method behind an
-// interface embed: the dynamic type no longer implements
-// indexedPlacement, so place() takes the scratch-built []FleetLoad scan
-// with byte-identical semantics. Name passes through, keeping reports
-// comparable field for field.
+// linearView is the oracle FleetView: one row per decoder, read from
+// the fleet's engines and lifecycle state at the decision.
+type linearView []linearRow
+
+type linearRow struct {
+	candidate bool // online and not slowdown-degraded
+	fits      bool // the engine could admit the request now
+	free      int64
+	tokens    int
+}
+
+func newLinearView(fs *fleetSim, r workload.Request) linearView {
+	v := make(linearView, len(fs.decoders))
+	for i, d := range fs.decoders {
+		v[i] = linearRow{
+			candidate: fs.state[i] == stateOnline && !fs.degraded(i),
+			fits:      d.eng.HasHeadroom(r),
+			free:      d.eng.FreeKVBytes(),
+			tokens:    d.eng.OutstandingTokens(),
+		}
+	}
+	return v
+}
+
+func (v linearView) Len() int { return len(v) }
+
+func (v linearView) First(o Order) int { return v.scan(o, 0, false) }
+
+func (v linearView) FirstFit(o Order, from int) int { return v.scan(o, from, true) }
+
+// scan visits every row once. ByIndex probes cyclically from the cursor
+// and takes the first acceptable row; the keyed orders keep the best
+// acceptable row, replaced only by a strictly better key, so ties stay
+// with the lowest index.
+func (v linearView) scan(o Order, from int, fit bool) int {
+	best := -1
+	for k := range v {
+		i := k
+		if o == ByIndex {
+			i = (from + k) % len(v)
+		}
+		r := v[i]
+		if !r.candidate || (fit && !r.fits) {
+			continue
+		}
+		switch {
+		case o == ByIndex:
+			return i
+		case best < 0,
+			o == MostFreeKV && r.free > v[best].free,
+			o == FewestTokens && r.tokens < v[best].tokens:
+			best = i
+		}
+	}
+	return best
+}
+
+// linearOnly runs a placement over the linear view of the fleet it is
+// asked to place on, in place of the indexed view it is handed. Name
+// passes through, keeping reports comparable field for field.
 type linearOnly struct{ Placement }
 
+func (p linearOnly) Place(a workload.Arrival, v FleetView) int {
+	return p.Placement.Place(a, newLinearView(v.(*placeView).fs, a.Req))
+}
+
 // TestIndexedPlacementMatchesLinearEndToEnd runs full fleet simulations
-// — fixed, autoscaled, and disaggregated shapes with migration and
-// stealing on — under every built-in placement, indexed and forced
-// linear, and requires deeply equal reports.
+// — fixed, autoscaled, disaggregated and slowdown-faulted shapes with
+// migration and stealing on — under every built-in placement, over the
+// indexed view and the linear view, and requires deeply equal reports.
 func TestIndexedPlacementMatchesLinearEndToEnd(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -75,6 +138,23 @@ func TestIndexedPlacementMatchesLinearEndToEnd(t *testing.T) {
 				SLO:          SLO{TTFT: 1, TBT: 0.2},
 			}
 		}},
+		// Recurring slowdowns on every replica: a degraded replica is no
+		// placement candidate, so the views must agree on skipping it.
+		{"slowdown", func() Config {
+			return Config{
+				Fleet: []ReplicaSpec{
+					{System: tightSystem(), Count: 2, Role: RoleUnified},
+					{System: testSystem(), Count: 2, Role: RoleUnified},
+				},
+				Interconnect: timing.DefaultInterconnect(),
+				Migrate:      true,
+				Steal:        true,
+				Faults: &FaultPlan{Groups: []FaultGroup{{
+					Spec: -1, Mode: FaultSlowdown, MTBFSeconds: 0.05, MTTRSeconds: 0.05, Slowdown: 3,
+				}}},
+				SLO: SLO{TTFT: 1, TBT: 0.2},
+			}
+		}},
 	}
 	placements := []struct {
 		name string
@@ -95,7 +175,10 @@ func TestIndexedPlacementMatchesLinearEndToEnd(t *testing.T) {
 				idx := run(t, cfgIdx, arr)
 				lin := run(t, cfgLin, arr)
 				if !reflect.DeepEqual(idx, lin) {
-					t.Errorf("indexed placement diverged from linear scan:\n%+v\n%+v", idx, lin)
+					t.Errorf("indexed view diverged from linear view:\n%+v\n%+v", idx, lin)
+				}
+				if sh.cfg().Faults != nil && idx.Faults.Slowdowns == 0 {
+					t.Error("no slowdown fired; no replica was ever degraded")
 				}
 			})
 		}
@@ -118,39 +201,13 @@ func TestIndexedPlacementMatchesLinearEndToEnd(t *testing.T) {
 			idx := run(t, Config{System: tightSystem(), Replicas: 3, Policy: pl.mk()}, arr)
 			lin := run(t, Config{System: tightSystem(), Replicas: 3, Policy: linearOnly{pl.mk()}}, arr)
 			if !reflect.DeepEqual(idx, lin) {
-				t.Errorf("indexed policy diverged from linear scan:\n%+v\n%+v", idx, lin)
+				t.Errorf("indexed view diverged from linear view:\n%+v\n%+v", idx, lin)
 			}
 			if idx.Capacity.Preemptions == 0 {
 				t.Error("scenario did not preempt; the queue states stayed trivial")
 			}
 		})
 	}
-}
-
-// linearLoads replicates the pre-index []FleetLoad build the linear
-// scans decided on.
-func linearLoads(fs *fleetSim, r workload.Request) []FleetLoad {
-	loads := make([]FleetLoad, len(fs.decoders))
-	for i, d := range fs.decoders {
-		clk := d.clock
-		if clk < fs.clock && d.eng.Idle() {
-			clk = fs.clock
-		}
-		loads[i] = FleetLoad{
-			OutstandingTokens: d.eng.OutstandingTokens(),
-			Active:            d.eng.Active(),
-			Pending:           d.eng.Pending(),
-			Clock:             clk,
-			Role:              d.role,
-			FreeKVBytes:       d.eng.FreeKVBytes(),
-			Fits:              d.eng.HasHeadroom(r),
-		}
-		if fs.state[i] != stateOnline {
-			loads[i].Fits = false
-			loads[i].FreeKVBytes = 0
-		}
-	}
-	return loads
 }
 
 // auditIndex checks one index's membership and key for one replica.
@@ -174,12 +231,13 @@ func auditViews(t *testing.T, op int, fs *fleetSim) {
 	var freeSum, poolSum int64
 	for i, d := range fs.decoders {
 		online := fs.state[i] == stateOnline
+		candidate := online && !fs.degraded(i)
 		pending, active := d.eng.Pending(), d.eng.Active()
 		free := d.eng.FreeKVBytes()
 		idleFree := d.eng.Idle() && fs.incoming[i] == 0
-		auditIndex(t, op, "byFreeKV", &v.byFreeKV, i, online, -free)
-		auditIndex(t, op, "byTokens", &v.byTokens, i, online, int64(d.eng.OutstandingTokens()))
-		auditIndex(t, op, "online", &v.online, i, online, int64(i))
+		auditIndex(t, op, "byFreeKV", &v.byFreeKV, i, candidate, -free)
+		auditIndex(t, op, "byTokens", &v.byTokens, i, candidate, int64(d.eng.OutstandingTokens()))
+		auditIndex(t, op, "byIndex", &v.byIndex, i, candidate, int64(i))
 		auditIndex(t, op, "stealSrc", &v.stealSrc, i, online && active > 0 && pending > 0, -int64(pending))
 		auditIndex(t, op, "thieves", &v.thieves, i, online && idleFree, int64(i))
 		auditIndex(t, op, "drainable", &v.drainable, i, online && idleFree && fs.landing[i] == 0, int64(i))
@@ -212,24 +270,45 @@ func auditViews(t *testing.T, op int, fs *fleetSim) {
 	}
 }
 
+// auditSearches pins every FleetView search of the indexed view
+// against the linear view at the current state, from every cursor.
+func auditSearches(t *testing.T, op int, fs *fleetSim, r workload.Request) {
+	t.Helper()
+	idx, lin := &placeView{fs: fs, req: r}, newLinearView(fs, r)
+	for _, o := range []Order{MostFreeKV, FewestTokens, ByIndex} {
+		if got, want := idx.First(o), lin.First(o); got != want {
+			t.Fatalf("op %d: First(%d) indexed %d, linear %d", op, o, got, want)
+		}
+		for from := 0; from < len(fs.decoders); from++ {
+			if got, want := idx.FirstFit(o, from), lin.FirstFit(o, from); got != want {
+				t.Fatalf("op %d: FirstFit(%d, %d) indexed %d, linear %d", op, o, from, got, want)
+			}
+		}
+	}
+}
+
+// samePick runs two equal placements, x over the indexed view and y
+// over the linear view, and requires the same pick and equal state
+// afterwards (the round-robin cursors).
+func samePick(t *testing.T, op int, fs *fleetSim, a workload.Arrival, x, y Placement) {
+	t.Helper()
+	got := x.Place(a, &placeView{fs: fs, req: a.Req})
+	want := y.Place(a, newLinearView(fs, a.Req))
+	if got != want || !reflect.DeepEqual(x, y) {
+		t.Fatalf("op %d: %s indexed %d (%+v), linear %d (%+v)", op, x.Name(), got, x, want, y)
+	}
+}
+
 // auditDecisions pins each decision procedure against its linear scan
 // at the current state.
 func auditDecisions(t *testing.T, op int, fs *fleetSim, a workload.Arrival, now float64) {
 	t.Helper()
 	r := a.Req
-	loads := linearLoads(fs, r)
-	if lin, idx := (kvHeadroom{}).Place(a, loads), (kvHeadroom{}).placeIndexed(fs, a); lin != idx {
-		t.Fatalf("op %d: kv-headroom linear %d, indexed %d", op, lin, idx)
-	}
-	if lin, idx := (leastTokensFit{}).Place(a, loads), (leastTokensFit{}).placeIndexed(fs, a); lin != idx {
-		t.Fatalf("op %d: least-tokens-fit linear %d, indexed %d", op, lin, idx)
-	}
+	auditSearches(t, op, fs, r)
+	samePick(t, op, fs, a, KVHeadroom(), KVHeadroom())
+	samePick(t, op, fs, a, LeastTokensFit(), LeastTokensFit())
 	for start := 0; start <= len(fs.decoders); start++ {
-		x, y := &roundRobinFit{next: start}, &roundRobinFit{next: start}
-		if lin, idx := x.Place(a, loads), y.placeIndexed(fs, a); lin != idx || x.next != y.next {
-			t.Fatalf("op %d: round-robin(next=%d) linear (%d,%d), indexed (%d,%d)",
-				op, start, lin, x.next, idx, y.next)
-		}
+		samePick(t, op, fs, a, &roundRobinFit{next: start}, &roundRobinFit{next: start})
 	}
 	// Migration destination: roomiest fitting online replica != di.
 	for di := range fs.decoders {
@@ -442,23 +521,16 @@ func TestViewsOracle(t *testing.T) {
 	}
 }
 
-// auditShorthand pins each load-balancing policy of the shorthand
-// against its scan at the current state, from every round-robin cursor.
+// auditShorthand pins each load-balancing policy of the shorthand over
+// the indexed view against the linear view at the current state, from
+// every round-robin cursor.
 func auditShorthand(t *testing.T, op int, fs *fleetSim, a workload.Arrival) {
 	t.Helper()
-	loads := linearLoads(fs, a.Req)
-	if lin, idx := (leastTokens{}).Place(a, loads), (leastTokens{}).placeIndexed(fs, a); lin != idx {
-		t.Fatalf("op %d: least-tokens linear %d, indexed %d", op, lin, idx)
-	}
-	if lin, idx := (sessionAffinity{}).Place(a, loads), (sessionAffinity{}).placeIndexed(fs, a); lin != idx {
-		t.Fatalf("op %d: session %d linear %d, indexed %d", op, a.Session, lin, idx)
-	}
+	auditSearches(t, op, fs, a.Req)
+	samePick(t, op, fs, a, LeastOutstandingTokens(), LeastOutstandingTokens())
+	samePick(t, op, fs, a, SessionAffinity(), SessionAffinity())
 	for start := 0; start <= len(fs.decoders); start++ {
-		x, y := &roundRobin{next: start}, &roundRobin{next: start}
-		if lin, idx := x.Place(a, loads), y.placeIndexed(fs, a); lin != idx || x.next != y.next {
-			t.Fatalf("op %d: round-robin(next=%d) linear (%d,%d), indexed (%d,%d)",
-				op, start, lin, x.next, idx, y.next)
-		}
+		samePick(t, op, fs, a, &roundRobin{next: start}, &roundRobin{next: start})
 	}
 }
 
@@ -495,7 +567,6 @@ func TestShorthandViewsOracle(t *testing.T) {
 			}
 			fs.recs[id] = rec
 			fs.placement = policies[next(len(policies))]
-			fs.indexed = fs.placement.(indexedPlacement)
 			dst := fs.place(rec)
 			if dst < 0 {
 				t.Fatalf("op %d: %s held a request", op, fs.placement.Name())

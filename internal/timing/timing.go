@@ -23,18 +23,16 @@ type PicoJoules float64
 // the Table IV presets and override fields as needed.
 type Device struct {
 	// Geometry.
-	Channels     int // independently operating PIM channels per module
-	Banks        int // DRAM banks per channel, MAC units operate bank-parallel
-	TileBytes    int // bytes moved per WR-INP and consumed per MAC per bank
-	GBufBytes    int // global input buffer per channel (shared by banks)
-	OutRegBytes  int // baseline per-bank output register bytes (static PIM)
-	OBufBytes    int // expanded per-bank output buffer bytes (PIMphony DCS)
-	RowBytes     int // DRAM row size per bank
-	RowsPerBank  int // rows per bank (capacity = Banks*RowsPerBank*RowBytes)
-	ElemBytes    int // bytes per element (fp16 = 2)
-	GPRBytes     int // HUB general-purpose register file capacity
-	InstrBufKB   int // on-module dispatcher instruction buffer capacity (KB)
-	VA2PAEntries int // dispatcher VA2PA translation table entries
+	Channels    int // independently operating PIM channels per module
+	Banks       int // DRAM banks per channel, MAC units operate bank-parallel
+	TileBytes   int // bytes moved per WR-INP and consumed per MAC per bank
+	GBufBytes   int // global input buffer per channel (shared by banks)
+	OutRegBytes int // baseline per-bank output register bytes (static PIM)
+	OBufBytes   int // expanded per-bank output buffer bytes (PIMphony DCS)
+	RowBytes    int // DRAM row size per bank
+	RowsPerBank int // rows per bank (capacity = Banks*RowsPerBank*RowBytes)
+	ElemBytes   int // bytes per element (fp16 = 2)
+	GPRBytes    int // HUB general-purpose register file capacity
 
 	// Command timings (cycles).
 	TCCDS       Cycles // minimum command-to-command interval on a pipelined bus
@@ -63,18 +61,16 @@ type Device struct {
 // studies: 16 channels x 16 banks, 2 KB GBuf, 4 B baseline OutReg per bank.
 func AiM16() Device {
 	return Device{
-		Channels:     16,
-		Banks:        16,
-		TileBytes:    32,
-		GBufBytes:    2048,
-		OutRegBytes:  4,
-		OBufBytes:    64,
-		RowBytes:     2048,
-		RowsPerBank:  32768, // 16 banks * 32768 rows * 2 KB = 1 GiB per channel
-		ElemBytes:    2,
-		GPRBytes:     512 << 10,
-		InstrBufKB:   192,
-		VA2PAEntries: 4096,
+		Channels:    16,
+		Banks:       16,
+		TileBytes:   32,
+		GBufBytes:   2048,
+		OutRegBytes: 4,
+		OBufBytes:   64,
+		RowBytes:    2048,
+		RowsPerBank: 32768, // 16 banks * 32768 rows * 2 KB = 1 GiB per channel
+		ElemBytes:   2,
+		GPRBytes:    512 << 10,
 
 		TCCDS:       2,
 		TWRINP:      4,
