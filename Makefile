@@ -70,8 +70,8 @@ race-pricing:
 # arrival-mix, fleet-shape, fault-schedule) tuples must keep every
 # leaping run, whichever bound the spine derives, byte-identical to
 # single stepping and every DES invariant intact — then 10 seconds of
-# the DPA differential oracle (the lazy allocator against the eager
-# reference).
+# the DPA differential oracle (the counting allocator's chunk counts
+# against the eager reference).
 fuzz-smoke:
 	$(GO) test -fuzz FuzzDESSchedule -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz FuzzDPA -fuzztime 10s ./internal/memory/

@@ -5,6 +5,9 @@
 // -system flag resolves through the backend registry: any registered
 // system organisation (pim-only, xpu+pim, gpu, dimm-pim) or its preset
 // alias (cent, neupims, a100, l3) is accepted; -list enumerates them.
+// A candidate whose prompt already fills the model's context window is
+// an error (pair long traces such as Loogle-SD with a 128K model), and a
+// request that reaches the window mid-run stops there.
 //
 // Examples:
 //

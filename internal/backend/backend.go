@@ -4,10 +4,11 @@
 // L3/LoL-PIM-style DIMM-PIM system), each pricing the per-step phases of
 // a decode iteration — FC projections, attention, collective
 // communication — and declaring its KV-capacity geometry and admission
-// semantics. The step loop in internal/cluster (both the batch simulator
-// and the serving engine) is backend-agnostic: it admits against the
-// backend's Admission parameters, prices every iteration through
-// Backend.Step, and accrues energy through Backend.IterEnergy. Adding a
+// semantics. The one decode loop in internal/cluster, the engine that
+// serving steps and the batch window drains, is backend-agnostic: it
+// admits against the backend's Admission parameters, prices every
+// iteration through Backend.Step, and accrues energy through
+// Backend.IterEnergy. Adding a
 // new system organisation is one Register call; no step-loop fork.
 package backend
 
@@ -122,13 +123,6 @@ type Admission struct {
 	// SkipUnfit scans past queued requests that do not fit instead of
 	// stopping at the queue head — the GPU's paged pool packs greedily.
 	SkipUnfit bool
-	// ReserveHorizon admits a request at its full admission horizon
-	// (upfront paged reservation) rather than its current context.
-	ReserveHorizon bool
-	// UnclampedHorizon leaves the admission horizon at context+window
-	// even past T_max (the GPU reserves exactly what the decode window
-	// will touch).
-	UnclampedHorizon bool
 	// HeadBudget bounds head-first placement: total (request, KV head)
 	// tile tokens that fit per module under per-channel capacity. Zero
 	// disables the bound (TCP, or backends without channel placement).

@@ -160,13 +160,13 @@ func TestAdmissionParameters(t *testing.T) {
 	if tcp.HeadBudget != 0 {
 		t.Errorf("TCP admission should not carry a head budget: %+v", tcp)
 	}
-	if hfp.SkipUnfit || hfp.ReserveHorizon || hfp.WeightsHosted || hfp.PoolScale != 0 {
+	if hfp.SkipUnfit || hfp.WeightsHosted || hfp.PoolScale != 0 {
 		t.Errorf("pim admission has GPU-shaped fields: %+v", hfp)
 	}
 	g, _ := Lookup(GPU)
 	ga := g.Admission(gpuEnv(m))
-	if !ga.SkipUnfit || !ga.ReserveHorizon || !ga.UnclampedHorizon {
-		t.Errorf("gpu admission must pack greedily with upfront reservations: %+v", ga)
+	if !ga.SkipUnfit {
+		t.Errorf("gpu admission must pack greedily: %+v", ga)
 	}
 	if ga.PoolScale != xpu.A100().PagedAttentionEff || ga.ReportedUtil != xpu.A100().PagedAttentionEff {
 		t.Errorf("gpu admission must carry the paged-attention derate: %+v", ga)

@@ -13,11 +13,11 @@ import (
 // gpu is the A100 flash-decoding + paged-attention baseline of Fig. 20.
 // It prices the whole iteration on the GPU rooflines (batched-GEMM FC
 // plus KV-streaming attention) and admits against a paged pool: the
-// post-weights capacity derated by the paged-attention efficiency,
-// packed greedily with upfront per-request reservations — the exact
-// semantics of the pre-refactor dedicated GPU path, now expressed
-// through the same admitter and step loop as every other backend (which
-// is what gives the GPU baseline serving-engine support).
+// post-weights capacity derated by the paged-attention efficiency and
+// packed greedily, each request admitted at its live context and grown
+// per token (growth past the pool preempts, the vLLM recompute path).
+// It runs through the same admitter and decode loop as every other
+// backend, which is what gives the GPU baseline serving-engine support.
 type gpu struct{}
 
 func init() { Register(gpu{}) }
@@ -44,11 +44,9 @@ func (gpu) CapacityBytes(env *Env) int64 {
 func (gpu) Admission(env *Env) Admission {
 	g := xpu.A100()
 	return Admission{
-		PoolScale:        g.PagedAttentionEff,
-		SkipUnfit:        true,
-		ReserveHorizon:   true,
-		UnclampedHorizon: true,
-		ReportedUtil:     g.PagedAttentionEff,
+		PoolScale:    g.PagedAttentionEff,
+		SkipUnfit:    true,
+		ReportedUtil: g.PagedAttentionEff,
 		NewAllocator: func(pool, bytesPerToken int64, _ int) (memory.Allocator, error) {
 			return memory.NewPaged(pool, bytesPerToken)
 		},

@@ -256,8 +256,8 @@ func (p pimShared) stageTime(env *Env, reqs []workload.Request, tokensOf TokensO
 // step evaluates one decode iteration for a batch: the iteration time in
 // seconds, the attention stats merged across the per-request stage
 // evaluations (cycles and busy sum over PP micro-batches), and the
-// attention share of iteration time. Both the batch simulator (RunCtx)
-// and the serving engine (Engine.Step) price their iterations here.
+// attention share of iteration time. The cluster engine prices every
+// decode iteration here, for the batch window and serving alike.
 func (p pimShared) step(ctx context.Context, env *Env, batch []workload.Request, tokensOf TokensOf, fc fcFunc, combine combineFunc) (StepCost, error) {
 	if env.PP == 1 {
 		sec, stats, share, err := p.stageTime(env, batch, tokensOf, fc, combine)

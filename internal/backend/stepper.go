@@ -14,7 +14,7 @@ import (
 // that memoizes those derivations across decode iterations. A stepper's
 // Step must be observationally identical to the backend's own Step —
 // the same StepCost bit for bit — differing only in wall-clock cost;
-// the cluster step loops route every iteration through it when present.
+// the cluster decode loop routes every iteration through it when present.
 type Incremental interface {
 	NewStepper(env *Env) Stepper
 }

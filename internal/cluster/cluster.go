@@ -4,10 +4,12 @@
 // CENT, heterogeneous xPU+PIM nodes in the style of NeuPIMs, the A100
 // GPU baseline of Fig. 20, and an L3/LoL-PIM-style DIMM-PIM system —
 // live behind the internal/backend seam: this package owns the
-// backend-agnostic step loop (admission against a KV allocator,
-// iteration pricing, growth, retirement, energy accrual) and asks the
-// configured backend to price each phase. Adding a system organisation
-// is a backend.Register call, not a fork of the loops here.
+// backend-agnostic decode loop, the step-level Engine (admission against
+// a KV allocator, iteration pricing, growth, preemption, retirement,
+// energy accrual), and asks the configured backend to price each phase.
+// Online serving steps the engine event by event; Run drains it over a
+// fixed decode window for the paper's batch figures. Adding a system
+// organisation is a backend.Register call, not a fork of the loop here.
 //
 // Parallelism follows Sec. II-C: tensor parallelism (TP) shards KV heads
 // and FC weights across modules with a per-layer all-reduce, and pipeline
@@ -33,8 +35,8 @@ import (
 	"pimphony/internal/workload"
 )
 
-// simTokens tallies every decode token priced by a step loop in this
-// process (batch simulator and serving engine alike). The benchgate
+// simTokens tallies every decode token priced by the decode loop in this
+// process (batch windows and serving alike). The benchgate
 // derives its sim_rate metric — simulated tokens per wall-second — from
 // deltas of this counter around a timed experiment.
 var simTokens atomic.Int64
@@ -92,10 +94,6 @@ type Config struct {
 	// capacity left after weights (0 = whole pool). The capacity studies
 	// use it to compare allocation schemes at an equal memory budget.
 	KVBudgetBytes int64
-	// ContinuousBatching enables Orca-style iteration-level scheduling:
-	// requests that finish their generation length release their KV
-	// memory and the next pending request is admitted mid-window.
-	ContinuousBatching bool
 }
 
 // env builds the backend pricing environment for this configuration.
@@ -170,7 +168,7 @@ type Report struct {
 
 // System is a reusable simulator instance (kernel latencies are memoized
 // across runs on the same device). A System is not safe for concurrent
-// use: the step loops and the backend's incremental stepper share
+// use: the engine and the backend's incremental stepper share
 // per-System scratch state. Sweeps build one System per point.
 type System struct {
 	cfg Config
@@ -179,9 +177,9 @@ type System struct {
 	adm backend.Admission
 	// stepper is the backend's memoizing iteration pricer (nil for
 	// backends without one); iterate routes every decode iteration
-	// through it so both the batch simulator and the serving engine
-	// price steps incrementally. sliceStepper is its batch-order
-	// token-slice fast path, when the stepper offers one.
+	// through it so the engine prices steps incrementally. sliceStepper
+	// is its batch-order token-slice fast path, when the stepper offers
+	// one.
 	stepper      backend.Stepper
 	sliceStepper backend.SliceStepper
 }
@@ -256,8 +254,7 @@ func (s *System) kvPoolBytes() (int64, error) {
 }
 
 // admitter owns the admission state: the KV allocator, the head-first
-// per-channel budget and the FCFS pending queue. With continuous batching
-// it also refills the batch when requests complete.
+// per-channel budget and the FCFS pending queue.
 type admitter struct {
 	sys        *System
 	alloc      memory.Allocator
@@ -269,22 +266,15 @@ type admitter struct {
 	skipUnfit  bool // scan past unfit requests instead of stopping
 	pending    []workload.Request
 	active     []workload.Request
-	// horizon is the token count a request must be able to reach without
-	// eviction, used for headroom-aware admission. The batch simulator
-	// grows every request through the decode window; the serving engine
-	// grows each request to its own generation length.
-	horizon func(workload.Request) int
-	// admitTokens is the KV size (in tokens) a request occupies at the
-	// moment of admission. The default is the prompt context (or the
-	// full horizon for upfront-reserving backends); the serving engine
-	// overrides it so a preempted request re-admits at its full
-	// recomputed KV (context + tokens already generated).
-	admitTokens func(workload.Request) int
+	// grown is the engine's progress map (tokens generated per request).
+	// A request admits at its prompt plus that progress, so a preempted
+	// request re-admits at its full recomputed KV size.
+	grown map[int]int
 }
 
 // newAdmitter builds the allocator and admission bookkeeping from the
-// backend's admission parameters.
-func (s *System) newAdmitter(reqs []workload.Request) (*admitter, error) {
+// backend's admission parameters over the engine's progress map.
+func (s *System) newAdmitter(grown map[int]int) (*admitter, error) {
 	pool, err := s.kvPoolBytes()
 	if err != nil {
 		return nil, err
@@ -303,25 +293,21 @@ func (s *System) newAdmitter(reqs []workload.Request) (*admitter, error) {
 	if err != nil {
 		return nil, err
 	}
-	ad := &admitter{sys: s, alloc: alloc, headNeed: make(map[int]int64), pending: reqs,
-		skipUnfit: s.adm.SkipUnfit}
-	ad.admitTokens = func(r workload.Request) int { return r.Context }
-	if s.adm.ReserveHorizon {
-		ad.admitTokens = func(r workload.Request) int { return ad.horizon(r) }
-	}
-	ad.horizon = func(r workload.Request) int {
-		need := r.Context + s.cfg.DecodeWindow
-		if !s.adm.UnclampedHorizon && need > s.tmax() {
-			need = s.tmax()
-		}
-		return need
-	}
+	ad := &admitter{sys: s, alloc: alloc, headNeed: make(map[int]int64),
+		skipUnfit: s.adm.SkipUnfit, grown: grown}
 	ad.kvHeads = s.adm.KVHeadsPerModule
 	if s.adm.HeadBudget > 0 {
 		ad.headFirst = true
 		ad.headBudget = s.adm.HeadBudget
 	}
 	return ad, nil
+}
+
+// horizon is the token count a request must be able to reach without
+// eviction, used for headroom-aware admission: its whole generation
+// length, clamped to T_max.
+func (a *admitter) horizon(r workload.Request) int {
+	return min(r.Context+r.Decode, a.sys.tmax())
 }
 
 // admitFits is the admission predicate shared by fill and wouldAdmit
@@ -372,7 +358,7 @@ func (a *admitter) fill() {
 			}
 			break
 		}
-		if err := a.alloc.Admit(r.ID, a.admitTokens(r)); err != nil {
+		if err := a.alloc.Admit(r.ID, r.Context+a.grown[r.ID]); err != nil {
 			break
 		}
 		a.headUsed += headNeed
@@ -458,21 +444,6 @@ func (a *admitter) release(reqID int) error {
 	return nil
 }
 
-// formBatch admits requests against the configured allocator and returns
-// the admitter for growth and (optionally) continuous-batching refills.
-func (s *System) formBatch(reqs []workload.Request) (*admitter, error) {
-	ad, err := s.newAdmitter(reqs)
-	if err != nil {
-		return nil, err
-	}
-	ad.fill()
-	if len(ad.active) == 0 {
-		return nil, fmt.Errorf("cluster %s: no request fits (pool %d GiB, T_max %d)",
-			s.cfg.Name, ad.alloc.CapacityBytes()>>30, s.tmax())
-	}
-	return ad, nil
-}
-
 // iterate prices one decode iteration, through the backend's memoizing
 // stepper when it has one (bit-identical to Backend.Step, amortized
 // cheap) and through the backend directly otherwise. Every simulated
@@ -505,97 +476,47 @@ func (s *System) Run(reqs []workload.Request) (*Report, error) {
 // RunCtx is Run with cancellation: the decode loop aborts between
 // iterations once ctx is done, so config-grid sweeps can stop early when
 // a sibling point fails.
+//
+// The window is a drain of the serving engine. Every candidate is queued
+// with the window as its generation length, one admission pass forms the
+// batch (CapacityUtil is sampled right after it), and the engine steps
+// until the window has run or nothing is left to decode. So the batch
+// figures share the engine's semantics: a request that cannot grow
+// preempts the youngest, only generated tokens count, and a request
+// reaching T_max retires and frees its slot for the queue.
 func (s *System) RunCtx(ctx context.Context, reqs []workload.Request) (*Report, error) {
-	ad, err := s.formBatch(reqs)
+	e, err := s.NewEngine()
 	if err != nil {
 		return nil, err
 	}
-	batch := ad.active
-	alloc := ad.alloc
-	capUtil := memory.PoolUtilization(alloc)
+	for _, r := range reqs {
+		r.Decode = s.cfg.DecodeWindow
+		if err := e.Enqueue(r); err != nil {
+			return nil, err
+		}
+	}
+	e.ad.fill()
+	if len(e.ad.active) == 0 {
+		return nil, fmt.Errorf("cluster %s: no request fits (pool %d GiB, T_max %d)",
+			s.cfg.Name, e.ad.alloc.CapacityBytes()>>30, s.tmax())
+	}
+	capUtil := memory.PoolUtilization(e.ad.alloc)
 	if u := s.adm.ReportedUtil; u > 0 {
 		capUtil = u
 	}
-	grown := make(map[int]int, len(batch)) // extra tokens generated so far
-	rep := &Report{Config: s.cfg.Name, Backend: s.be.Name(), Batch: len(batch), Steps: s.cfg.DecodeWindow, CapacityUtil: capUtil}
-	var totalSec, attnShareAcc float64
-	var busy, span timing.Cycles
-	var channels int
-	generated := 0
-	stepsRun := 0
-	for step := 0; step < s.cfg.DecodeWindow; step++ {
-		if err := ctx.Err(); err != nil {
+	// An idle Step is not a step, so the window also ends once every
+	// request has retired (truncated at T_max) and the queue is empty.
+	for e.Steps() < s.cfg.DecodeWindow && !e.Idle() {
+		if _, err := e.Step(ctx); err != nil {
 			return nil, err
 		}
-		tokensOf := func(r workload.Request) int { return r.Context + grown[r.ID] }
-		cost, err := s.iterate(ctx, batch, tokensOf)
-		if err != nil {
-			return nil, err
-		}
-		iterSec := cost.Seconds
-		busy += cost.Stats.Busy
-		span += cost.Stats.Cycles
-		channels = cost.Stats.Channels
-		totalSec += iterSec
-		attnShareAcc += cost.AttnShare
-		generated += len(batch)
-		stepsRun++
-		// Advance every request by one generated token.
-		for _, r := range batch {
-			grown[r.ID]++
-			target := tokensOf(r) + 1
-			if s.adm.ReserveHorizon {
-				// The full horizon is already reserved upfront; growth
-				// needs no extra headroom and stops at the reservation
-				// edge instead of probing past it.
-				if h := ad.horizon(r); target > h {
-					target = h
-				}
-			}
-			if err := alloc.Grow(r.ID, target); err != nil {
-				// Out of headroom: freeze this request's growth (the real
-				// system would evict; the window is short enough not to).
-				grown[r.ID]--
-			}
-		}
-		// Continuous batching: retire finished requests and refill FCFS.
-		// (Collect first: release mutates the active slice batch aliases.)
-		if s.cfg.ContinuousBatching {
-			var done []int
-			for _, r := range batch {
-				if r.Decode > 0 && grown[r.ID] >= r.Decode {
-					done = append(done, r.ID)
-				}
-			}
-			for _, id := range done {
-				if err := ad.release(id); err != nil {
-					return nil, err
-				}
-			}
-			ad.fill()
-			batch = ad.active
-			if len(batch) > rep.Batch {
-				rep.Batch = len(batch)
-			}
-			if len(batch) == 0 {
-				break
-			}
-		}
-		// Accrue this iteration's energy on the backend's model.
-		ae, fe := s.be.IterEnergy(s.env, cost, len(batch))
-		rep.AttnEnergy.Add(ae)
-		rep.FCEnergy.Add(fe)
 	}
-	rep.Steps = stepsRun
-	rep.TotalSeconds = totalSec
-	rep.Throughput = float64(generated) / totalSec
-	if stepsRun > 0 {
-		rep.AttnTimeShare = attnShareAcc / float64(stepsRun)
-		rep.TBTSeconds = totalSec / float64(stepsRun)
-	}
-	if span > 0 {
-		rep.PIMUtil = float64(busy) / (float64(span) * float64(channels))
-	}
+	// The batch was not empty, so at least one step ran.
+	steps, sec := float64(e.Steps()), e.BusySeconds()
+	rep := &Report{Config: s.cfg.Name, Backend: s.be.Name(), Batch: e.MaxActive(), Steps: e.Steps(),
+		TotalSeconds: sec, Throughput: float64(e.Generated()) / sec, PIMUtil: e.Utilization(),
+		AttnTimeShare: e.attnShare / steps, CapacityUtil: capUtil, TBTSeconds: sec / steps}
+	rep.AttnEnergy, rep.FCEnergy = e.Energy()
 	return rep, nil
 }
 

@@ -7,9 +7,8 @@ import (
 	"pimphony/internal/workload"
 )
 
-// shortDecode builds a request stream whose generation lengths complete
-// within the decode window, so continuous batching has completions to act
-// on.
+// shortDecode builds a request stream with short generation lengths, so
+// continuous batching has completions to act on.
 func shortDecode(n, context, decode int) []workload.Request {
 	reqs := workload.Uniform(context, 3).Batch(n)
 	for i := range reqs {
@@ -18,95 +17,37 @@ func shortDecode(n, context, decode int) []workload.Request {
 	return reqs
 }
 
-func TestContinuousBatchingRefills(t *testing.T) {
-	m := model.LLM7B32K()
-	cfg := centConfig(m, PIMphony())
-	cfg.DecodeWindow = 12
-	cfg.MaxBatch = 4
-	cfg.ContinuousBatching = true
-	reqs := shortDecode(16, 8000, 3) // finish every 3 steps
-
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sys.Run(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 4 slots x 12 steps / 3 steps per request = up to 16 completions;
-	// far more than the 4 a static batch would serve.
-	if got := rep.Throughput; got <= 0 {
-		t.Fatalf("bad throughput %f", got)
-	}
-	staticCfg := cfg
-	staticCfg.ContinuousBatching = false
-	sys2, err := New(staticCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep2, err := sys2.Run(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same batch cap, same per-step cost: throughput should be close, but
-	// continuous batching must have served more distinct requests (its
-	// peak batch stays at the cap after refills).
-	if rep.Batch < rep2.Batch {
-		t.Errorf("continuous batching peak batch %d below static %d", rep.Batch, rep2.Batch)
-	}
-	if rep.Steps != 12 {
-		t.Errorf("window should stay filled by refills, ran %d steps", rep.Steps)
-	}
-}
-
-func TestContinuousBatchingDrainsWhenPoolEmpty(t *testing.T) {
-	m := model.LLM7B32K()
-	cfg := centConfig(m, PIMphony())
-	cfg.DecodeWindow = 20
-	cfg.ContinuousBatching = true
-	reqs := shortDecode(3, 8000, 2) // only 3 requests, each 2 steps
-
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sys.Run(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Steps >= 20 {
-		t.Errorf("window should end early once all requests complete, ran %d steps", rep.Steps)
-	}
-	// 3 requests x 2 tokens = 6 generated tokens.
-	wantTokens := 6.0
-	if got := rep.Throughput * rep.TotalSeconds; got < wantTokens-0.5 || got > wantTokens+0.5 {
-		t.Errorf("generated %.1f tokens, want %.0f", got, wantTokens)
-	}
-}
-
+// TestContinuousBatchingFreesChannelBudget: under head-first placement
+// the channel budget must be returned on release, or refills would
+// starve and the queue would stall behind a budget nobody holds.
 func TestContinuousBatchingFreesChannelBudget(t *testing.T) {
-	// Under head-first placement the channel budget must be returned on
-	// release, or refills would starve.
 	m := model.LLM7B128KGQA()
 	cfg := centConfig(m, Technique{DPA: true}) // HFP placement + DPA alloc
-	cfg.DecodeWindow = 16
-	cfg.ContinuousBatching = true
 	cfg.TMaxOverride = 40000
 	cfg.MaxBatch = 6
-	reqs := shortDecode(24, 30000, 2)
-
 	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sys.Run(reqs)
+	e, err := sys.NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	served := int(rep.Throughput*rep.TotalSeconds) / 2 // 2 tokens each
-	if served <= rep.Batch {
-		t.Errorf("refills should serve more requests (%d) than one batch (%d)", served, rep.Batch)
+	reqs := shortDecode(24, 30000, 2)
+	for _, r := range reqs {
+		if err := e.Enqueue(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := drain(t, e)
+	if len(done) != len(reqs) {
+		t.Fatalf("completed %d of %d requests", len(done), len(reqs))
+	}
+	if e.MaxActive() >= len(done) {
+		t.Errorf("refills should serve more requests (%d) than one batch (%d)", len(done), e.MaxActive())
+	}
+	if e.Generated() != 2*len(reqs) {
+		t.Errorf("generated %d tokens, want %d", e.Generated(), 2*len(reqs))
 	}
 }
 

@@ -13,14 +13,13 @@ import (
 	"pimphony/internal/workload"
 )
 
-// Engine drives a System one decode iteration at a time, the step-level
-// interface the online serving simulator (internal/serve) builds on.
-// Where Run replays a fixed candidate pool through a decode window, an
-// Engine accepts requests as they arrive (Enqueue), admits them against
-// the configured KV allocator at iteration boundaries, retires each
-// request once it has generated its own Decode length (continuous
-// batching is inherent to serving, so no ContinuousBatching toggle), and
-// reports per-step events — who was admitted, who generated a token, who
+// Engine drives a System one decode iteration at a time: the one decode
+// loop, which the online serving simulator (internal/serve) steps event
+// by event and Run drains over a fixed decode window. An Engine accepts
+// requests as they arrive (Enqueue), admits them against the configured
+// KV allocator at iteration boundaries, retires each request once it has
+// generated its own Decode length (continuous batching), and reports
+// per-step events — who was admitted, who generated a token, who
 // completed — from which the caller reconstructs per-request admission
 // and completion timestamps.
 //
@@ -48,6 +47,7 @@ type Engine struct {
 	// running aggregates for utilization reporting
 	busy, span timing.Cycles
 	channels   int
+	attnShare  float64 // Σ per-iteration attention share (Run's AttnTimeShare)
 	totalSec   float64
 	generated  int
 	steps      int
@@ -144,25 +144,13 @@ type StepResult struct {
 // iterations through Backend.Step, so the GPU baseline gets the same
 // admission, preemption and serving metrics as the PIM systems.
 func (s *System) NewEngine() (*Engine, error) {
-	ad, err := s.newAdmitter(nil)
+	grown := make(map[int]int)
+	ad, err := s.newAdmitter(grown)
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{sys: s, ad: ad, grown: make(map[int]int), seen: make(map[int]bool),
-		preempted: make(map[int]bool), timeScale: 1}
-	// Serving knows each request's own generation length, so admission
-	// headroom is exact instead of the batch simulator's fixed window.
-	ad.horizon = func(r workload.Request) int {
-		need := r.Context + r.Decode
-		if need > s.tmax() {
-			need = s.tmax()
-		}
-		return need
-	}
-	// A preempted request re-admits at its full rebuilt KV size: the
-	// prompt plus every token it had already generated.
-	ad.admitTokens = func(r workload.Request) int { return r.Context + e.grown[r.ID] }
-	return e, nil
+	return &Engine{sys: s, ad: ad, grown: grown, seen: make(map[int]bool),
+		preempted: make(map[int]bool), timeScale: 1}, nil
 }
 
 // Enqueue appends a request to the FCFS admission queue. Requests must
@@ -332,31 +320,14 @@ func (e *Engine) Step(ctx context.Context) (StepResult, error) {
 	if err != nil {
 		return res, err
 	}
-	e.busy += cost.Stats.Busy
-	e.span += cost.Stats.Cycles
-	e.channels = cost.Stats.Channels
-	ae, fe := s.be.IterEnergy(s.env, cost, len(batch))
-	e.attnE.Add(ae)
-	e.fcE.Add(fe)
-	iterSec := cost.Seconds
-	if e.timeScale != 1 {
-		iterSec *= e.timeScale
-	}
-	res.Seconds = iterSec + res.RecomputeSeconds
-	e.totalSec += res.Seconds
-	e.recomputeSec += res.RecomputeSeconds
-	if len(e.ad.pending) > 0 {
-		e.blockedSec += res.Seconds
-	}
-	e.steps++
-	// Advance every request by one generated token. Growth is to the
-	// exact live token count — unlike RunCtx, which pre-reserves one
-	// extra token of headroom per step: the batch simulator freezes a
-	// boundary request one token earlier and leaves it frozen through
-	// its fixed window, while the serving engine decodes to the window's
-	// edge and truncates there (the retire check below). A failed Grow
-	// (DPA pool exhausted) preempts the youngest admitted request and
-	// retries until the grower succeeds or is itself the victim.
+	res.Seconds = e.account(cost, len(batch), res.RecomputeSeconds)
+	// Advance every request by one generated token, growing its KV to
+	// the exact live token count. A failed Grow (DPA pool exhausted)
+	// preempts the youngest admitted request and retries until the
+	// grower succeeds or is itself the victim. This growth step is the
+	// one part of an iteration fastForward does not share: a leap stays
+	// inside the allocator's budget, so it commits one Grow per request
+	// that cannot fail.
 	res.Generated = e.genScratch[:0]
 	for _, r := range batch {
 		if !e.ad.isActive(r.ID) {
@@ -385,26 +356,9 @@ func (e *Engine) Step(ctx context.Context) (StepResult, error) {
 	}
 	e.genScratch = res.Generated
 	e.sampleCapacity()
-	// Retire finished requests — generation length reached, or KV cache
-	// at the context window (truncated generation; without this, a
-	// static-allocation request with Context+Decode > T_max would
-	// freeze forever and stall the batch). (Collect first: release
-	// mutates the active slice.)
-	var done []workload.Request
-	for _, r := range batch {
-		if !e.ad.isActive(r.ID) {
-			continue
-		}
-		if e.grown[r.ID] >= r.Decode || r.Context+e.grown[r.ID] >= s.tmax() {
-			done = append(done, r)
-		}
-	}
-	for _, r := range done {
-		if err := e.ad.release(r.ID); err != nil {
-			return res, err
-		}
-		e.outstanding -= r.Decode - e.grown[r.ID] // T_max truncation leaves a remainder
-		delete(e.grown, r.ID)
+	done, err := e.retire(batch)
+	if err != nil {
+		return res, err
 	}
 	res.Completed = done
 	if len(res.Generated) == 0 && len(done) == 0 && len(res.Preempted) == 0 {
@@ -412,6 +366,55 @@ func (e *Engine) Step(ctx context.Context) (StepResult, error) {
 			s.cfg.Name, len(batch))
 	}
 	return res, nil
+}
+
+// account books one priced iteration over a batch of n requests: the
+// utilization counters, energy, the time scale, the totals, blocked time
+// and the step count. It returns the iteration's duration, including
+// the recompute charge for re-admitted requests.
+func (e *Engine) account(cost backend.StepCost, n int, recompute float64) float64 {
+	s := e.sys
+	e.busy += cost.Stats.Busy
+	e.span += cost.Stats.Cycles
+	e.channels = cost.Stats.Channels
+	e.attnShare += cost.AttnShare
+	ae, fe := s.be.IterEnergy(s.env, cost, n)
+	e.attnE.Add(ae)
+	e.fcE.Add(fe)
+	sec := cost.Seconds
+	if e.timeScale != 1 {
+		sec *= e.timeScale
+	}
+	sec += recompute
+	e.totalSec += sec
+	e.recomputeSec += recompute
+	if len(e.ad.pending) > 0 {
+		e.blockedSec += sec
+	}
+	e.steps++
+	return sec
+}
+
+// retire releases the batch members still active that reached their
+// generation length or the context window (truncated generation: a real
+// serving system force-stops at T_max), in batch order. It collects
+// first, because release mutates the active slice.
+func (e *Engine) retire(batch []workload.Request) ([]workload.Request, error) {
+	tmax := e.sys.tmax()
+	var done []workload.Request
+	for _, r := range batch {
+		if g := e.grown[r.ID]; e.ad.isActive(r.ID) && (g >= r.Decode || r.Context+g >= tmax) {
+			done = append(done, r)
+		}
+	}
+	for _, r := range done {
+		if err := e.ad.release(r.ID); err != nil {
+			return nil, err
+		}
+		e.outstanding -= r.Decode - e.grown[r.ID] // T_max truncation leaves a remainder
+		delete(e.grown, r.ID)
+	}
+	return done, nil
 }
 
 // Leap advances the engine exactly as repeated Step calls would, but
@@ -538,32 +541,15 @@ func (e *Engine) fastForward(ctx context.Context, n int, now, until float64) (St
 		pos := e.posScratch
 		tokensOf = func(r workload.Request) int { return toks[pos[r.ID]] }
 	}
-	pending := len(e.ad.pending) > 0
 	res.IterSeconds = e.secScratch[:0]
 	for i := 0; i < n && (i == 0 || now < until); i++ {
 		cost, err := s.iterateToks(ctx, batch, toks, tokensOf)
 		if err != nil {
 			return res, err
 		}
-		e.busy += cost.Stats.Busy
-		e.span += cost.Stats.Cycles
-		e.channels = cost.Stats.Channels
-		ae, fe := s.be.IterEnergy(s.env, cost, len(batch))
-		e.attnE.Add(ae)
-		e.fcE.Add(fe)
-		sec := cost.Seconds
-		if e.timeScale != 1 {
-			sec *= e.timeScale
-		}
+		sec := e.account(cost, len(batch), 0)
 		res.IterSeconds = append(res.IterSeconds, sec)
 		res.Seconds += sec
-		e.totalSec += sec
-		if pending {
-			e.blockedSec += sec
-		}
-		e.steps++
-		e.generated += len(batch)
-		e.outstanding -= len(batch)
 		now += sec
 		for j := range toks {
 			toks[j]++
@@ -572,6 +558,8 @@ func (e *Engine) fastForward(ctx context.Context, n int, now, until float64) (St
 	e.secScratch = res.IterSeconds
 	res.Iterations = len(res.IterSeconds)
 	iters := res.Iterations
+	e.generated += iters * len(batch)
+	e.outstanding -= iters * len(batch)
 	res.Generated = e.genScratch[:0]
 	for i, r := range batch {
 		e.grown[r.ID] += iters
@@ -583,22 +571,12 @@ func (e *Engine) fastForward(ctx context.Context, n int, now, until float64) (St
 	}
 	e.genScratch = res.Generated
 	e.sampleCapacity()
-	// Retire finished requests, exactly as Step does. (A leap usually
-	// ends on a completion or truncation boundary, but an allocation or
-	// bucket horizon — or the until clamp — can end it with everyone
-	// still decoding.)
-	var done []workload.Request
-	for _, r := range batch {
-		if e.grown[r.ID] >= r.Decode || r.Context+e.grown[r.ID] >= s.tmax() {
-			done = append(done, r)
-		}
-	}
-	for _, r := range done {
-		if err := e.ad.release(r.ID); err != nil {
-			return res, err
-		}
-		e.outstanding -= r.Decode - e.grown[r.ID] // T_max truncation leaves a remainder
-		delete(e.grown, r.ID)
+	// A leap usually ends on a completion or truncation boundary, but an
+	// allocation or bucket horizon — or the until clamp — can end it with
+	// everyone still decoding.
+	done, err := e.retire(batch)
+	if err != nil {
+		return res, err
 	}
 	res.Completed = done
 	return res, nil
@@ -644,11 +622,7 @@ func (e *Engine) FreeKVBytes() int64 {
 // fleet scheduler can check a destination replica before handing work
 // to it. MaxBatch and queue order still apply at actual admission.
 func (e *Engine) HasHeadroom(r workload.Request) bool {
-	need := r.Context + r.Decode
-	if t := e.sys.tmax(); need > t {
-		need = t
-	}
-	return e.ad.alloc.CanAdmit(need)
+	return e.ad.alloc.CanAdmit(e.ad.horizon(r))
 }
 
 // EnqueueResumed enqueues a request that has already generated gen
@@ -657,7 +631,7 @@ func (e *Engine) HasHeadroom(r workload.Request) bool {
 // the request's progress, and — unlike a preempted re-admission — does
 // not mark the request for a recompute charge: the KV was moved, not
 // lost. On admission the request occupies Context+gen tokens of KV
-// (the admitter's admitTokens hook) and decodes its remaining
+// (admission reads the progress map) and decodes its remaining
 // Decode-gen tokens.
 func (e *Engine) EnqueueResumed(r workload.Request, gen int) error {
 	if gen < 0 || gen >= r.Decode {

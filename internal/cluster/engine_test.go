@@ -253,46 +253,6 @@ func TestEngineRejectsOversized(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesRunThroughput cross-checks the engine against the
-// batch simulator: serving one request is priced by the same iteration
-// model, so total time over its decode length must match a Run of the
-// same request with ContinuousBatching (which retires it at the same
-// point).
-func TestEngineMatchesRunThroughput(t *testing.T) {
-	cfg := engineConfig(t, PIMphony())
-	cfg.ContinuousBatching = true
-	cfg.DecodeWindow = 8
-	req := workload.Request{ID: 0, Context: 8192, Decode: 5}
-
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sys.Run([]workload.Request{req})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sys2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := sys2.NewEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Enqueue(req); err != nil {
-		t.Fatal(err)
-	}
-	drain(t, e)
-	if e.Steps() != rep.Steps {
-		t.Fatalf("engine ran %d steps, Run ran %d", e.Steps(), rep.Steps)
-	}
-	if diff := e.BusySeconds() - rep.TotalSeconds; diff > 1e-12 || diff < -1e-12 {
-		t.Errorf("engine time %g vs Run time %g", e.BusySeconds(), rep.TotalSeconds)
-	}
-}
-
 // TestEngineKVBudgetCapsPool: Config.KVBudgetBytes caps the serving
 // pool below the physical capacity left after weights.
 func TestEngineKVBudgetCapsPool(t *testing.T) {

@@ -98,7 +98,10 @@ func gpuCase(t *testing.T, name string, cfg Config, reqs []workload.Request) *Re
 // cases of the backend extraction: an overflowing pool whose unfit
 // requests are skipped (not queue-blocking), MaxBatch truncation, and
 // the PagedAttentionEff capacity derate — all bit-exact against the
-// pre-refactor math.
+// pre-refactor math. The oracle reserves each request's context+window
+// upfront, while the engine drain admits lazily at the live context and
+// grows per token; on these three cases the two admit the same batch
+// and no growth preempts, so they agree.
 func TestGPUByteIdenticalAcrossRefactor(t *testing.T) {
 	m7 := model.LLM7B32K()
 	m72 := model.LLM72B32K()

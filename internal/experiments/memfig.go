@@ -182,7 +182,7 @@ func AblationChunkSize() (*Result, error) {
 				if a.Admit(r.ID, r.Context) != nil {
 					break
 				}
-				entries += len(a.Chunks(r.ID))
+				entries += a.MappedChunks(r.ID)
 				n++
 			}
 			if n == 0 {

@@ -26,21 +26,3 @@ func BenchmarkDPAChurn(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkDPATranslate measures the VA2PA hot path the dispatcher resolves
-// per MAC instruction group.
-func BenchmarkDPATranslate(b *testing.B) {
-	d, err := NewDPA(64<<30, 128<<10, DefaultChunkBytes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := d.Admit(0, 100000); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.Translate(0, int64(i)%d.LiveBytes()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -2,20 +2,19 @@ package memory
 
 import "fmt"
 
-// refDPA is the eager DPA allocator the lazy one replaced, kept verbatim
-// (only renamed) as the differential oracle's reference: NewDPA built
-// an O(pool) descending free list, every Admit allocated a fresh VA2PA
-// row, and GrowBudget ran an exponential-plus-binary search with no
-// caller limit. Its one known bug — Translate truncating a small
-// negative vaddr to virtual chunk 0 — is left in place; the oracle
-// expects the production allocator to reject those addresses instead.
+// refDPA is the eager DPA allocator the counting one replaced, kept as
+// the differential oracle's reference: NewDPA built an O(pool)
+// descending free list of physical chunk IDs, every Admit allocated a
+// fresh VA2PA row naming its chunks, and GrowBudget ran an
+// exponential-plus-binary search with no caller limit. The oracle
+// compares each request's mapped-chunk count with its row length.
 type refDPA struct {
 	capacity      int64
 	bytesPerToken int64
 	chunkBytes    int64
 	nChunks       int
-	freeList      []ChunkID
-	va2pa         map[int][]ChunkID // request -> virtual chunk order -> physical
+	freeList      []int
+	va2pa         map[int][]int // request -> virtual chunk order -> physical
 	liveTokens    map[int]int
 	hostMessages  int // host<->module allocation messages (Sec. VI-C)
 
@@ -35,9 +34,9 @@ func newRefDPA(capacity, bytesPerToken, chunkBytes int64) (*refDPA, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("memory: capacity %d below one chunk (%d)", capacity, chunkBytes)
 	}
-	free := make([]ChunkID, n)
+	free := make([]int, n)
 	for i := range free {
-		free[i] = ChunkID(n - 1 - i) // pop from the end -> ascending IDs
+		free[i] = n - 1 - i // pop from the end -> ascending IDs
 	}
 	return &refDPA{
 		capacity:      capacity,
@@ -45,7 +44,7 @@ func newRefDPA(capacity, bytesPerToken, chunkBytes int64) (*refDPA, error) {
 		chunkBytes:    chunkBytes,
 		nChunks:       n,
 		freeList:      free,
-		va2pa:         make(map[int][]ChunkID),
+		va2pa:         make(map[int][]int),
 		liveTokens:    make(map[int]int),
 	}, nil
 }
@@ -159,27 +158,10 @@ func (d *refDPA) LiveBytes() int64     { return d.liveTokSum * d.bytesPerToken }
 func (d *refDPA) ReservedBytes() int64 { return d.mappedSum * d.chunkBytes }
 func (d *refDPA) HostMessages() int    { return d.hostMessages }
 
-func (d *refDPA) Translate(reqID int, vaddr int64) (int64, error) {
-	chunks, ok := d.va2pa[reqID]
-	if !ok {
-		return 0, fmt.Errorf("memory: request %d not admitted", reqID)
-	}
-	vc := int(vaddr / d.chunkBytes)
-	if vc < 0 || vc >= len(chunks) {
-		return 0, fmt.Errorf("memory: request %d vaddr %d beyond mapped region", reqID, vaddr)
-	}
-	return int64(chunks[vc])*d.chunkBytes + vaddr%d.chunkBytes, nil
-}
+func (d *refDPA) Chunks(reqID int) []int { return d.va2pa[reqID] }
 
-func (d *refDPA) Chunks(reqID int) []ChunkID {
-	src := d.va2pa[reqID]
-	out := make([]ChunkID, len(src))
-	copy(out, src)
-	return out
-}
-
-func (d *refDPA) pop(n int) []ChunkID {
-	out := make([]ChunkID, n)
+func (d *refDPA) pop(n int) []int {
+	out := make([]int, n)
 	copy(out, d.freeList[len(d.freeList)-n:])
 	d.freeList = d.freeList[:len(d.freeList)-n]
 	return out

@@ -2,8 +2,11 @@
 // Sec. VI of the paper: conventional static allocation, which reserves
 // T_max-sized regions per request because PIM instruction streams embed
 // fixed physical addresses, and PIMphony's Dynamic PIM Access (DPA)
-// allocation, which lazily maps 1 MB chunks through a VA2PA table as a
-// request's KV cache grows.
+// allocation, which lazily maps 1 MB chunks as a request's KV cache
+// grows. The DPA model counts each request's mapped chunks (its VA2PA
+// entries) rather than naming them: capacity, not placement, is what
+// the evaluation measures. A third allocator, Paged, models the GPU
+// baseline's paged-attention pool.
 package memory
 
 import (
@@ -191,36 +194,30 @@ func (s *Static) MaxBatch() int { return int(s.capacity / s.reservePer) }
 // DPA allocator
 // ---------------------------------------------------------------------------
 
-// ChunkID is a physical chunk index within the pool.
-type ChunkID int
-
 // maxGrowBudget caps every DPA GrowBudget answer: a budget this large
 // outlasts any leap, and the cap keeps chunk-demand probes far from
 // integer overflow.
 const maxGrowBudget = 1 << 30
 
-// DPA implements lazy chunked allocation with virtual-to-physical chunk
-// translation, the software model of the on-module dispatcher's VA2PA table
-// (Fig. 11). Chunks are handed out on demand as requests grow, so internal
-// fragmentation is limited to the final chunk of each request.
+// DPA implements lazy chunked allocation, the host-side capacity model of
+// the Dynamic PIM Access controller (Fig. 11). Chunks are mapped on
+// demand as requests grow, so internal fragmentation is limited to the
+// final chunk of each request.
 //
-// The host-side bookkeeping is lazy too, so its cost follows the live
-// requests, not the pool size. Chunks that were never mapped are only a
-// high-water mark; released chunks sit on a stack above them. Chunks
-// come off in the order of an eager free list holding every
-// never-mapped ID in descending order beneath the released stack,
-// popped from the back. A released request's VA2PA row is kept for a
-// later admission, so a steady admit/grow/release cycle allocates
-// nothing.
+// The model counts chunks rather than naming them: which physical chunk
+// backs a virtual one changes no capacity, timing or serving result, so
+// each request keeps only its live tokens and mapped-chunk count (the
+// length of its VA2PA row), and the pool's free chunks are the capacity
+// less the mapped sum. Released entries are recycled, so a steady
+// admit/grow/release cycle allocates nothing and the cost follows the
+// live requests, not the pool size.
 type DPA struct {
 	capacity      int64
 	bytesPerToken int64
 	chunkBytes    int64
 	nChunks       int
-	fresh         int       // chunks [fresh, nChunks) have never been mapped
-	released      []ChunkID // freed chunks; the next one handed out is last
 	reqs          map[int]*dpaReq
-	spare         []*dpaReq // released entries, rows kept for reuse
+	spare         []*dpaReq // released entries, recycled by Admit
 	hostMessages  int       // host<->module allocation messages (Sec. VI-C)
 
 	// Running aggregates so LiveBytes/ReservedBytes are O(1) — the
@@ -229,23 +226,17 @@ type DPA struct {
 	liveTokSum int64 // Σ live tokens
 	mappedSum  int64 // Σ mapped chunks
 
-	// growScratch snapshots (live tokens, mapped chunks) per request so
-	// GrowBudget's probes walk a slice instead of the map.
-	growScratch []growSnap
+	// growScratch snapshots each request so GrowBudget's probes walk a
+	// slice instead of the map.
+	growScratch []dpaReq
 }
 
-// dpaReq is one admitted request: its live token count and its VA2PA
-// row (virtual chunk order -> physical chunk).
-type dpaReq struct {
-	live int
-	row  []ChunkID
-}
-
-type growSnap struct{ live, have int }
+// dpaReq is one admitted request: its live token count and how many
+// chunks its VA2PA row maps.
+type dpaReq struct{ live, mapped int }
 
 // NewDPA builds a DPA allocator with the given chunk granularity. Its
-// cost does not depend on the pool size: no chunk is listed until one is
-// released.
+// cost does not depend on the pool size.
 func NewDPA(capacity, bytesPerToken, chunkBytes int64) (*DPA, error) {
 	if capacity <= 0 || bytesPerToken <= 0 || chunkBytes <= 0 {
 		return nil, fmt.Errorf("memory: DPA allocator params must be positive")
@@ -273,58 +264,7 @@ func (d *DPA) chunksFor(tokens int) int {
 }
 
 // free is the number of unmapped chunks.
-func (d *DPA) free() int { return d.nChunks - d.fresh + len(d.released) }
-
-// take appends k free chunks to row, in the order the eager free list's
-// tail held them: when the released stack runs short, the lowest
-// never-mapped IDs first, highest first; then the top of the stack in
-// stack order.
-func (d *DPA) take(row []ChunkID, k int) []ChunkID {
-	if r := len(d.released); k > r {
-		for c := d.fresh + k - r - 1; c >= d.fresh; c-- {
-			row = append(row, ChunkID(c))
-		}
-		d.fresh += k - r
-		k = r
-	}
-	n := len(d.released) - k
-	row = append(row, d.released[n:]...)
-	d.released = d.released[:n]
-	return row
-}
-
-// entry returns a request entry whose row can hold need chunks: the
-// spare with the smallest row that fits, else the spare with the
-// largest row given a new one sized exactly (a fresh entry when there
-// are no spares). Best fit keeps long rows for long requests, so the
-// rows a pool keeps track its concurrent demand instead of each growing
-// to the longest request it ever served.
-func (d *DPA) entry(need int) *dpaReq {
-	best, largest := -1, -1
-	for i, r := range d.spare {
-		c := cap(r.row)
-		if c >= need && (best < 0 || c < cap(d.spare[best].row)) {
-			best = i
-		}
-		if largest < 0 || c > cap(d.spare[largest].row) {
-			largest = i
-		}
-	}
-	if best < 0 {
-		best = largest
-	}
-	if best < 0 {
-		return &dpaReq{row: make([]ChunkID, 0, need)}
-	}
-	r := d.spare[best]
-	last := len(d.spare) - 1
-	d.spare[best], d.spare[last] = d.spare[last], nil
-	d.spare = d.spare[:last]
-	if cap(r.row) < need {
-		r.row = make([]ChunkID, 0, need)
-	}
-	return r
-}
+func (d *DPA) free() int { return d.nChunks - int(d.mappedSum) }
 
 // Admit implements Allocator.
 func (d *DPA) Admit(reqID, tokens int) error {
@@ -335,9 +275,13 @@ func (d *DPA) Admit(reqID, tokens int) error {
 	if free := d.free(); need > free {
 		return fmt.Errorf("memory: DPA pool has %d free chunks, need %d", free, need)
 	}
-	r := d.entry(need)
-	r.live = tokens
-	r.row = d.take(r.row[:0], need)
+	var r *dpaReq
+	if n := len(d.spare); n > 0 {
+		r, d.spare = d.spare[n-1], d.spare[:n-1]
+	} else {
+		r = new(dpaReq)
+	}
+	*r = dpaReq{live: tokens, mapped: need}
 	d.reqs[reqID] = r
 	d.liveTokSum += int64(tokens)
 	d.mappedSum += int64(need)
@@ -345,7 +289,7 @@ func (d *DPA) Admit(reqID, tokens int) error {
 	return nil
 }
 
-// Grow implements Allocator: allocates additional chunks only when the new
+// Grow implements Allocator: maps additional chunks only when the new
 // context spills past the last mapped chunk (lazy allocation).
 func (d *DPA) Grow(reqID, newTokens int) error {
 	r, ok := d.reqs[reqID]
@@ -355,11 +299,11 @@ func (d *DPA) Grow(reqID, newTokens int) error {
 	if newTokens < r.live {
 		return fmt.Errorf("memory: request %d shrank (%d -> %d)", reqID, r.live, newTokens)
 	}
-	if extra := d.chunksFor(newTokens) - len(r.row); extra > 0 {
+	if extra := d.chunksFor(newTokens) - r.mapped; extra > 0 {
 		if free := d.free(); extra > free {
 			return fmt.Errorf("memory: DPA pool exhausted growing request %d (need %d chunks, %d free)", reqID, extra, free)
 		}
-		r.row = d.take(r.row, extra)
+		r.mapped += extra
 		d.mappedSum += int64(extra)
 		d.hostMessages++ // one host message per chunk-allocation event
 	}
@@ -368,18 +312,16 @@ func (d *DPA) Grow(reqID, newTokens int) error {
 	return nil
 }
 
-// Release implements Allocator: the request's chunks go on top of the
-// released stack and its entry to the spares.
+// Release implements Allocator: the request's chunks return to the pool
+// and its entry to the spares.
 func (d *DPA) Release(reqID int) error {
 	r, ok := d.reqs[reqID]
 	if !ok {
 		return fmt.Errorf("memory: request %d not admitted", reqID)
 	}
-	d.released = append(d.released, r.row...)
-	d.mappedSum -= int64(len(r.row))
+	d.mappedSum -= int64(r.mapped)
 	d.liveTokSum -= int64(r.live)
 	delete(d.reqs, reqID)
-	r.row = r.row[:0]
 	d.spare = append(d.spare, r)
 	d.hostMessages++
 	return nil
@@ -403,30 +345,28 @@ func (d *DPA) GrowBudget(reqIDs []int, limit int) int {
 		return 0
 	}
 	limit = min(limit, maxGrowBudget)
-	// Snapshot each request's live tokens and mapped chunks once; the
-	// probes below then walk a slice instead of the map.
 	snap := d.growScratch[:0]
 	for _, id := range reqIDs {
 		r, ok := d.reqs[id]
 		if !ok {
 			return 0
 		}
-		snap = append(snap, growSnap{live: r.live, have: len(r.row)})
+		snap = append(snap, *r)
 	}
 	d.growScratch = snap
 	free := d.free()
-	// Chunks the batch must allocate to grow n tokens per request.
+	// Chunks the batch must map to grow n tokens per request.
 	need := func(n int) int {
 		total := 0
 		for _, s := range snap {
-			total += d.chunksFor(s.live+n) - s.have
+			total += d.chunksFor(s.live+n) - s.mapped
 		}
 		return total
 	}
 	if need(limit) <= free {
 		return limit
 	}
-	// need(0) <= 0 <= free < need(limit): every row already maps its
+	// need(0) <= 0 <= free < need(limit): every request already maps its
 	// live tokens. Search for the largest affordable n below the limit.
 	lo, hi := 0, limit
 	for lo+1 < hi {
@@ -453,33 +393,13 @@ func (d *DPA) CapacityBytes() int64 { return d.capacity }
 // argues these are rare (not per decode step).
 func (d *DPA) HostMessages() int { return d.hostMessages }
 
-// Translate resolves a request-relative virtual byte address to a physical
-// byte address through the VA2PA table, mirroring the on-module
-// dispatcher's decode step. Negative addresses are rejected before the
-// division: truncation toward zero would put (-chunkBytes, 0) in virtual
-// chunk 0 and resolve into the physically preceding chunk, which may
-// belong to another request.
-func (d *DPA) Translate(reqID int, vaddr int64) (int64, error) {
-	r, ok := d.reqs[reqID]
-	if !ok {
-		return 0, fmt.Errorf("memory: request %d not admitted", reqID)
-	}
-	if vaddr < 0 || vaddr/d.chunkBytes >= int64(len(r.row)) {
-		return 0, fmt.Errorf("memory: request %d vaddr %d beyond mapped region", reqID, vaddr)
-	}
-	return int64(r.row[vaddr/d.chunkBytes])*d.chunkBytes + vaddr%d.chunkBytes, nil
-}
-
-// Chunks returns a copy of the request's physical chunk list (for tests and
-// the chunk-size ablation's VA2PA entry counts).
-func (d *DPA) Chunks(reqID int) []ChunkID {
-	var src []ChunkID
+// MappedChunks is the number of chunks a request maps — its VA2PA entry
+// count (zero for an unknown request). The chunk-size ablation reads it.
+func (d *DPA) MappedChunks(reqID int) int {
 	if r, ok := d.reqs[reqID]; ok {
-		src = r.row
+		return r.mapped
 	}
-	out := make([]ChunkID, len(src))
-	copy(out, src)
-	return out
+	return 0
 }
 
 // ---------------------------------------------------------------------------
@@ -492,10 +412,9 @@ func (d *DPA) Chunks(reqID int) []ChunkID {
 // fragmentation is already folded into the pool's paged-attention
 // efficiency derate). Unlike Static there is no fixed T_max region, and
 // unlike DPA there is no chunk rounding: admission and growth succeed
-// while the byte sum fits the pool. The GPU backend admits batch decode
-// at the full context+window horizon (upfront reservation) and serving
-// at the live context (growth may fail mid-decode, triggering
-// preemption — the vLLM recompute path).
+// while the byte sum fits the pool. The GPU backend admits at the live
+// context, so growth may fail mid-decode and trigger preemption — the
+// vLLM recompute path.
 type Paged struct {
 	capacity      int64
 	bytesPerToken int64
@@ -530,9 +449,8 @@ func (p *Paged) Admit(reqID, tokens int) error {
 
 // Grow implements Allocator: extends the request's reservation to
 // newTokens, failing when the pool cannot hold the extra bytes. Growth
-// at or below the current reservation is a no-op — the reservation is a
-// high-water mark, and decode within an upfront context+window
-// reservation never allocates.
+// at or below the current reservation is a no-op: the reservation is a
+// high-water mark.
 func (p *Paged) Grow(reqID, newTokens int) error {
 	cur, ok := p.tokens[reqID]
 	if !ok {
@@ -568,9 +486,7 @@ func (p *Paged) CanAdmit(tokens int) bool {
 
 // GrowBudget implements Allocator: paged growth reserves every token but
 // can only fail at pool exhaustion, so the lockstep budget is the free
-// pool split evenly across the growing requests (conservative for
-// requests still decoding inside an upfront high-water reservation,
-// whose Grow calls no-op).
+// pool split evenly across the growing requests.
 func (p *Paged) GrowBudget(reqIDs []int, limit int) int {
 	if len(reqIDs) == 0 || limit <= 0 {
 		return 0

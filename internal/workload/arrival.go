@@ -8,7 +8,7 @@ import (
 )
 
 // Arrival is one request tagged with its arrival time in an online
-// serving trace. The batch simulators (cluster.System.Run) ignore time;
+// serving trace. The batch window (cluster.System.Run) ignores time;
 // the serving simulator (internal/serve) admits requests only once the
 // simulated clock reaches At.
 type Arrival struct {
