@@ -62,9 +62,11 @@ race-serve:
 
 # The cold-pricing race lane: goroutines pricing overlapping cold shapes
 # on one perfmodel.Service share the pooled command buffers and scheduler
-# scratch; ten repetitions under the race detector.
+# scratch, and the pipelined stepper's prefetch fans cold shapes out over
+# one shared Service; ten repetitions of each under the race detector.
 race-pricing:
 	$(GO) test -race -count=10 -run TestConcurrentColdPricing ./internal/perfmodel/
+	$(GO) test -race -count=10 -run TestStepMatchesReference ./internal/backend/
 
 # Fuzz smoke: 30 seconds over the DES spine — randomized (seed,
 # arrival-mix, fleet-shape, fault-schedule) tuples must keep every

@@ -50,10 +50,10 @@ func main() {
 	tcp := flag.Bool("tcp", true, "enable token-centric partitioning")
 	dcs := flag.Bool("dcs", true, "enable dynamic command scheduling")
 	dpa := flag.Bool("dpa", true, "enable dynamic PIM access (lazy KV allocation)")
-	tp := flag.Int("tp", 0, "override tensor parallelism (0 = preset)")
-	pp := flag.Int("pp", 0, "override pipeline parallelism (0 = preset)")
-	window := flag.Int("window", 8, "decode steps to simulate")
-	pool := flag.Int("pool", 64, "candidate request pool size")
+	tp := flag.Int("tp", 0, "override tensor parallelism, together with -pp (0 = preset)")
+	pp := flag.Int("pp", 0, "override pipeline parallelism, together with -tp (0 = preset)")
+	window := flag.Int("window", 8, "decode steps to simulate (positive)")
+	pool := flag.Int("pool", 64, "candidate request pool size (positive)")
 	seed := flag.Int64("seed", 42, "workload RNG seed")
 	parallel := flag.Int("parallel", 0, "worker bound per sweep level, 0 = GOMAXPROCS (nested sweeps each apply their own bound; 1 reproduces fully sequential runs)")
 	list := flag.Bool("list", false, "list registered backends and experiments with descriptions, then exit")
@@ -64,6 +64,9 @@ func main() {
 	if *list {
 		experiments.Catalog(os.Stdout, nil)
 		return
+	}
+	if err := checkSizes(*tp, *pp, *window, *pool); err != nil {
+		log.Fatal(err)
 	}
 
 	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
@@ -104,7 +107,7 @@ func main() {
 				fatal(err)
 			}
 			cfg := preset.Make(m, tech)
-			if *tp > 0 && *pp > 0 {
+			if *tp > 0 {
 				cfg.TP, cfg.PP = *tp, *pp
 			}
 			cfg.DecodeWindow = *window
@@ -145,6 +148,24 @@ func main() {
 			1e3*rep.TBTSeconds, 100*rep.PIMUtil, 100*rep.CapacityUtil)
 	}
 	fmt.Print(t.String())
+}
+
+// checkSizes rejects size flags the run cannot honour, naming the flag,
+// rather than silently running a default in their place.
+func checkSizes(tp, pp, window, pool int) error {
+	switch {
+	case tp < 0:
+		return fmt.Errorf("-tp must be non-negative, got %d", tp)
+	case pp < 0:
+		return fmt.Errorf("-pp must be non-negative, got %d", pp)
+	case (tp == 0) != (pp == 0):
+		return fmt.Errorf("-tp and -pp override the preset together, got -tp %d -pp %d", tp, pp)
+	case window <= 0:
+		return fmt.Errorf("-window must be positive, got %d", window)
+	case pool <= 0:
+		return fmt.Errorf("-pool must be positive, got %d", pool)
+	}
+	return nil
 }
 
 func printSingle(cfg core.Config, rep *core.Report, tcp, dcs, dpa bool) {

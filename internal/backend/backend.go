@@ -7,13 +7,12 @@
 // semantics. The one decode loop in internal/cluster, the engine that
 // serving steps and the batch window drains, is backend-agnostic: it
 // admits against the backend's Admission parameters, prices every
-// iteration through Backend.Step, and accrues energy through
-// Backend.IterEnergy. Adding a
-// new system organisation is one Register call; no step-loop fork.
+// iteration through the Stepper Backend.NewStepper builds, and accrues
+// energy through Backend.IterEnergy. Adding a new system organisation
+// is one Register call; no step-loop fork.
 package backend
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -24,7 +23,6 @@ import (
 	"pimphony/internal/model"
 	"pimphony/internal/perfmodel"
 	"pimphony/internal/timing"
-	"pimphony/internal/workload"
 )
 
 // Technique toggles PIMphony's three co-designed techniques.
@@ -50,8 +48,11 @@ const (
 )
 
 // Env is the per-system context a backend prices against: the relevant
-// configuration subset plus the memoized pricing services the owning
-// cluster.System builds once.
+// configuration subset plus the pricing services the owning
+// cluster.System builds once. The System's Stepper and its energy
+// accrual use it from one goroutine at a time; only a pipelined
+// stepper's prefetch prices concurrently, through the internally locked
+// Perf service and read-only fields.
 type Env struct {
 	// Name is the owning configuration's name, used in error messages.
 	Name string
@@ -104,10 +105,6 @@ type StepCost struct {
 	Stats Stats
 }
 
-// TokensOf resolves a request's current KV length (prompt context plus
-// tokens generated so far).
-type TokensOf func(workload.Request) int
-
 // Admission describes how the cluster admitter treats this backend:
 // pool geometry, queue semantics and the allocator that tracks KV
 // reservations.
@@ -142,7 +139,7 @@ type Admission struct {
 
 // Backend prices one system organisation. Implementations must be
 // stateless (shared across Systems and goroutines); all per-system
-// state lives in the Env.
+// state lives in the Env and in the Stepper NewStepper builds over it.
 type Backend interface {
 	// Name is the registry key and the Report's system label.
 	Name() string
@@ -158,10 +155,11 @@ type Backend interface {
 	CapacityBytes(env *Env) int64
 	// Admission returns the admitter parameters for this backend.
 	Admission(env *Env) Admission
-	// Step prices one decode iteration over the active batch.
-	Step(ctx context.Context, env *Env, batch []workload.Request, tokensOf TokensOf) (StepCost, error)
+	// NewStepper builds the system's iteration pricer, the only way to
+	// price a decode iteration.
+	NewStepper(env *Env) Stepper
 	// IterEnergy prices one iteration's attention and FC energy from a
-	// Step's cost.
+	// Stepper's cost.
 	IterEnergy(env *Env, cost StepCost, batch int) (attn, fc energy.Breakdown)
 	// PrefillSeconds estimates prompt processing on the backend's dense
 	// engine.

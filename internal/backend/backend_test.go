@@ -43,7 +43,15 @@ func smallBatch(n int) []workload.Request {
 	return workload.Uniform(8192, 3).Batch(n)
 }
 
-func ctxOf(r workload.Request) int { return r.Context }
+// toksOf lists a batch's prompt lengths in batch order: the KV lengths
+// a stepper prices before any token is generated.
+func toksOf(batch []workload.Request) []int {
+	toks := make([]int, len(batch))
+	for i, r := range batch {
+		toks[i] = r.Context
+	}
+	return toks
+}
 
 func TestRegistryNamesAndLookup(t *testing.T) {
 	names := Names()
@@ -199,20 +207,23 @@ func TestTokenShardGeometry(t *testing.T) {
 	}
 }
 
+// TestStepDeterministicAndOrdered: a stepper prices the same batch
+// identically from a cold memo and a warm one.
 func TestStepDeterministicAndOrdered(t *testing.T) {
 	m := model.LLM7B32K()
-	batch := smallBatch(6)
+	toks := toksOf(smallBatch(6))
 	for _, name := range []string{PIMOnly, XPUPIM, DIMMPIM} {
 		b, _ := Lookup(name)
 		env := pimEnv(m, PIMphony())
 		if name == DIMMPIM {
 			env = dimmEnv(m, PIMphony())
 		}
-		c1, err := b.Step(context.Background(), env, batch, ctxOf)
+		st := b.NewStepper(env)
+		c1, err := st.Step(context.Background(), toks)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		c2, err := b.Step(context.Background(), env, batch, ctxOf)
+		c2, err := st.Step(context.Background(), toks)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -242,46 +253,24 @@ func TestOverlapBeatsAdditive(t *testing.T) {
 
 // TestPPPipelineComposition: with PP stages, one request's iteration is
 // its per-stage time times (1 + PP-1) bubbles — cross-checked against
-// the PP=1 stage of the same request with layers scaled.
+// the reference's stage of the same request.
 func TestPPPipelineComposition(t *testing.T) {
 	m := model.LLM7B32K()
 	b, _ := Lookup(PIMOnly)
-	one := smallBatch(1)
+	one := toksOf(smallBatch(1))
 	ppEnv := pimEnv(m, PIMphony())
 	ppEnv.Modules, ppEnv.TP, ppEnv.PP = 8, 1, 8
-	cost, err := b.Step(context.Background(), ppEnv, one, ctxOf)
+	cost, err := b.NewStepper(ppEnv).Step(context.Background(), one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var p pimShared
-	stage, _, _, err := p.stageTime(ppEnv, one, ctxOf, pnmFC, additive)
+	stage, _, _, err := newRefStepper(b, ppEnv).stage(one)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := stage + 7*stage
 	if diff := cost.Seconds - want; diff > 1e-15 || diff < -1e-15 {
 		t.Errorf("PP iteration %g, want stage+7 bubbles = %g", cost.Seconds, want)
-	}
-	// The >= 4-request path fans out through the sweep engine and must
-	// agree with the sequential composition too.
-	four := smallBatch(5)
-	costPar, err := b.Step(context.Background(), ppEnv, four, ctxOf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum, max float64
-	for _, r := range four {
-		st, _, _, err := p.stageTime(ppEnv, []workload.Request{r}, ctxOf, pnmFC, additive)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += st
-		if st > max {
-			max = st
-		}
-	}
-	if want := sum + 7*max; costPar.Seconds != want {
-		t.Errorf("PP batch iteration %g, want %g", costPar.Seconds, want)
 	}
 }
 
@@ -292,7 +281,7 @@ func TestGPUStepMatchesRoofline(t *testing.T) {
 	env := gpuEnv(m)
 	b, _ := Lookup(GPU)
 	batch := smallBatch(4)
-	cost, err := b.Step(context.Background(), env, batch, ctxOf)
+	cost, err := b.NewStepper(env).Step(context.Background(), toksOf(batch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +305,7 @@ func TestIterEnergyPerBackend(t *testing.T) {
 	batch := smallBatch(4)
 	pim, _ := Lookup(PIMOnly)
 	env := pimEnv(m, PIMphony())
-	cost, err := pim.Step(context.Background(), env, batch, ctxOf)
+	cost, err := pim.NewStepper(env).Step(context.Background(), toksOf(batch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +319,7 @@ func TestIterEnergyPerBackend(t *testing.T) {
 	}
 	d, _ := Lookup(DIMMPIM)
 	de := dimmEnv(m, PIMphony())
-	dcost, err := d.Step(context.Background(), de, batch, ctxOf)
+	dcost, err := d.NewStepper(de).Step(context.Background(), toksOf(batch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,70 +392,142 @@ func TestAllocatorFallbackSelection(t *testing.T) {
 	}
 }
 
-// TestStepperMatchesStep pins the incremental stepper's contract: for
-// every PIM-attention backend, technique mix and geometry, the memoized
-// pricer must return the exact StepCost the naive Backend.Step computes
-// — bit for bit — across growing token counts (bucket crossings
-// included) and changing batch compositions.
-func TestStepperMatchesStep(t *testing.T) {
+// TestStepMatchesReference pins the stepper's contract: for every
+// PIM-attention backend, technique mix and geometry, pipelines included,
+// NewStepper(env).Step must return the exact StepCost the naive
+// reference computes — bit for bit — across growing token counts
+// (bucket crossings included) and changing batch compositions. Its memo
+// must end up holding exactly the per-channel token counts the
+// reference priced: a pipelined prefetch that priced a shape the fold
+// never uses would add a cold simulation without changing a price.
+func TestStepMatchesReference(t *testing.T) {
 	m := model.LLM7B32K()
 	gqa := model.LLM7B128KGQA()
 	shardEnv := pimEnv(gqa, PIMphony())
 	shardEnv.TP = 2 * gqa.KVHeads() // token-axis sharding past the head count
 	shardEnv.Modules = shardEnv.TP
 	ppEnv := pimEnv(m, PIMphony())
-	ppEnv.TP, ppEnv.PP = 4, 2 // pipeline fallback path
+	ppEnv.TP, ppEnv.PP = 4, 2
+	// CENT's LLM-72B-128K-GQA geometry: 32 modules as TP 8 x PP 4.
+	cent72 := func(tech Technique) *Env {
+		env := pimEnv(model.LLM72B128KGQA(), tech)
+		env.Modules, env.TP, env.PP = 32, 8, 4
+		return env
+	}
+	// Under HFP the 70,000-token request below spans more than one
+	// capacity tile, so the pipelined fold prices a split request; a
+	// lone 8K request fits one tile.
+	if tile := (pimShared{}).headCapacityTokens(cent72(Baseline())); tile >= 70000 {
+		t.Fatalf("72B-128K-GQA capacity tile %d does not split a 70,000-token request", tile)
+	}
 	cases := []struct {
 		name string
 		be   Backend
 		env  *Env
+		n    int // initial batch size
 	}{
-		{"pim-baseline", pimOnly{}, pimEnv(m, Baseline())},
-		{"pim-pimphony", pimOnly{}, pimEnv(m, PIMphony())},
-		{"pim-tcp-only", pimOnly{}, pimEnv(m, Technique{TCP: true})},
-		{"pim-dcs-only", pimOnly{}, pimEnv(m, Technique{DCS: true})},
-		{"pim-gqa-rowreuse", pimOnly{}, pimEnv(gqa, PIMphony())},
-		{"pim-gqa-hfp", pimOnly{}, pimEnv(gqa, Baseline())},
-		{"pim-token-sharded", pimOnly{}, shardEnv},
-		{"pim-pipelined", pimOnly{}, ppEnv},
-		{"xpu-pimphony", xpuPIM{}, pimEnv(m, PIMphony())},
-		{"xpu-baseline", xpuPIM{}, pimEnv(m, Baseline())},
-		{"dimm-pimphony", dimmPIM{}, dimmEnv(m, PIMphony())},
+		{"pim-baseline", pimOnly{}, pimEnv(m, Baseline()), 5},
+		{"pim-pimphony", pimOnly{}, pimEnv(m, PIMphony()), 5},
+		{"pim-tcp-only", pimOnly{}, pimEnv(m, Technique{TCP: true}), 5},
+		{"pim-dcs-only", pimOnly{}, pimEnv(m, Technique{DCS: true}), 5},
+		{"pim-gqa-rowreuse", pimOnly{}, pimEnv(gqa, PIMphony()), 5},
+		{"pim-gqa-hfp", pimOnly{}, pimEnv(gqa, Baseline()), 5},
+		{"pim-token-sharded", pimOnly{}, shardEnv, 5},
+		{"pim-pipelined", pimOnly{}, ppEnv, 5},
+		{"pim-pipelined-one", pimOnly{}, ppEnv, 1},
+		{"cent-72b-128k-gqa-baseline", pimOnly{}, cent72(Baseline()), 5},
+		{"cent-72b-128k-gqa-baseline-one", pimOnly{}, cent72(Baseline()), 1},
+		{"cent-72b-128k-gqa-pimphony", pimOnly{}, cent72(PIMphony()), 5},
+		{"xpu-pimphony", xpuPIM{}, pimEnv(m, PIMphony()), 5},
+		{"xpu-baseline", xpuPIM{}, pimEnv(m, Baseline()), 5},
+		{"dimm-pimphony", dimmPIM{}, dimmEnv(m, PIMphony()), 5},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			if err := c.be.Validate(c.env); err != nil {
 				t.Fatalf("config invalid: %v", err)
 			}
-			st := c.be.(Incremental).NewStepper(c.env)
-			batch := smallBatch(5)
-			// A tiny context exercises the sub-channel (zero-token slice)
-			// edge; a huge one the quantization cap.
-			batch[0].Context = 10
-			batch[1].Context = 70000
+			st := c.be.NewStepper(c.env)
+			ref := newRefStepper(c.be, c.env)
+			batch := smallBatch(c.n)
+			if c.n > 1 {
+				// A tiny context exercises the sub-channel (zero-token
+				// slice) edge; a huge one the quantization cap and the
+				// HFP tile split.
+				batch[0].Context = 10
+				batch[1].Context = 70000
+			}
+			toks := make([]int, 0, c.n+1)
 			for step := 0; step < 48; step++ {
-				if step == 20 {
+				if c.n > 1 && step == 20 {
 					batch = batch[:3] // completion shrinks the batch
 				}
-				if step == 30 {
+				if c.n > 1 && step == 30 {
 					batch = append(batch, smallBatch(7)[6]) // admission
 				}
-				grown := step
-				tokensOf := func(r workload.Request) int { return r.Context + grown }
-				want, err := c.be.Step(context.Background(), c.env, batch, tokensOf)
+				toks = toks[:0]
+				for _, r := range batch {
+					toks = append(toks, r.Context+step)
+				}
+				want, err := ref.Step(context.Background(), toks)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := st.Step(context.Background(), batch, tokensOf)
+				got, err := st.Step(context.Background(), toks)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got != want {
-					t.Fatalf("step %d diverged:\nstepper %+v\nnaive   %+v", step, got, want)
+					t.Fatalf("step %d diverged:\nstepper   %+v\nreference %+v", step, got, want)
 				}
+			}
+			memo := st.(*pimStepper)
+			var memoized int
+			for tokens, ok := range memo.latOK {
+				if ok && !ref.priced[tokens] {
+					t.Errorf("stepper priced %d tokens per channel; the reference never did", tokens)
+				}
+				if ok {
+					memoized++
+				}
+			}
+			if memoized != len(ref.priced) {
+				t.Errorf("stepper memoized %d shapes, the reference priced %d", memoized, len(ref.priced))
 			}
 		})
 	}
+}
+
+// TestStepperReducesCacheLookups asserts the memo's headline: over 48
+// decode steps of an 8-request QMSum batch, the stepper consults the
+// perfmodel cache at least 2x less than the reference, which prices
+// every (channel, work) unit of every iteration.
+func TestStepperReducesCacheLookups(t *testing.T) {
+	reqs := workload.NewGenerator(workload.QMSum(), 11).Batch(8)
+	lookups := func(newStepper func(env *Env) Stepper) int64 {
+		env := pimEnv(model.LLM7B32K(), PIMphony())
+		st := newStepper(env)
+		toks := make([]int, len(reqs))
+		for step := 0; step < 48; step++ {
+			for i, r := range reqs {
+				toks[i] = r.Context + step
+			}
+			if _, err := st.Step(context.Background(), toks); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return env.Perf.CacheLookups()
+	}
+	ref := lookups(func(env *Env) Stepper { return newRefStepper(pimOnly{}, env) })
+	memo := lookups(pimOnly{}.NewStepper)
+	if ref == 0 || memo == 0 {
+		t.Fatalf("lookup counters not wired: reference=%d memo=%d", ref, memo)
+	}
+	if memo*2 > ref {
+		t.Errorf("stepper did %d lookups vs the reference's %d — less than the required 2x reduction", memo, ref)
+	}
+	t.Logf("perfmodel cache lookups over 48 steps: %d reference -> %d memoized (%.0fx fewer)",
+		ref, memo, float64(ref)/float64(memo))
 }
 
 func TestCostPerHourAllBackends(t *testing.T) {

@@ -1,10 +1,7 @@
 package backend
 
 import (
-	"context"
-
 	"pimphony/internal/energy"
-	"pimphony/internal/workload"
 	"pimphony/internal/xpu"
 )
 
@@ -47,10 +44,6 @@ func (d dimmPIM) Admission(env *Env) Admission {
 func hostFC(env *Env, batch int) float64 {
 	m := env.Model
 	return xpu.DIMMHostGPU().OpTime(int64(batch)*m.FCLayerFlops(), m.FCLayerWeightBytes())
-}
-
-func (d dimmPIM) Step(ctx context.Context, env *Env, batch []workload.Request, tokensOf TokensOf) (StepCost, error) {
-	return d.step(ctx, env, batch, tokensOf, hostFC, overlapped)
 }
 
 // IterEnergy prices the DIMM attention on the shared PIM module model;

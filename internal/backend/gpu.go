@@ -6,7 +6,6 @@ import (
 
 	"pimphony/internal/energy"
 	"pimphony/internal/memory"
-	"pimphony/internal/workload"
 	"pimphony/internal/xpu"
 )
 
@@ -53,14 +52,23 @@ func (gpu) Admission(env *Env) Admission {
 	}
 }
 
-func (gpu) Step(_ context.Context, env *Env, batch []workload.Request, tokensOf TokensOf) (StepCost, error) {
+// NewStepper returns the stateless roofline pricer.
+func (gpu) NewStepper(env *Env) Stepper { return gpuStepper{env} }
+
+// gpuStepper prices an iteration on the A100 rooflines: batched-GEMM FC
+// plus flash-decoding attention streaming the batch's KV bytes, both
+// split over the devices.
+type gpuStepper struct{ env *Env }
+
+// Step implements Stepper.
+func (s gpuStepper) Step(_ context.Context, toks []int) (StepCost, error) {
 	g := xpu.A100()
-	m := env.Model
+	env, m := s.env, s.env.Model
 	var kv int64
-	for _, r := range batch {
-		kv += m.KVBytes(tokensOf(r))
+	for _, t := range toks {
+		kv += m.KVBytes(t)
 	}
-	fc := g.OpTime(int64(len(batch))*m.FCFlopsPerToken()/int64(env.GPUs), m.WeightBytes()/int64(env.GPUs))
+	fc := g.OpTime(int64(len(toks))*m.FCFlopsPerToken()/int64(env.GPUs), m.WeightBytes()/int64(env.GPUs))
 	attn := g.AttentionTime(kv / int64(env.GPUs))
 	return StepCost{Seconds: fc + attn, AttnShare: attn / (fc + attn)}, nil
 }

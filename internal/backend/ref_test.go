@@ -1,0 +1,139 @@
+package backend
+
+import (
+	"context"
+	"fmt"
+
+	"pimphony/internal/mapping"
+	"pimphony/internal/timing"
+)
+
+// refStepper is the naive iteration pricer the memoizing stepper
+// replaced, kept as its differential oracle. Every iteration it
+// materializes the mapping.Assign work lists of each micro-batch and
+// prices every (channel, work) unit through perfmodel; under pipeline
+// parallelism it prices one micro-batch per request and folds them in
+// request order. priced records every per-channel token count it priced.
+type refStepper struct {
+	env     *Env
+	fc      fcFunc
+	combine combineFunc
+	priced  map[int]bool
+}
+
+// newRefStepper wires the reference to a PIM-attention backend's FC
+// pricing and layer composition.
+func newRefStepper(be Backend, env *Env) *refStepper {
+	r := &refStepper{env: env, priced: map[int]bool{}}
+	switch be.(type) {
+	case pimOnly:
+		r.fc, r.combine = pnmFC, additive
+	case xpuPIM:
+		r.fc, r.combine = npuFC, overlapped
+	case dimmPIM:
+		r.fc, r.combine = hostFC, overlapped
+	default:
+		panic(fmt.Sprintf("no reference pricer for backend %s", be.Name()))
+	}
+	return r
+}
+
+// Step implements Stepper.
+func (r *refStepper) Step(_ context.Context, toks []int) (StepCost, error) {
+	if r.env.PP == 1 {
+		sec, stats, share, err := r.stage(toks)
+		return StepCost{Seconds: sec, AttnShare: share, Stats: stats}, err
+	}
+	// Request-granular micro-batches through PP stages: sum of
+	// per-request stage times + (PP-1) bubbles of the max.
+	var stats Stats
+	var share, sum, max float64
+	for _, t := range toks {
+		sec, st, sh, err := r.stage([]int{t})
+		if err != nil {
+			return StepCost{}, err
+		}
+		sum += sec
+		if sec > max {
+			max = sec
+		}
+		stats.Busy += st.Busy
+		stats.Cycles += st.Cycles
+		stats.Channels = st.Channels
+		share += sh
+		stats.MACs += st.MACs
+		stats.IOBytes += st.IOBytes
+		stats.ActPre += st.ActPre
+	}
+	share /= float64(len(toks))
+	return StepCost{Seconds: sum + float64(r.env.PP-1)*max, AttnShare: share, Stats: stats}, nil
+}
+
+// stage returns the per-stage time in seconds for a micro-batch, its
+// attention stats and the attention share.
+func (r *refStepper) stage(toks []int) (float64, Stats, float64, error) {
+	at, err := r.attention(toks)
+	if err != nil {
+		return 0, Stats{}, 0, err
+	}
+	var p pimShared
+	fcSec := r.fc(r.env, len(toks))
+	syncSec := float64(p.syncCycles(r.env, len(toks))) / cyclesPerSecond
+	stage, at, attnShare := composeStage(r.env, at, fcSec, syncSec, r.combine)
+	return stage, at, attnShare, nil
+}
+
+// attention evaluates one layer's attention time on one module group
+// for a micro-batch.
+func (r *refStepper) attention(toks []int) (Stats, error) {
+	env := r.env
+	m := env.Model
+	var p pimShared
+	kvHeadsPerModule, tokenShard := p.headGeometry(env)
+	mreqs := make([]mapping.Request, len(toks))
+	for i, tok := range toks {
+		mreqs[i] = mapping.Request{ID: i, Tokens: (tok + tokenShard - 1) / tokenShard}
+	}
+	var strategy mapping.Strategy = mapping.TCP{}
+	if !env.Tech.TCP {
+		strategy = mapping.HFP{CapacityTokens: p.headCapacityTokens(env)}
+	}
+	assign, err := strategy.Assign(mreqs, kvHeadsPerModule, m.GQAGroup, env.Dev.Channels)
+	if err != nil {
+		return Stats{}, err
+	}
+	sc, baseline := p.schedKind(env)
+	var st Stats
+	st.Channels = env.Dev.Channels
+	var maxCh timing.Cycles
+	for _, works := range assign.Channels {
+		var chCycles timing.Cycles
+		for _, w := range works {
+			lat, err := p.priceAttention(env, w.Tokens, m.HeadDim, w.Queries, baseline, sc)
+			if err != nil {
+				return Stats{}, err
+			}
+			r.priced[w.Tokens] = true
+			chCycles += lat.Cycles
+			st.Busy += lat.Breakdown.MAC
+			st.MACs += lat.MACs
+			st.IOBytes += lat.IOBytes
+			st.ActPre += lat.ActPre
+		}
+		if chCycles > maxCh {
+			maxCh = chCycles
+		}
+	}
+	st.Cycles = maxCh
+	var softmax timing.Cycles
+	qHeadsPerModule := kvHeadsPerModule * m.GQAGroup
+	for _, tok := range toks {
+		softmax += env.Hub.SoftmaxCycles((tok+tokenShard-1)/tokenShard) * timing.Cycles(qHeadsPerModule)
+	}
+	st.Cycles += softmax / epuLanes
+	if env.Tech.TCP {
+		red := env.Hub.ReduceCycles(env.Dev.Channels, m.HeadDim)
+		st.Cycles += red * timing.Cycles(len(toks)*kvHeadsPerModule) / epuLanes
+	}
+	return st, nil
+}

@@ -2,53 +2,33 @@ package backend
 
 import (
 	"context"
+	"slices"
 
 	"pimphony/internal/perfmodel"
+	"pimphony/internal/sweep"
 	"pimphony/internal/timing"
-	"pimphony/internal/workload"
 )
 
-// Incremental is an optional Backend refinement: backends whose Step
-// cost is dominated by re-deriving the per-channel work assignment and
-// re-pricing kernel shapes implement it to expose a stateful stepper
-// that memoizes those derivations across decode iterations. A stepper's
-// Step must be observationally identical to the backend's own Step —
-// the same StepCost bit for bit — differing only in wall-clock cost;
-// the cluster decode loop routes every iteration through it when present.
-type Incremental interface {
-	NewStepper(env *Env) Stepper
-}
-
-// Stepper prices decode iterations for one system with state memoized
-// across calls. Steppers are stateful and not safe for concurrent use;
-// each cluster.System owns exactly one.
+// Stepper prices decode iterations for one system. toks holds each
+// batch member's current KV length (prompt plus generated tokens) in
+// batch order. A Stepper may memoize across calls, so it is not safe
+// for concurrent use; each cluster.System owns exactly one.
 type Stepper interface {
-	Step(ctx context.Context, batch []workload.Request, tokensOf TokensOf) (StepCost, error)
+	Step(ctx context.Context, toks []int) (StepCost, error)
 }
 
-// SliceStepper is an optional Stepper fast path for callers that already
-// hold every request's token count in batch order: toks[i] is batch[i]'s
-// current KV length. It skips the per-request TokensOf indirection (a
-// closure call plus an ID lookup per request per iteration on the
-// serving fast-forward path) and must price identically to Step.
-type SliceStepper interface {
-	StepSlice(ctx context.Context, batch []workload.Request, toks []int) (StepCost, error)
-}
-
-// pimStepper is the incremental pricer shared by the PIM-attention
-// backends. attentionLayer re-derives the same structures on every
-// iteration: the mapping.Assign work lists — whose per-channel shape
-// follows in closed form from the partitioning strategy — and the
-// per-work perfmodel latencies, which collapse to at most two distinct
-// shapes per request under TCP (token slices of base and base+1 tokens)
-// and to the capacity tile plus one remainder under HFP. The stepper
-// computes the per-channel cycle sums directly from those closed forms
-// and memoizes each priced shape, so a decode iteration touches the
-// perfmodel cache only when a token count the stepper has not seen yet
-// appears. Everything ahead of the final stage fold is integer
-// arithmetic over the exact same priced values the naive path sums, and
-// the fold itself is the shared composeStage, which keeps the stepper's
-// StepCost bit-identical to Backend.Step.
+// pimStepper is the iteration pricer shared by the PIM-attention
+// backends. Neither partitioning strategy needs its work lists built:
+// under TCP each (request, KV head) token range splits into at most two
+// per-channel shapes (token slices of base and base+1 tokens), and
+// under HFP into the capacity tile plus one remainder, each placed
+// round-robin. The stepper computes the per-channel cycle sums directly
+// from those closed forms and memoizes each priced shape, so a decode
+// iteration touches the perfmodel cache only when a token count the
+// stepper has not seen yet appears. Everything ahead of the final stage
+// fold is integer arithmetic over the priced values, and the fold is
+// composeStage. Pipeline systems price one request-granular micro-batch
+// per request and fold them (Step).
 type pimStepper struct {
 	env     *Env
 	shared  pimShared
@@ -77,7 +57,7 @@ type pimStepper struct {
 	chSum   []timing.Cycles // per-channel scratch
 	red     timing.Cycles   // Hub.ReduceCycles(channels, HeadDim), constant per system
 	redOK   bool
-	tokBuf  []int // batch-order token counts for the TokensOf entry point
+	missing []int // prefetch scratch: shapes the memo lacks, in fold order
 
 	// Softmax pricing constants hoisted out of Hub.SoftmaxCycles, which
 	// runs once per request per iteration: same arithmetic, no Device
@@ -114,33 +94,91 @@ func (s *pimStepper) softmax(scores int) timing.Cycles {
 	return s.softBase + timing.Cycles(tiles)*s.softPerTile
 }
 
-// Step implements Stepper.
-func (s *pimStepper) Step(ctx context.Context, batch []workload.Request, tokensOf TokensOf) (StepCost, error) {
-	if s.env.PP != 1 {
-		// Pipeline systems evaluate per-request stage times on the sweep
-		// worker pool; the memoized fast path is single-threaded, so they
-		// keep the naive (already parallel) pricing.
-		return s.shared.step(ctx, s.env, batch, tokensOf, s.fc, s.combine)
+// Step implements Stepper. Under pipeline parallelism every request is
+// its own micro-batch through PP stages: the iteration takes the sum of
+// the per-request stage times plus PP-1 bubbles of the longest, the
+// attention counters sum and the attention shares average, folded in
+// request order.
+func (s *pimStepper) Step(ctx context.Context, toks []int) (StepCost, error) {
+	if s.env.PP == 1 {
+		return s.stepToks(toks)
 	}
-	toks := s.tokBuf[:0]
-	for _, r := range batch {
-		toks = append(toks, tokensOf(r))
+	if err := s.prefetch(ctx, toks); err != nil {
+		return StepCost{}, err
 	}
-	s.tokBuf = toks
-	return s.stepToks(toks)
+	var c StepCost
+	var sum, longest float64
+	for i := range toks {
+		o, err := s.stepToks(toks[i : i+1])
+		if err != nil {
+			return StepCost{}, err
+		}
+		sum += o.Seconds
+		if o.Seconds > longest {
+			longest = o.Seconds
+		}
+		c.Stats.Busy += o.Stats.Busy
+		c.Stats.Cycles += o.Stats.Cycles
+		c.Stats.Channels = o.Stats.Channels
+		c.AttnShare += o.AttnShare
+		c.Stats.MACs += o.Stats.MACs
+		c.Stats.IOBytes += o.Stats.IOBytes
+		c.Stats.ActPre += o.Stats.ActPre
+	}
+	c.AttnShare /= float64(len(toks))
+	c.Seconds = sum + float64(s.env.PP-1)*longest
+	return c, nil
 }
 
-// StepSlice implements SliceStepper.
-func (s *pimStepper) StepSlice(ctx context.Context, batch []workload.Request, toks []int) (StepCost, error) {
-	if s.env.PP != 1 {
-		pos := make(map[int]int, len(batch))
-		for i, r := range batch {
-			pos[r.ID] = i
+// prefetch prices the per-channel token counts a pipelined fold needs
+// and the memo lacks, concurrently through the sweep engine when there
+// are two or more: the fold prices its micro-batches one request at a
+// time, so their cold perfmodel simulations would otherwise run in
+// series. It never changes a price, since the fold prices any shape
+// still missing. The shapes are collected in fold order, so a failure
+// reports the error the fold would have hit first.
+func (s *pimStepper) prefetch(ctx context.Context, toks []int) error {
+	missing := s.missing[:0]
+	add := func(tokens int) {
+		if (tokens >= len(s.latOK) || !s.latOK[tokens]) && !slices.Contains(missing, tokens) {
+			missing = append(missing, tokens)
 		}
-		return s.shared.step(ctx, s.env, batch,
-			func(r workload.Request) int { return toks[pos[r.ID]] }, s.fc, s.combine)
 	}
-	return s.stepToks(toks)
+	channels := s.env.Dev.Channels
+	for _, tok := range toks {
+		t := (tok + s.tokenShard - 1) / s.tokenShard
+		if s.tcp {
+			base, rem := t/channels, t%channels
+			if base > 0 {
+				add(base)
+			}
+			if rem > 0 {
+				add(base + 1)
+			}
+			continue
+		}
+		if s.capTokens > 0 && t > s.capTokens {
+			add(s.capTokens)
+			t = (t-1)%s.capTokens + 1
+		}
+		if t > 0 {
+			add(t)
+		}
+	}
+	s.missing = missing
+	if len(missing) < 2 {
+		return nil
+	}
+	lats, err := sweep.Run(ctx, missing, func(_ context.Context, tokens int) (perfmodel.Latency, error) {
+		return s.shared.priceAttention(s.env, tokens, s.env.Model.HeadDim, s.queries, s.baseline, s.sc)
+	})
+	if err != nil {
+		return err
+	}
+	for i, tokens := range missing {
+		s.lat, s.latOK = memoPut(s.lat, s.latOK, tokens, lats[i])
+	}
+	return nil
 }
 
 func (s *pimStepper) stepToks(toks []int) (StepCost, error) {
@@ -199,9 +237,10 @@ func (s *pimStepper) price(tokens int) (int, error) {
 	return tokens, nil
 }
 
-// attention reproduces attentionLayer's per-layer Stats without
-// materializing the assignment; toks holds each batch member's current
-// KV length.
+// attention prices one layer's attention on one module group: the
+// critical-path channel cycles plus the EPU softmax and TCP reduction
+// residues, and the summed MAC, I/O and ACT/PRE counters. toks holds
+// each micro-batch member's current KV length.
 func (s *pimStepper) attention(toks []int) (Stats, error) {
 	env := s.env
 	channels := env.Dev.Channels
@@ -270,6 +309,12 @@ func (s *pimStepper) attention(toks []int) (Stats, error) {
 			dd[ch] = 0
 		}
 		st.Cycles = maxCh
+		// EPU softmax: one per (request, query head) on this module,
+		// spread over the EPU lanes. TCP also pays one SV reduction per
+		// (request, KV head); the HUB reduces completed heads while the
+		// channels compute the next, so only the lane-parallel EPU
+		// residue is exposed (the paper measures < 0.2% of attention
+		// latency).
 		qHeads := s.kvHeads * env.Model.GQAGroup
 		st.Cycles += softSum * timing.Cycles(qHeads) / epuLanes
 		if !s.redOK {
@@ -284,7 +329,7 @@ func (s *pimStepper) attention(toks []int) (Stats, error) {
 		sums[i] = 0
 	}
 	// HFP places whole (request, head) tiles round-robin, force-split
-	// at the channel capacity — the same placement order Assign uses.
+	// at the channel capacity.
 	i := 0
 	place := func(tokens int) error {
 		idx, err := s.price(tokens)
@@ -335,17 +380,17 @@ func (s *pimStepper) attention(toks []int) (Stats, error) {
 	return st, nil
 }
 
-// NewStepper implements Incremental.
+// NewStepper implements Backend.
 func (p pimOnly) NewStepper(env *Env) Stepper {
 	return newPIMStepper(env, p.pimShared, pnmFC, additive)
 }
 
-// NewStepper implements Incremental.
+// NewStepper implements Backend.
 func (x xpuPIM) NewStepper(env *Env) Stepper {
 	return newPIMStepper(env, x.pimShared, npuFC, overlapped)
 }
 
-// NewStepper implements Incremental.
+// NewStepper implements Backend.
 func (d dimmPIM) NewStepper(env *Env) Stepper {
 	return newPIMStepper(env, d.pimShared, hostFC, overlapped)
 }

@@ -1,10 +1,7 @@
 package backend
 
 import (
-	"context"
-
 	"pimphony/internal/energy"
-	"pimphony/internal/workload"
 	"pimphony/internal/xpu"
 )
 
@@ -38,10 +35,6 @@ func (x xpuPIM) Admission(env *Env) Admission { return x.admission(env) }
 func npuFC(env *Env, batch int) float64 {
 	shardFlops, shardBytes := fcShard(env)
 	return xpu.NeuPIMsNPU(npuMemGBsPerModule).OpTime(int64(batch)*shardFlops, shardBytes)
-}
-
-func (x xpuPIM) Step(ctx context.Context, env *Env, batch []workload.Request, tokensOf TokensOf) (StepCost, error) {
-	return x.step(ctx, env, batch, tokensOf, npuFC, overlapped)
 }
 
 func (x xpuPIM) IterEnergy(env *Env, cost StepCost, batch int) (attn, fc energy.Breakdown) {

@@ -14,8 +14,7 @@ import (
 
 // refRun is the batch decode loop Run used before it became an engine
 // drain, kept as the differential oracle. One admission pass forms a
-// fixed batch: FCFS with the head-first channel budget and MaxBatch,
-// and for the GPU greedy skip-unfit packing with an upfront
+// fixed batch: FCFS with the head-first channel budget, and for the GPU greedy skip-unfit packing with an upfront
 // context+window reservation and a horizon not clamped to T_max. The
 // window then grows every request one token ahead of its live count; a
 // request whose Grow fails freezes for the rest of the window, yet its
@@ -40,9 +39,6 @@ func refRun(s *System, reqs []workload.Request) (rep *Report, froze bool, err er
 	var headUsed int64
 	for pending := reqs; len(pending) > 0; pending = pending[1:] {
 		r := pending[0]
-		if cfg.MaxBatch > 0 && len(batch) >= cfg.MaxBatch {
-			break
-		}
 		need := horizon(r)
 		fits := alloc.CanAdmit(need)
 		var headNeed int64
@@ -83,9 +79,12 @@ func refRun(s *System, reqs []workload.Request) (rep *Report, froze bool, err er
 	var totalSec, attnShareAcc float64
 	var busy, span timing.Cycles
 	var channels, generated int
+	toks := make([]int, len(batch))
 	for step := 0; step < cfg.DecodeWindow; step++ {
-		tokensOf := func(r workload.Request) int { return r.Context + grown[r.ID] }
-		cost, err := s.iterate(ctx, batch, tokensOf)
+		for i, r := range batch {
+			toks[i] = r.Context + grown[r.ID]
+		}
+		cost, err := s.iterate(ctx, toks)
 		if err != nil {
 			return nil, froze, err
 		}
@@ -97,7 +96,7 @@ func refRun(s *System, reqs []workload.Request) (rep *Report, froze bool, err er
 		generated += len(batch)
 		for _, r := range batch {
 			grown[r.ID]++
-			target := tokensOf(r) + 1
+			target := r.Context + grown[r.ID] + 1
 			if upfront {
 				target = min(target, horizon(r))
 			}
@@ -122,7 +121,7 @@ func refRun(s *System, reqs []workload.Request) (rep *Report, froze bool, err er
 
 // TestRunMatchesReference holds the engine drain to the batch loop it
 // replaced: over backends, technique sets, models, candidate pools,
-// windows, KV budgets and batch caps, every run in which the reference
+// windows and KV budgets, every run in which the reference
 // never froze a request must produce the same Report field for field,
 // and a configuration one side rejects the other must reject with the
 // same error.
@@ -152,36 +151,33 @@ func TestRunMatchesReference(t *testing.T) {
 				for _, pool := range pools {
 					for _, window := range []int{1, 4, 9} {
 						for _, budget := range []int64{0, 2048, 8192, 20000} {
-							for _, maxBatch := range []int{0, 3} {
-								cfg := mk(m, tech)
-								cfg.DecodeWindow = window
-								cfg.KVBudgetBytes = budget << 20
-								cfg.MaxBatch = maxBatch
-								point := fmt.Sprintf("%s/%+v/%s/%s/w%d/kv%d/mb%d",
-									cfg.Backend, tech, m.Name, pool.name, window, budget, maxBatch)
-								refSys, err := New(cfg)
-								if err != nil {
-									t.Fatalf("%s: %v", point, err)
+							cfg := mk(m, tech)
+							cfg.DecodeWindow = window
+							cfg.KVBudgetBytes = budget << 20
+							point := fmt.Sprintf("%s/%+v/%s/%s/w%d/kv%d",
+								cfg.Backend, tech, m.Name, pool.name, window, budget)
+							refSys, err := New(cfg)
+							if err != nil {
+								t.Fatalf("%s: %v", point, err)
+							}
+							want, frozen, werr := refRun(refSys, pool.reqs)
+							sys, err := New(cfg)
+							if err != nil {
+								t.Fatalf("%s: %v", point, err)
+							}
+							got, gerr := sys.Run(pool.reqs)
+							switch {
+							case werr != nil || gerr != nil:
+								if fmt.Sprint(werr) != fmt.Sprint(gerr) {
+									t.Errorf("%s: reference error %v, Run error %v", point, werr, gerr)
 								}
-								want, frozen, werr := refRun(refSys, pool.reqs)
-								sys, err := New(cfg)
-								if err != nil {
-									t.Fatalf("%s: %v", point, err)
-								}
-								got, gerr := sys.Run(pool.reqs)
-								switch {
-								case werr != nil || gerr != nil:
-									if fmt.Sprint(werr) != fmt.Sprint(gerr) {
-										t.Errorf("%s: reference error %v, Run error %v", point, werr, gerr)
-									}
-									errored++
-								case frozen:
-									froze++
-								case !reflect.DeepEqual(got, want):
-									t.Errorf("%s: Run\n%+v\nreference\n%+v", point, got, want)
-								default:
-									matched++
-								}
+								errored++
+							case frozen:
+								froze++
+							case !reflect.DeepEqual(got, want):
+								t.Errorf("%s: Run\n%+v\nreference\n%+v", point, got, want)
+							default:
+								matched++
 							}
 						}
 					}

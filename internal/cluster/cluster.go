@@ -6,7 +6,8 @@
 // live behind the internal/backend seam: this package owns the
 // backend-agnostic decode loop, the step-level Engine (admission against
 // a KV allocator, iteration pricing, growth, preemption, retirement,
-// energy accrual), and asks the configured backend to price each phase.
+// energy accrual), and prices every iteration through the one Stepper
+// the configured backend builds.
 // Online serving steps the engine event by event; Run drains it over a
 // fixed decode window for the paper's batch figures. Adding a system
 // organisation is a backend.Register call, not a fork of the loop here.
@@ -84,12 +85,10 @@ type Config struct {
 	// TMaxOverride replaces the model's context window as the static
 	// reservation size (used by the Fig. 17 long-context sweep).
 	TMaxOverride int
-	// DecodeWindow is the number of decode steps to simulate.
+	// DecodeWindow is the number of decode steps to simulate (0 = 16).
 	DecodeWindow int
 	// GPUs is the device count for GPUSystem configurations.
 	GPUs int
-	// MaxBatch optionally caps admission (0 = capacity-bound only).
-	MaxBatch int
 	// KVBudgetBytes optionally caps the KV-cache pool below the physical
 	// capacity left after weights (0 = whole pool). The capacity studies
 	// use it to compare allocation schemes at an equal memory budget.
@@ -122,6 +121,9 @@ func (c *Config) validate() (backend.Backend, *backend.Env, error) {
 	}
 	if c.KVBudgetBytes < 0 {
 		return nil, nil, fmt.Errorf("cluster %s: KVBudgetBytes must be non-negative", c.Name)
+	}
+	if c.DecodeWindow < 0 {
+		return nil, nil, fmt.Errorf("cluster %s: DecodeWindow must be non-negative", c.Name)
 	}
 	be, err := backend.Lookup(c.Backend)
 	if err != nil {
@@ -168,25 +170,21 @@ type Report struct {
 
 // System is a reusable simulator instance (kernel latencies are memoized
 // across runs on the same device). A System is not safe for concurrent
-// use: the engine and the backend's incremental stepper share
-// per-System scratch state. Sweeps build one System per point.
+// use: the engine and the backend's stepper share per-System scratch
+// state. Sweeps build one System per point.
 type System struct {
 	cfg Config
 	be  backend.Backend
 	env *backend.Env
 	adm backend.Admission
-	// stepper is the backend's memoizing iteration pricer (nil for
-	// backends without one); iterate routes every decode iteration
-	// through it so the engine prices steps incrementally. sliceStepper
-	// is its batch-order token-slice fast path, when the stepper offers
-	// one.
-	stepper      backend.Stepper
-	sliceStepper backend.SliceStepper
+	// stepper is the backend's iteration pricer; iterate routes every
+	// decode iteration through it.
+	stepper backend.Stepper
 }
 
 // New builds a simulator for a configuration.
 func New(cfg Config) (*System, error) {
-	if cfg.DecodeWindow <= 0 {
+	if cfg.DecodeWindow == 0 {
 		cfg.DecodeWindow = 16
 	}
 	be, env, err := cfg.validate()
@@ -200,14 +198,7 @@ func New(cfg Config) (*System, error) {
 	env.Perf = perfmodel.Shared(cfg.Dev)
 	env.Hub = hub.New(cfg.Dev)
 	env.EMod = energy.Default()
-	s := &System{cfg: cfg, be: be, env: env, adm: be.Admission(env)}
-	if inc, ok := be.(backend.Incremental); ok {
-		s.stepper = inc.NewStepper(env)
-		if ss, ok := s.stepper.(backend.SliceStepper); ok {
-			s.sliceStepper = ss
-		}
-	}
-	return s, nil
+	return &System{cfg: cfg, be: be, env: env, adm: be.Admission(env), stepper: be.NewStepper(env)}, nil
 }
 
 // Config returns the system configuration.
@@ -342,13 +333,9 @@ func (a *admitter) admitFits(r workload.Request) (bool, int64) {
 // with SkipUnfit admission (the GPU's greedy paged pool) scan past
 // requests that do not fit; the skipped requests keep their queue order.
 func (a *admitter) fill() {
-	s := a.sys
 	var skipped []workload.Request
 	for len(a.pending) > 0 {
 		r := a.pending[0]
-		if s.cfg.MaxBatch > 0 && len(a.active) >= s.cfg.MaxBatch {
-			break
-		}
 		fits, headNeed := a.admitFits(r)
 		if !fits {
 			if a.skipUnfit {
@@ -380,9 +367,6 @@ func (a *admitter) fill() {
 // single step.
 func (a *admitter) wouldAdmit() bool {
 	if len(a.pending) == 0 {
-		return false
-	}
-	if s := a.sys; s.cfg.MaxBatch > 0 && len(a.active) >= s.cfg.MaxBatch {
 		return false
 	}
 	if a.skipUnfit {
@@ -444,27 +428,12 @@ func (a *admitter) release(reqID int) error {
 	return nil
 }
 
-// iterate prices one decode iteration, through the backend's memoizing
-// stepper when it has one (bit-identical to Backend.Step, amortized
-// cheap) and through the backend directly otherwise. Every simulated
-// decode token is tallied for the SimulatedTokens rate metric.
-func (s *System) iterate(ctx context.Context, batch []workload.Request, tokensOf backend.TokensOf) (backend.StepCost, error) {
-	simTokens.Add(int64(len(batch)))
-	if s.stepper != nil {
-		return s.stepper.Step(ctx, batch, tokensOf)
-	}
-	return s.be.Step(ctx, s.env, batch, tokensOf)
-}
-
-// iterateToks is iterate for callers that hold batch-order token counts:
-// it routes through the stepper's slice fast path when one exists and
-// falls back to the TokensOf seam otherwise.
-func (s *System) iterateToks(ctx context.Context, batch []workload.Request, toks []int, tokensOf backend.TokensOf) (backend.StepCost, error) {
-	if s.sliceStepper != nil {
-		simTokens.Add(int64(len(batch)))
-		return s.sliceStepper.StepSlice(ctx, batch, toks)
-	}
-	return s.iterate(ctx, batch, tokensOf)
+// iterate prices one decode iteration through the backend's stepper;
+// toks holds each batch member's KV length in batch order. Every
+// simulated decode token is tallied for the SimulatedTokens rate metric.
+func (s *System) iterate(ctx context.Context, toks []int) (backend.StepCost, error) {
+	simTokens.Add(int64(len(toks)))
+	return s.stepper.Step(ctx, toks)
 }
 
 // Run simulates a decode window over the given candidate requests and

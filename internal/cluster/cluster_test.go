@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"pimphony/internal/backend"
@@ -147,7 +148,6 @@ func TestPPBubblesWithSmallBatch(t *testing.T) {
 	m := model.LLM7B32K()
 	reqs := workload.NewGenerator(workload.QMSum(), 5).Batch(2)
 	tp := centConfig(m, Baseline())
-	tp.MaxBatch = 2
 	pp := tp
 	pp.TP, pp.PP = 1, 8
 	repTP := runOrFatal(t, tp, reqs)
@@ -223,6 +223,11 @@ func TestConfigValidation(t *testing.T) {
 	bad4 := Config{Name: "gpu", Backend: GPUSystem, Model: m, GPUs: 0}
 	if _, err := New(bad4); err == nil {
 		t.Error("GPU system without GPUs should fail")
+	}
+	bad5 := good
+	bad5.DecodeWindow = -3
+	if _, err := New(bad5); err == nil || !strings.Contains(err.Error(), "DecodeWindow") {
+		t.Errorf("a negative decode window should fail, naming the field: %v", err)
 	}
 }
 

@@ -19,12 +19,13 @@ func shortDecode(n, context, decode int) []workload.Request {
 
 // TestContinuousBatchingFreesChannelBudget: under head-first placement
 // the channel budget must be returned on release, or refills would
-// starve and the queue would stall behind a budget nobody holds.
+// starve and the queue would stall behind a budget nobody holds. The
+// pool holds more requests than the budget admits at once, so every
+// request past the first batch admits on a refill.
 func TestContinuousBatchingFreesChannelBudget(t *testing.T) {
 	m := model.LLM7B128KGQA()
 	cfg := centConfig(m, Technique{DPA: true}) // HFP placement + DPA alloc
 	cfg.TMaxOverride = 40000
-	cfg.MaxBatch = 6
 	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +34,7 @@ func TestContinuousBatchingFreesChannelBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := shortDecode(24, 30000, 2)
+	reqs := shortDecode(48, 30000, 2)
 	for _, r := range reqs {
 		if err := e.Enqueue(r); err != nil {
 			t.Fatal(err)
@@ -46,6 +47,7 @@ func TestContinuousBatchingFreesChannelBudget(t *testing.T) {
 	if e.MaxActive() >= len(done) {
 		t.Errorf("refills should serve more requests (%d) than one batch (%d)", len(done), e.MaxActive())
 	}
+	t.Logf("%d requests served, peak active %d", len(done), e.MaxActive())
 	if e.Generated() != 2*len(reqs) {
 		t.Errorf("generated %d tokens, want %d", e.Generated(), 2*len(reqs))
 	}

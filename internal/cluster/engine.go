@@ -77,14 +77,13 @@ type Engine struct {
 	attnE, fcE energy.Breakdown
 	// scratch buffers reused across Step/Leap calls (the step loop's
 	// allocation diet): the batch snapshot, the Generated event list,
-	// and the leap's materialized token counts and ID lookups.
+	// the batch-order token counts the stepper prices, the leap's ID
+	// list and its iteration durations.
 	batchScratch []workload.Request
 	genScratch   []int
 	tokScratch   []int
 	idScratch    []int
 	secScratch   []float64
-	posScratch   map[int]int
-	posDense     []int32
 }
 
 // StepResult reports what one decode iteration did.
@@ -141,8 +140,8 @@ type StepResult struct {
 // admission policy and performance model. Every registered backend is
 // servable: the engine admits against the backend's allocator (DPA
 // chunks, static T_max regions, or the GPU's paged pool) and prices
-// iterations through Backend.Step, so the GPU baseline gets the same
-// admission, preemption and serving metrics as the PIM systems.
+// iterations through the backend's Stepper, so the GPU baseline gets the
+// same admission, preemption and serving metrics as the PIM systems.
 func (s *System) NewEngine() (*Engine, error) {
 	grown := make(map[int]int)
 	ad, err := s.newAdmitter(grown)
@@ -218,7 +217,7 @@ func (e *Engine) MaxActive() int { return e.maxActive }
 
 // BlockedSeconds is the simulated time during which at least one request
 // sat in the queue while the engine decoded — time spent
-// admission-blocked on KV capacity (or the MaxBatch cap).
+// admission-blocked on KV capacity.
 func (e *Engine) BlockedSeconds() float64 { return e.blockedSec }
 
 // RecomputeSeconds is the total KV-rebuild time charged for re-admitting
@@ -315,8 +314,7 @@ func (e *Engine) Step(ctx context.Context) (StepResult, error) {
 		return res, nil // idle
 	}
 	e.sampleCapacity()
-	tokensOf := func(r workload.Request) int { return r.Context + e.grown[r.ID] }
-	cost, err := s.iterate(ctx, batch, tokensOf)
+	cost, err := s.iterate(ctx, e.liveTokens(batch))
 	if err != nil {
 		return res, err
 	}
@@ -334,7 +332,7 @@ func (e *Engine) Step(ctx context.Context) (StepResult, error) {
 			continue // evicted earlier this step
 		}
 		e.grown[r.ID]++
-		growErr := e.ad.alloc.Grow(r.ID, tokensOf(r))
+		growErr := e.ad.alloc.Grow(r.ID, r.Context+e.grown[r.ID])
 		for growErr != nil && len(e.ad.active) > 1 {
 			victim, perr := e.preemptYoungest()
 			if perr != nil {
@@ -344,7 +342,7 @@ func (e *Engine) Step(ctx context.Context) (StepResult, error) {
 			if victim.ID == r.ID {
 				break // the grower itself lost; its token is not emitted
 			}
-			growErr = e.ad.alloc.Grow(r.ID, tokensOf(r))
+			growErr = e.ad.alloc.Grow(r.ID, r.Context+e.grown[r.ID])
 		}
 		if growErr != nil {
 			e.grown[r.ID]-- // frozen (sole survivor) or evicted mid-growth
@@ -366,6 +364,17 @@ func (e *Engine) Step(ctx context.Context) (StepResult, error) {
 			s.cfg.Name, len(batch))
 	}
 	return res, nil
+}
+
+// liveTokens lists each batch member's live KV length (prompt plus
+// generated tokens) in batch order, in the engine's reused scratch.
+func (e *Engine) liveTokens(batch []workload.Request) []int {
+	toks := e.tokScratch[:0]
+	for _, r := range batch {
+		toks = append(toks, r.Context+e.grown[r.ID])
+	}
+	e.tokScratch = toks
+	return toks
 }
 
 // account books one priced iteration over a batch of n requests: the
@@ -482,8 +491,8 @@ func (e *Engine) leapDistance() int {
 }
 
 // fastForward prices n event-free iterations in one pass. The per-step
-// bookkeeping collapses to a token-slice increment and the memoized
-// stepper call; growth is committed as one batched Grow per request at
+// bookkeeping collapses to a token-slice increment and the stepper
+// call; growth is committed as one batched Grow per request at
 // the end (within the allocator's budget, so it cannot allocate or
 // fail), followed by the same retire check a naive step ends with.
 func (e *Engine) fastForward(ctx context.Context, n int, now, until float64) (StepResult, error) {
@@ -498,52 +507,10 @@ func (e *Engine) fastForward(ctx context.Context, n int, now, until float64) (St
 	e.sampleCapacity()
 	// Materialize token counts once; the per-iteration advance is a
 	// slice increment instead of per-request map traffic.
-	toks := e.tokScratch[:0]
-	for _, r := range batch {
-		toks = append(toks, r.Context+e.grown[r.ID])
-	}
-	e.tokScratch = toks
-	// tokensOf runs once per request per priced iteration — the hottest
-	// lookup of the whole leap. Active IDs form a tight window (requests
-	// are admitted in arrival order), so index them by offset from the
-	// batch minimum in a dense slice; the map is only a fallback for a
-	// pathologically sparse ID set.
-	var tokensOf backend.TokensOf
-	if len(batch) > 0 {
-		minID, maxID := batch[0].ID, batch[0].ID
-		for _, r := range batch[1:] {
-			if r.ID < minID {
-				minID = r.ID
-			}
-			if r.ID > maxID {
-				maxID = r.ID
-			}
-		}
-		if span := maxID - minID + 1; span <= 4*len(batch)+64 {
-			if cap(e.posDense) < span {
-				e.posDense = make([]int32, span)
-			}
-			dense := e.posDense[:span]
-			for i, r := range batch {
-				dense[r.ID-minID] = int32(i)
-			}
-			tokensOf = func(r workload.Request) int { return toks[dense[r.ID-minID]] }
-		}
-	}
-	if tokensOf == nil {
-		if e.posScratch == nil {
-			e.posScratch = make(map[int]int, len(batch))
-		}
-		clear(e.posScratch)
-		for i, r := range batch {
-			e.posScratch[r.ID] = i
-		}
-		pos := e.posScratch
-		tokensOf = func(r workload.Request) int { return toks[pos[r.ID]] }
-	}
+	toks := e.liveTokens(batch)
 	res.IterSeconds = e.secScratch[:0]
 	for i := 0; i < n && (i == 0 || now < until); i++ {
-		cost, err := s.iterateToks(ctx, batch, toks, tokensOf)
+		cost, err := s.iterate(ctx, toks)
 		if err != nil {
 			return res, err
 		}
@@ -620,7 +587,7 @@ func (e *Engine) FreeKVBytes() int64 {
 // right now at the serving horizon (its full generation length, clamped
 // to T_max) — the same predicate admission itself uses, exposed so a
 // fleet scheduler can check a destination replica before handing work
-// to it. MaxBatch and queue order still apply at actual admission.
+// to it. Queue order still applies at actual admission.
 func (e *Engine) HasHeadroom(r workload.Request) bool {
 	return e.ad.alloc.CanAdmit(e.ad.horizon(r))
 }

@@ -12,8 +12,8 @@ import (
 
 // refGPURun reimplements the pre-refactor dedicated GPU path (runGPU)
 // verbatim as an oracle: greedy skip-unfit admission against the
-// paged-attention-derated pool with upfront context+window reservations,
-// MaxBatch truncation after admission, and per-step roofline pricing.
+// paged-attention-derated pool with upfront context+window reservations
+// and per-step roofline pricing.
 // The backend refactor must reproduce its Batch, TotalSeconds and
 // Throughput bit for bit.
 func refGPURun(cfg Config, reqs []workload.Request) (batch int, totalSec, throughput float64, ok bool) {
@@ -38,9 +38,6 @@ func refGPURun(cfg Config, reqs []workload.Request) (batch int, totalSec, throug
 		}
 		kvBytes += need
 		admitted = append(admitted, r)
-		if cfg.MaxBatch > 0 && len(admitted) >= cfg.MaxBatch {
-			break
-		}
 	}
 	if len(admitted) == 0 {
 		return 0, 0, 0, false
@@ -94,14 +91,14 @@ func gpuCase(t *testing.T, name string, cfg Config, reqs []workload.Request) *Re
 	return rep
 }
 
-// TestGPUByteIdenticalAcrossRefactor pins the three GPU-baseline edge
-// cases of the backend extraction: an overflowing pool whose unfit
-// requests are skipped (not queue-blocking), MaxBatch truncation, and
-// the PagedAttentionEff capacity derate — all bit-exact against the
-// pre-refactor math. The oracle reserves each request's context+window
-// upfront, while the engine drain admits lazily at the live context and
-// grows per token; on these three cases the two admit the same batch
-// and no growth preempts, so they agree.
+// TestGPUByteIdenticalAcrossRefactor pins the GPU-baseline edge cases of
+// the backend extraction: an overflowing pool whose unfit requests are
+// skipped (not queue-blocking), and the PagedAttentionEff capacity
+// derate — all bit-exact against the pre-refactor math. The oracle
+// reserves each request's context+window upfront, while the engine
+// drain admits lazily at the live context and grows per token; on these
+// cases the two admit the same batch and no growth preempts, so they
+// agree.
 func TestGPUByteIdenticalAcrossRefactor(t *testing.T) {
 	m7 := model.LLM7B32K()
 	m72 := model.LLM72B32K()
@@ -114,13 +111,6 @@ func TestGPUByteIdenticalAcrossRefactor(t *testing.T) {
 	rep := gpuCase(t, "overflow", cfg, qmsum)
 	if rep != nil && (rep.Batch == 0 || rep.Batch == len(qmsum)) {
 		t.Errorf("overflow case should admit a strict subset, got %d of %d", rep.Batch, len(qmsum))
-	}
-
-	// MaxBatch truncation.
-	cfgMax := Config{Name: "gpu-maxbatch", Backend: GPUSystem, Model: m7, GPUs: 2, DecodeWindow: 4, MaxBatch: 5}
-	repMax := gpuCase(t, "maxbatch", cfgMax, qmsum)
-	if repMax != nil && repMax.Batch != 5 {
-		t.Errorf("MaxBatch=5 admitted %d", repMax.Batch)
 	}
 
 	// The PagedAttentionEff derate decides admission at the boundary: a

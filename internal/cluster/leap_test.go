@@ -205,32 +205,3 @@ func TestLeapRespectsUntil(t *testing.T) {
 		t.Fatal("leap kept running after crossing the bound")
 	}
 }
-
-// TestLeapReducesCacheLookups asserts the step-cost memoization's
-// headline: a serving drain through the memoizing stepper consults the
-// perfmodel cache at least 2x less than the pre-memoization path (which
-// priced every (channel, kernel) work unit of every iteration).
-func TestLeapReducesCacheLookups(t *testing.T) {
-	cfg := engineConfig(t, PIMphony())
-	reqs := withDecode(workload.NewGenerator(workload.QMSum(), 11).Batch(8), 48)
-
-	lookupsOf := func(strip bool, leap bool) int64 {
-		e := engineFor(t, cfg, reqs)
-		if strip {
-			e.sys.stepper = nil // the pre-memoization pricing path
-		}
-		before := e.sys.env.Perf.CacheLookups()
-		drainTrace(t, e, leap)
-		return e.sys.env.Perf.CacheLookups() - before
-	}
-	naive := lookupsOf(true, false)
-	fast := lookupsOf(false, true)
-	if naive == 0 || fast == 0 {
-		t.Fatalf("lookup counters not wired: naive=%d fast=%d", naive, fast)
-	}
-	if fast*2 > naive {
-		t.Errorf("memoized serving run did %d lookups vs %d un-memoized — less than the required 2x reduction", fast, naive)
-	}
-	t.Logf("perfmodel cache lookups per serving run: %d un-memoized -> %d memoized (%.0fx fewer)",
-		naive, fast, float64(naive)/float64(fast))
-}

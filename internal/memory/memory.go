@@ -187,9 +187,6 @@ func (s *Static) ReservedBytes() int64 { return int64(len(s.live)) * s.reservePe
 // CapacityBytes implements Allocator.
 func (s *Static) CapacityBytes() int64 { return s.capacity }
 
-// MaxBatch is the static batch-size bound: capacity / T_max reservation.
-func (s *Static) MaxBatch() int { return int(s.capacity / s.reservePer) }
-
 // ---------------------------------------------------------------------------
 // DPA allocator
 // ---------------------------------------------------------------------------

@@ -49,10 +49,7 @@ func TestStaticReservesTmax(t *testing.T) {
 }
 
 func TestStaticBatchBound(t *testing.T) {
-	s := newStaticT(t)
-	if s.MaxBatch() != 2 {
-		t.Fatalf("MaxBatch = %d, want 2 (1 GiB / 512 MiB)", s.MaxBatch())
-	}
+	s := newStaticT(t) // 1 GiB over 512 MiB T_max reservations: two slots
 	if err := s.Admit(0, 10); err != nil {
 		t.Fatal(err)
 	}

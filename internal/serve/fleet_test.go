@@ -228,7 +228,9 @@ func starvedSystem() cluster.Config {
 // the source, the starved replica untouched.
 func TestStealSkipsUnadmittableThief(t *testing.T) {
 	source := testSystem()
-	source.MaxBatch = 1 // admit one, queue the other: the steal bait
+	// Room for one request's horizon (~1508 MiB) but not two: admit one,
+	// queue the other, the steal bait.
+	source.KVBudgetBytes = 2048 << 20
 	rep := run(t, Config{
 		Fleet: []ReplicaSpec{
 			{System: source, Count: 1, Role: RoleUnified},

@@ -110,13 +110,3 @@ func A100() GPU {
 func (g GPU) AttentionTime(kvBytes int64) float64 {
 	return float64(kvBytes) / (g.MemGBs * 1e9 * g.MemEff * g.FlashDecodingEff)
 }
-
-// MaxBatch is the paged-attention batch bound for a model with the given
-// weight share and per-request KV footprint on this GPU.
-func (g GPU) MaxBatch(weightBytes, kvBytesPerReq int64) int {
-	avail := int64(float64(g.MemBytes-weightBytes) * g.PagedAttentionEff)
-	if avail <= 0 || kvBytesPerReq <= 0 {
-		return 0
-	}
-	return int(avail / kvBytesPerReq)
-}

@@ -67,22 +67,6 @@ func TestGPUDecodeRegime(t *testing.T) {
 	}
 }
 
-func TestGPUMaxBatch(t *testing.T) {
-	g := A100()
-	// 7B weights (14 GiB) + 2 GiB KV per request on 80 GiB: ~29 requests
-	// at 90% paging efficiency.
-	got := g.MaxBatch(14<<30, 2<<30)
-	if got < 25 || got > 32 {
-		t.Errorf("MaxBatch = %d, want ~29", got)
-	}
-	if g.MaxBatch(100<<30, 1<<30) != 0 {
-		t.Error("oversized weights should yield zero batch")
-	}
-	if g.MaxBatch(1<<30, 0) != 0 {
-		t.Error("zero KV per request should yield zero batch, not panic")
-	}
-}
-
 func TestNPUFasterThanPNMOnGEMM(t *testing.T) {
 	npu := NeuPIMsNPU(32000)
 	pnm := CENTPNM(16000)
