@@ -15,6 +15,8 @@ var coldShapes = []struct {
 }{
 	{"qkt-dcs", Query{Kernel: QKT, Tokens: 16384, Dh: 128, Queries: 1, Sched: DCS}},
 	{"sv-static-baseline", Query{Kernel: SV, Tokens: 16384, Dh: 128, Queries: 1, Baseline: true, Sched: Static}},
+	{"sv-static-baseline-gqa8-rowreuse", Query{Kernel: SV, Tokens: 16384, Dh: 128, Queries: 8, RowReuse: true, Baseline: true, Sched: Static}},
+	{"qkt-static-baseline-gqa4", Query{Kernel: QKT, Tokens: 16384, Dh: 128, Queries: 4, Baseline: true, Sched: Static}},
 	{"sv-gqa8-rowreuse-dcs", Query{Kernel: SV, Tokens: 16384, Dh: 128, Queries: 8, RowReuse: true, Sched: DCS}},
 	{"gemv-dcs", Query{Kernel: GEMV, Tokens: 4096, Dh: 4096, Sched: DCS}},
 }

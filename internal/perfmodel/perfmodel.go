@@ -1,13 +1,16 @@
-// Package perfmodel turns kernel shapes into channel latencies: it builds
-// the command stack for a kernel (internal/kernels), schedules it under the
-// selected controller (internal/sched) and memoizes the result.
+// Package perfmodel turns kernel shapes into channel latencies: it has the
+// kernel builder (internal/kernels) emit the kernel's commands, prices them
+// under the selected controller (internal/sched) and memoizes the result.
+// Under the static controller the commands stream straight into the
+// controller's fold and the builder skips whole periods once its state
+// repeats; the other controllers schedule a materialized stack.
 //
 // Long-context sweeps query millions of nearly identical shapes (token
 // counts grow by one per decode step), so token counts are quantized to 32
 // logarithmically spaced buckets per octave and the simulated latency is
-// scaled linearly to the exact token count; attention kernels are linear in
-// tokens beyond the fixed query-setup work, keeping the error well under
-// the run-to-run noise of the modelled hardware.
+// scaled linearly to the exact token count. Scaling also scales a kernel's
+// fixed setup work, so a scaled price is close to, not equal to, the
+// simulated price of the exact count.
 package perfmodel
 
 import (
@@ -170,10 +173,12 @@ func quantize(tokens int) int {
 	return (tokens + step - 1) / step * step
 }
 
-// maxAttnSimTokens caps the per-channel token count that is simulated
-// command-by-command; longer slices are priced at the cap and scaled
-// linearly. Attention command streams are strictly periodic beyond a few
-// rows, so the extrapolation is exact up to the fixed setup work.
+// maxAttnSimTokens caps the per-channel token count that is priced by
+// simulation; longer slices are priced at the cap and scaled linearly,
+// fixed setup work included. The cap bounds the cost of a cold price
+// under DCS and ping-pong, which schedule every command. Under the static
+// controller the builders detect when the stream repeats and skip whole
+// periods exactly, so a static price costs about the same at any count.
 const maxAttnSimTokens = 1 << 16
 
 // Bucket returns the quantization bucket an attention token count is
@@ -266,9 +271,11 @@ func scale(l Latency, f float64) Latency {
 	}
 }
 
-// simulate prices one quantized query cold: it resolves the controller,
-// builds the kernel's command stack, schedules it, tallies it and hands
-// the stack's command buffer back for the next miss. The stack never
+// simulate prices one quantized query cold. Under the static controller
+// the kernel builder streams its commands straight into the controller's
+// fold, skipping whole periods once the stream repeats, and no stack is
+// built. The other controllers schedule a materialized stack, whose
+// pooled command buffer is handed back for the next miss; the stack never
 // leaves this function, so releasing it here is safe.
 func (s *Service) simulate(q Query) (Latency, error) {
 	var scheduler sched.Scheduler
@@ -291,36 +298,43 @@ func (s *Service) simulate(q Query) (Latency, error) {
 		buf = kernels.OBufBuffers(s.dev)
 	}
 	kc := kernels.NewConfig(s.dev, buf)
-	var (
-		stack *pim.Stack
-		err   error
-	)
-	switch q.Kernel {
-	case QKT:
-		stack, err = kc.QKT(q.Tokens, q.Dh, q.Queries, q.RowReuse)
-	case SV:
-		stack, err = kc.SV(q.Tokens, q.Dh, q.Queries, q.RowReuse)
-	case GEMV:
-		stack, err = kc.GEMV(q.Tokens, q.Dh)
-	default:
-		return Latency{}, fmt.Errorf("perfmodel: unknown kernel %d", q.Kernel)
+	emit := func(sink pim.Sink) error {
+		switch q.Kernel {
+		case QKT:
+			return kc.EmitQKT(sink, q.Tokens, q.Dh, q.Queries, q.RowReuse)
+		case SV:
+			return kc.EmitSV(sink, q.Tokens, q.Dh, q.Queries, q.RowReuse)
+		case GEMV:
+			return kc.EmitGEMV(sink, q.Tokens, q.Dh)
+		default:
+			return fmt.Errorf("perfmodel: unknown kernel %d", q.Kernel)
+		}
 	}
-	if err != nil {
-		return Latency{}, err
+	var res *sched.Result
+	if st, ok := scheduler.(*sched.Static); ok {
+		stream := st.Stream()
+		if err := emit(stream); err != nil {
+			return Latency{}, err
+		}
+		res = stream.Result()
+	} else {
+		stack := pim.NewStack(buf.GBufEntries, buf.OutEntries)
+		defer stack.Release()
+		if err := emit(stack); err != nil {
+			return Latency{}, err
+		}
+		var err error
+		if res, err = scheduler.Schedule(stack); err != nil {
+			return Latency{}, err
+		}
 	}
-	defer stack.Release()
-	res, err := scheduler.Schedule(stack)
-	if err != nil {
-		return Latency{}, err
-	}
-	st := kernels.StackStats(stack)
 	return Latency{
 		Cycles:    res.Total,
 		Breakdown: res.Breakdown,
 		MACUtil:   res.MACUtilization(),
-		MACs:      int64(st.Mac),
-		IOBytes:   int64(st.WrInp+st.RdOut) * int64(s.dev.TileBytes),
-		ActPre:    int64(st.Act),
+		MACs:      res.Count[pim.MAC],
+		IOBytes:   (res.Count[pim.WRINP] + res.Count[pim.RDOUT]) * int64(s.dev.TileBytes),
+		ActPre:    res.Count[pim.ACT],
 	}, nil
 }
 

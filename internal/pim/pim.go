@@ -11,6 +11,7 @@ package pim
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -153,91 +154,181 @@ func (s *Stack) Counts() [PRE + 1]int {
 	return n
 }
 
+// Put appends commands as given, IDs included; it makes a stack the Sink
+// of a kernel builder.
+func (s *Stack) Put(cmds ...Command) { s.Cmds = append(s.Cmds, cmds...) }
+
 // Validate checks stack-level invariants: IDs are dense and in order, buffer
 // indices are within the declared geometry, every MAC reads a GBuf entry
 // that was written earlier, every RD-OUT drains an output entry some MAC
 // accumulated into since the previous drain, and row commands alternate
-// sensibly (no MAC on a closed row once any ACT appears).
+// sensibly. MACs are checked against the open row only when an ACT or PRE
+// appears anywhere in the stack, before or after them.
 func (s *Stack) Validate() error {
-	written := make([]bool, s.GBufEntries)
-	accum := make([]bool, s.OutEntries)
-	usesRowCmds := false
+	rows := false
 	for _, c := range s.Cmds {
 		if c.Kind == ACT || c.Kind == PRE {
-			usesRowCmds = true
+			rows = true
 			break
 		}
 	}
-	openRow := -1
-	for i, c := range s.Cmds {
+	return NewChecker(s.GBufEntries, s.OutEntries, rows).Check(s.Cmds...)
+}
+
+// Sink consumes a command stream in program order, any number of
+// commands at a time. A kernel builder emits into one; *Stack implements
+// it by appending.
+type Sink interface {
+	Put(cmds ...Command)
+}
+
+// Periodic is implemented by stream consumers that can take part in
+// skipping whole periods of a repeating command stream. A builder compares
+// the appended state at the start of two loop iterations; when it matches,
+// the commands in between repeat, and the builder advances every counter
+// by m times its change over that span instead of emitting m more spans.
+type Periodic interface {
+	// AppendState appends everything the consumer's handling of later
+	// commands depends on, with times relative to its issue clock and
+	// rows relative to rowBase.
+	AppendState(dst []int64, rowBase int) []int64
+	// AppendCounters appends the values that advance by a fixed amount
+	// over each repeated span.
+	AppendCounters(dst []int64) []int64
+	// Advance adds m times delta to the counters, in AppendCounters order.
+	Advance(delta []int64, m int)
+}
+
+// Checker applies Validate's rules to a command stream piece by piece, so
+// a stream is checked as it is emitted without being stored.
+type Checker struct {
+	written []bool // per GBuf entry: written by some WR-INP
+	accum   []bool // per output entry: accumulated since its last drain
+	// rows turns on the MAC-on-open-row rule. Validate sets it when the
+	// stack holds any ACT or PRE; kernel builders always open a row before
+	// their first MAC and check with it on from the start.
+	rows    bool
+	openRow int
+	n       int // commands accepted so far: the ID the next one must carry
+}
+
+// NewChecker returns a checker for a stream built for the given buffer
+// geometry.
+func NewChecker(gbufEntries, outEntries int, rows bool) *Checker {
+	return &Checker{written: make([]bool, gbufEntries), accum: make([]bool, outEntries), rows: rows, openRow: -1}
+}
+
+// Len is the number of commands accepted so far, which is also the ID the
+// next command must carry.
+func (k *Checker) Len() int { return k.n }
+
+// Check applies the rules to the next commands of the stream, in order.
+// It stops at the first rejected command and returns its error; the
+// checker is then left as the commands before it left it.
+func (k *Checker) Check(cmds ...Command) error {
+	written, accum := k.written, k.accum
+	n, openRow := k.n, k.openRow
+	var err error
+loop:
+	for _, c := range cmds {
+		i := n
 		if c.ID != i {
-			return fmt.Errorf("pim: command %d has ID %d, want dense IDs", i, c.ID)
+			err = fmt.Errorf("pim: command %d has ID %d, want dense IDs", i, c.ID)
+			break
 		}
 		switch c.Kind {
 		case WRINP:
-			if c.GBuf < 0 || c.GBuf >= s.GBufEntries {
-				return fmt.Errorf("pim: cmd %d WR-INP GBuf index %d out of range [0,%d)", i, c.GBuf, s.GBufEntries)
+			if c.GBuf < 0 || c.GBuf >= len(written) {
+				err = fmt.Errorf("pim: cmd %d WR-INP GBuf index %d out of range [0,%d)", i, c.GBuf, len(written))
+				break loop
 			}
 			written[c.GBuf] = true
 		case MAC:
-			if c.GBuf < 0 || c.GBuf >= s.GBufEntries {
-				return fmt.Errorf("pim: cmd %d MAC GBuf index %d out of range", i, c.GBuf)
+			if c.GBuf < 0 || c.GBuf >= len(written) {
+				err = fmt.Errorf("pim: cmd %d MAC GBuf index %d out of range", i, c.GBuf)
+				break loop
 			}
 			if !written[c.GBuf] {
-				return fmt.Errorf("pim: cmd %d MAC reads GBuf %d before any WR-INP", i, c.GBuf)
+				err = fmt.Errorf("pim: cmd %d MAC reads GBuf %d before any WR-INP", i, c.GBuf)
+				break loop
 			}
-			if c.Out < 0 || c.Out >= s.OutEntries {
-				return fmt.Errorf("pim: cmd %d MAC Out index %d out of range [0,%d)", i, c.Out, s.OutEntries)
+			if c.Out < 0 || c.Out >= len(accum) {
+				err = fmt.Errorf("pim: cmd %d MAC Out index %d out of range [0,%d)", i, c.Out, len(accum))
+				break loop
 			}
-			if usesRowCmds && openRow != c.Row {
-				return fmt.Errorf("pim: cmd %d MAC on row %d but open row is %d", i, c.Row, openRow)
+			if k.rows && openRow != c.Row {
+				err = fmt.Errorf("pim: cmd %d MAC on row %d but open row is %d", i, c.Row, openRow)
+				break loop
 			}
 			accum[c.Out] = true
 		case RDOUT:
-			if c.Out < 0 || c.Out >= s.OutEntries {
-				return fmt.Errorf("pim: cmd %d RD-OUT Out index %d out of range", i, c.Out)
+			if c.Out < 0 || c.Out >= len(accum) {
+				err = fmt.Errorf("pim: cmd %d RD-OUT Out index %d out of range", i, c.Out)
+				break loop
 			}
 			if !accum[c.Out] {
-				return fmt.Errorf("pim: cmd %d RD-OUT drains Out %d with no pending accumulation", i, c.Out)
+				err = fmt.Errorf("pim: cmd %d RD-OUT drains Out %d with no pending accumulation", i, c.Out)
+				break loop
 			}
 			accum[c.Out] = false
 		case ACT:
 			if openRow != -1 {
-				return fmt.Errorf("pim: cmd %d ACT row %d while row %d is open", i, c.Row, openRow)
+				err = fmt.Errorf("pim: cmd %d ACT row %d while row %d is open", i, c.Row, openRow)
+				break loop
 			}
 			openRow = c.Row
 		case PRE:
 			if openRow == -1 || openRow != c.Row {
-				return fmt.Errorf("pim: cmd %d PRE row %d but open row is %d", i, c.Row, openRow)
+				err = fmt.Errorf("pim: cmd %d PRE row %d but open row is %d", i, c.Row, openRow)
+				break loop
 			}
 			openRow = -1
 		default:
-			return fmt.Errorf("pim: cmd %d has unknown kind %d", i, c.Kind)
+			err = fmt.Errorf("pim: cmd %d has unknown kind %d", i, c.Kind)
+			break loop
 		}
+		n++
 	}
-	return nil
+	k.n, k.openRow = n, openRow
+	return err
 }
 
-// IOBytes returns the number of bytes moved over the channel I/O path
-// (WR-INP input tiles plus RD-OUT output tiles) for the given tile size.
-func (s *Stack) IOBytes(tileBytes int) int64 {
-	var n int64
-	for _, c := range s.Cmds {
-		if c.Kind == WRINP || c.Kind == RDOUT {
-			n += int64(tileBytes)
-		}
+// None stands in for a closed row or a free buffer entry in appended
+// state, so it never equals a relative row or key.
+const None = math.MinInt64
+
+// AppendState implements Periodic: the written and accumulated flags and
+// the open row relative to rowBase.
+func (k *Checker) AppendState(dst []int64, rowBase int) []int64 {
+	dst = AppendFlags(AppendFlags(dst, k.written), k.accum)
+	if k.openRow < 0 {
+		return append(dst, None)
 	}
-	return n
+	return append(dst, int64(k.openRow-rowBase))
 }
 
-// DRAMBytes returns the bytes read from DRAM cells by MAC commands across
-// all banks.
-func (s *Stack) DRAMBytes(tileBytes, banks int) int64 {
-	var n int64
-	for _, c := range s.Cmds {
-		if c.Kind == MAC {
-			n += int64(tileBytes) * int64(banks)
+// AppendCounters implements Periodic: the command count and the open row.
+// When the states at the two ends of a span match, the open row moved
+// exactly as far as the row base did (or stayed closed), so it advances
+// like a counter.
+func (k *Checker) AppendCounters(dst []int64) []int64 {
+	return append(dst, int64(k.n), int64(k.openRow))
+}
+
+// Advance implements Periodic.
+func (k *Checker) Advance(delta []int64, m int) {
+	k.n += m * int(delta[0])
+	k.openRow += m * int(delta[1])
+}
+
+// AppendFlags appends each flag to an appended state as 0 or 1.
+func AppendFlags(dst []int64, flags []bool) []int64 {
+	for _, f := range flags {
+		v := int64(0)
+		if f {
+			v = 1
 		}
+		dst = append(dst, v)
 	}
-	return n
+	return dst
 }

@@ -126,16 +126,6 @@ func TestRowProtocol(t *testing.T) {
 	}
 }
 
-func TestByteAccounting(t *testing.T) {
-	s := fig7Stack()
-	if got := s.IOBytes(32); got != int64(5*32) {
-		t.Fatalf("IOBytes = %d, want %d", got, 5*32)
-	}
-	if got := s.DRAMBytes(32, 16); got != int64(6*32*16) {
-		t.Fatalf("DRAMBytes = %d, want %d", got, 6*32*16)
-	}
-}
-
 func TestKindString(t *testing.T) {
 	want := map[Kind]string{WRINP: "WR-INP", MAC: "MAC", RDOUT: "RD-OUT", ACT: "ACT", PRE: "PRE"}
 	for k, s := range want {
@@ -182,5 +172,61 @@ func TestRandomWellFormedStacksValidate(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// invalidStacks holds one stack per Validate rule with the exact error
+// Validate returns for it.
+var invalidStacks = []struct {
+	name  string
+	build func(s *Stack)
+	want  string
+}{
+	{"dense IDs", func(s *Stack) {
+		s.WrInp(0)
+		s.Cmds = append(s.Cmds, Command{ID: 5, Kind: WRINP, GBuf: 1, Out: -1, Row: -1, Col: -1})
+	}, "pim: command 1 has ID 5, want dense IDs"},
+	{"WR-INP GBuf range", func(s *Stack) { s.WrInp(4) },
+		"pim: cmd 0 WR-INP GBuf index 4 out of range [0,4)"},
+	{"MAC GBuf range", func(s *Stack) { s.WrInp(0); s.Act(0); s.Mac(-1, 0, 0, 0) },
+		"pim: cmd 2 MAC GBuf index -1 out of range"},
+	{"MAC Out range", func(s *Stack) { s.WrInp(0); s.Act(0); s.Mac(0, 2, 0, 0) },
+		"pim: cmd 2 MAC Out index 2 out of range [0,2)"},
+	{"RD-OUT Out range", func(s *Stack) { s.WrInp(0); s.RdOut(7) },
+		"pim: cmd 1 RD-OUT Out index 7 out of range"},
+	{"MAC before WR-INP", func(s *Stack) { s.Act(0); s.Mac(1, 0, 0, 0) },
+		"pim: cmd 1 MAC reads GBuf 1 before any WR-INP"},
+	{"drain with nothing accumulated", func(s *Stack) {
+		s.WrInp(0)
+		s.Act(0)
+		s.Mac(0, 0, 0, 0)
+		s.RdOut(0)
+		s.RdOut(0)
+	}, "pim: cmd 4 RD-OUT drains Out 0 with no pending accumulation"},
+	{"MAC on a closed row", func(s *Stack) { s.WrInp(0); s.Act(3); s.Mac(0, 0, 7, 0) },
+		"pim: cmd 2 MAC on row 7 but open row is 3"},
+	{"MAC before a later PRE", func(s *Stack) { s.WrInp(0); s.Mac(0, 0, 0, 0); s.Pre(0) },
+		"pim: cmd 1 MAC on row 0 but open row is -1"},
+	{"nested ACT", func(s *Stack) { s.Act(1); s.Act(2) },
+		"pim: cmd 1 ACT row 2 while row 1 is open"},
+	{"PRE without ACT", func(s *Stack) { s.Pre(1) },
+		"pim: cmd 0 PRE row 1 but open row is -1"},
+	{"PRE of another row", func(s *Stack) { s.Act(1); s.Pre(2) },
+		"pim: cmd 1 PRE row 2 but open row is 1"},
+	{"unknown kind", func(s *Stack) {
+		s.WrInp(0)
+		s.Cmds = append(s.Cmds, Command{ID: 1, Kind: PRE + 1, GBuf: -1, Out: -1, Row: -1, Col: -1})
+	}, "pim: cmd 1 has unknown kind 5"},
+}
+
+// TestValidateErrorText pins Validate's exact error for each rule.
+func TestValidateErrorText(t *testing.T) {
+	for _, tc := range invalidStacks {
+		s := NewStack(4, 2)
+		tc.build(s)
+		err := s.Validate()
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Validate = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }

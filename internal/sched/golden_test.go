@@ -24,6 +24,18 @@ const goldenSchedules = "c815a4c03fa2e46dd0c9204a21e43a83d344762bbcb6871b21d04c2
 // tests.
 func goldenStacks(t *testing.T) []*pim.Stack {
 	t.Helper()
+	out := kernelStacks(t)
+	out = append(out, fig7Stack(), streamingStack(128, 16), rowStack(4, 8))
+	for seed := int64(0); seed < 64; seed++ {
+		out = append(out, randomStack(seed, 120))
+	}
+	return out
+}
+
+// kernelStacks returns stacks of every builder under both buffer
+// geometries.
+func kernelStacks(t *testing.T) []*pim.Stack {
+	t.Helper()
 	d := timing.AiM16()
 	var out []*pim.Stack
 	for _, buf := range []kernels.Buffers{kernels.BaselineBuffers(d), kernels.OBufBuffers(d)} {
@@ -44,10 +56,6 @@ func goldenStacks(t *testing.T) []*pim.Stack {
 			}
 			out = append(out, s)
 		}
-	}
-	out = append(out, fig7Stack(), streamingStack(128, 16), rowStack(4, 8))
-	for seed := int64(0); seed < 64; seed++ {
-		out = append(out, randomStack(seed, 120))
 	}
 	return out
 }

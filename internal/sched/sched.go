@@ -6,8 +6,10 @@
 // All controllers consume a pim.Stack (a linear command stream for one
 // channel) and produce a Result with per-command issue times, the total
 // latency, a latency breakdown in the categories of the paper's Fig. 8/9
-// (MAC, ACT/PRE, REF, DT-GBuf, DT-OutReg, pipeline penalty) and the MAC-unit
-// utilization.
+// (MAC, ACT/PRE, REF, DT-GBuf, DT-OutReg, pipeline penalty), a per-kind
+// command tally and the MAC-unit utilization. The static controller also
+// runs as a Stream: the same fold fed one command at a time, so a kernel
+// builder can price a stream it never stores.
 //
 // Timing semantics (calibrated to reproduce the paper's Fig. 7 example,
 // 34 cycles static and 22 cycles DCS):
@@ -117,8 +119,8 @@ type Result struct {
 	Issue     []timing.Cycles // per-command issue cycle (indexed by cmd ID)
 	Reasons   []Reason        // binding constraint per command
 	Breakdown Breakdown
-	NumMAC    int
-	NumIO     int
+	// Count tallies the scheduled commands by kind, indexed by pim.Kind.
+	Count [nKinds]int64
 }
 
 // MACUtilization is the fraction of the total latency during which the MAC
@@ -214,28 +216,113 @@ func gapReason(prev pim.Kind) Reason {
 	}
 }
 
-// Schedule implements Scheduler.
+// Schedule implements Scheduler: it validates the stack and runs it
+// through the controller's fold, recording each command's issue cycle and
+// binding constraint.
 func (s *Static) Schedule(st *pim.Stack) (*Result, error) {
 	if err := st.Validate(); err != nil {
 		return nil, fmt.Errorf("sched: invalid stack: %w", err)
 	}
-	kt := newKindTimes(&s.Dev)
 	n := len(st.Cmds)
+	f := s.Stream()
 	res := &Result{Scheduler: s.Name(), Issue: make([]timing.Cycles, n), Reasons: make([]Reason, n)}
-	var t timing.Cycles
-	for i := 1; i < n; i++ {
-		prev := st.Cmds[i-1].Kind
-		gap := kt.gap[prev][st.Cmds[i].Kind]
-		t += gap
-		if gap > kt.tccds {
-			res.Reasons[i] = gapReason(prev)
-		} else {
-			res.Reasons[i] = ReasonBus
-		}
-		res.Issue[i] = t
+	for i, c := range st.Cmds {
+		res.Issue[i], res.Reasons[i] = f.issue(c.Kind)
 	}
-	finalize(&s.Dev, kt, st, res)
+	f.finish(&s.Dev, res)
 	return res, nil
+}
+
+// Stream is the static controller as an incremental fold: a pim.Sink that
+// issues each command under the in-order gap rule as it arrives and keeps
+// no per-command state, so a kernel builder can price a command stream
+// without materializing it. It takes commands already checked by a
+// pim.Checker, and it implements pim.Periodic so a builder can skip whole
+// periods of a repeating stream.
+type Stream struct {
+	s *Static
+	fold
+	t    timing.Cycles // issue cycle of the last command
+	prev int           // kind of the last command, -1 before the first
+}
+
+// Stream returns an empty stream priced on the controller's device.
+func (s *Static) Stream() *Stream {
+	return &Stream{s: s, fold: fold{kt: newKindTimes(&s.Dev)}, prev: -1}
+}
+
+// issue applies the in-order gap rule to the next command, folds it in
+// and returns its issue cycle and binding constraint.
+func (f *Stream) issue(k pim.Kind) (timing.Cycles, Reason) {
+	why := ReasonNone
+	if f.prev >= 0 {
+		prev := pim.Kind(f.prev)
+		gap := f.kt.gap[prev][k]
+		f.t += gap
+		if gap > f.kt.tccds {
+			why = gapReason(prev)
+		} else {
+			why = ReasonBus
+		}
+	}
+	f.prev = int(k)
+	f.add(k, f.t, why)
+	return f.t, why
+}
+
+// Put implements pim.Sink.
+func (f *Stream) Put(cmds ...pim.Command) {
+	for _, c := range cmds {
+		f.issue(c.Kind)
+	}
+}
+
+// Result returns the schedule of the commands put so far: Total,
+// Breakdown and Count, without per-command issue cycles.
+func (f *Stream) Result() *Result {
+	res := &Result{Scheduler: f.s.Name()}
+	f.finish(&f.s.Dev, res)
+	return res
+}
+
+// AppendState implements pim.Periodic: the previous kind, whether a MAC
+// has issued, and the last-MAC cycle, the MAC-issue maximum and the
+// completion horizon relative to the issue clock. The fold reads no rows.
+func (f *Stream) AppendState(dst []int64, _ int) []int64 {
+	if f.count[pim.MAC] == 0 {
+		return append(dst, int64(f.prev), 0, 0, 0, int64(f.end-f.t))
+	}
+	return append(dst, int64(f.prev), 1, int64(f.prevMAC-f.t), int64(f.lastMAC-f.t), int64(f.end-f.t))
+}
+
+// clocks lists the fold's cycle counters in AppendCounters order: the
+// issue clock, the horizon, both MAC cycles and the breakdown components
+// add attributes (finish sets MAC and Refresh).
+func (f *Stream) clocks() [8]*timing.Cycles {
+	b := &f.b
+	return [...]*timing.Cycles{&f.t, &f.end, &f.prevMAC, &f.lastMAC,
+		&b.ActPre, &b.DTGBuf, &b.DTOutReg, &b.Penalty}
+}
+
+// AppendCounters implements pim.Periodic: the cycle counters and the
+// per-kind tally.
+func (f *Stream) AppendCounters(dst []int64) []int64 {
+	for _, c := range f.clocks() {
+		dst = append(dst, int64(*c))
+	}
+	return append(dst, f.count[:]...)
+}
+
+// Advance implements pim.Periodic. The refresh stretch is not a counter:
+// Result applies it once, to the advanced horizon.
+func (f *Stream) Advance(delta []int64, m int) {
+	cs := f.clocks()
+	for i, c := range cs {
+		*c += timing.Cycles(m) * timing.Cycles(delta[i])
+	}
+	for k := range f.count {
+		f.count[k] += int64(m) * delta[len(cs)+k]
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -369,7 +456,11 @@ func runQueues(d *timing.Device, st *pim.Stack, name string, fill func(kt *kindT
 			cHead++
 		}
 	}
-	finalize(d, kt, st, res)
+	f := fold{kt: kt}
+	for i, c := range st.Cmds {
+		f.add(c.Kind, res.Issue[i], res.Reasons[i])
+	}
+	f.finish(d, res)
 	return res, nil
 }
 
@@ -535,68 +626,76 @@ func (s *PingPong) Schedule(st *pim.Stack) (*Result, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Breakdown finalization
+// Breakdown fold
 // ---------------------------------------------------------------------------
 
-// finalize computes Total and the latency breakdown from issue times. The
-// breakdown is built over the MAC-pipeline timeline: the MAC component is
-// the pipeline's busy time (one tCCDS slot per MAC); all idle gaps between
-// MAC issues are attributed to the binding constraint of the waiting MAC;
-// the lead-in before the first MAC and the drain after the last are
+// fold accumulates a schedule one command at a time in program order: the
+// completion horizon over all commands, the MAC-pipeline breakdown and a
+// per-kind tally. Every controller finishes through it. The breakdown is
+// built over the MAC-pipeline timeline: the MAC component is the
+// pipeline's busy time (one tCCDS slot per MAC); all idle gaps between MAC
+// issues are attributed to the binding constraint of the waiting MAC; the
+// lead-in before the first MAC and the drain after the last are
 // attributed to their binding causes. A refresh stretch is applied last.
-func finalize(d *timing.Device, kt *kindTimes, st *pim.Stack, res *Result) {
-	b := &res.Breakdown
-	attribute := func(cycles timing.Cycles, why Reason) {
-		if cycles <= 0 {
-			return
+type fold struct {
+	kt                    *kindTimes
+	end, prevMAC, lastMAC timing.Cycles
+	count                 [nKinds]int64
+	b                     Breakdown
+}
+
+// add folds in one command of kind k issued at cycle t with binding
+// constraint why.
+func (f *fold) add(k pim.Kind, t timing.Cycles, why Reason) {
+	if done := t + f.kt.exec[k]; done > f.end {
+		f.end = done
+	}
+	if k == pim.MAC {
+		if f.count[pim.MAC] == 0 {
+			f.attribute(t, leadReason(why))
+		} else {
+			f.attribute(t-f.prevMAC-f.kt.tccds, why)
 		}
-		switch why {
-		case ReasonDepWR:
-			b.DTGBuf += cycles
-		case ReasonDepRD:
-			b.DTOutReg += cycles
-		case ReasonRow:
-			b.ActPre += cycles
-		default:
-			b.Penalty += cycles
+		f.prevMAC = t
+		if t > f.lastMAC {
+			f.lastMAC = t
 		}
 	}
-	// One pass in program order: the completion horizon over all
-	// commands, and the MAC-pipeline gaps in MAC issue order.
-	var end, prevMAC, lastMAC timing.Cycles
-	for i := range st.Cmds {
-		k := st.Cmds[i].Kind
-		t := res.Issue[i]
-		if done := t + kt.exec[k]; done > end {
-			end = done
-		}
-		switch {
-		case k == pim.MAC:
-			if res.NumMAC == 0 {
-				attribute(t, leadReason(res.Reasons[i]))
-			} else {
-				attribute(t-prevMAC-kt.tccds, res.Reasons[i])
-			}
-			res.NumMAC++
-			prevMAC = t
-			if t > lastMAC {
-				lastMAC = t
-			}
-		case isIO(k):
-			res.NumIO++
-		}
+	f.count[k]++
+}
+
+// attribute charges a MAC-pipeline idle gap to its breakdown category.
+func (f *fold) attribute(cycles timing.Cycles, why Reason) {
+	if cycles <= 0 {
+		return
 	}
-	if res.NumMAC > 0 {
-		b.MAC = timing.Cycles(res.NumMAC) * kt.tccds
+	switch why {
+	case ReasonDepWR:
+		f.b.DTGBuf += cycles
+	case ReasonDepRD:
+		f.b.DTOutReg += cycles
+	case ReasonRow:
+		f.b.ActPre += cycles
+	default:
+		f.b.Penalty += cycles
+	}
+}
+
+// finish writes Total, Breakdown and Count of the commands folded so far
+// into res. It leaves the fold unchanged.
+func (f *fold) finish(d *timing.Device, res *Result) {
+	b := f.b
+	if n := f.count[pim.MAC]; n > 0 {
+		b.MAC = timing.Cycles(n) * f.kt.tccds
 		// Drain: everything after the last MAC slot is output drain time.
-		b.DTOutReg += end - (lastMAC + kt.tccds)
+		b.DTOutReg += f.end - (f.lastMAC + f.kt.tccds)
 	} else {
 		// Pure I/O stack: attribute everything to transfer time.
-		b.DTGBuf = end
+		b.DTGBuf = f.end
 	}
-	total, ref := d.StretchForRefresh(end)
-	b.Refresh = ref
-	res.Total = total
+	res.Total, b.Refresh = d.StretchForRefresh(f.end)
+	res.Breakdown = b
+	res.Count = f.count
 }
 
 // leadReason maps the first MAC's binding constraint to a breakdown

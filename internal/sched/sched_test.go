@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -386,5 +387,62 @@ func TestSchedulerNames(t *testing.T) {
 		(&DCS{Dev: d}).Name() != "dcs" ||
 		(&DCS{Dev: d, DisableIsMAC: true}).Name() != "dcs-no-ismac" {
 		t.Fatal("scheduler names changed; experiment tables key on them")
+	}
+}
+
+// stream runs commands through the stream path: a pim.Checker with row
+// checking on from the first command, in front of the static fold.
+func stream(d timing.Device, st *pim.Stack) (*Result, error) {
+	chk := pim.NewChecker(st.GBufEntries, st.OutEntries, true)
+	f := (&Static{Dev: d}).Stream()
+	for _, c := range st.Cmds {
+		if err := chk.Check(c); err != nil {
+			return nil, err
+		}
+		f.Put(c)
+	}
+	return f.Result(), nil
+}
+
+// TestStreamMatchesSchedule: on row-managed stacks (an ACT before the
+// first MAC, as every kernel builder emits) the stream path prices
+// exactly what Static.Schedule does, and rejects an invalid stack with
+// the same error.
+func TestStreamMatchesSchedule(t *testing.T) {
+	d := timing.AiM16()
+	for i, st := range kernelStacks(t) {
+		want, err := (&Static{Dev: d}).Schedule(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := stream(d, st)
+		if err != nil {
+			t.Fatalf("stack %d: %v", i, err)
+		}
+		if got.Total != want.Total || got.Breakdown != want.Breakdown || got.Count != want.Count {
+			t.Errorf("stack %d: streamed %d %+v %v, scheduled %d %+v %v", i,
+				got.Total, got.Breakdown, got.Count, want.Total, want.Breakdown, want.Count)
+		}
+	}
+	for name, build := range map[string]func(s *pim.Stack){
+		"Out range":         func(s *pim.Stack) { s.WrInp(0); s.Act(0); s.Mac(0, 9, 0, 0) },
+		"MAC before WR-INP": func(s *pim.Stack) { s.Act(0); s.Mac(1, 0, 0, 0) },
+		"MAC on closed row": func(s *pim.Stack) { s.WrInp(0); s.Act(3); s.Mac(0, 0, 7, 0) },
+		"MAC after PRE":     func(s *pim.Stack) { s.WrInp(0); s.Act(0); s.Mac(0, 0, 0, 0); s.Pre(0); s.Mac(0, 0, 0, 1) },
+		"empty drain":       func(s *pim.Stack) { s.WrInp(0); s.Act(0); s.Mac(0, 0, 0, 0); s.RdOut(0); s.RdOut(0) },
+		"nested ACT":        func(s *pim.Stack) { s.Act(1); s.Act(2) },
+		"PRE of other row":  func(s *pim.Stack) { s.Act(1); s.Pre(2) },
+		"unknown kind": func(s *pim.Stack) {
+			s.Act(0)
+			s.Cmds = append(s.Cmds, pim.Command{ID: 1, Kind: pim.PRE + 1})
+		},
+	} {
+		st := pim.NewStack(4, 4)
+		build(st)
+		_, want := (&Static{Dev: d}).Schedule(st)
+		_, got := stream(d, st)
+		if want == nil || got == nil || errors.Unwrap(want).Error() != got.Error() {
+			t.Errorf("%s: stream error %v, Static.Schedule error %v", name, got, want)
+		}
 	}
 }
