@@ -10,7 +10,7 @@ BACKEND_COVER_MIN ?= 80
 # placement seams (make cover-serve / CI).
 SERVE_COVER_MIN ?= 85
 
-.PHONY: all fmt fmt-check vet staticcheck build examples test test-short race-serve race-pricing fuzz-smoke fleet autoscale megafleet resilience bench bench-check bench-baseline cover cover-serve ci
+.PHONY: all fmt fmt-check vet api-lint staticcheck build examples test test-short race-serve race-pricing fuzz-smoke fleet autoscale megafleet resilience bench bench-check bench-baseline cover cover-serve ci
 
 all: build
 
@@ -27,6 +27,12 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# CI's exported-API lint: fail on an exported func, method or type with
+# no caller outside test files (the module, cmd/ and examples/ included,
+# plus perfbench). staticcheck reports only unused unexported code.
+api-lint:
+	$(GO) test -count=1 -run TestExportedAPIHasCallers -v ./internal/doclint/
 
 # CI pins staticcheck@2025.1.1; locally the gate runs when the tool is
 # installed (go install honnef.co/go/tools/cmd/staticcheck@2025.1.1)
@@ -153,4 +159,4 @@ cover-serve:
 			exit bad; \
 		}' coverage-serve.out || { echo "serve spine coverage below $(SERVE_COVER_MIN)%" >&2; exit 1; }
 
-ci: fmt-check vet staticcheck build examples test-short race-serve race-pricing bench bench-check cover cover-serve
+ci: fmt-check vet api-lint staticcheck build examples test-short race-serve race-pricing bench bench-check cover cover-serve

@@ -14,22 +14,6 @@ import (
 	"pimphony/internal/timing"
 )
 
-func fig7Stack() *pim.Stack {
-	s := pim.NewStack(64, 32)
-	s.WrInp(0)
-	s.WrInp(1)
-	s.WrInp(2)
-	s.Mac(0, 0, 0, 0)
-	s.Mac(1, 0, 0, 1)
-	s.Mac(2, 0, 0, 2)
-	s.RdOut(0)
-	s.Mac(0, 1, 0, 3)
-	s.Mac(1, 1, 0, 4)
-	s.Mac(2, 1, 0, 5)
-	s.RdOut(1)
-	return s
-}
-
 // label gives each command the paper's W/M/R naming.
 func label(c pim.Command) string {
 	switch c.Kind {
@@ -85,17 +69,17 @@ func main() {
 	fmt.Println("Fig. 7 — (1x48)*(48x32) GEMV: 3 WR-INP, 6 MAC, 2 RD-OUT")
 	fmt.Println(strings.Repeat("=", 60))
 
-	st, err := (&sched.Static{Dev: dev}).Schedule(fig7Stack())
+	st, err := (&sched.Static{Dev: dev}).Schedule(pim.Fig7Stack())
 	if err != nil {
 		log.Fatal(err)
 	}
-	render("static controller (paper: 34 cycles)", fig7Stack(), st)
+	render("static controller (paper: 34 cycles)", pim.Fig7Stack(), st)
 
-	dc, err := (&sched.DCS{Dev: dev}).Schedule(fig7Stack())
+	dc, err := (&sched.DCS{Dev: dev}).Schedule(pim.Fig7Stack())
 	if err != nil {
 		log.Fatal(err)
 	}
-	render("DCS controller (paper: 22 cycles)", fig7Stack(), dc)
+	render("DCS controller (paper: 22 cycles)", pim.Fig7Stack(), dc)
 
 	fmt.Printf("latency saved by DCS: %d cycles (%.0f%%)\n",
 		st.Total-dc.Total, 100*float64(st.Total-dc.Total)/float64(st.Total))

@@ -3,6 +3,7 @@ package backend
 import (
 	"context"
 	"fmt"
+	"testing"
 
 	"pimphony/internal/mapping"
 	"pimphony/internal/timing"
@@ -128,7 +129,7 @@ func (r *refStepper) attention(toks []int) (Stats, error) {
 	var softmax timing.Cycles
 	qHeadsPerModule := kvHeadsPerModule * m.GQAGroup
 	for _, tok := range toks {
-		softmax += env.Hub.SoftmaxCycles((tok+tokenShard-1)/tokenShard) * timing.Cycles(qHeadsPerModule)
+		softmax += softmaxCycles(env.Dev, (tok+tokenShard-1)/tokenShard) * timing.Cycles(qHeadsPerModule)
 	}
 	st.Cycles += softmax / epuLanes
 	if env.Tech.TCP {
@@ -136,4 +137,25 @@ func (r *refStepper) attention(toks []int) (Stats, error) {
 		st.Cycles += red * timing.Cycles(len(toks)*kvHeadsPerModule) / epuLanes
 	}
 	return st, nil
+}
+
+// softmaxCycles is the EPU cost of a softmax over `scores` values: a
+// fixed base plus a per-tile marginal (the EPU streams score tiles from
+// the GPR). It is the reference for the stepper's pre-resolved copy.
+func softmaxCycles(dev timing.Device, scores int) timing.Cycles {
+	tiles := (scores + dev.ElemsPerTile() - 1) / dev.ElemsPerTile()
+	return dev.EPUSoftmaxBase + timing.Cycles(tiles)*dev.EPUSoftmaxPerTile
+}
+
+func TestSoftmaxCyclesScale(t *testing.T) {
+	dev := timing.AiM16()
+	short := softmaxCycles(dev, 1024)
+	long := softmaxCycles(dev, 65536)
+	if long <= short {
+		t.Fatal("softmax cost should grow with score count")
+	}
+	// Base cost dominates only for tiny inputs.
+	if softmaxCycles(dev, 16) <= 0 {
+		t.Fatal("softmax cost must be positive")
+	}
 }

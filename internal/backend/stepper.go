@@ -59,10 +59,10 @@ type pimStepper struct {
 	redOK   bool
 	missing []int // prefetch scratch: shapes the memo lacks, in fold order
 
-	// Softmax pricing constants hoisted out of Hub.SoftmaxCycles, which
-	// runs once per request per iteration: same arithmetic, no Device
-	// copy per call. (A per-token-count memo does not pay here — decode
-	// sweeps mostly-distinct token counts, so it never warms up.)
+	// Softmax pricing constants resolved once: softmax runs once per
+	// request per iteration, so it reads no Device per call. (A
+	// per-token-count memo does not pay here — decode sweeps
+	// mostly-distinct token counts, so it never warms up.)
 	softEPT     int
 	softBase    timing.Cycles
 	softPerTile timing.Cycles
@@ -88,7 +88,9 @@ func newPIMStepper(env *Env, shared pimShared, fc fcFunc, combine combineFunc) *
 	return s
 }
 
-// softmax is Hub.SoftmaxCycles with the device constants pre-resolved.
+// softmax is the EPU cost of a softmax over `scores` values: a fixed
+// base plus a per-tile marginal (the EPU streams score tiles from the
+// GPR).
 func (s *pimStepper) softmax(scores int) timing.Cycles {
 	tiles := (scores + s.softEPT - 1) / s.softEPT
 	return s.softBase + timing.Cycles(tiles)*s.softPerTile

@@ -165,7 +165,7 @@ func TestRunMatchesReference(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s: %v", point, err)
 							}
-							got, gerr := sys.Run(pool.reqs)
+							got, gerr := sys.RunCtx(context.Background(), pool.reqs)
 							switch {
 							case werr != nil || gerr != nil:
 								if fmt.Sprint(werr) != fmt.Sprint(gerr) {

@@ -31,7 +31,6 @@ import (
 	"pimphony/internal/memory"
 	"pimphony/internal/model"
 	"pimphony/internal/perfmodel"
-	"pimphony/internal/sweep"
 	"pimphony/internal/timing"
 	"pimphony/internal/workload"
 )
@@ -136,12 +135,6 @@ func (c *Config) validate() (backend.Backend, *backend.Env, error) {
 	return be, env, nil
 }
 
-// Validate reports configuration errors.
-func (c *Config) Validate() error {
-	_, _, err := c.validate()
-	return err
-}
-
 // Report is the outcome of one simulation.
 type Report struct {
 	Config string
@@ -200,12 +193,6 @@ func New(cfg Config) (*System, error) {
 	env.EMod = energy.Default()
 	return &System{cfg: cfg, be: be, env: env, adm: be.Admission(env), stepper: be.NewStepper(env)}, nil
 }
-
-// Config returns the system configuration.
-func (s *System) Config() Config { return s.cfg }
-
-// Backend returns the system's backend.
-func (s *System) Backend() backend.Backend { return s.be }
 
 // FixedAllocator reports whether the backend supplies its own KV
 // allocator (the GPU's paged pool), making the static-vs-DPA technique
@@ -436,15 +423,10 @@ func (s *System) iterate(ctx context.Context, toks []int) (backend.StepCost, err
 	return s.stepper.Step(ctx, toks)
 }
 
-// Run simulates a decode window over the given candidate requests and
-// reports throughput, utilization and energy.
-func (s *System) Run(reqs []workload.Request) (*Report, error) {
-	return s.RunCtx(context.Background(), reqs)
-}
-
-// RunCtx is Run with cancellation: the decode loop aborts between
-// iterations once ctx is done, so config-grid sweeps can stop early when
-// a sibling point fails.
+// RunCtx simulates a decode window over the given candidate requests
+// and reports throughput, utilization and energy. The decode loop aborts
+// between iterations once ctx is done, so config-grid sweeps can stop
+// early when a sibling point fails.
 //
 // The window is a drain of the serving engine. Every candidate is queued
 // with the window as its generation length, one admission pass forms the
@@ -487,20 +469,6 @@ func (s *System) RunCtx(ctx context.Context, reqs []workload.Request) (*Report, 
 		AttnTimeShare: e.attnShare / steps, CapacityUtil: capUtil, TBTSeconds: sec / steps}
 	rep.AttnEnergy, rep.FCEnergy = e.Energy()
 	return rep, nil
-}
-
-// Sweep builds one System per configuration and runs each against the
-// shared (read-only) candidate pool, fanning the independent simulations
-// through the sweep engine. Reports come back in input order; the first
-// failing configuration cancels the rest.
-func Sweep(ctx context.Context, cfgs []Config, reqs []workload.Request, opts ...sweep.Option) ([]*Report, error) {
-	return sweep.Run(ctx, cfgs, func(ctx context.Context, cfg Config) (*Report, error) {
-		sys, err := New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return sys.RunCtx(ctx, reqs)
-	}, opts...)
 }
 
 // PrefillSeconds estimates the prompt-processing time of one request at

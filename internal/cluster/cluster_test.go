@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -54,7 +55,7 @@ func runOrFatal(t *testing.T, cfg Config, reqs []workload.Request) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sys.Run(reqs)
+	rep, err := sys.RunCtx(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,13 +187,13 @@ func TestAttentionEnergyTracked(t *testing.T) {
 	if rep.AttnEnergy.Total() <= 0 || rep.FCEnergy.Total() <= 0 {
 		t.Fatal("energy must be tracked")
 	}
-	if rep.AttnEnergy.BackgroundShare() <= 0 {
+	base := rep.AttnEnergy.Background / rep.AttnEnergy.Total()
+	if base <= 0 {
 		t.Fatal("baseline background share must be positive")
 	}
 	full := runOrFatal(t, centConfig(m, PIMphony()), qmsumBatch(32))
-	if full.AttnEnergy.BackgroundShare() >= rep.AttnEnergy.BackgroundShare() {
-		t.Errorf("background share should collapse: %.2f -> %.2f",
-			rep.AttnEnergy.BackgroundShare(), full.AttnEnergy.BackgroundShare())
+	if share := full.AttnEnergy.Background / full.AttnEnergy.Total(); share >= base {
+		t.Errorf("background share should collapse: %.2f -> %.2f", base, share)
 	}
 }
 
@@ -239,7 +240,7 @@ func TestWeightsMustFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Run(qmsumBatch(8)); err == nil {
+	if _, err := sys.RunCtx(context.Background(), qmsumBatch(8)); err == nil {
 		t.Fatal("72B on 128 GiB should fail")
 	}
 }
@@ -289,7 +290,7 @@ func TestDIMMPIMAllKVPool(t *testing.T) {
 	if got, want := e.KVPoolBytes(), int64(8)*dev.ModuleBytes(); got != want {
 		t.Fatalf("dimm pool %d, want the full capacity %d (weights hosted)", got, want)
 	}
-	rep, err := sys.Run(qmsumBatch(16))
+	rep, err := sys.RunCtx(context.Background(), qmsumBatch(16))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"pimphony/internal/backend"
 	"pimphony/internal/energy"
-	"pimphony/internal/memory"
 	"pimphony/internal/perfmodel"
 	"pimphony/internal/timing"
 	"pimphony/internal/workload"
@@ -549,10 +548,6 @@ func (e *Engine) fastForward(ctx context.Context, n int, now, until float64) (St
 	return res, nil
 }
 
-// Alloc exposes the engine's KV allocator for capacity inspection (the
-// serving layer reads utilization; tests check accounting invariants).
-func (e *Engine) Alloc() memory.Allocator { return e.ad.alloc }
-
 // SetHorizon clamps every subsequent Leap to at most n iterations
 // (0 removes the clamp). The clamp bounds how far a drain-phase leap
 // can overshoot an externally-injected event — a fleet scheduler's
@@ -660,9 +655,6 @@ func (e *Engine) SetTimeScale(factor float64) {
 	}
 	e.timeScale = factor
 }
-
-// TimeScale returns the current duration multiplier (1 = native speed).
-func (e *Engine) TimeScale() float64 { return e.timeScale }
 
 // LostWork is one request a crashed engine abandoned: the request plus
 // the tokens it had generated before the crash. The KV behind the

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -66,7 +67,7 @@ func gpuCase(t *testing.T, name string, cfg Config, reqs []workload.Request) *Re
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	rep, err := sys.Run(reqs)
+	rep, err := sys.RunCtx(context.Background(), reqs)
 	if !ok {
 		if err == nil {
 			t.Fatalf("%s: oracle admits nothing but refactored path returned %+v", name, rep)
@@ -147,7 +148,7 @@ func TestGPUNoRequestFits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sys.Run(qmsumBatch(8))
+	_, err = sys.RunCtx(context.Background(), qmsumBatch(8))
 	if err == nil || !strings.Contains(err.Error(), "no request fits") {
 		t.Fatalf("want a no-request-fits error, got %v", err)
 	}

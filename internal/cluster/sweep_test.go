@@ -2,67 +2,12 @@ package cluster
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"pimphony/internal/model"
 	"pimphony/internal/sweep"
 	"pimphony/internal/workload"
 )
-
-// TestSweepOrderAndContent runs a technique grid through Sweep and checks
-// the reports come back in input order with the same numbers a
-// sequential loop produces.
-func TestSweepOrderAndContent(t *testing.T) {
-	m := model.LLM7B32K()
-	reqs := qmsumBatch(32)
-	cfgs := []Config{
-		centConfig(m, Baseline()),
-		centConfig(m, Technique{TCP: true}),
-		centConfig(m, PIMphony()),
-		neuPIMsConfig(m, PIMphony()),
-	}
-	got, err := Sweep(context.Background(), cfgs, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(cfgs) {
-		t.Fatalf("got %d reports for %d configs", len(got), len(cfgs))
-	}
-	for i, cfg := range cfgs {
-		want := runOrFatal(t, cfg, reqs)
-		if got[i].Throughput != want.Throughput || got[i].Batch != want.Batch {
-			t.Errorf("config %d (%s): swept report (%.3f tok/s, batch %d) != sequential (%.3f, %d)",
-				i, cfg.Name, got[i].Throughput, got[i].Batch, want.Throughput, want.Batch)
-		}
-	}
-	// Parallelism=1 must agree as well.
-	seq, err := Sweep(context.Background(), cfgs, reqs, sweep.Parallelism(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range seq {
-		if seq[i].Throughput != got[i].Throughput {
-			t.Errorf("config %d: parallelism=1 throughput %.6f != default %.6f",
-				i, seq[i].Throughput, got[i].Throughput)
-		}
-	}
-}
-
-// TestSweepPropagatesConfigError checks a broken grid point surfaces its
-// own validation error.
-func TestSweepPropagatesConfigError(t *testing.T) {
-	m := model.LLM7B32K()
-	bad := centConfig(m, Baseline())
-	bad.TP = 3 // 3*1 != 8 modules
-	_, err := Sweep(context.Background(), []Config{centConfig(m, Baseline()), bad}, qmsumBatch(8))
-	if err == nil {
-		t.Fatal("invalid config in the grid should fail the sweep")
-	}
-	if !strings.Contains(err.Error(), "TP(3)") {
-		t.Errorf("error should come from the bad config's validation: %v", err)
-	}
-}
 
 // TestRunCtxCancellation checks a cancelled context aborts the decode
 // loop instead of simulating the whole window.
@@ -96,7 +41,7 @@ func TestPPParallelStagesMatchSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := sys.Run(reqs)
+		rep, err := sys.RunCtx(context.Background(), reqs)
 		if err != nil {
 			t.Fatal(err)
 		}

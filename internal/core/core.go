@@ -1,10 +1,8 @@
-// Package core is PIMphony's public orchestration API: it puts the
-// multi-node cluster simulator and, for instruction footprints, the
-// compiler (kernel detection and PIM program lowering) behind one
-// facade, and provides the paper's evaluated system presets (CENT-style
-// PIM-only, NeuPIMs-style xPU+PIM, the A100 GPU baseline and an
-// L3/LoL-PIM-style DIMM-PIM system), each resolved through the
-// internal/backend registry.
+// Package core is PIMphony's public orchestration API: a facade over
+// the multi-node cluster simulator with the paper's evaluated system
+// presets (CENT-style PIM-only, NeuPIMs-style xPU+PIM, the A100 GPU
+// baseline and an L3/LoL-PIM-style DIMM-PIM system), each resolved
+// through the internal/backend registry.
 //
 // Typical use:
 //
@@ -23,7 +21,6 @@ import (
 
 	"pimphony/internal/backend"
 	"pimphony/internal/cluster"
-	"pimphony/internal/compiler"
 	"pimphony/internal/model"
 	"pimphony/internal/sweep"
 	"pimphony/internal/timing"
@@ -45,9 +42,9 @@ type Report = cluster.Report
 // Config is a fully specified system to simulate.
 type Config = cluster.Config
 
-// optimalParallelism picks the paper's "optimal TP/PP" default: maximise
+// OptimalParallelism picks the paper's "optimal TP/PP" default: maximise
 // tensor parallelism up to the KV-head count, pipeline the rest.
-func optimalParallelism(m model.Config, modules int) (tp, pp int) {
+func OptimalParallelism(m model.Config, modules int) (tp, pp int) {
 	tp = m.KVHeads()
 	if tp > modules {
 		tp = modules
@@ -71,7 +68,7 @@ func CENT(m model.Config, tech Technique) Config {
 		modules = 32
 	}
 	dev := timing.AiM16().WithChannels(32).WithCapacity(16 << 30)
-	tp, pp := optimalParallelism(m, modules)
+	tp, pp := OptimalParallelism(m, modules)
 	return Config{
 		Name:         fmt.Sprintf("cent-%s", m.Name),
 		Backend:      cluster.PIMOnly,
@@ -139,7 +136,7 @@ func DIMMPIM(m model.Config, tech Technique) Config {
 		modules = 16
 	}
 	dev := timing.DDR5DIMM()
-	tp, pp := optimalParallelism(m, modules)
+	tp, pp := OptimalParallelism(m, modules)
 	return Config{
 		Name:         fmt.Sprintf("dimmpim-%s", m.Name),
 		Backend:      cluster.DIMMPIM,
@@ -207,7 +204,6 @@ func PresetByFlag(name string) (Preset, error) {
 
 // System is the orchestrator facade over the cluster simulator.
 type System struct {
-	cfg Config
 	sim *cluster.System
 }
 
@@ -217,33 +213,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{cfg: cfg, sim: sim}, nil
-}
-
-// Config returns the system configuration.
-func (s *System) Config() Config { return s.cfg }
-
-// InstructionFootprint compiles the model for this system's target and
-// reports the per-layer attention instruction bytes: the DPA encoding
-// when DPA is enabled, otherwise the static unrolling at the model's
-// context window. Backends without PIM attention (the GPU baseline)
-// have no PIM programs and return an error.
-func (s *System) InstructionFootprint() (int64, error) {
-	if !s.sim.Backend().PIMAttention() {
-		return 0, fmt.Errorf("core: %s has no PIM programs", s.cfg.Name)
-	}
-	comp, err := compiler.Compile(s.cfg.Model, compiler.Target{Dev: s.cfg.Dev, TCP: s.cfg.Tech.TCP})
-	if err != nil {
-		return 0, fmt.Errorf("core: compiling %s: %w", s.cfg.Model.Name, err)
-	}
-	if s.cfg.Tech.DPA {
-		return comp.DPAFootprint(), nil
-	}
-	tmax := s.cfg.TMaxOverride
-	if tmax == 0 {
-		tmax = s.cfg.Model.ContextWindow
-	}
-	return comp.StaticFootprint(tmax)
+	return &System{sim: sim}, nil
 }
 
 // Serve simulates a decode window over the candidate requests.
@@ -256,24 +226,6 @@ func (s *System) Serve(reqs []workload.Request) (*Report, error) {
 // simulations when a sibling point fails.
 func (s *System) ServeCtx(ctx context.Context, reqs []workload.Request) (*Report, error) {
 	return s.sim.RunCtx(ctx, reqs)
-}
-
-// Sweep builds one System per configuration and serves each against the
-// shared candidate pool, fanning the independent simulations through the
-// sweep engine. Reports come back in input order; the first failing
-// configuration cancels the rest (in-flight decode loops abort between
-// iterations). It is the facade-level counterpart of cluster.Sweep for
-// grids that share one request pool; grids with per-point pools (e.g.
-// cmd/pimphony-sim's trace cross-product) call sweep.Run with ServeCtx
-// directly.
-func Sweep(ctx context.Context, cfgs []Config, reqs []workload.Request, opts ...sweep.Option) ([]*Report, error) {
-	return sweep.Run(ctx, cfgs, func(ctx context.Context, cfg Config) (*Report, error) {
-		sys, err := NewSystem(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return sys.ServeCtx(ctx, reqs)
-	}, opts...)
 }
 
 // StageResult is one bar of the incremental technique study.

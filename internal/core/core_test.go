@@ -6,41 +6,10 @@ import (
 
 	"pimphony/internal/backend"
 	"pimphony/internal/cluster"
+	"pimphony/internal/compiler"
 	"pimphony/internal/model"
 	"pimphony/internal/workload"
 )
-
-// TestSweepMatchesSequentialServe runs a technique grid through Sweep
-// and pins the reports to what per-config NewSystem+Serve produces, in
-// input order; a broken config must surface its own error.
-func TestSweepMatchesSequentialServe(t *testing.T) {
-	m := model.LLM7B32K()
-	reqs := workload.NewGenerator(workload.QMSum(), 11).Batch(16)
-	cfgs := []Config{CENT(m, Baseline()), CENT(m, PIMphony()), NeuPIMs(m, PIMphony())}
-	got, err := Sweep(context.Background(), cfgs, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cfg := range cfgs {
-		sys, err := NewSystem(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := sys.Serve(reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i].Throughput != want.Throughput || got[i].Batch != want.Batch {
-			t.Errorf("config %d (%s): swept (%.3f tok/s, batch %d) != sequential (%.3f, %d)",
-				i, cfg.Name, got[i].Throughput, got[i].Batch, want.Throughput, want.Batch)
-		}
-	}
-	bad := CENT(m, Baseline())
-	bad.TP, bad.PP = 3, 1 // 3*1 != 8 modules
-	if _, err := Sweep(context.Background(), []Config{cfgs[0], bad}, reqs); err == nil {
-		t.Error("invalid config in the grid should fail the sweep")
-	}
-}
 
 func TestPresetsValidate(t *testing.T) {
 	for _, m := range model.All() {
@@ -65,7 +34,7 @@ func TestOptimalParallelism(t *testing.T) {
 		{model.LLM72B128KGQA(), 16, 8, 2},
 	}
 	for _, c := range cases {
-		tp, pp := optimalParallelism(c.m, c.modules)
+		tp, pp := OptimalParallelism(c.m, c.modules)
 		if tp != c.tp || pp != c.pp {
 			t.Errorf("%s x%d: got TP%d/PP%d, want TP%d/PP%d", c.m.Name, c.modules, tp, pp, c.tp, c.pp)
 		}
@@ -113,36 +82,6 @@ func TestServeEndToEnd(t *testing.T) {
 	// Serving again must not trip duplicate registration.
 	if _, err := sys.Serve(reqs); err != nil {
 		t.Fatalf("second Serve failed: %v", err)
-	}
-}
-
-func TestInstructionFootprintSwitches(t *testing.T) {
-	m := model.LLM7B128KGQA()
-	withDPA, err := NewSystem(CENT(m, PIMphony()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	noDPA, err := NewSystem(CENT(m, Technique{TCP: true, DCS: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fd, err := withDPA.InstructionFootprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := noDPA.InstructionFootprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fd >= fs {
-		t.Errorf("DPA footprint (%d B) should be far below static (%d B)", fd, fs)
-	}
-	gpu, err := NewSystem(GPU(m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gpu.InstructionFootprint(); err == nil {
-		t.Error("GPU system has no PIM programs; footprint should error")
 	}
 }
 
@@ -233,16 +172,25 @@ func TestPresetsCoverRegistry(t *testing.T) {
 
 // TestDIMMPIMSystem: the fourth backend end to end through the facade —
 // an instruction footprint (DIMM attention is PIM attention, so the
-// model compiles to PIM programs), an all-KV pool larger than the
-// memory-matched AiM systems, and a working serving engine.
+// model compiles to PIM programs for the DIMM device), an all-KV pool
+// larger than the memory-matched AiM systems, and a working serving
+// engine.
 func TestDIMMPIMSystem(t *testing.T) {
 	m := model.LLM7B32K()
-	sys, err := NewSystem(DIMMPIM(m, PIMphony()))
+	cfg := DIMMPIM(m, PIMphony())
+	if be, err := backend.Lookup(cfg.Backend); err != nil || !be.PIMAttention() {
+		t.Fatalf("dimm-pim attention must run on PIM (%v)", err)
+	}
+	comp, err := compiler.Compile(cfg.Model, compiler.Target{Dev: cfg.Dev, TCP: cfg.Tech.TCP})
+	if err != nil {
+		t.Fatalf("dimm-pim must compile PIM programs: %v", err)
+	}
+	if fp := comp.DPAFootprint(); fp <= 0 {
+		t.Fatalf("dimm-pim DPA footprint %d", fp)
+	}
+	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if fp, err := sys.InstructionFootprint(); err != nil || fp <= 0 {
-		t.Fatalf("dimm-pim must compile PIM programs: footprint %d, %v", fp, err)
 	}
 	rep, err := sys.Serve(workload.NewGenerator(workload.QMSum(), 9).Batch(16))
 	if err != nil {

@@ -1,9 +1,10 @@
-// Package doclint is a documentation gate, not a library: its test
-// walks the packages whose exported surface is meant to read as an API
+// Package doclint holds two API gates, not a library. One test walks
+// the packages whose exported surface is meant to read as an API
 // reference (`go doc pimphony/internal/serve`) and fails when a
 // package lacks a package comment or an exported declaration lacks a
-// doc comment. Running under `go test` puts it in every CI lane, so
-// the godoc surface cannot rot silently.
+// doc comment; the other (callers_test.go) fails when an exported
+// declaration has no caller outside test files. Running under `go test`
+// puts both in every CI lane, so the godoc surface cannot rot silently.
 package doclint
 
 import (

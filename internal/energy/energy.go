@@ -9,11 +9,7 @@
 // share (to 13.0%).
 package energy
 
-import (
-	"pimphony/internal/pim"
-	"pimphony/internal/sched"
-	"pimphony/internal/timing"
-)
+import "pimphony/internal/timing"
 
 // Model holds per-event energies and background power.
 type Model struct {
@@ -65,35 +61,6 @@ func (b *Breakdown) Add(o Breakdown) {
 // Scale multiplies all categories by f (e.g. per-layer to per-model).
 func (b Breakdown) Scale(f float64) Breakdown {
 	return Breakdown{MAC: b.MAC * f, IO: b.IO * f, Background: b.Background * f, Else: b.Else * f}
-}
-
-// BackgroundShare is the background fraction of the total (the paper's
-// headline 71.5% -> 13.0% number).
-func (b Breakdown) BackgroundShare() float64 {
-	t := b.Total()
-	if t == 0 {
-		return 0
-	}
-	return b.Background / t
-}
-
-// ForStack computes the energy of executing one command stack on one
-// channel given its schedule. Dynamic energy follows command counts;
-// background energy follows the schedule's wall-clock.
-func (m Model) ForStack(dev timing.Device, s *pim.Stack, res *sched.Result) Breakdown {
-	counts := s.Counts()
-	nMAC := float64(counts[pim.MAC])
-	nIO := float64(counts[pim.WRINP] + counts[pim.RDOUT])
-	nAct := float64(counts[pim.ACT])
-	ioBytes := nIO * float64(dev.TileBytes)
-	dramBytes := nMAC * float64(dev.TileBytes) * float64(dev.Banks)
-	seconds := float64(res.Total) / m.CyclesPerSecond
-	return Breakdown{
-		MAC:        nMAC * m.MACpJ,
-		IO:         ioBytes * m.IOpJPerByte,
-		Background: m.BackgroundWPerChannel * seconds * 1e12,
-		Else:       nAct*m.ActPrepJ + dramBytes*m.DRAMReadpJPerByte,
-	}
 }
 
 // GridDollarsPerKWh is the electricity price the serving reports use

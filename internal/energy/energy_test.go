@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pimphony/internal/kernels"
+	"pimphony/internal/pim"
 	"pimphony/internal/sched"
 	"pimphony/internal/timing"
 )
@@ -21,9 +22,15 @@ func TestBreakdownArithmetic(t *testing.T) {
 	if s.IO != 4 || s.Else != 8 {
 		t.Fatal("Scale broken")
 	}
-	if got := (Breakdown{}).BackgroundShare(); got != 0 {
-		t.Fatalf("empty share = %f", got)
-	}
+}
+
+// stackEnergy prices one channel's command stack under its schedule
+// through ForAggregate: dynamic energy follows the stack's command
+// counts, background energy the schedule's wall-clock.
+func stackEnergy(m Model, dev timing.Device, s *pim.Stack, res *sched.Result) Breakdown {
+	c := s.Counts()
+	ioBytes := int64(c[pim.WRINP]+c[pim.RDOUT]) * int64(dev.TileBytes)
+	return m.ForAggregate(dev, int64(c[pim.MAC]), ioBytes, int64(c[pim.ACT]), 1, res.Total)
 }
 
 // TestBackgroundShareCollapsesWithDCS reproduces the Fig. 16 mechanism:
@@ -51,11 +58,11 @@ func TestBackgroundShareCollapsesWithDCS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eStatic := m.ForStack(dev, stack, st)
-	eDCS := m.ForStack(dev, stack2, dc)
-	if eDCS.BackgroundShare() >= eStatic.BackgroundShare() {
-		t.Errorf("background share should collapse: static %.2f dcs %.2f",
-			eStatic.BackgroundShare(), eDCS.BackgroundShare())
+	eStatic := stackEnergy(m, dev, stack, st)
+	eDCS := stackEnergy(m, dev, stack2, dc)
+	shareStatic, shareDCS := eStatic.Background/eStatic.Total(), eDCS.Background/eDCS.Total()
+	if shareDCS >= shareStatic {
+		t.Errorf("background share should collapse: static %.2f dcs %.2f", shareStatic, shareDCS)
 	}
 	if eDCS.MAC != eStatic.MAC {
 		t.Errorf("MAC energy must be schedule-invariant: %f vs %f", eStatic.MAC, eDCS.MAC)

@@ -34,7 +34,7 @@ func Table1Models() (*Result, error) {
 func Table2Workloads() (*Result, error) {
 	t := tablefmt.New("Table II — context-length statistics (paper vs sampled, n=4000)",
 		"trace", "suite", "mean(paper)", "mean(sim)", "std(paper)", "std(sim)", "min", "max")
-	rows, err := sweep.Rows(context.Background(), workload.All(),
+	rows, err := sweep.Run(context.Background(), workload.All(),
 		func(_ context.Context, tr workload.Trace) ([]any, error) {
 			g := workload.NewGenerator(tr, 42)
 			st := workload.Summarize(g.Batch(4000))
@@ -90,7 +90,7 @@ func Fig10InstrFootprint() (*Result, error) {
 	t := tablefmt.New("Fig. 10c — per-layer attention instruction footprint (bytes)",
 		"context", "static-unrolled", "dpa", "ratio")
 	dpa := c.DPAFootprint()
-	rows, err := sweep.Rows(context.Background(), []int{32 << 10, 128 << 10, 512 << 10, 1 << 20},
+	rows, err := sweep.Run(context.Background(), []int{32 << 10, 128 << 10, 512 << 10, 1 << 20},
 		func(_ context.Context, ctx int) ([]any, error) {
 			st, err := c.StaticFootprint(ctx)
 			if err != nil {
@@ -121,7 +121,7 @@ func Fig19Capacity() (*Result, error) {
 		{workload.MultiFieldQA(), model.LLM7B128KGQA()},
 		{workload.LoogleSD(), model.LLM7B128KGQA()},
 	}
-	rows, err := sweep.Rows(context.Background(), cases,
+	rows, err := sweep.Run(context.Background(), cases,
 		func(_ context.Context, c capCase) ([]any, error) {
 			pool := int64(128<<30) - c.m.WeightBytes()
 			bpt := c.m.KVBytesPerToken()
@@ -166,7 +166,7 @@ func AblationChunkSize() (*Result, error) {
 	poolBytes := int64(128<<30) - m.WeightBytes()
 	t := tablefmt.New("Ablation — DPA chunk size (multifieldqa, 128 GiB pool)",
 		"chunk", "pool-util%", "batch", "va2pa-entries/request")
-	rows, err := sweep.Rows(context.Background(), []int64{256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20},
+	rows, err := sweep.Run(context.Background(), []int64{256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20},
 		func(_ context.Context, chunk int64) ([]any, error) {
 			a, err := memory.NewDPA(poolBytes, m.KVBytesPerToken(), chunk)
 			if err != nil {

@@ -35,29 +35,14 @@ func addRowGroups(t *tablefmt.Table, groups [][][]any) {
 func Fig7DCSExample() (*Result, error) {
 	dev := timing.AiM16()
 	dev.TRFC = 0 // the worked example counts raw pipeline cycles
-	build := func() *pim.Stack {
-		s := pim.NewStack(dev.GBufEntries(), dev.OBufEntries())
-		s.WrInp(0)
-		s.WrInp(1)
-		s.WrInp(2)
-		s.Mac(0, 0, 0, 0)
-		s.Mac(1, 0, 0, 1)
-		s.Mac(2, 0, 0, 2)
-		s.RdOut(0)
-		s.Mac(0, 1, 0, 3)
-		s.Mac(1, 1, 0, 4)
-		s.Mac(2, 1, 0, 5)
-		s.RdOut(1)
-		return s
-	}
 	t := tablefmt.New("Fig. 7 — DCS worked example (paper: static 34, DCS 22 cycles)",
 		"scheduler", "cycles", "mac-util-%")
-	rows, err := sweep.Rows(context.Background(), []func() sched.Scheduler{
+	rows, err := sweep.Run(context.Background(), []func() sched.Scheduler{
 		func() sched.Scheduler { return &sched.Static{Dev: dev} },
 		func() sched.Scheduler { return &sched.DCS{Dev: dev} },
 	}, func(_ context.Context, mk func() sched.Scheduler) ([]any, error) {
 		sc := mk()
-		res, err := sc.Schedule(build())
+		res, err := sc.Schedule(pim.Fig7Stack())
 		if err != nil {
 			return nil, err
 		}
@@ -79,7 +64,7 @@ func Fig8Breakdown() (*Result, error) {
 	svc := perfmodel.New(dev)
 	t := tablefmt.New("Fig. 8 — static latency breakdown vs matrix dimension (one channel GEMV)",
 		"d", "total-cyc", "mac%", "act/pre%", "ref%", "dt-gbuf%", "dt-outreg%", "penalty%", "dcs-mac%")
-	rows, err := sweep.Rows(context.Background(), []int{128, 256, 512, 1024, 2048, 4096},
+	rows, err := sweep.Run(context.Background(), []int{128, 256, 512, 1024, 2048, 4096},
 		func(_ context.Context, d int) ([]any, error) {
 			lat, err := svc.Price(perfmodel.Query{Kernel: perfmodel.GEMV, Tokens: d, Dh: d, Baseline: true, Sched: perfmodel.Static})
 			if err != nil {
@@ -131,7 +116,7 @@ func Fig9AttnBreakdown() (*Result, error) {
 			pts = append(pts, point{k, sc.name, sc.s, sc.baseline})
 		}
 	}
-	rows, err := sweep.Rows(context.Background(), pts,
+	rows, err := sweep.Run(context.Background(), pts,
 		func(_ context.Context, p point) ([]any, error) {
 			lat, err := svc.Price(perfmodel.Query{Kernel: p.k, Tokens: tokensPerChannel, Dh: 128,
 				Queries: 8, RowReuse: true, Baseline: p.baseline, Sched: p.s})
@@ -161,7 +146,7 @@ func Fig18PingPong() (*Result, error) {
 	const tokensPerChannel = 2048
 	t := tablefmt.New("Fig. 18 — compute utilization: ping-pong vs DCS (row-reuse)",
 		"config", "pingpong-util%", "dcs-util%", "dcs-gain")
-	rows, err := sweep.Rows(context.Background(), []int{1, 2, 4, 8},
+	rows, err := sweep.Run(context.Background(), []int{1, 2, 4, 8},
 		func(_ context.Context, g int) ([]any, error) {
 			name := "MHA"
 			if g > 1 {
@@ -200,7 +185,7 @@ func Fig6Partitioning() (*Result, error) {
 		{"TP", mapping.HFP{}}, {"TP", mapping.TCP{}},
 		{"PP", mapping.HFP{}}, {"PP", mapping.TCP{}},
 	}
-	rows, err := sweep.Rows(context.Background(), pts,
+	rows, err := sweep.Run(context.Background(), pts,
 		func(_ context.Context, p point) ([]any, error) {
 			if p.mode == "TP" {
 				// TP-style: both requests resident, all heads concurrently.
@@ -240,7 +225,7 @@ func AblationIsMAC() (*Result, error) {
 			pts = append(pts, point{k, tokens})
 		}
 	}
-	rows, err := sweep.Rows(context.Background(), pts,
+	rows, err := sweep.Run(context.Background(), pts,
 		func(_ context.Context, p point) ([]any, error) {
 			with, err := svc.Price(perfmodel.Query{Kernel: p.k, Tokens: p.tokens, Dh: 128, Queries: 1, Sched: perfmodel.DCS})
 			if err != nil {
@@ -266,7 +251,7 @@ func AblationOBufDepth() (*Result, error) {
 	dev := timing.AiM16()
 	t := tablefmt.New("Ablation — OBuf depth (SV kernel, 4096 tokens/channel, DCS)",
 		"obuf-entries", "cycles", "wr-inp-cmds", "rd-out-cmds")
-	rows, err := sweep.Rows(context.Background(), []int{2, 4, 8, 16, 32},
+	rows, err := sweep.Run(context.Background(), []int{2, 4, 8, 16, 32},
 		func(_ context.Context, entries int) ([]any, error) {
 			cfg := kernels.NewConfig(dev, kernels.Buffers{GBufEntries: dev.GBufEntries(), OutEntries: entries})
 			stack, err := cfg.SV(4096, 128, 1, false)
@@ -303,7 +288,7 @@ func AblationTCPReduce() (*Result, error) {
 	}
 	const headsPerLayer = 8 // concurrent head tiles per channel per layer
 	layer := float64(att.Cycles) * headsPerLayer
-	rows, err := sweep.Rows(context.Background(), []float64{64, 128, 256, 512, 1024},
+	rows, err := sweep.Run(context.Background(), []float64{64, 128, 256, 512, 1024},
 		func(_ context.Context, bw float64) ([]any, error) {
 			c := mapping.SVReduction(32, 128, base.ElemsPerTile(), base.TileBytes, bw,
 				int64(base.HubHopCycles), int64(base.EPUAddCycles))

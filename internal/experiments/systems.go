@@ -49,7 +49,7 @@ func modelTraceGrid(models []model.Config) []modelTrace {
 func incrementalTable(title string, preset func(model.Config, core.Technique) core.Config, models []model.Config, poolSize int) (*tablefmt.Table, error) {
 	t := tablefmt.New(title,
 		"model", "trace", "baseline", "+TCP", "+DCS", "+DPA", "speedup")
-	rows, err := sweep.Rows(context.Background(), modelTraceGrid(models),
+	rows, err := sweep.Run(context.Background(), modelTraceGrid(models),
 		func(ctx context.Context, p modelTrace) ([]any, error) {
 			reqs := requestPool(p.tr, poolSize)
 			stages, err := core.IncrementalStudyCtx(ctx, preset(p.m, core.Baseline()), reqs)
@@ -106,7 +106,7 @@ func Fig4Utilization() (*Result, error) {
 		{"4K", workload.ThreeSigma(4096, 7).Batch(pool(192)), 3 * 4096 / 2},
 		{"32K(QMSum)", workload.NewGenerator(workload.QMSum(), 7).Batch(pool(192)), 32768},
 	}
-	groups, err := sweep.RowGroups(context.Background(), cases,
+	groups, err := sweep.Run(context.Background(), cases,
 		func(ctx context.Context, c utilCase) ([][]any, error) {
 			cfg := core.CENT(m, core.Baseline())
 			cfg.TMaxOverride = c.tmax
@@ -156,7 +156,7 @@ func Fig15Parallelism() (*Result, error) {
 	}
 	t := tablefmt.New("Fig. 15 — throughput across (TP,PP) on CENT (tokens/s)",
 		"model", "trace", "tp", "pp", "baseline", "pimphony")
-	rows, err := sweep.Rows(context.Background(), pts,
+	rows, err := sweep.Run(context.Background(), pts,
 		func(ctx context.Context, p point) ([]any, error) {
 			reqs := p.reqs
 			var tput [2]float64
@@ -188,7 +188,7 @@ func Fig16Energy() (*Result, error) {
 	t := tablefmt.New("Fig. 16 — attention energy breakdown per decode window (CENT)",
 		"model", "system", "mac%", "io%", "background%", "else%", "attn-energy-ratio")
 	models := []model.Config{model.LLM7B32K(), model.LLM7B128KGQA()}
-	groups, err := sweep.RowGroups(context.Background(), models,
+	groups, err := sweep.Run(context.Background(), models,
 		func(ctx context.Context, m model.Config) ([][]any, error) {
 			tr := tracesFor(m)[0]
 			reqs := requestPool(tr, pool(48))
@@ -259,7 +259,7 @@ func fig17Pair(ctx context.Context, m model.Config, p fig17Preset, modules, tmax
 			if p.tpOnly {
 				cfg.TP, cfg.PP = cfg.Modules, 1
 			} else {
-				cfg.TP, cfg.PP = optimalTPPP(m, cfg.Modules)
+				cfg.TP, cfg.PP = core.OptimalParallelism(m, cfg.Modules)
 			}
 			cfg.TMaxOverride = tmax
 			cfg.DecodeWindow = 2
@@ -316,7 +316,7 @@ func Fig17Scalability() (*Result, error) {
 			pts = append(pts, f17Point{p: p, ctx: ctx})
 		}
 	}
-	rows, err := sweep.Rows(context.Background(), pts,
+	rows, err := sweep.Run(context.Background(), pts,
 		func(ctx context.Context, pt f17Point) ([]any, error) {
 			if pt.isCap {
 				reqs := workload.ThreeSigma(64<<10, 9).Batch(pool(64))
@@ -343,22 +343,6 @@ func Fig17Scalability() (*Result, error) {
 		Notes:  []string{"paper: 46.6x over CENT and 5.0x over NeuPIMs at 1M context; 2.1x even at short contexts"}}, nil
 }
 
-// optimalTPPP mirrors core's preset logic for sweeps that resize modules.
-func optimalTPPP(m model.Config, modules int) (int, int) {
-	tp := m.KVHeads()
-	if tp > modules {
-		tp = modules
-	}
-	for modules%tp != 0 {
-		tp--
-	}
-	pp := modules / tp
-	if pp > 1 && m.Layers%pp != 0 {
-		return tp * pp, 1
-	}
-	return tp, pp
-}
-
 // Fig20GPUCompare reproduces the GPU comparison: A100s with
 // flash-decoding + paged-attention vs memory-matched PIMphony systems.
 func Fig20GPUCompare() (*Result, error) {
@@ -376,7 +360,7 @@ func Fig20GPUCompare() (*Result, error) {
 	}
 	t := tablefmt.New("Fig. 20 — GPU (A100+FD+PA) vs PIMphony (tokens/s, memory-matched)",
 		"model", "trace", "gpu", "cent+pimphony", "neupims+pimphony", "best-vs-gpu")
-	rows, err := sweep.Rows(context.Background(), cases,
+	rows, err := sweep.Run(context.Background(), cases,
 		func(ctx context.Context, c modelTrace) ([]any, error) {
 			reqs := requestPool(c.tr, pool(48))
 			gpuSys, err := core.NewSystem(core.GPU(c.m))
@@ -428,7 +412,7 @@ func SystemsCompare() (*Result, error) {
 	headers = append(headers, "best-vs-gpu")
 	t := tablefmt.New("Systems — decode throughput (tokens/s) across registered backends (PIMphony techniques where applicable)",
 		headers...)
-	rows, err := sweep.Rows(context.Background(), modelTraceGrid(sweepModels()),
+	rows, err := sweep.Run(context.Background(), modelTraceGrid(sweepModels()),
 		func(ctx context.Context, p modelTrace) ([]any, error) {
 			reqs := requestPool(p.tr, pool(48))
 			tputs, err := sweep.Run(ctx, presets, func(ctx context.Context, pr core.Preset) (float64, error) {
@@ -493,7 +477,7 @@ func AblationPrefill() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := sweep.Rows(context.Background(), []int{4 << 10, 16 << 10, 32 << 10, 128 << 10},
+	rows, err := sweep.Run(context.Background(), []int{4 << 10, 16 << 10, 32 << 10, 128 << 10},
 		func(_ context.Context, ctx int) ([]any, error) {
 			return []any{ctx, centSys.PrefillSeconds(ctx), neuSys.PrefillSeconds(ctx), gpuSys.PrefillSeconds(ctx)}, nil
 		})

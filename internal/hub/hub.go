@@ -1,75 +1,23 @@
-// Package hub models the PIM HUB of Fig. 3(a): the shared General-Purpose
-// Register file (GPR), the Extra Processing Unit (EPU) performing softmax
-// and reductions, and the multicast interconnect that ships tiles between
-// the HUB and the channels.
+// Package hub models the PIM HUB of Fig. 3(a) where the priced decode
+// reads it: the Extra Processing Unit (EPU) folding the per-channel SV
+// partial sums of token-centric partitioning into one head output.
 //
-// Besides cycle costs, the EPU operations are implemented functionally so
-// the TCP aggregation path (score concatenation for QK^T, partial-sum
-// reduction for SV) can be verified against the float32 reference decoder.
+// The package tests carry the EPU's functional model (score
+// concatenation for QK^T, partial-sum reduction for SV) and check it
+// against a float32 reference decoder, so the TCP aggregation path is
+// numerically faithful.
 package hub
 
-import (
-	"fmt"
+import "pimphony/internal/timing"
 
-	"pimphony/internal/refmath"
-	"pimphony/internal/timing"
-)
-
-// Hub is one module's HUB state.
+// Hub is one module's HUB.
 type Hub struct {
-	dev      timing.Device
-	gprUsed  int64
-	gprAlloc map[string]int64
+	dev timing.Device
 }
 
 // New creates a HUB for the device.
 func New(dev timing.Device) *Hub {
-	return &Hub{dev: dev, gprAlloc: make(map[string]int64)}
-}
-
-// GPRCapacity is the register-file size in bytes.
-func (h *Hub) GPRCapacity() int64 { return int64(h.dev.GPRBytes) }
-
-// GPRUsed is the currently allocated GPR bytes.
-func (h *Hub) GPRUsed() int64 { return h.gprUsed }
-
-// AllocGPR reserves named GPR space (inputs, outputs, partial sums).
-func (h *Hub) AllocGPR(name string, bytes int64) error {
-	if bytes <= 0 {
-		return fmt.Errorf("hub: GPR allocation %q must be positive", name)
-	}
-	if _, dup := h.gprAlloc[name]; dup {
-		return fmt.Errorf("hub: GPR region %q already allocated", name)
-	}
-	if h.gprUsed+bytes > h.GPRCapacity() {
-		return fmt.Errorf("hub: GPR overflow: %q needs %d B, %d of %d in use",
-			name, bytes, h.gprUsed, h.GPRCapacity())
-	}
-	h.gprAlloc[name] = bytes
-	h.gprUsed += bytes
-	return nil
-}
-
-// FreeGPR releases a named region.
-func (h *Hub) FreeGPR(name string) error {
-	b, ok := h.gprAlloc[name]
-	if !ok {
-		return fmt.Errorf("hub: GPR region %q not allocated", name)
-	}
-	delete(h.gprAlloc, name)
-	h.gprUsed -= b
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// EPU cost model
-// ---------------------------------------------------------------------------
-
-// SoftmaxCycles is the EPU cost of a softmax over `scores` values: a fixed
-// base plus a per-tile marginal (the EPU streams score tiles from the GPR).
-func (h *Hub) SoftmaxCycles(scores int) timing.Cycles {
-	tiles := (scores + h.dev.ElemsPerTile() - 1) / h.dev.ElemsPerTile()
-	return h.dev.EPUSoftmaxBase + timing.Cycles(tiles)*h.dev.EPUSoftmaxPerTile
+	return &Hub{dev: dev}
 }
 
 // ReduceCycles is the cost of the TCP SV inter-channel reduction for one
@@ -84,44 +32,4 @@ func (h *Hub) ReduceCycles(channels, dh int) timing.Cycles {
 	// Pipelined fold: (channels-1) adds deep, one tile per EPUAddCycles.
 	add := timing.Cycles(channels-1+tiles) * h.dev.EPUAddCycles
 	return gather + add
-}
-
-// MulticastCycles is the cost of broadcasting `tiles` input tiles from the
-// GPR to any subset of channels (the interconnect multicasts, so the cost
-// is per-tile, not per-channel).
-func (h *Hub) MulticastCycles(tiles int) timing.Cycles {
-	return timing.Cycles(tiles) * h.dev.HubHopCycles
-}
-
-// ---------------------------------------------------------------------------
-// EPU functional model
-// ---------------------------------------------------------------------------
-
-// ConcatSoftmax models the QK^T aggregation under TCP: per-channel score
-// segments are concatenated in token order and softmaxed by the EPU. The
-// returned slice is the full softmax distribution.
-func ConcatSoftmax(segments [][]float32) []float32 {
-	var all []float32
-	for _, s := range segments {
-		all = append(all, s...)
-	}
-	return refmath.Softmax(all)
-}
-
-// ReducePartials models the SV aggregation under TCP: per-channel partial
-// output vectors are summed by the EPU into the final head output.
-func ReducePartials(partials [][]float32) ([]float32, error) {
-	if len(partials) == 0 {
-		return nil, fmt.Errorf("hub: no partials to reduce")
-	}
-	out := make([]float32, len(partials[0]))
-	for i, p := range partials {
-		if len(p) != len(out) {
-			return nil, fmt.Errorf("hub: partial %d has length %d, want %d", i, len(p), len(out))
-		}
-		if err := refmath.Add(out, p); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -1,54 +1,42 @@
 package hub
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
-	"pimphony/internal/refmath"
 	"pimphony/internal/timing"
 )
 
-func TestGPRAllocation(t *testing.T) {
-	h := New(timing.AiM16())
-	if err := h.AllocGPR("inputs", 256<<10); err != nil {
-		t.Fatal(err)
+// concatSoftmax is the EPU's functional QK^T aggregation under TCP:
+// per-channel score segments are concatenated in token order and
+// softmaxed. The returned slice is the full softmax distribution.
+func concatSoftmax(segments [][]float32) []float32 {
+	var all []float32
+	for _, s := range segments {
+		all = append(all, s...)
 	}
-	if err := h.AllocGPR("outputs", 256<<10); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.AllocGPR("overflow", 1); err == nil {
-		t.Fatal("GPR overflow should be rejected")
-	}
-	if err := h.FreeGPR("inputs"); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.AllocGPR("again", 128<<10); err != nil {
-		t.Fatalf("freed space should be reusable: %v", err)
-	}
-	if err := h.FreeGPR("nope"); err == nil {
-		t.Fatal("freeing unknown region should fail")
-	}
-	if err := h.AllocGPR("again", 1); err == nil {
-		t.Fatal("duplicate region name should fail")
-	}
-	if err := h.AllocGPR("bad", 0); err == nil {
-		t.Fatal("zero-byte allocation should fail")
-	}
+	return softmax(all)
 }
 
-func TestSoftmaxCyclesScale(t *testing.T) {
-	h := New(timing.AiM16())
-	short := h.SoftmaxCycles(1024)
-	long := h.SoftmaxCycles(65536)
-	if long <= short {
-		t.Fatal("softmax cost should grow with score count")
+// reducePartials is the EPU's functional SV aggregation under TCP:
+// per-channel partial output vectors are summed into the head output.
+func reducePartials(partials [][]float32) ([]float32, error) {
+	if len(partials) == 0 {
+		return nil, fmt.Errorf("hub: no partials to reduce")
 	}
-	// Base cost dominates only for tiny inputs.
-	if h.SoftmaxCycles(16) <= 0 {
-		t.Fatal("softmax cost must be positive")
+	out := make([]float32, len(partials[0]))
+	for i, p := range partials {
+		if len(p) != len(out) {
+			return nil, fmt.Errorf("hub: partial %d has length %d, want %d", i, len(p), len(out))
+		}
+		if err := add(out, p); err != nil {
+			return nil, err
+		}
 	}
+	return out, nil
 }
 
 func TestReduceCyclesMatchPaperScale(t *testing.T) {
@@ -65,13 +53,6 @@ func TestReduceCyclesMatchPaperScale(t *testing.T) {
 	}
 }
 
-func TestMulticastCycles(t *testing.T) {
-	h := New(timing.AiM16())
-	if h.MulticastCycles(8) != 8*h.dev.HubHopCycles {
-		t.Fatal("multicast cost should be per-tile")
-	}
-}
-
 // TestTCPAttentionNumericallyExact is the core correctness argument for
 // token-centric partitioning: slicing tokens across channels, concatenating
 // per-channel QK^T segments, softmaxing globally in the EPU, computing
@@ -84,11 +65,11 @@ func TestTCPAttentionNumericallyExact(t *testing.T) {
 		dh       = 64
 		channels = 16
 	)
-	q := refmath.RandVec(rng, dh)
-	k := refmath.RandMat(rng, tokens, dh)
-	v := refmath.RandMat(rng, tokens, dh)
+	q := randVec(rng, dh)
+	k := randMat(rng, tokens, dh)
+	v := randMat(rng, tokens, dh)
 
-	want, err := refmath.Attention(q, k, v)
+	want, err := attention(q, k, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +86,7 @@ func TestTCPAttentionNumericallyExact(t *testing.T) {
 	for c := 0; c < channels; c++ {
 		seg := make([]float32, bounds[c+1]-bounds[c])
 		for i := range seg {
-			d, err := refmath.Dot(q, k[bounds[c]+i])
+			d, err := dot(q, k[bounds[c]+i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +96,7 @@ func TestTCPAttentionNumericallyExact(t *testing.T) {
 	}
 
 	// Phase 2: EPU concatenation + global softmax.
-	scores := ConcatSoftmax(segments)
+	scores := concatSoftmax(segments)
 	if len(scores) != tokens {
 		t.Fatalf("concat produced %d scores, want %d", len(scores), tokens)
 	}
@@ -131,20 +112,20 @@ func TestTCPAttentionNumericallyExact(t *testing.T) {
 		}
 		partials[c] = p
 	}
-	got, err := ReducePartials(partials)
+	got, err := reducePartials(partials)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := refmath.MaxAbsDiff(got, want); d > 1e-4 {
+	if d := maxAbsDiff(got, want); d > 1e-4 {
 		t.Fatalf("TCP attention deviates from reference by %g", d)
 	}
 }
 
 func TestReducePartialsErrors(t *testing.T) {
-	if _, err := ReducePartials(nil); err == nil {
+	if _, err := reducePartials(nil); err == nil {
 		t.Fatal("empty reduction should fail")
 	}
-	if _, err := ReducePartials([][]float32{{1, 2}, {1}}); err == nil {
+	if _, err := reducePartials([][]float32{{1, 2}, {1}}); err == nil {
 		t.Fatal("ragged partials should fail")
 	}
 }
@@ -157,9 +138,9 @@ func TestReduceOrderInvariance(t *testing.T) {
 		n := rng.Intn(8) + 2
 		parts := make([][]float32, n)
 		for i := range parts {
-			parts[i] = refmath.RandVec(rng, 16)
+			parts[i] = randVec(rng, 16)
 		}
-		a, err := ReducePartials(parts)
+		a, err := reducePartials(parts)
 		if err != nil {
 			return false
 		}
@@ -168,11 +149,11 @@ func TestReduceOrderInvariance(t *testing.T) {
 		for i, p := range perm {
 			shuffled[i] = parts[p]
 		}
-		b, err := ReducePartials(shuffled)
+		b, err := reducePartials(shuffled)
 		if err != nil {
 			return false
 		}
-		return refmath.MaxAbsDiff(a, b) < 1e-4
+		return maxAbsDiff(a, b) < 1e-4
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

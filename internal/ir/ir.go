@@ -58,18 +58,6 @@ type Value struct {
 	Shape []int // DynTokens marks the symbolic token dimension
 }
 
-// Elems returns the element count with DynTokens resolved to tokens.
-func (v Value) Elems(tokens int) int64 {
-	n := int64(1)
-	for _, d := range v.Shape {
-		if d == DynTokens {
-			d = tokens
-		}
-		n *= int64(d)
-	}
-	return n
-}
-
 // Node is one operation.
 type Node struct {
 	ID     int
@@ -200,15 +188,4 @@ func (g *Graph) Producer(valueID int) *Node {
 		}
 	}
 	return nil
-}
-
-// HasDynTokens reports whether a value's shape involves the symbolic token
-// dimension.
-func (g *Graph) HasDynTokens(valueID int) bool {
-	for _, d := range g.Values[valueID].Shape {
-		if d == DynTokens {
-			return true
-		}
-	}
-	return false
 }

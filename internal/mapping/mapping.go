@@ -154,15 +154,6 @@ func (a *Assignment) TokenLoads() []int {
 	return loads
 }
 
-// TotalTokens sums all mapped tokens.
-func (a *Assignment) TotalTokens() int {
-	var t int
-	for _, l := range a.TokenLoads() {
-		t += l
-	}
-	return t
-}
-
 // Utilization measures channel balance as mean(load)/max(load) over the
 // token-count proxy. 1.0 means perfectly balanced; idle channels and
 // stragglers both reduce it. An empty assignment has zero utilization.
@@ -190,27 +181,6 @@ func (a *Assignment) ActiveChannels() int {
 		}
 	}
 	return n
-}
-
-// CriticalLoad applies a per-work latency function and returns the maximum
-// channel latency (the module's attention time) and the mean channel
-// latency (for utilization studies).
-func (a *Assignment) CriticalLoad(latency func(Work) float64) (max, mean float64) {
-	var sum float64
-	for _, ws := range a.Channels {
-		var l float64
-		for _, w := range ws {
-			l += latency(w)
-		}
-		sum += l
-		if l > max {
-			max = l
-		}
-	}
-	if len(a.Channels) > 0 {
-		mean = sum / float64(len(a.Channels))
-	}
-	return max, mean
 }
 
 // ---------------------------------------------------------------------------

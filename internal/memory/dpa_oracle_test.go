@@ -136,9 +136,6 @@ func (o *dpaOracle) compare(what string, errGot, errRef error) {
 	if g, r := o.got.ReservedBytes(), o.ref.ReservedBytes(); g != r {
 		fail("ReservedBytes %d, reference %d", g, r)
 	}
-	if g, r := o.got.HostMessages(), o.ref.HostMessages(); g != r {
-		fail("HostMessages %d, reference %d", g, r)
-	}
 	free := len(o.ref.freeList)
 	for _, tok := range []int{0, 1, o.tpc, o.tpc + 1, free * o.tpc, (free + 1) * o.tpc} {
 		if g, r := o.got.CanAdmit(tok), o.ref.CanAdmit(tok); g != r {

@@ -16,7 +16,6 @@ type refDPA struct {
 	freeList      []int
 	va2pa         map[int][]int // request -> virtual chunk order -> physical
 	liveTokens    map[int]int
-	hostMessages  int // host<->module allocation messages (Sec. VI-C)
 
 	liveTokSum int64 // Σ liveTokens
 	mappedSum  int64 // Σ len(va2pa[id])
@@ -66,7 +65,6 @@ func (d *refDPA) Admit(reqID, tokens int) error {
 	d.liveTokens[reqID] = tokens
 	d.liveTokSum += int64(tokens)
 	d.mappedSum += int64(need)
-	d.hostMessages++ // initial VA2PA setup
 	return nil
 }
 
@@ -88,7 +86,6 @@ func (d *refDPA) Grow(reqID, newTokens int) error {
 		d.va2pa[reqID] = append(d.va2pa[reqID], tail...)
 		d.freeList = d.freeList[:len(d.freeList)-extra]
 		d.mappedSum += int64(extra)
-		d.hostMessages++ // one host message per chunk-allocation event
 	}
 	d.liveTokSum += int64(newTokens - cur)
 	d.liveTokens[reqID] = newTokens
@@ -105,7 +102,6 @@ func (d *refDPA) Release(reqID int) error {
 	d.liveTokSum -= int64(d.liveTokens[reqID])
 	delete(d.va2pa, reqID)
 	delete(d.liveTokens, reqID)
-	d.hostMessages++
 	return nil
 }
 
@@ -156,7 +152,6 @@ func (d *refDPA) GrowBudget(reqIDs []int) int {
 
 func (d *refDPA) LiveBytes() int64     { return d.liveTokSum * d.bytesPerToken }
 func (d *refDPA) ReservedBytes() int64 { return d.mappedSum * d.chunkBytes }
-func (d *refDPA) HostMessages() int    { return d.hostMessages }
 
 func (d *refDPA) Chunks(reqID int) []int { return d.va2pa[reqID] }
 

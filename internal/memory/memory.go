@@ -50,17 +50,6 @@ type Allocator interface {
 	CapacityBytes() int64
 }
 
-// Utilization is live / reserved bytes: how much of the memory an
-// allocator has claimed actually holds KV data. When nothing is reserved
-// it is defined as zero.
-func Utilization(a Allocator) float64 {
-	r := a.ReservedBytes()
-	if r == 0 {
-		return 0
-	}
-	return float64(a.LiveBytes()) / float64(r)
-}
-
 // PoolUtilization is live / pool capacity — the Fig. 19 metric, evaluated
 // when the admission loop has filled the pool: static T_max reservations
 // strand most of the pool (the paper measures 31.0-40.5%), while DPA's
@@ -215,7 +204,6 @@ type DPA struct {
 	nChunks       int
 	reqs          map[int]*dpaReq
 	spare         []*dpaReq // released entries, recycled by Admit
-	hostMessages  int       // host<->module allocation messages (Sec. VI-C)
 
 	// Running aggregates so LiveBytes/ReservedBytes are O(1) — the
 	// serving engine samples capacity on every leap, which made the map
@@ -282,7 +270,6 @@ func (d *DPA) Admit(reqID, tokens int) error {
 	d.reqs[reqID] = r
 	d.liveTokSum += int64(tokens)
 	d.mappedSum += int64(need)
-	d.hostMessages++ // initial VA2PA setup
 	return nil
 }
 
@@ -302,7 +289,6 @@ func (d *DPA) Grow(reqID, newTokens int) error {
 		}
 		r.mapped += extra
 		d.mappedSum += int64(extra)
-		d.hostMessages++ // one host message per chunk-allocation event
 	}
 	d.liveTokSum += int64(newTokens - r.live)
 	r.live = newTokens
@@ -320,7 +306,6 @@ func (d *DPA) Release(reqID int) error {
 	d.liveTokSum -= int64(r.live)
 	delete(d.reqs, reqID)
 	d.spare = append(d.spare, r)
-	d.hostMessages++
 	return nil
 }
 
@@ -333,10 +318,7 @@ func (d *DPA) CanAdmit(tokens int) bool { return d.chunksFor(tokens) <= d.free()
 // (chunk demand is monotone in the step count), so the fast-forward can
 // leap through it; lazy allocation past the budget can exhaust the pool
 // — the preemption trigger. One probe at the limit settles the common
-// case; only a pool too tight for it pays a binary search below it. A
-// batched Grow covering several chunks coalesces the per-chunk host
-// messages into one, which only the host-message counter (not any
-// capacity or serving metric) can observe.
+// case; only a pool too tight for it pays a binary search below it.
 func (d *DPA) GrowBudget(reqIDs []int, limit int) int {
 	if len(reqIDs) == 0 || limit <= 0 {
 		return 0
@@ -385,10 +367,6 @@ func (d *DPA) ReservedBytes() int64 { return d.mappedSum * d.chunkBytes }
 
 // CapacityBytes implements Allocator.
 func (d *DPA) CapacityBytes() int64 { return d.capacity }
-
-// HostMessages counts host<->module management messages so far; the paper
-// argues these are rare (not per decode step).
-func (d *DPA) HostMessages() int { return d.hostMessages }
 
 // MappedChunks is the number of chunks a request maps — its VA2PA entry
 // count (zero for an unknown request). The chunk-size ablation reads it.

@@ -13,6 +13,17 @@ const (
 	gib = 1 << 30
 )
 
+// utilization is live / reserved bytes: how much of the memory an
+// allocator has claimed actually holds KV data. When nothing is reserved
+// it is defined as zero.
+func utilization(a Allocator) float64 {
+	r := a.ReservedBytes()
+	if r == 0 {
+		return 0
+	}
+	return float64(a.LiveBytes()) / float64(r)
+}
+
 func newStaticT(t *testing.T) *Static {
 	t.Helper()
 	// 1 GiB pool, 128 KiB/token (7B GQA), T_max 4096 -> 512 MiB per slot.
@@ -43,7 +54,7 @@ func TestStaticReservesTmax(t *testing.T) {
 	if got := s.LiveBytes(); got != 100*128*kib {
 		t.Errorf("live = %d", got)
 	}
-	if u := Utilization(s); u > 0.03 {
+	if u := utilization(s); u > 0.03 {
 		t.Errorf("utilization of a short request should be tiny, got %f", u)
 	}
 }
@@ -122,7 +133,7 @@ func TestDPAUtilizationBeatsStatic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	us, ud := Utilization(s), Utilization(d)
+	us, ud := utilization(s), utilization(d)
 	if ud <= us {
 		t.Errorf("DPA utilization (%.2f) should exceed static (%.2f)", ud, us)
 	}
@@ -140,13 +151,12 @@ func TestDPALazyGrowth(t *testing.T) {
 	if got := d.MappedChunks(0); got != 1 {
 		t.Fatalf("chunks = %d, want 1", got)
 	}
-	msgs := d.HostMessages()
-	// Growing within the chunk allocates nothing and sends no messages.
+	// Growing within the chunk allocates nothing.
 	if err := d.Grow(0, 8); err != nil {
 		t.Fatal(err)
 	}
-	if d.HostMessages() != msgs {
-		t.Error("no-op growth should not message the host")
+	if got := d.MappedChunks(0); got != 1 {
+		t.Fatalf("chunks after no-op growth = %d, want 1", got)
 	}
 	// Spilling allocates exactly one more chunk.
 	if err := d.Grow(0, 9); err != nil {
@@ -154,9 +164,6 @@ func TestDPALazyGrowth(t *testing.T) {
 	}
 	if got := d.MappedChunks(0); got != 2 {
 		t.Fatalf("chunks after spill = %d, want 2", got)
-	}
-	if d.HostMessages() != msgs+1 {
-		t.Error("chunk spill should message the host once")
 	}
 }
 
@@ -231,7 +238,7 @@ func TestDPAInvariantProperty(t *testing.T) {
 			if mapped*mib != d.ReservedBytes() {
 				return false
 			}
-			if u := Utilization(d); u < 0 || u > 1.0000001 {
+			if u := utilization(d); u < 0 || u > 1.0000001 {
 				return false
 			}
 		}

@@ -129,12 +129,6 @@ func (c Config) DecodeFLOPs(tokens int) int64 {
 	return int64(c.Layers) * (fc + attn)
 }
 
-// DecodeBytes returns the bytes read per generated token: all weights once
-// (batch-1 GEMV) plus the KV cache of the current context.
-func (c Config) DecodeBytes(tokens int) int64 {
-	return c.WeightBytes() + c.KVBytes(tokens)
-}
-
 // BatchDecodeBytes returns the bytes read per decode iteration for a batch:
 // weights are read once for the whole batch (batched GEMM), while every
 // request attends over its own KV cache.
@@ -147,13 +141,6 @@ func (c Config) BatchDecodeBytes(batch, tokens int) int64 {
 // work shifts from batched GEMM to per-request GEMV attention (Fig. 2a).
 func (c Config) ComputeIntensity(batch, tokens int) float64 {
 	return float64(int64(batch)*c.DecodeFLOPs(tokens)) / float64(c.BatchDecodeBytes(batch, tokens))
-}
-
-// AttentionShare is the fraction of decode bytes read by the attention
-// kernels (KV cache) rather than FC weights.
-func (c Config) AttentionShare(tokens int) float64 {
-	kv := float64(c.KVBytes(tokens))
-	return kv / (kv + float64(c.WeightBytes()))
 }
 
 // MemoryFootprint returns the total memory needed to serve `batch` requests
@@ -214,17 +201,4 @@ func (c Config) FCLayerWeightBytes() int64 {
 // layers: Layers x FCLayerFlops.
 func (c Config) FCFlopsPerToken() int64 {
 	return int64(c.Layers) * c.FCLayerFlops()
-}
-
-// AttentionShape describes the per-layer attention work of one request.
-type AttentionShape struct {
-	KVHeads int // independent KV head kernels
-	Queries int // query vectors sharing each KV head (GQA group)
-	HeadDim int
-	Tokens  int
-}
-
-// Attention returns the attention kernel shape at a context length.
-func (c Config) Attention(tokens int) AttentionShape {
-	return AttentionShape{KVHeads: c.KVHeads(), Queries: c.GQAGroup, HeadDim: c.HeadDim, Tokens: tokens}
 }

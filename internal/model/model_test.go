@@ -93,17 +93,6 @@ func TestComputeIntensityDropsWithContext(t *testing.T) {
 	}
 }
 
-func TestAttentionShareGrows(t *testing.T) {
-	c := LLM7B32K()
-	if s4, s32 := c.AttentionShare(4096), c.AttentionShare(32768); s32 <= s4 {
-		t.Errorf("attention share should grow with context: %f -> %f", s4, s32)
-	}
-	// Non-GQA 7B at 32K: KV = 16 GiB vs 14 GiB weights -> majority.
-	if s := c.AttentionShare(32768); s < 0.5 {
-		t.Errorf("32K non-GQA attention share = %.2f, want > 0.5", s)
-	}
-}
-
 func TestMemoryFootprintFig2b(t *testing.T) {
 	c := LLM7B128KGQA()
 	// A100-80GB: batch 8 at 128K context must overflow (Fig. 2b's point).
@@ -136,14 +125,6 @@ func TestFCShapes(t *testing.T) {
 	}
 }
 
-func TestAttentionShape(t *testing.T) {
-	c := LLM72B128KGQA()
-	a := c.Attention(65536)
-	if a.KVHeads != 8 || a.Queries != 8 || a.HeadDim != 128 || a.Tokens != 65536 {
-		t.Errorf("unexpected attention shape: %+v", a)
-	}
-}
-
 // Property: footprints and FLOPs are monotone in tokens and batch.
 func TestMonotonicityProperties(t *testing.T) {
 	c := LLM7B32K()
@@ -166,7 +147,7 @@ func TestMonotonicityProperties(t *testing.T) {
 func TestIntensityConsistency(t *testing.T) {
 	for _, c := range All() {
 		for _, tk := range []int{1024, 32768, 1 << 20} {
-			want := float64(c.DecodeFLOPs(tk)) / float64(c.DecodeBytes(tk))
+			want := float64(c.DecodeFLOPs(tk)) / float64(c.BatchDecodeBytes(1, tk))
 			if got := c.ComputeIntensity(1, tk); got != want {
 				t.Errorf("%s @%d: intensity %f != %f", c.Name, tk, got, want)
 			}

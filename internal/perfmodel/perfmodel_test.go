@@ -91,7 +91,8 @@ func TestBreakdownConsistency(t *testing.T) {
 	}
 	// After scaling, the breakdown must still sum to within rounding of the
 	// total (each component is rounded independently).
-	diff := int64(l.Breakdown.Total() - l.Cycles)
+	b := l.Breakdown
+	diff := int64(b.MAC + b.ActPre + b.Refresh + b.DTGBuf + b.DTOutReg + b.Penalty - l.Cycles)
 	if diff < -8 || diff > 8 {
 		t.Errorf("scaled breakdown off by %d cycles", diff)
 	}

@@ -129,18 +129,25 @@ func (s *Stack) RdOut(out int) Command {
 	return s.push(Command{Kind: RDOUT, GBuf: -1, Out: out, Row: -1, Col: -1})
 }
 
-// Act appends a row-activate command for the given row.
-func (s *Stack) Act(row int) Command {
-	return s.push(Command{Kind: ACT, GBuf: -1, Out: -1, Row: row, Col: -1})
+// Fig7Stack builds the paper's Fig. 7(a) command stack for the
+// (1x48)*(48x32) GEMV on a 64-entry GBuf and 32-entry output buffer
+// (AiM16's): three WR-INP tiles, then two output groups of three
+// accumulating MACs, each drained by one RD-OUT.
+func Fig7Stack() *Stack {
+	s := NewStack(64, 32)
+	s.WrInp(0)
+	s.WrInp(1)
+	s.WrInp(2)
+	s.Mac(0, 0, 0, 0)
+	s.Mac(1, 0, 0, 1)
+	s.Mac(2, 0, 0, 2)
+	s.RdOut(0)
+	s.Mac(0, 1, 0, 3)
+	s.Mac(1, 1, 0, 4)
+	s.Mac(2, 1, 0, 5)
+	s.RdOut(1)
+	return s
 }
-
-// Pre appends a precharge command closing the given row.
-func (s *Stack) Pre(row int) Command {
-	return s.push(Command{Kind: PRE, GBuf: -1, Out: -1, Row: row, Col: -1})
-}
-
-// Len is the number of commands in the stack.
-func (s *Stack) Len() int { return len(s.Cmds) }
 
 // Counts tallies commands by kind, indexed by Kind. Kinds outside
 // [WRINP, PRE] are not counted (Validate rejects them).

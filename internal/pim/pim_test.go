@@ -6,27 +6,14 @@ import (
 	"testing/quick"
 )
 
-// fig7Stack builds the paper's Fig. 7 GEMV example: a (1x48)*(48x32) GEMV
-// needing 3 WR-INP, 6 MAC and 2 RD-OUT commands (two output groups of 16,
-// each accumulating 3 input tiles).
-func fig7Stack() *Stack {
-	s := NewStack(64, 32)
-	s.WrInp(0) // W0
-	s.WrInp(1) // W1
-	s.WrInp(2) // W2
-	s.Mac(0, 0, 0, 0)
-	s.Mac(1, 0, 0, 1)
-	s.Mac(2, 0, 0, 2)
-	s.RdOut(0)
-	s.Mac(0, 1, 0, 3)
-	s.Mac(1, 1, 0, 4)
-	s.Mac(2, 1, 0, 5)
-	s.RdOut(1)
-	return s
+// rowCmd appends a row command (ACT or PRE) for the given row, as the
+// kernel builders emit them.
+func rowCmd(s *Stack, k Kind, row int) {
+	s.push(Command{Kind: k, GBuf: -1, Out: -1, Row: row, Col: -1})
 }
 
 func TestFig7StackShape(t *testing.T) {
-	s := fig7Stack()
+	s := Fig7Stack()
 	if err := s.Validate(); err != nil {
 		t.Fatalf("fig7 stack should validate: %v", err)
 	}
@@ -34,13 +21,13 @@ func TestFig7StackShape(t *testing.T) {
 	if c[WRINP] != 3 || c[MAC] != 6 || c[RDOUT] != 2 {
 		t.Fatalf("fig7 counts = %v, want 3 WR-INP / 6 MAC / 2 RD-OUT", c)
 	}
-	if s.Len() != 11 {
-		t.Fatalf("fig7 stack length = %d, want 11", s.Len())
+	if len(s.Cmds) != 11 {
+		t.Fatalf("fig7 stack length = %d, want 11", len(s.Cmds))
 	}
 }
 
 func TestIDsAreDense(t *testing.T) {
-	s := fig7Stack()
+	s := Fig7Stack()
 	for i, c := range s.Cmds {
 		if c.ID != i {
 			t.Fatalf("command %d has ID %d", i, c.ID)
@@ -93,12 +80,12 @@ func TestValidateCatchesOutOfRangeIndices(t *testing.T) {
 func TestRowProtocol(t *testing.T) {
 	s := NewStack(4, 4)
 	s.WrInp(0)
-	s.Act(3)
+	rowCmd(s, ACT, 3)
 	s.Mac(0, 0, 3, 0)
-	s.Pre(3)
-	s.Act(4)
+	rowCmd(s, PRE, 3)
+	rowCmd(s, ACT, 4)
 	s.Mac(0, 0, 4, 0)
-	s.Pre(4)
+	rowCmd(s, PRE, 4)
 	s.RdOut(0)
 	if err := s.Validate(); err != nil {
 		t.Fatalf("row protocol stack should validate: %v", err)
@@ -106,21 +93,21 @@ func TestRowProtocol(t *testing.T) {
 
 	bad := NewStack(4, 4)
 	bad.WrInp(0)
-	bad.Act(3)
+	rowCmd(bad, ACT, 3)
 	bad.Mac(0, 0, 7, 0) // wrong row
 	if err := bad.Validate(); err == nil {
 		t.Fatal("expected error for MAC on unopened row")
 	}
 
 	bad2 := NewStack(4, 4)
-	bad2.Act(1)
-	bad2.Act(2) // double open
+	rowCmd(bad2, ACT, 1)
+	rowCmd(bad2, ACT, 2) // double open
 	if err := bad2.Validate(); err == nil {
 		t.Fatal("expected error for nested ACT")
 	}
 
 	bad3 := NewStack(4, 4)
-	bad3.Pre(1) // close without open
+	rowCmd(bad3, PRE, 1) // close without open
 	if err := bad3.Validate(); err == nil {
 		t.Fatal("expected error for PRE without ACT")
 	}
@@ -188,30 +175,30 @@ var invalidStacks = []struct {
 	}, "pim: command 1 has ID 5, want dense IDs"},
 	{"WR-INP GBuf range", func(s *Stack) { s.WrInp(4) },
 		"pim: cmd 0 WR-INP GBuf index 4 out of range [0,4)"},
-	{"MAC GBuf range", func(s *Stack) { s.WrInp(0); s.Act(0); s.Mac(-1, 0, 0, 0) },
+	{"MAC GBuf range", func(s *Stack) { s.WrInp(0); rowCmd(s, ACT, 0); s.Mac(-1, 0, 0, 0) },
 		"pim: cmd 2 MAC GBuf index -1 out of range"},
-	{"MAC Out range", func(s *Stack) { s.WrInp(0); s.Act(0); s.Mac(0, 2, 0, 0) },
+	{"MAC Out range", func(s *Stack) { s.WrInp(0); rowCmd(s, ACT, 0); s.Mac(0, 2, 0, 0) },
 		"pim: cmd 2 MAC Out index 2 out of range [0,2)"},
 	{"RD-OUT Out range", func(s *Stack) { s.WrInp(0); s.RdOut(7) },
 		"pim: cmd 1 RD-OUT Out index 7 out of range"},
-	{"MAC before WR-INP", func(s *Stack) { s.Act(0); s.Mac(1, 0, 0, 0) },
+	{"MAC before WR-INP", func(s *Stack) { rowCmd(s, ACT, 0); s.Mac(1, 0, 0, 0) },
 		"pim: cmd 1 MAC reads GBuf 1 before any WR-INP"},
 	{"drain with nothing accumulated", func(s *Stack) {
 		s.WrInp(0)
-		s.Act(0)
+		rowCmd(s, ACT, 0)
 		s.Mac(0, 0, 0, 0)
 		s.RdOut(0)
 		s.RdOut(0)
 	}, "pim: cmd 4 RD-OUT drains Out 0 with no pending accumulation"},
-	{"MAC on a closed row", func(s *Stack) { s.WrInp(0); s.Act(3); s.Mac(0, 0, 7, 0) },
+	{"MAC on a closed row", func(s *Stack) { s.WrInp(0); rowCmd(s, ACT, 3); s.Mac(0, 0, 7, 0) },
 		"pim: cmd 2 MAC on row 7 but open row is 3"},
-	{"MAC before a later PRE", func(s *Stack) { s.WrInp(0); s.Mac(0, 0, 0, 0); s.Pre(0) },
+	{"MAC before a later PRE", func(s *Stack) { s.WrInp(0); s.Mac(0, 0, 0, 0); rowCmd(s, PRE, 0) },
 		"pim: cmd 1 MAC on row 0 but open row is -1"},
-	{"nested ACT", func(s *Stack) { s.Act(1); s.Act(2) },
+	{"nested ACT", func(s *Stack) { rowCmd(s, ACT, 1); rowCmd(s, ACT, 2) },
 		"pim: cmd 1 ACT row 2 while row 1 is open"},
-	{"PRE without ACT", func(s *Stack) { s.Pre(1) },
+	{"PRE without ACT", func(s *Stack) { rowCmd(s, PRE, 1) },
 		"pim: cmd 0 PRE row 1 but open row is -1"},
-	{"PRE of another row", func(s *Stack) { s.Act(1); s.Pre(2) },
+	{"PRE of another row", func(s *Stack) { rowCmd(s, ACT, 1); rowCmd(s, PRE, 2) },
 		"pim: cmd 1 PRE row 2 but open row is 1"},
 	{"unknown kind", func(s *Stack) {
 		s.WrInp(0)

@@ -43,7 +43,7 @@ func TestScheduleAllocsBounded(t *testing.T) {
 		}
 		if allocs > maxScheduleAllocs {
 			t.Errorf("%s: %.0f allocations per Schedule of %d commands, want <= %d",
-				s.Name(), allocs, stack.Len(), maxScheduleAllocs)
+				s.Name(), allocs, len(stack.Cmds), maxScheduleAllocs)
 		}
 	}
 }
@@ -59,7 +59,7 @@ func benchScheduler(b *testing.B, s Scheduler) {
 		}
 		_ = res.Total
 	}
-	b.ReportMetric(float64(stack.Len()), "cmds/op")
+	b.ReportMetric(float64(len(stack.Cmds)), "cmds/op")
 }
 
 // BenchmarkStaticScheduler measures the static controller's simulation

@@ -25,7 +25,7 @@ const goldenSchedules = "c815a4c03fa2e46dd0c9204a21e43a83d344762bbcb6871b21d04c2
 func goldenStacks(t *testing.T) []*pim.Stack {
 	t.Helper()
 	out := kernelStacks(t)
-	out = append(out, fig7Stack(), streamingStack(128, 16), rowStack(4, 8))
+	out = append(out, pim.Fig7Stack(), streamingStack(128, 16), rowStack(4, 8))
 	for seed := int64(0); seed < 64; seed++ {
 		out = append(out, randomStack(seed, 120))
 	}

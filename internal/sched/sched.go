@@ -97,11 +97,6 @@ type Breakdown struct {
 	Penalty  timing.Cycles // cumulative pipeline penalty (other stalls)
 }
 
-// Total is the sum of all breakdown components.
-func (b Breakdown) Total() timing.Cycles {
-	return b.MAC + b.ActPre + b.Refresh + b.DTGBuf + b.DTOutReg + b.Penalty
-}
-
 // Add accumulates another breakdown into this one.
 func (b *Breakdown) Add(o Breakdown) {
 	b.MAC += o.MAC

@@ -18,37 +18,18 @@ func devNoRefresh() timing.Device {
 	return d
 }
 
-// fig7Stack reproduces the paper's Fig. 7(a) command stack for the
-// (1x48)*(48x32) GEMV: three input tiles, two output groups, three
-// accumulating MACs per group.
-func fig7Stack() *pim.Stack {
-	s := pim.NewStack(64, 32)
-	s.WrInp(0)
-	s.WrInp(1)
-	s.WrInp(2)
-	s.Mac(0, 0, 0, 0)
-	s.Mac(1, 0, 0, 1)
-	s.Mac(2, 0, 0, 2)
-	s.RdOut(0)
-	s.Mac(0, 1, 0, 3)
-	s.Mac(1, 1, 0, 4)
-	s.Mac(2, 1, 0, 5)
-	s.RdOut(1)
-	return s
-}
-
 // TestFig7Calibration pins the headline numbers of the paper's Fig. 7:
 // 34 cycles under the static controller, 22 cycles under DCS.
 func TestFig7Calibration(t *testing.T) {
 	d := devNoRefresh()
-	st, err := (&Static{Dev: d}).Schedule(fig7Stack())
+	st, err := (&Static{Dev: d}).Schedule(pim.Fig7Stack())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Total != 34 {
 		t.Errorf("static Fig.7 total = %d cycles, want 34 (paper)", st.Total)
 	}
-	dc, err := (&DCS{Dev: d}).Schedule(fig7Stack())
+	dc, err := (&DCS{Dev: d}).Schedule(pim.Fig7Stack())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +40,7 @@ func TestFig7Calibration(t *testing.T) {
 
 func TestFig7StaticIssueTimes(t *testing.T) {
 	d := devNoRefresh()
-	res, err := (&Static{Dev: d}).Schedule(fig7Stack())
+	res, err := (&Static{Dev: d}).Schedule(pim.Fig7Stack())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,14 +52,20 @@ func TestFig7StaticIssueTimes(t *testing.T) {
 	}
 }
 
+// breakdownSum adds up the six breakdown categories, which must equal
+// the schedule's total.
+func breakdownSum(b Breakdown) timing.Cycles {
+	return b.MAC + b.ActPre + b.Refresh + b.DTGBuf + b.DTOutReg + b.Penalty
+}
+
 func TestBreakdownSumsToTotal(t *testing.T) {
 	d := timing.AiM16()
 	for _, s := range []Scheduler{&Static{Dev: d}, &PingPong{Dev: d}, &DCS{Dev: d}, &DCS{Dev: d, DisableIsMAC: true}} {
-		res, err := s.Schedule(fig7Stack())
+		res, err := s.Schedule(pim.Fig7Stack())
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
-		if got := res.Breakdown.Total(); got != res.Total {
+		if got := breakdownSum(res.Breakdown); got != res.Total {
 			t.Errorf("%s: breakdown sums to %d, total is %d (%+v)", s.Name(), got, res.Total, res.Breakdown)
 		}
 	}
@@ -87,7 +74,7 @@ func TestBreakdownSumsToTotal(t *testing.T) {
 func TestDCSNeverSlowerThanStatic(t *testing.T) {
 	d := timing.AiM16()
 	stacks := map[string]*pim.Stack{
-		"fig7":      fig7Stack(),
+		"fig7":      pim.Fig7Stack(),
 		"streaming": streamingStack(64, 8),
 		"rows":      rowStack(4, 8),
 	}
@@ -108,7 +95,7 @@ func TestDCSNeverSlowerThanStatic(t *testing.T) {
 
 func TestIsMACBypassHelps(t *testing.T) {
 	d := timing.AiM16()
-	stack := fig7Stack()
+	stack := pim.Fig7Stack()
 	with, err := (&DCS{Dev: d}).Schedule(stack)
 	if err != nil {
 		t.Fatal(err)
@@ -136,16 +123,22 @@ func streamingStack(tiles, gbufEntries int) *pim.Stack {
 	return s
 }
 
+// rowCmd appends a row command (ACT or PRE) for the given row, as the
+// kernel builders emit them.
+func rowCmd(s *pim.Stack, k pim.Kind, row int) {
+	s.Put(pim.Command{ID: len(s.Cmds), Kind: k, GBuf: -1, Out: -1, Row: row, Col: -1})
+}
+
 // rowStack models a kernel spanning several DRAM rows with ACT/PRE pairs.
 func rowStack(rows, macsPerRow int) *pim.Stack {
 	s := pim.NewStack(64, 32)
 	s.WrInp(0)
 	for r := 0; r < rows; r++ {
-		s.Act(r)
+		rowCmd(s, pim.ACT, r)
 		for m := 0; m < macsPerRow; m++ {
 			s.Mac(0, 0, r, m)
 		}
-		s.Pre(r)
+		rowCmd(s, pim.PRE, r)
 	}
 	s.RdOut(0)
 	return s
@@ -329,7 +322,7 @@ func TestBreakdownSumsProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if res.Breakdown.Total() != res.Total {
+			if breakdownSum(res.Breakdown) != res.Total {
 				return false
 			}
 			if res.MACUtilization() < 0 || res.MACUtilization() > 1 {
@@ -355,7 +348,7 @@ func TestEmptyIshStacks(t *testing.T) {
 		if res.Total <= 0 {
 			t.Errorf("%s: non-positive total %d", sc.Name(), res.Total)
 		}
-		if res.Breakdown.Total() != res.Total {
+		if breakdownSum(res.Breakdown) != res.Total {
 			t.Errorf("%s: breakdown mismatch on IO-only stack", sc.Name())
 		}
 	}
@@ -425,15 +418,21 @@ func TestStreamMatchesSchedule(t *testing.T) {
 		}
 	}
 	for name, build := range map[string]func(s *pim.Stack){
-		"Out range":         func(s *pim.Stack) { s.WrInp(0); s.Act(0); s.Mac(0, 9, 0, 0) },
-		"MAC before WR-INP": func(s *pim.Stack) { s.Act(0); s.Mac(1, 0, 0, 0) },
-		"MAC on closed row": func(s *pim.Stack) { s.WrInp(0); s.Act(3); s.Mac(0, 0, 7, 0) },
-		"MAC after PRE":     func(s *pim.Stack) { s.WrInp(0); s.Act(0); s.Mac(0, 0, 0, 0); s.Pre(0); s.Mac(0, 0, 0, 1) },
-		"empty drain":       func(s *pim.Stack) { s.WrInp(0); s.Act(0); s.Mac(0, 0, 0, 0); s.RdOut(0); s.RdOut(0) },
-		"nested ACT":        func(s *pim.Stack) { s.Act(1); s.Act(2) },
-		"PRE of other row":  func(s *pim.Stack) { s.Act(1); s.Pre(2) },
+		"Out range":         func(s *pim.Stack) { s.WrInp(0); rowCmd(s, pim.ACT, 0); s.Mac(0, 9, 0, 0) },
+		"MAC before WR-INP": func(s *pim.Stack) { rowCmd(s, pim.ACT, 0); s.Mac(1, 0, 0, 0) },
+		"MAC on closed row": func(s *pim.Stack) { s.WrInp(0); rowCmd(s, pim.ACT, 3); s.Mac(0, 0, 7, 0) },
+		"MAC after PRE": func(s *pim.Stack) {
+			s.WrInp(0)
+			rowCmd(s, pim.ACT, 0)
+			s.Mac(0, 0, 0, 0)
+			rowCmd(s, pim.PRE, 0)
+			s.Mac(0, 0, 0, 1)
+		},
+		"empty drain":      func(s *pim.Stack) { s.WrInp(0); rowCmd(s, pim.ACT, 0); s.Mac(0, 0, 0, 0); s.RdOut(0); s.RdOut(0) },
+		"nested ACT":       func(s *pim.Stack) { rowCmd(s, pim.ACT, 1); rowCmd(s, pim.ACT, 2) },
+		"PRE of other row": func(s *pim.Stack) { rowCmd(s, pim.ACT, 1); rowCmd(s, pim.PRE, 2) },
 		"unknown kind": func(s *pim.Stack) {
-			s.Act(0)
+			rowCmd(s, pim.ACT, 0)
 			s.Cmds = append(s.Cmds, pim.Command{ID: 1, Kind: pim.PRE + 1})
 		},
 	} {

@@ -1,9 +1,9 @@
 // Package serve is the online serving simulator: it feeds a timed
-// arrival stream (internal/workload's Poisson, bursty or trace-replay
-// schedules) into continuous-batching decode replicas (cluster.Engine)
-// and reports the SLO metrics a serving system is judged on — TTFT, TBT
-// and end-to-end latency at p50/p95/p99, plus goodput (decode tokens per
-// second from requests that met the SLO).
+// arrival stream (internal/workload's Poisson, bursty, diurnal or
+// multi-turn schedules) into continuous-batching decode replicas
+// (cluster.Engine) and reports the SLO metrics a serving system is
+// judged on — TTFT, TBT and end-to-end latency at p50/p95/p99, plus
+// goodput (decode tokens per second from requests that met the SLO).
 //
 // There is one simulator. A run is a fleet of replicas under a global
 // scheduler (fleet.go): placement, the held queue, migration, stealing,

@@ -120,7 +120,7 @@ func faultsOf(r *Report) *FaultStats {
 // scenario whose label cells do not match Labels, or a baseline
 // outside the scenario list is an error before anything runs; a failed
 // run's error names its row by the label cells.
-func (s Study) Table(ctx context.Context, opts ...sweep.Option) (*tablefmt.Table, error) {
+func (s Study) Table(ctx context.Context) (*tablefmt.Table, error) {
 	cols := make([]column, len(s.Columns))
 	for i, h := range s.Columns {
 		if cols[i] = columns[h]; cols[i] == nil {
@@ -151,7 +151,7 @@ func (s Study) Table(ctx context.Context, opts ...sweep.Option) (*tablefmt.Table
 			return nil, fmt.Errorf("%v: %w", sc.Labels, err)
 		}
 		return rep, nil
-	}, opts...)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -81,11 +81,14 @@ func testStudy() Study {
 // placement or autoscaler instead of a fresh one.
 func TestStudyParallelEquivalence(t *testing.T) {
 	st := testStudy()
-	seq, err := st.Table(context.Background(), sweep.Parallelism(1))
+	prev := sweep.SetDefault(1)
+	defer sweep.SetDefault(prev)
+	seq, err := st.Table(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := st.Table(context.Background(), sweep.Parallelism(8))
+	sweep.SetDefault(8)
+	par, err := st.Table(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

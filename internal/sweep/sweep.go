@@ -1,9 +1,10 @@
 // Package sweep is the deterministic worker-pool engine behind every
 // parameter sweep in the repository: the experiment drivers
-// (internal/experiments), the multi-config cluster sweeps
-// (internal/cluster) and the grid modes of cmd/pimphony-bench and
-// cmd/pimphony-sim all fan their independent simulation points through
-// Run.
+// (internal/experiments), the serving studies (internal/serve), the
+// incremental technique study (internal/core), the pipelined stepper's
+// prefetch (internal/backend) and the grid modes of cmd/pimphony-bench
+// and cmd/pimphony-sim all fan their independent simulation points
+// through Run.
 //
 // The engine guarantees that parallel execution is observationally
 // identical to the sequential loop it replaces: results come back in
@@ -21,9 +22,9 @@ import (
 	"sync/atomic"
 )
 
-// defaultParallelism is the process-wide worker bound used when a Run
-// call does not pass Parallelism. Zero means GOMAXPROCS. Binaries expose
-// it as their -parallel flag via SetDefault.
+// defaultParallelism is the process-wide worker bound every Run uses.
+// Zero means GOMAXPROCS. Binaries expose it as their -parallel flag via
+// SetDefault.
 var defaultParallelism atomic.Int64
 
 // SetDefault sets the process-wide default worker bound. n <= 0 restores
@@ -44,33 +45,6 @@ func Default() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// options holds per-Run configuration.
-type options struct {
-	parallelism int
-	onProgress  func(done, total int)
-}
-
-// Option configures one Run call.
-type Option func(*options)
-
-// Parallelism bounds the worker count for this Run; n <= 0 means the
-// process default (SetDefault / GOMAXPROCS). Parallelism(1) degenerates
-// to the plain sequential loop.
-func Parallelism(n int) Option {
-	return func(o *options) { o.parallelism = n }
-}
-
-// Progress registers a callback invoked after each successfully
-// completed point with the number of finished points and the total.
-// Invocations are serialized, so the callback needs no locking of its
-// own; completion order (not input order) determines the call order.
-// Failed points do not report, and after the first failure the
-// remaining points are cancelled, so on an erroring sweep the counter
-// stops short of the total.
-func Progress(fn func(done, total int)) Option {
-	return func(o *options) { o.onProgress = fn }
-}
-
 // Run evaluates fn over every point on a bounded worker pool and returns
 // the results in input order.
 //
@@ -78,23 +52,13 @@ func Progress(fn func(done, total int)) Option {
 // not-yet-started points can stop early; fn implementations running long
 // simulations should poll ctx. After the pool drains, Run returns the
 // error of the lowest-indexed point that failed of its own accord
-// (deterministic under Parallelism(1): always the first failure the
+// (deterministic at a default of 1 worker: always the first failure the
 // sequential loop would have hit). Points that merely observed the
 // cancellation — skipped before starting, or in-flight returns wrapping
 // context.Canceled — are not reported as the cause. If the parent
 // context is cancelled, Run returns its error.
-func Run[P, R any](ctx context.Context, points []P, fn func(ctx context.Context, p P) (R, error), opts ...Option) ([]R, error) {
-	o := options{}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	workers := o.parallelism
-	if workers <= 0 {
-		workers = Default()
-	}
-	if workers > len(points) {
-		workers = len(points)
-	}
+func Run[P, R any](ctx context.Context, points []P, fn func(ctx context.Context, p P) (R, error)) ([]R, error) {
+	workers := min(Default(), len(points))
 	results := make([]R, len(points))
 	if len(points) == 0 {
 		return results, ctx.Err()
@@ -104,8 +68,6 @@ func Run[P, R any](ctx context.Context, points []P, fn func(ctx context.Context,
 	defer cancel()
 	errs := make([]error, len(points))
 	var next atomic.Int64
-	var mu sync.Mutex // serializes the progress callback and its counter
-	done := 0
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -128,12 +90,6 @@ func Run[P, R any](ctx context.Context, points []P, fn func(ctx context.Context,
 					continue
 				}
 				results[i] = r
-				if o.onProgress != nil {
-					mu.Lock()
-					done++
-					o.onProgress(done, len(points))
-					mu.Unlock()
-				}
 			}
 		}()
 	}
@@ -164,20 +120,4 @@ func Run[P, R any](ctx context.Context, points []P, fn func(ctx context.Context,
 		return nil, canceledErr
 	}
 	return results, nil
-}
-
-// Rows is a convenience wrapper for the common experiment-driver shape:
-// each point yields one pre-formatted table row. It preserves input
-// order, so appending the returned rows reproduces the sequential loop's
-// table byte for byte.
-func Rows[P any](ctx context.Context, points []P, fn func(ctx context.Context, p P) ([]any, error), opts ...Option) ([][]any, error) {
-	return Run(ctx, points, fn, opts...)
-}
-
-// RowGroups is Rows for drivers whose points each emit several
-// consecutive table rows (e.g. one row per incremental technique stage).
-// The groups come back in input order; flattening them reproduces the
-// sequential table.
-func RowGroups[P any](ctx context.Context, points []P, fn func(ctx context.Context, p P) ([][]any, error), opts ...Option) ([][][]any, error) {
-	return Run(ctx, points, fn, opts...)
 }

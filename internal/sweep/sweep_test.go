@@ -12,15 +12,22 @@ import (
 	"time"
 )
 
+// withWorkers sets the default worker bound every Run uses until the
+// test ends.
+func withWorkers(t *testing.T, n int) {
+	prev := SetDefault(n)
+	t.Cleanup(func() { SetDefault(prev) })
+}
+
 func TestOrderingPreserved(t *testing.T) {
 	points := make([]int, 100)
 	for i := range points {
 		points[i] = i
 	}
 	for _, par := range []int{1, 2, 7, 64} {
+		withWorkers(t, par)
 		got, err := Run(context.Background(), points,
-			func(_ context.Context, p int) (int, error) { return p * p, nil },
-			Parallelism(par))
+			func(_ context.Context, p int) (int, error) { return p * p, nil })
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
@@ -33,24 +40,26 @@ func TestOrderingPreserved(t *testing.T) {
 }
 
 func TestParallelism1Equivalence(t *testing.T) {
-	// Under Parallelism(1) the engine must behave exactly like the
+	// With one worker the engine must behave exactly like the
 	// sequential loop: same results, same evaluation order, and the first
 	// error stops evaluation of later points.
 	var order []int
 	points := []int{10, 20, 30, 40}
+	withWorkers(t, 1)
 	seq, err := Run(context.Background(), points, func(_ context.Context, p int) (string, error) {
 		order = append(order, p)
 		return fmt.Sprintf("v%d", p), nil
-	}, Parallelism(1))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := []int{10, 20, 30, 40}; !reflect.DeepEqual(order, want) {
 		t.Errorf("evaluation order %v, want %v", order, want)
 	}
+	withWorkers(t, 4)
 	par, err := Run(context.Background(), points, func(_ context.Context, p int) (string, error) {
 		return fmt.Sprintf("v%d", p), nil
-	}, Parallelism(4))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,6 +69,7 @@ func TestParallelism1Equivalence(t *testing.T) {
 }
 
 func TestErrorPropagation(t *testing.T) {
+	withWorkers(t, 2)
 	boom := errors.New("boom")
 	points := []int{0, 1, 2, 3, 4, 5}
 	_, err := Run(context.Background(), points, func(_ context.Context, p int) (int, error) {
@@ -67,15 +77,16 @@ func TestErrorPropagation(t *testing.T) {
 			return 0, fmt.Errorf("point %d: %w", p, boom)
 		}
 		return p, nil
-	}, Parallelism(2))
+	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("error not propagated: %v", err)
 	}
 }
 
 func TestLowestIndexedErrorWins(t *testing.T) {
+	withWorkers(t, 1)
 	// Two failing points: the reported error must be the lower-indexed
-	// one whenever both actually ran, and under Parallelism(1) it is
+	// one whenever both actually ran, and with one worker it is
 	// always the first failure the sequential loop would hit.
 	points := []int{0, 1, 2, 3}
 	_, err := Run(context.Background(), points, func(_ context.Context, p int) (int, error) {
@@ -83,13 +94,14 @@ func TestLowestIndexedErrorWins(t *testing.T) {
 			return 0, fmt.Errorf("fail-%d", p)
 		}
 		return p, nil
-	}, Parallelism(1))
+	})
 	if err == nil || err.Error() != "fail-2" {
 		t.Fatalf("sequential first error should win, got %v", err)
 	}
 }
 
 func TestFirstErrorCancelsRemaining(t *testing.T) {
+	withWorkers(t, 1)
 	// With one worker, a failure at the first point must prevent every
 	// later point from being evaluated at all.
 	var evaluated atomic.Int64
@@ -103,7 +115,7 @@ func TestFirstErrorCancelsRemaining(t *testing.T) {
 			return 0, errors.New("early failure")
 		}
 		return p, nil
-	}, Parallelism(1))
+	})
 	if err == nil {
 		t.Fatal("expected error")
 	}
@@ -113,6 +125,7 @@ func TestFirstErrorCancelsRemaining(t *testing.T) {
 }
 
 func TestInFlightPointsSeeCancellation(t *testing.T) {
+	withWorkers(t, 2)
 	// A failing point cancels the context handed to concurrently running
 	// points, so long simulations can stop early.
 	release := make(chan struct{})
@@ -130,7 +143,7 @@ func TestInFlightPointsSeeCancellation(t *testing.T) {
 		case <-time.After(5 * time.Second):
 		}
 		return 0, nil
-	}, Parallelism(2))
+	})
 	if err == nil {
 		t.Fatal("expected the fail point's error")
 	}
@@ -140,6 +153,7 @@ func TestInFlightPointsSeeCancellation(t *testing.T) {
 }
 
 func TestCancellationCasualtyDoesNotMaskRootError(t *testing.T) {
+	withWorkers(t, 2)
 	// Point 0 is a long simulation that aborts with context.Canceled
 	// once point 1's real failure trips the sweep context; Run must
 	// still report point 1's error, not the lower-indexed casualty.
@@ -153,18 +167,19 @@ func TestCancellationCasualtyDoesNotMaskRootError(t *testing.T) {
 		close(release)
 		<-ctx.Done()
 		return 0, fmt.Errorf("simulation aborted: %w", ctx.Err())
-	}, Parallelism(2))
+	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("cancellation casualty masked the root error: got %v", err)
 	}
 }
 
 func TestParentContextCancellation(t *testing.T) {
+	withWorkers(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := Run(ctx, []int{1, 2, 3}, func(ctx context.Context, p int) (int, error) {
 		return p, nil
-	}, Parallelism(2))
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled parent context should surface, got %v", err)
 	}
@@ -180,31 +195,8 @@ func TestEmptyPoints(t *testing.T) {
 	}
 }
 
-func TestProgressCallback(t *testing.T) {
-	var mu sync.Mutex
-	var dones []int
-	total := 0
-	points := []int{1, 2, 3, 4, 5}
-	_, err := Run(context.Background(), points, func(_ context.Context, p int) (int, error) {
-		return p, nil
-	}, Parallelism(3), Progress(func(done, tot int) {
-		mu.Lock()
-		dones = append(dones, done)
-		total = tot
-		mu.Unlock()
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != len(points) {
-		t.Errorf("total = %d, want %d", total, len(points))
-	}
-	if want := []int{1, 2, 3, 4, 5}; !reflect.DeepEqual(dones, want) {
-		t.Errorf("progress sequence %v, want %v", dones, want)
-	}
-}
-
 func TestActuallyRunsConcurrently(t *testing.T) {
+	withWorkers(t, 2)
 	// Two points rendezvous: that is only possible if the pool really
 	// runs them on separate goroutines.
 	var barrier sync.WaitGroup
@@ -222,7 +214,7 @@ func TestActuallyRunsConcurrently(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			return 0, errors.New("rendezvous timed out: points did not overlap")
 		}
-	}, Parallelism(2))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,26 +233,5 @@ func TestSetDefault(t *testing.T) {
 	SetDefault(-5)
 	if Default() != runtime.GOMAXPROCS(0) {
 		t.Fatalf("negative SetDefault should mean GOMAXPROCS, got %d", Default())
-	}
-}
-
-func TestRowsHelpers(t *testing.T) {
-	rows, err := Rows(context.Background(), []int{1, 2}, func(_ context.Context, p int) ([]any, error) {
-		return []any{p, p * 10}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || rows[1][1] != 20 {
-		t.Fatalf("Rows = %v", rows)
-	}
-	groups, err := RowGroups(context.Background(), []int{1}, func(_ context.Context, p int) ([][]any, error) {
-		return [][]any{{p}, {p + 1}}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 1 || len(groups[0]) != 2 || groups[0][1][0] != 2 {
-		t.Fatalf("RowGroups = %v", groups)
 	}
 }

@@ -13,11 +13,6 @@ import "fmt"
 // Cycles is a duration measured in PIM command-clock cycles.
 type Cycles int64
 
-// PicoJoules is an energy amount in pJ. Energy bookkeeping lives in
-// internal/energy; the type is defined here so device configs can carry
-// energy-relevant geometry without import cycles.
-type PicoJoules float64
-
 // Device describes one PIM module: its channel geometry, buffer sizes and
 // command timings. The zero value is not usable; start from AiM16() or one of
 // the Table IV presets and override fields as needed.

