@@ -67,9 +67,9 @@ race-serve:
 	$(GO) test -race -count=2 -timeout 10m ./internal/serve/
 
 # The cold-pricing race lane: goroutines pricing overlapping cold shapes
-# on one perfmodel.Service share the pooled command buffers and scheduler
-# scratch, and the pipelined stepper's prefetch fans cold shapes out over
-# one shared Service; ten repetitions of each under the race detector.
+# on one perfmodel.Service share its cache, and the pipelined stepper's
+# prefetch fans cold shapes out over one shared Service; ten repetitions
+# of each under the race detector.
 race-pricing:
 	$(GO) test -race -count=10 -run TestConcurrentColdPricing ./internal/perfmodel/
 	$(GO) test -race -count=10 -run TestStepMatchesReference ./internal/backend/

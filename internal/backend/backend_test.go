@@ -483,16 +483,19 @@ func TestStepMatchesReference(t *testing.T) {
 			}
 			memo := st.(*pimStepper)
 			var memoized int
-			for tokens, ok := range memo.latOK {
-				if ok && !ref.priced[tokens] {
+			for tokens, idx := range memo.latIdx {
+				if idx != 0 && !ref.priced[tokens] {
 					t.Errorf("stepper priced %d tokens per channel; the reference never did", tokens)
 				}
-				if ok {
+				if idx != 0 {
 					memoized++
 				}
 			}
 			if memoized != len(ref.priced) {
 				t.Errorf("stepper memoized %d shapes, the reference priced %d", memoized, len(ref.priced))
+			}
+			if len(memo.lats) != memoized+1 {
+				t.Errorf("stepper holds %d priced values for %d shapes", len(memo.lats)-1, memoized)
 			}
 		})
 	}

@@ -45,11 +45,16 @@ type pimStepper struct {
 	queries    int
 
 	// The memo tables are dense slices indexed by their small integer
-	// keys (per-channel token counts, micro-batch sizes) with parallel
-	// validity bitmaps: the serving hot path hits them once per request
-	// per iteration, where a map lookup's hashing dominated the lookup.
-	lat     []perfmodel.Latency // priceAttention by per-channel tokens
-	latOK   []bool
+	// keys (per-channel token counts, micro-batch sizes): the serving hot
+	// path hits them once per request per iteration, where a map lookup's
+	// hashing dominated the lookup. The attention memo keeps its priced
+	// values in lats, in pricing order, and latIdx maps a per-channel
+	// token count to its index there, 0 while unpriced (lats[0] is
+	// unused), so an index over 64K counts takes 256 KB where a dense
+	// table of Latency values would take 5.8 MB. The FC and sync memos
+	// have validity bitmaps.
+	lats    []perfmodel.Latency
+	latIdx  []int32
 	fcSec   []float64 // FC cost by micro-batch size
 	fcOK    []bool
 	syncSec []float64 // TP all-reduce cost by micro-batch size
@@ -76,6 +81,7 @@ func newPIMStepper(env *Env, shared pimShared, fc fcFunc, combine combineFunc) *
 		kvHeads: kvHeads, tokenShard: tokenShard,
 		tcp: env.Tech.TCP, sc: sc, baseline: baseline,
 		queries: env.Model.GQAGroup,
+		lats:    make([]perfmodel.Latency, 1),
 		chSum:   make([]timing.Cycles, env.Dev.Channels),
 
 		softEPT:     env.Dev.ElemsPerTile(),
@@ -142,7 +148,7 @@ func (s *pimStepper) Step(ctx context.Context, toks []int) (StepCost, error) {
 func (s *pimStepper) prefetch(ctx context.Context, toks []int) error {
 	missing := s.missing[:0]
 	add := func(tokens int) {
-		if (tokens >= len(s.latOK) || !s.latOK[tokens]) && !slices.Contains(missing, tokens) {
+		if s.memoized(tokens) == 0 && !slices.Contains(missing, tokens) {
 			missing = append(missing, tokens)
 		}
 	}
@@ -178,7 +184,7 @@ func (s *pimStepper) prefetch(ctx context.Context, toks []int) error {
 		return err
 	}
 	for i, tokens := range missing {
-		s.lat, s.latOK = memoPut(s.lat, s.latOK, tokens, lats[i])
+		s.memo(tokens, lats[i])
 	}
 	return nil
 }
@@ -221,22 +227,41 @@ func memoPut[T any](vals []T, ok []bool, k int, v T) ([]T, []bool) {
 	return vals, ok
 }
 
+// memoized returns the memo index of a per-channel token count, 0 if it
+// is not priced yet.
+func (s *pimStepper) memoized(tokens int) int {
+	if tokens < len(s.latIdx) {
+		return int(s.latIdx[tokens])
+	}
+	return 0
+}
+
+// memo stores the price of a per-channel token count and returns its
+// memo index.
+func (s *pimStepper) memo(tokens int, l perfmodel.Latency) int {
+	if tokens >= len(s.latIdx) {
+		s.latIdx = append(s.latIdx, make([]int32, tokens+1-len(s.latIdx))...)
+	}
+	s.latIdx[tokens] = int32(len(s.lats))
+	s.lats = append(s.lats, l)
+	return len(s.lats) - 1
+}
+
 // price memoizes priceAttention for one per-channel token count (the
 // query count is the GQA group for every work of a batch). It returns
 // the memo index rather than the Latency value so hot callers read the
 // few fields they need in place instead of copying the whole struct;
 // the index stays valid across later price calls (only the slice header
-// moves on growth), but a *pointer* into s.lat would not.
+// moves on growth), but a *pointer* into s.lats would not.
 func (s *pimStepper) price(tokens int) (int, error) {
-	if tokens < len(s.latOK) && s.latOK[tokens] {
-		return tokens, nil
+	if i := s.memoized(tokens); i != 0 {
+		return i, nil
 	}
 	l, err := s.shared.priceAttention(s.env, tokens, s.env.Model.HeadDim, s.queries, s.baseline, s.sc)
 	if err != nil {
 		return 0, err
 	}
-	s.lat, s.latOK = memoPut(s.lat, s.latOK, tokens, l)
-	return tokens, nil
+	return s.memo(tokens, l), nil
 }
 
 // attention prices one layer's attention on one module group: the
@@ -274,7 +299,7 @@ func (s *pimStepper) attention(toks []int) (Stats, error) {
 				if err != nil {
 					return Stats{}, err
 				}
-				l := &s.lat[i0]
+				l := &s.lats[i0]
 				cyc0, mac0, macs0, io0, ap0 = l.Cycles, l.Breakdown.MAC, l.MACs, l.IOBytes, l.ActPre
 			}
 			if rem > 0 {
@@ -282,7 +307,7 @@ func (s *pimStepper) attention(toks []int) (Stats, error) {
 				if err != nil {
 					return Stats{}, err
 				}
-				l := &s.lat[i1]
+				l := &s.lats[i1]
 				cyc1, mac1, macs1, io1, ap1 = l.Cycles, l.Breakdown.MAC, l.MACs, l.IOBytes, l.ActPre
 			}
 			c0h := cyc0 * heads
@@ -338,7 +363,7 @@ func (s *pimStepper) attention(toks []int) (Stats, error) {
 		if err != nil {
 			return err
 		}
-		c := &s.lat[idx]
+		c := &s.lats[idx]
 		sums[i%channels] += c.Cycles
 		st.Busy += c.Breakdown.MAC
 		st.MACs += c.MACs

@@ -23,8 +23,8 @@ import (
 // package path exempts the whole package), each with its reason.
 var calleeAllowlist = map[string]string{
 	"(*pimphony/internal/isa.Program).Expand": "the functional semantics of DYNLOOP; the isa and compiler tests compare programs against it",
-	"(pimphony/internal/kernels.Config).GEMV": "the materialized-stack reference the perfmodel, sched and compiler tests compare streamed and lowered kernels against",
-	"(pimphony/internal/kernels.Config).QKT":  "the materialized-stack reference the perfmodel, sched and compiler tests compare streamed and lowered kernels against",
+	"(pimphony/internal/kernels.Config).GEMV": "the materialized-stack reference the sched, kernels and compiler tests compare scheduled, streamed and lowered kernels against",
+	"(pimphony/internal/kernels.Config).QKT":  "the materialized-stack reference the sched, kernels and compiler tests compare scheduled, streamed and lowered kernels against",
 	"pimphony/internal/simtest":               "a test-support package: its API exists for other packages' tests",
 }
 

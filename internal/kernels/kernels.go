@@ -461,7 +461,6 @@ func (b *builder) advance(sp span, p, m int) {
 func (c Config) stack(emit func(pim.Sink) error) (*pim.Stack, error) {
 	s := pim.NewStack(c.Buf.GBufEntries, c.Buf.OutEntries)
 	if err := emit(s); err != nil {
-		s.Release()
 		return nil, err
 	}
 	return s, nil

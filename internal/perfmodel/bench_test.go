@@ -21,10 +21,10 @@ var coldShapes = []struct {
 	{"gemv-dcs", Query{Kernel: GEMV, Tokens: 4096, Dh: 4096, Sched: DCS}},
 }
 
-// BenchmarkPriceCold measures uncached kernel pricing (builds, schedules
-// and tallies the full command stack) on a fresh service per iteration,
-// with allocations reported: a cold price should allocate a few dozen
-// objects, not one per command.
+// BenchmarkPriceCold measures uncached kernel pricing (the builder
+// streams every command into the controller's fold) on a fresh service
+// per iteration, with allocations reported: a cold price should allocate
+// a few dozen objects, not one per command.
 func BenchmarkPriceCold(b *testing.B) {
 	for _, shape := range coldShapes {
 		b.Run(shape.name, func(b *testing.B) {

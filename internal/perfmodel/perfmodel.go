@@ -1,9 +1,9 @@
 // Package perfmodel turns kernel shapes into channel latencies: it has the
 // kernel builder (internal/kernels) emit the kernel's commands, prices them
 // under the selected controller (internal/sched) and memoizes the result.
-// Under the static controller the commands stream straight into the
-// controller's fold and the builder skips whole periods once its state
-// repeats; the other controllers schedule a materialized stack.
+// No controller materializes a stack: the commands stream straight into
+// the controller's fold, and under the static controller the builder also
+// skips whole periods once its state repeats.
 //
 // Long-context sweeps query millions of nearly identical shapes (token
 // counts grow by one per decode step), so token counts are quantized to 32
@@ -176,9 +176,10 @@ func quantize(tokens int) int {
 // maxAttnSimTokens caps the per-channel token count that is priced by
 // simulation; longer slices are priced at the cap and scaled linearly,
 // fixed setup work included. The cap bounds the cost of a cold price
-// under DCS and ping-pong, which schedule every command. Under the static
-// controller the builders detect when the stream repeats and skip whole
-// periods exactly, so a static price costs about the same at any count.
+// under DCS and ping-pong, whose folds take every command: they skip no
+// periods. Under the static controller the builders detect when the
+// stream repeats and skip whole periods exactly, so a static price costs
+// about the same at any count.
 const maxAttnSimTokens = 1 << 16
 
 // Bucket returns the quantization bucket an attention token count is
@@ -271,63 +272,49 @@ func scale(l Latency, f float64) Latency {
 	}
 }
 
-// simulate prices one quantized query cold. Under the static controller
-// the kernel builder streams its commands straight into the controller's
-// fold, skipping whole periods once the stream repeats, and no stack is
-// built. The other controllers schedule a materialized stack, whose
-// pooled command buffer is handed back for the next miss; the stack never
-// leaves this function, so releasing it here is safe.
+// simulate prices one quantized query cold: the kernel builder streams
+// its commands through its checker straight into the controller's fold,
+// and no stack is built. Under the static controller the builder also
+// skips whole periods once the stream repeats.
 func (s *Service) simulate(q Query) (Latency, error) {
-	var scheduler sched.Scheduler
-	switch q.Sched {
-	case Static:
-		scheduler = &sched.Static{Dev: s.dev}
-	case PingPong:
-		scheduler = &sched.PingPong{Dev: s.dev}
-	case DCS:
-		scheduler = &sched.DCS{Dev: s.dev}
-	case DCSNoIsMAC:
-		scheduler = &sched.DCS{Dev: s.dev, DisableIsMAC: true}
-	default:
-		return Latency{}, fmt.Errorf("perfmodel: unknown scheduler %d", q.Sched)
-	}
 	var buf kernels.Buffers
 	if q.Baseline {
 		buf = kernels.BaselineBuffers(s.dev)
 	} else {
 		buf = kernels.OBufBuffers(s.dev)
 	}
+	var stream interface {
+		pim.Sink
+		Result() *sched.Result
+	}
+	switch q.Sched {
+	case Static:
+		stream = (&sched.Static{Dev: s.dev}).Stream()
+	case PingPong:
+		stream = (&sched.PingPong{Dev: s.dev}).Stream(buf.GBufEntries, buf.OutEntries)
+	case DCS:
+		stream = (&sched.DCS{Dev: s.dev}).Stream(buf.GBufEntries, buf.OutEntries)
+	case DCSNoIsMAC:
+		stream = (&sched.DCS{Dev: s.dev, DisableIsMAC: true}).Stream(buf.GBufEntries, buf.OutEntries)
+	default:
+		return Latency{}, fmt.Errorf("perfmodel: unknown scheduler %d", q.Sched)
+	}
 	kc := kernels.NewConfig(s.dev, buf)
-	emit := func(sink pim.Sink) error {
-		switch q.Kernel {
-		case QKT:
-			return kc.EmitQKT(sink, q.Tokens, q.Dh, q.Queries, q.RowReuse)
-		case SV:
-			return kc.EmitSV(sink, q.Tokens, q.Dh, q.Queries, q.RowReuse)
-		case GEMV:
-			return kc.EmitGEMV(sink, q.Tokens, q.Dh)
-		default:
-			return fmt.Errorf("perfmodel: unknown kernel %d", q.Kernel)
-		}
+	var err error
+	switch q.Kernel {
+	case QKT:
+		err = kc.EmitQKT(stream, q.Tokens, q.Dh, q.Queries, q.RowReuse)
+	case SV:
+		err = kc.EmitSV(stream, q.Tokens, q.Dh, q.Queries, q.RowReuse)
+	case GEMV:
+		err = kc.EmitGEMV(stream, q.Tokens, q.Dh)
+	default:
+		err = fmt.Errorf("perfmodel: unknown kernel %d", q.Kernel)
 	}
-	var res *sched.Result
-	if st, ok := scheduler.(*sched.Static); ok {
-		stream := st.Stream()
-		if err := emit(stream); err != nil {
-			return Latency{}, err
-		}
-		res = stream.Result()
-	} else {
-		stack := pim.NewStack(buf.GBufEntries, buf.OutEntries)
-		defer stack.Release()
-		if err := emit(stack); err != nil {
-			return Latency{}, err
-		}
-		var err error
-		if res, err = scheduler.Schedule(stack); err != nil {
-			return Latency{}, err
-		}
+	if err != nil {
+		return Latency{}, err
 	}
+	res := stream.Result()
 	return Latency{
 		Cycles:    res.Total,
 		Breakdown: res.Breakdown,

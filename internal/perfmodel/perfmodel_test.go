@@ -238,9 +238,8 @@ func TestCacheLookupsCounted(t *testing.T) {
 }
 
 // TestConcurrentColdPricing: goroutines pricing overlapping cold shapes on
-// one Service share the pooled command buffers and scheduler scratch, and
-// must get exactly the latencies of a sequential pass, with every shape
-// simulated into the cache once.
+// one Service share its cache, and must get exactly the latencies of a
+// sequential pass, with every shape simulated into the cache once.
 func TestConcurrentColdPricing(t *testing.T) {
 	var qs []Query
 	for _, k := range []Kernel{QKT, SV, GEMV} {

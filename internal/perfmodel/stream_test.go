@@ -9,32 +9,36 @@ import (
 	"pimphony/internal/timing"
 )
 
-// staticReference prices q the way the static controller did before it
-// streamed: build the whole stack, schedule it with Static.Schedule and
-// tally the stack itself.
-func staticReference(dev timing.Device, q Query) (Latency, error) {
+// reference prices q the way perfmodel did before its controllers
+// streamed: build the whole stack, schedule it with the controller's
+// Schedule and tally the stack itself. It builds into stack, reusing its
+// command buffer.
+func reference(dev timing.Device, q Query, stack *pim.Stack) (Latency, error) {
 	buf := kernels.OBufBuffers(dev)
 	if q.Baseline {
 		buf = kernels.BaselineBuffers(dev)
 	}
 	kc := kernels.NewConfig(dev, buf)
-	var (
-		stack *pim.Stack
-		err   error
-	)
+	stack.Cmds, stack.GBufEntries, stack.OutEntries = stack.Cmds[:0], buf.GBufEntries, buf.OutEntries
+	var err error
 	switch q.Kernel {
 	case QKT:
-		stack, err = kc.QKT(q.Tokens, q.Dh, q.Queries, q.RowReuse)
+		err = kc.EmitQKT(stack, q.Tokens, q.Dh, q.Queries, q.RowReuse)
 	case SV:
-		stack, err = kc.SV(q.Tokens, q.Dh, q.Queries, q.RowReuse)
+		err = kc.EmitSV(stack, q.Tokens, q.Dh, q.Queries, q.RowReuse)
 	default:
-		stack, err = kc.GEMV(q.Tokens, q.Dh)
+		err = kc.EmitGEMV(stack, q.Tokens, q.Dh)
 	}
 	if err != nil {
 		return Latency{}, err
 	}
-	defer stack.Release()
-	res, err := (&sched.Static{Dev: dev}).Schedule(stack)
+	scheduler := map[Sched]sched.Scheduler{
+		Static:     &sched.Static{Dev: dev},
+		PingPong:   &sched.PingPong{Dev: dev},
+		DCS:        &sched.DCS{Dev: dev},
+		DCSNoIsMAC: &sched.DCS{Dev: dev, DisableIsMAC: true},
+	}[q.Sched]
+	res, err := scheduler.Schedule(stack)
 	if err != nil {
 		return Latency{}, err
 	}
@@ -49,18 +53,18 @@ func staticReference(dev timing.Device, q Query) (Latency, error) {
 	}, nil
 }
 
-// staticShapes are the attention shapes the stream oracle covers: QK^T
-// and SV, both buffer geometries, row reuse on and off, one and several
-// queries, and a head dimension that is not a multiple of the 16 elements
-// of a tile.
-func staticShapes() []Query {
+// oracleShapes are the attention shapes the stream oracle covers under
+// controller sc: QK^T and SV, both buffer geometries, row reuse on and
+// off, one and several queries, and a head dimension that is not a
+// multiple of the 16 elements of a tile.
+func oracleShapes(sc Sched) []Query {
 	var qs []Query
 	for _, k := range []Kernel{QKT, SV} {
 		for _, baseline := range []bool{true, false} {
 			for _, reuse := range []bool{false, true} {
 				for _, queries := range []int{1, 3, 8} {
 					for _, dh := range []int{128, 100} {
-						qs = append(qs, Query{Kernel: k, Dh: dh, Queries: queries, RowReuse: reuse, Baseline: baseline, Sched: Static})
+						qs = append(qs, Query{Kernel: k, Dh: dh, Queries: queries, RowReuse: reuse, Baseline: baseline, Sched: sc})
 					}
 				}
 			}
@@ -88,31 +92,38 @@ func streamOracleTokens(short bool) []int {
 	return append(toks, spots...)
 }
 
-// TestStreamMatchesReference is the static-stream oracle: for every shape
-// and token count, the streamed price, period skip included, must equal
-// Static.Schedule of the materialized stack, Latency field for field. It
-// prices on AiM16 throughout and, at every seventh count, on the DDR5
-// DIMM device, whose 32 banks and 32-tile rows change every period.
+// TestStreamMatchesReference is the stream oracle: for every controller,
+// shape and token count, the streamed price, the static period skip
+// included, must equal Schedule of the materialized stack, Latency field
+// for field. The two-queue streams skip no periods, so they take the
+// short token set. It prices on AiM16 throughout and, at every seventh
+// count, on the DDR5 DIMM device, whose 32 banks and 32-tile rows change
+// every period.
 func TestStreamMatchesReference(t *testing.T) {
 	devs := []timing.Device{timing.AiM16(), timing.DDR5DIMM()}
-	for i, n := range streamOracleTokens(testing.Short()) {
-		for _, shape := range staticShapes() {
-			q := shape
-			q.Tokens = n
-			for _, dev := range devs[:1+boolIndex(i%7 == 0)] {
-				want, err := staticReference(dev, q)
-				if err != nil {
-					t.Fatalf("%+v: %v", q, err)
-				}
-				got, err := New(dev).simulate(q)
-				if err != nil {
-					t.Fatalf("%+v: %v", q, err)
-				}
-				if got != want {
-					t.Fatalf("%+v on %d banks: streamed %+v, materialized %+v", q, dev.Banks, got, want)
+	for _, sc := range []Sched{Static, DCS, DCSNoIsMAC, PingPong} {
+		t.Run(sc.String(), func(t *testing.T) {
+			stack := new(pim.Stack)
+			for i, n := range streamOracleTokens(testing.Short() || sc != Static) {
+				for _, shape := range oracleShapes(sc) {
+					q := shape
+					q.Tokens = n
+					for _, dev := range devs[:1+boolIndex(i%7 == 0)] {
+						want, err := reference(dev, q, stack)
+						if err != nil {
+							t.Fatalf("%+v: %v", q, err)
+						}
+						got, err := New(dev).simulate(q)
+						if err != nil {
+							t.Fatalf("%+v: %v", q, err)
+						}
+						if got != want {
+							t.Fatalf("%+v on %d banks: streamed %+v, materialized %+v", q, dev.Banks, got, want)
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -123,15 +134,13 @@ func boolIndex(b bool) int {
 	return 0
 }
 
-// TestStreamAllocsFlat: a cold static price allocates as many objects at
-// 64K tokens as at 4K. The stream stores no command and the skip keeps
-// one anchor state, so only the builders' slot tables grow, in bytes.
+// TestStreamAllocsFlat: every cold shape, static or DCS, allocates as
+// many objects at 64K tokens (a GEMV's input elements) as at 4K. The
+// streams store no command and the static skip keeps one anchor state,
+// so only the builders' slot tables grow, in bytes.
 func TestStreamAllocsFlat(t *testing.T) {
 	for _, shape := range coldShapes {
 		q := shape.q
-		if q.Sched != Static {
-			continue
-		}
 		allocs := func(tokens int) float64 {
 			q.Tokens = tokens
 			return testing.AllocsPerRun(3, func() {

@@ -12,7 +12,6 @@ package pim
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Kind enumerates PIM command kinds.
@@ -75,35 +74,11 @@ type Stack struct {
 	// built for; schedulers validate against their device config.
 	GBufEntries int
 	OutEntries  int
-
-	buf *[]Command // pooled buffer holder, nil once released
 }
 
-// cmdBufs recycles command buffers between stacks. A cold kernel price
-// builds, schedules and drops one stack of up to a few hundred thousand
-// commands; reusing the buffer spares the allocator and the garbage
-// collector the repeated slice growth.
-var cmdBufs = sync.Pool{New: func() any { return new([]Command) }}
-
-// NewStack returns an empty stack for the given buffer geometry. Its
-// command buffer comes from a pool; Release returns it.
+// NewStack returns an empty stack for the given buffer geometry.
 func NewStack(gbufEntries, outEntries int) *Stack {
-	buf := cmdBufs.Get().(*[]Command)
-	s := &Stack{Cmds: (*buf)[:0], GBufEntries: gbufEntries, OutEntries: outEntries, buf: buf}
-	*buf = nil
-	return s
-}
-
-// Release hands the stack's command buffer back for reuse by a later
-// NewStack. The stack is empty afterwards and must not be used again;
-// only the owner of a stack that no caller can still see may release it.
-func (s *Stack) Release() {
-	if s.buf == nil {
-		return
-	}
-	*s.buf = s.Cmds[:0]
-	cmdBufs.Put(s.buf)
-	s.Cmds, s.buf = nil, nil
+	return &Stack{GBufEntries: gbufEntries, OutEntries: outEntries}
 }
 
 // push appends a command, assigning the next dense ID, and returns it.

@@ -3,13 +3,14 @@
 // (dual-region) buffering controller, and PIMphony's Dynamic PIM Command
 // Scheduling (DCS) controller with per-buffer-entry dependency tracking.
 //
-// All controllers consume a pim.Stack (a linear command stream for one
-// channel) and produce a Result with per-command issue times, the total
+// Each controller is one fold over a command stream in program order. Its
+// stream is that fold as a pim.Sink, so a kernel builder can price a
+// stream it never stores; Schedule validates a pim.Stack (a linear command
+// stream for one channel) and runs it through the same fold, also
+// recording per-command issue times. Either way the Result holds the total
 // latency, a latency breakdown in the categories of the paper's Fig. 8/9
 // (MAC, ACT/PRE, REF, DT-GBuf, DT-OutReg, pipeline penalty), a per-kind
-// command tally and the MAC-unit utilization. The static controller also
-// runs as a Stream: the same fold fed one command at a time, so a kernel
-// builder can price a stream it never stores.
+// command tally and the MAC-unit utilization.
 //
 // Timing semantics (calibrated to reproduce the paper's Fig. 7 example,
 // 34 cycles static and 22 cycles DCS):
@@ -28,6 +29,10 @@
 //     issues out of order across queues, in order within each queue, and
 //     waits only on true per-entry dependencies recorded in the D-Table.
 //     Consecutive MACs to the same output entry chain at tCCDS (is-MAC flag).
+//     Which queue issues next never changes a cycle: a command issues at
+//     the later of its own queue's pipeline-free time and its dependees'
+//     issue cycles plus their waits, and every dependee comes earlier in
+//     program order, so the fold issues the commands in program order.
 //   - Ping-pong halves GBuf and the output registers into two regions and
 //     tracks dependencies at region granularity only, reproducing the
 //     hand-off stalls of dual-buffering schemes (Sec. VIII-C, Fig. 18).
@@ -36,7 +41,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"pimphony/internal/pim"
 	"pimphony/internal/timing"
@@ -133,15 +137,28 @@ type Scheduler interface {
 	Schedule(s *pim.Stack) (*Result, error)
 }
 
-const inf = timing.Cycles(math.MaxInt64 / 4)
+// folder is a controller's fold.
+type folder interface {
+	// issue issues the next command in program order, folds it in and
+	// returns its issue cycle and binding constraint.
+	issue(c pim.Command) (timing.Cycles, Reason)
+	Result() *Result
+}
 
-// negOnes returns an int slice of length n filled with -1 ("no command").
-func negOnes(n int) []int {
-	s := make([]int, n)
-	for i := range s {
-		s[i] = -1
+// schedule validates the stack and runs it through the controller's fold
+// f, recording each command's issue cycle and binding constraint.
+func schedule(st *pim.Stack, f folder) (*Result, error) {
+	if err := st.Validate(); err != nil {
+		return nil, fmt.Errorf("sched: invalid stack: %w", err)
 	}
-	return s
+	n := len(st.Cmds)
+	issue, reasons := make([]timing.Cycles, n), make([]Reason, n)
+	for i, c := range st.Cmds {
+		issue[i], reasons[i] = f.issue(c)
+	}
+	res := f.Result()
+	res.Issue, res.Reasons = issue, reasons
+	return res, nil
 }
 
 // nKinds bounds the command kinds a validated stack can hold.
@@ -211,22 +228,8 @@ func gapReason(prev pim.Kind) Reason {
 	}
 }
 
-// Schedule implements Scheduler: it validates the stack and runs it
-// through the controller's fold, recording each command's issue cycle and
-// binding constraint.
-func (s *Static) Schedule(st *pim.Stack) (*Result, error) {
-	if err := st.Validate(); err != nil {
-		return nil, fmt.Errorf("sched: invalid stack: %w", err)
-	}
-	n := len(st.Cmds)
-	f := s.Stream()
-	res := &Result{Scheduler: s.Name(), Issue: make([]timing.Cycles, n), Reasons: make([]Reason, n)}
-	for i, c := range st.Cmds {
-		res.Issue[i], res.Reasons[i] = f.issue(c.Kind)
-	}
-	f.finish(&s.Dev, res)
-	return res, nil
-}
+// Schedule implements Scheduler.
+func (s *Static) Schedule(st *pim.Stack) (*Result, error) { return schedule(st, s.Stream()) }
 
 // Stream is the static controller as an incremental fold: a pim.Sink that
 // issues each command under the in-order gap rule as it arrives and keeps
@@ -235,7 +238,6 @@ func (s *Static) Schedule(st *pim.Stack) (*Result, error) {
 // pim.Checker, and it implements pim.Periodic so a builder can skip whole
 // periods of a repeating stream.
 type Stream struct {
-	s *Static
 	fold
 	t    timing.Cycles // issue cycle of the last command
 	prev int           // kind of the last command, -1 before the first
@@ -243,16 +245,16 @@ type Stream struct {
 
 // Stream returns an empty stream priced on the controller's device.
 func (s *Static) Stream() *Stream {
-	return &Stream{s: s, fold: fold{kt: newKindTimes(&s.Dev)}, prev: -1}
+	return &Stream{fold: newFold(s.Name(), &s.Dev), prev: -1}
 }
 
 // issue applies the in-order gap rule to the next command, folds it in
 // and returns its issue cycle and binding constraint.
-func (f *Stream) issue(k pim.Kind) (timing.Cycles, Reason) {
+func (f *Stream) issue(c pim.Command) (timing.Cycles, Reason) {
 	why := ReasonNone
 	if f.prev >= 0 {
 		prev := pim.Kind(f.prev)
-		gap := f.kt.gap[prev][k]
+		gap := f.kt.gap[prev][c.Kind]
 		f.t += gap
 		if gap > f.kt.tccds {
 			why = gapReason(prev)
@@ -260,25 +262,21 @@ func (f *Stream) issue(k pim.Kind) (timing.Cycles, Reason) {
 			why = ReasonBus
 		}
 	}
-	f.prev = int(k)
-	f.add(k, f.t, why)
+	f.prev = int(c.Kind)
+	f.add(c.Kind, f.t, why)
 	return f.t, why
 }
 
 // Put implements pim.Sink.
 func (f *Stream) Put(cmds ...pim.Command) {
 	for _, c := range cmds {
-		f.issue(c.Kind)
+		f.issue(c)
 	}
 }
 
 // Result returns the schedule of the commands put so far: Total,
 // Breakdown and Count, without per-command issue cycles.
-func (f *Stream) Result() *Result {
-	res := &Result{Scheduler: f.s.Name()}
-	f.finish(&f.s.Dev, res)
-	return res
-}
+func (f *Stream) Result() *Result { return f.result() }
 
 // AppendState implements pim.Periodic: the previous kind, whether a MAC
 // has issued, and the last-MAC cycle, the MAC-issue maximum and the
@@ -292,7 +290,7 @@ func (f *Stream) AppendState(dst []int64, _ int) []int64 {
 
 // clocks lists the fold's cycle counters in AppendCounters order: the
 // issue clock, the horizon, both MAC cycles and the breakdown components
-// add attributes (finish sets MAC and Refresh).
+// add attributes (result sets MAC and Refresh).
 func (f *Stream) clocks() [8]*timing.Cycles {
 	b := &f.b
 	return [...]*timing.Cycles{&f.t, &f.end, &f.prevMAC, &f.lastMAC,
@@ -321,143 +319,118 @@ func (f *Stream) Advance(delta []int64, m int) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared two-queue engine (DCS and ping-pong)
+// Two-queue controllers (DCS and ping-pong)
 // ---------------------------------------------------------------------------
 
-// edge is a D-Table dependency: the command may not issue before the
-// dependee's issue cycle plus wait.
-type edge struct {
-	id   int32         // dependee command ID
-	why  Reason        // attribution if this edge is binding
-	wait timing.Cycles // tCCDS for an is-MAC chain, else completion (+ commit)
+// never is the issue cycle of a command that does not exist: no wait
+// added to it reaches cycle 0, so a dependency on it never binds.
+const never = timing.Cycles(math.MinInt64 / 4)
+
+// slot is the D-Table state of one dependency slot of a buffer: the issue
+// cycles of the last command that wrote it and of the last that read it,
+// or never. In GBuf a WR-INP writes and a MAC reads; in the output buffer
+// a MAC writes (accumulates) and a RD-OUT reads (drains).
+type slot struct{ write, read timing.Cycles }
+
+// slots returns the slot of each of n buffer entries, per consecutive
+// entries sharing one slot.
+func slots(n, per int) []*slot {
+	s := make([]slot, (n+per-1)/per)
+	for i := range s {
+		s[i] = slot{never, never}
+	}
+	tab := make([]*slot, n)
+	for e := range tab {
+		tab[e] = &s[e/per]
+	}
+	return tab
 }
 
-// dTable is the dependency table of one stack in CSR form: the edges of
-// command i are edges[start[i]:start[i+1]]. A command has at most four
-// edges (a MAC: input tile, output drain, output accumulate, open row).
-type dTable struct {
-	start []int32
-	edges []edge
+// QueueStream is a two-queue controller, DCS or ping-pong, as an
+// incremental fold: a pim.Sink that issues each command as it arrives.
+// A command issues at the later of its queue's pipeline-free cycle and
+// each D-Table dependee's issue cycle plus its wait. Every dependee comes
+// earlier in program order, so the stream keeps only the last issue cycle
+// of each role per slot and of the row commands, not the commands. It
+// takes commands already checked by a pim.Checker.
+type QueueStream struct {
+	fold
+	gbuf, out        []*slot       // slot of each GBuf and output entry
+	act, pre, rowMAC timing.Cycles // last ACT, PRE and MAC, or never
+	ioFree, macFree  timing.Cycles // next free cycle of the I/O and compute pipelines
+	// waw is a WR-INP's wait on its slot's last WR-INP, accum a MAC's on
+	// its output slot's last accumulate.
+	waw, accum timing.Cycles
 }
 
-// add records an edge of the command currently being visited.
-func (t *dTable) add(id int, wait timing.Cycles, why Reason) {
-	t.edges = append(t.edges, edge{id: int32(id), why: why, wait: wait})
+// newQueueStream returns an empty two-queue stream for the buffer
+// geometry, with gPer GBuf and oPer output entries to a dependency slot.
+func newQueueStream(name string, d *timing.Device, gbufEntries, outEntries, gPer, oPer int, waw, accum timing.Cycles) *QueueStream {
+	return &QueueStream{fold: newFold(name, d), gbuf: slots(gbufEntries, gPer), out: slots(outEntries, oPer),
+		act: never, pre: never, rowMAC: never, waw: waw, accum: accum}
 }
 
-// next closes the edge list of the command just visited.
-func (t *dTable) next() { t.start = append(t.start, int32(len(t.edges))) }
-
-// scratch is the per-Schedule working memory of the two-queue engine,
-// recycled through scratchPool: the D-Table and both issue queues hold
-// only int32 command IDs, so a cold price allocates them once per worker
-// rather than once per stack.
-type scratch struct {
-	dt      dTable
-	ioQ, cQ []int32
+// after returns the later of issue cycle t, bound by why, and a
+// dependee's issue cycle at plus wait, bound by r. Only a strictly later
+// bound binds, so on a tie the earlier constraint keeps the attribution.
+func after(t timing.Cycles, why Reason, at, wait timing.Cycles, r Reason) (timing.Cycles, Reason) {
+	if b := at + wait; b > t {
+		return b, r
+	}
+	return t, why
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-// getScratch returns empty working memory sized for n commands.
-func getScratch(n int) *scratch {
-	sc := scratchPool.Get().(*scratch)
-	if cap(sc.dt.start) < n+1 {
-		sc.dt = dTable{start: make([]int32, 0, n+1), edges: make([]edge, 0, 2*n)}
-		sc.ioQ, sc.cQ = make([]int32, 0, n), make([]int32, 0, n)
+// issue binds the next command's D-Table edges in D-Table order, folds it
+// in and returns its issue cycle and binding constraint.
+func (f *QueueStream) issue(c pim.Command) (timing.Cycles, Reason) {
+	kt := f.kt
+	free := &f.macFree
+	if c.Kind == pim.WRINP || c.Kind == pim.RDOUT {
+		free = &f.ioFree
 	}
-	sc.dt.start = append(sc.dt.start[:0], 0)
-	sc.dt.edges = sc.dt.edges[:0]
-	sc.ioQ, sc.cQ = sc.ioQ[:0], sc.cQ[:0]
-	return sc
+	t, why := *free, ReasonNone
+	if t > 0 {
+		why = ReasonBus
+	}
+	switch c.Kind {
+	case pim.WRINP:
+		g := f.gbuf[c.GBuf]
+		t, why = after(t, why, g.write, f.waw, ReasonDepWR)            // WAW
+		t, why = after(t, why, g.read, kt.exec[pim.MAC], ReasonDepMAC) // WAR: reader must finish
+		g.write = t
+	case pim.MAC:
+		g, o := f.gbuf[c.GBuf], f.out[c.Out]
+		t, why = after(t, why, g.write, kt.exec[pim.WRINP], ReasonDepWR) // RAW on input tile
+		t, why = after(t, why, o.read, kt.exec[pim.RDOUT], ReasonDepRD)  // WAR: drain before reuse
+		t, why = after(t, why, o.write, f.accum, ReasonDepMAC)           // accumulate chain
+		t, why = after(t, why, f.act, kt.exec[pim.ACT], ReasonRow)
+		g.read, o.write, f.rowMAC = t, t, t
+	case pim.RDOUT:
+		o := f.out[c.Out]
+		t, why = after(t, why, o.write, kt.exec[pim.MAC]+kt.commit, ReasonDepMAC)
+		o.read = t
+	case pim.ACT:
+		t, why = after(t, why, f.pre, kt.exec[pim.PRE], ReasonRow)
+		f.act = t
+	case pim.PRE:
+		t, why = after(t, why, f.rowMAC, kt.exec[pim.MAC], ReasonDepMAC)
+		f.pre = t
+	}
+	*free = t + kt.tccds
+	f.add(c.Kind, t, why)
+	return t, why
 }
 
-// isIO reports whether a command issues on the I/O transfer queue.
-func isIO(k pim.Kind) bool { return k == pim.WRINP || k == pim.RDOUT }
-
-// runQueues executes the dual-queue out-of-order engine: in-order within the
-// I/O and compute queues, out-of-order across them, waiting only on the
-// D-Table edges the dependency pass fills in, one command at a time in
-// program order. Ties are broken in favour of the I/O queue so input
-// prefetches are not starved by long MAC chains.
-func runQueues(d *timing.Device, st *pim.Stack, name string, fill func(kt *kindTimes, dt *dTable)) (*Result, error) {
-	if err := st.Validate(); err != nil {
-		return nil, fmt.Errorf("sched: invalid stack: %w", err)
+// Put implements pim.Sink.
+func (f *QueueStream) Put(cmds ...pim.Command) {
+	for _, c := range cmds {
+		f.issue(c)
 	}
-	kt := newKindTimes(d)
-	n := len(st.Cmds)
-	sc := getScratch(n)
-	defer scratchPool.Put(sc)
-	dt := &sc.dt
-	fill(kt, dt)
-	if len(dt.start) != n+1 {
-		return nil, fmt.Errorf("sched: dependency pass returned %d entries for %d commands", len(dt.start)-1, n)
-	}
-	for i, c := range st.Cmds {
-		if isIO(c.Kind) {
-			sc.ioQ = append(sc.ioQ, int32(i))
-		} else {
-			sc.cQ = append(sc.cQ, int32(i))
-		}
-	}
-	res := &Result{Scheduler: name, Issue: make([]timing.Cycles, n), Reasons: make([]Reason, n)}
-	for i := range res.Issue {
-		res.Issue[i] = -1 // not issued yet
-	}
-	var ioFree, macFree timing.Cycles
-	ioHead, cHead := 0, 0
-
-	earliest := func(id int32, resFree timing.Cycles) (timing.Cycles, Reason) {
-		t := resFree
-		why := ReasonNone
-		if resFree > 0 {
-			why = ReasonBus
-		}
-		for _, e := range dt.edges[dt.start[id]:dt.start[id+1]] {
-			at := res.Issue[e.id]
-			if at < 0 {
-				return inf, ReasonInOrder
-			}
-			if bound := at + e.wait; bound > t {
-				t, why = bound, e.why
-			}
-		}
-		return t, why
-	}
-
-	for ioHead < len(sc.ioQ) || cHead < len(sc.cQ) {
-		tIO, whyIO := inf, ReasonNone
-		if ioHead < len(sc.ioQ) {
-			tIO, whyIO = earliest(sc.ioQ[ioHead], ioFree)
-		}
-		tC, whyC := inf, ReasonNone
-		if cHead < len(sc.cQ) {
-			tC, whyC = earliest(sc.cQ[cHead], macFree)
-		}
-		if tIO == inf && tC == inf {
-			return nil, fmt.Errorf("sched: %s deadlocked with io head %d / compute head %d", name, ioHead, cHead)
-		}
-		if tIO <= tC {
-			id := sc.ioQ[ioHead]
-			res.Issue[id] = tIO
-			res.Reasons[id] = whyIO
-			ioFree = tIO + kt.tccds
-			ioHead++
-		} else {
-			id := sc.cQ[cHead]
-			res.Issue[id] = tC
-			res.Reasons[id] = whyC
-			macFree = tC + kt.tccds
-			cHead++
-		}
-	}
-	f := fold{kt: kt}
-	for i, c := range st.Cmds {
-		f.add(c.Kind, res.Issue[i], res.Reasons[i])
-	}
-	f.finish(d, res)
-	return res, nil
 }
+
+// Result returns the schedule of the commands put so far: Total,
+// Breakdown and Count, without per-command issue cycles.
+func (f *QueueStream) Result() *Result { return f.result() }
 
 // ---------------------------------------------------------------------------
 // DCS controller
@@ -483,64 +456,17 @@ func (s *DCS) Name() string {
 
 // Schedule implements Scheduler.
 func (s *DCS) Schedule(st *pim.Stack) (*Result, error) {
-	return runQueues(&s.Dev, st, s.Name(), func(kt *kindTimes, dt *dTable) {
-		// D-Table: last writer / reader per GBuf entry, last MAC / drain per
-		// output entry, plus row-state tracking.
-		lastGW := negOnes(st.GBufEntries) // GBuf entry -> last WR-INP
-		lastGR := negOnes(st.GBufEntries) // GBuf entry -> last MAC reader
-		lastOW := negOnes(st.OutEntries)  // out entry -> last MAC accumulate
-		lastOR := negOnes(st.OutEntries)  // out entry -> last RD-OUT
-		lastAct, lastPre, lastRowMAC := -1, -1, -1
-		wr, mac, rd := kt.exec[pim.WRINP], kt.exec[pim.MAC], kt.exec[pim.RDOUT]
-		accum := kt.tccds // is-MAC chain: the next MAC pipelines behind this one
-		if s.DisableIsMAC {
-			accum = mac
-		}
-		for i, c := range st.Cmds {
-			switch c.Kind {
-			case pim.WRINP:
-				if id := lastGW[c.GBuf]; id >= 0 {
-					dt.add(id, wr, ReasonDepWR) // WAW
-				}
-				if id := lastGR[c.GBuf]; id >= 0 {
-					dt.add(id, mac, ReasonDepMAC) // WAR: reader must finish
-				}
-				lastGW[c.GBuf] = i
-			case pim.MAC:
-				if id := lastGW[c.GBuf]; id >= 0 {
-					dt.add(id, wr, ReasonDepWR) // RAW on input tile
-				}
-				if id := lastOR[c.Out]; id >= 0 {
-					dt.add(id, rd, ReasonDepRD) // WAR: drain before reuse
-				}
-				if id := lastOW[c.Out]; id >= 0 {
-					dt.add(id, accum, ReasonDepMAC)
-				}
-				if lastAct >= 0 {
-					dt.add(lastAct, kt.exec[pim.ACT], ReasonRow)
-				}
-				lastGR[c.GBuf] = i
-				lastOW[c.Out] = i
-				lastRowMAC = i
-			case pim.RDOUT:
-				if id := lastOW[c.Out]; id >= 0 {
-					dt.add(id, mac+kt.commit, ReasonDepMAC)
-				}
-				lastOR[c.Out] = i
-			case pim.ACT:
-				if lastPre >= 0 {
-					dt.add(lastPre, kt.exec[pim.PRE], ReasonRow)
-				}
-				lastAct = i
-			case pim.PRE:
-				if lastRowMAC >= 0 {
-					dt.add(lastRowMAC, mac, ReasonDepMAC)
-				}
-				lastPre = i
-			}
-			dt.next()
-		}
-	})
+	return schedule(st, s.Stream(st.GBufEntries, st.OutEntries))
+}
+
+// Stream returns an empty stream for the buffer geometry, priced on the
+// controller's device. Every buffer entry is its own dependency slot.
+func (s *DCS) Stream(gbufEntries, outEntries int) *QueueStream {
+	accum := s.Dev.TCCDS // is-MAC chain: the next MAC pipelines behind this one
+	if s.DisableIsMAC {
+		accum = s.Dev.TMAC
+	}
+	return newQueueStream(s.Name(), &s.Dev, gbufEntries, outEntries, 1, 1, s.Dev.TWRINP, accum)
 }
 
 // ---------------------------------------------------------------------------
@@ -560,64 +486,16 @@ func (s *PingPong) Name() string { return "pingpong" }
 
 // Schedule implements Scheduler.
 func (s *PingPong) Schedule(st *pim.Stack) (*Result, error) {
-	gHalf := st.GBufEntries / 2
-	if gHalf == 0 {
-		gHalf = 1
-	}
-	oHalf := st.OutEntries / 2
-	if oHalf == 0 {
-		oHalf = 1
-	}
-	return runQueues(&s.Dev, st, s.Name(), func(kt *kindTimes, dt *dTable) {
-		lastGW := negOnes(st.GBufEntries/gHalf + 1) // gbuf region -> last WR-INP
-		lastGR := negOnes(st.GBufEntries/gHalf + 1) // gbuf region -> last MAC reader
-		lastOW := negOnes(st.OutEntries/oHalf + 1)  // out region -> last MAC
-		lastOR := negOnes(st.OutEntries/oHalf + 1)  // out region -> last RD-OUT
-		lastAct, lastPre, lastRowMAC := -1, -1, -1
-		wr, mac, rd := kt.exec[pim.WRINP], kt.exec[pim.MAC], kt.exec[pim.RDOUT]
-		for i, c := range st.Cmds {
-			switch c.Kind {
-			case pim.WRINP:
-				r := c.GBuf / gHalf
-				if id := lastGR[r]; id >= 0 {
-					dt.add(id, mac, ReasonDepMAC) // region hand-off
-				}
-				lastGW[r] = i
-			case pim.MAC:
-				r := c.GBuf / gHalf
-				if id := lastGW[r]; id >= 0 {
-					dt.add(id, wr, ReasonDepWR) // whole region filled
-				}
-				or := c.Out / oHalf
-				if id := lastOR[or]; id >= 0 {
-					dt.add(id, rd, ReasonDepRD)
-				}
-				if lastAct >= 0 {
-					dt.add(lastAct, kt.exec[pim.ACT], ReasonRow)
-				}
-				lastGR[r] = i
-				lastOW[or] = i
-				lastRowMAC = i
-			case pim.RDOUT:
-				or := c.Out / oHalf
-				if id := lastOW[or]; id >= 0 {
-					dt.add(id, mac+kt.commit, ReasonDepMAC)
-				}
-				lastOR[or] = i
-			case pim.ACT:
-				if lastPre >= 0 {
-					dt.add(lastPre, kt.exec[pim.PRE], ReasonRow)
-				}
-				lastAct = i
-			case pim.PRE:
-				if lastRowMAC >= 0 {
-					dt.add(lastRowMAC, mac, ReasonDepMAC)
-				}
-				lastPre = i
-			}
-			dt.next()
-		}
-	})
+	return schedule(st, s.Stream(st.GBufEntries, st.OutEntries))
+}
+
+// Stream returns an empty stream for the buffer geometry, priced on the
+// controller's device. Each half of a buffer is one dependency slot. The
+// controller tracks no WR-INP after WR-INP and no accumulate chain; a
+// zero wait stands for each, since a dependee in the command's own queue
+// issued at least tCCDS before that queue frees, so it never binds.
+func (s *PingPong) Stream(gbufEntries, outEntries int) *QueueStream {
+	return newQueueStream(s.Name(), &s.Dev, gbufEntries, outEntries, max(gbufEntries/2, 1), max(outEntries/2, 1), 0, 0)
 }
 
 // ---------------------------------------------------------------------------
@@ -633,10 +511,17 @@ func (s *PingPong) Schedule(st *pim.Stack) (*Result, error) {
 // lead-in before the first MAC and the drain after the last are
 // attributed to their binding causes. A refresh stretch is applied last.
 type fold struct {
+	name                  string // the controller's Name
+	dev                   *timing.Device
 	kt                    *kindTimes
 	end, prevMAC, lastMAC timing.Cycles
 	count                 [nKinds]int64
 	b                     Breakdown
+}
+
+// newFold returns an empty fold for the named controller on device d.
+func newFold(name string, d *timing.Device) fold {
+	return fold{name: name, dev: d, kt: newKindTimes(d)}
 }
 
 // add folds in one command of kind k issued at cycle t with binding
@@ -676,9 +561,11 @@ func (f *fold) attribute(cycles timing.Cycles, why Reason) {
 	}
 }
 
-// finish writes Total, Breakdown and Count of the commands folded so far
-// into res. It leaves the fold unchanged.
-func (f *fold) finish(d *timing.Device, res *Result) {
+// result returns the schedule of the commands folded so far: Total,
+// Breakdown and Count, without per-command issue cycles. It leaves the
+// fold unchanged.
+func (f *fold) result() *Result {
+	res := &Result{Scheduler: f.name, Count: f.count}
 	b := f.b
 	if n := f.count[pim.MAC]; n > 0 {
 		b.MAC = timing.Cycles(n) * f.kt.tccds
@@ -688,9 +575,9 @@ func (f *fold) finish(d *timing.Device, res *Result) {
 		// Pure I/O stack: attribute everything to transfer time.
 		b.DTGBuf = f.end
 	}
-	res.Total, b.Refresh = d.StretchForRefresh(f.end)
+	res.Total, b.Refresh = f.dev.StretchForRefresh(f.end)
 	res.Breakdown = b
-	res.Count = f.count
+	return res
 }
 
 // leadReason maps the first MAC's binding constraint to a breakdown

@@ -383,11 +383,23 @@ func TestSchedulerNames(t *testing.T) {
 	}
 }
 
-// stream runs commands through the stream path: a pim.Checker with row
-// checking on from the first command, in front of the static fold.
-func stream(d timing.Device, st *pim.Stack) (*Result, error) {
+// stream runs commands through controller s's stream path: a
+// pim.Checker with row checking on from the first command, in front of
+// the controller's fold.
+func stream(s Scheduler, st *pim.Stack) (*Result, error) {
+	var f interface {
+		pim.Sink
+		Result() *Result
+	}
+	switch s := s.(type) {
+	case *Static:
+		f = s.Stream()
+	case *DCS:
+		f = s.Stream(st.GBufEntries, st.OutEntries)
+	case *PingPong:
+		f = s.Stream(st.GBufEntries, st.OutEntries)
+	}
 	chk := pim.NewChecker(st.GBufEntries, st.OutEntries, true)
-	f := (&Static{Dev: d}).Stream()
 	for _, c := range st.Cmds {
 		if err := chk.Check(c); err != nil {
 			return nil, err
@@ -398,23 +410,26 @@ func stream(d timing.Device, st *pim.Stack) (*Result, error) {
 }
 
 // TestStreamMatchesSchedule: on row-managed stacks (an ACT before the
-// first MAC, as every kernel builder emits) the stream path prices
-// exactly what Static.Schedule does, and rejects an invalid stack with
-// the same error.
+// first MAC, as every kernel builder emits) every controller's stream
+// path prices exactly what its Schedule does, and rejects an invalid
+// stack with the same error.
 func TestStreamMatchesSchedule(t *testing.T) {
 	d := timing.AiM16()
+	controllers := []Scheduler{&Static{Dev: d}, &PingPong{Dev: d}, &DCS{Dev: d}, &DCS{Dev: d, DisableIsMAC: true}}
 	for i, st := range kernelStacks(t) {
-		want, err := (&Static{Dev: d}).Schedule(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := stream(d, st)
-		if err != nil {
-			t.Fatalf("stack %d: %v", i, err)
-		}
-		if got.Total != want.Total || got.Breakdown != want.Breakdown || got.Count != want.Count {
-			t.Errorf("stack %d: streamed %d %+v %v, scheduled %d %+v %v", i,
-				got.Total, got.Breakdown, got.Count, want.Total, want.Breakdown, want.Count)
+		for _, s := range controllers {
+			want, err := s.Schedule(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := stream(s, st)
+			if err != nil {
+				t.Fatalf("stack %d %s: %v", i, s.Name(), err)
+			}
+			if got.Total != want.Total || got.Breakdown != want.Breakdown || got.Count != want.Count {
+				t.Errorf("stack %d %s: streamed %d %+v %v, scheduled %d %+v %v", i, s.Name(),
+					got.Total, got.Breakdown, got.Count, want.Total, want.Breakdown, want.Count)
+			}
 		}
 	}
 	for name, build := range map[string]func(s *pim.Stack){
@@ -438,10 +453,12 @@ func TestStreamMatchesSchedule(t *testing.T) {
 	} {
 		st := pim.NewStack(4, 4)
 		build(st)
-		_, want := (&Static{Dev: d}).Schedule(st)
-		_, got := stream(d, st)
-		if want == nil || got == nil || errors.Unwrap(want).Error() != got.Error() {
-			t.Errorf("%s: stream error %v, Static.Schedule error %v", name, got, want)
+		for _, s := range controllers {
+			_, want := s.Schedule(st)
+			_, got := stream(s, st)
+			if want == nil || got == nil || errors.Unwrap(want).Error() != got.Error() {
+				t.Errorf("%s %s: stream error %v, Schedule error %v", name, s.Name(), got, want)
+			}
 		}
 	}
 }
