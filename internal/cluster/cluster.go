@@ -289,7 +289,8 @@ func (a *admitter) horizon(r workload.Request) int {
 }
 
 // admitFits is the admission predicate shared by fill and wouldAdmit
-// (keeping the two in lockstep is what keeps Leap equivalent to Step):
+// (keeping the two in lockstep is what keeps a leap equivalent to one
+// iteration per call):
 // whether a pending request can be admitted right now — headroom to
 // grow to its horizon without eviction, and under head-first placement
 // the per-channel head budget — plus the head-budget charge admission
@@ -347,11 +348,11 @@ func (a *admitter) fill() {
 
 // wouldAdmit reports whether fill would admit at least one pending
 // request right now, without admitting it — the serving engine's leap
-// gate: a possible admission forces the one-step path. It shares fill's
-// admitFits predicate, so the two cannot drift apart (a false negative
-// here would break fast-forward equivalence); a request that passes the
+// gate: a possible admission limits the call to one iteration. It shares
+// fill's admitFits predicate, so the two cannot drift apart (a false
+// negative here would break leap equivalence); a request that passes the
 // predicate but fails the allocator's Admit merely costs a harmless
-// single step.
+// one-iteration call.
 func (a *admitter) wouldAdmit() bool {
 	if len(a.pending) == 0 {
 		return false
@@ -430,11 +431,11 @@ func (s *System) iterate(ctx context.Context, toks []int) (backend.StepCost, err
 //
 // The window is a drain of the serving engine. Every candidate is queued
 // with the window as its generation length, one admission pass forms the
-// batch (CapacityUtil is sampled right after it), and the engine steps
-// until the window has run or nothing is left to decode. So the batch
-// figures share the engine's semantics: a request that cannot grow
-// preempts the youngest, only generated tokens count, and a request
-// reaching T_max retires and frees its slot for the queue.
+// batch (CapacityUtil is sampled right after it), and the engine prices
+// one iteration per call until the window has run or nothing is left to
+// decode. So the batch figures share the engine's semantics: a request
+// that cannot grow preempts the youngest, only generated tokens count,
+// and a request reaching T_max retires and frees its slot for the queue.
 func (s *System) RunCtx(ctx context.Context, reqs []workload.Request) (*Report, error) {
 	e, err := s.NewEngine()
 	if err != nil {
@@ -455,10 +456,12 @@ func (s *System) RunCtx(ctx context.Context, reqs []workload.Request) (*Report, 
 	if u := s.adm.ReportedUtil; u > 0 {
 		capUtil = u
 	}
-	// An idle Step is not a step, so the window also ends once every
-	// request has retired (truncated at T_max) and the queue is empty.
+	// A call bounded at its own start prices one iteration, so the
+	// window counts iterations. An idle call is not a step, so the window
+	// also ends once every request has retired (truncated at T_max) and
+	// the queue is empty.
 	for e.Steps() < s.cfg.DecodeWindow && !e.Idle() {
-		if _, err := e.Step(ctx); err != nil {
+		if _, err := e.Leap(ctx, 0, 0); err != nil {
 			return nil, err
 		}
 	}

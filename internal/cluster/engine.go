@@ -7,18 +7,17 @@ import (
 
 	"pimphony/internal/backend"
 	"pimphony/internal/energy"
-	"pimphony/internal/perfmodel"
 	"pimphony/internal/timing"
 	"pimphony/internal/workload"
 )
 
-// Engine drives a System one decode iteration at a time: the one decode
-// loop, which the online serving simulator (internal/serve) steps event
-// by event and Run drains over a fixed decode window. An Engine accepts
+// Engine drives a System through decode iterations: the one decode loop,
+// which the online serving simulator (internal/serve) advances event by
+// event and Run drains over a fixed decode window. An Engine accepts
 // requests as they arrive (Enqueue), admits them against the configured
 // KV allocator at iteration boundaries, retires each request once it has
 // generated its own Decode length (continuous batching), and reports
-// per-step events — who was admitted, who generated a token, who
+// per-call events — who was admitted, who generated tokens, who
 // completed — from which the caller reconstructs per-request admission
 // and completion timestamps.
 //
@@ -58,23 +57,22 @@ type Engine struct {
 	peakLive     int64
 	peakReserved int64
 	// horizon optionally clamps how many iterations one Leap may
-	// aggregate (0 = unbounded). The analytic event horizon only knows
-	// about this engine's own events; a fleet scheduler that injects
-	// external events (migration arrivals, handoffs) mid-drain sets a
-	// clamp so a drain leap cannot run arbitrarily far past the next
-	// global event, without falling back to SingleStep.
+	// aggregate (0 = unbounded). Leap's until bound already ends every
+	// leap at the caller's next event, so the clamp changes only how
+	// many calls price the same iterations; the equivalence suites vary
+	// it to pin that.
 	horizon int
 	// timeScale multiplies every priced duration (decode iterations and
 	// KV recompute charges) — the fleet's transient-slowdown fault mode.
 	// 1 is the identity; scaling changes only durations, never which
 	// iteration admits, generates or retires, so leap partitioning (and
-	// with it single-step equivalence) is preserved at any scale.
+	// with it one-iteration equivalence) is preserved at any scale.
 	timeScale float64
 	// per-iteration energy accrual on the backend's model (zero for
 	// backends outside it, e.g. the GPU); the fleet report derives
 	// joules/token from it.
 	attnE, fcE energy.Breakdown
-	// scratch buffers reused across Step/Leap calls (the step loop's
+	// scratch buffers reused across Leap calls (the decode loop's
 	// allocation diet): the batch snapshot, the Generated event list,
 	// the batch-order token counts the stepper prices, the leap's ID
 	// list and its iteration durations.
@@ -85,48 +83,44 @@ type Engine struct {
 	secScratch   []float64
 }
 
-// StepResult reports what one decode iteration did.
+// StepResult reports what one Leap call did: one decode iteration, or a
+// stable batch's run of event-free iterations.
 type StepResult struct {
-	// Seconds is the simulated duration of this iteration — the decode
-	// step plus any KV recompute charged for re-admitted preempted
-	// requests (RecomputeSeconds); zero when the engine was idle (no
-	// admitted requests).
+	// Seconds is the simulated duration of the call's iterations — the
+	// decode steps plus any KV recompute charged for re-admitted
+	// preempted requests (RecomputeSeconds); zero when the engine was
+	// idle (no admitted requests).
 	Seconds float64
-	// RecomputeSeconds is the KV-rebuild time charged this step for
+	// RecomputeSeconds is the KV-rebuild time charged this call for
 	// preempted requests re-entering the batch (already included in
-	// Seconds).
+	// Seconds and in the first iteration's IterSeconds).
 	RecomputeSeconds float64
-	// Batch is the number of active requests that decoded this step.
+	// Batch is the number of active requests that decoded this call.
 	Batch int
-	// Admitted lists requests admitted at the start of this step. Their
-	// first token is usually generated by this same iteration, but not
-	// always: under DPA memory pressure a just-admitted request can
-	// freeze before its first Grow — derive first-token timestamps from
-	// Generated, not from Admitted.
+	// Admitted lists requests admitted at the start of this call, which
+	// then prices one iteration. Their first token is usually generated
+	// by that iteration, but not always: under DPA memory pressure a
+	// just-admitted request can freeze before its first Grow — derive
+	// first-token timestamps from Generated, not from Admitted.
 	Admitted []workload.Request
-	// Generated lists the IDs that emitted a token this step. A request
-	// out of KV headroom freezes (no token) until memory frees up, so
-	// Generated can be shorter than Batch. The slice's backing array is
-	// reused by the next Step/Leap call — consume it before stepping
-	// again (copy it to retain).
+	// Generated lists the IDs that emitted a token on every iteration of
+	// this call. A request out of KV headroom freezes (no token) until
+	// memory frees up, so Generated can be shorter than Batch. The
+	// slice's backing array is reused by the next Leap call — consume it
+	// before advancing again (copy it to retain).
 	Generated []int
-	// Iterations is the number of decode iterations this result
-	// aggregates: 1 for Step, N >= 2 when Leap fast-forwarded a stable
-	// batch through N event-free iterations.
-	Iterations int
-	// IterSeconds lists each aggregated iteration's duration in order
-	// (their sum is Seconds) when Iterations > 1, and is nil for
-	// single-iteration results. Every ID in Generated emitted one token
-	// per iteration; serving callers replay the durations to
-	// reconstruct exact per-token timestamps inside a leap. Like
-	// Generated, the backing array is reused by the next Step/Leap.
+	// IterSeconds lists each iteration's duration in order (their sum is
+	// Seconds); it is empty only for an idle call. Every ID in Generated
+	// emitted one token per iteration; serving callers replay the
+	// durations to reconstruct exact per-token timestamps inside a leap.
+	// Like Generated, the backing array is reused by the next Leap call.
 	IterSeconds []float64
-	// Preempted lists requests evicted back to the queue this step
+	// Preempted lists requests evicted back to the queue this call
 	// because the pool could not grow the batch. Their KV chunks are
 	// freed; tokens already generated stay generated (the KV behind them
 	// is recomputed on re-admission).
 	Preempted []workload.Request
-	// Completed lists requests retired at the end of this step, their KV
+	// Completed lists requests retired at the end of this call, their KV
 	// memory released: either they finished their generation length, or
 	// their KV cache reached the context window (T_max) and generation
 	// was truncated — a real serving system force-stops at the window.
@@ -262,16 +256,29 @@ func (e *Engine) preemptYoungest() (workload.Request, error) {
 	return victim, nil
 }
 
-// Step admits pending requests FCFS, prices one decode iteration for the
-// active batch, grows every request by one token and retires the ones
-// that reached their generation length. When a request cannot grow — DPA
-// lazy allocation exhausted the pool mid-decode — the engine preempts
-// the youngest admitted request and retries, so older requests keep
-// making progress. An idle engine (nothing active, nothing admissible)
-// returns a zero StepResult; a pending request that cannot be admitted
-// even into an empty system is an error, as is a batch that can neither
-// generate, complete nor preempt (KV livelock).
-func (e *Engine) Step(ctx context.Context) (StepResult, error) {
+// Leap is the engine's one advancing call. It admits pending requests
+// FCFS, charges the KV recompute of re-admitted preempted requests,
+// prices the active batch's next iteration — or, when the batch is
+// stable, every iteration up to its event horizon — grows every request
+// by the tokens it generated and retires the ones that reached their
+// generation length. now is the caller's current simulated time and
+// until the time it is advancing toward: the call stops with the first
+// iteration that ends at or past until (until <= now prices exactly one
+// iteration), so clocks and event timestamps are bit-identical however
+// the caller bounds its calls.
+//
+// A call that admits, or whose bound is already reached, prices one
+// iteration. Otherwise it prices up to leapDistance iterations, the
+// analytic horizon within which nothing can admit, complete, truncate or
+// fail to grow; a SetHorizon clamp caps that count further. When a request cannot grow — DPA lazy allocation
+// exhausted the pool mid-decode, which only a one-iteration call can
+// meet — the engine preempts the youngest admitted request and retries,
+// so older requests keep making progress. An idle engine (nothing
+// active, nothing admissible) returns a zero StepResult; a pending
+// request that cannot be admitted even into an empty system is an
+// error, as is a batch that can neither generate, complete nor preempt
+// (KV livelock).
+func (e *Engine) Leap(ctx context.Context, now, until float64) (StepResult, error) {
 	s := e.sys
 	var res StepResult
 	if err := ctx.Err(); err != nil {
@@ -295,12 +302,11 @@ func (e *Engine) Step(ctx context.Context) (StepResult, error) {
 			res.RecomputeSeconds += rc
 		}
 	}
-	// Snapshot the batch: preemption mutates the active slice mid-loop.
-	// (Scratch-backed — the snapshot lives only for this step.)
+	// Snapshot the batch: preemption mutates the active slice mid-call.
+	// (Scratch-backed — the snapshot lives only for this call.)
 	batch := append(e.batchScratch[:0], e.ad.active...)
 	e.batchScratch = batch
 	res.Batch = len(batch)
-	res.Iterations = 1
 	if len(batch) > e.maxActive {
 		e.maxActive = len(batch)
 	}
@@ -312,27 +318,47 @@ func (e *Engine) Step(ctx context.Context) (StepResult, error) {
 		}
 		return res, nil // idle
 	}
-	e.sampleCapacity()
-	cost, err := s.iterate(ctx, e.liveTokens(batch))
-	if err != nil {
-		return res, err
+	n := 1
+	if res.Admitted == nil && now < until {
+		n = max(e.leapDistance(), 1)
 	}
-	res.Seconds = e.account(cost, len(batch), res.RecomputeSeconds)
-	// Advance every request by one generated token, growing its KV to
-	// the exact live token count. A failed Grow (DPA pool exhausted)
-	// preempts the youngest admitted request and retries until the
-	// grower succeeds or is itself the victim. This growth step is the
-	// one part of an iteration fastForward does not share: a leap stays
-	// inside the allocator's budget, so it commits one Grow per request
-	// that cannot fail.
+	e.sampleCapacity()
+	// Materialize token counts once; the per-iteration advance is a
+	// slice increment instead of per-request map traffic.
+	toks := e.liveTokens(batch)
+	res.IterSeconds = e.secScratch[:0]
+	recompute := res.RecomputeSeconds
+	for i := 0; i < n && (i == 0 || now < until); i++ {
+		cost, err := s.iterate(ctx, toks)
+		if err != nil {
+			return res, err
+		}
+		sec := e.account(cost, len(batch), recompute)
+		recompute = 0 // the first iteration carries the charge
+		res.IterSeconds = append(res.IterSeconds, sec)
+		res.Seconds += sec
+		now += sec
+		for j := range toks {
+			toks[j]++
+		}
+	}
+	e.secScratch = res.IterSeconds
+	// Advance every request still active by one token per iteration,
+	// growing its KV to the exact live token count. A multi-iteration
+	// leap stays inside the allocator's growth budget, so its one Grow
+	// per request cannot fail. A failed Grow after one iteration (DPA
+	// pool exhausted) preempts the youngest admitted request and retries
+	// until the grower succeeds or is itself the victim.
+	iters := len(res.IterSeconds)
 	res.Generated = e.genScratch[:0]
 	for _, r := range batch {
 		if !e.ad.isActive(r.ID) {
-			continue // evicted earlier this step
+			continue // evicted earlier this call
 		}
-		e.grown[r.ID]++
-		growErr := e.ad.alloc.Grow(r.ID, r.Context+e.grown[r.ID])
-		for growErr != nil && len(e.ad.active) > 1 {
+		e.grown[r.ID] += iters
+		tok := r.Context + e.grown[r.ID]
+		growErr := e.ad.alloc.Grow(r.ID, tok)
+		for growErr != nil && iters == 1 && len(e.ad.active) > 1 {
 			victim, perr := e.preemptYoungest()
 			if perr != nil {
 				return res, perr
@@ -341,17 +367,21 @@ func (e *Engine) Step(ctx context.Context) (StepResult, error) {
 			if victim.ID == r.ID {
 				break // the grower itself lost; its token is not emitted
 			}
-			growErr = e.ad.alloc.Grow(r.ID, r.Context+e.grown[r.ID])
+			growErr = e.ad.alloc.Grow(r.ID, tok)
 		}
 		if growErr != nil {
+			if iters > 1 {
+				return res, fmt.Errorf("cluster %s: in-budget leap growth failed for request %d: %w",
+					s.cfg.Name, r.ID, growErr)
+			}
 			e.grown[r.ID]-- // frozen (sole survivor) or evicted mid-growth
 			continue
 		}
 		res.Generated = append(res.Generated, r.ID)
-		e.generated++
-		e.outstanding--
 	}
 	e.genScratch = res.Generated
+	e.generated += iters * len(res.Generated)
+	e.outstanding -= iters * len(res.Generated)
 	e.sampleCapacity()
 	done, err := e.retire(batch)
 	if err != nil {
@@ -425,39 +455,17 @@ func (e *Engine) retire(batch []workload.Request) ([]workload.Request, error) {
 	return done, nil
 }
 
-// Leap advances the engine exactly as repeated Step calls would, but
-// fast-forwards through stretches where no serving event can occur: when
-// the batch is stable (nothing admissible, nothing completing) it
-// computes the event horizon analytically and prices N iterations in one
-// call against the memoized stepper, skipping the per-step admission
-// checks, map traffic and allocator probes. now is the caller's current
-// simulated time and until the time it is advancing toward (+Inf to
-// drain): the leap stops with the first iteration that ends at or past
-// until, mirroring the one-step advance loop, so clocks and event
-// timestamps are bit-identical to single stepping. When no leap is
-// possible (an event is at most one iteration away), Leap degenerates to
-// Step. A SetHorizon clamp additionally caps the iteration count, for
-// callers that inject events the analytic horizon cannot see.
-func (e *Engine) Leap(ctx context.Context, now, until float64) (StepResult, error) {
-	n := e.leapDistance()
-	if n < 2 {
-		return e.Step(ctx)
-	}
-	return e.fastForward(ctx, n, now, until)
-}
-
-// leapDistance is the analytic event horizon: how many iterations can
-// run before an event requires the full Step path. The horizon is the
-// minimum over every active request of its tokens to completion, to
-// T_max truncation and to the next perfmodel quantization-bucket
-// crossing, then the SetHorizon clamp, and over the batch of the
-// allocator's lockstep growth budget (the next chunk/page allocation —
-// the preemption trigger), which the allocator need only probe up to the
-// bound so far. Zero when the engine is idle or the next iteration may
-// admit a pending request.
+// leapDistance is the analytic event horizon of a non-empty batch: how
+// many iterations can run before one may admit, complete, truncate or
+// fail to grow. The horizon is the minimum over every active request of
+// its tokens to completion and to T_max truncation, then the SetHorizon
+// clamp, and over the batch of the allocator's lockstep growth budget
+// (the next chunk/page allocation — the preemption trigger), which the
+// allocator need only probe up to the bound so far. Zero when the next
+// iteration may admit a pending request.
 func (e *Engine) leapDistance() int {
 	ad := e.ad
-	if len(ad.active) == 0 || ad.wouldAdmit() {
+	if ad.wouldAdmit() {
 		return 0
 	}
 	tmax := e.sys.tmax()
@@ -465,17 +473,11 @@ func (e *Engine) leapDistance() int {
 	ids := e.idScratch[:0]
 	for _, r := range ad.active {
 		g := e.grown[r.ID]
-		tok := r.Context + g
 		if d := r.Decode - g; d < n {
 			n = d // next completion
 		}
-		if d := tmax - tok; d < n {
+		if d := tmax - (r.Context + g); d < n {
 			n = d // T_max truncation
-		}
-		if end := perfmodel.BucketEnd(tok); end != math.MaxInt {
-			if d := end - tok + 1; d < n {
-				n = d // quantization-bucket crossing
-			}
 		}
 		ids = append(ids, r.ID)
 	}
@@ -489,71 +491,10 @@ func (e *Engine) leapDistance() int {
 	return ad.alloc.GrowBudget(ids, n) // next allocation boundary (chunk/page growth)
 }
 
-// fastForward prices n event-free iterations in one pass. The per-step
-// bookkeeping collapses to a token-slice increment and the stepper
-// call; growth is committed as one batched Grow per request at
-// the end (within the allocator's budget, so it cannot allocate or
-// fail), followed by the same retire check a naive step ends with.
-func (e *Engine) fastForward(ctx context.Context, n int, now, until float64) (StepResult, error) {
-	s := e.sys
-	var res StepResult
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-	batch := append(e.batchScratch[:0], e.ad.active...)
-	e.batchScratch = batch
-	res.Batch = len(batch)
-	e.sampleCapacity()
-	// Materialize token counts once; the per-iteration advance is a
-	// slice increment instead of per-request map traffic.
-	toks := e.liveTokens(batch)
-	res.IterSeconds = e.secScratch[:0]
-	for i := 0; i < n && (i == 0 || now < until); i++ {
-		cost, err := s.iterate(ctx, toks)
-		if err != nil {
-			return res, err
-		}
-		sec := e.account(cost, len(batch), 0)
-		res.IterSeconds = append(res.IterSeconds, sec)
-		res.Seconds += sec
-		now += sec
-		for j := range toks {
-			toks[j]++
-		}
-	}
-	e.secScratch = res.IterSeconds
-	res.Iterations = len(res.IterSeconds)
-	iters := res.Iterations
-	e.generated += iters * len(batch)
-	e.outstanding -= iters * len(batch)
-	res.Generated = e.genScratch[:0]
-	for i, r := range batch {
-		e.grown[r.ID] += iters
-		if err := e.ad.alloc.Grow(r.ID, toks[i]); err != nil {
-			return res, fmt.Errorf("cluster %s: in-budget leap growth failed for request %d: %w",
-				s.cfg.Name, r.ID, err)
-		}
-		res.Generated = append(res.Generated, r.ID)
-	}
-	e.genScratch = res.Generated
-	e.sampleCapacity()
-	// A leap usually ends on a completion or truncation boundary, but an
-	// allocation or bucket horizon — or the until clamp — can end it with
-	// everyone still decoding.
-	done, err := e.retire(batch)
-	if err != nil {
-		return res, err
-	}
-	res.Completed = done
-	return res, nil
-}
-
 // SetHorizon clamps every subsequent Leap to at most n iterations
-// (0 removes the clamp). The clamp bounds how far a drain-phase leap
-// can overshoot an externally-injected event — a fleet scheduler's
-// migration arrival or KV handoff — that the engine's own analytic
-// horizon cannot see. Results remain bit-identical to single stepping
-// at any clamp; only the aggregation granularity changes.
+// (0 removes the clamp; 1 prices one iteration per call). Results
+// remain bit-identical at any clamp; only the aggregation granularity
+// changes.
 func (e *Engine) SetHorizon(n int) {
 	if n < 0 {
 		n = 0
@@ -617,10 +558,11 @@ func (e *Engine) EnqueueResumed(r workload.Request, gen int) error {
 // Withdraw removes a pending (not active) request from the queue and
 // returns it with its generation progress, clearing every trace of it
 // from this engine so it can be enqueued elsewhere — the sending side
-// of a fleet KV migration. The canonical victim is a request the
-// engine just preempted (it sits at the head of the queue with its
-// progress intact); withdrawing it instead of letting it re-admit
-// trades the recompute charge for the caller's transfer cost.
+// of a fleet KV migration or steal. The canonical migration victim is a
+// request the engine just preempted (it sits at the head of the queue
+// with its progress intact); withdrawing it instead of letting it
+// re-admit trades the recompute charge for the caller's transfer cost.
+// A steal withdraws the request PeekStealable returned.
 func (e *Engine) Withdraw(reqID int) (workload.Request, int, error) {
 	if e.ad.isActive(reqID) {
 		return workload.Request{}, 0, fmt.Errorf("cluster %s: cannot withdraw active request %d",
@@ -648,7 +590,7 @@ func (e *Engine) Withdraw(reqID int) (workload.Request, int, error) {
 // drives it: a degraded replica's iterations take factor-times longer,
 // which re-prices migration-vs-recompute decisions live. Scaling never
 // changes which iteration admits, generates or retires — only how long
-// it takes — so leap/single-step equivalence is unaffected.
+// it takes — so leap equivalence is unaffected.
 func (e *Engine) SetTimeScale(factor float64) {
 	if factor <= 0 {
 		factor = 1
@@ -707,37 +649,20 @@ func (e *Engine) EnqueueRecompute(r workload.Request, gen int) error {
 	return nil
 }
 
-// PeekStealable returns the request StealNewest would remove — the
-// newest pending request with no generation progress — without
-// removing it. A scheduler peeks before committing to a steal, so it
-// can check the destination's headroom (and whether the source would
-// admit the request itself) while the request is still safely queued.
+// PeekStealable returns the newest pending request that has made no
+// generation progress — the cheapest request for another replica to take
+// over, since only its prompt KV has to move and no recompute is
+// forgone — without removing it. Preempted requests (progress > 0) are
+// skipped; they are migration candidates, not steal candidates. A
+// scheduler peeks before committing to a steal, so it can check the
+// destination's headroom while the request is still safely queued, and
+// then removes it with Withdraw.
 func (e *Engine) PeekStealable() (workload.Request, bool) {
 	for i := len(e.ad.pending) - 1; i >= 0; i-- {
 		r := e.ad.pending[i]
 		if e.grown[r.ID] > 0 || e.preempted[r.ID] {
 			continue
 		}
-		return r, true
-	}
-	return workload.Request{}, false
-}
-
-// StealNewest removes and returns the newest pending request that has
-// made no generation progress — the cheapest request for another
-// replica to take over, since only its prompt KV has to move and no
-// recompute is forgone. Preempted requests (progress > 0) are skipped;
-// they are migration candidates, not steal candidates. Returns false
-// when nothing is stealable.
-func (e *Engine) StealNewest() (workload.Request, bool) {
-	for i := len(e.ad.pending) - 1; i >= 0; i-- {
-		r := e.ad.pending[i]
-		if e.grown[r.ID] > 0 || e.preempted[r.ID] {
-			continue
-		}
-		e.ad.pending = append(e.ad.pending[:i], e.ad.pending[i+1:]...)
-		e.outstanding -= r.Decode // zero progress by selection
-		delete(e.seen, r.ID)
 		return r, true
 	}
 	return workload.Request{}, false

@@ -31,9 +31,9 @@ func benchEngine(b *testing.B) *Engine {
 	return e
 }
 
-// BenchmarkEngineStep measures the naive one-iteration serving step —
-// admission scan, memoized pricing, growth, retirement — the unit the
-// multi-step fast-forward amortizes away.
+// BenchmarkEngineStep measures a one-iteration engine call (a Leap
+// bounded at its own start) — admission scan, memoized pricing, growth,
+// retirement — the unit a multi-iteration leap amortizes away.
 func BenchmarkEngineStep(b *testing.B) {
 	e := benchEngine(b)
 	b.ResetTimer()
@@ -43,7 +43,7 @@ func BenchmarkEngineStep(b *testing.B) {
 			e = benchEngine(b)
 			b.StartTimer()
 		}
-		if _, err := e.Step(context.Background()); err != nil {
+		if _, err := e.Leap(context.Background(), 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,8 +9,8 @@ import (
 	"pimphony/internal/workload"
 )
 
-// fleetReqs is a mixed-length request set that exercises completions,
-// bucket crossings and DPA chunk growth inside leaps.
+// fleetReqs is a mixed-length request set that exercises completions
+// and DPA chunk growth inside leaps.
 func fleetReqs() []workload.Request {
 	gen := workload.NewGenerator(workload.QMSum(), 7)
 	reqs := gen.Batch(10)
@@ -22,7 +22,7 @@ func fleetReqs() []workload.Request {
 
 // TestLeapHorizonMatchesStepEventStream pins the SetHorizon clamp: a
 // clamped leap drain must produce the identical flattened iteration
-// trace as the naive one-step loop, at every clamp width, while never
+// trace as the naive one-iteration loop, at every clamp width, while never
 // aggregating more iterations than the clamp allows.
 func TestLeapHorizonMatchesStepEventStream(t *testing.T) {
 	cfg := engineConfig(t, PIMphony())
@@ -39,23 +39,10 @@ func TestLeapHorizonMatchesStepEventStream(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Iterations > h {
-				t.Fatalf("horizon %d: leap aggregated %d iterations", h, res.Iterations)
+			if len(res.IterSeconds) > h {
+				t.Fatalf("horizon %d: leap aggregated %d iterations", h, len(res.IterSeconds))
 			}
-			if res.Iterations <= 1 {
-				got = append(got, stepTrace{Seconds: res.Seconds, Batch: res.Batch,
-					Admitted: ids(res.Admitted), Generated: append([]int(nil), res.Generated...),
-					Preempted: ids(res.Preempted), Completed: ids(res.Completed)})
-				continue
-			}
-			for it, sec := range res.IterSeconds {
-				st := stepTrace{Seconds: sec, Batch: res.Batch,
-					Generated: append([]int(nil), res.Generated...)}
-				if it == res.Iterations-1 {
-					st.Completed = ids(res.Completed)
-				}
-				got = append(got, st)
-			}
+			got = append(got, flatten(res)...)
 		}
 		if !reflect.DeepEqual(got, ref) {
 			t.Errorf("horizon %d: clamped leap trace diverges from single stepping (%d vs %d iterations)",
@@ -107,7 +94,7 @@ func TestEngineWithdrawResume(t *testing.T) {
 		if i > 10_000 {
 			t.Fatal("no preemption under the exhaustion scenario")
 		}
-		res, err := src.Step(context.Background())
+		res, err := refStep(context.Background(), src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,20 +162,30 @@ func TestEngineEnqueueResumedValidation(t *testing.T) {
 	}
 }
 
-// TestEngineStealNewest: stealing pops the newest zero-progress pending
-// request and leaves preempted (progressed) requests alone.
+// TestEngineStealNewest: the steal candidate is the newest zero-progress
+// pending request, preempted (progressed) requests are left alone, and
+// withdrawing the candidate forgets it.
 func TestEngineStealNewest(t *testing.T) {
 	e := engineFor(t, engineConfig(t, PIMphony()), []workload.Request{
 		{ID: 1, Context: 1024, Decode: 4},
 		{ID: 2, Context: 1024, Decode: 4},
 		{ID: 3, Context: 1024, Decode: 4},
 	})
-	r, ok := e.StealNewest()
+	r, ok := e.PeekStealable()
 	if !ok || r.ID != 3 {
-		t.Fatalf("stole %v, want request 3 (the newest)", r.ID)
+		t.Fatalf("peeked %v, want request 3 (the newest)", r.ID)
+	}
+	if e.Pending() != 3 {
+		t.Errorf("pending %d after peek, want 3", e.Pending())
+	}
+	if _, gen, err := e.Withdraw(r.ID); err != nil || gen != 0 {
+		t.Fatalf("withdraw of the steal candidate: progress %d, %v", gen, err)
 	}
 	if e.Pending() != 2 {
 		t.Errorf("pending %d after steal, want 2", e.Pending())
+	}
+	if got := e.OutstandingTokens(); got != 8 {
+		t.Errorf("outstanding %d tokens after steal, want 8", got)
 	}
 	// The stolen request is fully forgotten: another engine — or even
 	// this one — can enqueue it again.
@@ -199,7 +196,7 @@ func TestEngineStealNewest(t *testing.T) {
 	if len(done) != 3 {
 		t.Errorf("completed %d of 3", len(done))
 	}
-	if _, ok := e.StealNewest(); ok {
-		t.Error("stole from an empty queue")
+	if _, ok := e.PeekStealable(); ok {
+		t.Error("found a steal candidate in an empty queue")
 	}
 }

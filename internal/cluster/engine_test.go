@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"pimphony/internal/model"
@@ -26,8 +27,8 @@ func engineConfig(t testing.TB, tech Technique) Config {
 	}
 }
 
-// drain steps the engine to completion, returning all completions in
-// retirement order.
+// drain runs the naive reference loop (refStep) to completion,
+// returning all completions in retirement order.
 func drain(t *testing.T, e *Engine) []workload.Request {
 	t.Helper()
 	var done []workload.Request
@@ -35,7 +36,7 @@ func drain(t *testing.T, e *Engine) []workload.Request {
 		if i > 1_000_000 {
 			t.Fatal("engine did not drain")
 		}
-		res, err := e.Step(context.Background())
+		res, err := refStep(context.Background(), e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +96,7 @@ func TestEngineStepEvents(t *testing.T) {
 	if err := e.Enqueue(workload.Request{ID: 1, Context: 4096, Decode: 2}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Step(context.Background())
+	res, err := refStep(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestEngineStepEvents(t *testing.T) {
 	if err := e.Enqueue(workload.Request{ID: 2, Context: 4096, Decode: 1}); err != nil {
 		t.Fatal(err)
 	}
-	res, err = e.Step(context.Background())
+	res, err = refStep(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestEngineStepEvents(t *testing.T) {
 		t.Fatal("engine should be idle")
 	}
 	// Idle steps are free and report nothing.
-	res, err = e.Step(context.Background())
+	res, err = refStep(context.Background(), e)
 	if err != nil || res.Seconds != 0 || res.Batch != 0 {
 		t.Fatalf("idle step: %+v, %v", res, err)
 	}
@@ -248,8 +249,11 @@ func TestEngineRejectsOversized(t *testing.T) {
 	if err := e.Enqueue(big); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Step(context.Background()); err == nil {
+	if _, err := refStep(context.Background(), e); err == nil {
 		t.Error("un-admittable head of queue should error")
+	}
+	if _, err := e.Leap(context.Background(), 0, math.Inf(1)); err == nil {
+		t.Error("un-admittable head of queue should error from Leap")
 	}
 }
 
@@ -309,7 +313,7 @@ func TestEnginePreemptsUnderDPAExhaustion(t *testing.T) {
 		if i > 10_000 {
 			t.Fatal("engine did not drain")
 		}
-		res, err := e.Step(context.Background())
+		res, err := refStep(context.Background(), e)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -14,7 +15,7 @@ import (
 // stepTrace is the flattened per-iteration event stream of an engine
 // drain: one entry per decode iteration, in simulation order, with the
 // admission/preemption/completion events attached to the iteration that
-// produced them (a leap expands to Iterations entries).
+// produced them (a leap expands to one entry per iteration).
 type stepTrace struct {
 	Seconds   float64
 	Batch     int
@@ -35,9 +36,116 @@ func ids(reqs []workload.Request) []int {
 	return out
 }
 
+// flatten expands one engine result into its iterations. A
+// one-iteration result carries all its events. A leap expands to
+// Generated on every iteration and Completed on the last, and carries no
+// admission or preemption, which a leap never makes: a leap that
+// admitted or preempted would diverge from the reference trace.
+func flatten(res StepResult) []stepTrace {
+	if len(res.IterSeconds) == 1 {
+		return []stepTrace{{Seconds: res.Seconds, Batch: res.Batch,
+			Admitted: ids(res.Admitted), Generated: append([]int(nil), res.Generated...),
+			Preempted: ids(res.Preempted), Completed: ids(res.Completed)}}
+	}
+	out := make([]stepTrace, len(res.IterSeconds))
+	for i, sec := range res.IterSeconds {
+		out[i] = stepTrace{Seconds: sec, Batch: res.Batch, Generated: append([]int(nil), res.Generated...)}
+	}
+	if n := len(out); n > 0 {
+		out[n-1].Completed = ids(res.Completed)
+	}
+	return out
+}
+
+// refStep is the naive reference decode loop the engine's Leap must
+// match: it admits pending requests FCFS, prices exactly one decode
+// iteration for the active batch, grows every request by one token —
+// preempting the youngest admitted request whenever a Grow fails — and
+// retires the ones that reached their generation length. It shares the
+// engine's admission, pricing, accounting and retirement helpers but
+// none of Leap's horizon or lockstep-growth logic.
+func refStep(ctx context.Context, e *Engine) (StepResult, error) {
+	s := e.sys
+	var res StepResult
+	if err := ctx.Err(); err != nil {
+		return res, err
+	}
+	before := len(e.ad.active)
+	e.ad.fill()
+	if admitted := e.ad.active[before:]; len(admitted) > 0 {
+		res.Admitted = append([]workload.Request(nil), admitted...)
+	}
+	for _, r := range res.Admitted {
+		if e.preempted[r.ID] {
+			delete(e.preempted, r.ID)
+			rc := s.PrefillSeconds(r.Context + e.grown[r.ID])
+			if e.timeScale != 1 {
+				rc *= e.timeScale
+			}
+			res.RecomputeSeconds += rc
+		}
+	}
+	batch := append([]workload.Request(nil), e.ad.active...)
+	res.Batch = len(batch)
+	if len(batch) > e.maxActive {
+		e.maxActive = len(batch)
+	}
+	if len(batch) == 0 {
+		if len(e.ad.pending) > 0 {
+			r := e.ad.pending[0]
+			return res, fmt.Errorf("cluster %s: request %d (context %d, decode %d) does not fit even in an empty system",
+				s.cfg.Name, r.ID, r.Context, r.Decode)
+		}
+		return res, nil // idle
+	}
+	e.sampleCapacity()
+	cost, err := s.iterate(ctx, e.liveTokens(batch))
+	if err != nil {
+		return res, err
+	}
+	res.Seconds = e.account(cost, len(batch), res.RecomputeSeconds)
+	res.IterSeconds = []float64{res.Seconds}
+	for _, r := range batch {
+		if !e.ad.isActive(r.ID) {
+			continue // evicted earlier this step
+		}
+		e.grown[r.ID]++
+		growErr := e.ad.alloc.Grow(r.ID, r.Context+e.grown[r.ID])
+		for growErr != nil && len(e.ad.active) > 1 {
+			victim, perr := e.preemptYoungest()
+			if perr != nil {
+				return res, perr
+			}
+			res.Preempted = append(res.Preempted, victim)
+			if victim.ID == r.ID {
+				break // the grower itself lost; its token is not emitted
+			}
+			growErr = e.ad.alloc.Grow(r.ID, r.Context+e.grown[r.ID])
+		}
+		if growErr != nil {
+			e.grown[r.ID]-- // frozen (sole survivor) or evicted mid-growth
+			continue
+		}
+		res.Generated = append(res.Generated, r.ID)
+		e.generated++
+		e.outstanding--
+	}
+	e.sampleCapacity()
+	done, err := e.retire(batch)
+	if err != nil {
+		return res, err
+	}
+	res.Completed = done
+	if len(res.Generated) == 0 && len(done) == 0 && len(res.Preempted) == 0 {
+		return res, fmt.Errorf("cluster %s: decode stalled — %d active requests all out of KV headroom",
+			s.cfg.Name, len(batch))
+	}
+	return res, nil
+}
+
 // drainTrace drains an engine and returns the flattened iteration
-// trace. leap selects Engine.Leap (multi-step fast-forward) over the
-// naive one-iteration Step loop.
+// trace. leap selects Engine.Leap toward an unbounded time over the
+// naive one-iteration refStep loop.
 func drainTrace(t *testing.T, e *Engine, leap bool) []stepTrace {
 	t.Helper()
 	var out []stepTrace
@@ -50,27 +158,12 @@ func drainTrace(t *testing.T, e *Engine, leap bool) []stepTrace {
 		if leap {
 			res, err = e.Leap(context.Background(), 0, math.Inf(1))
 		} else {
-			res, err = e.Step(context.Background())
+			res, err = refStep(context.Background(), e)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Iterations <= 1 {
-			out = append(out, stepTrace{Seconds: res.Seconds, Batch: res.Batch,
-				Admitted: ids(res.Admitted), Generated: append([]int(nil), res.Generated...),
-				Preempted: ids(res.Preempted), Completed: ids(res.Completed)})
-			continue
-		}
-		// Expand the leap: every Generated ID emitted one token per
-		// iteration; completions land on the final iteration.
-		for it, sec := range res.IterSeconds {
-			st := stepTrace{Seconds: sec, Batch: res.Batch,
-				Generated: append([]int(nil), res.Generated...)}
-			if it == res.Iterations-1 {
-				st.Completed = ids(res.Completed)
-			}
-			out = append(out, st)
-		}
+		out = append(out, flatten(res)...)
 	}
 	return out
 }
@@ -173,18 +266,18 @@ func withDecode(reqs []workload.Request, base int) []workload.Request {
 
 // TestLeapRespectsUntil: a leap advancing toward a time bound must stop
 // with the first iteration that crosses it — the property that keeps
-// arrival admission timing identical to single stepping.
+// arrival admission timing identical to one iteration per call.
 func TestLeapRespectsUntil(t *testing.T) {
 	cfg := engineConfig(t, PIMphony())
 	e := engineFor(t, cfg, []workload.Request{{ID: 1, Context: 4096, Decode: 64}})
-	// First call prices one iteration (admission forces the Step path).
+	// The admitting call prices one iteration, however far its bound.
 	res, err := e.Leap(context.Background(), 0, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	perStep := res.Seconds
-	if res.Iterations != 1 {
-		t.Fatalf("admitting call leapt %d iterations", res.Iterations)
+	if len(res.IterSeconds) != 1 {
+		t.Fatalf("admitting call leapt %d iterations", len(res.IterSeconds))
 	}
 	// Advance toward a bound ~3.5 iterations out: the leap must stop
 	// after the 4th iteration (the one that crosses), not run to the
@@ -194,14 +287,47 @@ func TestLeapRespectsUntil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Iterations != 4 {
-		t.Fatalf("leap ran %d iterations toward a 3.5-iteration bound, want 4", res.Iterations)
+	if len(res.IterSeconds) != 4 {
+		t.Fatalf("leap ran %d iterations toward a 3.5-iteration bound, want 4", len(res.IterSeconds))
 	}
 	var clock float64
-	for _, d := range res.IterSeconds[:res.Iterations-1] {
+	for _, d := range res.IterSeconds[:3] {
 		clock += d
 	}
 	if clock >= until {
 		t.Fatal("leap kept running after crossing the bound")
+	}
+	// A bound already reached prices exactly one iteration.
+	if res, err = e.Leap(context.Background(), 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.IterSeconds) != 1 {
+		t.Fatalf("call bounded at its start ran %d iterations, want 1", len(res.IterSeconds))
+	}
+}
+
+// TestLeapDrainsStableBatchInOneCall: nothing but completion bounds a
+// lone static-allocation request's leap, so it drains in two calls —
+// the admitting iteration, then one leap to completion — with the same
+// trace as the naive loop.
+func TestLeapDrainsStableBatchInOneCall(t *testing.T) {
+	cfg := engineConfig(t, Technique{TCP: true, DCS: true}) // static allocation
+	reqs := []workload.Request{{ID: 1, Context: 4000, Decode: 300}}
+	want := drainTrace(t, engineFor(t, cfg, reqs), false)
+	e := engineFor(t, cfg, reqs)
+	var got []stepTrace
+	calls := 0
+	for ; !e.Idle() && calls < 10; calls++ {
+		res, err := e.Leap(context.Background(), 0, math.Inf(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, flatten(res)...)
+	}
+	if calls != 2 {
+		t.Errorf("drained in %d calls, want 2 (admission, then one leap)", calls)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("leap trace diverges from the naive loop (%d vs %d iterations)", len(got), len(want))
 	}
 }

@@ -225,7 +225,7 @@ func TestGPUEngineThroughCore(t *testing.T) {
 		if i > 100 {
 			t.Fatal("engine did not drain")
 		}
-		if _, err := e.Step(context.Background()); err != nil {
+		if _, err := e.Leap(context.Background(), 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

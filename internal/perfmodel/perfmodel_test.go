@@ -178,42 +178,41 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
+// TestBucketMatchesPriceQuantization: every count a quantization bucket
+// covers is priced from one cached simulation, and the count one past
+// the bucket starts a new one.
 func TestBucketMatchesPriceQuantization(t *testing.T) {
 	s := New(timing.AiM16())
-	// Walking a token count through its bucket must not trigger new
-	// simulations; crossing BucketEnd must move to a new bucket.
-	for _, start := range []int{65, 100, 1000, 4096, 100000} {
-		end := BucketEnd(start)
-		if end < start {
-			t.Fatalf("BucketEnd(%d) = %d below the count itself", start, end)
-		}
-		if end == math.MaxInt {
-			continue // the unbounded final bucket at the simulation cap
-		}
-		if Bucket(end) != Bucket(start) {
-			t.Fatalf("BucketEnd(%d) = %d left the bucket", start, end)
-		}
-		if Bucket(end+1) == Bucket(start) {
-			t.Fatalf("bucket did not change past BucketEnd(%d) = %d", start, end)
-		}
-		if _, err := s.Price(Query{Kernel: QKT, Tokens: start, Dh: 128, Queries: 1, Sched: DCS}); err != nil {
+	price := func(tok int) {
+		t.Helper()
+		if _, err := s.Price(Query{Kernel: QKT, Tokens: tok, Dh: 128, Queries: 1, Sched: DCS}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for _, start := range []int{65, 100, 1000, 4096} {
+		end := quantize(start)
+		if end < start {
+			t.Fatalf("quantize(%d) = %d below the count itself", start, end)
+		}
+		price(start)
 		misses := s.CacheMisses()
-		for tok := start; tok <= end && tok < start+256; tok++ {
-			if _, err := s.Price(Query{Kernel: QKT, Tokens: tok, Dh: 128, Queries: 1, Sched: DCS}); err != nil {
-				t.Fatal(err)
-			}
+		for tok := start; tok <= end; tok++ {
+			price(tok)
 		}
 		if s.CacheMisses() != misses {
 			t.Errorf("pricing within bucket [%d, %d] caused %d cold simulations",
 				start, end, s.CacheMisses()-misses)
 		}
+		price(end + 1)
+		if s.CacheMisses() != misses+1 {
+			t.Errorf("pricing %d, one past the bucket of %d, caused %d cold simulations, want 1",
+				end+1, start, s.CacheMisses()-misses)
+		}
 	}
 	// Small counts are their own buckets (quantization is exact there).
 	for n := 1; n <= 64; n++ {
-		if Bucket(n) != n || BucketEnd(n) != n {
-			t.Fatalf("Bucket(%d) = %d end %d, want exact", n, Bucket(n), BucketEnd(n))
+		if q := quantize(n); q != n {
+			t.Fatalf("quantize(%d) = %d, want exact", n, q)
 		}
 	}
 }

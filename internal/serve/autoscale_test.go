@@ -196,30 +196,27 @@ func TestAutoscaleSLODrainLifecycle(t *testing.T) {
 }
 
 // TestAutoscaleSpineEquivalence: autoscaled runs ride the same
-// exactness guarantees as everything else on the spine — single-step
-// advancement and tighter leap horizons may not change a byte.
+// exactness guarantees as everything else on the spine — one iteration
+// per call (LeapHorizon 1) and other leap horizons may not change a
+// byte.
 func TestAutoscaleSpineEquivalence(t *testing.T) {
 	arr, err := simtest.PoissonSchedule(12, 30, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(single bool, horizon int) string {
+	mk := func(horizon int) string {
 		sc := serve.NewSLOScaler()
 		sc.CooldownSeconds = 1
 		return fp(t, serve.Config{
 			Fleet:       autoFleet(1, 0.5),
 			SLO:         serve.SLO{TTFT: 1, TBT: 0.2},
 			Autoscaler:  sc,
-			SingleStep:  single,
 			LeapHorizon: horizon,
 		}, arr)
 	}
-	leap := mk(false, 0)
-	if single := mk(true, 0); single != leap {
-		t.Errorf("single-step autoscaled run diverged from leap advancement")
-	}
-	for _, horizon := range []int{1, 5} {
-		if clamped := mk(false, horizon); clamped != leap {
+	leap := mk(0)
+	for _, horizon := range []int{1, 5, 64} {
+		if clamped := mk(horizon); clamped != leap {
 			t.Errorf("LeapHorizon %d changed the autoscaled report", horizon)
 		}
 	}

@@ -49,11 +49,11 @@
 // iteration order. A partition boundary inserted where no enqueue,
 // admission or retirement happens (the only thing a shorter bound
 // adds) therefore changes which Leap call prices an iteration, but
-// never what the iteration costs or when it ends. Single stepping
-// (Config.SingleStep) prices one iteration per pop in global clock
-// order whatever the bound, which makes it the reference. The
-// equivalence suite (equiv_test.go) pins this across backends,
-// allocators, placements, horizons and sweep parallelism.
+// never what the iteration costs or when it ends. Config.LeapHorizon 1
+// prices one iteration per pop in global clock order whatever the
+// bound, which makes it the reference. The equivalence suite
+// (equiv_test.go) pins this across backends, allocators, placements,
+// horizons and sweep parallelism.
 package serve
 
 import (
@@ -92,10 +92,9 @@ const (
 	evDrain
 	// evReady: a busy replica's next engine-call boundary — its clock.
 	// Ready entries live in the ready heap, never the event heap.
-	// Popping one advances that replica by one (horizon-clamped) engine
-	// call; a leap cut short by Engine.SetHorizon simply re-arms the
-	// entry at the new clock, so horizon expiry needs no separate
-	// bookkeeping.
+	// Popping one advances that replica by one engine call, which stops
+	// at the bound the spine hands it; the entry then re-arms at the new
+	// clock, so a leap cut short needs no separate bookkeeping.
 	evReady
 	// evFail: a fault chain fires on a replica (crash, transient
 	// slowdown or link degradation; see faults.go). gen is the chain

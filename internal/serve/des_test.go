@@ -62,6 +62,45 @@ func (h *heapAudit) onStep(i int, res cluster.StepResult) error {
 	return h.fleetSim.onStep(i, res)
 }
 
+// callCounter counts the engine calls the spine makes.
+type callCounter struct {
+	*fleetSim
+	calls int
+}
+
+func (c *callCounter) onStep(i int, res cluster.StepResult) error {
+	c.calls++
+	return c.fleetSim.onStep(i, res)
+}
+
+// TestLoneRequestDrainsInTwoCalls: with no other event to bound it, a
+// lone static-allocation request on a one-replica shorthand run takes
+// the admitting iteration and then leaps to its completion in one
+// engine call.
+func TestLoneRequestDrainsInTwoCalls(t *testing.T) {
+	sys := testSystem()
+	sys.Tech.DPA = false
+	arr := []workload.Arrival{{Req: workload.Request{ID: 1, Context: 4000, Decode: 300}}}
+	fs, err := newFleetSim(Config{System: sys, Replicas: 1, Policy: RoundRobin(), SLO: SLO{TTFT: 1, TBT: 0.2}}, len(arr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.start(arr); err != nil {
+		t.Fatal(err)
+	}
+	c := &callCounter{fleetSim: fs}
+	fs.sched = c
+	if err := fs.run(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	if rec := fs.recs[1]; rec.tokens != 300 {
+		t.Fatalf("generated %d tokens, want 300", rec.tokens)
+	}
+	if c.calls != 2 {
+		t.Errorf("drained in %d engine calls, want 2 (admission, then one leap)", c.calls)
+	}
+}
+
 // TestSpineHeapHoldsOnlyInFlightEvents runs a faulted, autoscaled fleet
 // with migration and stealing under heapAudit: through crashes,
 // retries, provisions and every ready re-arm, the event heap never
@@ -146,8 +185,8 @@ func (p *boundProbe) coupled() bool {
 // second wave arrives just after, while one replica is busy again. The
 // bound must flip both ways — leaps to the next global event while
 // nothing is held, clock-order stepping while a request waits for a
-// completion to free headroom — and the report must match single
-// stepping, the reference.
+// completion to free headroom — and the report must match one
+// iteration per call (LeapHorizon 1), the reference.
 func TestLeapBoundFlipsWithHeldQueue(t *testing.T) {
 	one := testSystem()
 	one.Tech.DPA = false
@@ -155,15 +194,15 @@ func TestLeapBoundFlipsWithHeldQueue(t *testing.T) {
 	long := func(id int, at float64) workload.Arrival {
 		return workload.Arrival{At: at, Req: workload.Request{ID: id, Context: 512, Decode: 400}}
 	}
-	cfg := func(single bool) Config {
+	cfg := func(horizon int) Config {
 		return Config{
-			Fleet:      []ReplicaSpec{{System: one, Count: 2, Role: RoleDecode}},
-			SLO:        SLO{TTFT: 1, TBT: 0.2},
-			SingleStep: single,
+			Fleet:       []ReplicaSpec{{System: one, Count: 2, Role: RoleDecode}},
+			SLO:         SLO{TTFT: 1, TBT: 0.2},
+			LeapHorizon: horizon,
 		}
 	}
-	probe := func(single bool, arr []workload.Arrival) (*Report, *boundProbe, *fleetSim) {
-		fs, err := newFleetSim(cfg(single), len(arr))
+	probe := func(horizon int, arr []workload.Arrival) (*Report, *boundProbe, *fleetSim) {
+		fs, err := newFleetSim(cfg(horizon), len(arr))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,14 +224,15 @@ func TestLeapBoundFlipsWithHeldQueue(t *testing.T) {
 	// Arrivals are staggered so each placement sees the previous one
 	// admitted: a queued request reserves nothing yet.
 	wave1 := []workload.Arrival{long(1, 0), long(2, 0.01), long(3, 0.02)}
-	_, _, fs1 := probe(false, wave1)
+	_, _, fs1 := probe(0, wave1)
 	first := math.Min(fs1.recs[1].done, fs1.recs[2].done)
 	arr := append(wave1, long(4, first+0.01), long(5, first+0.02))
 
-	leap, p, _ := probe(false, arr)
-	single, _, _ := probe(true, arr)
-	if !reflect.DeepEqual(leap, single) {
-		t.Errorf("leaping run diverged from single stepping:\n%+v\n%+v", leap, single)
+	leap, p, _ := probe(0, arr)
+	for _, horizon := range []int{1, 5, 64} {
+		if clamped, _, _ := probe(horizon, arr); !reflect.DeepEqual(leap, clamped) {
+			t.Errorf("leaping run diverged from LeapHorizon %d:\n%+v\n%+v", horizon, leap, clamped)
+		}
 	}
 	if leap.Fleet.Held != 2 {
 		t.Errorf("held %d requests, want the third of wave one and one of wave two", leap.Fleet.Held)

@@ -3,8 +3,8 @@
 // change only how fast the simulation runs, never what it computes —
 // the leap bound the spine derives from the scheduler, leap
 // granularity (LeapHorizon), sweep parallelism, and the push order of
-// commuting equal-timestamp events. Single stepping (SingleStep) is the
-// reference every leaping run must match. The suite runs black-box
+// commuting equal-timestamp events. One iteration per call (LeapHorizon
+// 1) is the reference every leaping run must match. The suite runs black-box
 // through internal/simtest so the same oracles serve the fuzz target
 // and any future simulator front end.
 package serve_test
@@ -52,8 +52,8 @@ func classicPolicies() map[string]func() serve.Placement {
 // TestClassicSpineEquivalence sweeps the backend × allocator grid with
 // every load-balancing policy of the Config{System, Replicas, Policy}
 // shorthand and pins, per cell, leaps straight to the next global event
-// (the decoupled bound) against single-step advancement and against
-// tight leap horizons.
+// (the decoupled bound) against one iteration per call and against
+// other leap horizons.
 func TestClassicSpineEquivalence(t *testing.T) {
 	long, err := simtest.PoissonSchedule(16, 24, 42)
 	if err != nil {
@@ -70,22 +70,18 @@ func TestClassicSpineEquivalence(t *testing.T) {
 		}
 		for polName, mkPol := range classicPolicies() {
 			t.Run(sysName+"/"+polName, func(t *testing.T) {
-				mk := func(single bool, horizon int) string {
+				mk := func(horizon int) string {
 					return fp(t, serve.Config{
 						System:      simtest.System(sysName),
 						Replicas:    2,
 						Policy:      mkPol(),
 						SLO:         serve.SLO{TTFT: 1, TBT: 0.2},
-						SingleStep:  single,
 						LeapHorizon: horizon,
 					}, arr)
 				}
-				leap := mk(false, 0)
-				if single := mk(true, 0); single != leap {
-					t.Errorf("single-step diverged from leap advancement")
-				}
-				for _, horizon := range []int{1, 5} {
-					if clamped := mk(false, horizon); clamped != leap {
+				leap := mk(0)
+				for _, horizon := range []int{1, 5, 64} {
+					if clamped := mk(horizon); clamped != leap {
 						t.Errorf("LeapHorizon %d changed the report", horizon)
 					}
 				}
@@ -95,9 +91,9 @@ func TestClassicSpineEquivalence(t *testing.T) {
 }
 
 // TestFleetSpineEquivalence pins the fleet half of the spine across
-// every placement policy: horizon-clamped leaps, one-iteration
-// stepping, and tighter leap horizons must agree byte-for-byte while
-// migration and stealing fire.
+// every placement policy: unclamped leaps, one iteration per call and
+// other leap horizons must agree byte-for-byte while migration and
+// stealing fire.
 func TestFleetSpineEquivalence(t *testing.T) {
 	arr, err := simtest.TightSchedule(10)
 	if err != nil {
@@ -105,7 +101,7 @@ func TestFleetSpineEquivalence(t *testing.T) {
 	}
 	for _, plName := range serve.PlacementNames() {
 		t.Run(plName, func(t *testing.T) {
-			mk := func(single bool, horizon int) string {
+			mk := func(horizon int) string {
 				pl, err := serve.PlacementByName(plName)
 				if err != nil {
 					t.Fatal(err)
@@ -119,17 +115,13 @@ func TestFleetSpineEquivalence(t *testing.T) {
 					Placement:    pl,
 					Migrate:      true,
 					Steal:        true,
-					SingleStep:   single,
 					LeapHorizon:  horizon,
 					SLO:          serve.SLO{TTFT: 1, TBT: 0.2},
 				}, arr)
 			}
-			leap := mk(false, 0)
-			if single := mk(true, 0); single != leap {
-				t.Errorf("single-step fleet diverged from leap advancement")
-			}
-			for _, horizon := range []int{1, 5} {
-				if clamped := mk(false, horizon); clamped != leap {
+			leap := mk(0)
+			for _, horizon := range []int{1, 5, 64} {
+				if clamped := mk(horizon); clamped != leap {
 					t.Errorf("LeapHorizon %d changed the fleet report", horizon)
 				}
 			}
@@ -141,8 +133,8 @@ func TestFleetSpineEquivalence(t *testing.T) {
 // determinism contract as the rest of the spine: a fault plan compiles
 // to explicit heap events, so crash, slowdown and link schedules — and
 // every retry, recompute and re-placement they trigger — must be
-// byte-identical across single stepping, leap horizon and sweep
-// parallelism. The autoscaled variant doubles as the regression pin for
+// byte-identical across leap horizons (one iteration per call
+// included) and sweep parallelism. The autoscaled variant doubles as the regression pin for
 // timer-driven scale evaluation: autoscaled runs are now leap-invariant
 // too, faults or no faults.
 func TestFaultedSpineEquivalence(t *testing.T) {
@@ -163,7 +155,7 @@ func TestFaultedSpineEquivalence(t *testing.T) {
 		}
 	}
 	t.Run("disaggregated", func(t *testing.T) {
-		mk := func(single bool, horizon int) string {
+		mk := func(horizon int) string {
 			rep := mustRun(t, serve.Config{
 				Fleet: []serve.ReplicaSpec{
 					{System: simtest.System("pim-dpa"), Count: 1, Role: serve.RolePrefill},
@@ -173,7 +165,6 @@ func TestFaultedSpineEquivalence(t *testing.T) {
 				Migrate:      true,
 				Steal:        true,
 				Faults:       plan(),
-				SingleStep:   single,
 				LeapHorizon:  horizon,
 				SLO:          serve.SLO{TTFT: 1, TBT: 0.2},
 			}, arr)
@@ -183,24 +174,21 @@ func TestFaultedSpineEquivalence(t *testing.T) {
 			}
 			return simtest.Fingerprint(rep)
 		}
-		leap := mk(false, 0)
-		if single := mk(true, 0); single != leap {
-			t.Errorf("single-step faulted fleet diverged from leap advancement")
-		}
-		for _, horizon := range []int{1, 5} {
-			if clamped := mk(false, horizon); clamped != leap {
+		leap := mk(0)
+		for _, horizon := range []int{1, 5, 64} {
+			if clamped := mk(horizon); clamped != leap {
 				t.Errorf("LeapHorizon %d changed the faulted fleet report", horizon)
 			}
 		}
 		prev := sweep.SetDefault(8)
-		par := mk(false, 0)
+		par := mk(0)
 		sweep.SetDefault(prev)
 		if par != leap {
 			t.Errorf("parallel sweep changed the faulted fleet report")
 		}
 	})
 	t.Run("autoscaled", func(t *testing.T) {
-		mk := func(single bool, horizon int) string {
+		mk := func(horizon int) string {
 			rep := mustRun(t, serve.Config{
 				Fleet: []serve.ReplicaSpec{
 					{System: simtest.System("pim-dpa"), Count: 3, Role: serve.RoleUnified, Min: 1, WarmupSeconds: 0.02},
@@ -214,24 +202,20 @@ func TestFaultedSpineEquivalence(t *testing.T) {
 					MaxRetries:     -1,
 					BackoffSeconds: 0.005,
 				},
-				SingleStep:  single,
 				LeapHorizon: horizon,
 				SLO:         serve.SLO{TTFT: 1, TBT: 0.2},
 			}, arr)
 			simtest.CheckInvariants(t, rep, arr)
 			return simtest.Fingerprint(rep)
 		}
-		leap := mk(false, 0)
-		if single := mk(true, 0); single != leap {
-			t.Errorf("single-step autoscaled faulted fleet diverged from leap advancement")
-		}
-		for _, horizon := range []int{1, 5} {
-			if clamped := mk(false, horizon); clamped != leap {
+		leap := mk(0)
+		for _, horizon := range []int{1, 5, 64} {
+			if clamped := mk(horizon); clamped != leap {
 				t.Errorf("LeapHorizon %d changed the autoscaled faulted report", horizon)
 			}
 		}
 		prev := sweep.SetDefault(8)
-		par := mk(false, 0)
+		par := mk(0)
 		sweep.SetDefault(prev)
 		if par != leap {
 			t.Errorf("parallel sweep changed the autoscaled faulted report")
@@ -290,39 +274,35 @@ func TestEqualTimestampPermutationInvariance(t *testing.T) {
 // without prefill servers: its prompts are prefilled outside the fleet,
 // so an arrival joins its replica's queue at once. Under kv-headroom,
 // which holds what fits nowhere, such a fleet runs to completion with
-// the report oracles intact and leaping equal to single stepping. Under
-// a load-balancing policy it is the Config{System, Replicas, Policy}
-// shorthand, byte for byte, with and without IncludePrefill; only the
-// explicit fleet reports its FleetStats.
+// the report oracles intact and leaping equal to one iteration per
+// call. Under a load-balancing policy it is the Config{System,
+// Replicas, Policy} shorthand, byte for byte, with and without
+// IncludePrefill; only the explicit fleet reports its FleetStats.
 func TestDecodeOnlyFleet(t *testing.T) {
 	t.Run("kv-headroom", func(t *testing.T) {
 		arr, err := simtest.TightSchedule(10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mk := func(single bool, horizon int) *serve.Report {
+		mk := func(horizon int) *serve.Report {
 			rep := mustRun(t, serve.Config{
 				Fleet:       []serve.ReplicaSpec{{System: simtest.System("pim-tight"), Count: 2, Role: serve.RoleDecode}},
 				SLO:         serve.SLO{TTFT: 1, TBT: 0.2},
-				SingleStep:  single,
 				LeapHorizon: horizon,
 			}, arr)
 			simtest.CheckInvariants(t, rep, arr)
 			return rep
 		}
-		leap := mk(false, 0)
+		leap := mk(0)
 		if leap.Fleet == nil || leap.Fleet.DecodeReplicas != 2 || leap.Fleet.PrefillSeconds != 0 {
 			t.Fatalf("fleet stats %+v, want two decode replicas and no prefill in the fleet", leap.Fleet)
 		}
 		if leap.Fleet.Held == 0 {
 			t.Error("kv-headroom held nothing; the held-queue path went unexercised")
 		}
-		for _, v := range []struct {
-			single  bool
-			horizon int
-		}{{true, 0}, {false, 1}, {false, 5}} {
-			if got := mk(v.single, v.horizon); simtest.Fingerprint(got) != simtest.Fingerprint(leap) {
-				t.Errorf("single=%v horizon=%d diverged from leap advancement", v.single, v.horizon)
+		for _, horizon := range []int{1, 5, 64} {
+			if got := mk(horizon); simtest.Fingerprint(got) != simtest.Fingerprint(leap) {
+				t.Errorf("horizon %d diverged from leap advancement", horizon)
 			}
 		}
 	})

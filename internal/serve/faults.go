@@ -475,10 +475,9 @@ func (fs *fleetSim) retryOrFail(rec *record, gen int, at float64) error {
 		return nil
 	}
 	fs.fstats.Retries++
-	backoff := p.BackoffSeconds
-	for k := 1; k < rec.retries; k++ {
-		backoff *= 2
-	}
+	// BackoffSeconds doubles with every earlier retry; scaling by a
+	// power of two is exact, overflow included (+Inf).
+	backoff := math.Ldexp(p.BackoffSeconds, rec.retries-1)
 	fs.push(evRetry, rec, gen, -1, at+backoff)
 	return nil
 }

@@ -34,8 +34,9 @@
 // The simulation runs on the discrete-event spine (des.go): replicas
 // advance their own clocks via the tracker, and a global event
 // (arrival, handoff completion, migration/steal landing, timer) is
-// dispatched only once every busy replica has simulated up to it, with
-// Engine.SetHorizon bounding how far one leap can overshoot. While the
+// dispatched only once every busy replica has simulated up to it; a
+// leap stops with the iteration that reaches the next global event, so
+// no replica runs more than one iteration past it. While the
 // scheduler can act on one replica in reaction to another (migration,
 // stealing, autoscaling, held requests), busy replicas advance one
 // engine call at a time in global clock order; otherwise each leaps
@@ -54,11 +55,6 @@ import (
 	"pimphony/internal/timing"
 	"pimphony/internal/workload"
 )
-
-// fleetLeapHorizon is the default Engine.SetHorizon clamp for fleet
-// replicas: long enough to amortize leap pricing, short enough that a
-// replica cannot run far past a migration or handoff landing on it.
-const fleetLeapHorizon = 64
 
 // Role assigns a fleet replica to a phase of the request lifecycle.
 type Role int
@@ -323,10 +319,6 @@ func newFleetSim(cfg Config, n int) (*fleetSim, error) {
 	if fs.placement == nil {
 		fs.placement = KVHeadroom()
 	}
-	horizon := cfg.LeapHorizon
-	if horizon == 0 {
-		horizon = fleetLeapHorizon
-	}
 	bpt := int64(-1)
 	for si, spec := range cfg.Fleet {
 		if b := spec.System.Model.KVBytesPerToken(); bpt < 0 {
@@ -347,7 +339,7 @@ func newFleetSim(cfg Config, n int) (*fleetSim, error) {
 			if err != nil {
 				return nil, err
 			}
-			eng.SetHorizon(horizon)
+			eng.SetHorizon(cfg.LeapHorizon)
 			fr := &fleetReplica{replica: replica{sys: sys, eng: eng}, spec: si}
 			if spec.Role == RoleUnified {
 				fr.pre = &prefillServer{sys: sys, spec: si}
@@ -377,7 +369,7 @@ func newFleetSim(cfg Config, n int) (*fleetSim, error) {
 		reps[i] = &d.replica
 	}
 	fs.spine = spine{
-		tracker:  tracker{recs: make(map[int]*record, n), singleStep: cfg.SingleStep},
+		tracker:  tracker{recs: make(map[int]*record, n)},
 		replicas: reps,
 		sched:    fs,
 	}
@@ -434,8 +426,7 @@ func (fs *fleetSim) onStep(di int, res cluster.StepResult) error {
 // granularity, so autoscaled runs are leap-invariant.
 func (fs *fleetSim) react(now float64) error {
 	fs.placeHeld(now)
-	fs.trySteal(now)
-	return nil
+	return fs.trySteal(now)
 }
 
 // coupled reports whether one replica's engine call can lead the
@@ -817,13 +808,13 @@ func (fs *fleetSim) placeHeld(now float64) {
 // trySteal lets each idle decoder (with nothing already in flight
 // toward it) pull the newest zero-progress queued request from the most
 // backlogged other decoder, paying the prompt-KV transfer.
-func (fs *fleetSim) trySteal(now float64) {
+func (fs *fleetSim) trySteal(now float64) error {
 	if !fs.cfg.Steal || !fs.ic.Usable() {
-		return
+		return nil
 	}
 	v := &fs.views
 	if v.thieves.count == 0 || v.stealSrc.count == 0 {
-		return
+		return nil
 	}
 	// Snapshot the thief set in index order. No replica becomes a thief
 	// mid-loop — a steal only touches the current thief's incoming count
@@ -849,7 +840,7 @@ func (fs *fleetSim) trySteal(now float64) {
 		// is idle, so it is never its own source.)
 		src := v.stealSrc.first()
 		if src < 0 {
-			return // no sources left for any thief
+			return nil // no sources left for any thief
 		}
 		s := fs.decoders[src]
 		r, ok := s.eng.PeekStealable()
@@ -866,13 +857,10 @@ func (fs *fleetSim) trySteal(now float64) {
 		if !d.eng.HasHeadroom(r) {
 			continue
 		}
-		r2, ok := s.eng.StealNewest()
-		if ok {
-			fs.touch(src)
+		if _, _, err := s.eng.Withdraw(r.ID); err != nil {
+			return err
 		}
-		if !ok || r2.ID != r.ID {
-			continue
-		}
+		fs.touch(src)
 		bytes := int64(r.Context) * fs.bpt
 		transfer := fs.transferSeconds(bytes)
 		at := now
@@ -886,6 +874,7 @@ func (fs *fleetSim) trySteal(now float64) {
 		fs.touch(di)
 		fs.push(evStolen, fs.recs[r.ID], 0, di, at+transfer)
 	}
+	return nil
 }
 
 // autoscale gives the policy one decision at a heap-event boundary and

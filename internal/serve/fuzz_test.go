@@ -9,9 +9,9 @@
 //   - the report oracles (simtest.CheckInvariants): conservation of
 //     requests and tokens, latency clock order, capacity bounds;
 //   - simulation equivalence: leaping runs — under whichever bound the
-//     spine derives — and tight leap horizons must agree byte-for-byte
-//     with single-step advancement, the reference; and if one variant
-//     rejects an input, all must.
+//     spine derives — and clamped leap horizons must agree byte-for-byte
+//     with one iteration per call (LeapHorizon 1), the reference; and if
+//     one variant rejects an input, all must.
 package serve_test
 
 import (
@@ -108,9 +108,9 @@ func FuzzDESSchedule(f *testing.F) {
 
 		// The Config{System, Replicas, Policy} shorthand: replicas 1..3,
 		// load-oblivious and load-aware policies, leaping to the next
-		// global event against single-step and a one-iteration horizon.
+		// global event against clamped horizons, one iteration included.
 		replicas := 1 + int(shape)%3
-		shorthand := func(single bool, horizon int) serve.Config {
+		shorthand := func(horizon int) serve.Config {
 			var pol serve.Placement
 			switch {
 			case shape&4 != 0:
@@ -125,21 +125,20 @@ func FuzzDESSchedule(f *testing.F) {
 				Replicas:    replicas,
 				Policy:      pol,
 				SLO:         serve.SLO{TTFT: 1, TBT: 0.2},
-				SingleStep:  single,
 				LeapHorizon: horizon,
 			}
 		}
-		leap, okLeap := runVariant(t, shorthand(false, 0), arr)
-		single, okSingle := runVariant(t, shorthand(true, 0), arr)
-		tight, okTight := runVariant(t, shorthand(false, 1), arr)
-		if okLeap != okSingle || okLeap != okTight || leap != single || leap != tight {
-			t.Errorf("shorthand variants diverged:\n leap      (%v) %s\n single    (%v) %s\n horizon 1 (%v) %s",
-				okLeap, leap, okSingle, single, okTight, tight)
+		leap, okLeap := runVariant(t, shorthand(0), arr)
+		for _, horizon := range []int{1, 5, 64} {
+			if got, ok := runVariant(t, shorthand(horizon), arr); ok != okLeap || got != leap {
+				t.Errorf("shorthand variants diverged:\n leap       (%v) %s\n horizon %d (%v) %s",
+					okLeap, leap, horizon, ok, got)
+			}
 		}
 
 		// Fleet path: 1..2 decoders, optionally a dedicated prefill
 		// tier, with migration and stealing on, across leap horizons.
-		fleet := func(single bool, horizon int) serve.Config {
+		fleet := func(horizon int) serve.Config {
 			specs := []serve.ReplicaSpec{
 				{System: simtest.System("pim-dpa"), Count: 1 + (int(shape)>>3)%2, Role: serve.RoleUnified},
 			}
@@ -155,30 +154,29 @@ func FuzzDESSchedule(f *testing.F) {
 				Migrate:      shape&16 != 0,
 				Steal:        shape&32 != 0,
 				Faults:       fuzzFaultPlan(fault),
-				SingleStep:   single,
 				LeapHorizon:  horizon,
 				SLO:          serve.SLO{TTFT: 1, TBT: 0.2},
 			}
 		}
-		fLeap, okF := runVariant(t, fleet(false, 0), arr)
-		fSingle, okFS := runVariant(t, fleet(true, 0), arr)
-		fTight, okFT := runVariant(t, fleet(false, 1), arr)
-		if okF != okFS || okF != okFT || fLeap != fSingle || fLeap != fTight {
-			t.Errorf("fleet variants diverged:\n leap      (%v) %s\n single    (%v) %s\n horizon 1 (%v) %s",
-				okF, fLeap, okFS, fSingle, okFT, fTight)
+		fLeap, okF := runVariant(t, fleet(0), arr)
+		for _, horizon := range []int{1, 5, 64} {
+			if got, ok := runVariant(t, fleet(horizon), arr); ok != okF || got != fLeap {
+				t.Errorf("fleet variants diverged:\n leap       (%v) %s\n horizon %d (%v) %s",
+					okF, fLeap, horizon, ok, got)
+			}
 		}
 
 		// Autoscaled fleet: provisions, warmups and drains churn the
 		// scheduler's index membership mid-run. Scale decisions fire
 		// only at heap events (arrivals, completions, faults, retries
 		// and explicit evScaleEval timers), so autoscaled runs are
-		// leap-invariant like every other configuration — single-step
-		// must match leap, and at every granularity the same built-in
-		// policy must produce the same bytes over the indexed view and
-		// over the linear oracle view (serve.LinearOnly).
+		// leap-invariant like every other configuration — one iteration
+		// per call must match leap, and at every granularity the same
+		// built-in policy must produce the same bytes over the indexed
+		// view and over the linear oracle view (serve.LinearOnly).
 		if shape&128 != 0 {
-			auto := func(single, linear bool) serve.Config {
-				cfg := fleet(single, 0)
+			auto := func(horizon int, linear bool) serve.Config {
+				cfg := fleet(horizon)
 				cfg.Fleet = []serve.ReplicaSpec{
 					{System: simtest.System("pim-dpa"), Count: 3, Min: 1, Role: serve.RoleUnified,
 						WarmupSeconds: float64(int(shape)>>3%2) * 0.05},
@@ -190,12 +188,15 @@ func FuzzDESSchedule(f *testing.F) {
 				}
 				return cfg
 			}
-			ref, okRef := runVariant(t, auto(false, false), arr)
-			for _, v := range []struct{ single, linear bool }{{false, true}, {true, false}, {true, true}} {
-				got, ok := runVariant(t, auto(v.single, v.linear), arr)
+			ref, okRef := runVariant(t, auto(0, false), arr)
+			for _, v := range []struct {
+				horizon int
+				linear  bool
+			}{{0, true}, {1, false}, {1, true}} {
+				got, ok := runVariant(t, auto(v.horizon, v.linear), arr)
 				if ok != okRef || got != ref {
-					t.Errorf("autoscaled variant diverged (single=%v linear-view=%v):\n ref (%v) %s\n got (%v) %s",
-						v.single, v.linear, okRef, ref, ok, got)
+					t.Errorf("autoscaled variant diverged (horizon=%d linear-view=%v):\n ref (%v) %s\n got (%v) %s",
+						v.horizon, v.linear, okRef, ref, ok, got)
 				}
 			}
 		}

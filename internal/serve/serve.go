@@ -21,9 +21,9 @@
 // analytically computed event horizon in one call, as far as the
 // scheduler lets replicas run independently — but every optimization is
 // exact: every per-token timestamp, and therefore every report, is
-// bit-identical to the naive single-stepped loop (Config.SingleStep pins
-// this in tests). Everything is deterministic — same arrival schedule,
-// same configuration, same report — which is what lets the
+// bit-identical to the naive one-iteration loop (Config.LeapHorizon 1
+// pins this in tests). Everything is deterministic — same arrival
+// schedule, same configuration, same report — which is what lets the
 // latency–throughput tables in CI be byte-identical at any sweep
 // parallelism.
 //
@@ -104,12 +104,6 @@ type Config struct {
 	// and Hybe argue for. Prefill and unified replicas price their
 	// prefills themselves, so the flag does not touch them.
 	IncludePrefill bool
-	// SingleStep forces the one-iteration-per-call engine path instead
-	// of multi-step fast-forward (cluster.Engine.Leap). Reports are
-	// identical either way — the fast-forward equivalence tests pin that
-	// — so the knob exists for those tests and for debugging; production
-	// runs leave it off and simulate the same traffic many times faster.
-	SingleStep bool
 
 	// Fleet, when non-empty, describes the replicas explicitly: each
 	// spec with its own backend, allocator technique, KV budget and role,
@@ -143,10 +137,10 @@ type Config struct {
 	// an explicit Fleet; nil keeps every replica online for the whole
 	// run. Like Policy, each Run needs a fresh instance.
 	Autoscaler Autoscaler
-	// LeapHorizon caps iterations per engine leap, so a draining replica
-	// cannot run arbitrarily far past the next global event (0 = the
-	// fleetLeapHorizon default). Reports are identical at any value; only
-	// simulation granularity changes.
+	// LeapHorizon caps iterations per engine leap (0 = no cap; 1 prices
+	// one iteration per call, the naive reference). Reports are
+	// identical at any value; only simulation granularity changes. It
+	// exists so the equivalence suites can vary leap granularity.
 	LeapHorizon int
 	// Faults injects deterministic replica failures — crashes, transient
 	// slowdowns, interconnect degradation — compiled into explicit heap

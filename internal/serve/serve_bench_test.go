@@ -8,9 +8,9 @@ import (
 )
 
 // BenchmarkServeRun measures one full online serving simulation — 48
-// QMSum-sized requests at 100 req/s over two replicas — through the
-// multi-step fast-forward path and the naive single-step loop, so the
-// speedup the event-horizon work buys stays visible in bench output.
+// QMSum-sized requests at 100 req/s over two replicas — through
+// unclamped leaps and the naive one-iteration loop (LeapHorizon 1), so
+// the speedup the event-horizon work buys stays visible in bench output.
 func BenchmarkServeRun(b *testing.B) {
 	gen := workload.NewGenerator(workload.QMSum(), 42)
 	gen.DecodeLen = 32
@@ -19,21 +19,21 @@ func BenchmarkServeRun(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, mode := range []struct {
-		name   string
-		single bool
+		name    string
+		horizon int
 	}{
-		{"fast-forward", false},
-		{"single-step", true},
+		{"fast-forward", 0},
+		{"single-step", 1},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			var tokens int
 			for i := 0; i < b.N; i++ {
 				rep, err := Run(context.Background(), Config{
-					System:     testSystem(),
-					Replicas:   2,
-					Policy:     RoundRobin(),
-					SLO:        SLO{TTFT: 0.1, TBT: 0.025},
-					SingleStep: mode.single,
+					System:      testSystem(),
+					Replicas:    2,
+					Policy:      RoundRobin(),
+					SLO:         SLO{TTFT: 0.1, TBT: 0.025},
+					LeapHorizon: mode.horizon,
 				}, arr)
 				if err != nil {
 					b.Fatal(err)

@@ -492,7 +492,7 @@ func TestServeGPUAndDIMMBackends(t *testing.T) {
 // every backend x allocator combination — including a preemption-heavy
 // DPA configuration and the GPU's paged pool — must produce an
 // identical Report through the multi-step leap path and the naive
-// one-iteration loop (Config.SingleStep).
+// one-iteration loop (LeapHorizon 1) at every leap horizon.
 func TestFastForwardEquivalence(t *testing.T) {
 	pim := testSystem()
 	static := testSystem()
@@ -533,14 +533,16 @@ func TestFastForwardEquivalence(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			mk := func(single bool) *Report {
+			mk := func(horizon int) *Report {
 				return run(t, Config{System: c.sys, Replicas: c.replicas,
 					Policy: LeastOutstandingTokens(), SLO: SLO{TTFT: 0.1, TBT: 0.025},
-					SingleStep: single}, c.arr)
+					LeapHorizon: horizon}, c.arr)
 			}
-			naive, fast := mk(true), mk(false)
-			if !reflect.DeepEqual(naive, fast) {
-				t.Errorf("reports diverged:\nsingle-step %+v\nfast-forward %+v", naive, fast)
+			fast := mk(0)
+			for _, horizon := range []int{1, 5, 64} {
+				if clamped := mk(horizon); !reflect.DeepEqual(clamped, fast) {
+					t.Errorf("reports diverged:\nhorizon %d %+v\nunclamped %+v", horizon, clamped, fast)
+				}
 			}
 			if c.wantEvents && fast.Capacity.Preemptions == 0 {
 				t.Error("scenario did not exercise preemption")
@@ -557,10 +559,10 @@ func TestApplyStampsFirstTokenByCount(t *testing.T) {
 	tk := &tracker{recs: map[int]*record{7: {}}}
 	r := &replica{} // clock 0
 	// A zero-duration iteration generates token 1 at t=0.
-	tk.apply(cluster.StepResult{Seconds: 0, Batch: 1, Generated: []int{7}}, r)
+	tk.apply(cluster.StepResult{Seconds: 0, IterSeconds: []float64{0}, Batch: 1, Generated: []int{7}}, r)
 	// A later iteration generates token 2 at t=5 — it must NOT re-stamp
 	// the first-token time.
-	tk.apply(cluster.StepResult{Seconds: 5, Batch: 1, Generated: []int{7}}, r)
+	tk.apply(cluster.StepResult{Seconds: 5, IterSeconds: []float64{5}, Batch: 1, Generated: []int{7}}, r)
 	rec := tk.recs[7]
 	if rec.tokens != 2 {
 		t.Fatalf("counted %d tokens, want 2", rec.tokens)
@@ -575,7 +577,7 @@ func TestApplyStampsFirstTokenByCount(t *testing.T) {
 	// iteration that produced it, not the leap's end.
 	tk2 := &tracker{recs: map[int]*record{1: {}}}
 	r2 := &replica{clock: 1}
-	tk2.apply(cluster.StepResult{Seconds: 3, Iterations: 3, IterSeconds: []float64{1, 1, 1},
+	tk2.apply(cluster.StepResult{Seconds: 3, IterSeconds: []float64{1, 1, 1},
 		Batch: 1, Generated: []int{1}, Completed: []workload.Request{{ID: 1}}}, r2)
 	rec = tk2.recs[1]
 	if rec.tokens != 3 {

@@ -425,7 +425,7 @@ func TestViewsOracle(t *testing.T) {
 		Steal:        true,
 		Autoscaler:   NewSLOScaler(),
 		SLO:          SLO{TTFT: 1, TBT: 0.2},
-		SingleStep:   true,
+		LeapHorizon:  1,
 	}
 	fs, err := newFleetSim(cfg, 512)
 	if err != nil {
@@ -540,7 +540,7 @@ func auditShorthand(t *testing.T, op int, fs *fleetSim, a workload.Arrival) {
 // and single engine steps, preemptions included, auditing every index
 // and each policy's pick against its scan after each operation.
 func TestShorthandViewsOracle(t *testing.T) {
-	fs, err := newFleetSim(Config{System: tightSystem(), Replicas: 4, Policy: RoundRobin(), SingleStep: true}, 512)
+	fs, err := newFleetSim(Config{System: tightSystem(), Replicas: 4, Policy: RoundRobin(), LeapHorizon: 1}, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
