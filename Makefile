@@ -28,9 +28,12 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# CI's exported-API lint: fail on an exported func, method or type with
-# no caller outside test files (the module, cmd/ and examples/ included,
-# plus perfbench). staticcheck reports only unused unexported code.
+# CI's exported-API lint: fail on an exported func, method or type, or
+# an exported method of a module interface, with no caller outside test
+# files (the module, cmd/ and examples/ included, plus perfbench); an
+# interface method counts as called when some code calls it through the
+# interface or on a type that implements it. staticcheck reports only
+# unused unexported code.
 api-lint:
 	$(GO) test -count=1 -run TestExportedAPIHasCallers -v ./internal/doclint/
 
@@ -74,13 +77,16 @@ race-pricing:
 	$(GO) test -race -count=10 -run TestConcurrentColdPricing ./internal/perfmodel/
 	$(GO) test -race -count=10 -run TestStepMatchesReference ./internal/backend/
 
-# Fuzz smoke: 30 seconds over the DES spine — randomized (seed,
-# arrival-mix, fleet-shape, fault-schedule) tuples must keep every
-# leaping run, whichever bound the spine derives, byte-identical to
-# single stepping and every DES invariant intact — then 10 seconds of
-# the DPA differential oracle (the counting allocator's chunk counts
-# against the eager reference).
+# Fuzz smoke: 10 seconds of the trace-flag grammar — a -trace value
+# either fails as a flag or samples contexts inside its trace's bounds —
+# then 30 seconds over the DES spine — randomized (seed, arrival-mix,
+# fleet-shape, fault-schedule) tuples must keep every leaping run,
+# whichever bound the spine derives, byte-identical to single stepping
+# and every DES invariant intact — then 10 seconds of the DPA
+# differential oracle (the counting allocator's chunk counts against
+# the eager reference).
 fuzz-smoke:
+	$(GO) test -fuzz FuzzGeneratorByFlag -fuzztime 10s ./internal/workload/
 	$(GO) test -fuzz FuzzDESSchedule -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz FuzzDPA -fuzztime 10s ./internal/memory/
 

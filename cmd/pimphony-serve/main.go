@@ -14,8 +14,8 @@
 // -turns switches the workload to multi-turn conversations whose
 // contexts re-extend every turn.
 //
-// The -system flag resolves through the backend registry: every
-// registered system organisation is servable, including the GPU
+// The -system flag resolves through the backend table: every system
+// organisation is servable, including the GPU
 // baseline (admitted against its paged pool) and the DIMM-PIM system;
 // -list enumerates backends and experiments.
 //

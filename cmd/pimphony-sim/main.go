@@ -2,8 +2,8 @@
 // knobs, printing throughput, utilization and energy. Comma-separated
 // -system/-model/-trace values sweep the full cross product through the
 // parallel sweep engine and print one summary row per point. The
-// -system flag resolves through the backend registry: any registered
-// system organisation (pim-only, xpu+pim, gpu, dimm-pim) or its preset
+// -system flag resolves through the backend table: any system
+// organisation (pim-only, xpu+pim, gpu, dimm-pim) or its preset
 // alias (cent, neupims, a100, l3) is accepted; -list enumerates them.
 // A candidate whose prompt already fills the model's context window is
 // an error (pair long traces such as Loogle-SD with a 128K model), and a

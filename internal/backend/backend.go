@@ -9,17 +9,14 @@
 // admits against the backend's Admission parameters, prices every
 // iteration through the Stepper Backend.NewStepper builds, and accrues
 // energy through Backend.IterEnergy. Adding a new system organisation
-// is one Register call; no step-loop fork.
+// is one value in the backends table; no step-loop fork.
 package backend
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"pimphony/internal/energy"
 	"pimphony/internal/hub"
-	"pimphony/internal/memory"
 	"pimphony/internal/model"
 	"pimphony/internal/perfmodel"
 	"pimphony/internal/timing"
@@ -38,8 +35,8 @@ func Baseline() Technique { return Technique{} }
 // PIMphony is the all-on configuration.
 func PIMphony() Technique { return Technique{TCP: true, DCS: true, DPA: true} }
 
-// Registered backend names. The constants double as the Config.Backend
-// values the cluster package accepts.
+// Backend names. The constants double as the Config.Backend values the
+// cluster package accepts.
 const (
 	PIMOnly = "pim-only"
 	XPUPIM  = "xpu+pim"
@@ -64,8 +61,6 @@ type Env struct {
 	Modules, TP, PP, GPUs int
 	Model                 model.Config
 	Tech                  Technique
-	// RowReuse applies the row-reuse KV mapping (Sec. V-C).
-	RowReuse bool
 	// Perf and Hub are the memoized channel-latency service and the HUB
 	// model; EMod prices energy. They are nil/zero in validation-only
 	// environments.
@@ -109,17 +104,18 @@ type StepCost struct {
 // pool geometry, queue semantics and the allocator that tracks KV
 // reservations.
 type Admission struct {
-	// PoolScale derates the post-weights KV pool to the usable fraction
-	// (the GPU's paged-attention efficiency); <= 0 or 1 leaves the pool
-	// untouched, with no float round trip.
-	PoolScale float64
+	// PagedEff, when positive, marks a paged KV pool (the GPU's
+	// paged-attention baseline) and is its usable fraction: the admitter
+	// derates the post-weights pool by it, packs the queue greedily past
+	// requests that do not fit, reports it as the batch's CapacityUtil
+	// and tracks KV in a memory.Paged allocator. Zero selects the
+	// technique's allocator: DPA chunks when Tech.DPA, static T_max
+	// reservation otherwise.
+	PagedEff float64
 	// WeightsHosted marks backends whose weights live outside the KV
 	// pool (the DIMM-PIM host keeps them in its own HBM), so the whole
 	// device capacity serves KV and no weights-fit check applies.
 	WeightsHosted bool
-	// SkipUnfit scans past queued requests that do not fit instead of
-	// stopping at the queue head — the GPU's paged pool packs greedily.
-	SkipUnfit bool
 	// HeadBudget bounds head-first placement: total (request, KV head)
 	// tile tokens that fit per module under per-channel capacity. Zero
 	// disables the bound (TCP, or backends without channel placement).
@@ -127,27 +123,16 @@ type Admission struct {
 	// KVHeadsPerModule is the per-request head-tile count charged
 	// against HeadBudget.
 	KVHeadsPerModule int
-	// ReportedUtil, when positive, overrides the batch Report's
-	// CapacityUtil (the GPU reports its paged-attention efficiency
-	// rather than pool fill).
-	ReportedUtil float64
-	// NewAllocator builds the KV allocator for a pool. Nil selects the
-	// technique default: DPA chunks when Tech.DPA, static T_max
-	// reservation otherwise.
-	NewAllocator func(pool, bytesPerToken int64, tmax int) (memory.Allocator, error)
 }
 
 // Backend prices one system organisation. Implementations must be
 // stateless (shared across Systems and goroutines); all per-system
 // state lives in the Env and in the Stepper NewStepper builds over it.
 type Backend interface {
-	// Name is the registry key and the Report's system label.
+	// Name is the Lookup key and the Report's system label.
 	Name() string
 	// Describe is the one-line summary CLI -list flags print.
 	Describe() string
-	// PIMAttention reports whether attention executes on PIM channels,
-	// i.e. whether the model compiles to PIM attention programs.
-	PIMAttention() bool
 	// Validate checks the backend-specific parts of a configuration.
 	Validate(env *Env) error
 	// CapacityBytes is the total device memory across the system
@@ -173,46 +158,28 @@ type Backend interface {
 	CostPerHour(env *Env) float64
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Backend{}
-)
+// backends is every system organisation, in name order.
+var backends = [...]Backend{dimmPIM, gpu{}, pimOnly, xpuPIM}
 
-// Register adds a backend under its Name; duplicate names panic (the
-// registry is populated from init functions, where a collision is a
-// programming error).
-func Register(b Backend) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[b.Name()]; dup {
-		panic(fmt.Sprintf("backend: duplicate registration of %q", b.Name()))
-	}
-	registry[b.Name()] = b
-}
-
-// Lookup resolves a backend by registry name. The empty name resolves
-// to the PIM-only backend, the historical default system organisation.
+// Lookup resolves a backend by name. The empty name resolves to the
+// PIM-only backend, the historical default system organisation.
 func Lookup(name string) (Backend, error) {
 	if name == "" {
 		name = PIMOnly
 	}
-	regMu.RLock()
-	b, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("backend: unknown system backend %q (known: %v)", name, Names())
+	for _, b := range backends {
+		if b.Name() == name {
+			return b, nil
+		}
 	}
-	return b, nil
+	return nil, fmt.Errorf("backend: unknown system backend %q (known: %v)", name, Names())
 }
 
-// Names returns the registered backend names in sorted order.
+// Names returns the backend names in sorted order.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
+	names := make([]string, len(backends))
+	for i, b := range backends {
+		names[i] = b.Name()
 	}
-	sort.Strings(names)
 	return names
 }

@@ -19,7 +19,7 @@ func pimEnv(m model.Config, tech Technique) *Env {
 	dev := timing.AiM16().WithChannels(32).WithCapacity(16 << 30)
 	return &Env{
 		Name: "test-pim", Dev: dev, Modules: 8, TP: 8, PP: 1,
-		Model: m, Tech: tech, RowReuse: m.IsGQA(),
+		Model: m, Tech: tech,
 		Perf: perfmodel.New(dev), Hub: hub.New(dev), EMod: energy.Default(),
 	}
 }
@@ -29,7 +29,7 @@ func dimmEnv(m model.Config, tech Technique) *Env {
 	dev := timing.DDR5DIMM()
 	return &Env{
 		Name: "test-dimm", Dev: dev, Modules: 8, TP: 8, PP: 1,
-		Model: m, Tech: tech, RowReuse: m.IsGQA(),
+		Model: m, Tech: tech,
 		Perf: perfmodel.New(dev), Hub: hub.New(dev), EMod: energy.Default(),
 	}
 }
@@ -82,27 +82,6 @@ func TestRegistryNamesAndLookup(t *testing.T) {
 	}
 	if _, err := Lookup("nope"); err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Errorf("unknown lookup should name the offender: %v", err)
-	}
-}
-
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register should panic")
-		}
-	}()
-	Register(gpu{})
-}
-
-func TestPIMAttentionCapability(t *testing.T) {
-	for name, want := range map[string]bool{PIMOnly: true, XPUPIM: true, DIMMPIM: true, GPU: false} {
-		b, err := Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b.PIMAttention() != want {
-			t.Errorf("%s.PIMAttention() = %v, want %v", name, b.PIMAttention(), want)
-		}
 	}
 }
 
@@ -168,20 +147,12 @@ func TestAdmissionParameters(t *testing.T) {
 	if tcp.HeadBudget != 0 {
 		t.Errorf("TCP admission should not carry a head budget: %+v", tcp)
 	}
-	if hfp.SkipUnfit || hfp.WeightsHosted || hfp.PoolScale != 0 {
+	if hfp.WeightsHosted || hfp.PagedEff != 0 {
 		t.Errorf("pim admission has GPU-shaped fields: %+v", hfp)
 	}
 	g, _ := Lookup(GPU)
-	ga := g.Admission(gpuEnv(m))
-	if !ga.SkipUnfit {
-		t.Errorf("gpu admission must pack greedily: %+v", ga)
-	}
-	if ga.PoolScale != xpu.A100().PagedAttentionEff || ga.ReportedUtil != xpu.A100().PagedAttentionEff {
-		t.Errorf("gpu admission must carry the paged-attention derate: %+v", ga)
-	}
-	alloc, err := ga.NewAllocator(1<<30, m.KVBytesPerToken(), m.ContextWindow)
-	if err != nil || alloc.Name() != "paged" {
-		t.Errorf("gpu allocator = %v, %v; want paged", alloc, err)
+	if ga := g.Admission(gpuEnv(m)); ga.PagedEff != xpu.A100().PagedAttentionEff {
+		t.Errorf("gpu admission must carry the paged-attention efficiency: %+v", ga)
 	}
 	d, _ := Lookup(DIMMPIM)
 	da := d.Admission(dimmEnv(m, PIMphony()))
@@ -196,12 +167,11 @@ func TestTokenShardGeometry(t *testing.T) {
 	m := model.LLM7B128KGQA() // 8 KV heads
 	env := pimEnv(m, Baseline())
 	env.Modules, env.TP = 16, 16 // TP 16 > 8 KV heads -> token shard 2
-	var p pimShared
-	kvHeads, shard := p.headGeometry(env)
+	kvHeads, shard := headGeometry(env)
 	if kvHeads != 1 || shard != 2 {
 		t.Fatalf("headGeometry = (%d, %d), want (1, 2)", kvHeads, shard)
 	}
-	adm := p.admission(env)
+	adm := pimOnly.Admission(env)
 	if adm.KVHeadsPerModule != 1 {
 		t.Errorf("admission kv heads %d, want 1", adm.KVHeadsPerModule)
 	}
@@ -375,9 +345,9 @@ func TestDCSAcceleratesPNMFC(t *testing.T) {
 	}
 }
 
-// TestAllocatorFallbackSelection: a nil Admission.NewAllocator means the
+// TestAllocatorFallbackSelection: a zero Admission.PagedEff means the
 // cluster picks static vs DPA from the technique — make sure the PIM
-// backends leave it nil so that contract holds.
+// backends leave it zero so that contract holds.
 func TestAllocatorFallbackSelection(t *testing.T) {
 	m := model.LLM7B32K()
 	for _, name := range []string{PIMOnly, XPUPIM, DIMMPIM} {
@@ -386,8 +356,8 @@ func TestAllocatorFallbackSelection(t *testing.T) {
 		if name == DIMMPIM {
 			env = dimmEnv(m, PIMphony())
 		}
-		if adm := b.Admission(env); adm.NewAllocator != nil {
-			t.Errorf("%s overrides the technique-selected allocator", name)
+		if adm := b.Admission(env); adm.PagedEff != 0 {
+			t.Errorf("%s overrides the technique-selected allocator: %+v", name, adm)
 		}
 	}
 }
@@ -417,7 +387,7 @@ func TestStepMatchesReference(t *testing.T) {
 	// Under HFP the 70,000-token request below spans more than one
 	// capacity tile, so the pipelined fold prices a split request; a
 	// lone 8K request fits one tile.
-	if tile := (pimShared{}).headCapacityTokens(cent72(Baseline())); tile >= 70000 {
+	if tile := headCapacityTokens(cent72(Baseline())); tile >= 70000 {
 		t.Fatalf("72B-128K-GQA capacity tile %d does not split a 70,000-token request", tile)
 	}
 	cases := []struct {
@@ -426,21 +396,21 @@ func TestStepMatchesReference(t *testing.T) {
 		env  *Env
 		n    int // initial batch size
 	}{
-		{"pim-baseline", pimOnly{}, pimEnv(m, Baseline()), 5},
-		{"pim-pimphony", pimOnly{}, pimEnv(m, PIMphony()), 5},
-		{"pim-tcp-only", pimOnly{}, pimEnv(m, Technique{TCP: true}), 5},
-		{"pim-dcs-only", pimOnly{}, pimEnv(m, Technique{DCS: true}), 5},
-		{"pim-gqa-rowreuse", pimOnly{}, pimEnv(gqa, PIMphony()), 5},
-		{"pim-gqa-hfp", pimOnly{}, pimEnv(gqa, Baseline()), 5},
-		{"pim-token-sharded", pimOnly{}, shardEnv, 5},
-		{"pim-pipelined", pimOnly{}, ppEnv, 5},
-		{"pim-pipelined-one", pimOnly{}, ppEnv, 1},
-		{"cent-72b-128k-gqa-baseline", pimOnly{}, cent72(Baseline()), 5},
-		{"cent-72b-128k-gqa-baseline-one", pimOnly{}, cent72(Baseline()), 1},
-		{"cent-72b-128k-gqa-pimphony", pimOnly{}, cent72(PIMphony()), 5},
-		{"xpu-pimphony", xpuPIM{}, pimEnv(m, PIMphony()), 5},
-		{"xpu-baseline", xpuPIM{}, pimEnv(m, Baseline()), 5},
-		{"dimm-pimphony", dimmPIM{}, dimmEnv(m, PIMphony()), 5},
+		{"pim-baseline", pimOnly, pimEnv(m, Baseline()), 5},
+		{"pim-pimphony", pimOnly, pimEnv(m, PIMphony()), 5},
+		{"pim-tcp-only", pimOnly, pimEnv(m, Technique{TCP: true}), 5},
+		{"pim-dcs-only", pimOnly, pimEnv(m, Technique{DCS: true}), 5},
+		{"pim-gqa-rowreuse", pimOnly, pimEnv(gqa, PIMphony()), 5},
+		{"pim-gqa-hfp", pimOnly, pimEnv(gqa, Baseline()), 5},
+		{"pim-token-sharded", pimOnly, shardEnv, 5},
+		{"pim-pipelined", pimOnly, ppEnv, 5},
+		{"pim-pipelined-one", pimOnly, ppEnv, 1},
+		{"cent-72b-128k-gqa-baseline", pimOnly, cent72(Baseline()), 5},
+		{"cent-72b-128k-gqa-baseline-one", pimOnly, cent72(Baseline()), 1},
+		{"cent-72b-128k-gqa-pimphony", pimOnly, cent72(PIMphony()), 5},
+		{"xpu-pimphony", xpuPIM, pimEnv(m, PIMphony()), 5},
+		{"xpu-baseline", xpuPIM, pimEnv(m, Baseline()), 5},
+		{"dimm-pimphony", dimmPIM, dimmEnv(m, PIMphony()), 5},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -521,8 +491,8 @@ func TestStepperReducesCacheLookups(t *testing.T) {
 		}
 		return env.Perf.CacheLookups()
 	}
-	ref := lookups(func(env *Env) Stepper { return newRefStepper(pimOnly{}, env) })
-	memo := lookups(pimOnly{}.NewStepper)
+	ref := lookups(func(env *Env) Stepper { return newRefStepper(pimOnly, env) })
+	memo := lookups(pimOnly.NewStepper)
 	if ref == 0 || memo == 0 {
 		t.Fatalf("lookup counters not wired: reference=%d memo=%d", ref, memo)
 	}
@@ -560,5 +530,57 @@ func TestCostPerHourAllBackends(t *testing.T) {
 	}
 	if xpu.CostPerHour(envs[XPUPIM]) <= pim.CostPerHour(envs[PIMOnly]) {
 		t.Errorf("xPU+PIM $%g/h not above PIM-only $%g/h", xpu.CostPerHour(envs[XPUPIM]), pim.CostPerHour(envs[PIMOnly]))
+	}
+}
+
+// TestCostAndPrefillMatchExpressions pins CostPerHour and PrefillSeconds
+// bit for bit to each organisation's own expression: the module count
+// times the module rate plus the NPU or host GPU, and the prompt on the
+// dense engine, sharded over the modules unless the host GPU keeps the
+// weights. Every PIM backend is priced on a CENT, a NeuPIMs and a DIMM
+// environment, the GPU on its own.
+func TestCostAndPrefillMatchExpressions(t *testing.T) {
+	type want func(env *Env, flops, weights int64) (cost, prefill float64)
+	pimWant := map[Backend]want{
+		pimOnly: func(env *Env, flops, weights int64) (float64, float64) {
+			mods := int64(env.Modules)
+			return 0.45 * float64(env.Modules),
+				xpu.CENTPNM(env.Dev.InternalBandwidth()).OpTime(flops/mods, weights/mods)
+		},
+		xpuPIM: func(env *Env, flops, weights int64) (float64, float64) {
+			mods := int64(env.Modules)
+			return 1.20 + 0.45*float64(env.Modules), xpu.NeuPIMsNPU(1000).OpTime(flops/mods, weights/mods)
+		},
+		dimmPIM: func(env *Env, flops, weights int64) (float64, float64) {
+			return 2.10 + 0.09*float64(env.Modules), xpu.DIMMHostGPU().OpTime(flops, weights)
+		},
+	}
+	for _, m := range []model.Config{model.LLM7B32K(), model.LLM72B128KGQA()} {
+		neupims := pimEnv(m, PIMphony())
+		neupims.Dev = timing.AiM16().WithChannels(32).WithCapacity(32 << 30)
+		neupims.Name, neupims.Modules, neupims.TP = "test-neupims", 16, 16
+		envs := []*Env{pimEnv(m, PIMphony()), neupims, dimmEnv(m, PIMphony())}
+		for _, ctx := range []int{1, 4095, 131072} {
+			flops, weights := prefillFlops(m, ctx), m.WeightBytes()
+			for _, env := range envs {
+				for be, f := range pimWant {
+					cost, prefill := f(env, flops, weights)
+					if got := be.CostPerHour(env); got != cost {
+						t.Errorf("%s on %s: CostPerHour %v, want %v", be.Name(), env.Name, got, cost)
+					}
+					if got := be.PrefillSeconds(env, ctx); got != prefill {
+						t.Errorf("%s on %s, %s ctx %d: PrefillSeconds %v, want %v", be.Name(), env.Name, m.Name, ctx, got, prefill)
+					}
+				}
+			}
+			env := gpuEnv(m)
+			gpus := int64(env.GPUs)
+			if got, want := (gpu{}).CostPerHour(env), 2.10*float64(env.GPUs); got != want {
+				t.Errorf("gpu: CostPerHour %v, want %v", got, want)
+			}
+			if got, want := (gpu{}).PrefillSeconds(env, ctx), xpu.A100().OpTime(flops/gpus, weights/gpus); got != want {
+				t.Errorf("gpu, %s ctx %d: PrefillSeconds %v, want %v", m.Name, ctx, got, want)
+			}
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"pimphony/internal/energy"
-	"pimphony/internal/memory"
 	"pimphony/internal/xpu"
 )
 
@@ -19,15 +18,11 @@ import (
 // backend, which is what gives the GPU baseline serving-engine support.
 type gpu struct{}
 
-func init() { Register(gpu{}) }
-
 func (gpu) Name() string { return GPU }
 
 func (gpu) Describe() string {
 	return "A100 GPU baseline with flash-decoding and paged-attention"
 }
-
-func (gpu) PIMAttention() bool { return false }
 
 func (gpu) Validate(env *Env) error {
 	if env.GPUs <= 0 {
@@ -40,16 +35,9 @@ func (gpu) CapacityBytes(env *Env) int64 {
 	return int64(env.GPUs) * xpu.A100().MemBytes
 }
 
-func (gpu) Admission(env *Env) Admission {
-	g := xpu.A100()
-	return Admission{
-		PoolScale:    g.PagedAttentionEff,
-		SkipUnfit:    true,
-		ReportedUtil: g.PagedAttentionEff,
-		NewAllocator: func(pool, bytesPerToken int64, _ int) (memory.Allocator, error) {
-			return memory.NewPaged(pool, bytesPerToken)
-		},
-	}
+// Admission is the paged pool at the paged-attention efficiency.
+func (gpu) Admission(*Env) Admission {
+	return Admission{PagedEff: xpu.A100().PagedAttentionEff}
 }
 
 // NewStepper returns the stateless roofline pricer.
@@ -85,8 +73,9 @@ func (gpu) PrefillSeconds(env *Env, context int) float64 {
 }
 
 // gpuDollarsPerHour amortises one A100-class device (cloud on-demand
-// scale). The GPU prices no module energy (IterEnergy is zero), so its
-// serving cost is provisioning-only.
+// scale), the baseline's and the DIMM-PIM host's. The GPU prices no
+// module energy (IterEnergy is zero), so its serving cost is
+// provisioning-only.
 const gpuDollarsPerHour = 2.10
 
 // CostPerHour charges the device count.

@@ -22,16 +22,104 @@ type fcFunc func(env *Env, batch int) float64
 // combineFunc composes one layer's attention, FC and all-reduce times.
 type combineFunc func(attnSec, fcSec, syncSec float64) float64
 
-// pimShared is the channel-level pricing machinery every PIM-attention
-// backend shares: TP/PP geometry, perfmodel attention tiles, the TP
-// all-reduce, the stage composition, head-first admission bounds and
-// the attention energy model; the stepper (stepper.go) adds the EPU
-// costs and the PP pipeline fold. Concrete backends embed it and differ
-// in how FC is priced and how the phases combine into a layer.
-type pimShared struct{}
+// pimBackend is a system organisation whose attention runs on PIM
+// channels. The organisations share the channel-level pricing: TP/PP
+// geometry, perfmodel attention tiles, the TP all-reduce, the stage
+// composition, head-first admission bounds and the attention energy
+// model; the stepper (stepper.go) adds the EPU costs and the PP
+// pipeline fold. They differ only in the fields: where FC runs, how the
+// phases combine into a layer, the dense engine prompts run on, whether
+// a host keeps the weights, and what the hardware costs.
+type pimBackend struct {
+	name, desc string
+	// fc prices one layer's FC projections; combine composes a layer.
+	fc      fcFunc
+	combine combineFunc
+	// prefill is the dense engine prompt processing runs on.
+	prefill func(env *Env) xpu.Device
+	// hosted marks a host GPU that keeps the weights in its own HBM and
+	// runs FC there: the whole device capacity is KV pool, FC burns no
+	// module energy, and prefill runs at full weight residency instead
+	// of sharded over the modules.
+	hosted bool
+	// CostPerHour is hostDollars + moduleDollars·Modules.
+	hostDollars, moduleDollars float64
+}
 
-// validatePIM checks the shared PIM configuration constraints.
-func (pimShared) validatePIM(env *Env) error {
+// pimOnly is a CENT-style system: FC on per-module PNM, attention on
+// PIM, the two phases sharing the channel command bus.
+var pimOnly = &pimBackend{
+	name:    PIMOnly,
+	desc:    "CENT-style PIM-only: FC on per-module PNM, attention on PIM channels",
+	fc:      pnmFC,
+	combine: additive,
+	// The PNM runs prompts too — the PIM-only system's known weakness
+	// and the motivation for GPU/NPU prefill offload in Hybe and
+	// NeuPIMs.
+	prefill:       func(env *Env) xpu.Device { return xpu.CENTPNM(env.Dev.InternalBandwidth()) },
+	moduleDollars: pimModuleDollarsPerHour, // PIM modules and nothing else
+}
+
+// xpuPIM is a NeuPIMs-style system: FC on an NPU, attention on PIM, the
+// two phases overlapped by sub-batch interleaving.
+var xpuPIM = &pimBackend{
+	name:    XPUPIM,
+	desc:    "NeuPIMs-style xPU+PIM: batched GEMM on an NPU overlapped with PIM attention",
+	fc:      npuFC,
+	combine: overlapped,
+	// Prompts run on the NPU (the phase split NeuPIMs and Hybe argue
+	// for).
+	prefill:       func(*Env) xpu.Device { return xpu.NeuPIMsNPU(npuMemGBsPerModule) },
+	hostDollars:   npuDollarsPerHour,
+	moduleDollars: pimModuleDollarsPerHour,
+}
+
+// dimmPIM is an L3/LoL-PIM-style DIMM-PIM organisation: attention
+// executes on rank-level PIM units inside commodity DDR5 DIMMs (high
+// capacity, modest internal bandwidth — timing.DDR5DIMM), while the FC
+// projections run on a host GPU-class engine out of its own HBM
+// (xpu.DIMMHostGPU), overlapped with the DIMM attention the way L3's
+// integrated scheduler hides PIM latency under the GEMM. The weights
+// therefore live outside the DIMM pool: every DIMM byte serves KV
+// cache, which is the capacity roofline these systems trade on for
+// long-context serving.
+var dimmPIM = &pimBackend{
+	name:          DIMMPIM,
+	desc:          "L3/LoL-PIM-style DIMM-PIM: host-GPU FC, DIMM-rank PIM attention, all-KV DIMM pool",
+	fc:            hostFC,
+	combine:       overlapped,
+	prefill:       func(*Env) xpu.Device { return xpu.DIMMHostGPU() },
+	hosted:        true,
+	hostDollars:   gpuDollarsPerHour,
+	moduleDollars: dimmDollarsPerHour,
+}
+
+// Hourly hardware costs, amortised with hosting.
+const (
+	// pimModuleDollarsPerHour is one GDDR6-AiM-class PIM module —
+	// commodity-DRAM economics, an order of magnitude below a
+	// datacenter GPU.
+	pimModuleDollarsPerHour = 0.45
+	// npuDollarsPerHour is the NPU die the hybrid adds on top of its PIM
+	// modules.
+	npuDollarsPerHour = 1.20
+	// dimmDollarsPerHour is one PIM-enabled DDR5 DIMM — commodity memory
+	// pricing, the capacity-per-dollar argument of the L3/LoL-PIM line.
+	dimmDollarsPerHour = 0.09
+)
+
+// npuMemGBsPerModule is the weight-read bandwidth available to the NeuPIMs
+// NPU per module. The NPU accesses DRAM through the regular channel
+// interface (not the bank-internal MAC path), so it sees GDDR6-class
+// external bandwidth rather than the 32 TB/s internal figure.
+const npuMemGBsPerModule = 1000
+
+func (b *pimBackend) Name() string { return b.name }
+
+func (b *pimBackend) Describe() string { return b.desc }
+
+// Validate checks the PIM configuration constraints.
+func (b *pimBackend) Validate(env *Env) error {
 	if err := env.Dev.Validate(); err != nil {
 		return err
 	}
@@ -53,29 +141,63 @@ func (pimShared) validatePIM(env *Env) error {
 	return nil
 }
 
-// moduleCapacity is the shared PIM capacity: Modules x module bytes.
-func (pimShared) moduleCapacity(env *Env) int64 {
+// CapacityBytes is Modules x module bytes.
+func (b *pimBackend) CapacityBytes(env *Env) int64 {
 	return int64(env.Modules) * env.Dev.ModuleBytes()
 }
 
-// admission returns the shared PIM admitter parameters: the
-// technique-selected allocator plus, under head-first placement, the
-// per-channel head-capacity budget.
-func (p pimShared) admission(env *Env) Admission {
-	adm := Admission{}
-	kvHeadsPerModule, tokenShard := p.headGeometry(env)
-	adm.KVHeadsPerModule = kvHeadsPerModule
+// Admission leaves the allocator to the technique (PagedEff zero) and
+// adds, under head-first placement, the per-channel head-capacity
+// budget.
+func (b *pimBackend) Admission(env *Env) Admission {
+	kvHeadsPerModule, tokenShard := headGeometry(env)
+	adm := Admission{WeightsHosted: b.hosted, KVHeadsPerModule: kvHeadsPerModule}
 	// Head-first placement additionally binds each (request, KV head)
 	// tile to one channel's capacity; TCP's token slices are spread over
 	// all channels and never hit this bound.
 	if !env.Tech.TCP {
-		adm.HeadBudget = int64(env.Dev.Channels) * int64(p.headCapacityTokens(env)) * int64(tokenShard)
+		adm.HeadBudget = int64(env.Dev.Channels) * int64(headCapacityTokens(env)) * int64(tokenShard)
 	}
 	return adm
 }
 
+// NewStepper implements Backend.
+func (b *pimBackend) NewStepper(env *Env) Stepper { return newPIMStepper(env, b) }
+
+// IterEnergy prices one iteration's energy on the PIM module model: the
+// accumulated stats cover one module's shard (TP) of one stage (PP); all
+// Modules perform equivalent shards, and background power accrues only
+// over the attention phase of the iteration. A host-side FC burns
+// HBM/GPU energy outside the module model, so its share is zero.
+func (b *pimBackend) IterEnergy(env *Env, cost StepCost, batch int) (attn, fc energy.Breakdown) {
+	attnCycles := timing.Cycles(cost.Seconds * cost.AttnShare * cyclesPerSecond)
+	attn = env.EMod.ForAggregate(env.Dev, cost.Stats.MACs, cost.Stats.IOBytes, cost.Stats.ActPre,
+		cost.Stats.Channels, attnCycles).Scale(float64(env.Modules))
+	if b.hosted {
+		return attn, energy.Breakdown{}
+	}
+	return attn, fcEnergy(env, batch)
+}
+
+// PrefillSeconds runs the prompt on the dense engine, its FLOPs and
+// weights sharded over the modules unless a host keeps the weights.
+func (b *pimBackend) PrefillSeconds(env *Env, context int) float64 {
+	flops, weights := prefillFlops(env.Model, context), env.Model.WeightBytes()
+	if !b.hosted {
+		flops /= int64(env.Modules)
+		weights /= int64(env.Modules)
+	}
+	return b.prefill(env).OpTime(flops, weights)
+}
+
+// CostPerHour charges the host (NPU or GPU, if any) plus the module
+// stack.
+func (b *pimBackend) CostPerHour(env *Env) float64 {
+	return b.hostDollars + b.moduleDollars*float64(env.Modules)
+}
+
 // schedKind maps the DCS toggle to the scheduler/buffer pair.
-func (pimShared) schedKind(env *Env) (perfmodel.Sched, bool) {
+func schedKind(env *Env) (perfmodel.Sched, bool) {
 	if env.Tech.DCS {
 		return perfmodel.DCS, false // PIMphony OBuf geometry
 	}
@@ -84,7 +206,7 @@ func (pimShared) schedKind(env *Env) (perfmodel.Sched, bool) {
 
 // headGeometry returns how TP shards attention: KV heads per module, and
 // the token-axis sharding factor once TP exceeds the head count.
-func (pimShared) headGeometry(env *Env) (kvHeadsPerModule, tokenShard int) {
+func headGeometry(env *Env) (kvHeadsPerModule, tokenShard int) {
 	kvHeadsPerModule = env.Model.KVHeads() / env.TP
 	tokenShard = 1
 	if kvHeadsPerModule == 0 {
@@ -99,7 +221,7 @@ func (pimShared) headGeometry(env *Env) (kvHeadsPerModule, tokenShard int) {
 // KV head) tile must live — and compute — within one channel, so this
 // bounds both placement and admission. Sec. IV: "a request typically
 // consumes nearly the entire memory capacity of a single PIM channel".
-func (pimShared) headCapacityTokens(env *Env) int {
+func headCapacityTokens(env *Env) int {
 	m := env.Model
 	perHead := m.KVBytesPerToken() / int64(m.KVHeads()) / int64(env.PP)
 	if perHead <= 0 {
@@ -109,17 +231,17 @@ func (pimShared) headCapacityTokens(env *Env) int {
 }
 
 // priceAttention prices one channel's attention tile. The KV mapping
-// (row-reuse vs query-resident) is a compile-time choice, so every
-// configuration gets the cheaper of the two under its own scheduler —
-// row-reuse wins under DCS because the extra WR-INP traffic hides behind
-// MAC execution (Sec. V-C), while static controllers often prefer the
-// query-resident mapping.
-func (pimShared) priceAttention(env *Env, tokens, headDim, queries int, baseline bool, sc perfmodel.Sched) (perfmodel.Latency, error) {
+// (row-reuse vs query-resident, Sec. V-C) is a compile-time choice, so
+// every GQA configuration gets the cheaper of the two under its own
+// scheduler — row-reuse wins under DCS because the extra WR-INP traffic
+// hides behind MAC execution, while static controllers often prefer the
+// query-resident mapping. A single query has no rows to reuse.
+func priceAttention(env *Env, tokens, headDim, queries int, baseline bool, sc perfmodel.Sched) (perfmodel.Latency, error) {
 	plain, err := env.Perf.AttentionLatency(tokens, headDim, queries, false, baseline, sc)
 	if err != nil {
 		return perfmodel.Latency{}, err
 	}
-	if !env.RowReuse || queries == 1 {
+	if queries == 1 {
 		return plain, nil
 	}
 	reuse, err := env.Perf.AttentionLatency(tokens, headDim, queries, true, baseline, sc)
@@ -141,7 +263,7 @@ func fcShard(env *Env) (shardFlops, shardBytes int64) {
 }
 
 // syncCycles is the per-layer TP all-reduce cost.
-func (pimShared) syncCycles(env *Env, batch int) timing.Cycles {
+func syncCycles(env *Env, batch int) timing.Cycles {
 	if env.TP <= 1 {
 		return 0
 	}
@@ -168,22 +290,11 @@ func composeStage(env *Env, at Stats, fcSec, syncSec float64, combine combineFun
 	return stage, at, attnShare
 }
 
-// iterEnergy prices one iteration's energy on the shared PIM model: the
-// accumulated stats cover one module's shard (TP) of one stage (PP); all
-// Modules perform equivalent shards, and background power accrues only
-// over the attention phase of the iteration.
-func (p pimShared) iterEnergy(env *Env, cost StepCost, batch int) (attn, fc energy.Breakdown) {
-	attnCycles := timing.Cycles(cost.Seconds * cost.AttnShare * cyclesPerSecond)
-	eb := env.EMod.ForAggregate(env.Dev, cost.Stats.MACs, cost.Stats.IOBytes, cost.Stats.ActPre,
-		cost.Stats.Channels, attnCycles)
-	return eb.Scale(float64(env.Modules)), p.fcEnergy(env, batch)
-}
-
 // fcEnergy coarsely prices the FC phase of one iteration: DRAM reads of all
 // sharded weights plus MAC-array energy for the batched GEMM. The price is
 // pure in (model, batch), so it is memoized on the Env by batch size —
 // the FC shape walk otherwise ran once per decode iteration.
-func (pimShared) fcEnergy(env *Env, batch int) energy.Breakdown {
+func fcEnergy(env *Env, batch int) energy.Breakdown {
 	if batch < len(env.fcEOK) && env.fcEOK[batch] {
 		return env.fcE[batch]
 	}
@@ -229,29 +340,6 @@ func overlapped(attnSec, fcSec, syncSec float64) float64 {
 	return longer + 0.15*shorter + syncSec
 }
 
-// ---------------------------------------------------------------------------
-// PIM-only (CENT-style) backend
-// ---------------------------------------------------------------------------
-
-// pimOnly is a CENT-style system: FC on per-module PNM, attention on PIM.
-type pimOnly struct{ pimShared }
-
-func init() { Register(pimOnly{}) }
-
-func (pimOnly) Name() string { return PIMOnly }
-
-func (pimOnly) Describe() string {
-	return "CENT-style PIM-only: FC on per-module PNM, attention on PIM channels"
-}
-
-func (pimOnly) PIMAttention() bool { return true }
-
-func (p pimOnly) Validate(env *Env) error { return p.validatePIM(env) }
-
-func (p pimOnly) CapacityBytes(env *Env) int64 { return p.moduleCapacity(env) }
-
-func (p pimOnly) Admission(env *Env) Admission { return p.admission(env) }
-
 // pnmFC prices one layer's FC time on the PIM banks themselves: the max
 // of the MAC-command issue roof (one command per Banks*ElemsPerTile
 // MAC-ops per channel, at the scheduler's steady-state interval) and the
@@ -281,26 +369,16 @@ func pnmFC(env *Env, batch int) float64 {
 	return byteSec
 }
 
-// pimModuleDollarsPerHour amortises one GDDR6-AiM-class PIM module
-// (device plus its hosting share) — commodity-DRAM economics, an order
-// of magnitude below a datacenter GPU.
-const pimModuleDollarsPerHour = 0.45
-
-// CostPerHour charges the module stack: a CENT-style system is PIM
-// modules and nothing else.
-func (pimOnly) CostPerHour(env *Env) float64 {
-	return pimModuleDollarsPerHour * float64(env.Modules)
+// npuFC prices one layer's FC as a batched GEMM on the NPU roofline.
+func npuFC(env *Env, batch int) float64 {
+	shardFlops, shardBytes := fcShard(env)
+	return xpu.NeuPIMsNPU(npuMemGBsPerModule).OpTime(int64(batch)*shardFlops, shardBytes)
 }
 
-func (p pimOnly) IterEnergy(env *Env, cost StepCost, batch int) (attn, fc energy.Breakdown) {
-	return p.iterEnergy(env, cost, batch)
-}
-
-// PrefillSeconds runs the prompt on the per-module PNM — the PIM-only
-// system's known weakness and the motivation for GPU/NPU prefill offload
-// in Hybe and NeuPIMs.
-func (pimOnly) PrefillSeconds(env *Env, context int) float64 {
-	dev := xpu.CENTPNM(env.Dev.InternalBandwidth())
-	flops := prefillFlops(env.Model, context)
-	return dev.OpTime(flops/int64(env.Modules), env.Model.WeightBytes()/int64(env.Modules))
+// hostFC prices one layer's FC as a batched GEMM on the host GPU, which
+// holds the full (unsharded) weights in its own HBM: one weight
+// streaming pass per layer regardless of the DIMM count.
+func hostFC(env *Env, batch int) float64 {
+	m := env.Model
+	return xpu.DIMMHostGPU().OpTime(int64(batch)*m.FCLayerFlops(), m.FCLayerWeightBytes())
 }

@@ -25,18 +25,11 @@ type refStepper struct {
 // newRefStepper wires the reference to a PIM-attention backend's FC
 // pricing and layer composition.
 func newRefStepper(be Backend, env *Env) *refStepper {
-	r := &refStepper{env: env, priced: map[int]bool{}}
-	switch be.(type) {
-	case pimOnly:
-		r.fc, r.combine = pnmFC, additive
-	case xpuPIM:
-		r.fc, r.combine = npuFC, overlapped
-	case dimmPIM:
-		r.fc, r.combine = hostFC, overlapped
-	default:
+	p, ok := be.(*pimBackend)
+	if !ok {
 		panic(fmt.Sprintf("no reference pricer for backend %s", be.Name()))
 	}
-	return r
+	return &refStepper{env: env, fc: p.fc, combine: p.combine, priced: map[int]bool{}}
 }
 
 // Step implements Stepper.
@@ -77,9 +70,8 @@ func (r *refStepper) stage(toks []int) (float64, Stats, float64, error) {
 	if err != nil {
 		return 0, Stats{}, 0, err
 	}
-	var p pimShared
 	fcSec := r.fc(r.env, len(toks))
-	syncSec := float64(p.syncCycles(r.env, len(toks))) / cyclesPerSecond
+	syncSec := float64(syncCycles(r.env, len(toks))) / cyclesPerSecond
 	stage, at, attnShare := composeStage(r.env, at, fcSec, syncSec, r.combine)
 	return stage, at, attnShare, nil
 }
@@ -89,28 +81,27 @@ func (r *refStepper) stage(toks []int) (float64, Stats, float64, error) {
 func (r *refStepper) attention(toks []int) (Stats, error) {
 	env := r.env
 	m := env.Model
-	var p pimShared
-	kvHeadsPerModule, tokenShard := p.headGeometry(env)
+	kvHeadsPerModule, tokenShard := headGeometry(env)
 	mreqs := make([]mapping.Request, len(toks))
 	for i, tok := range toks {
 		mreqs[i] = mapping.Request{ID: i, Tokens: (tok + tokenShard - 1) / tokenShard}
 	}
 	var strategy mapping.Strategy = mapping.TCP{}
 	if !env.Tech.TCP {
-		strategy = mapping.HFP{CapacityTokens: p.headCapacityTokens(env)}
+		strategy = mapping.HFP{CapacityTokens: headCapacityTokens(env)}
 	}
 	assign, err := strategy.Assign(mreqs, kvHeadsPerModule, m.GQAGroup, env.Dev.Channels)
 	if err != nil {
 		return Stats{}, err
 	}
-	sc, baseline := p.schedKind(env)
+	sc, baseline := schedKind(env)
 	var st Stats
 	st.Channels = env.Dev.Channels
 	var maxCh timing.Cycles
 	for _, works := range assign.Channels {
 		var chCycles timing.Cycles
 		for _, w := range works {
-			lat, err := p.priceAttention(env, w.Tokens, m.HeadDim, w.Queries, baseline, sc)
+			lat, err := priceAttention(env, w.Tokens, m.HeadDim, w.Queries, baseline, sc)
 			if err != nil {
 				return Stats{}, err
 			}

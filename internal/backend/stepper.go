@@ -17,9 +17,9 @@ type Stepper interface {
 	Step(ctx context.Context, toks []int) (StepCost, error)
 }
 
-// pimStepper is the iteration pricer shared by the PIM-attention
-// backends. Neither partitioning strategy needs its work lists built:
-// under TCP each (request, KV head) token range splits into at most two
+// pimStepper is the iteration pricer of the PIM-attention backends.
+// Neither partitioning strategy needs its work lists built: under TCP
+// each (request, KV head) token range splits into at most two
 // per-channel shapes (token slices of base and base+1 tokens), and
 // under HFP into the capacity tile plus one remainder, each placed
 // round-robin. The stepper computes the per-channel cycle sums directly
@@ -31,7 +31,6 @@ type Stepper interface {
 // per request and fold them (Step).
 type pimStepper struct {
 	env     *Env
-	shared  pimShared
 	fc      fcFunc
 	combine combineFunc
 
@@ -51,14 +50,12 @@ type pimStepper struct {
 	// values in lats, in pricing order, and latIdx maps a per-channel
 	// token count to its index there, 0 while unpriced (lats[0] is
 	// unused), so an index over 64K counts takes 256 KB where a dense
-	// table of Latency values would take 5.8 MB. The FC and sync memos
-	// have validity bitmaps.
+	// table of Latency values would take 5.8 MB. The per-batch memo has
+	// a validity bitmap.
 	lats    []perfmodel.Latency
 	latIdx  []int32
-	fcSec   []float64 // FC cost by micro-batch size
-	fcOK    []bool
-	syncSec []float64 // TP all-reduce cost by micro-batch size
-	syncOK  []bool
+	batch   []batchCost // FC and TP all-reduce seconds by micro-batch size
+	batchOK []bool
 	chSum   []timing.Cycles // per-channel scratch
 	red     timing.Cycles   // Hub.ReduceCycles(channels, HeadDim), constant per system
 	redOK   bool
@@ -73,11 +70,15 @@ type pimStepper struct {
 	softPerTile timing.Cycles
 }
 
-func newPIMStepper(env *Env, shared pimShared, fc fcFunc, combine combineFunc) *pimStepper {
-	kvHeads, tokenShard := shared.headGeometry(env)
-	sc, baseline := shared.schedKind(env)
+// batchCost is one layer's FC and TP all-reduce seconds for a
+// micro-batch size.
+type batchCost struct{ fc, sync float64 }
+
+func newPIMStepper(env *Env, b *pimBackend) *pimStepper {
+	kvHeads, tokenShard := headGeometry(env)
+	sc, baseline := schedKind(env)
 	s := &pimStepper{
-		env: env, shared: shared, fc: fc, combine: combine,
+		env: env, fc: b.fc, combine: b.combine,
 		kvHeads: kvHeads, tokenShard: tokenShard,
 		tcp: env.Tech.TCP, sc: sc, baseline: baseline,
 		queries: env.Model.GQAGroup,
@@ -89,7 +90,7 @@ func newPIMStepper(env *Env, shared pimShared, fc fcFunc, combine combineFunc) *
 		softPerTile: env.Dev.EPUSoftmaxPerTile,
 	}
 	if !s.tcp {
-		s.capTokens = shared.headCapacityTokens(env)
+		s.capTokens = headCapacityTokens(env)
 	}
 	return s
 }
@@ -178,7 +179,7 @@ func (s *pimStepper) prefetch(ctx context.Context, toks []int) error {
 		return nil
 	}
 	lats, err := sweep.Run(ctx, missing, func(_ context.Context, tokens int) (perfmodel.Latency, error) {
-		return s.shared.priceAttention(s.env, tokens, s.env.Model.HeadDim, s.queries, s.baseline, s.sc)
+		return priceAttention(s.env, tokens, s.env.Model.HeadDim, s.queries, s.baseline, s.sc)
 	})
 	if err != nil {
 		return err
@@ -194,25 +195,18 @@ func (s *pimStepper) stepToks(toks []int) (StepCost, error) {
 	if err != nil {
 		return StepCost{}, err
 	}
-	sec, stats, share := composeStage(s.env, at, s.fcCost(len(toks)), s.syncCost(len(toks)), s.combine)
+	bc := s.batchCost(len(toks))
+	sec, stats, share := composeStage(s.env, at, bc.fc, bc.sync, s.combine)
 	return StepCost{Seconds: sec, AttnShare: share, Stats: stats}, nil
 }
 
-func (s *pimStepper) fcCost(batch int) float64 {
-	if batch < len(s.fcOK) && s.fcOK[batch] {
-		return s.fcSec[batch]
+// batchCost memoizes a micro-batch size's FC and all-reduce seconds.
+func (s *pimStepper) batchCost(batch int) batchCost {
+	if batch < len(s.batchOK) && s.batchOK[batch] {
+		return s.batch[batch]
 	}
-	v := s.fc(s.env, batch)
-	s.fcSec, s.fcOK = memoPut(s.fcSec, s.fcOK, batch, v)
-	return v
-}
-
-func (s *pimStepper) syncCost(batch int) float64 {
-	if batch < len(s.syncOK) && s.syncOK[batch] {
-		return s.syncSec[batch]
-	}
-	v := float64(s.shared.syncCycles(s.env, batch)) / cyclesPerSecond
-	s.syncSec, s.syncOK = memoPut(s.syncSec, s.syncOK, batch, v)
+	v := batchCost{fc: s.fc(s.env, batch), sync: float64(syncCycles(s.env, batch)) / cyclesPerSecond}
+	s.batch, s.batchOK = memoPut(s.batch, s.batchOK, batch, v)
 	return v
 }
 
@@ -257,7 +251,7 @@ func (s *pimStepper) price(tokens int) (int, error) {
 	if i := s.memoized(tokens); i != 0 {
 		return i, nil
 	}
-	l, err := s.shared.priceAttention(s.env, tokens, s.env.Model.HeadDim, s.queries, s.baseline, s.sc)
+	l, err := priceAttention(s.env, tokens, s.env.Model.HeadDim, s.queries, s.baseline, s.sc)
 	if err != nil {
 		return 0, err
 	}
@@ -405,19 +399,4 @@ func (s *pimStepper) attention(toks []int) (Stats, error) {
 	}
 	st.Cycles += softmax / epuLanes
 	return st, nil
-}
-
-// NewStepper implements Backend.
-func (p pimOnly) NewStepper(env *Env) Stepper {
-	return newPIMStepper(env, p.pimShared, pnmFC, additive)
-}
-
-// NewStepper implements Backend.
-func (x xpuPIM) NewStepper(env *Env) Stepper {
-	return newPIMStepper(env, x.pimShared, npuFC, overlapped)
-}
-
-// NewStepper implements Backend.
-func (d dimmPIM) NewStepper(env *Env) Stepper {
-	return newPIMStepper(env, d.pimShared, hostFC, overlapped)
 }

@@ -71,7 +71,7 @@ func refRun(s *System, reqs []workload.Request) (rep *Report, froze bool, err er
 			cfg.Name, alloc.CapacityBytes()>>30, s.tmax())
 	}
 	capUtil := memory.PoolUtilization(alloc)
-	if u := s.adm.ReportedUtil; u > 0 {
+	if u := s.adm.PagedEff; u > 0 {
 		capUtil = u
 	}
 	grown := make(map[int]int, len(batch))
@@ -128,7 +128,7 @@ func refRun(s *System, reqs []workload.Request) (rep *Report, froze bool, err er
 func TestRunMatchesReference(t *testing.T) {
 	dimm := func(m model.Config, tech Technique) Config {
 		return Config{Name: "dimm", Backend: DIMMPIM, Dev: timing.DDR5DIMM(),
-			Modules: 8, TP: 8, PP: 1, Model: m, Tech: tech, RowReuse: m.IsGQA()}
+			Modules: 8, TP: 8, PP: 1, Model: m, Tech: tech}
 	}
 	gpu := func(m model.Config, _ Technique) Config {
 		return Config{Name: "gpu", Backend: GPUSystem, Model: m, GPUs: 2}

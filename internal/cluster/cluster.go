@@ -10,7 +10,8 @@
 // the configured backend builds.
 // Online serving steps the engine event by event; Run drains it over a
 // fixed decode window for the paper's batch figures. Adding a system
-// organisation is a backend.Register call, not a fork of the loop here.
+// organisation is a value in internal/backend's table, not a fork of
+// the loop here.
 //
 // Parallelism follows Sec. II-C: tensor parallelism (TP) shards KV heads
 // and FC weights across modules with a per-layer all-reduce, and pipeline
@@ -45,8 +46,8 @@ var simTokens atomic.Int64
 // simulated since start.
 func SimulatedTokens() int64 { return simTokens.Load() }
 
-// Re-exported backend names: the values Config.Backend accepts. The
-// full set (including backends registered later) is backend.Names().
+// Re-exported backend names: the values Config.Backend accepts, all of
+// backend.Names().
 const (
 	// PIMOnly is a CENT-style system: FC on per-module PNM, attention on PIM.
 	PIMOnly = backend.PIMOnly
@@ -70,7 +71,7 @@ func PIMphony() Technique { return backend.PIMphony() }
 // Config describes one simulated system.
 type Config struct {
 	Name string
-	// Backend selects the system organisation by registry name
+	// Backend selects the system organisation by name
 	// (backend.Names()); empty means PIMOnly.
 	Backend string
 	Dev     timing.Device
@@ -78,9 +79,6 @@ type Config struct {
 	TP, PP  int
 	Model   model.Config
 	Tech    Technique
-	// RowReuse applies the row-reuse KV mapping (Sec. V-C); the paper
-	// enables it for GQA models on both baselines and PIMphony.
-	RowReuse bool
 	// TMaxOverride replaces the model's context window as the static
 	// reservation size (used by the Fig. 17 long-context sweep).
 	TMaxOverride int
@@ -99,15 +97,14 @@ type Config struct {
 // suffices for validation.
 func (c *Config) env() *backend.Env {
 	return &backend.Env{
-		Name:     c.Name,
-		Dev:      c.Dev,
-		Modules:  c.Modules,
-		TP:       c.TP,
-		PP:       c.PP,
-		GPUs:     c.GPUs,
-		Model:    c.Model,
-		Tech:     c.Tech,
-		RowReuse: c.RowReuse,
+		Name:    c.Name,
+		Dev:     c.Dev,
+		Modules: c.Modules,
+		TP:      c.TP,
+		PP:      c.PP,
+		GPUs:    c.GPUs,
+		Model:   c.Model,
+		Tech:    c.Tech,
 	}
 }
 
@@ -138,7 +135,7 @@ func (c *Config) validate() (backend.Backend, *backend.Env, error) {
 // Report is the outcome of one simulation.
 type Report struct {
 	Config string
-	// Backend is the system organisation's registry name.
+	// Backend is the system organisation's name.
 	Backend      string
 	Batch        int
 	Steps        int
@@ -194,10 +191,10 @@ func New(cfg Config) (*System, error) {
 	return &System{cfg: cfg, be: be, env: env, adm: be.Admission(env), stepper: be.NewStepper(env)}, nil
 }
 
-// FixedAllocator reports whether the backend supplies its own KV
-// allocator (the GPU's paged pool), making the static-vs-DPA technique
-// toggle inapplicable to this system.
-func (s *System) FixedAllocator() bool { return s.adm.NewAllocator != nil }
+// FixedAllocator reports whether the backend admits into a paged pool
+// (the GPU), making the static-vs-DPA technique toggle inapplicable to
+// this system.
+func (s *System) FixedAllocator() bool { return s.adm.PagedEff > 0 }
 
 // tmax is the static reservation length.
 func (s *System) tmax() int {
@@ -210,7 +207,7 @@ func (s *System) tmax() int {
 // kvPoolBytes is the system-wide memory available for KV cache: the
 // backend's device capacity minus resident weights (unless the backend
 // hosts them elsewhere), capped by the configured budget and derated to
-// the backend's usable fraction.
+// a paged pool's usable fraction.
 func (s *System) kvPoolBytes() (int64, error) {
 	capacity := s.be.CapacityBytes(s.env)
 	pool := capacity
@@ -225,8 +222,8 @@ func (s *System) kvPoolBytes() (int64, error) {
 	if b := s.cfg.KVBudgetBytes; b > 0 && b < pool {
 		pool = b
 	}
-	if sc := s.adm.PoolScale; sc > 0 && sc != 1 {
-		pool = int64(float64(pool) * sc)
+	if eff := s.adm.PagedEff; eff > 0 {
+		pool = int64(float64(pool) * eff)
 	}
 	return pool, nil
 }
@@ -241,7 +238,7 @@ type admitter struct {
 	headNeed   map[int]int64 // per admitted request (for release)
 	kvHeads    int
 	headFirst  bool // charge the per-channel head budget on admission
-	skipUnfit  bool // scan past unfit requests instead of stopping
+	skipUnfit  bool // scan past unfit requests instead of stopping (paged pool)
 	pending    []workload.Request
 	active     []workload.Request
 	// grown is the engine's progress map (tokens generated per request).
@@ -251,28 +248,29 @@ type admitter struct {
 }
 
 // newAdmitter builds the allocator and admission bookkeeping from the
-// backend's admission parameters over the engine's progress map.
+// backend's admission parameters over the engine's progress map: a
+// paged pool packs greedily, otherwise the technique picks DPA chunks or
+// static T_max reservation.
 func (s *System) newAdmitter(grown map[int]int) (*admitter, error) {
 	pool, err := s.kvPoolBytes()
 	if err != nil {
 		return nil, err
 	}
 	bpt := s.cfg.Model.KVBytesPerToken()
-	newAlloc := s.adm.NewAllocator
-	if newAlloc == nil {
-		newAlloc = func(pool, bpt int64, tmax int) (memory.Allocator, error) {
-			if s.cfg.Tech.DPA {
-				return memory.NewDPA(pool, bpt, memory.DefaultChunkBytes)
-			}
-			return memory.NewStatic(pool, bpt, tmax)
-		}
+	var alloc memory.Allocator
+	switch {
+	case s.adm.PagedEff > 0:
+		alloc, err = memory.NewPaged(pool, bpt)
+	case s.cfg.Tech.DPA:
+		alloc, err = memory.NewDPA(pool, bpt, memory.DefaultChunkBytes)
+	default:
+		alloc, err = memory.NewStatic(pool, bpt, s.tmax())
 	}
-	alloc, err := newAlloc(pool, bpt, s.tmax())
 	if err != nil {
 		return nil, err
 	}
 	ad := &admitter{sys: s, alloc: alloc, headNeed: make(map[int]int64),
-		skipUnfit: s.adm.SkipUnfit, grown: grown}
+		skipUnfit: s.adm.PagedEff > 0, grown: grown}
 	ad.kvHeads = s.adm.KVHeadsPerModule
 	if s.adm.HeadBudget > 0 {
 		ad.headFirst = true
@@ -317,9 +315,9 @@ func (a *admitter) admitFits(r workload.Request) (bool, int64) {
 }
 
 // fill admits pending requests FCFS until the head of the queue no longer
-// fits (strict in-order admission, as a serving queue would). Backends
-// with SkipUnfit admission (the GPU's greedy paged pool) scan past
-// requests that do not fit; the skipped requests keep their queue order.
+// fits (strict in-order admission, as a serving queue would). A paged
+// pool (the GPU's) packs greedily: fill scans past requests that do not
+// fit, and the skipped requests keep their queue order.
 func (a *admitter) fill() {
 	var skipped []workload.Request
 	for len(a.pending) > 0 {
@@ -452,8 +450,10 @@ func (s *System) RunCtx(ctx context.Context, reqs []workload.Request) (*Report, 
 		return nil, fmt.Errorf("cluster %s: no request fits (pool %d GiB, T_max %d)",
 			s.cfg.Name, e.ad.alloc.CapacityBytes()>>30, s.tmax())
 	}
+	// A paged pool reports its paged-attention efficiency rather than
+	// pool fill.
 	capUtil := memory.PoolUtilization(e.ad.alloc)
-	if u := s.adm.ReportedUtil; u > 0 {
+	if u := s.adm.PagedEff; u > 0 {
 		capUtil = u
 	}
 	// A call bounded at its own start prices one iteration, so the

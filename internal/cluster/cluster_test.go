@@ -24,7 +24,6 @@ func centConfig(m model.Config, tech Technique) Config {
 		PP:           1,
 		Model:        m,
 		Tech:         tech,
-		RowReuse:     m.IsGQA(),
 		DecodeWindow: 4,
 	}
 }
@@ -40,7 +39,6 @@ func neuPIMsConfig(m model.Config, tech Technique) Config {
 		PP:           1,
 		Model:        m,
 		Tech:         tech,
-		RowReuse:     m.IsGQA(),
 		DecodeWindow: 4,
 	}
 }

@@ -2,7 +2,7 @@
 // the multi-node cluster simulator with the paper's evaluated system
 // presets (CENT-style PIM-only, NeuPIMs-style xPU+PIM, the A100 GPU
 // baseline and an L3/LoL-PIM-style DIMM-PIM system), each resolved
-// through the internal/backend registry.
+// through the internal/backend table.
 //
 // Typical use:
 //
@@ -78,7 +78,6 @@ func CENT(m model.Config, tech Technique) Config {
 		PP:           pp,
 		Model:        m,
 		Tech:         tech,
-		RowReuse:     m.IsGQA(),
 		DecodeWindow: 4,
 	}
 }
@@ -104,7 +103,6 @@ func NeuPIMs(m model.Config, tech Technique) Config {
 		PP:           pp,
 		Model:        m,
 		Tech:         tech,
-		RowReuse:     m.IsGQA(),
 		DecodeWindow: 4,
 	}
 }
@@ -146,15 +144,14 @@ func DIMMPIM(m model.Config, tech Technique) Config {
 		PP:           pp,
 		Model:        m,
 		Tech:         tech,
-		RowReuse:     m.IsGQA(),
 		DecodeWindow: 4,
 	}
 }
 
-// Preset pairs a registered backend with its paper-evaluated
-// configuration builder and the CLI shorthands that select it.
+// Preset pairs a backend with its paper-evaluated configuration
+// builder and the CLI shorthands that select it.
 type Preset struct {
-	// Backend is the registry name (backend.Names() entry).
+	// Backend is the backend name (backend.Names() entry).
 	Backend string
 	// Aliases are accepted CLI spellings besides the backend name.
 	Aliases []string
@@ -164,7 +161,7 @@ type Preset struct {
 }
 
 // Presets returns the evaluated configuration builder for every
-// registered backend, in registry (sorted-name) order.
+// backend, in backend.Names() (sorted-name) order.
 func Presets() []Preset {
 	byName := map[string]Preset{
 		cluster.PIMOnly: {Backend: cluster.PIMOnly, Aliases: []string{"cent"}, Make: CENT},
@@ -182,8 +179,8 @@ func Presets() []Preset {
 	return out
 }
 
-// PresetByFlag resolves a CLI -system value — a backend registry name or
-// one of its aliases, case-insensitive — through the backend registry.
+// PresetByFlag resolves a CLI -system value — a backend name or one of
+// its aliases, case-insensitive — through the backend table.
 func PresetByFlag(name string) (Preset, error) {
 	want := strings.ToLower(strings.TrimSpace(name))
 	var known []string

@@ -178,9 +178,6 @@ func TestPresetsCoverRegistry(t *testing.T) {
 func TestDIMMPIMSystem(t *testing.T) {
 	m := model.LLM7B32K()
 	cfg := DIMMPIM(m, PIMphony())
-	if be, err := backend.Lookup(cfg.Backend); err != nil || !be.PIMAttention() {
-		t.Fatalf("dimm-pim attention must run on PIM (%v)", err)
-	}
 	comp, err := compiler.Compile(cfg.Model, compiler.Target{Dev: cfg.Dev, TCP: cfg.Tech.TCP})
 	if err != nil {
 		t.Fatalf("dimm-pim must compile PIM programs: %v", err)

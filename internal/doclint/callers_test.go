@@ -29,11 +29,12 @@ var calleeAllowlist = map[string]string{
 }
 
 // TestExportedAPIHasCallers fails when an exported func, method or
-// type of the module has no caller outside test files. Callers count
-// from the module's non-test files (cmd/ and examples/ included) and
-// from perfbench, the separate benchmark module. CI's staticcheck
-// reports only unused unexported code, so this is the gate that keeps
-// test-only exported API from accumulating.
+// type of the module, or an exported method of one of its interfaces,
+// has no caller outside test files. Callers count from the module's
+// non-test files (cmd/ and examples/ included) and from perfbench, the
+// separate benchmark module. CI's staticcheck reports only unused
+// unexported code, so this is the gate that keeps test-only exported
+// API from accumulating.
 func TestExportedAPIHasCallers(t *testing.T) {
 	const root = "../.."
 	mod := goList(t, root)
@@ -154,7 +155,8 @@ func (c *checker) checkDir(t *testing.T, p listedPkg) checkedPkg {
 
 // check type-checks files as the package at path.
 func (c *checker) check(path string, files []*ast.File) (checkedPkg, error) {
-	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{}}
 	pkg, err := (&types.Config{Importer: c}).Check(path, c.fset, files, info)
 	if err != nil {
 		return checkedPkg{}, err
@@ -170,11 +172,17 @@ func (c *checker) check(path string, files []*ast.File) (checkedPkg, error) {
 // the allowlisted names and packages, and a method whose receiver type,
 // as a value or a pointer, implements an interface with a method of
 // that name (error, or one declared in a checked package or one it
-// imports), since an interface call reaches it. main and init are
+// imports), since an interface call reaches it. An exported method
+// declared in an interface of a package in defs is reported when no
+// package selects a method of that name on a type that implements the
+// interface, the interface itself included. main and init are
 // unexported, so never reported.
 func deadExports(fset *token.FileSet, defs, users []checkedPkg, allow map[string]string) []string {
 	used := map[string]bool{}
 	ifaces := map[string][]*types.Interface{}
+	// selected holds, by method name, the receiver types of every
+	// method selection: x.M, a call or a value, and T.M.
+	selected := map[string][]types.Type{}
 	addIfaces := func(scope *types.Scope) {
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
@@ -199,6 +207,11 @@ func deadExports(fset *token.FileSet, defs, users []checkedPkg, allow map[string
 				used[k] = true
 			}
 		}
+		for _, sel := range cp.info.Selections {
+			if sel.Kind() != types.FieldVal {
+				selected[sel.Obj().Name()] = append(selected[sel.Obj().Name()], sel.Recv())
+			}
+		}
 		addIfaces(cp.pkg.Scope())
 		for _, imp := range cp.pkg.Imports() {
 			addIfaces(imp.Scope())
@@ -220,6 +233,18 @@ func deadExports(fset *token.FileSet, defs, users []checkedPkg, allow map[string
 		}
 		dead = append(dead, finding{fset.Position(id.Pos()), k})
 	}
+	reportIface := func(id *ast.Ident, fn *types.Func, it *types.Interface) {
+		k := apiKey(fn)
+		if allow[k] != "" || allow[fn.Pkg().Path()] != "" {
+			return
+		}
+		for _, recv := range selected[fn.Name()] {
+			if implements(recv, it) {
+				return
+			}
+		}
+		dead = append(dead, finding{fset.Position(id.Pos()), k})
+	}
 	for _, cp := range defs {
 		for _, f := range cp.files {
 			for _, decl := range f.Decls {
@@ -230,8 +255,24 @@ func deadExports(fset *token.FileSet, defs, users []checkedPkg, allow map[string
 					}
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {
-						if s, ok := spec.(*ast.TypeSpec); ok && s.Name.IsExported() {
+						s, ok := spec.(*ast.TypeSpec)
+						if !ok {
+							continue
+						}
+						if s.Name.IsExported() {
 							report(s.Name, cp.info.Defs[s.Name])
+						}
+						it, ok := s.Type.(*ast.InterfaceType)
+						if !ok || s.TypeParams != nil {
+							continue
+						}
+						iface := cp.info.Defs[s.Name].Type().Underlying().(*types.Interface)
+						for _, m := range it.Methods.List {
+							for _, name := range m.Names {
+								if name.IsExported() {
+									reportIface(name, cp.info.Defs[name].(*types.Func), iface)
+								}
+							}
 						}
 					}
 				}
@@ -281,19 +322,30 @@ func reachedByInterface(fn *types.Func, ifaces map[string][]*types.Interface) bo
 		return false
 	}
 	for _, it := range ifaces[fn.Name()] {
-		if types.Implements(t, it) || types.Implements(types.NewPointer(t), it) {
+		if implements(t, it) {
 			return true
 		}
 	}
 	return false
 }
 
+// implements reports whether t, as a value or a pointer, implements it.
+func implements(t types.Type, it *types.Interface) bool {
+	if types.Implements(t, it) {
+		return true
+	}
+	_, isPtr := t.(*types.Pointer)
+	return !isPtr && !types.IsInterface(t) && types.Implements(types.NewPointer(t), it)
+}
+
 // TestDeadExportsRules pins the lint's rules on an in-memory fixture:
 // two module packages, a library and a command, and a perfbench-like
-// package that only calls into the library. The three dead exports are
-// reported and nothing else: not a method reached through a module
-// interface declared by its caller, through fmt.Stringer or, with a
-// pointer receiver, through error; not a function used as a value or an
+// package that only calls into the library. The four dead exports,
+// one an interface method nobody calls, are reported and nothing else:
+// not a method reached through a module interface declared by its
+// caller, through fmt.Stringer or, with a pointer receiver, through
+// error; not an interface method called through the interface, or only
+// on a type that implements it; not a function used as a value or an
 // instantiated generic function or method; not an allowlisted name; and
 // not a function only the perfbench-like package calls.
 func TestDeadExportsRules(t *testing.T) {
@@ -332,6 +384,18 @@ func BenchOnly() {}
 
 type Unused struct{}
 
+type Shape interface {
+	Area() int
+	Sides() int
+	Unseen() int
+}
+
+type Square struct{}
+
+func (Square) Area() int   { return 1 }
+func (Square) Sides() int  { return 4 }
+func (Square) Unseen() int { return 0 }
+
 var Presets = []Preset{{Make: CENT}}
 
 var _ error = (*Fail)(nil)
@@ -351,6 +415,9 @@ type sizer interface{ Size() int }
 func main() {
 	var s sizer = lib.Presets[0].Make()
 	_ = s.Size()
+	var sh lib.Shape = lib.Square{}
+	_ = sh.Area()
+	_ = lib.Square{}.Sides()
 }
 `
 	const bench = `package bench
@@ -374,7 +441,7 @@ func Run() { lib.BenchOnly() }
 	defs := []checkedPkg{check("fix/lib", lib), check("fix/app", app)}
 	users := []checkedPkg{check("fix/bench", bench)}
 	got := deadExports(c.fset, defs, users, map[string]string{"fix/lib.Ref": "a pinned reference"})
-	want := []string{"(fix/lib.Box).Dead", "fix/lib.Dead", "fix/lib.Unused"}
+	want := []string{"(fix/lib.Box).Dead", "fix/lib.Dead", "fix/lib.Unused", "(fix/lib.Shape).Unseen"}
 	if len(got) != len(want) {
 		t.Fatalf("findings:\n%s\nwant exactly %v", strings.Join(got, "\n"), want)
 	}

@@ -131,8 +131,6 @@ type AutoscaleView struct {
 // fleet's online decode-replica set should change. Implementations may
 // keep state (cooldowns), so each Run needs a fresh instance.
 type Autoscaler interface {
-	// Name labels the policy in reports and CLI flags.
-	Name() string
 	// Scale returns how many replicas to provision (positive), drain
 	// (negative), or zero to hold. The scheduler clamps the request to
 	// what exists: provisioning stops at the standby pool, draining at
@@ -189,16 +187,10 @@ func NewSLOScaler() *SLOScaler {
 	}
 }
 
-// Name implements Autoscaler.
-func (s *SLOScaler) Name() string { return "slo" }
-
 // Scale implements Autoscaler: +1 under SLO pressure, -1 when idle
 // capacity sits in a quiet fleet, 0 otherwise.
 func (s *SLOScaler) Scale(v AutoscaleView) int {
-	pressed := v.Held > 0 ||
-		(v.SLO.TTFT > 0 && v.OldestWaitSeconds > s.TTFTFraction*v.SLO.TTFT) ||
-		(v.FreeKVFrac < s.HeadroomLow && v.Queued > 0)
-	if pressed {
+	if s.pressed(v) {
 		// The cooldown paces ordinary ramping; once the oldest wait has
 		// blown the whole TTFT budget the burst is outrunning that pace
 		// and every decision boundary may bring a replica up.
@@ -209,12 +201,26 @@ func (s *SLOScaler) Scale(v AutoscaleView) int {
 		}
 		return 0
 	}
-	quiet := v.Held == 0 && v.Queued == 0 && v.Warming == 0 && v.OldestWaitSeconds == 0
-	if quiet && v.IdleOnline > 0 && v.Now >= s.lastDown+s.CooldownSeconds {
+	if quiet(v) && v.IdleOnline > 0 && v.Now >= s.lastDown+s.CooldownSeconds {
 		s.lastDown = v.Now
 		return -1
 	}
 	return 0
+}
+
+// pressed reports whether TTFT attainment is threatened: a request is
+// held, the oldest un-served wait crossed TTFTFraction of the TTFT SLO,
+// or KV headroom is nearly gone with work queued.
+func (s *SLOScaler) pressed(v AutoscaleView) bool {
+	return v.Held > 0 ||
+		(v.SLO.TTFT > 0 && v.OldestWaitSeconds > s.TTFTFraction*v.SLO.TTFT) ||
+		(v.FreeKVFrac < s.HeadroomLow && v.Queued > 0)
+}
+
+// quiet reports whether the fleet has nothing held, queued, warming or
+// waiting.
+func quiet(v AutoscaleView) bool {
+	return v.Held == 0 && v.Queued == 0 && v.Warming == 0 && v.OldestWaitSeconds == 0
 }
 
 // NextEval implements evalScheduler: the earliest future time one of
@@ -235,14 +241,10 @@ func (s *SLOScaler) NextEval(v AutoscaleView) float64 {
 		add(v.OldestArrival + s.TTFTFraction*v.SLO.TTFT)
 		add(v.OldestArrival + v.SLO.TTFT)
 	}
-	pressed := v.Held > 0 ||
-		(v.SLO.TTFT > 0 && v.OldestWaitSeconds > s.TTFTFraction*v.SLO.TTFT) ||
-		(v.FreeKVFrac < s.HeadroomLow && v.Queued > 0)
-	if pressed && v.Standby > 0 {
+	if s.pressed(v) && v.Standby > 0 {
 		add(s.lastUp + s.CooldownSeconds)
 	}
-	quiet := v.Held == 0 && v.Queued == 0 && v.Warming == 0 && v.OldestWaitSeconds == 0
-	if quiet && v.IdleOnline > 0 {
+	if quiet(v) && v.IdleOnline > 0 {
 		add(s.lastDown + s.CooldownSeconds)
 	}
 	return next
@@ -254,9 +256,6 @@ func (s *SLOScaler) NextEval(v AutoscaleView) float64 {
 // pins that byte-identity), which is what anchors autoscaled runs to
 // the fixed-fleet tables.
 type MaxScaler struct{}
-
-// Name implements Autoscaler.
-func (MaxScaler) Name() string { return "max" }
 
 // Scale implements Autoscaler: bring everything online, keep it there.
 func (MaxScaler) Scale(v AutoscaleView) int { return v.Standby }

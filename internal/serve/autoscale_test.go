@@ -240,16 +240,23 @@ func TestAutoscaleConfigErrors(t *testing.T) {
 	}
 }
 
-// TestAutoscalerByName round-trips every listed policy and rejects
-// unknown names.
+// TestAutoscalerByName builds the right policy type for every listed
+// name and rejects unknown names.
 func TestAutoscalerByName(t *testing.T) {
 	for _, name := range serve.AutoscalerNames() {
 		a, err := serve.AutoscalerByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Name() != name {
-			t.Errorf("AutoscalerByName(%q).Name() = %q", name, a.Name())
+		var ok bool
+		switch name {
+		case "slo":
+			_, ok = a.(*serve.SLOScaler)
+		case "max":
+			_, ok = a.(serve.MaxScaler)
+		}
+		if !ok {
+			t.Errorf("AutoscalerByName(%q) built a %T", name, a)
 		}
 	}
 	if _, err := serve.AutoscalerByName("nope"); err == nil {

@@ -394,13 +394,7 @@ func (fs *fleetSim) applyFault(c *faultChain, at float64) error {
 		fs.fstats.Crashes++
 		fs.fstats.LostKVBytes += liveKV
 		// Close the online interval: downtime is not billed as capacity.
-		since := fs.onlineSince[i]
-		if since < fs.firstArrival {
-			since = fs.firstArrival
-		}
-		if at > since {
-			fs.onlineSecs[i] += at - since
-		}
+		fs.closeOnline(i, at)
 		for _, l := range lost {
 			if err := fs.retryOrFail(fs.recs[l.Req.ID], l.Gen, at); err != nil {
 				return err

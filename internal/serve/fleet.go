@@ -589,13 +589,7 @@ func (fs *fleetSim) dispatch(_ context.Context, e *event) error {
 			return fmt.Errorf("serve: draining replica %d still holds work at t=%g", e.dst, e.at)
 		}
 		fs.setState(e.dst, stateOffline)
-		since := fs.onlineSince[e.dst]
-		if since < fs.firstArrival {
-			since = fs.firstArrival
-		}
-		if e.at > since {
-			fs.onlineSecs[e.dst] += e.at - since
-		}
+		fs.closeOnline(e.dst, e.at)
 		fs.recordScale(e.at, -1)
 		return nil
 	case evFail:
@@ -982,6 +976,19 @@ func (fs *fleetSim) setOnline(i int, t float64) {
 	fs.recordScale(t, +1)
 }
 
+// closeOnline ends replica i's online interval at t and bills it as
+// capacity from its provision time, or from the first arrival if it was
+// online before.
+func (fs *fleetSim) closeOnline(i int, t float64) {
+	since := fs.onlineSince[i]
+	if since < fs.firstArrival {
+		since = fs.firstArrival
+	}
+	if t > since {
+		fs.onlineSecs[i] += t - since
+	}
+}
+
 // drainIdle retires up to k idle online replicas, highest index first
 // (the low indices stay as the stable base the provision order
 // rebuilds). Each drain is an evDrain at the decision time; flipping
@@ -1050,13 +1057,7 @@ func (fs *fleetSim) report(arrivals []workload.Arrival) (*Report, error) {
 		}
 		for i := range fs.decoders {
 			if fs.state[i] == stateOnline {
-				since := fs.onlineSince[i]
-				if since < fs.firstArrival {
-					since = fs.firstArrival
-				}
-				if end > since {
-					fs.onlineSecs[i] += end - since
-				}
+				fs.closeOnline(i, end)
 			}
 			secs[i] = fs.onlineSecs[i]
 		}

@@ -62,8 +62,9 @@ func ByName(name string) (Trace, error) {
 // (alpha defaults to 1.2).
 func GeneratorByFlag(name string, seed int64) (*Generator, error) {
 	if rest, ok := strings.CutPrefix(name, "uniform:"); ok {
+		// Past 2^53 the float sampler cannot return the count exactly.
 		tokens, err := strconv.Atoi(rest)
-		if err != nil || tokens <= 0 {
+		if err != nil || tokens <= 0 || tokens > 1<<53 {
 			return nil, fmt.Errorf("workload: bad uniform trace %q (want uniform:<tokens>)", name)
 		}
 		return Uniform(tokens, seed), nil
@@ -210,9 +211,10 @@ func boundedParetoMean(lo, hi, alpha float64) float64 {
 // Pareto (power-law) distribution on [minCtx, maxCtx] with tail index
 // alpha — mostly modest prompts with a fat tail of near-window ones,
 // the mix that makes static T_max reservation waste the most capacity
-// (every small request still reserves for the tail).
+// (every small request still reserves for the tail). Alpha must be
+// positive and finite.
 func HeavyTailed(minCtx, maxCtx int, alpha float64, seed int64) (*Generator, error) {
-	if minCtx <= 0 || maxCtx <= minCtx || alpha <= 0 {
+	if minCtx <= 0 || maxCtx <= minCtx || !(alpha > 0) || math.IsInf(alpha, 1) {
 		return nil, fmt.Errorf("workload: heavy-tailed params out of range (min %d, max %d, alpha %g)",
 			minCtx, maxCtx, alpha)
 	}

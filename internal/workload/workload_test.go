@@ -218,6 +218,11 @@ func TestHeavyTailedErrors(t *testing.T) {
 	if _, err := HeavyTailed(100, 200, 0, 1); err == nil {
 		t.Error("zero alpha should fail")
 	}
+	for _, alpha := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := HeavyTailed(100, 200, alpha, 1); err == nil {
+			t.Errorf("alpha %g should fail", alpha)
+		}
+	}
 }
 
 func TestGeneratorByFlagHeavy(t *testing.T) {
@@ -231,9 +236,31 @@ func TestGeneratorByFlagHeavy(t *testing.T) {
 	if _, err := GeneratorByFlag("heavy:1024-8192:2.5", 3); err != nil {
 		t.Errorf("explicit alpha rejected: %v", err)
 	}
-	for _, bad := range []string{"heavy:1024", "heavy:a-b", "heavy:1024-8192:x", "heavy:8192-1024"} {
+	for _, bad := range []string{"heavy:1024", "heavy:a-b", "heavy:1024-8192:x", "heavy:8192-1024",
+		"heavy:100-200:NaN", "heavy:100-200:+Inf"} {
 		if _, err := GeneratorByFlag(bad, 3); err == nil {
 			t.Errorf("%q should fail", bad)
 		}
 	}
+}
+
+// FuzzGeneratorByFlag: a trace flag either fails as a flag or yields a
+// generator whose sampled contexts are positive and inside the trace's
+// [Min, Max].
+func FuzzGeneratorByFlag(f *testing.F) {
+	for _, seed := range []string{"QMSum", "uniform:4096", "heavy:1024-8192", "heavy:1024-8192:2.5",
+		"heavy:100-200:NaN", "heavy:100-200:+Inf", "uniform:9223372036854775807"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, flag string) {
+		g, err := GeneratorByFlag(flag, 1)
+		if err != nil {
+			return
+		}
+		for i := 0; i < 16; i++ {
+			if c := g.SampleContext(); c <= 0 || c < g.trace.Min || c > g.trace.Max {
+				t.Fatalf("%q: context %d outside [%d, %d]", flag, c, g.trace.Min, g.trace.Max)
+			}
+		}
+	})
 }
