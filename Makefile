@@ -79,14 +79,17 @@ race-pricing:
 
 # Fuzz smoke: 10 seconds of the trace-flag grammar — a -trace value
 # either fails as a flag or samples contexts inside its trace's bounds —
-# then 30 seconds over the DES spine — randomized (seed, arrival-mix,
-# fleet-shape, fault-schedule) tuples must keep every leaping run,
-# whichever bound the spine derives, byte-identical to single stepping
-# and every DES invariant intact — then 10 seconds of the DPA
-# differential oracle (the counting allocator's chunk counts against
-# the eager reference).
+# then 10 seconds of the arrivals grammar — an -arrivals value at any
+# rate either fails or returns n ordered, non-NaN arrival times, before
+# a deadline — then 30 seconds over the DES spine — randomized (seed,
+# arrival-mix, fleet-shape, fault-schedule) tuples must keep every
+# leaping run, whichever bound the spine derives, byte-identical to
+# single stepping and every DES invariant intact — then 10 seconds of
+# the KV pool differential oracle (the counting pool's chunk counts
+# against the eager reference).
 fuzz-smoke:
 	$(GO) test -fuzz FuzzGeneratorByFlag -fuzztime 10s ./internal/workload/
+	$(GO) test -fuzz FuzzArrivalsByFlag -fuzztime 10s ./internal/workload/
 	$(GO) test -fuzz FuzzDESSchedule -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz FuzzDPA -fuzztime 10s ./internal/memory/
 

@@ -108,9 +108,9 @@ type Admission struct {
 	// paged-attention baseline) and is its usable fraction: the admitter
 	// derates the post-weights pool by it, packs the queue greedily past
 	// requests that do not fit, reports it as the batch's CapacityUtil
-	// and tracks KV in a memory.Paged allocator. Zero selects the
-	// technique's allocator: DPA chunks when Tech.DPA, static T_max
-	// reservation otherwise.
+	// and tracks KV in a pool of one-token chunks (memory.NewPaged).
+	// Zero selects the technique's pool: DPA chunks when Tech.DPA,
+	// static T_max regions otherwise.
 	PagedEff float64
 	// WeightsHosted marks backends whose weights live outside the KV
 	// pool (the DIMM-PIM host keeps them in its own HBM), so the whole

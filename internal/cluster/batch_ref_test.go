@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"pimphony/internal/memory"
 	"pimphony/internal/model"
 	"pimphony/internal/timing"
 	"pimphony/internal/workload"
@@ -16,7 +15,8 @@ import (
 // drain, kept as the differential oracle. One admission pass forms a
 // fixed batch: FCFS with the head-first channel budget, and for the GPU greedy skip-unfit packing with an upfront
 // context+window reservation and a horizon not clamped to T_max. The
-// window then grows every request one token ahead of its live count; a
+// window then grows every request one token ahead of its live count
+// (the GPU's stays inside its reservation, so it calls no Grow); a
 // request whose Grow fails freezes for the rest of the window, yet its
 // tokens still count. froze reports whether any Grow failed.
 func refRun(s *System, reqs []workload.Request) (rep *Report, froze bool, err error) {
@@ -70,7 +70,7 @@ func refRun(s *System, reqs []workload.Request) (rep *Report, froze bool, err er
 		return nil, false, fmt.Errorf("cluster %s: no request fits (pool %d GiB, T_max %d)",
 			cfg.Name, alloc.CapacityBytes()>>30, s.tmax())
 	}
-	capUtil := memory.PoolUtilization(alloc)
+	capUtil := alloc.Utilization()
 	if u := s.adm.PagedEff; u > 0 {
 		capUtil = u
 	}
@@ -96,11 +96,10 @@ func refRun(s *System, reqs []workload.Request) (rep *Report, froze bool, err er
 		generated += len(batch)
 		for _, r := range batch {
 			grown[r.ID]++
-			target := r.Context + grown[r.ID] + 1
 			if upfront {
-				target = min(target, horizon(r))
+				continue // growth stays inside the admission-time reservation
 			}
-			if alloc.Grow(r.ID, target) != nil {
+			if alloc.Grow(r.ID, r.Context+grown[r.ID]+1) != nil {
 				grown[r.ID]--
 				froze = true
 			}

@@ -228,11 +228,11 @@ func (s *System) kvPoolBytes() (int64, error) {
 	return pool, nil
 }
 
-// admitter owns the admission state: the KV allocator, the head-first
+// admitter owns the admission state: the KV pool, the head-first
 // per-channel budget and the FCFS pending queue.
 type admitter struct {
 	sys        *System
-	alloc      memory.Allocator
+	alloc      *memory.Pool
 	headBudget int64
 	headUsed   int64
 	headNeed   map[int]int64 // per admitted request (for release)
@@ -247,17 +247,17 @@ type admitter struct {
 	grown map[int]int
 }
 
-// newAdmitter builds the allocator and admission bookkeeping from the
+// newAdmitter builds the KV pool and admission bookkeeping from the
 // backend's admission parameters over the engine's progress map: a
-// paged pool packs greedily, otherwise the technique picks DPA chunks or
-// static T_max reservation.
+// paged pool (one-token chunks) packs greedily, otherwise the technique
+// picks DPA chunks or static T_max regions.
 func (s *System) newAdmitter(grown map[int]int) (*admitter, error) {
 	pool, err := s.kvPoolBytes()
 	if err != nil {
 		return nil, err
 	}
 	bpt := s.cfg.Model.KVBytesPerToken()
-	var alloc memory.Allocator
+	var alloc *memory.Pool
 	switch {
 	case s.adm.PagedEff > 0:
 		alloc, err = memory.NewPaged(pool, bpt)
@@ -452,7 +452,7 @@ func (s *System) RunCtx(ctx context.Context, reqs []workload.Request) (*Report, 
 	}
 	// A paged pool reports its paged-attention efficiency rather than
 	// pool fill.
-	capUtil := memory.PoolUtilization(e.ad.alloc)
+	capUtil := e.ad.alloc.Utilization()
 	if u := s.adm.PagedEff; u > 0 {
 		capUtil = u
 	}

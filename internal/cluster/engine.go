@@ -146,9 +146,14 @@ func (s *System) NewEngine() (*Engine, error) {
 }
 
 // Enqueue appends a request to the FCFS admission queue. Requests must
-// have a positive generation length (Decode) — it is the completion
-// condition — and a unique ID within this engine's lifetime.
+// have a prompt of at least one token, a positive generation length
+// (Decode) — it is the completion condition — and a unique ID within
+// this engine's lifetime.
 func (e *Engine) Enqueue(r workload.Request) error {
+	if r.Context < 1 {
+		return fmt.Errorf("cluster %s: request %d has context %d; a prompt needs at least one token",
+			e.sys.cfg.Name, r.ID, r.Context)
+	}
 	if r.Decode <= 0 {
 		return fmt.Errorf("cluster %s: request %d needs Decode > 0 to serve", e.sys.cfg.Name, r.ID)
 	}
@@ -224,9 +229,6 @@ func (e *Engine) PeakLiveBytes() int64 { return e.peakLive }
 // other requests — under static allocation the full T_max reservations,
 // under DPA the mapped chunks.
 func (e *Engine) PeakReservedBytes() int64 { return e.peakReserved }
-
-// AllocName is the configured KV allocation scheme ("static" or "dpa").
-func (e *Engine) AllocName() string { return e.ad.alloc.Name() }
 
 // KVPoolBytes is this replica's KV capacity budget (pool after weights,
 // capped by Config.KVBudgetBytes).

@@ -220,12 +220,38 @@ func TestEngineServesGPU(t *testing.T) {
 	if e.BusySeconds() <= 0 || e.Steps() == 0 {
 		t.Errorf("no time accounted: busy=%g steps=%d", e.BusySeconds(), e.Steps())
 	}
-	if e.AllocName() != "paged" {
-		t.Errorf("GPU engine allocator %q, want paged", e.AllocName())
+	// The GPU's pool maps one-token chunks: it reserves exactly its live
+	// KV, so the two high-water marks coincide.
+	if e.PeakReservedBytes() != e.PeakLiveBytes() || e.PeakLiveBytes() == 0 {
+		t.Errorf("GPU engine peak reserved %d, want its peak live %d",
+			e.PeakReservedBytes(), e.PeakLiveBytes())
 	}
 	// No PIM channels: utilization has no denominator and stays zero.
 	if u := e.Utilization(); u != 0 {
 		t.Errorf("GPU utilization %g, want 0", u)
+	}
+}
+
+// TestEngineRejectsShortPrompts: a prompt needs at least one token, so
+// Enqueue and the batch window both reject an empty or negative
+// context instead of pricing it.
+func TestEngineRejectsShortPrompts(t *testing.T) {
+	sys, err := New(centConfig(model.LLM7B32K(), PIMphony()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prompt := range []int{0, -1, -2000000} {
+		e, err := sys.NewEngine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Enqueue(workload.Request{ID: 1, Context: prompt, Decode: 4}); err == nil {
+			t.Errorf("Enqueue accepted context %d", prompt)
+		}
+		reqs := []workload.Request{{ID: 1, Context: 1000}, {ID: 2, Context: prompt}}
+		if rep, err := sys.RunCtx(context.Background(), reqs); err == nil {
+			t.Errorf("RunCtx accepted context %d: %+v", prompt, rep)
+		}
 	}
 }
 

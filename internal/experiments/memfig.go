@@ -134,7 +134,7 @@ func Fig19Capacity() (*Result, error) {
 				return nil, err
 			}
 			reqs := workload.NewGenerator(c.tr, 21).Batch(512)
-			fill := func(a memory.Allocator) int {
+			fill := func(a *memory.Pool) int {
 				n := 0
 				for _, r := range reqs {
 					if !a.CanAdmit(r.Context) {
@@ -149,7 +149,7 @@ func Fig19Capacity() (*Result, error) {
 			}
 			sb := fill(st)
 			db := fill(dpa)
-			return []any{c.tr.Name, c.m.Name, 100 * memory.PoolUtilization(st), 100 * memory.PoolUtilization(dpa), sb, db}, nil
+			return []any{c.tr.Name, c.m.Name, 100 * st.Utilization(), 100 * dpa.Utilization(), sb, db}, nil
 		})
 	if err != nil {
 		return nil, err
@@ -188,7 +188,7 @@ func AblationChunkSize() (*Result, error) {
 			if n == 0 {
 				return nil, fmt.Errorf("chunk %d admitted nothing", chunk)
 			}
-			return []any{byteSize(chunk), 100 * memory.PoolUtilization(a), n, entries / n}, nil
+			return []any{byteSize(chunk), 100 * a.Utilization(), n, entries / n}, nil
 		})
 	if err != nil {
 		return nil, err

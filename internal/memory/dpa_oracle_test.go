@@ -11,20 +11,24 @@ import (
 )
 
 // oracleShapes are the pool geometries the differential oracle drives:
-// several tokens per chunk, exactly one, a token straddling chunk
-// edges, every token spanning two chunks, and a pool only three chunks
-// deep. Every pool carries a third of a chunk the allocators must never
-// hand out.
+// several tokens per chunk, exactly one (the paged pool), a token
+// straddling chunk edges, every token spanning two chunks, a pool only
+// three chunks deep, and two static pools whose chunk is one T_max
+// region with the pool's T_max cap. Every pool carries a third of a
+// chunk it must never hand out.
 var oracleShapes = []struct {
 	bpt, chunk int64
 	chunks     int
+	tmax       int // static pool: chunk is tmax tokens, capped at tmax
 }{
-	{1 << 10, 4 << 10, 16},
-	{512, 4 << 10, 40},
-	{4 << 10, 4 << 10, 9},
-	{3 << 10, 4 << 10, 12},
-	{5 << 10, 4 << 10, 24},
-	{1 << 10, 16 << 10, 3},
+	{1 << 10, 4 << 10, 16, 0},
+	{512, 4 << 10, 40, 0},
+	{4 << 10, 4 << 10, 9, 0},
+	{3 << 10, 4 << 10, 12, 0},
+	{5 << 10, 4 << 10, 24, 0},
+	{1 << 10, 16 << 10, 3, 0},
+	{1 << 10, 8 << 10, 6, 8},
+	{3 << 10, 15 << 10, 4, 5},
 }
 
 const (
@@ -38,25 +42,39 @@ const (
 // oracleLimits are the GrowBudget limits compared after every operation.
 var oracleLimits = []int{0, 1, 2, 3, 5, 8, 64, 1000, 1 << 30, math.MaxInt}
 
-// dpaOracle drives the counting DPA and the eager reference through one
-// operation stream and compares every observable after each operation.
+// dpaOracle drives the counting pool and the eager reference through
+// one operation stream and compares every observable after each
+// operation.
 type dpaOracle struct {
 	tb    testing.TB
-	got   *DPA
+	got   *Pool
 	ref   *refDPA
 	chunk int64
 	tpc   int // tokens per chunk, at least 1: sizes operations near chunk edges
 }
 
+// newDPAOracle builds the shape's pool through the constructor its
+// geometry names: static, paged (one-token chunks) or DPA.
 func newDPAOracle(tb testing.TB, shape uint8) *dpaOracle {
 	tb.Helper()
 	s := oracleShapes[int(shape)%len(oracleShapes)]
 	capacity := int64(s.chunks)*s.chunk + s.chunk/3
-	got, err := NewDPA(capacity, s.bpt, s.chunk)
+	var got *Pool
+	var err error
+	maxTokens := math.MaxInt
+	switch {
+	case s.tmax > 0:
+		got, err = NewStatic(capacity, s.bpt, s.tmax)
+		maxTokens = s.tmax
+	case s.chunk == s.bpt:
+		got, err = NewPaged(capacity, s.bpt)
+	default:
+		got, err = NewDPA(capacity, s.bpt, s.chunk)
+	}
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ref, err := newRefDPA(capacity, s.bpt, s.chunk)
+	ref, err := newRefDPA(capacity, s.bpt, s.chunk, maxTokens)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -169,7 +187,7 @@ func (o *dpaOracle) compare(what string, errGot, errRef error) {
 // TestDPAMatchesReference is the differential oracle: seeded random
 // Admit/Grow/Release traffic on every pool shape — duplicate admits,
 // shrinks, unknown IDs and pool exhaustion included — must leave the
-// counting allocator indistinguishable from the eager reference after
+// counting pool indistinguishable from the eager reference after
 // every operation.
 func TestDPAMatchesReference(t *testing.T) {
 	for shape := range oracleShapes {
@@ -226,7 +244,7 @@ func TestDPASteadyStateAllocatesNothing(t *testing.T) {
 // and building its allocator must still cost only a few hundred bytes.
 func TestNewDPAAllocatesNoPerChunkStorage(t *testing.T) {
 	const n = 16
-	pools := make([]*DPA, 0, n)
+	pools := make([]*Pool, 0, n)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
@@ -243,9 +261,10 @@ func TestNewDPAAllocatesNoPerChunkStorage(t *testing.T) {
 	runtime.KeepAlive(pools)
 }
 
-// TestGrowBudgetLimit: Static and Paged answer min(budget, limit), and
-// a non-positive limit yields zero. The differential oracle holds the
-// DPA to the same rule against the reference's uncapped search.
+// TestGrowBudgetLimit: static and paged pools answer min(budget,
+// limit), and a non-positive limit yields zero. The differential oracle
+// holds every shape to the same rule against the reference's uncapped
+// search.
 func TestGrowBudgetLimit(t *testing.T) {
 	s, err := NewStatic(1<<30, 1<<10, 1000)
 	if err != nil {
@@ -255,7 +274,7 @@ func TestGrowBudgetLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range []Allocator{s, p} {
+	for _, a := range []namedPool{{"static", s}, {"paged", p}} {
 		if err := a.Admit(1, 40); err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +286,7 @@ func TestGrowBudgetLimit(t *testing.T) {
 			for _, limit := range []int{-1, 0, 1, 2, 7, 10, 64, 1 << 20, math.MaxInt} {
 				want := min(uncapped, max(limit, 0))
 				if got := a.GrowBudget(ids, limit); got != want {
-					t.Errorf("%s GrowBudget(%v, %d) = %d, want %d", a.Name(), ids, limit, got, want)
+					t.Errorf("%s GrowBudget(%v, %d) = %d, want %d", a.name, ids, limit, got, want)
 				}
 			}
 		}

@@ -2,17 +2,19 @@ package memory
 
 import "fmt"
 
-// refDPA is the eager DPA allocator the counting one replaced, kept as
+// refDPA is the eager DPA allocator the counting pool replaced, kept as
 // the differential oracle's reference: NewDPA built an O(pool)
 // descending free list of physical chunk IDs, every Admit allocated a
 // fresh VA2PA row naming its chunks, and GrowBudget ran an
-// exponential-plus-binary search with no caller limit. The oracle
-// compares each request's mapped-chunk count with its row length.
+// exponential-plus-binary search with no caller limit. It takes the
+// same per-request token cap as a static pool. The oracle compares each
+// request's mapped-chunk count with its row length.
 type refDPA struct {
 	capacity      int64
 	bytesPerToken int64
 	chunkBytes    int64
 	nChunks       int
+	maxTokens     int
 	freeList      []int
 	va2pa         map[int][]int // request -> virtual chunk order -> physical
 	liveTokens    map[int]int
@@ -25,14 +27,11 @@ type refDPA struct {
 
 type refGrowSnap struct{ live, have int }
 
-func newRefDPA(capacity, bytesPerToken, chunkBytes int64) (*refDPA, error) {
-	if capacity <= 0 || bytesPerToken <= 0 || chunkBytes <= 0 {
+func newRefDPA(capacity, bytesPerToken, chunkBytes int64, maxTokens int) (*refDPA, error) {
+	if capacity <= 0 || bytesPerToken <= 0 || chunkBytes <= 0 || maxTokens <= 0 {
 		return nil, fmt.Errorf("memory: DPA allocator params must be positive")
 	}
 	n := int(capacity / chunkBytes)
-	if n == 0 {
-		return nil, fmt.Errorf("memory: capacity %d below one chunk (%d)", capacity, chunkBytes)
-	}
 	free := make([]int, n)
 	for i := range free {
 		free[i] = n - 1 - i // pop from the end -> ascending IDs
@@ -42,6 +41,7 @@ func newRefDPA(capacity, bytesPerToken, chunkBytes int64) (*refDPA, error) {
 		bytesPerToken: bytesPerToken,
 		chunkBytes:    chunkBytes,
 		nChunks:       n,
+		maxTokens:     maxTokens,
 		freeList:      free,
 		va2pa:         make(map[int][]int),
 		liveTokens:    make(map[int]int),
@@ -57,9 +57,12 @@ func (d *refDPA) Admit(reqID, tokens int) error {
 	if _, ok := d.va2pa[reqID]; ok {
 		return fmt.Errorf("memory: request %d already admitted", reqID)
 	}
+	if tokens > d.maxTokens {
+		return fmt.Errorf("memory: request %d context %d exceeds T_max %d", reqID, tokens, d.maxTokens)
+	}
 	need := d.chunksFor(tokens)
 	if need > len(d.freeList) {
-		return fmt.Errorf("memory: DPA pool has %d free chunks, need %d", len(d.freeList), need)
+		return fmt.Errorf("memory: KV pool has %d free chunks, need %d", len(d.freeList), need)
 	}
 	d.va2pa[reqID] = d.pop(need)
 	d.liveTokens[reqID] = tokens
@@ -76,11 +79,14 @@ func (d *refDPA) Grow(reqID, newTokens int) error {
 	if newTokens < cur {
 		return fmt.Errorf("memory: request %d shrank (%d -> %d)", reqID, cur, newTokens)
 	}
+	if newTokens > d.maxTokens {
+		return fmt.Errorf("memory: request %d grew past T_max %d", reqID, d.maxTokens)
+	}
 	have := len(d.va2pa[reqID])
 	need := d.chunksFor(newTokens)
 	if extra := need - have; extra > 0 {
 		if extra > len(d.freeList) {
-			return fmt.Errorf("memory: DPA pool exhausted growing request %d (need %d chunks, %d free)", reqID, extra, len(d.freeList))
+			return fmt.Errorf("memory: KV pool exhausted growing request %d (need %d chunks, %d free)", reqID, extra, len(d.freeList))
 		}
 		tail := d.freeList[len(d.freeList)-extra:]
 		d.va2pa[reqID] = append(d.va2pa[reqID], tail...)
@@ -105,21 +111,33 @@ func (d *refDPA) Release(reqID int) error {
 	return nil
 }
 
-func (d *refDPA) CanAdmit(tokens int) bool { return d.chunksFor(tokens) <= len(d.freeList) }
+func (d *refDPA) CanAdmit(tokens int) bool {
+	return tokens <= d.maxTokens && d.chunksFor(tokens) <= len(d.freeList)
+}
 
+// GrowBudget is the chunk search's answer, cut at the tightest
+// request's headroom to the token cap.
 func (d *refDPA) GrowBudget(reqIDs []int) int {
 	if len(reqIDs) == 0 {
 		return 0
 	}
 	snap := d.growScratch[:0]
+	headroom := d.maxTokens
 	for _, id := range reqIDs {
 		live, ok := d.liveTokens[id]
 		if !ok {
 			return 0
 		}
 		snap = append(snap, refGrowSnap{live: live, have: len(d.va2pa[id])})
+		headroom = min(headroom, d.maxTokens-live)
 	}
 	d.growScratch = snap
+	return min(d.chunkBudget(snap), headroom)
+}
+
+// chunkBudget is the largest lockstep growth whose chunk demand fits the
+// free list, found by an exponential-plus-binary search.
+func (d *refDPA) chunkBudget(snap []refGrowSnap) int {
 	free := len(d.freeList)
 	need := func(n int) int {
 		total := 0

@@ -13,18 +13,24 @@ const (
 	gib = 1 << 30
 )
 
-// utilization is live / reserved bytes: how much of the memory an
-// allocator has claimed actually holds KV data. When nothing is reserved
-// it is defined as zero.
-func utilization(a Allocator) float64 {
-	r := a.ReservedBytes()
+// utilization is live / reserved bytes: how much of the memory a pool
+// has claimed actually holds KV data. When nothing is reserved it is
+// defined as zero.
+func utilization(p *Pool) float64 {
+	r := p.ReservedBytes()
 	if r == 0 {
 		return 0
 	}
-	return float64(a.LiveBytes()) / float64(r)
+	return float64(p.LiveBytes()) / float64(r)
 }
 
-func newStaticT(t *testing.T) *Static {
+// namedPool labels a pool in failure messages.
+type namedPool struct {
+	name string
+	*Pool
+}
+
+func newStaticT(t *testing.T) *Pool {
 	t.Helper()
 	// 1 GiB pool, 128 KiB/token (7B GQA), T_max 4096 -> 512 MiB per slot.
 	s, err := NewStatic(gib, 128*kib, 4096)
@@ -34,7 +40,7 @@ func newStaticT(t *testing.T) *Static {
 	return s
 }
 
-func newDPAT(t *testing.T) *DPA {
+func newDPAT(t *testing.T) *Pool {
 	t.Helper()
 	d, err := NewDPA(gib, 128*kib, DefaultChunkBytes)
 	if err != nil {
@@ -182,8 +188,13 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := NewStatic(0, 1, 1); err == nil {
 		t.Error("zero capacity static should fail")
 	}
-	if _, err := NewDPA(10, 1, 100); err == nil {
-		t.Error("capacity below one chunk should fail")
+	// A pool below one chunk has no chunks: it builds, and admits nothing.
+	small, err := NewDPA(10, 1, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if small.CanAdmit(1) || small.Admit(0, 1) == nil {
+		t.Error("a pool below one chunk should admit nothing")
 	}
 	if _, err := NewDPA(gib, -1, mib); err == nil {
 		t.Error("negative bytes/token should fail")
@@ -294,7 +305,7 @@ func TestFreeOrderIndependence(t *testing.T) {
 		{1, 3, 0, 2},
 		{2, 0, 3, 1},
 	}
-	mk := func() []Allocator {
+	mk := func() []namedPool {
 		s, err := NewStatic(64<<20, bpt, 1024)
 		if err != nil {
 			t.Fatal(err)
@@ -303,29 +314,33 @@ func TestFreeOrderIndependence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return []Allocator{s, d}
+		p, err := NewPaged(64<<20, bpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []namedPool{{"static", s}, {"dpa", d}, {"paged", p}}
 	}
 	for _, order := range orders {
 		for _, a := range mk() {
 			for id := 0; id < 4; id++ {
 				if err := a.Admit(id, 600+id*13); err != nil {
-					t.Fatalf("%s order %v: admit %d: %v", a.Name(), order, id, err)
+					t.Fatalf("%s order %v: admit %d: %v", a.name, order, id, err)
 				}
 			}
 			for _, id := range order {
 				if err := a.Release(id); err != nil {
-					t.Fatalf("%s order %v: release %d: %v", a.Name(), order, id, err)
+					t.Fatalf("%s order %v: release %d: %v", a.name, order, id, err)
 				}
 			}
 			if a.ReservedBytes() != 0 || a.LiveBytes() != 0 {
 				t.Errorf("%s order %v: reserved %d / live %d after full release",
-					a.Name(), order, a.ReservedBytes(), a.LiveBytes())
+					a.name, order, a.ReservedBytes(), a.LiveBytes())
 			}
 			// The drained pool must accept the same workload again, and
 			// at full size — no fragmentation regardless of free order.
 			for id := 10; id < 14; id++ {
 				if err := a.Admit(id, 600); err != nil {
-					t.Errorf("%s order %v: re-admit %d failed: %v", a.Name(), order, id, err)
+					t.Errorf("%s order %v: re-admit %d failed: %v", a.name, order, id, err)
 				}
 			}
 		}
@@ -446,17 +461,14 @@ func TestAccountingUnderPreemptionChurn(t *testing.T) {
 	}
 }
 
-// TestPagedAllocatorRoundTrip exercises the GPU paged allocator the way
-// the serving engine drives it: admit at live context, grow per token,
-// fail at the pool edge, release. Growth at or below the current
-// reservation must be a no-op: the reservation is a high-water mark.
+// TestPagedAllocatorRoundTrip exercises the GPU's one-token-chunk pool
+// the way the serving engine drives it: admit at live context, grow per
+// token, fail at the pool edge, release. Growth below the current
+// reservation is a shrink and fails, leaving the reservation as it was.
 func TestPagedAllocatorRoundTrip(t *testing.T) {
 	a, err := NewPaged(1000, 10)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if a.Name() != "paged" {
-		t.Errorf("name %q", a.Name())
 	}
 	if err := a.Admit(1, 50); err != nil {
 		t.Fatal(err)
@@ -479,11 +491,11 @@ func TestPagedAllocatorRoundTrip(t *testing.T) {
 	if err := a.Grow(1, 101); err == nil {
 		t.Error("growth past the pool should fail")
 	}
-	if err := a.Grow(1, 40); err != nil {
-		t.Errorf("growth within the reservation must be a no-op: %v", err)
+	if err := a.Grow(1, 40); err == nil {
+		t.Error("growth below the reservation is a shrink and should fail")
 	}
-	if a.ReservedBytes() != 1000 {
-		t.Errorf("no-op growth changed the reservation to %d", a.ReservedBytes())
+	if a.ReservedBytes() != 1000 || a.LiveBytes() != 1000 {
+		t.Errorf("failed shrink changed the pool: reserved %d live %d", a.ReservedBytes(), a.LiveBytes())
 	}
 	if err := a.Release(1); err != nil {
 		t.Fatal(err)

@@ -227,13 +227,19 @@ func (s *spine) initReady() {
 }
 
 // schedule validates a timed arrival schedule — finite times sorted by
-// At, unique request IDs — records every request (one allocation for
-// all of them) and points the arrival cursor at its head.
+// At, unique request IDs, prompts of at least one token (serve prices a
+// prompt's prefill and KV transfer before any engine sees it) — records
+// every request (one allocation for all of them) and points the arrival
+// cursor at its head.
 func (s *spine) schedule(arrivals []workload.Arrival) error {
 	recs := make([]record, len(arrivals))
 	for i, a := range arrivals {
 		if math.IsNaN(a.At) || math.IsInf(a.At, 0) {
 			return fmt.Errorf("serve: arrival %d at non-finite time %g", i, a.At)
+		}
+		if a.Req.Context < 1 {
+			return fmt.Errorf("serve: request %d has context %d; a prompt needs at least one token",
+				a.Req.ID, a.Req.Context)
 		}
 		if i > 0 && a.At < arrivals[i-1].At {
 			return fmt.Errorf("serve: arrivals not sorted at %d (%g after %g)", i, a.At, arrivals[i-1].At)

@@ -249,8 +249,6 @@ type ReplicaStats struct {
 // study, comparing what an allocation scheme reserved against what it
 // actually used while admission and preemption played out.
 type CapacityStats struct {
-	// Alloc is the KV allocation scheme ("static" or "dpa").
-	Alloc string
 	// PoolBytes is the per-replica KV capacity budget.
 	PoolBytes int64
 	// PeakLiveBytes / PeakReservedBytes are the maxima across replicas.
@@ -347,7 +345,8 @@ type Report struct {
 
 // Run serves a timed arrival schedule to completion and reports the SLO
 // metrics. Arrivals must be sorted by At, at finite times, with unique
-// request IDs; every request needs a positive Decode length.
+// request IDs; every request needs a prompt of at least one token and a
+// positive Decode length.
 func Run(ctx context.Context, cfg Config, arrivals []workload.Arrival) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -434,7 +433,6 @@ func foldReport(recs map[int]*record, arrivals []workload.Arrival, slo SLO, poli
 		st.PeakReservedBytes = r.eng.PeakReservedBytes()
 
 		c := &rep.Capacity
-		c.Alloc = r.eng.AllocName()
 		c.PoolBytes = r.eng.KVPoolBytes()
 		if st.PeakLiveBytes > c.PeakLiveBytes {
 			c.PeakLiveBytes = st.PeakLiveBytes

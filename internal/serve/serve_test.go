@@ -2,8 +2,10 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -262,6 +264,51 @@ func TestRunRejectsNonFiniteArrivalTimes(t *testing.T) {
 	}
 }
 
+// TestRunRejectsShortPrompts: a prompt needs at least one token. A
+// negative context used to panic pricing its KV transfer, break a DES
+// invariant or report negative throughput, and an empty one ran; each
+// must fail as input, naming the request, on the shorthand, a unified
+// fleet and a prefill/decode fleet. Each case runs against a deadline
+// and turns a panic into a failure.
+func TestRunRejectsShortPrompts(t *testing.T) {
+	shapes := []struct {
+		name string
+		cfg  Config
+	}{
+		{"shorthand", Config{System: testSystem(), Replicas: 2, Policy: RoundRobin()}},
+		{"unified", Config{Fleet: []ReplicaSpec{{System: testSystem(), Count: 2, Role: RoleUnified}}}},
+		{"prefill/decode", Config{Fleet: []ReplicaSpec{
+			{System: testSystem(), Count: 1, Role: RolePrefill},
+			{System: testSystem(), Count: 1, Role: RoleDecode},
+		}, Interconnect: timing.DefaultInterconnect()}},
+	}
+	for _, sh := range shapes {
+		for _, prompt := range []int{0, -1, -100, -2000000} {
+			arr := testArrivals(t, 4, 8)
+			arr[2].Req.Context = prompt
+			done := make(chan error, 1)
+			go func() {
+				defer func() {
+					if p := recover(); p != nil {
+						done <- fmt.Errorf("panic: %v", p)
+					}
+				}()
+				_, err := Run(context.Background(), sh.cfg, arr)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				want := fmt.Sprintf("request %d has context %d", arr[2].Req.ID, prompt)
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s, context %d: error %v, want one containing %q", sh.name, prompt, err, want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s, context %d: still running after 10 s", sh.name, prompt)
+			}
+		}
+	}
+}
+
 // TestRunRejectsBadInputs feeds Run the NaN, infinite and negative
 // knobs that used to hang it (fault chains drawing NaN intervals),
 // print nonsense (a NaN link latency), fail deep inside the spine, or
@@ -413,9 +460,6 @@ func TestCapacityStatsReported(t *testing.T) {
 	arr := testArrivals(t, 16, 64)
 	rep := run(t, Config{System: cfg, Replicas: 2, Policy: RoundRobin()}, arr)
 	c := rep.Capacity
-	if c.Alloc != "dpa" {
-		t.Errorf("alloc %q, want dpa", c.Alloc)
-	}
 	if c.PoolBytes != 32<<30 {
 		t.Errorf("pool %d, want the 32 GiB budget", c.PoolBytes)
 	}
@@ -449,9 +493,6 @@ func TestCapacityStatsReported(t *testing.T) {
 	// Static on the same schedule reserves more than it fills.
 	cfg.Tech.DPA = false
 	srep := run(t, Config{System: cfg, Replicas: 2, Policy: RoundRobin()}, arr)
-	if srep.Capacity.Alloc != "static" {
-		t.Errorf("alloc %q, want static", srep.Capacity.Alloc)
-	}
 	if srep.Capacity.PeakReservedBytes <= srep.Capacity.PeakLiveBytes {
 		t.Errorf("static should strand reservation: reserved %d vs live %d",
 			srep.Capacity.PeakReservedBytes, srep.Capacity.PeakLiveBytes)

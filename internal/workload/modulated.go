@@ -141,19 +141,37 @@ func (s DiurnalSpec) Validate() error {
 		return fmt.Errorf("workload: diurnal amplitude must be in [0,1], got %g", s.Amplitude)
 	case !positiveFinite(s.PeriodSeconds):
 		return fmt.Errorf("workload: diurnal period must be positive and finite, got %g", s.PeriodSeconds)
+	case math.IsInf(s.peak(), 1):
+		// Thinning draws candidates at the peak rate: an infinite one
+		// never accepts a candidate.
+		return fmt.Errorf("workload: diurnal peak rate %g·(1+%g) overflows", s.BaseRate, s.Amplitude)
 	}
 	return nil
 }
+
+// peak is the highest instantaneous rate, at the crest of the curve.
+func (s DiurnalSpec) peak() float64 { return s.BaseRate * (1 + s.Amplitude) }
 
 // Rate is the instantaneous arrival rate at time t.
 func (s DiurnalSpec) Rate(t float64) float64 {
 	return s.BaseRate * (1 + s.Amplitude*math.Sin(2*math.Pi*t/s.PeriodSeconds-math.Pi/2))
 }
 
+// maxRejectsPerArrival bounds thinning's run of rejected candidates.
+// An amplitude at or near 1 drops the trough rate to about zero, so over
+// a long period the sampler would crawl through an astronomical number
+// of candidates before its first acceptance (diurnal:1e12:1 at 4 req/s
+// expects ~3e8). Every study schedule uses amplitude 0.9, whose
+// acceptance never falls below 1/19, so no run comes near the bound.
+const maxRejectsPerArrival = 1_000_000
+
 // DiurnalArrivals samples n arrivals from the non-homogeneous Poisson
 // process by thinning: candidates are drawn at the peak rate and
 // accepted with probability Rate(t)/peak. Deterministic for a given
-// seed, like every schedule builder in this package.
+// seed, like every schedule builder in this package. It fails once the
+// rate turns NaN, where a period far below the clock pushes the phase
+// past float64 and thinning would reject every candidate, and after
+// maxRejectsPerArrival rejections in a row.
 func DiurnalArrivals(gen *Generator, spec DiurnalSpec, sessions, n int, seed int64) ([]Arrival, error) {
 	switch {
 	case gen == nil:
@@ -167,15 +185,23 @@ func DiurnalArrivals(gen *Generator, spec DiurnalSpec, sessions, n int, seed int
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
-	peak := spec.BaseRate * (1 + spec.Amplitude)
+	peak := spec.peak()
 	clock := 0.0
 	arr := make([]Arrival, n)
 	for i := range arr {
-		for {
+		for rejects := 0; ; rejects++ {
+			if rejects == maxRejectsPerArrival {
+				return nil, fmt.Errorf("workload: diurnal thinning rejected %d candidates in a row at t=%g s (amplitude %g, period %g s)",
+					rejects, clock, spec.Amplitude, spec.PeriodSeconds)
+			}
 			clock += rng.ExpFloat64() / peak
+			rate := spec.Rate(clock)
+			if math.IsNaN(rate) {
+				return nil, fmt.Errorf("workload: diurnal rate is NaN at t=%g s (period %g s)", clock, spec.PeriodSeconds)
+			}
 			// rng.Float64 is in [0,1), so an amplitude-zero spec accepts
 			// every candidate and degenerates to PoissonArrivals' shape.
-			if rng.Float64()*peak <= spec.Rate(clock) {
+			if rng.Float64()*peak <= rate {
 				break
 			}
 		}

@@ -284,11 +284,15 @@ func TestNonFiniteArrivalInputs(t *testing.T) {
 		multiTurn("multi-turn rate nan", MultiTurnSpec{Sessions: 2, Turns: 2, Rate: nan, ThinkMean: 0.1, PromptMax: 64, MaxContext: 4096}),
 		multiTurn("multi-turn think inf", MultiTurnSpec{Sessions: 2, Turns: 2, Rate: 1, ThinkMean: inf, PromptMax: 64, MaxContext: 4096}),
 	}
-	for _, spec := range []string{"mmpp:nan", "mmpp:inf", "mmpp:2:nan", "mmpp:2:inf", "mmpp:2:1e-300", "diurnal:nan", "diurnal:inf", "diurnal:10:nan"} {
+	for _, spec := range []string{"mmpp:nan", "mmpp:inf", "mmpp:2:nan", "mmpp:2:inf", "mmpp:2:1e-300", "diurnal:nan", "diurnal:inf", "diurnal:10:nan",
+		"diurnal:1e-308", "diurnal:1e12:1"} {
 		cases = append(cases, buildCase{spec, func(gen *Generator) ([]Arrival, error) {
 			return ArrivalsByFlag(spec, gen, 4, 4, 10, 1)
 		}})
 	}
+	cases = append(cases, buildCase{"diurnal:60 at rate 1e308", func(gen *Generator) ([]Arrival, error) {
+		return ArrivalsByFlag("diurnal:60", gen, 1e308, 4, 10, 1)
+	}})
 	for _, spec := range []string{"poisson", "mmpp:4", "diurnal:60"} {
 		for _, rate := range []float64{nan, inf} {
 			cases = append(cases, buildCase{fmt.Sprintf("%s at rate %g", spec, rate), func(gen *Generator) ([]Arrival, error) {
@@ -312,4 +316,53 @@ func TestNonFiniteArrivalInputs(t *testing.T) {
 			t.Fatalf("%s: still sampling after 5 s", c.name)
 		}
 	}
+}
+
+// FuzzArrivalsByFlag: an -arrivals flag at any rate either fails as
+// input or returns exactly n arrivals at non-decreasing, non-NaN times,
+// and either way returns within a deadline. The seeds include a peak
+// rate that overflows (diurnal:60 at 1e308), a phase that overflows
+// (diurnal:1e-308) and a trough too deep to thin (diurnal:1e12:1); each
+// used to hang the sampler.
+func FuzzArrivalsByFlag(f *testing.F) {
+	f.Add("poisson", 4.0, uint8(10), int64(1))
+	f.Add("mmpp:4", 4.0, uint8(10), int64(1))
+	f.Add("mmpp:2:1e-300", 4.0, uint8(10), int64(1))
+	f.Add("diurnal:60:0.9", 3.0, uint8(64), int64(53))
+	f.Add("diurnal:60", 1e308, uint8(10), int64(1))
+	f.Add("diurnal:1e-308", 4.0, uint8(10), int64(1))
+	f.Add("diurnal:1e12:1", 4.0, uint8(10), int64(1))
+	f.Fuzz(func(t *testing.T, spec string, rate float64, count uint8, seed int64) {
+		n := int(count % 65)
+		gen, err := HeavyTailed(256, 8192, 1.2, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type result struct {
+			arr []Arrival
+			err error
+		}
+		done := make(chan result, 1)
+		go func() {
+			arr, err := ArrivalsByFlag(spec, gen, rate, 4, n, seed)
+			done <- result{arr, err}
+		}()
+		var r result
+		select {
+		case r = <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%q at rate %g: still sampling after 5 s", spec, rate)
+		}
+		if r.err != nil {
+			return
+		}
+		if len(r.arr) != n {
+			t.Fatalf("%q at rate %g: %d arrivals, want %d", spec, rate, len(r.arr), n)
+		}
+		for i, a := range r.arr {
+			if math.IsNaN(a.At) || (i > 0 && a.At < r.arr[i-1].At) {
+				t.Fatalf("%q at rate %g: arrival %d at %g is NaN or out of order", spec, rate, i, a.At)
+			}
+		}
+	})
 }

@@ -207,18 +207,29 @@ func boundedParetoMean(lo, hi, alpha float64) float64 {
 		(math.Pow(hi, 1-alpha) - math.Pow(lo, 1-alpha)) / (1 - alpha)
 }
 
+// minParetoAlpha is the smallest tail index HeavyTailed models. The
+// inverse-CDF draw's relative error grows like 2^-53/alpha, so below
+// this a draw can leave [lo, hi] (alpha 1e-16 on [100, 200] drew 303).
+const minParetoAlpha = 0x1p-26
+
 // HeavyTailed builds a generator whose context lengths follow a bounded
 // Pareto (power-law) distribution on [minCtx, maxCtx] with tail index
 // alpha — mostly modest prompts with a fat tail of near-window ones,
 // the mix that makes static T_max reservation waste the most capacity
 // (every small request still reserves for the tail). Alpha must be
-// positive and finite.
+// finite and at least minParetoAlpha, and its analytic mean must come
+// out finite and inside the bounds: a large alpha overflows the mean's
+// powers (alpha 95 on [2048, 30000] gives +Inf).
 func HeavyTailed(minCtx, maxCtx int, alpha float64, seed int64) (*Generator, error) {
-	if minCtx <= 0 || maxCtx <= minCtx || !(alpha > 0) || math.IsInf(alpha, 1) {
+	if minCtx <= 0 || maxCtx <= minCtx || !(alpha >= minParetoAlpha) || math.IsInf(alpha, 1) {
 		return nil, fmt.Errorf("workload: heavy-tailed params out of range (min %d, max %d, alpha %g)",
 			minCtx, maxCtx, alpha)
 	}
 	mean := boundedParetoMean(float64(minCtx), float64(maxCtx), alpha)
+	if !(mean >= float64(minCtx) && mean <= float64(maxCtx)) {
+		return nil, fmt.Errorf("workload: heavy-tailed alpha %g has mean %g outside [%d, %d]",
+			alpha, mean, minCtx, maxCtx)
+	}
 	t := Trace{
 		Name:  fmt.Sprintf("heavy-%d-%d", minCtx, maxCtx),
 		Suite: "synthetic",

@@ -223,6 +223,20 @@ func TestHeavyTailedErrors(t *testing.T) {
 			t.Errorf("alpha %g should fail", alpha)
 		}
 	}
+	// Alphas float64 cannot model: draws outside the bounds (1e-16),
+	// draws stuck at the minimum with a +Inf mean (1e-300), and a mean
+	// that overflows to NaN (200) or +Inf (95 on [2048, 30000]).
+	for _, flag := range []string{"heavy:100-200:1e-16", "heavy:100-200:1e-300", "heavy:100-200:200", "heavy:2048-30000:95"} {
+		if _, err := GeneratorByFlag(flag, 1); err == nil {
+			t.Errorf("%q should fail", flag)
+		}
+	}
+	// The smallest modelled alpha and the perfbench tail still build.
+	for _, flag := range []string{"heavy:100-200:0x1p-26", "heavy:2048-30000:1.1"} {
+		if _, err := GeneratorByFlag(flag, 1); err != nil {
+			t.Errorf("%q: %v", flag, err)
+		}
+	}
 }
 
 func TestGeneratorByFlagHeavy(t *testing.T) {
@@ -245,17 +259,21 @@ func TestGeneratorByFlagHeavy(t *testing.T) {
 }
 
 // FuzzGeneratorByFlag: a trace flag either fails as a flag or yields a
-// generator whose sampled contexts are positive and inside the trace's
-// [Min, Max].
+// generator whose mean is finite and whose mean and sampled contexts are
+// positive and inside the trace's [Min, Max].
 func FuzzGeneratorByFlag(f *testing.F) {
 	for _, seed := range []string{"QMSum", "uniform:4096", "heavy:1024-8192", "heavy:1024-8192:2.5",
-		"heavy:100-200:NaN", "heavy:100-200:+Inf", "uniform:9223372036854775807"} {
+		"heavy:100-200:NaN", "heavy:100-200:+Inf", "uniform:9223372036854775807",
+		"heavy:100-200:1e-16", "heavy:100-200:1e-300", "heavy:100-200:200", "heavy:2048-30000:95"} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, flag string) {
 		g, err := GeneratorByFlag(flag, 1)
 		if err != nil {
 			return
+		}
+		if m := g.trace.Mean; !(m >= float64(g.trace.Min) && m <= float64(g.trace.Max)) {
+			t.Fatalf("%q: mean %g outside [%d, %d]", flag, m, g.trace.Min, g.trace.Max)
 		}
 		for i := 0; i < 16; i++ {
 			if c := g.SampleContext(); c <= 0 || c < g.trace.Min || c > g.trace.Max {
