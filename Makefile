@@ -81,7 +81,10 @@ race-pricing:
 # either fails as a flag or samples contexts inside its trace's bounds —
 # then 10 seconds of the arrivals grammar — an -arrivals value at any
 # rate either fails or returns n ordered, non-NaN arrival times, before
-# a deadline — then 30 seconds over the DES spine — randomized (seed,
+# a deadline — then 10 seconds of the fleet grammar — a -fleet value
+# either fails or yields specs with a positive count, a known role and
+# a non-negative KV budget that validate and build without a panic,
+# before a deadline — then 30 seconds over the DES spine — randomized (seed,
 # arrival-mix, fleet-shape, fault-schedule) tuples must keep every
 # leaping run, whichever bound the spine derives, byte-identical to
 # single stepping and every DES invariant intact — then 10 seconds of
@@ -90,6 +93,7 @@ race-pricing:
 fuzz-smoke:
 	$(GO) test -fuzz FuzzGeneratorByFlag -fuzztime 10s ./internal/workload/
 	$(GO) test -fuzz FuzzArrivalsByFlag -fuzztime 10s ./internal/workload/
+	$(GO) test -fuzz FuzzFleetSpecs -fuzztime 10s ./cmd/pimphony-serve/
 	$(GO) test -fuzz FuzzDESSchedule -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz FuzzDPA -fuzztime 10s ./internal/memory/
 

@@ -9,7 +9,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"strings"
 
 	"pimphony/internal/compiler"
 	"pimphony/internal/isa"
@@ -25,18 +24,12 @@ func main() {
 	disasm := flag.Bool("disasm", false, "print the disassembly of every lowered attention program")
 	flag.Parse()
 
-	var m model.Config
-	switch strings.ToLower(*modelName) {
-	case "7b-32k":
-		m = model.LLM7B32K()
-	case "7b-128k-gqa":
-		m = model.LLM7B128KGQA()
-	case "72b-32k":
-		m = model.LLM72B32K()
-	case "72b-128k-gqa":
-		m = model.LLM72B128KGQA()
-	default:
-		log.Fatalf("unknown model %q", *modelName)
+	m, err := model.ByFlag(*modelName)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if *tokens < 1 {
+		log.Fatalf("-tokens must be at least 1, got %d", *tokens)
 	}
 
 	tgt := compiler.Target{Dev: timing.AiM16().WithChannels(32), TCP: *tcp}

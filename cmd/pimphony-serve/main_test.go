@@ -2,11 +2,17 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
 	"time"
+
+	"pimphony/internal/cluster"
+	"pimphony/internal/model"
+	"pimphony/internal/serve"
+	"pimphony/internal/timing"
 )
 
 // TestMain lets a test run this binary as the command itself: with
@@ -71,4 +77,70 @@ func TestCLIExitStatus(t *testing.T) {
 			t.Errorf("pimphony-serve %s: output lacks %q\n%s", strings.Join(c.args, " "), c.want, out)
 		}
 	}
+}
+
+// FuzzFleetSpecs: a -fleet value either fails to parse or yields specs
+// that each have a positive count, a known role and a non-negative KV
+// budget, and validating the fleet and building each spec's system then
+// return an answer rather than panic; each case runs against a
+// deadline. budget is the -kv-budget in GiB, applied as the command
+// applies it.
+func FuzzFleetSpecs(f *testing.F) {
+	for _, spec := range []string{
+		"cent:unified:4:kv=24",
+		"neupims:prefill:1,cent:decode:3:kv=32",
+		"cent:decode:2",
+		"cent:unified:2:alloc=static",
+		"cent:unified:2:kv=8:alloc=dpa",
+		"cent:unified:2:kv=inf",
+		"cent:unified:2:kv=1e-12",
+		"cent:unified:2:alloc=",
+		"cent:unified:2:kv=",
+		"cent::2",
+		"::",
+		",",
+		"",
+	} {
+		f.Add(spec, 0.0)
+	}
+	f.Add("cent:unified:2", 8.0)
+	f.Add("cent:unified:2", 1e-12)
+	m := model.LLM7B32K()
+	f.Fuzz(func(t *testing.T, spec string, budget float64) {
+		def, err := budgetBytes(budget)
+		if err != nil {
+			def = 0 // the command rejects such a budget before parsing
+		}
+		done := make(chan []string, 1)
+		go func() {
+			var bad []string
+			defer func() { done <- bad }()
+			specs, err := parseFleetSpecs(spec, m, def)
+			if err != nil {
+				return
+			}
+			for i, s := range specs {
+				if s.Count < 1 {
+					bad = append(bad, fmt.Sprintf("spec %d has count %d", i, s.Count))
+				}
+				if r := s.Role; r != serve.RoleUnified && r != serve.RolePrefill && r != serve.RoleDecode {
+					bad = append(bad, fmt.Sprintf("spec %d has unknown role %v", i, r))
+				}
+				if s.System.KVBudgetBytes < 0 {
+					bad = append(bad, fmt.Sprintf("spec %d has KV budget %d bytes", i, s.System.KVBudgetBytes))
+				}
+				_, _ = cluster.New(s.System)
+			}
+			cfg := serve.Config{Fleet: specs, Interconnect: timing.DefaultInterconnect()}
+			_ = cfg.Validate()
+		}()
+		select {
+		case bad := <-done:
+			for _, b := range bad {
+				t.Errorf("-fleet %q (kv-budget %g): %s", spec, budget, b)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("-fleet %q (kv-budget %g): still running after 5 s", spec, budget)
+		}
+	})
 }

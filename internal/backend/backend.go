@@ -100,12 +100,12 @@ type StepCost struct {
 	Stats Stats
 }
 
-// Admission describes how the cluster admitter treats this backend:
-// pool geometry, queue semantics and the allocator that tracks KV
+// Admission describes how the cluster engine admits requests on this
+// backend: pool geometry, queue semantics and the pool that tracks KV
 // reservations.
 type Admission struct {
 	// PagedEff, when positive, marks a paged KV pool (the GPU's
-	// paged-attention baseline) and is its usable fraction: the admitter
+	// paged-attention baseline) and is its usable fraction: the engine
 	// derates the post-weights pool by it, packs the queue greedily past
 	// requests that do not fit, reports it as the batch's CapacityUtil
 	// and tracks KV in a pool of one-token chunks (memory.NewPaged).
@@ -138,7 +138,8 @@ type Backend interface {
 	// CapacityBytes is the total device memory across the system
 	// (weights + KV unless Admission.WeightsHosted).
 	CapacityBytes(env *Env) int64
-	// Admission returns the admitter parameters for this backend.
+	// Admission returns the engine's admission parameters for this
+	// backend.
 	Admission(env *Env) Admission
 	// NewStepper builds the system's iteration pricer, the only way to
 	// price a decode iteration.

@@ -14,7 +14,7 @@ import (
 // post-weights capacity derated by the paged-attention efficiency and
 // packed greedily, each request admitted at its live context and grown
 // per token (growth past the pool preempts, the vLLM recompute path).
-// It runs through the same admitter and decode loop as every other
+// It runs through the same engine admission and decode loop as every other
 // backend, which is what gives the GPU baseline serving-engine support.
 type gpu struct{}
 

@@ -22,11 +22,10 @@ import (
 func refRun(s *System, reqs []workload.Request) (rep *Report, froze bool, err error) {
 	ctx := context.Background()
 	cfg := s.cfg
-	ad, err := s.newAdmitter(nil)
+	alloc, err := s.newPool()
 	if err != nil {
 		return nil, false, err
 	}
-	alloc := ad.alloc
 	upfront := s.be.Name() == GPUSystem
 	horizon := func(r workload.Request) int {
 		need := r.Context + cfg.DecodeWindow
@@ -42,16 +41,16 @@ func refRun(s *System, reqs []workload.Request) (rep *Report, froze bool, err er
 		need := horizon(r)
 		fits := alloc.CanAdmit(need)
 		var headNeed int64
-		if fits && ad.headFirst {
+		if fits && s.adm.HeadBudget > 0 {
 			reserve := int64(s.tmax())
 			if cfg.Tech.DPA {
 				reserve = int64(need)
 			}
-			headNeed = reserve * int64(ad.kvHeads)
-			fits = headUsed+headNeed <= ad.headBudget
+			headNeed = reserve * int64(s.adm.KVHeadsPerModule)
+			fits = headUsed+headNeed <= s.adm.HeadBudget
 		}
 		if !fits {
-			if ad.skipUnfit {
+			if s.adm.PagedEff > 0 {
 				continue
 			}
 			break

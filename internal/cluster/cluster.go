@@ -228,190 +228,23 @@ func (s *System) kvPoolBytes() (int64, error) {
 	return pool, nil
 }
 
-// admitter owns the admission state: the KV pool, the head-first
-// per-channel budget and the FCFS pending queue.
-type admitter struct {
-	sys        *System
-	alloc      *memory.Pool
-	headBudget int64
-	headUsed   int64
-	headNeed   map[int]int64 // per admitted request (for release)
-	kvHeads    int
-	headFirst  bool // charge the per-channel head budget on admission
-	skipUnfit  bool // scan past unfit requests instead of stopping (paged pool)
-	pending    []workload.Request
-	active     []workload.Request
-	// grown is the engine's progress map (tokens generated per request).
-	// A request admits at its prompt plus that progress, so a preempted
-	// request re-admits at its full recomputed KV size.
-	grown map[int]int
-}
-
-// newAdmitter builds the KV pool and admission bookkeeping from the
-// backend's admission parameters over the engine's progress map: a
-// paged pool (one-token chunks) packs greedily, otherwise the technique
+// newPool builds the KV pool from the backend's admission parameters:
+// a paged pool (one-token chunks) for the GPU, otherwise the technique
 // picks DPA chunks or static T_max regions.
-func (s *System) newAdmitter(grown map[int]int) (*admitter, error) {
+func (s *System) newPool() (*memory.Pool, error) {
 	pool, err := s.kvPoolBytes()
 	if err != nil {
 		return nil, err
 	}
 	bpt := s.cfg.Model.KVBytesPerToken()
-	var alloc *memory.Pool
 	switch {
 	case s.adm.PagedEff > 0:
-		alloc, err = memory.NewPaged(pool, bpt)
+		return memory.NewPaged(pool, bpt)
 	case s.cfg.Tech.DPA:
-		alloc, err = memory.NewDPA(pool, bpt, memory.DefaultChunkBytes)
+		return memory.NewDPA(pool, bpt, memory.DefaultChunkBytes)
 	default:
-		alloc, err = memory.NewStatic(pool, bpt, s.tmax())
+		return memory.NewStatic(pool, bpt, s.tmax())
 	}
-	if err != nil {
-		return nil, err
-	}
-	ad := &admitter{sys: s, alloc: alloc, headNeed: make(map[int]int64),
-		skipUnfit: s.adm.PagedEff > 0, grown: grown}
-	ad.kvHeads = s.adm.KVHeadsPerModule
-	if s.adm.HeadBudget > 0 {
-		ad.headFirst = true
-		ad.headBudget = s.adm.HeadBudget
-	}
-	return ad, nil
-}
-
-// horizon is the token count a request must be able to reach without
-// eviction, used for headroom-aware admission: its whole generation
-// length, clamped to T_max.
-func (a *admitter) horizon(r workload.Request) int {
-	return min(r.Context+r.Decode, a.sys.tmax())
-}
-
-// admitFits is the admission predicate shared by fill and wouldAdmit
-// (keeping the two in lockstep is what keeps a leap equivalent to one
-// iteration per call):
-// whether a pending request can be admitted right now — headroom to
-// grow to its horizon without eviction, and under head-first placement
-// the per-channel head budget — plus the head-budget charge admission
-// would record.
-func (a *admitter) admitFits(r workload.Request) (bool, int64) {
-	s := a.sys
-	need := a.horizon(r)
-	if !a.alloc.CanAdmit(need) {
-		return false, 0
-	}
-	var headNeed int64
-	if a.headFirst {
-		// Static allocation also reserves T_max per channel tile.
-		reserve := int64(s.tmax())
-		if s.cfg.Tech.DPA {
-			reserve = int64(need)
-		}
-		headNeed = reserve * int64(a.kvHeads)
-		if a.headUsed+headNeed > a.headBudget {
-			return false, 0
-		}
-	}
-	return true, headNeed
-}
-
-// fill admits pending requests FCFS until the head of the queue no longer
-// fits (strict in-order admission, as a serving queue would). A paged
-// pool (the GPU's) packs greedily: fill scans past requests that do not
-// fit, and the skipped requests keep their queue order.
-func (a *admitter) fill() {
-	var skipped []workload.Request
-	for len(a.pending) > 0 {
-		r := a.pending[0]
-		fits, headNeed := a.admitFits(r)
-		if !fits {
-			if a.skipUnfit {
-				skipped = append(skipped, r)
-				a.pending = a.pending[1:]
-				continue
-			}
-			break
-		}
-		if err := a.alloc.Admit(r.ID, r.Context+a.grown[r.ID]); err != nil {
-			break
-		}
-		a.headUsed += headNeed
-		a.headNeed[r.ID] = headNeed
-		a.active = append(a.active, r)
-		a.pending = a.pending[1:]
-	}
-	if len(skipped) > 0 {
-		a.pending = append(skipped, a.pending...)
-	}
-}
-
-// wouldAdmit reports whether fill would admit at least one pending
-// request right now, without admitting it — the serving engine's leap
-// gate: a possible admission limits the call to one iteration. It shares
-// fill's admitFits predicate, so the two cannot drift apart (a false
-// negative here would break leap equivalence); a request that passes the
-// predicate but fails the allocator's Admit merely costs a harmless
-// one-iteration call.
-func (a *admitter) wouldAdmit() bool {
-	if len(a.pending) == 0 {
-		return false
-	}
-	if a.skipUnfit {
-		for _, r := range a.pending {
-			if fits, _ := a.admitFits(r); fits {
-				return true
-			}
-		}
-		return false
-	}
-	fits, _ := a.admitFits(a.pending[0])
-	return fits
-}
-
-// isActive reports whether a request is currently admitted (headNeed
-// keeps one entry per admitted request, including zero entries under
-// TCP, so it doubles as the membership set).
-func (a *admitter) isActive(reqID int) bool {
-	_, ok := a.headNeed[reqID]
-	return ok
-}
-
-// requeueFront frees an active request's memory and head budget and
-// puts it back at the head of the pending queue — the serving engine's
-// preemption path. Unlike release, the request will be re-admitted (and
-// its KV recomputed) once capacity frees up.
-func (a *admitter) requeueFront(reqID int) error {
-	var req workload.Request
-	found := false
-	for _, r := range a.active {
-		if r.ID == reqID {
-			req, found = r, true
-			break
-		}
-	}
-	if !found {
-		return fmt.Errorf("cluster %s: cannot preempt inactive request %d", a.sys.cfg.Name, reqID)
-	}
-	if err := a.release(reqID); err != nil {
-		return err
-	}
-	a.pending = append([]workload.Request{req}, a.pending...)
-	return nil
-}
-
-// release frees a completed request's memory and head budget.
-func (a *admitter) release(reqID int) error {
-	if err := a.alloc.Release(reqID); err != nil {
-		return err
-	}
-	a.headUsed -= a.headNeed[reqID]
-	delete(a.headNeed, reqID)
-	for i, r := range a.active {
-		if r.ID == reqID {
-			a.active = append(a.active[:i], a.active[i+1:]...)
-			break
-		}
-	}
-	return nil
 }
 
 // iterate prices one decode iteration through the backend's stepper;
@@ -445,14 +278,14 @@ func (s *System) RunCtx(ctx context.Context, reqs []workload.Request) (*Report, 
 			return nil, err
 		}
 	}
-	e.ad.fill()
-	if len(e.ad.active) == 0 {
+	e.fill()
+	if len(e.active) == 0 {
 		return nil, fmt.Errorf("cluster %s: no request fits (pool %d GiB, T_max %d)",
-			s.cfg.Name, e.ad.alloc.CapacityBytes()>>30, s.tmax())
+			s.cfg.Name, e.pool.CapacityBytes()>>30, s.tmax())
 	}
 	// A paged pool reports its paged-attention efficiency rather than
 	// pool fill.
-	capUtil := e.ad.alloc.Utilization()
+	capUtil := e.pool.Utilization()
 	if u := s.adm.PagedEff; u > 0 {
 		capUtil = u
 	}

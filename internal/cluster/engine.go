@@ -7,6 +7,7 @@ import (
 
 	"pimphony/internal/backend"
 	"pimphony/internal/energy"
+	"pimphony/internal/memory"
 	"pimphony/internal/timing"
 	"pimphony/internal/workload"
 )
@@ -29,13 +30,20 @@ import (
 // cache (prompt plus every token generated so far) is recomputed on the
 // decode engine, stalling the iteration by that prefill time.
 type Engine struct {
-	sys   *System
-	ad    *admitter
-	grown map[int]int
-	seen  map[int]bool
-	// preempted marks evicted requests awaiting re-admission; the entry
-	// is cleared when the recompute cost is charged.
-	preempted map[int]bool
+	sys *System
+	// pool tracks every admitted request's KV: DPA chunks, static T_max
+	// regions or the GPU's one-token pages.
+	pool *memory.Pool
+	// headUsed is the head-first channel budget admitted requests hold
+	// (the sum of their entries' head charges).
+	headUsed int64
+	// reqs holds one entry per request this engine has seen. A retired
+	// request keeps its key with a nil entry, so Enqueue still rejects
+	// its ID; Withdraw and FailAll drop keys.
+	reqs map[int]*entry
+	// pending is the FCFS admission queue, active the admitted batch in
+	// admission order.
+	pending, active []*entry
 	// outstanding is the decode work still owed across active and
 	// pending requests, maintained incrementally at every enqueue,
 	// token, retirement and withdrawal so OutstandingTokens — probed
@@ -76,11 +84,30 @@ type Engine struct {
 	// allocation diet): the batch snapshot, the Generated event list,
 	// the batch-order token counts the stepper prices, the leap's ID
 	// list and its iteration durations.
-	batchScratch []workload.Request
+	batchScratch []*entry
 	genScratch   []int
 	tokScratch   []int
 	idScratch    []int
 	secScratch   []float64
+}
+
+// entry is one request's state on an engine, from Enqueue until it
+// retires or leaves (Withdraw, FailAll).
+type entry struct {
+	req workload.Request
+	// gen is the tokens generated so far. It persists across
+	// preemption: the tokens were emitted, only the KV behind them is
+	// gone.
+	gen int
+	// head is the head-first channel budget the request holds while
+	// admitted.
+	head int64
+	// admitted marks membership of the active batch.
+	admitted bool
+	// recompute marks a request whose KV must be rebuilt on admission
+	// (preempted here, or lost to a crash elsewhere); admission charges
+	// the prefill of its prompt plus gen and clears the mark.
+	recompute bool
 }
 
 // StepResult reports what one Leap call did: one decode iteration, or a
@@ -131,18 +158,16 @@ type StepResult struct {
 
 // NewEngine builds a step-level serving engine over this system's
 // admission policy and performance model. Every registered backend is
-// servable: the engine admits against the backend's allocator (DPA
-// chunks, static T_max regions, or the GPU's paged pool) and prices
-// iterations through the backend's Stepper, so the GPU baseline gets the
-// same admission, preemption and serving metrics as the PIM systems.
+// servable: the engine admits against the backend's pool (DPA chunks,
+// static T_max regions, or the GPU's paged pool) and prices iterations
+// through the backend's Stepper, so the GPU baseline gets the same
+// admission, preemption and serving metrics as the PIM systems.
 func (s *System) NewEngine() (*Engine, error) {
-	grown := make(map[int]int)
-	ad, err := s.newAdmitter(grown)
+	pool, err := s.newPool()
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{sys: s, ad: ad, grown: grown, seen: make(map[int]bool),
-		preempted: make(map[int]bool), timeScale: 1}, nil
+	return &Engine{sys: s, pool: pool, reqs: make(map[int]*entry), timeScale: 1}, nil
 }
 
 // Enqueue appends a request to the FCFS admission queue. Requests must
@@ -161,23 +186,69 @@ func (e *Engine) Enqueue(r workload.Request) error {
 		return fmt.Errorf("cluster %s: request %d context %d cannot emit a token within T_max %d",
 			e.sys.cfg.Name, r.ID, r.Context, e.sys.tmax())
 	}
-	if e.seen[r.ID] {
+	if _, dup := e.reqs[r.ID]; dup {
 		return fmt.Errorf("cluster %s: duplicate request ID %d", e.sys.cfg.Name, r.ID)
 	}
-	e.seen[r.ID] = true
-	e.ad.pending = append(e.ad.pending, r)
+	en := &entry{req: r}
+	e.reqs[r.ID] = en
+	e.pending = append(e.pending, en)
 	e.outstanding += r.Decode
 	return nil
 }
 
+// EnqueueResumed enqueues a request that has already generated gen
+// tokens elsewhere and arrives with its KV cache intact — the receiving
+// side of a fleet KV migration. It shares Enqueue's validation, seeds
+// the request's progress, and — unlike a preempted re-admission — does
+// not mark the request for a recompute charge: the KV was moved, not
+// lost. On admission the request occupies Context+gen tokens of KV and
+// decodes its remaining Decode-gen tokens. With gen 0 it validates and
+// enqueues exactly as Enqueue does.
+func (e *Engine) EnqueueResumed(r workload.Request, gen int) error {
+	return e.resume(r, gen, false)
+}
+
+// EnqueueRecompute enqueues a request that generated gen tokens
+// elsewhere but arrives with no KV — the re-admission path after a
+// replica crash. It shares EnqueueResumed's validation and progress
+// seeding, and marks the request so admission charges the full KV
+// rebuild (prompt plus the gen tokens already generated), the same
+// recompute pricing the preemption path uses.
+func (e *Engine) EnqueueRecompute(r workload.Request, gen int) error {
+	return e.resume(r, gen, true)
+}
+
+// resume validates a resumed request's progress, enqueues it and seeds
+// its entry with gen tokens and the recompute mark. Zero progress needs
+// no check of its own, so it fails exactly as Enqueue does.
+func (e *Engine) resume(r workload.Request, gen int, recompute bool) error {
+	if gen != 0 {
+		if gen < 0 || gen >= r.Decode {
+			return fmt.Errorf("cluster %s: resumed request %d has progress %d outside [0, %d)",
+				e.sys.cfg.Name, r.ID, gen, r.Decode)
+		}
+		if r.Context+gen >= e.sys.tmax() {
+			return fmt.Errorf("cluster %s: resumed request %d at %d tokens cannot emit a token within T_max %d",
+				e.sys.cfg.Name, r.ID, r.Context+gen, e.sys.tmax())
+		}
+	}
+	if err := e.Enqueue(r); err != nil {
+		return err
+	}
+	en := e.pending[len(e.pending)-1]
+	en.gen, en.recompute = gen, recompute
+	e.outstanding -= gen // only the remaining tokens are owed here
+	return nil
+}
+
 // Active is the number of admitted, still-decoding requests.
-func (e *Engine) Active() int { return len(e.ad.active) }
+func (e *Engine) Active() int { return len(e.active) }
 
 // Pending is the number of enqueued, not-yet-admitted requests.
-func (e *Engine) Pending() int { return len(e.ad.pending) }
+func (e *Engine) Pending() int { return len(e.pending) }
 
 // Idle reports whether the engine has no work at all.
-func (e *Engine) Idle() bool { return len(e.ad.active) == 0 && len(e.ad.pending) == 0 }
+func (e *Engine) Idle() bool { return len(e.active) == 0 && len(e.pending) == 0 }
 
 // OutstandingTokens is the decode work still owed: remaining generation
 // tokens across active requests plus the full generation length of every
@@ -232,28 +303,137 @@ func (e *Engine) PeakReservedBytes() int64 { return e.peakReserved }
 
 // KVPoolBytes is this replica's KV capacity budget (pool after weights,
 // capped by Config.KVBudgetBytes).
-func (e *Engine) KVPoolBytes() int64 { return e.ad.alloc.CapacityBytes() }
+func (e *Engine) KVPoolBytes() int64 { return e.pool.CapacityBytes() }
 
 // sampleCapacity updates the live/reserved high-water marks.
 func (e *Engine) sampleCapacity() {
-	if l := e.ad.alloc.LiveBytes(); l > e.peakLive {
+	if l := e.pool.LiveBytes(); l > e.peakLive {
 		e.peakLive = l
 	}
-	if r := e.ad.alloc.ReservedBytes(); r > e.peakReserved {
+	if r := e.pool.ReservedBytes(); r > e.peakReserved {
 		e.peakReserved = r
 	}
+}
+
+// reach is the token count a request must be able to reach without
+// eviction, used for headroom-aware admission: its whole generation
+// length, clamped to T_max.
+func (e *Engine) reach(r workload.Request) int {
+	return min(r.Context+r.Decode, e.sys.tmax())
+}
+
+// admitFits is the admission predicate shared by fill and wouldAdmit
+// (keeping the two in lockstep is what keeps a leap equivalent to one
+// iteration per call):
+// whether a pending request can be admitted right now — headroom to
+// grow to its horizon without eviction, and under head-first placement
+// (a positive HeadBudget) the per-channel head budget — plus the
+// head-budget charge admission would record.
+func (e *Engine) admitFits(r workload.Request) (bool, int64) {
+	s := e.sys
+	need := e.reach(r)
+	if !e.pool.CanAdmit(need) {
+		return false, 0
+	}
+	var head int64
+	if s.adm.HeadBudget > 0 {
+		// Static allocation also reserves T_max per channel tile.
+		reserve := int64(s.tmax())
+		if s.cfg.Tech.DPA {
+			reserve = int64(need)
+		}
+		head = reserve * int64(s.adm.KVHeadsPerModule)
+		if e.headUsed+head > s.adm.HeadBudget {
+			return false, 0
+		}
+	}
+	return true, head
+}
+
+// fill admits pending requests FCFS until the head of the queue no longer
+// fits (strict in-order admission, as a serving queue would). A request
+// admits at its prompt plus its progress, so a preempted request
+// re-admits at its full recomputed KV size. A paged pool (the GPU's)
+// packs greedily: fill scans past requests that do not fit, and the
+// skipped requests keep their queue order.
+func (e *Engine) fill() {
+	greedy := e.sys.adm.PagedEff > 0
+	var skipped []*entry
+	for len(e.pending) > 0 {
+		en := e.pending[0]
+		fits, head := e.admitFits(en.req)
+		if !fits {
+			if greedy {
+				skipped = append(skipped, en)
+				e.pending = e.pending[1:]
+				continue
+			}
+			break
+		}
+		if err := e.pool.Admit(en.req.ID, en.req.Context+en.gen); err != nil {
+			break
+		}
+		e.headUsed += head
+		en.head, en.admitted = head, true
+		e.active = append(e.active, en)
+		e.pending = e.pending[1:]
+	}
+	if len(skipped) > 0 {
+		e.pending = append(skipped, e.pending...)
+	}
+}
+
+// wouldAdmit reports whether fill would admit at least one pending
+// request right now, without admitting it — the leap gate: a possible
+// admission limits the call to one iteration. It shares fill's
+// admitFits predicate, so the two cannot drift apart (a false negative
+// here would break leap equivalence); a request that passes the
+// predicate but fails the pool's Admit merely costs a harmless
+// one-iteration call.
+func (e *Engine) wouldAdmit() bool {
+	if len(e.pending) == 0 {
+		return false
+	}
+	if e.sys.adm.PagedEff > 0 {
+		for _, en := range e.pending {
+			if fits, _ := e.admitFits(en.req); fits {
+				return true
+			}
+		}
+		return false
+	}
+	fits, _ := e.admitFits(e.pending[0].req)
+	return fits
+}
+
+// release frees an admitted request's KV and head budget and takes it
+// out of the active batch.
+func (e *Engine) release(en *entry) error {
+	if err := e.pool.Release(en.req.ID); err != nil {
+		return err
+	}
+	e.headUsed -= en.head
+	en.head, en.admitted = 0, false
+	for i, a := range e.active {
+		if a == en {
+			e.active = append(e.active[:i], e.active[i+1:]...)
+			break
+		}
+	}
+	return nil
 }
 
 // preemptYoungest evicts the most recently admitted request back to the
 // head of the queue, freeing its KV chunks. Its generation progress is
 // kept — the tokens were already emitted — but the KV behind them must
 // be recomputed when it re-admits.
-func (e *Engine) preemptYoungest() (workload.Request, error) {
-	victim := e.ad.active[len(e.ad.active)-1]
-	if err := e.ad.requeueFront(victim.ID); err != nil {
-		return workload.Request{}, err
+func (e *Engine) preemptYoungest() (*entry, error) {
+	victim := e.active[len(e.active)-1]
+	if err := e.release(victim); err != nil {
+		return nil, err
 	}
-	e.preempted[victim.ID] = true
+	e.pending = append([]*entry{victim}, e.pending...)
+	victim.recompute = true
 	e.preemptions++
 	return victim, nil
 }
@@ -272,49 +452,51 @@ func (e *Engine) preemptYoungest() (workload.Request, error) {
 // A call that admits, or whose bound is already reached, prices one
 // iteration. Otherwise it prices up to leapDistance iterations, the
 // analytic horizon within which nothing can admit, complete, truncate or
-// fail to grow; a SetHorizon clamp caps that count further. When a request cannot grow — DPA lazy allocation
-// exhausted the pool mid-decode, which only a one-iteration call can
-// meet — the engine preempts the youngest admitted request and retries,
-// so older requests keep making progress. An idle engine (nothing
-// active, nothing admissible) returns a zero StepResult; a pending
-// request that cannot be admitted even into an empty system is an
-// error, as is a batch that can neither generate, complete nor preempt
-// (KV livelock).
+// fail to grow; a SetHorizon clamp caps that count further. When a
+// request cannot grow — DPA lazy allocation exhausted the pool
+// mid-decode, which only a one-iteration call can meet — the engine
+// preempts the youngest admitted request and retries, so older requests
+// keep making progress. An idle engine (nothing active, nothing
+// admissible) returns a zero StepResult; a pending request that cannot
+// be admitted even into an empty system is an error, as is a batch that
+// can neither generate, complete nor preempt (KV livelock).
 func (e *Engine) Leap(ctx context.Context, now, until float64) (StepResult, error) {
 	s := e.sys
 	var res StepResult
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
-	before := len(e.ad.active)
-	e.ad.fill()
-	if admitted := e.ad.active[before:]; len(admitted) > 0 {
-		res.Admitted = append([]workload.Request(nil), admitted...)
-	}
-	// Charge the KV recompute for preempted requests re-entering the
-	// batch: the prompt and the tokens generated before eviction are
-	// re-prefilled on this engine before the iteration proceeds.
-	for _, r := range res.Admitted {
-		if e.preempted[r.ID] {
-			delete(e.preempted, r.ID)
-			rc := s.PrefillSeconds(r.Context + e.grown[r.ID])
-			if e.timeScale != 1 {
-				rc *= e.timeScale
+	before := len(e.active)
+	e.fill()
+	if admitted := e.active[before:]; len(admitted) > 0 {
+		res.Admitted = make([]workload.Request, len(admitted))
+		for i, en := range admitted {
+			res.Admitted[i] = en.req
+			// Charge the KV recompute for preempted requests re-entering
+			// the batch: the prompt and the tokens generated before
+			// eviction are re-prefilled on this engine before the
+			// iteration proceeds.
+			if en.recompute {
+				en.recompute = false
+				rc := s.PrefillSeconds(en.req.Context + en.gen)
+				if e.timeScale != 1 {
+					rc *= e.timeScale
+				}
+				res.RecomputeSeconds += rc
 			}
-			res.RecomputeSeconds += rc
 		}
 	}
 	// Snapshot the batch: preemption mutates the active slice mid-call.
 	// (Scratch-backed — the snapshot lives only for this call.)
-	batch := append(e.batchScratch[:0], e.ad.active...)
+	batch := append(e.batchScratch[:0], e.active...)
 	e.batchScratch = batch
 	res.Batch = len(batch)
 	if len(batch) > e.maxActive {
 		e.maxActive = len(batch)
 	}
 	if len(batch) == 0 {
-		if len(e.ad.pending) > 0 {
-			r := e.ad.pending[0]
+		if len(e.pending) > 0 {
+			r := e.pending[0].req
 			return res, fmt.Errorf("cluster %s: request %d (context %d, decode %d) does not fit even in an empty system",
 				s.cfg.Name, r.ID, r.Context, r.Decode)
 		}
@@ -326,7 +508,7 @@ func (e *Engine) Leap(ctx context.Context, now, until float64) (StepResult, erro
 	}
 	e.sampleCapacity()
 	// Materialize token counts once; the per-iteration advance is a
-	// slice increment instead of per-request map traffic.
+	// slice increment instead of per-request entry traffic.
 	toks := e.liveTokens(batch)
 	res.IterSeconds = e.secScratch[:0]
 	recompute := res.RecomputeSeconds
@@ -347,39 +529,39 @@ func (e *Engine) Leap(ctx context.Context, now, until float64) (StepResult, erro
 	e.secScratch = res.IterSeconds
 	// Advance every request still active by one token per iteration,
 	// growing its KV to the exact live token count. A multi-iteration
-	// leap stays inside the allocator's growth budget, so its one Grow
-	// per request cannot fail. A failed Grow after one iteration (DPA
-	// pool exhausted) preempts the youngest admitted request and retries
+	// leap stays inside the pool's growth budget, so its one Grow per
+	// request cannot fail. A failed Grow after one iteration (DPA pool
+	// exhausted) preempts the youngest admitted request and retries
 	// until the grower succeeds or is itself the victim.
 	iters := len(res.IterSeconds)
 	res.Generated = e.genScratch[:0]
-	for _, r := range batch {
-		if !e.ad.isActive(r.ID) {
+	for _, en := range batch {
+		if !en.admitted {
 			continue // evicted earlier this call
 		}
-		e.grown[r.ID] += iters
-		tok := r.Context + e.grown[r.ID]
-		growErr := e.ad.alloc.Grow(r.ID, tok)
-		for growErr != nil && iters == 1 && len(e.ad.active) > 1 {
-			victim, perr := e.preemptYoungest()
-			if perr != nil {
-				return res, perr
+		en.gen += iters
+		tok := en.req.Context + en.gen
+		growErr := e.pool.Grow(en.req.ID, tok)
+		for growErr != nil && iters == 1 && len(e.active) > 1 {
+			victim, err := e.preemptYoungest()
+			if err != nil {
+				return res, err
 			}
-			res.Preempted = append(res.Preempted, victim)
-			if victim.ID == r.ID {
+			res.Preempted = append(res.Preempted, victim.req)
+			if victim == en {
 				break // the grower itself lost; its token is not emitted
 			}
-			growErr = e.ad.alloc.Grow(r.ID, tok)
+			growErr = e.pool.Grow(en.req.ID, tok)
 		}
 		if growErr != nil {
 			if iters > 1 {
 				return res, fmt.Errorf("cluster %s: in-budget leap growth failed for request %d: %w",
-					s.cfg.Name, r.ID, growErr)
+					s.cfg.Name, en.req.ID, growErr)
 			}
-			e.grown[r.ID]-- // frozen (sole survivor) or evicted mid-growth
+			en.gen-- // frozen (sole survivor) or evicted mid-growth
 			continue
 		}
-		res.Generated = append(res.Generated, r.ID)
+		res.Generated = append(res.Generated, en.req.ID)
 	}
 	e.genScratch = res.Generated
 	e.generated += iters * len(res.Generated)
@@ -399,10 +581,10 @@ func (e *Engine) Leap(ctx context.Context, now, until float64) (StepResult, erro
 
 // liveTokens lists each batch member's live KV length (prompt plus
 // generated tokens) in batch order, in the engine's reused scratch.
-func (e *Engine) liveTokens(batch []workload.Request) []int {
+func (e *Engine) liveTokens(batch []*entry) []int {
 	toks := e.tokScratch[:0]
-	for _, r := range batch {
-		toks = append(toks, r.Context+e.grown[r.ID])
+	for _, en := range batch {
+		toks = append(toks, en.req.Context+en.gen)
 	}
 	e.tokScratch = toks
 	return toks
@@ -428,7 +610,7 @@ func (e *Engine) account(cost backend.StepCost, n int, recompute float64) float6
 	sec += recompute
 	e.totalSec += sec
 	e.recomputeSec += recompute
-	if len(e.ad.pending) > 0 {
+	if len(e.pending) > 0 {
 		e.blockedSec += sec
 	}
 	e.steps++
@@ -437,22 +619,21 @@ func (e *Engine) account(cost backend.StepCost, n int, recompute float64) float6
 
 // retire releases the batch members still active that reached their
 // generation length or the context window (truncated generation: a real
-// serving system force-stops at T_max), in batch order. It collects
-// first, because release mutates the active slice.
-func (e *Engine) retire(batch []workload.Request) ([]workload.Request, error) {
+// serving system force-stops at T_max), in batch order. A retired
+// request keeps its key in the table with a nil entry.
+func (e *Engine) retire(batch []*entry) ([]workload.Request, error) {
 	tmax := e.sys.tmax()
 	var done []workload.Request
-	for _, r := range batch {
-		if g := e.grown[r.ID]; e.ad.isActive(r.ID) && (g >= r.Decode || r.Context+g >= tmax) {
-			done = append(done, r)
+	for _, en := range batch {
+		if !en.admitted || (en.gen < en.req.Decode && en.req.Context+en.gen < tmax) {
+			continue
 		}
-	}
-	for _, r := range done {
-		if err := e.ad.release(r.ID); err != nil {
+		if err := e.release(en); err != nil {
 			return nil, err
 		}
-		e.outstanding -= r.Decode - e.grown[r.ID] // T_max truncation leaves a remainder
-		delete(e.grown, r.ID)
+		e.outstanding -= en.req.Decode - en.gen // T_max truncation leaves a remainder
+		e.reqs[en.req.ID] = nil
+		done = append(done, en.req)
 	}
 	return done, nil
 }
@@ -461,27 +642,25 @@ func (e *Engine) retire(batch []workload.Request) ([]workload.Request, error) {
 // many iterations can run before one may admit, complete, truncate or
 // fail to grow. The horizon is the minimum over every active request of
 // its tokens to completion and to T_max truncation, then the SetHorizon
-// clamp, and over the batch of the allocator's lockstep growth budget
-// (the next chunk/page allocation — the preemption trigger), which the
-// allocator need only probe up to the bound so far. Zero when the next
-// iteration may admit a pending request.
+// clamp, and over the batch of the pool's lockstep growth budget (the
+// next chunk/page allocation — the preemption trigger), which the pool
+// need only probe up to the bound so far. Zero when the next iteration
+// may admit a pending request.
 func (e *Engine) leapDistance() int {
-	ad := e.ad
-	if ad.wouldAdmit() {
+	if e.wouldAdmit() {
 		return 0
 	}
 	tmax := e.sys.tmax()
 	n := math.MaxInt
 	ids := e.idScratch[:0]
-	for _, r := range ad.active {
-		g := e.grown[r.ID]
-		if d := r.Decode - g; d < n {
+	for _, en := range e.active {
+		if d := en.req.Decode - en.gen; d < n {
 			n = d // next completion
 		}
-		if d := tmax - (r.Context + g); d < n {
+		if d := tmax - (en.req.Context + en.gen); d < n {
 			n = d // T_max truncation
 		}
-		ids = append(ids, r.ID)
+		ids = append(ids, en.req.ID)
 	}
 	e.idScratch = ids
 	if e.horizon > 0 && n > e.horizon {
@@ -490,7 +669,7 @@ func (e *Engine) leapDistance() int {
 	if n < 2 {
 		return n
 	}
-	return ad.alloc.GrowBudget(ids, n) // next allocation boundary (chunk/page growth)
+	return e.pool.GrowBudget(ids, n) // next allocation boundary (chunk/page growth)
 }
 
 // SetHorizon clamps every subsequent Leap to at most n iterations
@@ -509,81 +688,59 @@ func (e *Engine) SetHorizon(n int) {
 // backends outside it, e.g. the GPU baseline).
 func (e *Engine) Energy() (attn, fc energy.Breakdown) { return e.attnE, e.fcE }
 
-// Progress is the number of tokens a request has generated so far
-// (zero for unknown IDs). It persists across preemption — the tokens
-// were emitted; only the KV behind them is gone — which is exactly the
-// state a migration has to move.
-func (e *Engine) Progress(reqID int) int { return e.grown[reqID] }
+// Progress is the number of tokens a queued or admitted request has
+// generated so far (zero for unknown or retired IDs). It persists
+// across preemption — the tokens were emitted; only the KV behind them
+// is gone — which is exactly the state a migration has to move.
+func (e *Engine) Progress(reqID int) int {
+	if en := e.reqs[reqID]; en != nil {
+		return en.gen
+	}
+	return 0
+}
 
 // FreeKVBytes is the KV pool capacity not currently reserved — the
 // headroom a fleet placement policy ranks replicas by.
 func (e *Engine) FreeKVBytes() int64 {
-	return e.ad.alloc.CapacityBytes() - e.ad.alloc.ReservedBytes()
+	return e.pool.CapacityBytes() - e.pool.ReservedBytes()
 }
 
-// HasHeadroom reports whether the allocator could admit the request
-// right now at the serving horizon (its full generation length, clamped
-// to T_max) — the same predicate admission itself uses, exposed so a
-// fleet scheduler can check a destination replica before handing work
-// to it. Queue order still applies at actual admission.
+// HasHeadroom reports whether the pool could admit the request right
+// now at the serving horizon (its full generation length, clamped to
+// T_max) — the same predicate admission itself uses, exposed so a fleet
+// scheduler can check a destination replica before handing work to it.
+// Queue order still applies at actual admission.
 func (e *Engine) HasHeadroom(r workload.Request) bool {
-	return e.ad.alloc.CanAdmit(e.ad.horizon(r))
-}
-
-// EnqueueResumed enqueues a request that has already generated gen
-// tokens elsewhere and arrives with its KV cache intact — the receiving
-// side of a fleet KV migration. It shares Enqueue's validation, seeds
-// the request's progress, and — unlike a preempted re-admission — does
-// not mark the request for a recompute charge: the KV was moved, not
-// lost. On admission the request occupies Context+gen tokens of KV
-// (admission reads the progress map) and decodes its remaining
-// Decode-gen tokens.
-func (e *Engine) EnqueueResumed(r workload.Request, gen int) error {
-	if gen < 0 || gen >= r.Decode {
-		return fmt.Errorf("cluster %s: resumed request %d has progress %d outside [0, %d)",
-			e.sys.cfg.Name, r.ID, gen, r.Decode)
-	}
-	if r.Context+gen >= e.sys.tmax() {
-		return fmt.Errorf("cluster %s: resumed request %d at %d tokens cannot emit a token within T_max %d",
-			e.sys.cfg.Name, r.ID, r.Context+gen, e.sys.tmax())
-	}
-	if err := e.Enqueue(r); err != nil {
-		return err
-	}
-	if gen > 0 {
-		e.grown[r.ID] = gen
-		e.outstanding -= gen // only the remaining tokens are owed here
-	}
-	return nil
+	return e.pool.CanAdmit(e.reach(r))
 }
 
 // Withdraw removes a pending (not active) request from the queue and
-// returns it with its generation progress, clearing every trace of it
-// from this engine so it can be enqueued elsewhere — the sending side
-// of a fleet KV migration or steal. The canonical migration victim is a
-// request the engine just preempted (it sits at the head of the queue
-// with its progress intact); withdrawing it instead of letting it
-// re-admit trades the recompute charge for the caller's transfer cost.
-// A steal withdraws the request PeekStealable returned.
+// returns it with its generation progress, dropping its entry from this
+// engine so it can be enqueued elsewhere — the sending side of a fleet
+// KV migration or steal. The canonical migration victim is a request
+// the engine just preempted (it sits at the head of the queue with its
+// progress intact); withdrawing it instead of letting it re-admit
+// trades the recompute charge for the caller's transfer cost. A steal
+// withdraws the request PeekStealable returned.
 func (e *Engine) Withdraw(reqID int) (workload.Request, int, error) {
-	if e.ad.isActive(reqID) {
+	en := e.reqs[reqID]
+	if en == nil {
+		return workload.Request{}, 0, fmt.Errorf("cluster %s: cannot withdraw unknown request %d",
+			e.sys.cfg.Name, reqID)
+	}
+	if en.admitted {
 		return workload.Request{}, 0, fmt.Errorf("cluster %s: cannot withdraw active request %d",
 			e.sys.cfg.Name, reqID)
 	}
-	for i, r := range e.ad.pending {
-		if r.ID != reqID {
-			continue
+	for i, p := range e.pending {
+		if p == en {
+			e.pending = append(e.pending[:i], e.pending[i+1:]...)
+			break
 		}
-		e.ad.pending = append(e.ad.pending[:i], e.ad.pending[i+1:]...)
-		gen := e.grown[reqID]
-		e.outstanding -= r.Decode - gen
-		delete(e.grown, reqID)
-		delete(e.preempted, reqID)
-		delete(e.seen, reqID)
-		return r, gen, nil
 	}
-	return workload.Request{}, 0, fmt.Errorf("cluster %s: cannot withdraw unknown request %d",
-		e.sys.cfg.Name, reqID)
+	e.outstanding -= en.req.Decode - en.gen
+	delete(e.reqs, reqID)
+	return en.req, en.gen, nil
 }
 
 // SetTimeScale sets the duration multiplier applied to every priced
@@ -610,62 +767,44 @@ type LostWork struct {
 
 // FailAll crashes the engine: every active and pending request is
 // withdrawn (actives first in admission order, then the queue in FIFO
-// order), all KV is dropped, and every per-request trace is cleared so
-// the lost requests can be re-enqueued here or elsewhere after
-// recovery. It returns the abandoned requests with their generation
-// progress and the live KV bytes that were lost. Aggregate counters
-// (busy seconds, generated tokens, peaks) survive — the work happened;
-// only its product is gone.
+// order), all KV is dropped, and every entry is cleared so the lost
+// requests can be re-enqueued here or elsewhere after recovery. It
+// returns the abandoned requests with their generation progress and the
+// live KV bytes that were lost. Aggregate counters (busy seconds,
+// generated tokens, peaks) survive — the work happened; only its
+// product is gone.
 func (e *Engine) FailAll() ([]LostWork, int64, error) {
-	liveLost := e.ad.alloc.LiveBytes()
+	liveLost := e.pool.LiveBytes()
 	var lost []LostWork
-	actives := append([]workload.Request(nil), e.ad.active...)
-	for _, r := range actives {
-		lost = append(lost, LostWork{Req: r, Gen: e.grown[r.ID]})
-		if err := e.ad.release(r.ID); err != nil {
-			return nil, 0, fmt.Errorf("cluster %s: crash release of request %d: %w", e.sys.cfg.Name, r.ID, err)
+	for _, en := range e.active {
+		lost = append(lost, LostWork{Req: en.req, Gen: en.gen})
+		if err := e.pool.Release(en.req.ID); err != nil {
+			return nil, 0, fmt.Errorf("cluster %s: crash release of request %d: %w", e.sys.cfg.Name, en.req.ID, err)
 		}
 	}
-	for _, r := range e.ad.pending {
-		lost = append(lost, LostWork{Req: r, Gen: e.grown[r.ID]})
+	for _, en := range e.pending {
+		lost = append(lost, LostWork{Req: en.req, Gen: en.gen})
 	}
-	e.ad.pending = nil
-	clear(e.grown)
-	clear(e.seen)
-	clear(e.preempted)
+	e.active, e.pending = e.active[:0], nil
+	e.headUsed = 0
+	clear(e.reqs)
 	e.outstanding = 0
 	return lost, liveLost, nil
-}
-
-// EnqueueRecompute enqueues a request that generated gen tokens
-// elsewhere but arrives with no KV — the re-admission path after a
-// replica crash. It shares EnqueueResumed's validation and progress
-// seeding, and marks the request preempted so admission charges the
-// full KV rebuild (prompt plus the gen tokens already generated), the
-// same recompute pricing the preemption path uses.
-func (e *Engine) EnqueueRecompute(r workload.Request, gen int) error {
-	if err := e.EnqueueResumed(r, gen); err != nil {
-		return err
-	}
-	e.preempted[r.ID] = true
-	return nil
 }
 
 // PeekStealable returns the newest pending request that has made no
 // generation progress — the cheapest request for another replica to take
 // over, since only its prompt KV has to move and no recompute is
-// forgone — without removing it. Preempted requests (progress > 0) are
-// skipped; they are migration candidates, not steal candidates. A
-// scheduler peeks before committing to a steal, so it can check the
-// destination's headroom while the request is still safely queued, and
-// then removes it with Withdraw.
+// forgone — without removing it. Requests with progress or a pending
+// recompute are skipped; they are migration candidates, not steal
+// candidates. A scheduler peeks before committing to a steal, so it can
+// check the destination's headroom while the request is still safely
+// queued, and then removes it with Withdraw.
 func (e *Engine) PeekStealable() (workload.Request, bool) {
-	for i := len(e.ad.pending) - 1; i >= 0; i-- {
-		r := e.ad.pending[i]
-		if e.grown[r.ID] > 0 || e.preempted[r.ID] {
-			continue
+	for i := len(e.pending) - 1; i >= 0; i-- {
+		if en := e.pending[i]; en.gen == 0 && !en.recompute {
+			return en.req, true
 		}
-		return r, true
 	}
 	return workload.Request{}, false
 }

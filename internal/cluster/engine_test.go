@@ -350,7 +350,7 @@ func TestEnginePreemptsUnderDPAExhaustion(t *testing.T) {
 		}
 		// Invariant: the allocator never reserves past the budget and
 		// live never exceeds reserved.
-		al := e.ad.alloc
+		al := e.pool
 		if al.ReservedBytes() > al.CapacityBytes() {
 			t.Fatalf("step %d: reserved %d past capacity %d", i, al.ReservedBytes(), al.CapacityBytes())
 		}
@@ -384,10 +384,10 @@ func TestEnginePreemptsUnderDPAExhaustion(t *testing.T) {
 	}
 	// Reserve/release accounting under preemption: the drained pool is
 	// empty.
-	if r := e.ad.alloc.ReservedBytes(); r != 0 {
+	if r := e.pool.ReservedBytes(); r != 0 {
 		t.Errorf("reserved %d bytes after drain", r)
 	}
-	if l := e.ad.alloc.LiveBytes(); l != 0 {
+	if l := e.pool.LiveBytes(); l != 0 {
 		t.Errorf("live %d bytes after drain", l)
 	}
 }

@@ -70,29 +70,29 @@ func refStep(ctx context.Context, e *Engine) (StepResult, error) {
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
-	before := len(e.ad.active)
-	e.ad.fill()
-	if admitted := e.ad.active[before:]; len(admitted) > 0 {
-		res.Admitted = append([]workload.Request(nil), admitted...)
+	before := len(e.active)
+	e.fill()
+	for _, en := range e.active[before:] {
+		res.Admitted = append(res.Admitted, en.req)
 	}
-	for _, r := range res.Admitted {
-		if e.preempted[r.ID] {
-			delete(e.preempted, r.ID)
-			rc := s.PrefillSeconds(r.Context + e.grown[r.ID])
+	for _, en := range e.active[before:] {
+		if en.recompute {
+			en.recompute = false
+			rc := s.PrefillSeconds(en.req.Context + en.gen)
 			if e.timeScale != 1 {
 				rc *= e.timeScale
 			}
 			res.RecomputeSeconds += rc
 		}
 	}
-	batch := append([]workload.Request(nil), e.ad.active...)
+	batch := append([]*entry(nil), e.active...)
 	res.Batch = len(batch)
 	if len(batch) > e.maxActive {
 		e.maxActive = len(batch)
 	}
 	if len(batch) == 0 {
-		if len(e.ad.pending) > 0 {
-			r := e.ad.pending[0]
+		if len(e.pending) > 0 {
+			r := e.pending[0].req
 			return res, fmt.Errorf("cluster %s: request %d (context %d, decode %d) does not fit even in an empty system",
 				s.cfg.Name, r.ID, r.Context, r.Decode)
 		}
@@ -105,28 +105,28 @@ func refStep(ctx context.Context, e *Engine) (StepResult, error) {
 	}
 	res.Seconds = e.account(cost, len(batch), res.RecomputeSeconds)
 	res.IterSeconds = []float64{res.Seconds}
-	for _, r := range batch {
-		if !e.ad.isActive(r.ID) {
+	for _, en := range batch {
+		if !en.admitted {
 			continue // evicted earlier this step
 		}
-		e.grown[r.ID]++
-		growErr := e.ad.alloc.Grow(r.ID, r.Context+e.grown[r.ID])
-		for growErr != nil && len(e.ad.active) > 1 {
+		en.gen++
+		growErr := e.pool.Grow(en.req.ID, en.req.Context+en.gen)
+		for growErr != nil && len(e.active) > 1 {
 			victim, perr := e.preemptYoungest()
 			if perr != nil {
 				return res, perr
 			}
-			res.Preempted = append(res.Preempted, victim)
-			if victim.ID == r.ID {
+			res.Preempted = append(res.Preempted, victim.req)
+			if victim == en {
 				break // the grower itself lost; its token is not emitted
 			}
-			growErr = e.ad.alloc.Grow(r.ID, r.Context+e.grown[r.ID])
+			growErr = e.pool.Grow(en.req.ID, en.req.Context+en.gen)
 		}
 		if growErr != nil {
-			e.grown[r.ID]-- // frozen (sole survivor) or evicted mid-growth
+			en.gen-- // frozen (sole survivor) or evicted mid-growth
 			continue
 		}
-		res.Generated = append(res.Generated, r.ID)
+		res.Generated = append(res.Generated, en.req.ID)
 		e.generated++
 		e.outstanding--
 	}

@@ -197,7 +197,7 @@ func TestAutoscaleSLODrainLifecycle(t *testing.T) {
 
 // TestAutoscaleSpineEquivalence: autoscaled runs ride the same
 // exactness guarantees as everything else on the spine — one iteration
-// per call (LeapHorizon 1) and other leap horizons may not change a
+// per call (leap horizon 1) and other leap horizons may not change a
 // byte.
 func TestAutoscaleSpineEquivalence(t *testing.T) {
 	arr, err := simtest.PoissonSchedule(12, 30, 3)
@@ -207,17 +207,16 @@ func TestAutoscaleSpineEquivalence(t *testing.T) {
 	mk := func(horizon int) string {
 		sc := serve.NewSLOScaler()
 		sc.CooldownSeconds = 1
-		return fp(t, serve.Config{
-			Fleet:       autoFleet(1, 0.5),
-			SLO:         serve.SLO{TTFT: 1, TBT: 0.2},
-			Autoscaler:  sc,
-			LeapHorizon: horizon,
-		}, arr)
+		return fp(t, serve.WithLeapHorizon(serve.Config{
+			Fleet:      autoFleet(1, 0.5),
+			SLO:        serve.SLO{TTFT: 1, TBT: 0.2},
+			Autoscaler: sc,
+		}, horizon), arr)
 	}
 	leap := mk(0)
 	for _, horizon := range []int{1, 5, 64} {
 		if clamped := mk(horizon); clamped != leap {
-			t.Errorf("LeapHorizon %d changed the autoscaled report", horizon)
+			t.Errorf("leap horizon %d changed the autoscaled report", horizon)
 		}
 	}
 }

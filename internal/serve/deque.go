@@ -1,7 +1,7 @@
 // A growable ring-buffer deque, the queue primitive behind the fleet
-// scheduler's held queue and the autoscaler's waiting set. The previous
-// slice-backed held queue popped by re-slicing and re-prepended a
-// failed head via append([]heldReq{h}, held...) — O(n) per operation,
+// scheduler's held queue and the autoscaler's waiting queue. The
+// previous slice-backed held queue popped by re-slicing and
+// re-prepended a failed head with an append — O(n) per operation,
 // O(n²) across a hold-heavy phase. The ring makes every push and pop
 // O(1) amortized, with the backing array reused across fill/drain
 // cycles.

@@ -39,7 +39,8 @@
 // The heaps hold only work in flight, so a push or pop costs the
 // logarithm of the work in flight, not of the schedule. Each replica's
 // ready entry is one reusable entry that wake moves in place
-// (heap.Fix), so re-arming leaves no stale entry behind.
+// (heap.Fix), and so is the fleet's scale-evaluation timer (armEval),
+// so re-arming leaves no stale entry behind.
 //
 // Exactness. Every per-token timestamp is bit-identical across leap
 // bounds and granularities because engine advancement composes:
@@ -49,9 +50,10 @@
 // iteration order. A partition boundary inserted where no enqueue,
 // admission or retirement happens (the only thing a shorter bound
 // adds) therefore changes which Leap call prices an iteration, but
-// never what the iteration costs or when it ends. Config.LeapHorizon 1
-// prices one iteration per pop in global clock order whatever the
-// bound, which makes it the reference. The equivalence suite
+// never what the iteration costs or when it ends. A leap horizon of 1
+// (the unexported Config.leapHorizon the tests set) prices one
+// iteration per pop in global clock order whatever the bound, which
+// makes it the reference. The equivalence suite
 // (equiv_test.go) pins this across backends, allocators, placements,
 // horizons and sweep parallelism.
 package serve
@@ -350,7 +352,9 @@ func (s *spine) run(ctx context.Context) error {
 		if err := s.sched.dispatch(ctx, e); err != nil {
 			return err
 		}
-		if err := s.sched.react(e.at); err != nil {
+		// Dispatch may re-arm the entry it was given (the scale
+		// timer), so react at the clock, not at e.at.
+		if err := s.sched.react(s.clock); err != nil {
 			return err
 		}
 	}

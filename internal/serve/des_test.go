@@ -153,6 +153,75 @@ func TestSpineHeapHoldsOnlyInFlightEvents(t *testing.T) {
 		audit.audits, audit.maxReady, rep.Faults.Crashes, rep.Fleet.ScaleUps)
 }
 
+// evalAudit is a fleet scheduler that counts the scale-evaluation
+// timers: how many sit on the event heap at each dispatch, at most, and
+// how many are dispatched.
+type evalAudit struct {
+	*fleetSim
+	maxQueued, dispatched int
+}
+
+func (a *evalAudit) dispatch(ctx context.Context, e *event) error {
+	queued := 0
+	for _, q := range a.events {
+		if q.kind == evScaleEval {
+			queued++
+		}
+	}
+	if e.kind == evScaleEval {
+		queued++ // popped for this dispatch
+		a.dispatched++
+	}
+	a.maxQueued = max(a.maxQueued, queued)
+	return a.fleetSim.dispatch(ctx, e)
+}
+
+// TestOneScaleEvalTimer runs the autoscale study's diurnal fleet under
+// the SLO scaler, whose cooldown and oldest-wait deadlines re-arm the
+// scale-evaluation timer at every decision: four unified CENT replicas
+// at 24 GiB, one always online, 2 s warm-up, round-robin-fit. The
+// fleet keeps one timer and moves it to an earlier deadline, so the
+// event heap never holds two; a superseded timer that still fired
+// would evaluate, re-arm a chain of its own, and provision again.
+func TestOneScaleEvalTimer(t *testing.T) {
+	gen, err := workload.HeavyTailed(256, 2048, 1.2, 52)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen.DecodeLen = 32
+	arr, err := workload.ArrivalsByFlag("diurnal:60:0.9", gen, 3, 4, 64, 53)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := testSystem()
+	sys.KVBudgetBytes = 24 << 30
+	cfg := Config{
+		Fleet:      []ReplicaSpec{{System: sys, Count: 4, Role: RoleUnified, Min: 1, WarmupSeconds: 2}},
+		Placement:  RoundRobinFit(),
+		Autoscaler: NewSLOScaler(),
+		SLO:        SLO{TTFT: 2.5, TBT: 0.025},
+	}
+	fs, err := newFleetSim(cfg, len(arr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.start(arr); err != nil {
+		t.Fatal(err)
+	}
+	audit := &evalAudit{fleetSim: fs}
+	fs.sched = audit
+	if err := fs.run(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	if audit.dispatched == 0 {
+		t.Fatal("vacuous audit: no scale-evaluation timer fired")
+	}
+	if audit.maxQueued > 1 {
+		t.Errorf("up to %d scale-evaluation timers queued at once, want 1", audit.maxQueued)
+	}
+	t.Logf("%d scale-evaluation timers dispatched, up to %d queued", audit.dispatched, audit.maxQueued)
+}
+
 // boundProbe records the leap bound the spine derives at every ready
 // pop and counts the flips between the two.
 type boundProbe struct {
@@ -186,7 +255,7 @@ func (p *boundProbe) coupled() bool {
 // bound must flip both ways — leaps to the next global event while
 // nothing is held, clock-order stepping while a request waits for a
 // completion to free headroom — and the report must match one
-// iteration per call (LeapHorizon 1), the reference.
+// iteration per call (leap horizon 1), the reference.
 func TestLeapBoundFlipsWithHeldQueue(t *testing.T) {
 	one := testSystem()
 	one.Tech.DPA = false
@@ -198,7 +267,7 @@ func TestLeapBoundFlipsWithHeldQueue(t *testing.T) {
 		return Config{
 			Fleet:       []ReplicaSpec{{System: one, Count: 2, Role: RoleDecode}},
 			SLO:         SLO{TTFT: 1, TBT: 0.2},
-			LeapHorizon: horizon,
+			leapHorizon: horizon,
 		}
 	}
 	probe := func(horizon int, arr []workload.Arrival) (*Report, *boundProbe, *fleetSim) {
@@ -231,7 +300,7 @@ func TestLeapBoundFlipsWithHeldQueue(t *testing.T) {
 	leap, p, _ := probe(0, arr)
 	for _, horizon := range []int{1, 5, 64} {
 		if clamped, _, _ := probe(horizon, arr); !reflect.DeepEqual(leap, clamped) {
-			t.Errorf("leaping run diverged from LeapHorizon %d:\n%+v\n%+v", horizon, leap, clamped)
+			t.Errorf("leaping run diverged from leap horizon %d:\n%+v\n%+v", horizon, leap, clamped)
 		}
 	}
 	if leap.Fleet.Held != 2 {

@@ -2,9 +2,10 @@
 // produce byte-identical reports across every axis that is supposed to
 // change only how fast the simulation runs, never what it computes —
 // the leap bound the spine derives from the scheduler, leap
-// granularity (LeapHorizon), sweep parallelism, and the push order of
-// commuting equal-timestamp events. One iteration per call (LeapHorizon
-// 1) is the reference every leaping run must match. The suite runs black-box
+// granularity (the leap horizon WithLeapHorizon sets), sweep
+// parallelism, and the push order of commuting equal-timestamp events.
+// One iteration per call (leap horizon 1) is the reference every
+// leaping run must match. The suite runs black-box
 // through internal/simtest so the same oracles serve the fuzz target
 // and any future simulator front end.
 package serve_test
@@ -71,18 +72,17 @@ func TestClassicSpineEquivalence(t *testing.T) {
 		for polName, mkPol := range classicPolicies() {
 			t.Run(sysName+"/"+polName, func(t *testing.T) {
 				mk := func(horizon int) string {
-					return fp(t, serve.Config{
-						System:      simtest.System(sysName),
-						Replicas:    2,
-						Policy:      mkPol(),
-						SLO:         serve.SLO{TTFT: 1, TBT: 0.2},
-						LeapHorizon: horizon,
-					}, arr)
+					return fp(t, serve.WithLeapHorizon(serve.Config{
+						System:   simtest.System(sysName),
+						Replicas: 2,
+						Policy:   mkPol(),
+						SLO:      serve.SLO{TTFT: 1, TBT: 0.2},
+					}, horizon), arr)
 				}
 				leap := mk(0)
 				for _, horizon := range []int{1, 5, 64} {
 					if clamped := mk(horizon); clamped != leap {
-						t.Errorf("LeapHorizon %d changed the report", horizon)
+						t.Errorf("leap horizon %d changed the report", horizon)
 					}
 				}
 			})
@@ -106,7 +106,7 @@ func TestFleetSpineEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return fp(t, serve.Config{
+				return fp(t, serve.WithLeapHorizon(serve.Config{
 					Fleet: []serve.ReplicaSpec{
 						{System: simtest.System("pim-dpa"), Count: 1, Role: serve.RolePrefill},
 						{System: simtest.System("pim-tight"), Count: 2, Role: serve.RoleDecode},
@@ -115,14 +115,13 @@ func TestFleetSpineEquivalence(t *testing.T) {
 					Placement:    pl,
 					Migrate:      true,
 					Steal:        true,
-					LeapHorizon:  horizon,
 					SLO:          serve.SLO{TTFT: 1, TBT: 0.2},
-				}, arr)
+				}, horizon), arr)
 			}
 			leap := mk(0)
 			for _, horizon := range []int{1, 5, 64} {
 				if clamped := mk(horizon); clamped != leap {
-					t.Errorf("LeapHorizon %d changed the fleet report", horizon)
+					t.Errorf("leap horizon %d changed the fleet report", horizon)
 				}
 			}
 		})
@@ -156,7 +155,7 @@ func TestFaultedSpineEquivalence(t *testing.T) {
 	}
 	t.Run("disaggregated", func(t *testing.T) {
 		mk := func(horizon int) string {
-			rep := mustRun(t, serve.Config{
+			rep := mustRun(t, serve.WithLeapHorizon(serve.Config{
 				Fleet: []serve.ReplicaSpec{
 					{System: simtest.System("pim-dpa"), Count: 1, Role: serve.RolePrefill},
 					{System: simtest.System("pim-tight"), Count: 2, Role: serve.RoleDecode},
@@ -165,9 +164,8 @@ func TestFaultedSpineEquivalence(t *testing.T) {
 				Migrate:      true,
 				Steal:        true,
 				Faults:       plan(),
-				LeapHorizon:  horizon,
 				SLO:          serve.SLO{TTFT: 1, TBT: 0.2},
-			}, arr)
+			}, horizon), arr)
 			simtest.CheckInvariants(t, rep, arr)
 			if rep.Faults == nil || rep.Faults.Crashes == 0 {
 				t.Fatal("fault schedule never fired; the equivalence check is vacuous")
@@ -177,7 +175,7 @@ func TestFaultedSpineEquivalence(t *testing.T) {
 		leap := mk(0)
 		for _, horizon := range []int{1, 5, 64} {
 			if clamped := mk(horizon); clamped != leap {
-				t.Errorf("LeapHorizon %d changed the faulted fleet report", horizon)
+				t.Errorf("leap horizon %d changed the faulted fleet report", horizon)
 			}
 		}
 		prev := sweep.SetDefault(8)
@@ -189,7 +187,7 @@ func TestFaultedSpineEquivalence(t *testing.T) {
 	})
 	t.Run("autoscaled", func(t *testing.T) {
 		mk := func(horizon int) string {
-			rep := mustRun(t, serve.Config{
+			rep := mustRun(t, serve.WithLeapHorizon(serve.Config{
 				Fleet: []serve.ReplicaSpec{
 					{System: simtest.System("pim-dpa"), Count: 3, Role: serve.RoleUnified, Min: 1, WarmupSeconds: 0.02},
 				},
@@ -202,16 +200,15 @@ func TestFaultedSpineEquivalence(t *testing.T) {
 					MaxRetries:     -1,
 					BackoffSeconds: 0.005,
 				},
-				LeapHorizon: horizon,
-				SLO:         serve.SLO{TTFT: 1, TBT: 0.2},
-			}, arr)
+				SLO: serve.SLO{TTFT: 1, TBT: 0.2},
+			}, horizon), arr)
 			simtest.CheckInvariants(t, rep, arr)
 			return simtest.Fingerprint(rep)
 		}
 		leap := mk(0)
 		for _, horizon := range []int{1, 5, 64} {
 			if clamped := mk(horizon); clamped != leap {
-				t.Errorf("LeapHorizon %d changed the autoscaled faulted report", horizon)
+				t.Errorf("leap horizon %d changed the autoscaled faulted report", horizon)
 			}
 		}
 		prev := sweep.SetDefault(8)
@@ -285,11 +282,10 @@ func TestDecodeOnlyFleet(t *testing.T) {
 			t.Fatal(err)
 		}
 		mk := func(horizon int) *serve.Report {
-			rep := mustRun(t, serve.Config{
-				Fleet:       []serve.ReplicaSpec{{System: simtest.System("pim-tight"), Count: 2, Role: serve.RoleDecode}},
-				SLO:         serve.SLO{TTFT: 1, TBT: 0.2},
-				LeapHorizon: horizon,
-			}, arr)
+			rep := mustRun(t, serve.WithLeapHorizon(serve.Config{
+				Fleet: []serve.ReplicaSpec{{System: simtest.System("pim-tight"), Count: 2, Role: serve.RoleDecode}},
+				SLO:   serve.SLO{TTFT: 1, TBT: 0.2},
+			}, horizon), arr)
 			simtest.CheckInvariants(t, rep, arr)
 			return rep
 		}

@@ -465,7 +465,9 @@ func (fs *fleetSim) retryOrFail(rec *record, gen int, at float64) error {
 		rec.failed = true
 		fs.fstats.Failed++
 		fs.finished++
-		delete(fs.waiting, rec.req.ID) // no-op for fixed fleets (nil map)
+		if fs.auto != nil && rec.tokens == 0 {
+			fs.waiting-- // it leaves the waiting count without a first token
+		}
 		return nil
 	}
 	fs.fstats.Retries++

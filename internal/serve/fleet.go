@@ -47,6 +47,7 @@
 package serve
 
 import (
+	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -139,9 +140,6 @@ func (c *Config) validateFleet() error {
 	if prefill > 0 && !c.Interconnect.Usable() {
 		return fmt.Errorf("serve: disaggregated fleet (RolePrefill replicas) needs a usable Interconnect to hand KV off")
 	}
-	if c.LeapHorizon < 0 {
-		return fmt.Errorf("serve: LeapHorizon must be non-negative, got %d", c.LeapHorizon)
-	}
 	if err := c.Faults.validate(c.Fleet, decode); err != nil {
 		return err
 	}
@@ -227,20 +225,20 @@ type fleetReplica struct {
 	pre  *prefillServer // non-nil only for RoleUnified
 }
 
-// heldReq is one entry in the global queue: a request no replica could
-// admit at its decision point.
-type heldReq struct {
+// job is one request on its way into a decode engine: what placement
+// decides on, the global queue holds, and deliver hands over.
+type job struct {
 	rec *record
-	// needsPrefill: the request has not been prefilled yet (fleets
-	// without prefill servers place before prefilling, so a held request
-	// still owes its prompt pass — or, on a decode replica, its
-	// outside-the-fleet prefill accounting — once placed).
-	needsPrefill bool
-	// recompute: the request was crash-lost with gen tokens of progress;
-	// placing it re-admits through the engine's recompute-charging path
-	// (faults.go).
-	recompute bool
-	gen       int
+	// prefilled: the prompt pass is done, or is replaced by a KV
+	// recompute. A job that is not prefilled still owes its prompt pass
+	// on the replica that takes it (a fleet without prefill servers
+	// places before prefilling).
+	prefilled bool
+	// gen is the tokens the request generated before it moved.
+	gen int
+	// lost: a crash took the job's KV, so admission recomputes the
+	// prompt plus gen tokens (faults.go).
+	lost bool
 }
 
 // fleetSim drives one simulation: the discrete-event spine plus the
@@ -257,7 +255,7 @@ type fleetSim struct {
 	placeView placeView
 	decoders  []*fleetReplica
 	prefills  []*prefillServer
-	held      deque[heldReq]
+	held      deque[job]
 	// views holds the incrementally maintained scheduler indexes and
 	// autoscale aggregates (views.go), kept in step with every engine
 	// call and lifecycle change via touch/setState.
@@ -279,24 +277,22 @@ type fleetSim struct {
 	state       []replState
 	onlineSince []float64 // provision time of the current online interval
 	onlineSecs  []float64 // completed online intervals, makespan-clamped
-	// waiting tracks arrived requests that have not produced their
-	// first token, for AutoscaleView.OldestWaitSeconds (nil when auto
-	// is nil).
-	waiting map[int]*record
-	// waitq holds the waiting records in arrival order with lazy
-	// deletion (the waiting map is the membership marker), so the
-	// oldest-wait fold is a front peek instead of a map scan.
+	// waiting counts arrived requests that have neither produced their
+	// first token nor failed (kept only when auto is set). waitq holds
+	// them in arrival order with lazy deletion — a record leaves once it
+	// has tokens or has failed — so the oldest-wait fold is a front peek.
+	waiting      int
 	waitq        deque[*record]
 	firstArrival float64
 
 	// Timer-driven scale evaluation: total/finished bound the run (no
 	// scaling after the workload drains), evalSched is the policy's
-	// NextEval half when it has one, and evalAt is the earliest armed
-	// evScaleEval deadline (+Inf when none).
+	// NextEval half when it has one, and eval is the one evScaleEval
+	// entry, queued (index >= 0) while a deadline is armed.
 	total     int
 	finished  int
 	evalSched evalScheduler
-	evalAt    float64
+	eval      event
 
 	// Fault-injection state (faults.go); all nil/zero unless
 	// cfg.Faults is active, so the fault-free path is untouched.
@@ -339,7 +335,7 @@ func newFleetSim(cfg Config, n int) (*fleetSim, error) {
 			if err != nil {
 				return nil, err
 			}
-			eng.SetHorizon(cfg.LeapHorizon)
+			eng.SetHorizon(cfg.leapHorizon)
 			fr := &fleetReplica{replica: replica{sys: sys, eng: eng}, spec: si}
 			if spec.Role == RoleUnified {
 				fr.pre = &prefillServer{sys: sys, spec: si}
@@ -359,11 +355,8 @@ func newFleetSim(cfg Config, n int) (*fleetSim, error) {
 	fs.onlineSecs = make([]float64, len(fs.decoders))
 	fs.auto = cfg.Autoscaler
 	fs.evalSched, _ = cfg.Autoscaler.(evalScheduler)
-	fs.evalAt = math.Inf(1)
+	fs.eval = event{kind: evScaleEval, dst: -1, index: -1}
 	fs.total = n
-	if fs.auto != nil {
-		fs.waiting = make(map[int]*record, n)
-	}
 	reps := make([]*replica, len(fs.decoders))
 	for i, d := range fs.decoders {
 		reps[i] = &d.replica
@@ -392,15 +385,19 @@ func (fs *fleetSim) start(arrivals []workload.Arrival) error {
 }
 
 // onStep reacts to one decoder engine call: first tokens retire their
-// requests from the autoscaler's waiting set, completions advance the
+// requests from the autoscaler's waiting count, completions advance the
 // finished count (and, being leap-invariant boundaries — leaps end
 // exactly at completing iterations — give the autoscaler a decision),
 // and any preemptions the step produced become migration candidates.
 func (fs *fleetSim) onStep(di int, res cluster.StepResult) error {
 	fs.touch(di)
 	if fs.auto != nil {
+		// The tracker has applied the call, so a record whose token count
+		// equals the call's iterations got its first token here.
 		for _, id := range res.Generated {
-			delete(fs.waiting, id)
+			if fs.recs[id].tokens == len(res.IterSeconds) {
+				fs.waiting--
+			}
 		}
 	}
 	if len(res.Completed) > 0 {
@@ -546,34 +543,19 @@ func (fs *fleetSim) dispatch(_ context.Context, e *event) error {
 				// scheduled; the prompt KV went down with it.
 				return fs.retryOrFail(e.rec, 0, e.at)
 			}
-			return fs.enqueueOn(e.dst, e.rec)
+			return fs.deliver(e.dst, job{rec: e.rec, prefilled: true}, e.at)
 		}
 		// Disaggregated handoff: the KV is staged, place it now (after
 		// an autoscale decision — the landing is a placement boundary).
 		fs.autoscale(e.at)
-		if dst := fs.place(e.rec); dst >= 0 {
-			return fs.enqueueOn(dst, e.rec)
-		}
-		fs.held.pushBack(heldReq{rec: e.rec})
-		fs.stats.Held++
-		return nil
+		return fs.placeOrHold(job{rec: e.rec, prefilled: true}, e.at)
 	case evMigrated, evStolen:
 		fs.incoming[e.dst]--
 		if fs.state[e.dst] == stateFailed {
 			// The destination crashed with this KV in flight toward it.
 			return fs.retryOrFail(e.rec, e.gen, e.at)
 		}
-		e.rec.replica = e.dst
-		d := fs.decoders[e.dst]
-		if d.eng.Idle() && d.clock < e.at {
-			d.clock = e.at // lazy idle-clock pull; see enqueueOn
-		}
-		if err := d.eng.EnqueueResumed(e.rec.req, e.gen); err != nil {
-			return err
-		}
-		fs.touch(e.dst)
-		fs.wake(e.dst)
-		return nil
+		return fs.deliver(e.dst, job{rec: e.rec, prefilled: true, gen: e.gen}, e.at)
 	case evProvision:
 		if fs.state[e.dst] != stateWarming {
 			return fmt.Errorf("serve: provision landed on replica %d in state %v", e.dst, fs.state[e.dst])
@@ -625,18 +607,12 @@ func (fs *fleetSim) dispatch(_ context.Context, e *event) error {
 		if e.gen > 0 {
 			// Progress to recompute: the request decodes from gen, but its
 			// re-admission charges the full Context+gen KV rebuild.
-			if dst := fs.place(e.rec); dst >= 0 {
-				return fs.enqueueRecomputeOn(dst, e.rec, e.gen)
-			}
-			fs.held.pushBack(heldReq{rec: e.rec, recompute: true, gen: e.gen})
-			fs.stats.Held++
-			return nil
+			return fs.placeOrHold(job{rec: e.rec, prefilled: true, gen: e.gen, lost: true}, e.at)
 		}
 		// Zero progress: route like a fresh arrival (the prompt pass
 		// reruns wherever it lands).
 		return fs.routeBody(e.rec, e.at)
 	case evScaleEval:
-		fs.evalAt = math.Inf(1)
 		fs.autoscale(e.at)
 		return nil
 	default:
@@ -653,11 +629,11 @@ func (fs *fleetSim) dispatch(_ context.Context, e *event) error {
 func (fs *fleetSim) routeArrival(e *event) error {
 	rec := e.rec
 	if fs.auto != nil {
-		// The arrival joins the waiting set before the scale decision,
+		// The arrival joins the waiting count before the scale decision,
 		// so the autoscaler sees it — and an always-scale policy brings
 		// the whole fleet up before this very placement (the fixed-fleet
 		// equivalence hinges on that ordering).
-		fs.waiting[rec.req.ID] = rec
+		fs.waiting++
 		fs.waitq.pushBack(rec)
 		fs.autoscale(e.at)
 	}
@@ -680,32 +656,17 @@ func (fs *fleetSim) routeBody(rec *record, at float64) error {
 		fs.push(evHandoff, rec, 0, -1, end+transfer)
 		return nil
 	}
-	if dst := fs.place(rec); dst >= 0 {
-		return fs.prefillOn(dst, rec, at)
-	}
-	fs.held.pushBack(heldReq{rec: rec, needsPrefill: true})
-	fs.stats.Held++
-	return nil
+	return fs.placeOrHold(job{rec: rec}, at)
 }
 
-// prefillOn starts a placed, not yet prefilled request on decoder dst.
-// A unified replica runs its colocated prompt pass and schedules the
-// (transfer-free) handoff into its own decode queue. A decode replica
-// of a fleet without prefill servers takes the request at once, its
-// prompt prefilled outside the fleet; IncludePrefill charges that
-// prefill to the request's TTFT and E2E.
-func (fs *fleetSim) prefillOn(dst int, rec *record, now float64) error {
-	d := fs.decoders[dst]
-	if d.pre == nil {
-		if fs.cfg.IncludePrefill {
-			rec.prefill = d.sys.PrefillSeconds(rec.req.Context)
-		}
-		return fs.enqueueOn(dst, rec)
+// placeOrHold places a job on a decode replica, or holds it in the
+// global queue when the policy finds none.
+func (fs *fleetSim) placeOrHold(j job, now float64) error {
+	if dst := fs.place(j.rec); dst >= 0 {
+		return fs.deliver(dst, j, now)
 	}
-	end := d.pre.serve(now, rec.req.Context)
-	fs.landing[dst]++
-	fs.touch(dst)
-	fs.push(evHandoff, rec, 0, dst, end)
+	fs.held.pushBack(j)
+	fs.stats.Held++
 	return nil
 }
 
@@ -729,34 +690,41 @@ func (fs *fleetSim) place(rec *record) int {
 	return dst
 }
 
-// enqueueOn commits a prefilled request to a decoder's queue. An idle
-// destination's clock is pulled up to the scheduler clock first (the
-// lazy counterpart of the old every-event idle-clock sweep), so the ready
-// entry wake arms lands at now, not at a stale idle timestamp.
-func (fs *fleetSim) enqueueOn(dst int, rec *record) error {
-	rec.replica = dst
+// deliver hands a placed job to decoder dst at the scheduler time now.
+// The replica is taken at now: an idle destination's clock is pulled up
+// to now first (the lazy counterpart of an every-event idle-clock
+// sweep), so the ready entry wake arms lands at now, not at a stale
+// idle timestamp, even when the job first takes the replica's
+// colocated prefill server. A job that still owes its prompt pass runs it on a unified replica's colocated
+// prefill server, whose transfer-free handoff lands it back here
+// prefilled; a decode replica of a fleet without prefill servers takes
+// it at once, its prompt prefilled outside the fleet, and
+// IncludePrefill charges that prefill to the request's TTFT and E2E.
+// A job whose KV a crash lost re-admits through the engine's recompute
+// path; every other job resumes at its progress (zero for a fresh one).
+func (fs *fleetSim) deliver(dst int, j job, now float64) error {
 	d := fs.decoders[dst]
-	if d.eng.Idle() && d.clock < fs.clock {
-		d.clock = fs.clock
+	if d.eng.Idle() && d.clock < now {
+		d.clock = now
 	}
-	if err := d.eng.Enqueue(rec.req); err != nil {
-		return err
+	if !j.prefilled {
+		if d.pre != nil {
+			end := d.pre.serve(now, j.rec.req.Context)
+			fs.landing[dst]++
+			fs.touch(dst)
+			fs.push(evHandoff, j.rec, 0, dst, end)
+			return nil
+		}
+		if fs.cfg.IncludePrefill {
+			j.rec.prefill = d.sys.PrefillSeconds(j.rec.req.Context)
+		}
 	}
-	fs.touch(dst)
-	fs.wake(dst)
-	return nil
-}
-
-// enqueueRecomputeOn commits a crash-lost request with prior progress to
-// a decoder: re-admission charges the Context+gen KV rebuild through the
-// engine's recompute path, then decoding resumes at gen.
-func (fs *fleetSim) enqueueRecomputeOn(dst int, rec *record, gen int) error {
-	rec.replica = dst
-	d := fs.decoders[dst]
-	if d.eng.Idle() && d.clock < fs.clock {
-		d.clock = fs.clock
+	j.rec.replica = dst
+	enqueue := d.eng.EnqueueResumed
+	if j.lost {
+		enqueue = d.eng.EnqueueRecompute
 	}
-	if err := d.eng.EnqueueRecompute(rec.req, gen); err != nil {
+	if err := enqueue(j.rec.req, j.gen); err != nil {
 		return err
 	}
 	fs.touch(dst)
@@ -769,31 +737,18 @@ func (fs *fleetSim) enqueueRecomputeOn(dst int, rec *record, gen int) error {
 // engines' own queue discipline).
 func (fs *fleetSim) placeHeld(now float64) {
 	for fs.held.len() > 0 {
-		h := fs.held.front()
-		dst := fs.place(h.rec)
+		j := fs.held.front()
+		dst := fs.place(j.rec)
 		if dst < 0 {
 			return
 		}
 		fs.held.popFront()
-		d := fs.decoders[dst]
-		if d.eng.Idle() && d.clock < now {
-			d.clock = now
-		}
 		// Unplaceable enqueue errors cannot happen here: place() only
 		// returns fitting replicas for the built-in policies, and a
 		// custom policy routing a duplicate would have failed earlier.
-		var err error
-		switch {
-		case h.needsPrefill:
-			err = fs.prefillOn(dst, h.rec, now)
-		case h.recompute:
-			err = fs.enqueueRecomputeOn(dst, h.rec, h.gen)
-		default:
-			err = fs.enqueueOn(dst, h.rec)
-		}
-		if err != nil {
+		if err := fs.deliver(dst, j, now); err != nil {
 			// Put it back and stop; run() will surface the stall.
-			fs.held.pushFront(h)
+			fs.held.pushFront(j)
 			return
 		}
 	}
@@ -891,17 +846,24 @@ func (fs *fleetSim) autoscale(now float64) {
 	}
 }
 
-// armEval schedules an evScaleEval at the policy's requested deadline,
-// keeping only the earliest outstanding timer: a later deadline never
-// needs its own event, because the earlier dispatch re-evaluates and
-// re-arms. Stale timers (the fleet re-armed earlier and already fired)
-// dispatch as cheap deterministic no-op evaluations.
+// armEval arms the fleet's one scale-evaluation timer at the policy's
+// requested deadline. It only ever moves the timer earlier: a later
+// deadline needs no event of its own, because the earlier evaluation
+// re-arms. Like a pushed event, the timer takes a fresh sequence
+// number, so at equal times it keeps push order. Its dispatch pops it,
+// and the evaluation may arm it again.
 func (fs *fleetSim) armEval(now, at float64) {
-	if !(at > now) || math.IsInf(at, 1) || at >= fs.evalAt {
+	e := &fs.eval
+	if !(at > now) || math.IsInf(at, 1) || (e.index >= 0 && at >= e.at) {
 		return
 	}
-	fs.evalAt = at
-	fs.push(evScaleEval, nil, 0, -1, at)
+	fs.seq++
+	e.at, e.seq = at, fs.seq
+	if e.index >= 0 {
+		heap.Fix(&fs.events, e.index)
+	} else {
+		heap.Push(&fs.events, e)
+	}
 }
 
 // view snapshots the fleet for one autoscaling decision, entirely from
@@ -919,14 +881,14 @@ func (fs *fleetSim) view(now float64) AutoscaleView {
 		Failed:     v.failedCnt,
 		IdleOnline: v.drainable.count,
 		Queued:     v.queued, Active: v.activeSum,
-		Waiting:       len(fs.waiting),
+		Waiting:       fs.waiting,
 		OldestArrival: math.Inf(1),
 	}
 	if v.poolSum > 0 {
 		av.FreeKVFrac = float64(v.freeSum) / float64(v.poolSum)
 	}
 	for fs.waitq.len() > 0 {
-		if _, ok := fs.waiting[fs.waitq.front().req.ID]; ok {
+		if r := fs.waitq.front(); r.tokens == 0 && !r.failed {
 			break
 		}
 		fs.waitq.popFront()

@@ -309,7 +309,7 @@ func fleetTestArrivals(n int, seed int64) []workload.Arrival {
 
 // TestFleetSingleStepEquivalence pins the fleet loop's fast-forward
 // exactness: unclamped leaps, horizon-clamped leaps and one-iteration
-// calls (LeapHorizon 1) must produce byte-identical reports, including
+// calls (leap horizon 1) must produce byte-identical reports, including
 // under migration and stealing.
 func TestFleetSingleStepEquivalence(t *testing.T) {
 	arr := fleetTestArrivals(12, 3)
@@ -322,7 +322,7 @@ func TestFleetSingleStepEquivalence(t *testing.T) {
 			Interconnect: timing.DefaultInterconnect(),
 			Migrate:      true,
 			Steal:        true,
-			LeapHorizon:  horizon,
+			leapHorizon:  horizon,
 			SLO:          SLO{TTFT: 1, TBT: 0.2},
 		}, arr)
 	}
@@ -330,7 +330,7 @@ func TestFleetSingleStepEquivalence(t *testing.T) {
 	// The leap clamp only changes granularity, never the report.
 	for _, horizon := range []int{1, 5, 64} {
 		if clamped := mk(horizon); !reflect.DeepEqual(fast, clamped) {
-			t.Errorf("LeapHorizon %d changed the report:\n%+v\n%+v", horizon, clamped, fast)
+			t.Errorf("leap horizon %d changed the report:\n%+v\n%+v", horizon, clamped, fast)
 		}
 	}
 }
@@ -376,7 +376,6 @@ func TestFleetValidate(t *testing.T) {
 			Interconnect: timing.DefaultInterconnect()}},
 		{"disaggregated without fabric", Config{Fleet: []ReplicaSpec{
 			{System: testSystem(), Count: 1, Role: RolePrefill}, base}}},
-		{"negative horizon", Config{Fleet: []ReplicaSpec{base}, LeapHorizon: -1}},
 	}
 	for _, c := range cases {
 		if err := c.cfg.Validate(); err == nil {

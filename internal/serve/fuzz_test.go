@@ -10,7 +10,7 @@
 //     requests and tokens, latency clock order, capacity bounds;
 //   - simulation equivalence: leaping runs — under whichever bound the
 //     spine derives — and clamped leap horizons must agree byte-for-byte
-//     with one iteration per call (LeapHorizon 1), the reference; and if
+//     with one iteration per call (leap horizon 1), the reference; and if
 //     one variant rejects an input, all must.
 package serve_test
 
@@ -120,13 +120,12 @@ func FuzzDESSchedule(f *testing.F) {
 			default:
 				pol = serve.RoundRobin()
 			}
-			return serve.Config{
-				System:      simtest.System("pim-dpa"),
-				Replicas:    replicas,
-				Policy:      pol,
-				SLO:         serve.SLO{TTFT: 1, TBT: 0.2},
-				LeapHorizon: horizon,
-			}
+			return serve.WithLeapHorizon(serve.Config{
+				System:   simtest.System("pim-dpa"),
+				Replicas: replicas,
+				Policy:   pol,
+				SLO:      serve.SLO{TTFT: 1, TBT: 0.2},
+			}, horizon)
 		}
 		leap, okLeap := runVariant(t, shorthand(0), arr)
 		for _, horizon := range []int{1, 5, 64} {
@@ -148,15 +147,14 @@ func FuzzDESSchedule(f *testing.F) {
 					{System: simtest.System("pim-dpa"), Count: 1 + (int(shape)>>3)%2, Role: serve.RoleDecode},
 				}
 			}
-			return serve.Config{
+			return serve.WithLeapHorizon(serve.Config{
 				Fleet:        specs,
 				Interconnect: timing.DefaultInterconnect(),
 				Migrate:      shape&16 != 0,
 				Steal:        shape&32 != 0,
 				Faults:       fuzzFaultPlan(fault),
-				LeapHorizon:  horizon,
 				SLO:          serve.SLO{TTFT: 1, TBT: 0.2},
-			}
+			}, horizon)
 		}
 		fLeap, okF := runVariant(t, fleet(0), arr)
 		for _, horizon := range []int{1, 5, 64} {

@@ -21,8 +21,9 @@
 // analytically computed event horizon in one call, as far as the
 // scheduler lets replicas run independently — but every optimization is
 // exact: every per-token timestamp, and therefore every report, is
-// bit-identical to the naive one-iteration loop (Config.LeapHorizon 1
-// pins this in tests). Everything is deterministic — same arrival
+// bit-identical to the naive one-iteration loop (a leap horizon of one
+// iteration per engine call, which the equivalence tests set, pins
+// this). Everything is deterministic — same arrival
 // schedule, same configuration, same report — which is what lets the
 // latency–throughput tables in CI be byte-identical at any sweep
 // parallelism.
@@ -74,8 +75,8 @@ func (s SLO) Met(ttft, tbt float64) bool {
 
 // Config describes one serving simulation: either an explicit Fleet, or
 // the Config{System, Replicas, Policy} shorthand for a decode-only
-// fleet. The shorthand runs as that fleet, LeapHorizon included, but
-// reports as a load balancer: Migrate, Steal, Autoscaler and Faults
+// fleet. The shorthand runs as that fleet, but reports as a load
+// balancer: Migrate, Steal, Autoscaler and Faults
 // need explicit Fleet specs, and Report.Fleet stays nil.
 type Config struct {
 	// System is the shorthand's replica template: every replica is an
@@ -137,16 +138,17 @@ type Config struct {
 	// an explicit Fleet; nil keeps every replica online for the whole
 	// run. Like Policy, each Run needs a fresh instance.
 	Autoscaler Autoscaler
-	// LeapHorizon caps iterations per engine leap (0 = no cap; 1 prices
-	// one iteration per call, the naive reference). Reports are
-	// identical at any value; only simulation granularity changes. It
-	// exists so the equivalence suites can vary leap granularity.
-	LeapHorizon int
 	// Faults injects deterministic replica failures — crashes, transient
 	// slowdowns, interconnect degradation — compiled into explicit heap
 	// events (see faults.go). It needs an explicit Fleet; nil or an
 	// empty plan reproduces the fault-free run byte-for-byte.
 	Faults *FaultPlan
+
+	// leapHorizon caps iterations per engine leap (0 = no cap; 1 prices
+	// one iteration per call, the naive reference). Reports are
+	// identical at any value; only simulation granularity changes, which
+	// the equivalence suites pin by varying it.
+	leapHorizon int
 }
 
 // Validate reports configuration errors.

@@ -9,7 +9,7 @@ import (
 
 // BenchmarkServeRun measures one full online serving simulation — 48
 // QMSum-sized requests at 100 req/s over two replicas — through
-// unclamped leaps and the naive one-iteration loop (LeapHorizon 1), so
+// unclamped leaps and the naive one-iteration loop (leap horizon 1), so
 // the speedup the event-horizon work buys stays visible in bench output.
 func BenchmarkServeRun(b *testing.B) {
 	gen := workload.NewGenerator(workload.QMSum(), 42)
@@ -33,7 +33,7 @@ func BenchmarkServeRun(b *testing.B) {
 					Replicas:    2,
 					Policy:      RoundRobin(),
 					SLO:         SLO{TTFT: 0.1, TBT: 0.025},
-					LeapHorizon: mode.horizon,
+					leapHorizon: mode.horizon,
 				}, arr)
 				if err != nil {
 					b.Fatal(err)
@@ -62,7 +62,7 @@ func BenchmarkFleetPlacement(b *testing.B) {
 	// Load a third of the fleet so the indexes are non-trivial.
 	for i := 0; i < replicas; i += 3 {
 		rec := &record{req: workload.Request{ID: i + 1, Context: 64, Decode: 32}}
-		if err := fs.enqueueOn(i, rec); err != nil {
+		if err := fs.deliver(i, job{rec: rec, prefilled: true}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

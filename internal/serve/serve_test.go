@@ -211,10 +211,9 @@ func TestRunErrors(t *testing.T) {
 	for _, cfg := range []Config{
 		{System: testSystem(), Replicas: 2, Policy: RoundRobin(), Migrate: true},
 		{System: testSystem(), Replicas: 2, Policy: RoundRobin(), Steal: true},
-		{System: testSystem(), Replicas: 2, Policy: RoundRobin(), LeapHorizon: -1},
 	} {
 		if _, err := Run(context.Background(), cfg, arr); err == nil {
-			t.Errorf("shorthand %+v should error (fleet-only knob or bad horizon)", cfg)
+			t.Errorf("shorthand %+v should error (fleet-only knob)", cfg)
 		}
 	}
 	unsorted := []workload.Arrival{{Req: workload.Request{ID: 0, Context: 1024, Decode: 2}, At: 1},
@@ -533,7 +532,7 @@ func TestServeGPUAndDIMMBackends(t *testing.T) {
 // every backend x allocator combination — including a preemption-heavy
 // DPA configuration and the GPU's paged pool — must produce an
 // identical Report through the multi-step leap path and the naive
-// one-iteration loop (LeapHorizon 1) at every leap horizon.
+// one-iteration loop (leap horizon 1) at every leap horizon.
 func TestFastForwardEquivalence(t *testing.T) {
 	pim := testSystem()
 	static := testSystem()
@@ -577,7 +576,7 @@ func TestFastForwardEquivalence(t *testing.T) {
 			mk := func(horizon int) *Report {
 				return run(t, Config{System: c.sys, Replicas: c.replicas,
 					Policy: LeastOutstandingTokens(), SLO: SLO{TTFT: 0.1, TBT: 0.025},
-					LeapHorizon: horizon}, c.arr)
+					leapHorizon: horizon}, c.arr)
 			}
 			fast := mk(0)
 			for _, horizon := range []int{1, 5, 64} {

@@ -394,9 +394,12 @@ func auditDecisions(t *testing.T, op int, fs *fleetSim, a workload.Arrival, now 
 	if pool > 0 {
 		want.FreeKVFrac = float64(free) / float64(pool)
 	}
-	want.Waiting = len(fs.waiting)
 	want.OldestArrival = math.Inf(1)
-	for _, rec := range fs.waiting {
+	for _, rec := range fs.recs {
+		if rec.tokens > 0 || rec.failed {
+			continue
+		}
+		want.Waiting++
 		if w := now - rec.arrival; w > want.OldestWaitSeconds {
 			want.OldestWaitSeconds = w
 		}
@@ -425,7 +428,7 @@ func TestViewsOracle(t *testing.T) {
 		Steal:        true,
 		Autoscaler:   NewSLOScaler(),
 		SLO:          SLO{TTFT: 1, TBT: 0.2},
-		LeapHorizon:  1,
+		leapHorizon:  1,
 	}
 	fs, err := newFleetSim(cfg, 512)
 	if err != nil {
@@ -456,15 +459,15 @@ func TestViewsOracle(t *testing.T) {
 			}
 			rec := &record{req: req, arrival: now, replica: -1}
 			fs.recs[req.ID] = rec
-			fs.waiting[req.ID] = rec
+			fs.waiting++
 			fs.waitq.pushBack(rec)
 			fs.autoscale(now)
 			if dst := fs.place(rec); dst >= 0 {
-				if err := fs.prefillOn(dst, rec, now); err != nil {
+				if err := fs.deliver(dst, job{rec: rec}, now); err != nil {
 					t.Fatalf("op %d: prefill on %d: %v", op, dst, err)
 				}
 			} else {
-				fs.held.pushBack(heldReq{rec: rec, needsPrefill: true})
+				fs.held.pushBack(job{rec: rec})
 			}
 		case c < 65: // step one busy replica
 			busy := make([]int, 0, len(fs.decoders))
@@ -540,7 +543,7 @@ func auditShorthand(t *testing.T, op int, fs *fleetSim, a workload.Arrival) {
 // and single engine steps, preemptions included, auditing every index
 // and each policy's pick against its scan after each operation.
 func TestShorthandViewsOracle(t *testing.T) {
-	fs, err := newFleetSim(Config{System: tightSystem(), Replicas: 4, Policy: RoundRobin(), LeapHorizon: 1}, 512)
+	fs, err := newFleetSim(Config{System: tightSystem(), Replicas: 4, Policy: RoundRobin(), leapHorizon: 1}, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,7 +574,7 @@ func TestShorthandViewsOracle(t *testing.T) {
 			if dst < 0 {
 				t.Fatalf("op %d: %s held a request", op, fs.placement.Name())
 			}
-			if err := fs.prefillOn(dst, rec, now); err != nil {
+			if err := fs.deliver(dst, job{rec: rec}, now); err != nil {
 				t.Fatalf("op %d: enqueue on %d: %v", op, dst, err)
 			}
 		} else { // step one busy replica

@@ -11,12 +11,12 @@
 // input order, every point is evaluated by a pure-per-point function
 // (shared caches such as perfmodel's memoizer are internally locked and
 // value-deterministic), and the reported error is the lowest-indexed
-// failure. The only difference parallelism makes is wall-clock time.
+// failure, as the sequential loop reports it. The only difference
+// parallelism makes is wall-clock time.
 package sweep
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -48,15 +48,15 @@ func Default() int {
 // Run evaluates fn over every point on a bounded worker pool and returns
 // the results in input order.
 //
-// On the first failure the sweep context is cancelled so in-flight and
-// not-yet-started points can stop early; fn implementations running long
-// simulations should poll ctx. After the pool drains, Run returns the
-// error of the lowest-indexed point that failed of its own accord
-// (deterministic at a default of 1 worker: always the first failure the
-// sequential loop would have hit). Points that merely observed the
-// cancellation — skipped before starting, or in-flight returns wrapping
-// context.Canceled — are not reported as the cause. If the parent
-// context is cancelled, Run returns its error.
+// Each point runs under its own context. A failure at index i cancels
+// the points above i that are in flight and skips those not yet
+// started, so long simulations there can stop early; fn
+// implementations running long simulations should poll ctx. Points
+// below i run to the end, so Run returns the error of the
+// lowest-indexed failing point — the error the sequential loop would
+// return — at any parallelism. If the parent context is cancelled,
+// points not yet started are skipped, and Run returns the
+// lowest-indexed error or, if no point failed, the context's error.
 func Run[P, R any](ctx context.Context, points []P, fn func(ctx context.Context, p P) (R, error)) ([]R, error) {
 	workers := min(Default(), len(points))
 	results := make([]R, len(points))
@@ -64,9 +64,12 @@ func Run[P, R any](ctx context.Context, points []P, fn func(ctx context.Context,
 		return results, ctx.Err()
 	}
 
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	errs := make([]error, len(points))
+	// mu guards failed, the lowest index that has failed so far, and
+	// stop, the cancel funcs of the points in flight.
+	var mu sync.Mutex
+	failed := len(points)
+	stop := make([]context.CancelFunc, len(points))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -78,46 +81,48 @@ func Run[P, R any](ctx context.Context, points []P, fn func(ctx context.Context,
 				if i >= len(points) {
 					return
 				}
-				if cctx.Err() != nil {
-					// A failure (or the caller) cancelled the sweep;
-					// drain the remaining points without evaluating.
+				mu.Lock()
+				if i > failed || ctx.Err() != nil {
+					// A lower-indexed failure or the caller stopped this
+					// point; drain it without evaluating.
+					mu.Unlock()
 					continue
 				}
-				r, err := fn(cctx, points[i])
+				pctx, cancel := context.WithCancel(ctx)
+				stop[i] = cancel
+				mu.Unlock()
+				r, err := fn(pctx, points[i])
+				mu.Lock()
+				stop[i] = nil
 				if err != nil {
 					errs[i] = err
-					cancel()
-					continue
+					if i < failed {
+						failed = i
+						for _, c := range stop[i+1:] {
+							if c != nil {
+								c()
+							}
+						}
+					}
+				} else {
+					results[i] = r
 				}
-				results[i] = r
+				mu.Unlock()
+				cancel()
 			}
 		}()
 	}
 	wg.Wait()
-	// Report the lowest-indexed point that failed of its own accord. A
-	// point that returned context.Canceled after a sibling's failure
-	// tripped the sweep context is a cancellation casualty, not the
-	// cause — skipping it keeps the root error from being masked by a
-	// lower-indexed in-flight point that happened to observe the cancel
-	// first.
-	var canceledErr error
+	// Every point a failure cancelled lies above that failure, so the
+	// lowest-indexed error is one a point met of its own accord (or the
+	// caller's cancellation).
 	for _, err := range errs {
-		if err == nil {
-			continue
+		if err != nil {
+			return nil, err
 		}
-		if errors.Is(err, context.Canceled) && ctx.Err() == nil {
-			if canceledErr == nil {
-				canceledErr = err
-			}
-			continue
-		}
-		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if canceledErr != nil {
-		return nil, canceledErr
 	}
 	return results, nil
 }

@@ -154,14 +154,14 @@ func TestInFlightPointsSeeCancellation(t *testing.T) {
 
 func TestCancellationCasualtyDoesNotMaskRootError(t *testing.T) {
 	withWorkers(t, 2)
-	// Point 0 is a long simulation that aborts with context.Canceled
-	// once point 1's real failure trips the sweep context; Run must
-	// still report point 1's error, not the lower-indexed casualty.
+	// Point 1 is a long simulation that aborts with context.Canceled
+	// once point 0's real failure cancels it; Run must report point 0's
+	// error, not the casualty's.
 	release := make(chan struct{})
 	boom := errors.New("root failure")
 	_, err := Run(context.Background(), []int{0, 1}, func(ctx context.Context, p int) (int, error) {
-		if p == 1 {
-			<-release // wait until point 0 is definitely in flight
+		if p == 0 {
+			<-release // wait until point 1 is definitely in flight
 			return 0, boom
 		}
 		close(release)
@@ -170,6 +170,33 @@ func TestCancellationCasualtyDoesNotMaskRootError(t *testing.T) {
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("cancellation casualty masked the root error: got %v", err)
+	}
+}
+
+// TestLowerIndexedPointRunsToItsOwnFailure: a failure does not cancel
+// the points below it. Point 1 fails while point 0 is in flight; point
+// 0 keeps running and then fails of its own accord, so Run reports
+// point 0's error, as the sequential loop would.
+func TestLowerIndexedPointRunsToItsOwnFailure(t *testing.T) {
+	withWorkers(t, 2)
+	running, failing := make(chan struct{}), make(chan struct{})
+	_, err := Run(context.Background(), []int{0, 1}, func(ctx context.Context, p int) (int, error) {
+		if p == 1 {
+			<-running
+			close(failing)
+			return 0, errors.New("fail-1")
+		}
+		close(running)
+		<-failing
+		select {
+		case <-ctx.Done():
+			return 0, fmt.Errorf("point 0 cancelled: %w", ctx.Err())
+		case <-time.After(200 * time.Millisecond):
+			return 0, errors.New("fail-0")
+		}
+	})
+	if err == nil || err.Error() != "fail-0" {
+		t.Fatalf("got %v, want point 0's own failure", err)
 	}
 }
 
