@@ -198,6 +198,11 @@ func main() {
 	if !(*mtbf >= 0) {
 		fatalf("-mtbf must be a non-negative number of seconds (0 disables), got %g", *mtbf)
 	}
+	// The fault plan reads any negative budget as unlimited, so "-retries
+	// -5" would otherwise run with no budget at all.
+	if *retries < -1 {
+		fatalf("-retries must be a retry count or -1 for unlimited, got %d", *retries)
+	}
 	// Probe whether the backend owns its allocator (the GPU's paged
 	// pool): the -alloc/-capacity static-vs-dpa toggles act through the
 	// technique-selected allocator and are inapplicable there — derived

@@ -32,11 +32,13 @@ func TestMain(m *testing.M) {
 // prefill servers died with a nil-pointer panic; its prompts are now
 // prefilled outside the fleet, and the table renders. A NaN MTTR or a
 // tiny MMPP dwell hung the run; a NaN rate printed a table of NaNs, a
-// NaN link latency negative TTFTs, "-mtbf nan" ran fault-free and a KV
-// budget rounding to 0 bytes ran on the whole pool, all with exit
-// status 0; kv=inf failed on a "negative" budget. Each is now a
-// validation error. Unknown policy, placement, autoscaler and allocator
-// names keep their error text.
+// NaN link latency negative TTFTs, "-mtbf nan" ran fault-free,
+// "-retries -5" ran with an unlimited retry budget and a KV budget
+// rounding to 0 bytes ran on the whole pool, all with exit status 0;
+// kv=inf failed on a "negative" budget. Each is now a validation error,
+// while "-retries -1" still runs with an unlimited budget. Unknown
+// policy, placement, autoscaler and allocator names keep their error
+// text.
 func TestCLIExitStatus(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -48,6 +50,8 @@ func TestCLIExitStatus(t *testing.T) {
 		{[]string{"-fleet", "cent:unified:2", "-mtbf", "5", "-mttr", "nan", "-rate", "1", "-n", "4"}, false, "MTTRSeconds must be non-negative and finite"},
 		{[]string{"-fleet", "cent:unified:2", "-mtbf", "5", "-fault-mode", "slow", "-rate", "1", "-n", "4", "-slo-ttft", "nan"}, false, "SLO targets must be non-negative"},
 		{[]string{"-fleet", "cent:unified:2", "-mtbf", "nan", "-rate", "1", "-n", "4"}, false, "-mtbf must be a non-negative number"},
+		{[]string{"-fleet", "cent:unified:2", "-rate", "4", "-n", "20", "-mtbf", "5", "-decode", "32", "-retries", "-5"}, false, "-retries must be a retry count or -1"},
+		{[]string{"-fleet", "cent:unified:2", "-rate", "4", "-n", "20", "-mtbf", "5", "-decode", "32", "-retries", "-1"}, true, "2uni"},
 		{[]string{"-fleet", "neupims:prefill:1,cent:decode:2", "-ic-lat-us", "nan", "-rate", "1", "-n", "4"}, false, "LatencySeconds must be non-negative and finite"},
 		{[]string{"-fleet", "neupims:prefill:1,cent:decode:2", "-ic-lat-us", "-5", "-rate", "1", "-n", "4"}, false, "LatencySeconds must be non-negative and finite"},
 		{[]string{"-kv-budget", "1e-12", "-rate", "1", "-n", "4"}, false, "at least one byte"},

@@ -6,10 +6,11 @@
 // communication — and declaring its KV-capacity geometry and admission
 // semantics. The one decode loop in internal/cluster, the engine that
 // serving steps and the batch window drains, is backend-agnostic: it
-// admits against the backend's Admission parameters, prices every
-// iteration through the Stepper Backend.NewStepper builds, and accrues
-// energy through Backend.IterEnergy. Adding a new system organisation
-// is one value in the backends table; no step-loop fork.
+// admits against the backend's Admission parameters and prices every
+// iteration, energy included, through the Stepper Backend.NewStepper
+// builds, one leap (a run of iterations over a fixed batch) at a time.
+// Adding a new system organisation is one value in the backends table;
+// no step-loop fork.
 package backend
 
 import (
@@ -46,10 +47,10 @@ const (
 
 // Env is the per-system context a backend prices against: the relevant
 // configuration subset plus the pricing services the owning
-// cluster.System builds once. The System's Stepper and its energy
-// accrual use it from one goroutine at a time; only a pipelined
-// stepper's prefetch prices concurrently, through the internally locked
-// Perf service and read-only fields.
+// cluster.System builds once. The System's Stepper uses it from one
+// goroutine at a time; only a pipelined stepper's prefetch prices
+// concurrently, through the internally locked Perf service and
+// read-only fields.
 type Env struct {
 	// Name is the owning configuration's name, used in error messages.
 	Name string
@@ -67,19 +68,12 @@ type Env struct {
 	Perf *perfmodel.Service
 	Hub  *hub.Hub
 	EMod energy.Model
-
-	// fcE memoizes the FC half of iterEnergy by micro-batch size: it is
-	// a pure function of the model and batch, but recomputing it walked
-	// the FC shape list on every decode iteration — the single hottest
-	// line of the serving fast-forward loop. An Env is single-goroutine
-	// like the stepper it rides with, so a plain slice suffices.
-	fcE   []energy.Breakdown
-	fcEOK []bool
 }
 
 // Stats aggregates the PIM-channel attention counters of one priced
-// iteration: the utilization and energy inputs the step loop accrues.
-// Zero-valued for backends without PIM channels.
+// iteration: the utilization inputs the engine accrues and the inputs
+// of the iteration's attention energy. Zero-valued for backends without
+// PIM channels.
 type Stats struct {
 	Cycles   timing.Cycles // critical-path attention cycles
 	Busy     timing.Cycles // aggregate MAC-busy cycles across channels
@@ -98,6 +92,10 @@ type StepCost struct {
 	// Stats carries the PIM attention counters (zero for non-PIM
 	// backends).
 	Stats Stats
+	// AttnEnergy and FCEnergy are the iteration's attention and FC
+	// energy on the PIM module model (zero for backends outside it, e.g.
+	// the GPU, and FCEnergy zero where a host runs FC).
+	AttnEnergy, FCEnergy energy.Breakdown
 }
 
 // Admission describes how the cluster engine admits requests on this
@@ -142,11 +140,8 @@ type Backend interface {
 	// backend.
 	Admission(env *Env) Admission
 	// NewStepper builds the system's iteration pricer, the only way to
-	// price a decode iteration.
+	// price a decode iteration and its energy.
 	NewStepper(env *Env) Stepper
-	// IterEnergy prices one iteration's attention and FC energy from a
-	// Stepper's cost.
-	IterEnergy(env *Env, cost StepCost, batch int) (attn, fc energy.Breakdown)
 	// PrefillSeconds estimates prompt processing on the backend's dense
 	// engine.
 	PrefillSeconds(env *Env, context int) float64

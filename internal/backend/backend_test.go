@@ -2,6 +2,7 @@ package backend
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -51,6 +52,18 @@ func toksOf(batch []workload.Request) []int {
 		toks[i] = r.Context
 	}
 	return toks
+}
+
+// step prices one iteration of a batch holding toks tokens as a
+// one-iteration leap, leaving toks as it was.
+func step(t testing.TB, st Stepper, toks []int) StepCost {
+	t.Helper()
+	var c StepCost
+	st.Start(slices.Clone(toks))
+	if err := st.Next(context.Background(), &c); err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func TestRegistryNamesAndLookup(t *testing.T) {
@@ -189,14 +202,8 @@ func TestStepDeterministicAndOrdered(t *testing.T) {
 			env = dimmEnv(m, PIMphony())
 		}
 		st := b.NewStepper(env)
-		c1, err := st.Step(context.Background(), toks)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		c2, err := st.Step(context.Background(), toks)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		c1 := step(t, st, toks)
+		c2 := step(t, st, toks)
 		if c1 != c2 {
 			t.Errorf("%s: Step not deterministic: %+v vs %+v", name, c1, c2)
 		}
@@ -230,10 +237,7 @@ func TestPPPipelineComposition(t *testing.T) {
 	one := toksOf(smallBatch(1))
 	ppEnv := pimEnv(m, PIMphony())
 	ppEnv.Modules, ppEnv.TP, ppEnv.PP = 8, 1, 8
-	cost, err := b.NewStepper(ppEnv).Step(context.Background(), one)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cost := step(t, b.NewStepper(ppEnv), one)
 	stage, _, _, err := newRefStepper(b, ppEnv).stage(one)
 	if err != nil {
 		t.Fatal(err)
@@ -251,10 +255,7 @@ func TestGPUStepMatchesRoofline(t *testing.T) {
 	env := gpuEnv(m)
 	b, _ := Lookup(GPU)
 	batch := smallBatch(4)
-	cost, err := b.NewStepper(env).Step(context.Background(), toksOf(batch))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cost := step(t, b.NewStepper(env), toksOf(batch))
 	g := xpu.A100()
 	var kv int64
 	for _, r := range batch {
@@ -268,40 +269,54 @@ func TestGPUStepMatchesRoofline(t *testing.T) {
 	if cost.Stats != (Stats{}) {
 		t.Errorf("gpu step should carry no PIM stats: %+v", cost.Stats)
 	}
+	// A leap prices each iteration at its own token counts.
+	st := b.NewStepper(env)
+	toks := toksOf(batch)
+	st.Start(toks)
+	for i := 0; i < 3; i++ {
+		var c StepCost
+		if err := st.Next(context.Background(), &c); err != nil {
+			t.Fatal(err)
+		}
+		var kv int64
+		for _, r := range batch {
+			kv += m.KVBytes(r.Context + i)
+		}
+		if want := fc + g.AttentionTime(kv/2); c.Seconds != want {
+			t.Errorf("gpu leap iteration %d: %g, want %g", i, c.Seconds, want)
+		}
+	}
+	if toks[0] != batch[0].Context+3 {
+		t.Errorf("gpu leap left toks at %v, want each prompt plus 3", toks)
+	}
 }
 
+// TestIterEnergyPerBackend: every stepper prices its iteration's
+// energy. The PIM-attention backends price positive attention energy;
+// pim-only's PNM and xpu+pim's NPU burn module FC energy, while
+// dimm-pim's host GPU burns none on the module model; the GPU is
+// outside the model altogether.
 func TestIterEnergyPerBackend(t *testing.T) {
 	m := model.LLM7B32K()
-	batch := smallBatch(4)
-	pim, _ := Lookup(PIMOnly)
-	env := pimEnv(m, PIMphony())
-	cost, err := pim.NewStepper(env).Step(context.Background(), toksOf(batch))
-	if err != nil {
-		t.Fatal(err)
+	toks := toksOf(smallBatch(4))
+	for _, c := range []struct {
+		be  Backend
+		env *Env
+		fc  bool
+	}{
+		{pimOnly, pimEnv(m, PIMphony()), true},
+		{xpuPIM, pimEnv(m, PIMphony()), true},
+		{dimmPIM, dimmEnv(m, PIMphony()), false},
+	} {
+		cost := step(t, c.be.NewStepper(c.env), toks)
+		if cost.AttnEnergy.Total() <= 0 {
+			t.Errorf("%s attention energy must be positive, got %g", c.be.Name(), cost.AttnEnergy.Total())
+		}
+		if fc := cost.FCEnergy.Total(); (fc > 0) != c.fc || fc < 0 {
+			t.Errorf("%s FC energy %g, want positive %v", c.be.Name(), fc, c.fc)
+		}
 	}
-	attn, fc := pim.IterEnergy(env, cost, len(batch))
-	if attn.Total() <= 0 || fc.Total() <= 0 {
-		t.Errorf("pim energy must be positive: attn %g fc %g", attn.Total(), fc.Total())
-	}
-	xp, _ := Lookup(XPUPIM)
-	if xattn, xfc := xp.IterEnergy(env, cost, len(batch)); xattn.Total() <= 0 || xfc.Total() <= 0 {
-		t.Error("xpu+pim energy must be positive")
-	}
-	d, _ := Lookup(DIMMPIM)
-	de := dimmEnv(m, PIMphony())
-	dcost, err := d.NewStepper(de).Step(context.Background(), toksOf(batch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dattn, dfc := d.IterEnergy(de, dcost, len(batch))
-	if dattn.Total() <= 0 {
-		t.Error("dimm-pim attention energy must be positive")
-	}
-	if dfc.Total() != 0 {
-		t.Errorf("dimm-pim FC energy is host-side, want 0, got %g", dfc.Total())
-	}
-	g, _ := Lookup(GPU)
-	if ga, gf := g.IterEnergy(gpuEnv(m), StepCost{Seconds: 1}, 4); ga.Total() != 0 || gf.Total() != 0 {
+	if cost := step(t, gpu{}.NewStepper(gpuEnv(m)), toks); cost.AttnEnergy.Total() != 0 || cost.FCEnergy.Total() != 0 {
 		t.Error("gpu energy must be zero (outside the module model)")
 	}
 }
@@ -364,12 +379,14 @@ func TestAllocatorFallbackSelection(t *testing.T) {
 
 // TestStepMatchesReference pins the stepper's contract: for every
 // PIM-attention backend, technique mix and geometry, pipelines included,
-// NewStepper(env).Step must return the exact StepCost the naive
-// reference computes — bit for bit — across growing token counts
-// (bucket crossings included) and changing batch compositions. Its memo
-// must end up holding exactly the per-channel token counts the
-// reference priced: a pipelined prefetch that priced a shape the fold
-// never uses would add a cold simulation without changing a price.
+// each iteration a NewStepper(env) leap prices must be the exact
+// StepCost, energy included, that the naive reference computes for that
+// iteration's token counts — bit for bit — across one-iteration and
+// multi-iteration leaps, growing token counts (bucket crossings
+// included) and batch changes between leaps. Its memo must end up
+// holding exactly the per-channel token counts the reference priced: a
+// pipelined prefetch that priced a shape the fold never uses would add
+// a cold simulation without changing a price.
 func TestStepMatchesReference(t *testing.T) {
 	m := model.LLM7B32K()
 	gqa := model.LLM7B128KGQA()
@@ -395,23 +412,43 @@ func TestStepMatchesReference(t *testing.T) {
 		be   Backend
 		env  *Env
 		n    int // initial batch size
+		// ctxs are the first prompts (default 10 and 70,000 when n > 1):
+		// a tiny context exercises the sub-channel (zero-token slice)
+		// edge, a huge one the quantization cap and the HFP tile split.
+		ctxs []int
+		// interior requires the first iteration's critical path on
+		// neither channel 0 nor the last.
+		interior bool
 	}{
-		{"pim-baseline", pimOnly, pimEnv(m, Baseline()), 5},
-		{"pim-pimphony", pimOnly, pimEnv(m, PIMphony()), 5},
-		{"pim-tcp-only", pimOnly, pimEnv(m, Technique{TCP: true}), 5},
-		{"pim-dcs-only", pimOnly, pimEnv(m, Technique{DCS: true}), 5},
-		{"pim-gqa-rowreuse", pimOnly, pimEnv(gqa, PIMphony()), 5},
-		{"pim-gqa-hfp", pimOnly, pimEnv(gqa, Baseline()), 5},
-		{"pim-token-sharded", pimOnly, shardEnv, 5},
-		{"pim-pipelined", pimOnly, ppEnv, 5},
-		{"pim-pipelined-one", pimOnly, ppEnv, 1},
-		{"cent-72b-128k-gqa-baseline", pimOnly, cent72(Baseline()), 5},
-		{"cent-72b-128k-gqa-baseline-one", pimOnly, cent72(Baseline()), 1},
-		{"cent-72b-128k-gqa-pimphony", pimOnly, cent72(PIMphony()), 5},
-		{"xpu-pimphony", xpuPIM, pimEnv(m, PIMphony()), 5},
-		{"xpu-baseline", xpuPIM, pimEnv(m, Baseline()), 5},
-		{"dimm-pimphony", dimmPIM, dimmEnv(m, PIMphony()), 5},
+		{name: "pim-baseline", be: pimOnly, env: pimEnv(m, Baseline()), n: 5},
+		{name: "pim-pimphony", be: pimOnly, env: pimEnv(m, PIMphony()), n: 5},
+		{name: "pim-tcp-only", be: pimOnly, env: pimEnv(m, Technique{TCP: true}), n: 5},
+		{name: "pim-dcs-only", be: pimOnly, env: pimEnv(m, Technique{DCS: true}), n: 5},
+		{name: "pim-gqa-rowreuse", be: pimOnly, env: pimEnv(gqa, PIMphony()), n: 5},
+		{name: "pim-gqa-hfp", be: pimOnly, env: pimEnv(gqa, Baseline()), n: 5},
+		{name: "pim-token-sharded", be: pimOnly, env: shardEnv, n: 5},
+		{name: "pim-pipelined", be: pimOnly, env: ppEnv, n: 5},
+		{name: "pim-pipelined-one", be: pimOnly, env: ppEnv, n: 1},
+		{name: "cent-72b-128k-gqa-baseline", be: pimOnly, env: cent72(Baseline()), n: 5},
+		{name: "cent-72b-128k-gqa-baseline-one", be: pimOnly, env: cent72(Baseline()), n: 1},
+		{name: "cent-72b-128k-gqa-pimphony", be: pimOnly, env: cent72(PIMphony()), n: 5},
+		{name: "xpu-pimphony", be: xpuPIM, env: pimEnv(m, PIMphony()), n: 5},
+		{name: "xpu-baseline", be: xpuPIM, env: pimEnv(m, Baseline()), n: 5},
+		{name: "dimm-pimphony", be: dimmPIM, env: dimmEnv(m, PIMphony()), n: 5},
+		// Under TCP on 32 channels, 2,113 tokens are 66 per channel plus
+		// one on channel 0, and 67 tokens price below 66 (a quantization
+		// bucket edge), so that request's extra slice has a negative
+		// delta. 2,164 tokens are 67 per channel plus one on channels
+		// 0-19, and 68 price above 67. Channels 1-19 then carry the
+		// critical path, so the channel-0 shortcut must not apply.
+		{name: "pim-negative-delta", be: pimOnly, env: pimEnv(m, PIMphony()), n: 3,
+			ctxs: []int{2113, 2164}, interior: true},
 	}
+	// The leaps start at these steps and end where the next starts, the
+	// last at step 48: one-iteration leaps, and multi-iteration leaps
+	// across the batch changes at steps 20 and 30.
+	starts := []int{0, 1, 4, 20, 21, 30, 47}
+	const steps = 48
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			if err := c.be.Validate(c.env); err != nil {
@@ -420,35 +457,54 @@ func TestStepMatchesReference(t *testing.T) {
 			st := c.be.NewStepper(c.env)
 			ref := newRefStepper(c.be, c.env)
 			batch := smallBatch(c.n)
-			if c.n > 1 {
-				// A tiny context exercises the sub-channel (zero-token
-				// slice) edge; a huge one the quantization cap and the
-				// HFP tile split.
-				batch[0].Context = 10
-				batch[1].Context = 70000
+			ctxs := c.ctxs
+			if ctxs == nil && c.n > 1 {
+				ctxs = []int{10, 70000}
 			}
-			toks := make([]int, 0, c.n+1)
-			for step := 0; step < 48; step++ {
-				if c.n > 1 && step == 20 {
+			for i, ctx := range ctxs {
+				batch[i].Context = ctx
+			}
+			var toks, refToks []int
+			for li, start := range starts {
+				end := steps
+				if li+1 < len(starts) {
+					end = starts[li+1]
+				}
+				if c.n > 1 && start == 20 {
 					batch = batch[:3] // completion shrinks the batch
 				}
-				if c.n > 1 && step == 30 {
+				if c.n > 1 && start == 30 {
 					batch = append(batch, smallBatch(7)[6]) // admission
 				}
 				toks = toks[:0]
 				for _, r := range batch {
-					toks = append(toks, r.Context+step)
+					toks = append(toks, r.Context+start)
 				}
-				want, err := ref.Step(context.Background(), toks)
-				if err != nil {
-					t.Fatal(err)
+				st.Start(toks)
+				for step := start; step < end; step++ {
+					refToks = refToks[:0]
+					for _, r := range batch {
+						refToks = append(refToks, r.Context+step)
+					}
+					want, err := ref.Step(context.Background(), refToks)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if c.interior && step == 0 && (ref.critical == 0 || ref.critical == c.env.Dev.Channels-1) {
+						t.Fatalf("critical path on channel %d, want an interior channel", ref.critical)
+					}
+					var got StepCost
+					if err := st.Next(context.Background(), &got); err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Fatalf("step %d (leap from step %d) diverged:\nstepper   %+v\nreference %+v", step, start, got, want)
+					}
 				}
-				got, err := st.Step(context.Background(), toks)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Fatalf("step %d diverged:\nstepper   %+v\nreference %+v", step, got, want)
+				for i, r := range batch {
+					if toks[i] != r.Context+end {
+						t.Fatalf("leap from step %d left request %d at %d tokens, want %d", start, i, toks[i], r.Context+end)
+					}
 				}
 			}
 			memo := st.(*pimStepper)
@@ -471,36 +527,42 @@ func TestStepMatchesReference(t *testing.T) {
 	}
 }
 
-// TestStepperReducesCacheLookups asserts the memo's headline: over 48
-// decode steps of an 8-request QMSum batch, the stepper consults the
-// perfmodel cache at least 2x less than the reference, which prices
+// TestStepperReducesCacheLookups asserts the memo's headline: over a
+// 48-iteration leap of an 8-request QMSum batch, the stepper consults
+// the perfmodel cache at least 2x less than the reference, which prices
 // every (channel, work) unit of every iteration.
 func TestStepperReducesCacheLookups(t *testing.T) {
 	reqs := workload.NewGenerator(workload.QMSum(), 11).Batch(8)
-	lookups := func(newStepper func(env *Env) Stepper) int64 {
-		env := pimEnv(model.LLM7B32K(), PIMphony())
-		st := newStepper(env)
-		toks := make([]int, len(reqs))
-		for step := 0; step < 48; step++ {
-			for i, r := range reqs {
-				toks[i] = r.Context + step
-			}
-			if _, err := st.Step(context.Background(), toks); err != nil {
-				t.Fatal(err)
-			}
+	const steps = 48
+	refEnv := pimEnv(model.LLM7B32K(), PIMphony())
+	r := newRefStepper(pimOnly, refEnv)
+	for step := 0; step < steps; step++ {
+		toks := toksOf(reqs)
+		for i := range toks {
+			toks[i] += step
 		}
-		return env.Perf.CacheLookups()
+		if _, err := r.Step(context.Background(), toks); err != nil {
+			t.Fatal(err)
+		}
 	}
-	ref := lookups(func(env *Env) Stepper { return newRefStepper(pimOnly, env) })
-	memo := lookups(pimOnly.NewStepper)
+	memoEnv := pimEnv(model.LLM7B32K(), PIMphony())
+	st := pimOnly.NewStepper(memoEnv)
+	st.Start(toksOf(reqs))
+	var c StepCost
+	for step := 0; step < steps; step++ {
+		if err := st.Next(context.Background(), &c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref, memo := refEnv.Perf.CacheLookups(), memoEnv.Perf.CacheLookups()
 	if ref == 0 || memo == 0 {
 		t.Fatalf("lookup counters not wired: reference=%d memo=%d", ref, memo)
 	}
 	if memo*2 > ref {
 		t.Errorf("stepper did %d lookups vs the reference's %d — less than the required 2x reduction", memo, ref)
 	}
-	t.Logf("perfmodel cache lookups over 48 steps: %d reference -> %d memoized (%.0fx fewer)",
-		ref, memo, float64(ref)/float64(memo))
+	t.Logf("perfmodel cache lookups over %d iterations: %d reference -> %d memoized (%.0fx fewer)",
+		steps, ref, memo, float64(ref)/float64(memo))
 }
 
 func TestCostPerHourAllBackends(t *testing.T) {

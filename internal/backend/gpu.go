@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"pimphony/internal/energy"
 	"pimphony/internal/xpu"
 )
 
@@ -40,30 +39,36 @@ func (gpu) Admission(*Env) Admission {
 	return Admission{PagedEff: xpu.A100().PagedAttentionEff}
 }
 
-// NewStepper returns the stateless roofline pricer.
-func (gpu) NewStepper(env *Env) Stepper { return gpuStepper{env} }
+// NewStepper returns the roofline pricer.
+func (gpu) NewStepper(env *Env) Stepper { return &gpuStepper{env: env} }
 
 // gpuStepper prices an iteration on the A100 rooflines: batched-GEMM FC
 // plus flash-decoding attention streaming the batch's KV bytes, both
-// split over the devices.
-type gpuStepper struct{ env *Env }
+// split over the devices. The module energy model covers PIM systems
+// only, so the GPU's energy is zero.
+type gpuStepper struct {
+	env  *Env
+	toks []int
+}
 
-// Step implements Stepper.
-func (s gpuStepper) Step(_ context.Context, toks []int) (StepCost, error) {
+// Start implements Stepper.
+func (s *gpuStepper) Start(toks []int) { s.toks = toks }
+
+// Next implements Stepper.
+func (s *gpuStepper) Next(_ context.Context, c *StepCost) error {
 	g := xpu.A100()
 	env, m := s.env, s.env.Model
 	var kv int64
-	for _, t := range toks {
+	for _, t := range s.toks {
 		kv += m.KVBytes(t)
 	}
-	fc := g.OpTime(int64(len(toks))*m.FCFlopsPerToken()/int64(env.GPUs), m.WeightBytes()/int64(env.GPUs))
+	fc := g.OpTime(int64(len(s.toks))*m.FCFlopsPerToken()/int64(env.GPUs), m.WeightBytes()/int64(env.GPUs))
 	attn := g.AttentionTime(kv / int64(env.GPUs))
-	return StepCost{Seconds: fc + attn, AttnShare: attn / (fc + attn)}, nil
-}
-
-// IterEnergy is zero: the module energy model covers PIM systems only.
-func (gpu) IterEnergy(*Env, StepCost, int) (attn, fc energy.Breakdown) {
-	return energy.Breakdown{}, energy.Breakdown{}
+	*c = StepCost{Seconds: fc + attn, AttnShare: attn / (fc + attn)}
+	for i := range s.toks {
+		s.toks[i]++
+	}
+	return nil
 }
 
 func (gpu) PrefillSeconds(env *Env, context int) float64 {
@@ -74,7 +79,7 @@ func (gpu) PrefillSeconds(env *Env, context int) float64 {
 
 // gpuDollarsPerHour amortises one A100-class device (cloud on-demand
 // scale), the baseline's and the DIMM-PIM host's. The GPU prices no
-// module energy (IterEnergy is zero), so its serving cost is
+// module energy (its stepper's energy is zero), so its serving cost is
 // provisioning-only.
 const gpuDollarsPerHour = 2.10
 

@@ -26,10 +26,11 @@ type combineFunc func(attnSec, fcSec, syncSec float64) float64
 // channels. The organisations share the channel-level pricing: TP/PP
 // geometry, perfmodel attention tiles, the TP all-reduce, the stage
 // composition, head-first admission bounds and the attention energy
-// model; the stepper (stepper.go) adds the EPU costs and the PP
-// pipeline fold. They differ only in the fields: where FC runs, how the
-// phases combine into a layer, the dense engine prompts run on, whether
-// a host keeps the weights, and what the hardware costs.
+// model; the stepper (stepper.go) adds the EPU costs, the PP pipeline
+// fold and the iteration's energy. They differ only in the fields:
+// where FC runs, how the phases combine into a layer, the dense engine
+// prompts run on, whether a host keeps the weights, and what the
+// hardware costs.
 type pimBackend struct {
 	name, desc string
 	// fc prices one layer's FC projections; combine composes a layer.
@@ -39,8 +40,9 @@ type pimBackend struct {
 	prefill func(env *Env) xpu.Device
 	// hosted marks a host GPU that keeps the weights in its own HBM and
 	// runs FC there: the whole device capacity is KV pool, FC burns no
-	// module energy, and prefill runs at full weight residency instead
-	// of sharded over the modules.
+	// module energy (its HBM/GPU energy lies outside the module model),
+	// and prefill runs at full weight residency instead of sharded over
+	// the modules.
 	hosted bool
 	// CostPerHour is hostDollars + moduleDollars·Modules.
 	hostDollars, moduleDollars float64
@@ -164,21 +166,6 @@ func (b *pimBackend) Admission(env *Env) Admission {
 // NewStepper implements Backend.
 func (b *pimBackend) NewStepper(env *Env) Stepper { return newPIMStepper(env, b) }
 
-// IterEnergy prices one iteration's energy on the PIM module model: the
-// accumulated stats cover one module's shard (TP) of one stage (PP); all
-// Modules perform equivalent shards, and background power accrues only
-// over the attention phase of the iteration. A host-side FC burns
-// HBM/GPU energy outside the module model, so its share is zero.
-func (b *pimBackend) IterEnergy(env *Env, cost StepCost, batch int) (attn, fc energy.Breakdown) {
-	attnCycles := timing.Cycles(cost.Seconds * cost.AttnShare * cyclesPerSecond)
-	attn = env.EMod.ForAggregate(env.Dev, cost.Stats.MACs, cost.Stats.IOBytes, cost.Stats.ActPre,
-		cost.Stats.Channels, attnCycles).Scale(float64(env.Modules))
-	if b.hosted {
-		return attn, energy.Breakdown{}
-	}
-	return attn, fcEnergy(env, batch)
-}
-
 // PrefillSeconds runs the prompt on the dense engine, its FLOPs and
 // weights sharded over the modules unless a host keeps the weights.
 func (b *pimBackend) PrefillSeconds(env *Env, context int) float64 {
@@ -272,43 +259,20 @@ func syncCycles(env *Env, batch int) timing.Cycles {
 	return 2 * (env.Dev.LinkLatency + per) // attention-out + FFN-out
 }
 
-// composeStage folds one layer's attention stats with the FC and TP
-// all-reduce costs into the per-stage time, the stage's attention stats
-// and the attention share.
-func composeStage(env *Env, at Stats, fcSec, syncSec float64, combine combineFunc) (float64, Stats, float64) {
-	layers := env.Model.Layers / env.PP
-	attnSec := float64(at.Cycles) / cyclesPerSecond
-	layerSec := combine(attnSec, fcSec, syncSec)
-	stage := layerSec * float64(layers)
-	attnShare := attnSec / layerSec
-	// Scale the per-layer attention stats to the stage.
-	at.Cycles *= timing.Cycles(layers)
-	at.Busy *= timing.Cycles(layers)
-	at.MACs *= int64(layers)
-	at.IOBytes *= int64(layers)
-	at.ActPre *= int64(layers)
-	return stage, at, attnShare
-}
-
-// fcEnergy coarsely prices the FC phase of one iteration: DRAM reads of all
-// sharded weights plus MAC-array energy for the batched GEMM. The price is
-// pure in (model, batch), so it is memoized on the Env by batch size —
-// the FC shape walk otherwise ran once per decode iteration.
+// fcEnergy coarsely prices the FC phase of one iteration on the module
+// model: DRAM reads of all sharded weights plus MAC-array energy for the
+// batched GEMM. The price is pure in (model, batch), so the stepper
+// memoizes it by batch size with the batch's FC seconds.
 func fcEnergy(env *Env, batch int) energy.Breakdown {
-	if batch < len(env.fcEOK) && env.fcEOK[batch] {
-		return env.fcE[batch]
-	}
 	m := env.Model
 	fcBytes := m.FCLayerWeightBytes() * int64(m.Layers)
 	macEquiv := fcBytes / int64(env.Dev.TileBytes*env.Dev.Banks) * int64(batch)
-	v := energy.Breakdown{
+	return energy.Breakdown{
 		MAC:        float64(macEquiv) * env.EMod.MACpJ,
 		IO:         float64(batch) * float64(m.DIn*m.Layers*m.ElemBytes) * env.EMod.IOpJPerByte,
-		Background: 0, // background power is attributed once, in AttnEnergy
+		Background: 0, // background power is attributed once, in the attention energy
 		Else:       float64(fcBytes) * env.EMod.DRAMReadpJPerByte,
 	}
-	env.fcE, env.fcEOK = memoPut(env.fcE, env.fcEOK, batch, v)
-	return v
 }
 
 // prefillFlops is the total prompt-processing work at a context length:

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"pimphony/internal/energy"
 	"pimphony/internal/mapping"
 	"pimphony/internal/timing"
 )
@@ -14,53 +15,80 @@ import (
 // materializes the mapping.Assign work lists of each micro-batch and
 // prices every (channel, work) unit through perfmodel; under pipeline
 // parallelism it prices one micro-batch per request and folds them in
-// request order. priced records every per-channel token count it priced.
+// request order. Energy follows from the folded cost (refEnergy).
+// priced records every per-channel token count it priced, and critical
+// the channel that carried the last micro-batch's critical path (the
+// first on ties).
 type refStepper struct {
-	env     *Env
-	fc      fcFunc
-	combine combineFunc
-	priced  map[int]bool
+	env      *Env
+	fc       fcFunc
+	combine  combineFunc
+	hosted   bool
+	priced   map[int]bool
+	critical int
 }
 
 // newRefStepper wires the reference to a PIM-attention backend's FC
-// pricing and layer composition.
+// pricing, layer composition and FC placement.
 func newRefStepper(be Backend, env *Env) *refStepper {
 	p, ok := be.(*pimBackend)
 	if !ok {
 		panic(fmt.Sprintf("no reference pricer for backend %s", be.Name()))
 	}
-	return &refStepper{env: env, fc: p.fc, combine: p.combine, priced: map[int]bool{}}
+	return &refStepper{env: env, fc: p.fc, combine: p.combine, hosted: p.hosted, priced: map[int]bool{}}
 }
 
-// Step implements Stepper.
+// Step prices one iteration of a batch whose members hold toks tokens.
 func (r *refStepper) Step(_ context.Context, toks []int) (StepCost, error) {
+	var c StepCost
 	if r.env.PP == 1 {
 		sec, stats, share, err := r.stage(toks)
-		return StepCost{Seconds: sec, AttnShare: share, Stats: stats}, err
-	}
-	// Request-granular micro-batches through PP stages: sum of
-	// per-request stage times + (PP-1) bubbles of the max.
-	var stats Stats
-	var share, sum, max float64
-	for _, t := range toks {
-		sec, st, sh, err := r.stage([]int{t})
 		if err != nil {
 			return StepCost{}, err
 		}
-		sum += sec
-		if sec > max {
-			max = sec
+		c = StepCost{Seconds: sec, AttnShare: share, Stats: stats}
+	} else {
+		// Request-granular micro-batches through PP stages: sum of
+		// per-request stage times + (PP-1) bubbles of the max.
+		var stats Stats
+		var share, sum, max float64
+		for _, t := range toks {
+			sec, st, sh, err := r.stage([]int{t})
+			if err != nil {
+				return StepCost{}, err
+			}
+			sum += sec
+			if sec > max {
+				max = sec
+			}
+			stats.Busy += st.Busy
+			stats.Cycles += st.Cycles
+			stats.Channels = st.Channels
+			share += sh
+			stats.MACs += st.MACs
+			stats.IOBytes += st.IOBytes
+			stats.ActPre += st.ActPre
 		}
-		stats.Busy += st.Busy
-		stats.Cycles += st.Cycles
-		stats.Channels = st.Channels
-		share += sh
-		stats.MACs += st.MACs
-		stats.IOBytes += st.IOBytes
-		stats.ActPre += st.ActPre
+		share /= float64(len(toks))
+		c = StepCost{Seconds: sum + float64(r.env.PP-1)*max, AttnShare: share, Stats: stats}
 	}
-	share /= float64(len(toks))
-	return StepCost{Seconds: sum + float64(r.env.PP-1)*max, AttnShare: share, Stats: stats}, nil
+	c.AttnEnergy, c.FCEnergy = refEnergy(r.env, r.hosted, c, len(toks))
+	return c, nil
+}
+
+// refEnergy prices one iteration's energy on the PIM module model from
+// its cost: the stats cover one module's shard (TP) of one stage (PP),
+// all Modules perform equivalent shards, and background power accrues
+// only over the attention phase of the iteration. A host-side FC burns
+// HBM/GPU energy outside the module model, so its share is zero.
+func refEnergy(env *Env, hosted bool, cost StepCost, batch int) (attn, fc energy.Breakdown) {
+	attnCycles := timing.Cycles(cost.Seconds * cost.AttnShare * cyclesPerSecond)
+	attn = env.EMod.ForAggregate(env.Dev, cost.Stats.MACs, cost.Stats.IOBytes, cost.Stats.ActPre,
+		cost.Stats.Channels, attnCycles).Scale(float64(env.Modules))
+	if hosted {
+		return attn, energy.Breakdown{}
+	}
+	return attn, fcEnergy(env, batch)
 }
 
 // stage returns the per-stage time in seconds for a micro-batch, its
@@ -74,6 +102,24 @@ func (r *refStepper) stage(toks []int) (float64, Stats, float64, error) {
 	syncSec := float64(syncCycles(r.env, len(toks))) / cyclesPerSecond
 	stage, at, attnShare := composeStage(r.env, at, fcSec, syncSec, r.combine)
 	return stage, at, attnShare, nil
+}
+
+// composeStage folds one layer's attention stats with the FC and TP
+// all-reduce costs into the per-stage time, the stage's attention stats
+// and the attention share.
+func composeStage(env *Env, at Stats, fcSec, syncSec float64, combine combineFunc) (float64, Stats, float64) {
+	layers := env.Model.Layers / env.PP
+	attnSec := float64(at.Cycles) / cyclesPerSecond
+	layerSec := combine(attnSec, fcSec, syncSec)
+	stage := layerSec * float64(layers)
+	attnShare := attnSec / layerSec
+	// Scale the per-layer attention stats to the stage.
+	at.Cycles *= timing.Cycles(layers)
+	at.Busy *= timing.Cycles(layers)
+	at.MACs *= int64(layers)
+	at.IOBytes *= int64(layers)
+	at.ActPre *= int64(layers)
+	return stage, at, attnShare
 }
 
 // attention evaluates one layer's attention time on one module group
@@ -98,7 +144,8 @@ func (r *refStepper) attention(toks []int) (Stats, error) {
 	var st Stats
 	st.Channels = env.Dev.Channels
 	var maxCh timing.Cycles
-	for _, works := range assign.Channels {
+	r.critical = 0
+	for ch, works := range assign.Channels {
 		var chCycles timing.Cycles
 		for _, w := range works {
 			lat, err := priceAttention(env, w.Tokens, m.HeadDim, w.Queries, baseline, sc)
@@ -113,7 +160,7 @@ func (r *refStepper) attention(toks []int) (Stats, error) {
 			st.ActPre += lat.ActPre
 		}
 		if chCycles > maxCh {
-			maxCh = chCycles
+			maxCh, r.critical = chCycles, ch
 		}
 	}
 	st.Cycles = maxCh

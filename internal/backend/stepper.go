@@ -4,17 +4,27 @@ import (
 	"context"
 	"slices"
 
+	"pimphony/internal/energy"
 	"pimphony/internal/perfmodel"
 	"pimphony/internal/sweep"
 	"pimphony/internal/timing"
 )
 
-// Stepper prices decode iterations for one system. toks holds each
-// batch member's current KV length (prompt plus generated tokens) in
-// batch order. A Stepper may memoize across calls, so it is not safe
-// for concurrent use; each cluster.System owns exactly one.
+// Stepper prices the decode iterations of one system a leap at a time.
+// A leap is a run of iterations over a fixed batch in which every member
+// grows by one token per iteration, so whatever the batch fixes — its
+// size, FC and all-reduce costs, FC energy — is resolved once per leap.
+// A Stepper memoizes across leaps, so it is not safe for concurrent use;
+// each cluster.System owns exactly one.
 type Stepper interface {
-	Step(ctx context.Context, toks []int) (StepCost, error)
+	// Start begins a leap over toks, each batch member's current KV
+	// length (prompt plus generated tokens) in batch order. The stepper
+	// keeps the slice and advances it in place: every Next adds one
+	// token to each member.
+	Start(toks []int)
+	// Next prices the leap's current iteration, energy included, into c
+	// and then adds one token to each batch member.
+	Next(ctx context.Context, c *StepCost) error
 }
 
 // pimStepper is the iteration pricer of the PIM-attention backends.
@@ -26,9 +36,9 @@ type Stepper interface {
 // from those closed forms and memoizes each priced shape, so a decode
 // iteration touches the perfmodel cache only when a token count the
 // stepper has not seen yet appears. Everything ahead of the final stage
-// fold is integer arithmetic over the priced values, and the fold is
-// composeStage. Pipeline systems price one request-granular micro-batch
-// per request and fold them (Step).
+// fold is integer arithmetic over the priced values. Pipeline systems
+// price one request-granular micro-batch per request and fold them
+// (pipelined).
 type pimStepper struct {
 	env     *Env
 	fc      fcFunc
@@ -37,15 +47,18 @@ type pimStepper struct {
 	// geometry, resolved once per system
 	kvHeads    int
 	tokenShard int
-	tcp        bool
+	layers     int // layers per pipeline stage
 	capTokens  int // HFP force-split channel capacity
 	sc         perfmodel.Sched
+	tcp        bool
 	baseline   bool
+	hosted     bool // a host runs FC: no module FC energy
+	redOK      bool
 	queries    int
 
 	// The memo tables are dense slices indexed by their small integer
-	// keys (per-channel token counts, micro-batch sizes): the serving hot
-	// path hits them once per request per iteration, where a map lookup's
+	// keys (per-channel token counts, batch sizes): the serving hot path
+	// hits them once per request per iteration, where a map lookup's
 	// hashing dominated the lookup. The attention memo keeps its priced
 	// values in lats, in pricing order, and latIdx maps a per-channel
 	// token count to its index there, 0 while unpriced (lats[0] is
@@ -54,12 +67,25 @@ type pimStepper struct {
 	// a validity bitmap.
 	lats    []perfmodel.Latency
 	latIdx  []int32
-	batch   []batchCost // FC and TP all-reduce seconds by micro-batch size
+	batch   []batchCost // by batch size
 	batchOK []bool
 	chSum   []timing.Cycles // per-channel scratch
 	red     timing.Cycles   // Hub.ReduceCycles(channels, HeadDim), constant per system
-	redOK   bool
-	missing []int // prefetch scratch: shapes the memo lacks, in fold order
+	missing []int           // prefetch scratch: shapes the memo lacks, in fold order
+	deltas  []tcpDelta      // TCP scratch: each request's extra-slice delta
+
+	// The leap Start fixed: the batch's token counts, which Next
+	// advances in place, its micro-batch's FC and all-reduce seconds,
+	// and its FC energy. Within a leap a micro-batch's stage time and
+	// attention share depend only on its critical-path cycles, so the
+	// last ones computed are kept with their cycles (cyc, -1 once a new
+	// leap starts).
+	toks       []int
+	fcSec      float64
+	syncSec    float64
+	fcE        energy.Breakdown
+	cyc        timing.Cycles
+	sec, share float64
 
 	// Softmax pricing constants resolved once: softmax runs once per
 	// request per iteration, so it reads no Device per call. (A
@@ -70,17 +96,30 @@ type pimStepper struct {
 	softPerTile timing.Cycles
 }
 
-// batchCost is one layer's FC and TP all-reduce seconds for a
-// micro-batch size.
-type batchCost struct{ fc, sync float64 }
+// batchCost is what a batch size fixes for a whole leap: one layer's FC
+// and TP all-reduce seconds for a micro-batch of that size, and one
+// iteration's FC energy for a batch of that size (zero when a host runs
+// FC).
+type batchCost struct {
+	fc, sync float64
+	fcE      energy.Breakdown
+}
+
+// tcpDelta is one request's extra-slice delta under TCP: the cycles its
+// base+1-token slices cost over its base-token slices (across its KV
+// heads), carried by channels below rem.
+type tcpDelta struct {
+	rem int
+	d   timing.Cycles
+}
 
 func newPIMStepper(env *Env, b *pimBackend) *pimStepper {
 	kvHeads, tokenShard := headGeometry(env)
 	sc, baseline := schedKind(env)
 	s := &pimStepper{
 		env: env, fc: b.fc, combine: b.combine,
-		kvHeads: kvHeads, tokenShard: tokenShard,
-		tcp: env.Tech.TCP, sc: sc, baseline: baseline,
+		kvHeads: kvHeads, tokenShard: tokenShard, layers: env.Model.Layers / env.PP,
+		tcp: env.Tech.TCP, sc: sc, baseline: baseline, hosted: b.hosted,
 		queries: env.Model.GQAGroup,
 		lats:    make([]perfmodel.Latency, 1),
 		chSum:   make([]timing.Cycles, env.Dev.Channels),
@@ -103,25 +142,84 @@ func (s *pimStepper) softmax(scores int) timing.Cycles {
 	return s.softBase + timing.Cycles(tiles)*s.softPerTile
 }
 
-// Step implements Stepper. Under pipeline parallelism every request is
-// its own micro-batch through PP stages: the iteration takes the sum of
+// Start implements Stepper. A pipelined leap prices one request per
+// micro-batch, so its stage costs are those of a batch of one; its FC
+// energy is the whole batch's.
+func (s *pimStepper) Start(toks []int) {
+	s.toks, s.cyc = toks, -1
+	bc := s.batchCost(len(toks))
+	s.fcE = bc.fcE
+	if s.env.PP > 1 {
+		bc = s.batchCost(1)
+	}
+	s.fcSec, s.syncSec = bc.fc, bc.sync
+}
+
+// Next implements Stepper. The attention energy prices the iteration's
+// stats on the module model: they cover one module's shard (TP) of one
+// stage (PP), all Modules perform equivalent shards, and background
+// power accrues only over the attention phase of the iteration.
+func (s *pimStepper) Next(ctx context.Context, c *StepCost) error {
+	if s.env.PP > 1 {
+		if err := s.pipelined(ctx, c); err != nil {
+			return err
+		}
+	} else {
+		if err := s.attention(s.toks, &c.Stats); err != nil {
+			return err
+		}
+		s.stage(c)
+	}
+	env := s.env
+	attnCycles := timing.Cycles(c.Seconds * c.AttnShare * cyclesPerSecond)
+	c.AttnEnergy = env.EMod.ForAggregate(env.Dev, c.Stats.MACs, c.Stats.IOBytes, c.Stats.ActPre,
+		c.Stats.Channels, attnCycles).Scale(float64(env.Modules))
+	c.FCEnergy = s.fcE
+	for i := range s.toks {
+		s.toks[i]++
+	}
+	return nil
+}
+
+// stage folds one micro-batch's per-layer attention stats in c.Stats
+// with the leap's FC and all-reduce seconds into its stage time and
+// attention share, and scales the stats to the stage. The two float
+// results depend only on the cycles within a leap, so they are
+// recomputed only when the cycles change.
+func (s *pimStepper) stage(c *StepCost) {
+	st := &c.Stats
+	if st.Cycles != s.cyc {
+		attnSec := float64(st.Cycles) / cyclesPerSecond
+		layerSec := s.combine(attnSec, s.fcSec, s.syncSec)
+		s.cyc, s.sec, s.share = st.Cycles, layerSec*float64(s.layers), attnSec/layerSec
+	}
+	c.Seconds, c.AttnShare = s.sec, s.share
+	layers := s.layers
+	st.Cycles *= timing.Cycles(layers)
+	st.Busy *= timing.Cycles(layers)
+	st.MACs *= int64(layers)
+	st.IOBytes *= int64(layers)
+	st.ActPre *= int64(layers)
+}
+
+// pipelined prices a pipeline-parallel iteration: every request is its
+// own micro-batch through PP stages, so the iteration takes the sum of
 // the per-request stage times plus PP-1 bubbles of the longest, the
 // attention counters sum and the attention shares average, folded in
 // request order.
-func (s *pimStepper) Step(ctx context.Context, toks []int) (StepCost, error) {
-	if s.env.PP == 1 {
-		return s.stepToks(toks)
-	}
+func (s *pimStepper) pipelined(ctx context.Context, c *StepCost) error {
+	toks := s.toks
 	if err := s.prefetch(ctx, toks); err != nil {
-		return StepCost{}, err
+		return err
 	}
-	var c StepCost
+	*c = StepCost{}
+	var o StepCost
 	var sum, longest float64
 	for i := range toks {
-		o, err := s.stepToks(toks[i : i+1])
-		if err != nil {
-			return StepCost{}, err
+		if err := s.attention(toks[i:i+1], &o.Stats); err != nil {
+			return err
 		}
+		s.stage(&o)
 		sum += o.Seconds
 		if o.Seconds > longest {
 			longest = o.Seconds
@@ -136,7 +234,7 @@ func (s *pimStepper) Step(ctx context.Context, toks []int) (StepCost, error) {
 	}
 	c.AttnShare /= float64(len(toks))
 	c.Seconds = sum + float64(s.env.PP-1)*longest
-	return c, nil
+	return nil
 }
 
 // prefetch prices the per-channel token counts a pipelined fold needs
@@ -190,22 +288,15 @@ func (s *pimStepper) prefetch(ctx context.Context, toks []int) error {
 	return nil
 }
 
-func (s *pimStepper) stepToks(toks []int) (StepCost, error) {
-	at, err := s.attention(toks)
-	if err != nil {
-		return StepCost{}, err
-	}
-	bc := s.batchCost(len(toks))
-	sec, stats, share := composeStage(s.env, at, bc.fc, bc.sync, s.combine)
-	return StepCost{Seconds: sec, AttnShare: share, Stats: stats}, nil
-}
-
-// batchCost memoizes a micro-batch size's FC and all-reduce seconds.
+// batchCost memoizes what a batch size fixes for a leap.
 func (s *pimStepper) batchCost(batch int) batchCost {
 	if batch < len(s.batchOK) && s.batchOK[batch] {
 		return s.batch[batch]
 	}
 	v := batchCost{fc: s.fc(s.env, batch), sync: float64(syncCycles(s.env, batch)) / cyclesPerSecond}
+	if !s.hosted {
+		v.fcE = fcEnergy(s.env, batch)
+	}
 	s.batch, s.batchOK = memoPut(s.batch, s.batchOK, batch, v)
 	return v
 }
@@ -258,26 +349,24 @@ func (s *pimStepper) price(tokens int) (int, error) {
 	return s.memo(tokens, l), nil
 }
 
-// attention prices one layer's attention on one module group: the
-// critical-path channel cycles plus the EPU softmax and TCP reduction
-// residues, and the summed MAC, I/O and ACT/PRE counters. toks holds
-// each micro-batch member's current KV length.
-func (s *pimStepper) attention(toks []int) (Stats, error) {
+// attention prices one layer's attention on one module group into st:
+// the critical-path channel cycles plus the EPU softmax and TCP
+// reduction residues, and the summed MAC, I/O and ACT/PRE counters.
+// toks holds each micro-batch member's current KV length.
+func (s *pimStepper) attention(toks []int, st *Stats) error {
 	env := s.env
 	channels := env.Dev.Channels
-	var st Stats
-	st.Channels = channels
+	*st = Stats{Channels: channels}
 	if s.tcp {
 		// TCP slices every (request, head) token range evenly over all
 		// channels: rem channels carry base+1 tokens, the rest base. The
 		// per-channel sums are never walked per request: a request adds
-		// C0 to every channel and (C1-C0) to channels below its rem, so
-		// sums[ch] = ΣC0 + Σ_{rem>ch}(C1-C0) — accumulate the common term
-		// and a rem-indexed delta histogram (all integer cycles, so the
-		// regrouping is exact) and fold the channel max in one sweep.
-		dd := s.chSum // zeroed by the previous sweep (or by make)
-		var base0, busy, softSum timing.Cycles
+		// C0 to every channel and its delta C1-C0 to channels below its
+		// rem, so sums[ch] = ΣC0 + Σ_{rem>ch}(C1-C0), all integer cycles.
+		var base0, extra, busy, softSum timing.Cycles
 		var macs, io, ap int64
+		var negative bool
+		deltas := s.deltas[:0]
 		heads := timing.Cycles(s.kvHeads)
 		kh := int64(s.kvHeads)
 		for _, tok := range toks {
@@ -291,7 +380,7 @@ func (s *pimStepper) attention(toks []int) (Stats, error) {
 			if base > 0 {
 				i0, err := s.price(base)
 				if err != nil {
-					return Stats{}, err
+					return err
 				}
 				l := &s.lats[i0]
 				cyc0, mac0, macs0, io0, ap0 = l.Cycles, l.Breakdown.MAC, l.MACs, l.IOBytes, l.ActPre
@@ -299,7 +388,7 @@ func (s *pimStepper) attention(toks []int) (Stats, error) {
 			if rem > 0 {
 				i1, err := s.price(base + 1)
 				if err != nil {
-					return Stats{}, err
+					return err
 				}
 				l := &s.lats[i1]
 				cyc1, mac1, macs1, io1, ap1 = l.Cycles, l.Breakdown.MAC, l.MACs, l.IOBytes, l.ActPre
@@ -307,7 +396,10 @@ func (s *pimStepper) attention(toks []int) (Stats, error) {
 			c0h := cyc0 * heads
 			base0 += c0h
 			if rem > 0 {
-				dd[rem] += cyc1*heads - c0h
+				d := cyc1*heads - c0h
+				extra += d
+				negative = negative || d < 0
+				deltas = append(deltas, tcpDelta{rem: rem, d: d})
 			}
 			n1 := int64(rem)
 			n0 := int64(channels - rem)
@@ -320,14 +412,29 @@ func (s *pimStepper) attention(toks []int) (Stats, error) {
 			ap += (ap1*n1 + ap0*n0) * kh
 			softSum += s.softmax(t)
 		}
+		s.deltas = deltas
 		st.Busy, st.MACs, st.IOBytes, st.ActPre = busy, macs, io, ap
-		var maxCh, suffix timing.Cycles
-		for ch := channels - 1; ch >= 0; ch-- {
-			if v := base0 + suffix; v > maxCh {
-				maxCh = v
+		// Channel 0 carries every delta. With none negative the sums
+		// only fall as ch grows, so channel 0 holds the maximum. A
+		// negative delta (base+1 tokens priced below base at a
+		// quantization-bucket edge) can move it, so then accumulate a
+		// rem-indexed delta histogram and fold the channel max in one
+		// sweep.
+		maxCh := base0 + extra
+		if negative {
+			dd := s.chSum // zeroed by the previous sweep (or by make)
+			for _, x := range deltas {
+				dd[x.rem] += x.d
 			}
-			suffix += dd[ch]
-			dd[ch] = 0
+			var suffix timing.Cycles
+			maxCh = 0
+			for ch := channels - 1; ch >= 0; ch-- {
+				if v := base0 + suffix; v > maxCh {
+					maxCh = v
+				}
+				suffix += dd[ch]
+				dd[ch] = 0
+			}
 		}
 		st.Cycles = maxCh
 		// EPU softmax: one per (request, query head) on this module,
@@ -343,7 +450,7 @@ func (s *pimStepper) attention(toks []int) (Stats, error) {
 			s.redOK = true
 		}
 		st.Cycles += s.red * timing.Cycles(len(toks)*s.kvHeads) / epuLanes
-		return st, nil
+		return nil
 	}
 	sums := s.chSum
 	for i := range sums {
@@ -373,14 +480,14 @@ func (s *pimStepper) attention(toks []int) (Stats, error) {
 			if s.capTokens > 0 {
 				for tt > s.capTokens {
 					if err := place(s.capTokens); err != nil {
-						return Stats{}, err
+						return err
 					}
 					tt -= s.capTokens
 				}
 			}
 			if tt > 0 {
 				if err := place(tt); err != nil {
-					return Stats{}, err
+					return err
 				}
 			}
 		}
@@ -398,5 +505,5 @@ func (s *pimStepper) attention(toks []int) (Stats, error) {
 		softmax += s.softmax((tok+s.tokenShard-1)/s.tokenShard) * timing.Cycles(qHeads)
 	}
 	st.Cycles += softmax / epuLanes
-	return st, nil
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pimphony/internal/backend"
 	"pimphony/internal/model"
 	"pimphony/internal/timing"
 	"pimphony/internal/workload"
@@ -83,8 +84,9 @@ func refRun(s *System, reqs []workload.Request) (rep *Report, froze bool, err er
 		for i, r := range batch {
 			toks[i] = r.Context + grown[r.ID]
 		}
-		cost, err := s.iterate(ctx, toks)
-		if err != nil {
+		var cost backend.StepCost
+		s.stepper.Start(toks) // a one-iteration leap
+		if err := s.stepper.Next(ctx, &cost); err != nil {
 			return nil, froze, err
 		}
 		busy += cost.Stats.Busy
@@ -103,9 +105,8 @@ func refRun(s *System, reqs []workload.Request) (rep *Report, froze bool, err er
 				froze = true
 			}
 		}
-		ae, fe := s.be.IterEnergy(s.env, cost, len(batch))
-		rep.AttnEnergy.Add(ae)
-		rep.FCEnergy.Add(fe)
+		rep.AttnEnergy.Add(cost.AttnEnergy)
+		rep.FCEnergy.Add(cost.FCEnergy)
 	}
 	rep.TotalSeconds = totalSec
 	rep.Throughput = float64(generated) / totalSec

@@ -37,9 +37,10 @@ import (
 )
 
 // simTokens tallies every decode token priced by the decode loop in this
-// process (batch windows and serving alike). The benchgate
-// derives its sim_rate metric — simulated tokens per wall-second — from
-// deltas of this counter around a timed experiment.
+// process (batch windows and serving alike): each Engine.Leap adds its
+// iterations times its batch size. The benchgate derives its sim_rate
+// metric — simulated tokens per wall-second — from deltas of this
+// counter around a timed experiment.
 var simTokens atomic.Int64
 
 // SimulatedTokens reports the process-wide count of decode tokens
@@ -167,8 +168,9 @@ type System struct {
 	be  backend.Backend
 	env *backend.Env
 	adm backend.Admission
-	// stepper is the backend's iteration pricer; iterate routes every
-	// decode iteration through it.
+	// stepper is the backend's iteration pricer: Engine.Leap starts one
+	// leap on it per call and prices each of the leap's iterations,
+	// energy included, through it.
 	stepper backend.Stepper
 }
 
@@ -245,14 +247,6 @@ func (s *System) newPool() (*memory.Pool, error) {
 	default:
 		return memory.NewStatic(pool, bpt, s.tmax())
 	}
-}
-
-// iterate prices one decode iteration through the backend's stepper;
-// toks holds each batch member's KV length in batch order. Every
-// simulated decode token is tallied for the SimulatedTokens rate metric.
-func (s *System) iterate(ctx context.Context, toks []int) (backend.StepCost, error) {
-	simTokens.Add(int64(len(toks)))
-	return s.stepper.Step(ctx, toks)
 }
 
 // RunCtx simulates a decode window over the given candidate requests

@@ -82,13 +82,17 @@ type Engine struct {
 	attnE, fcE energy.Breakdown
 	// scratch buffers reused across Leap calls (the decode loop's
 	// allocation diet): the batch snapshot, the Generated event list,
-	// the batch-order token counts the stepper prices, the leap's ID
-	// list and its iteration durations.
+	// the batch-order token counts the stepper prices and advances, the
+	// leap's ID list and its iteration durations.
 	batchScratch []*entry
 	genScratch   []int
 	tokScratch   []int
 	idScratch    []int
 	secScratch   []float64
+	// cost is the iteration the stepper last priced. It lives here
+	// rather than in Leap's frame because a pointer passed through the
+	// Stepper interface escapes, which would allocate it on every call.
+	cost backend.StepCost
 }
 
 // entry is one request's state on an engine, from Enqueue until it
@@ -507,24 +511,21 @@ func (e *Engine) Leap(ctx context.Context, now, until float64) (StepResult, erro
 		n = max(e.leapDistance(), 1)
 	}
 	e.sampleCapacity()
-	// Materialize token counts once; the per-iteration advance is a
-	// slice increment instead of per-request entry traffic.
-	toks := e.liveTokens(batch)
+	// The batch is fixed for the whole leap: the stepper resolves what
+	// it fixes once, then prices each iteration and advances the token
+	// counts in place.
+	s.stepper.Start(e.liveTokens(batch))
 	res.IterSeconds = e.secScratch[:0]
 	recompute := res.RecomputeSeconds
 	for i := 0; i < n && (i == 0 || now < until); i++ {
-		cost, err := s.iterate(ctx, toks)
-		if err != nil {
+		if err := s.stepper.Next(ctx, &e.cost); err != nil {
 			return res, err
 		}
-		sec := e.account(cost, len(batch), recompute)
+		sec := e.account(&e.cost, recompute)
 		recompute = 0 // the first iteration carries the charge
 		res.IterSeconds = append(res.IterSeconds, sec)
 		res.Seconds += sec
 		now += sec
-		for j := range toks {
-			toks[j]++
-		}
 	}
 	e.secScratch = res.IterSeconds
 	// Advance every request still active by one token per iteration,
@@ -534,6 +535,7 @@ func (e *Engine) Leap(ctx context.Context, now, until float64) (StepResult, erro
 	// exhausted) preempts the youngest admitted request and retries
 	// until the grower succeeds or is itself the victim.
 	iters := len(res.IterSeconds)
+	simTokens.Add(int64(iters * len(batch)))
 	res.Generated = e.genScratch[:0]
 	for _, en := range batch {
 		if !en.admitted {
@@ -590,19 +592,17 @@ func (e *Engine) liveTokens(batch []*entry) []int {
 	return toks
 }
 
-// account books one priced iteration over a batch of n requests: the
-// utilization counters, energy, the time scale, the totals, blocked time
-// and the step count. It returns the iteration's duration, including
-// the recompute charge for re-admitted requests.
-func (e *Engine) account(cost backend.StepCost, n int, recompute float64) float64 {
-	s := e.sys
+// account books one priced iteration: the utilization counters,
+// energy, the time scale, the totals, blocked time and the step count.
+// It returns the iteration's duration, including the recompute charge
+// for re-admitted requests.
+func (e *Engine) account(cost *backend.StepCost, recompute float64) float64 {
 	e.busy += cost.Stats.Busy
 	e.span += cost.Stats.Cycles
 	e.channels = cost.Stats.Channels
 	e.attnShare += cost.AttnShare
-	ae, fe := s.be.IterEnergy(s.env, cost, n)
-	e.attnE.Add(ae)
-	e.fcE.Add(fe)
+	e.attnE.Add(cost.AttnEnergy)
+	e.fcE.Add(cost.FCEnergy)
 	sec := cost.Seconds
 	if e.timeScale != 1 {
 		sec *= e.timeScale

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pimphony/internal/backend"
 	"pimphony/internal/model"
 	"pimphony/internal/timing"
 	"pimphony/internal/workload"
@@ -99,11 +100,12 @@ func refStep(ctx context.Context, e *Engine) (StepResult, error) {
 		return res, nil // idle
 	}
 	e.sampleCapacity()
-	cost, err := s.iterate(ctx, e.liveTokens(batch))
-	if err != nil {
+	var cost backend.StepCost
+	s.stepper.Start(e.liveTokens(batch))
+	if err := s.stepper.Next(ctx, &cost); err != nil {
 		return res, err
 	}
-	res.Seconds = e.account(cost, len(batch), res.RecomputeSeconds)
+	res.Seconds = e.account(&cost, res.RecomputeSeconds)
 	res.IterSeconds = []float64{res.Seconds}
 	for _, en := range batch {
 		if !en.admitted {
