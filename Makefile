@@ -69,10 +69,11 @@ test-short:
 race-serve:
 	$(GO) test -race -count=2 -timeout 10m ./internal/serve/
 
-# The cold-pricing race lane: goroutines pricing overlapping cold shapes
-# on one perfmodel.Service share its cache, and the pipelined stepper's
-# prefetch fans cold shapes out over one shared Service; ten repetitions
-# of each under the race detector.
+# The cold-pricing race lane: sweep workers pricing overlapping cold
+# shapes share one perfmodel.Service and its cache (no stepper prices
+# concurrently: a System's engines run on one goroutine); ten
+# repetitions of the Service's oracle and of the stepper's under the
+# race detector.
 race-pricing:
 	$(GO) test -race -count=10 -run TestConcurrentColdPricing ./internal/perfmodel/
 	$(GO) test -race -count=10 -run TestStepMatchesReference ./internal/backend/

@@ -203,6 +203,11 @@ func main() {
 	if *retries < -1 {
 		fatalf("-retries must be a retry count or -1 for unlimited, got %d", *retries)
 	}
+	// A count below 1 would otherwise run the single-turn schedule
+	// without a word.
+	if *turns < 1 {
+		fatalf("-turns must be at least 1, got %d", *turns)
+	}
 	// Probe whether the backend owns its allocator (the GPU's paged
 	// pool): the -alloc/-capacity static-vs-dpa toggles act through the
 	// technique-selected allocator and are inapplicable there — derived

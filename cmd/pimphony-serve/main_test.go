@@ -54,6 +54,10 @@ func TestCLIExitStatus(t *testing.T) {
 		{[]string{"-fleet", "cent:unified:2", "-rate", "4", "-n", "20", "-mtbf", "5", "-decode", "32", "-retries", "-1"}, true, "2uni"},
 		{[]string{"-fleet", "neupims:prefill:1,cent:decode:2", "-ic-lat-us", "nan", "-rate", "1", "-n", "4"}, false, "LatencySeconds must be non-negative and finite"},
 		{[]string{"-fleet", "neupims:prefill:1,cent:decode:2", "-ic-lat-us", "-5", "-rate", "1", "-n", "4"}, false, "LatencySeconds must be non-negative and finite"},
+		{[]string{"-fleet", "cent:unified:2", "-ic-gbps", "nan", "-n", "4", "-rate", "1"}, false, "BytesPerSecond must be non-negative"},
+		{[]string{"-fleet", "cent:unified:2", "-ic-gbps", "-1", "-n", "4", "-rate", "1"}, false, "BytesPerSecond must be non-negative"},
+		{[]string{"-fleet", "cent:unified:2", "-ic-gbps", "0", "-n", "4", "-rate", "1"}, true, "2uni"},
+		{[]string{"-turns", "0", "-n", "4", "-rate", "1"}, false, "-turns must be at least 1"},
 		{[]string{"-kv-budget", "1e-12", "-rate", "1", "-n", "4"}, false, "at least one byte"},
 		{[]string{"-fleet", "cent:unified:2:kv=1e-12", "-rate", "1", "-n", "4"}, false, "at least one byte"},
 		{[]string{"-fleet", "cent:unified:2:kv=inf", "-rate", "1", "-n", "4"}, false, "at least one byte"},

@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"pimphony/internal/energy"
-	"pimphony/internal/hub"
 	"pimphony/internal/model"
 	"pimphony/internal/perfmodel"
 	"pimphony/internal/timing"
@@ -45,12 +44,10 @@ const (
 	DIMMPIM = "dimm-pim"
 )
 
-// Env is the per-system context a backend prices against: the relevant
-// configuration subset plus the pricing services the owning
-// cluster.System builds once. The System's Stepper uses it from one
-// goroutine at a time; only a pipelined stepper's prefetch prices
-// concurrently, through the internally locked Perf service and
-// read-only fields.
+// Env is what one configuration fixes for a backend to price against:
+// the relevant configuration subset plus the device's shared kernel
+// latency service. cluster.New builds one per System, and the System's
+// one Stepper reads it.
 type Env struct {
 	// Name is the owning configuration's name, used in error messages.
 	Name string
@@ -62,12 +59,9 @@ type Env struct {
 	Modules, TP, PP, GPUs int
 	Model                 model.Config
 	Tech                  Technique
-	// Perf and Hub are the memoized channel-latency service and the HUB
-	// model; EMod prices energy. They are nil/zero in validation-only
-	// environments.
+	// Perf is the memoized channel-latency service, nil in
+	// validation-only environments.
 	Perf *perfmodel.Service
-	Hub  *hub.Hub
-	EMod energy.Model
 }
 
 // Stats aggregates the PIM-channel attention counters of one priced

@@ -1,13 +1,10 @@
 package backend
 
 import (
-	"context"
 	"slices"
 	"strings"
 	"testing"
 
-	"pimphony/internal/energy"
-	"pimphony/internal/hub"
 	"pimphony/internal/model"
 	"pimphony/internal/perfmodel"
 	"pimphony/internal/timing"
@@ -21,7 +18,7 @@ func pimEnv(m model.Config, tech Technique) *Env {
 	return &Env{
 		Name: "test-pim", Dev: dev, Modules: 8, TP: 8, PP: 1,
 		Model: m, Tech: tech,
-		Perf: perfmodel.New(dev), Hub: hub.New(dev), EMod: energy.Default(),
+		Perf: perfmodel.New(dev),
 	}
 }
 
@@ -31,13 +28,13 @@ func dimmEnv(m model.Config, tech Technique) *Env {
 	return &Env{
 		Name: "test-dimm", Dev: dev, Modules: 8, TP: 8, PP: 1,
 		Model: m, Tech: tech,
-		Perf: perfmodel.New(dev), Hub: hub.New(dev), EMod: energy.Default(),
+		Perf: perfmodel.New(dev),
 	}
 }
 
 // gpuEnv builds the A100-baseline environment (no PIM services needed).
 func gpuEnv(m model.Config) *Env {
-	return &Env{Name: "test-gpu", GPUs: 2, Model: m, EMod: energy.Default()}
+	return &Env{Name: "test-gpu", GPUs: 2, Model: m}
 }
 
 func smallBatch(n int) []workload.Request {
@@ -60,7 +57,7 @@ func step(t testing.TB, st Stepper, toks []int) StepCost {
 	t.Helper()
 	var c StepCost
 	st.Start(slices.Clone(toks))
-	if err := st.Next(context.Background(), &c); err != nil {
+	if err := st.Next(&c); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -275,7 +272,7 @@ func TestGPUStepMatchesRoofline(t *testing.T) {
 	st.Start(toks)
 	for i := 0; i < 3; i++ {
 		var c StepCost
-		if err := st.Next(context.Background(), &c); err != nil {
+		if err := st.Next(&c); err != nil {
 			t.Fatal(err)
 		}
 		var kv int64
@@ -385,8 +382,8 @@ func TestAllocatorFallbackSelection(t *testing.T) {
 // multi-iteration leaps, growing token counts (bucket crossings
 // included) and batch changes between leaps. Its memo must end up
 // holding exactly the per-channel token counts the reference priced: a
-// pipelined prefetch that priced a shape the fold never uses would add
-// a cold simulation without changing a price.
+// stepper that priced a shape its fold never uses would add a cold
+// simulation without changing a price.
 func TestStepMatchesReference(t *testing.T) {
 	m := model.LLM7B32K()
 	gqa := model.LLM7B128KGQA()
@@ -486,7 +483,7 @@ func TestStepMatchesReference(t *testing.T) {
 					for _, r := range batch {
 						refToks = append(refToks, r.Context+step)
 					}
-					want, err := ref.Step(context.Background(), refToks)
+					want, err := ref.Step(refToks)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -494,7 +491,7 @@ func TestStepMatchesReference(t *testing.T) {
 						t.Fatalf("critical path on channel %d, want an interior channel", ref.critical)
 					}
 					var got StepCost
-					if err := st.Next(context.Background(), &got); err != nil {
+					if err := st.Next(&got); err != nil {
 						t.Fatal(err)
 					}
 					if got != want {
@@ -541,7 +538,7 @@ func TestStepperReducesCacheLookups(t *testing.T) {
 		for i := range toks {
 			toks[i] += step
 		}
-		if _, err := r.Step(context.Background(), toks); err != nil {
+		if _, err := r.Step(toks); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -550,7 +547,7 @@ func TestStepperReducesCacheLookups(t *testing.T) {
 	st.Start(toksOf(reqs))
 	var c StepCost
 	for step := 0; step < steps; step++ {
-		if err := st.Next(context.Background(), &c); err != nil {
+		if err := st.Next(&c); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,7 +1,6 @@
 package backend
 
 import (
-	"context"
 	"fmt"
 
 	"pimphony/internal/xpu"
@@ -55,7 +54,7 @@ type gpuStepper struct {
 func (s *gpuStepper) Start(toks []int) { s.toks = toks }
 
 // Next implements Stepper.
-func (s *gpuStepper) Next(_ context.Context, c *StepCost) error {
+func (s *gpuStepper) Next(c *StepCost) error {
 	g := xpu.A100()
 	env, m := s.env, s.env.Model
 	var kv int64

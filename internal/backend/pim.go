@@ -260,18 +260,18 @@ func syncCycles(env *Env, batch int) timing.Cycles {
 }
 
 // fcEnergy coarsely prices the FC phase of one iteration on the module
-// model: DRAM reads of all sharded weights plus MAC-array energy for the
-// batched GEMM. The price is pure in (model, batch), so the stepper
-// memoizes it by batch size with the batch's FC seconds.
-func fcEnergy(env *Env, batch int) energy.Breakdown {
+// energy model em: DRAM reads of all sharded weights plus MAC-array
+// energy for the batched GEMM. The price is pure in (model, batch), so
+// the stepper memoizes it by batch size with the batch's FC seconds.
+func fcEnergy(env *Env, em energy.Model, batch int) energy.Breakdown {
 	m := env.Model
 	fcBytes := m.FCLayerWeightBytes() * int64(m.Layers)
 	macEquiv := fcBytes / int64(env.Dev.TileBytes*env.Dev.Banks) * int64(batch)
 	return energy.Breakdown{
-		MAC:        float64(macEquiv) * env.EMod.MACpJ,
-		IO:         float64(batch) * float64(m.DIn*m.Layers*m.ElemBytes) * env.EMod.IOpJPerByte,
+		MAC:        float64(macEquiv) * em.MACpJ,
+		IO:         float64(batch) * float64(m.DIn*m.Layers*m.ElemBytes) * em.IOpJPerByte,
 		Background: 0, // background power is attributed once, in the attention energy
-		Else:       float64(fcBytes) * env.EMod.DRAMReadpJPerByte,
+		Else:       float64(fcBytes) * em.DRAMReadpJPerByte,
 	}
 }
 

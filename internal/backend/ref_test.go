@@ -1,11 +1,11 @@
 package backend
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
 	"pimphony/internal/energy"
+	"pimphony/internal/hub"
 	"pimphony/internal/mapping"
 	"pimphony/internal/timing"
 )
@@ -39,7 +39,7 @@ func newRefStepper(be Backend, env *Env) *refStepper {
 }
 
 // Step prices one iteration of a batch whose members hold toks tokens.
-func (r *refStepper) Step(_ context.Context, toks []int) (StepCost, error) {
+func (r *refStepper) Step(toks []int) (StepCost, error) {
 	var c StepCost
 	if r.env.PP == 1 {
 		sec, stats, share, err := r.stage(toks)
@@ -83,12 +83,12 @@ func (r *refStepper) Step(_ context.Context, toks []int) (StepCost, error) {
 // HBM/GPU energy outside the module model, so its share is zero.
 func refEnergy(env *Env, hosted bool, cost StepCost, batch int) (attn, fc energy.Breakdown) {
 	attnCycles := timing.Cycles(cost.Seconds * cost.AttnShare * cyclesPerSecond)
-	attn = env.EMod.ForAggregate(env.Dev, cost.Stats.MACs, cost.Stats.IOBytes, cost.Stats.ActPre,
+	attn = energy.Default().ForAggregate(env.Dev, cost.Stats.MACs, cost.Stats.IOBytes, cost.Stats.ActPre,
 		cost.Stats.Channels, attnCycles).Scale(float64(env.Modules))
 	if hosted {
 		return attn, energy.Breakdown{}
 	}
-	return attn, fcEnergy(env, batch)
+	return attn, fcEnergy(env, energy.Default(), batch)
 }
 
 // stage returns the per-stage time in seconds for a micro-batch, its
@@ -171,7 +171,7 @@ func (r *refStepper) attention(toks []int) (Stats, error) {
 	}
 	st.Cycles += softmax / epuLanes
 	if env.Tech.TCP {
-		red := env.Hub.ReduceCycles(env.Dev.Channels, m.HeadDim)
+		red := hub.ReduceCycles(env.Dev, env.Dev.Channels, m.HeadDim)
 		st.Cycles += red * timing.Cycles(len(toks)*kvHeadsPerModule) / epuLanes
 	}
 	return st, nil

@@ -1,21 +1,21 @@
 package backend
 
 import (
-	"context"
-	"slices"
-
 	"pimphony/internal/energy"
+	"pimphony/internal/hub"
 	"pimphony/internal/perfmodel"
-	"pimphony/internal/sweep"
 	"pimphony/internal/timing"
 )
 
-// Stepper prices the decode iterations of one system a leap at a time.
-// A leap is a run of iterations over a fixed batch in which every member
-// grows by one token per iteration, so whatever the batch fixes — its
-// size, FC and all-reduce costs, FC energy — is resolved once per leap.
-// A Stepper memoizes across leaps, so it is not safe for concurrent use;
-// each cluster.System owns exactly one.
+// Stepper prices the decode iterations of one configuration a leap at a
+// time. A leap is a run of iterations over a fixed batch in which every
+// member grows by one token per iteration, so whatever the batch fixes —
+// its size, FC and all-reduce costs, FC energy — is resolved once per
+// leap. A Stepper memoizes across leaps, and its memos are pure in the
+// configuration, so several engines may price through one Stepper as
+// long as each leap's Start and Next calls end before the next leap
+// starts: each cluster.System owns exactly one, and every Engine built
+// from that System shares it. It is not safe for concurrent use.
 type Stepper interface {
 	// Start begins a leap over toks, each batch member's current KV
 	// length (prompt plus generated tokens) in batch order. The stepper
@@ -24,7 +24,7 @@ type Stepper interface {
 	Start(toks []int)
 	// Next prices the leap's current iteration, energy included, into c
 	// and then adds one token to each batch member.
-	Next(ctx context.Context, c *StepCost) error
+	Next(c *StepCost) error
 }
 
 // pimStepper is the iteration pricer of the PIM-attention backends.
@@ -53,8 +53,8 @@ type pimStepper struct {
 	tcp        bool
 	baseline   bool
 	hosted     bool // a host runs FC: no module FC energy
-	redOK      bool
 	queries    int
+	emod       energy.Model // resolved once: Next prices energy every iteration
 
 	// The memo tables are dense slices indexed by their small integer
 	// keys (per-channel token counts, batch sizes): the serving hot path
@@ -70,8 +70,7 @@ type pimStepper struct {
 	batch   []batchCost // by batch size
 	batchOK []bool
 	chSum   []timing.Cycles // per-channel scratch
-	red     timing.Cycles   // Hub.ReduceCycles(channels, HeadDim), constant per system
-	missing []int           // prefetch scratch: shapes the memo lacks, in fold order
+	red     timing.Cycles   // TCP's per-head SV reduction, constant per system
 	deltas  []tcpDelta      // TCP scratch: each request's extra-slice delta
 
 	// The leap Start fixed: the batch's token counts, which Next
@@ -120,9 +119,10 @@ func newPIMStepper(env *Env, b *pimBackend) *pimStepper {
 		env: env, fc: b.fc, combine: b.combine,
 		kvHeads: kvHeads, tokenShard: tokenShard, layers: env.Model.Layers / env.PP,
 		tcp: env.Tech.TCP, sc: sc, baseline: baseline, hosted: b.hosted,
-		queries: env.Model.GQAGroup,
-		lats:    make([]perfmodel.Latency, 1),
-		chSum:   make([]timing.Cycles, env.Dev.Channels),
+		queries: env.Model.GQAGroup, emod: energy.Default(),
+		lats:  make([]perfmodel.Latency, 1),
+		chSum: make([]timing.Cycles, env.Dev.Channels),
+		red:   hub.ReduceCycles(env.Dev, env.Dev.Channels, env.Model.HeadDim),
 
 		softEPT:     env.Dev.ElemsPerTile(),
 		softBase:    env.Dev.EPUSoftmaxBase,
@@ -159,9 +159,9 @@ func (s *pimStepper) Start(toks []int) {
 // stats on the module model: they cover one module's shard (TP) of one
 // stage (PP), all Modules perform equivalent shards, and background
 // power accrues only over the attention phase of the iteration.
-func (s *pimStepper) Next(ctx context.Context, c *StepCost) error {
+func (s *pimStepper) Next(c *StepCost) error {
 	if s.env.PP > 1 {
-		if err := s.pipelined(ctx, c); err != nil {
+		if err := s.pipelined(c); err != nil {
 			return err
 		}
 	} else {
@@ -172,7 +172,7 @@ func (s *pimStepper) Next(ctx context.Context, c *StepCost) error {
 	}
 	env := s.env
 	attnCycles := timing.Cycles(c.Seconds * c.AttnShare * cyclesPerSecond)
-	c.AttnEnergy = env.EMod.ForAggregate(env.Dev, c.Stats.MACs, c.Stats.IOBytes, c.Stats.ActPre,
+	c.AttnEnergy = s.emod.ForAggregate(env.Dev, c.Stats.MACs, c.Stats.IOBytes, c.Stats.ActPre,
 		c.Stats.Channels, attnCycles).Scale(float64(env.Modules))
 	c.FCEnergy = s.fcE
 	for i := range s.toks {
@@ -207,11 +207,8 @@ func (s *pimStepper) stage(c *StepCost) {
 // the per-request stage times plus PP-1 bubbles of the longest, the
 // attention counters sum and the attention shares average, folded in
 // request order.
-func (s *pimStepper) pipelined(ctx context.Context, c *StepCost) error {
+func (s *pimStepper) pipelined(c *StepCost) error {
 	toks := s.toks
-	if err := s.prefetch(ctx, toks); err != nil {
-		return err
-	}
 	*c = StepCost{}
 	var o StepCost
 	var sum, longest float64
@@ -237,57 +234,6 @@ func (s *pimStepper) pipelined(ctx context.Context, c *StepCost) error {
 	return nil
 }
 
-// prefetch prices the per-channel token counts a pipelined fold needs
-// and the memo lacks, concurrently through the sweep engine when there
-// are two or more: the fold prices its micro-batches one request at a
-// time, so their cold perfmodel simulations would otherwise run in
-// series. It never changes a price, since the fold prices any shape
-// still missing. The shapes are collected in fold order, so a failure
-// reports the error the fold would have hit first.
-func (s *pimStepper) prefetch(ctx context.Context, toks []int) error {
-	missing := s.missing[:0]
-	add := func(tokens int) {
-		if s.memoized(tokens) == 0 && !slices.Contains(missing, tokens) {
-			missing = append(missing, tokens)
-		}
-	}
-	channels := s.env.Dev.Channels
-	for _, tok := range toks {
-		t := (tok + s.tokenShard - 1) / s.tokenShard
-		if s.tcp {
-			base, rem := t/channels, t%channels
-			if base > 0 {
-				add(base)
-			}
-			if rem > 0 {
-				add(base + 1)
-			}
-			continue
-		}
-		if s.capTokens > 0 && t > s.capTokens {
-			add(s.capTokens)
-			t = (t-1)%s.capTokens + 1
-		}
-		if t > 0 {
-			add(t)
-		}
-	}
-	s.missing = missing
-	if len(missing) < 2 {
-		return nil
-	}
-	lats, err := sweep.Run(ctx, missing, func(_ context.Context, tokens int) (perfmodel.Latency, error) {
-		return priceAttention(s.env, tokens, s.env.Model.HeadDim, s.queries, s.baseline, s.sc)
-	})
-	if err != nil {
-		return err
-	}
-	for i, tokens := range missing {
-		s.memo(tokens, lats[i])
-	}
-	return nil
-}
-
 // batchCost memoizes what a batch size fixes for a leap.
 func (s *pimStepper) batchCost(batch int) batchCost {
 	if batch < len(s.batchOK) && s.batchOK[batch] {
@@ -295,7 +241,7 @@ func (s *pimStepper) batchCost(batch int) batchCost {
 	}
 	v := batchCost{fc: s.fc(s.env, batch), sync: float64(syncCycles(s.env, batch)) / cyclesPerSecond}
 	if !s.hosted {
-		v.fcE = fcEnergy(s.env, batch)
+		v.fcE = fcEnergy(s.env, s.emod, batch)
 	}
 	s.batch, s.batchOK = memoPut(s.batch, s.batchOK, batch, v)
 	return v
@@ -312,26 +258,6 @@ func memoPut[T any](vals []T, ok []bool, k int, v T) ([]T, []bool) {
 	return vals, ok
 }
 
-// memoized returns the memo index of a per-channel token count, 0 if it
-// is not priced yet.
-func (s *pimStepper) memoized(tokens int) int {
-	if tokens < len(s.latIdx) {
-		return int(s.latIdx[tokens])
-	}
-	return 0
-}
-
-// memo stores the price of a per-channel token count and returns its
-// memo index.
-func (s *pimStepper) memo(tokens int, l perfmodel.Latency) int {
-	if tokens >= len(s.latIdx) {
-		s.latIdx = append(s.latIdx, make([]int32, tokens+1-len(s.latIdx))...)
-	}
-	s.latIdx[tokens] = int32(len(s.lats))
-	s.lats = append(s.lats, l)
-	return len(s.lats) - 1
-}
-
 // price memoizes priceAttention for one per-channel token count (the
 // query count is the GQA group for every work of a batch). It returns
 // the memo index rather than the Latency value so hot callers read the
@@ -339,14 +265,19 @@ func (s *pimStepper) memo(tokens int, l perfmodel.Latency) int {
 // the index stays valid across later price calls (only the slice header
 // moves on growth), but a *pointer* into s.lats would not.
 func (s *pimStepper) price(tokens int) (int, error) {
-	if i := s.memoized(tokens); i != 0 {
-		return i, nil
+	if tokens < len(s.latIdx) && s.latIdx[tokens] != 0 {
+		return int(s.latIdx[tokens]), nil
 	}
 	l, err := priceAttention(s.env, tokens, s.env.Model.HeadDim, s.queries, s.baseline, s.sc)
 	if err != nil {
 		return 0, err
 	}
-	return s.memo(tokens, l), nil
+	if tokens >= len(s.latIdx) {
+		s.latIdx = append(s.latIdx, make([]int32, tokens+1-len(s.latIdx))...)
+	}
+	s.latIdx[tokens] = int32(len(s.lats))
+	s.lats = append(s.lats, l)
+	return len(s.lats) - 1, nil
 }
 
 // attention prices one layer's attention on one module group into st:
@@ -445,10 +376,6 @@ func (s *pimStepper) attention(toks []int, st *Stats) error {
 		// latency).
 		qHeads := s.kvHeads * env.Model.GQAGroup
 		st.Cycles += softSum * timing.Cycles(qHeads) / epuLanes
-		if !s.redOK {
-			s.red = env.Hub.ReduceCycles(channels, env.Model.HeadDim)
-			s.redOK = true
-		}
 		st.Cycles += s.red * timing.Cycles(len(toks)*s.kvHeads) / epuLanes
 		return nil
 	}

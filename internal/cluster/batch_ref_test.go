@@ -21,7 +21,6 @@ import (
 // request whose Grow fails freezes for the rest of the window, yet its
 // tokens still count. froze reports whether any Grow failed.
 func refRun(s *System, reqs []workload.Request) (rep *Report, froze bool, err error) {
-	ctx := context.Background()
 	cfg := s.cfg
 	alloc, err := s.newPool()
 	if err != nil {
@@ -86,7 +85,7 @@ func refRun(s *System, reqs []workload.Request) (rep *Report, froze bool, err er
 		}
 		var cost backend.StepCost
 		s.stepper.Start(toks) // a one-iteration leap
-		if err := s.stepper.Next(ctx, &cost); err != nil {
+		if err := s.stepper.Next(&cost); err != nil {
 			return nil, froze, err
 		}
 		busy += cost.Stats.Busy

@@ -28,7 +28,6 @@ import (
 
 	"pimphony/internal/backend"
 	"pimphony/internal/energy"
-	"pimphony/internal/hub"
 	"pimphony/internal/memory"
 	"pimphony/internal/model"
 	"pimphony/internal/perfmodel"
@@ -94,8 +93,8 @@ type Config struct {
 }
 
 // env builds the backend pricing environment for this configuration.
-// The services (perfmodel, hub, energy) are attached by New; a bare env
-// suffices for validation.
+// New attaches the device's latency service; a bare env suffices for
+// validation.
 func (c *Config) env() *backend.Env {
 	return &backend.Env{
 		Name:    c.Name,
@@ -159,18 +158,22 @@ type Report struct {
 	FCEnergy   energy.Breakdown
 }
 
-// System is a reusable simulator instance (kernel latencies are memoized
-// across runs on the same device). A System is not safe for concurrent
-// use: the engine and the backend's stepper share per-System scratch
-// state. Sweeps build one System per point.
+// System is the pricing of one Config: its backend, pricing environment,
+// admission parameters and one memoizing Stepper, all fixed by the
+// configuration. Every Engine built from a System prices through its
+// Stepper, so replicas of one configuration (a serving fleet spec) share
+// one System and each shape is priced once for all of them. Engines of
+// one System must be driven from one goroutine; a sweep that runs
+// configurations in parallel builds one System per configuration.
 type System struct {
 	cfg Config
 	be  backend.Backend
 	env *backend.Env
 	adm backend.Admission
-	// stepper is the backend's iteration pricer: Engine.Leap starts one
-	// leap on it per call and prices each of the leap's iterations,
-	// energy included, through it.
+	// stepper is the backend's iteration pricer, shared by every Engine
+	// of this System: Engine.Leap starts one leap on it per call and
+	// prices each of the leap's iterations, energy included, through it,
+	// so no leap state outlives the call.
 	stepper backend.Stepper
 }
 
@@ -188,8 +191,6 @@ func New(cfg Config) (*System, error) {
 	// and serving replicas reuse each other's cold simulations instead
 	// of re-running them per instance.
 	env.Perf = perfmodel.Shared(cfg.Dev)
-	env.Hub = hub.New(cfg.Dev)
-	env.EMod = energy.Default()
 	return &System{cfg: cfg, be: be, env: env, adm: be.Admission(env), stepper: be.NewStepper(env)}, nil
 }
 

@@ -518,7 +518,7 @@ func (e *Engine) Leap(ctx context.Context, now, until float64) (StepResult, erro
 	res.IterSeconds = e.secScratch[:0]
 	recompute := res.RecomputeSeconds
 	for i := 0; i < n && (i == 0 || now < until); i++ {
-		if err := s.stepper.Next(ctx, &e.cost); err != nil {
+		if err := s.stepper.Next(&e.cost); err != nil {
 			return res, err
 		}
 		sec := e.account(&e.cost, recompute)

@@ -102,7 +102,7 @@ func refStep(ctx context.Context, e *Engine) (StepResult, error) {
 	e.sampleCapacity()
 	var cost backend.StepCost
 	s.stepper.Start(e.liveTokens(batch))
-	if err := s.stepper.Next(ctx, &cost); err != nil {
+	if err := s.stepper.Next(&cost); err != nil {
 		return res, err
 	}
 	res.Seconds = e.account(&cost, res.RecomputeSeconds)
@@ -178,6 +178,12 @@ func engineFor(t *testing.T, cfg Config, reqs []workload.Request) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return engineOn(t, sys, reqs)
+}
+
+// engineOn builds a new engine of sys with the given requests enqueued.
+func engineOn(t *testing.T, sys *System, reqs []workload.Request) *Engine {
+	t.Helper()
 	e, err := sys.NewEngine()
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"pimphony/internal/hub"
 	"pimphony/internal/kernels"
 	"pimphony/internal/mapping"
 	"pimphony/internal/perfmodel"
@@ -290,9 +291,10 @@ func AblationTCPReduce() (*Result, error) {
 	layer := float64(att.Cycles) * headsPerLayer
 	rows, err := sweep.Run(context.Background(), []float64{64, 128, 256, 512, 1024},
 		func(_ context.Context, bw float64) ([]any, error) {
-			c := mapping.SVReduction(32, 128, base.ElemsPerTile(), base.TileBytes, bw,
-				int64(base.HubHopCycles), int64(base.EPUAddCycles))
-			return []any{bw, c.TotalCycles, 100 * float64(c.TotalCycles) / layer}, nil
+			dev := base
+			dev.HubBytesPerCycle = bw
+			c := int64(hub.ReduceCycles(dev, 32, 128))
+			return []any{bw, c, 100 * float64(c) / layer}, nil
 		})
 	if err != nil {
 		return nil, err

@@ -40,16 +40,33 @@ func reducePartials(partials [][]float32) ([]float32, error) {
 }
 
 func TestReduceCyclesMatchPaperScale(t *testing.T) {
-	h := New(timing.AiM16())
+	dev := timing.AiM16()
 	// Paper: the per-module SV reduction is < 0.2% of attention latency
 	// for LLM-7B at 16K tokens; the gather is bandwidth-limited and must
 	// stay in the tens of cycles.
-	c := h.ReduceCycles(16, 128)
+	c := ReduceCycles(dev, 16, 128)
 	if c <= 0 || c > 100 {
 		t.Fatalf("ReduceCycles = %d, outside plausible band", c)
 	}
-	if h.ReduceCycles(32, 128) <= c {
+	if ReduceCycles(dev, 32, 128) <= c {
 		t.Fatal("more channels must cost more to reduce")
+	}
+}
+
+// TestReduceCyclesFormula pins the reduction's two terms: 16 channels
+// at dh=128 ship 8 tiles each over a 256 B/cycle gather fabric with a
+// 4-cycle hop, and the EPU folds them in 15+8 single-cycle stages.
+func TestReduceCyclesFormula(t *testing.T) {
+	dev := timing.AiM16() // 16-element tiles of 32 B, hop 4, add 1
+	gather := timing.Cycles(16*8*32/256 + 4)
+	fold := timing.Cycles(16 - 1 + 8)
+	if got := ReduceCycles(dev, 16, 128); got != gather+fold {
+		t.Errorf("ReduceCycles(16, 128) = %d, want gather %d + fold %d", got, gather, fold)
+	}
+	// The abl-tcp ablation sweeps the gather bandwidth on a device copy.
+	dev.HubBytesPerCycle = 64
+	if got, want := ReduceCycles(dev, 16, 128), timing.Cycles(16*8*32/64+4)+fold; got != want {
+		t.Errorf("ReduceCycles at 64 B/cycle = %d, want %d", got, want)
 	}
 }
 

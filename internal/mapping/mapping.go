@@ -5,9 +5,10 @@
 // (TCP), which splits the token axis of every head across all channels.
 //
 // The package is purely combinatorial: it produces per-channel work lists
-// and balance metrics; per-work latencies are supplied by the caller (the
-// cluster simulator uses internal/perfmodel) so the same assignment logic
-// serves both token-count studies and cycle-accurate composition.
+// and balance metrics for the partitioning figures and examples, and
+// backend's reference pricer prices its work lists through
+// internal/perfmodel. The decode stepper derives the same per-channel
+// shapes in closed form.
 package mapping
 
 import (
@@ -181,37 +182,6 @@ func (a *Assignment) ActiveChannels() int {
 		}
 	}
 	return n
-}
-
-// ---------------------------------------------------------------------------
-// TCP aggregation cost (Sec. IV-C)
-// ---------------------------------------------------------------------------
-
-// AggregationCost models the inter-channel combination step TCP requires:
-// QK^T results are merely concatenated during the EPU softmax (no extra
-// latency), while SV performs one inter-channel reduction per head through
-// the HUB GPR: the channels' partial tiles stream over the HUB's parallel
-// gather links and the EPU folds them in a pipelined tree.
-type AggregationCost struct {
-	GatherCycles   int64
-	EPUAddCycles   int64
-	TotalCycles    int64
-	TilesPerReduce int
-}
-
-// SVReduction computes the per-head SV aggregation cost for TCP. tileBytes
-// and hubBytesPerCycle describe the gather link; hubHop is the one-time
-// hop latency and epuAdd the per-stage fold cost.
-func SVReduction(channels, dh, elemsPerTile, tileBytes int, hubBytesPerCycle float64, hubHop, epuAdd int64) AggregationCost {
-	tiles := (dh + elemsPerTile - 1) / elemsPerTile
-	gather := int64(float64(channels*tiles*tileBytes)/hubBytesPerCycle) + hubHop
-	add := int64(channels-1+tiles) * epuAdd
-	return AggregationCost{
-		GatherCycles:   gather,
-		EPUAddCycles:   add,
-		TotalCycles:    gather + add,
-		TilesPerReduce: tiles,
-	}
 }
 
 // ---------------------------------------------------------------------------

@@ -147,26 +147,6 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-func TestSVReductionCost(t *testing.T) {
-	// 16 channels, dh=128 -> 8 tiles shipped per channel over a 256 B/cyc
-	// gather fabric with a 4-cycle hop and single-cycle fold stages.
-	c := SVReduction(16, 128, 16, 32, 256, 4, 1)
-	if c.TilesPerReduce != 8 {
-		t.Errorf("TilesPerReduce = %d, want 8", c.TilesPerReduce)
-	}
-	if c.GatherCycles != 16*8*32/256+4 {
-		t.Errorf("GatherCycles = %d", c.GatherCycles)
-	}
-	if c.TotalCycles != c.GatherCycles+c.EPUAddCycles {
-		t.Error("TotalCycles must be the sum of parts")
-	}
-	// The paper: aggregation is < 0.2% of attention latency for 7B @ 16K.
-	// The reduction must stay in the tens of cycles.
-	if c.TotalCycles > 100 {
-		t.Errorf("SV reduction cost %d cycles is implausibly large", c.TotalCycles)
-	}
-}
-
 func TestHFPCapacitySplitsOversizedTiles(t *testing.T) {
 	// One request whose head tile is 3.5x a channel's capacity must be
 	// force-split across 4 channels.

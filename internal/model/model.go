@@ -160,10 +160,12 @@ type FCShape struct {
 	Count     int // occurrences per layer
 }
 
-// FCShapes lists the per-layer projection GEMVs in execution order.
-func (c Config) FCShapes() []FCShape {
+// FCShapes lists the per-layer projection GEMVs in execution order. It
+// returns an array, not a slice, so pricing a prefill or a GPU iteration
+// from it allocates nothing.
+func (c Config) FCShapes() [7]FCShape {
 	kvOut := c.DIn / c.GQAGroup
-	return []FCShape{
+	return [...]FCShape{
 		{Name: "q_proj", DIn: c.DIn, DOut: c.DIn, Count: 1},
 		{Name: "k_proj", DIn: c.DIn, DOut: kvOut, Count: 1},
 		{Name: "v_proj", DIn: c.DIn, DOut: kvOut, Count: 1},

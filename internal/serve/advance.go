@@ -26,7 +26,6 @@ type record struct {
 
 // replica is one decode engine plus its private clock.
 type replica struct {
-	sys   *cluster.System
 	eng   *cluster.Engine
 	clock float64
 }

@@ -5,7 +5,9 @@
 //
 // A fleet is described by []ReplicaSpec — each spec is its own
 // cluster.Config (backend, allocator technique, KV budget) times a
-// replica count, tagged with a Role. Unified replicas prefill and
+// replica count, tagged with a Role. Pricing depends only on the
+// configuration, so the fleet builds one cluster.System per spec and
+// one Engine per replica from it. Unified replicas prefill and
 // decode locally. A disaggregated fleet splits the phases: RolePrefill
 // replicas run prompt prefills only (they are dense-engine servers, not
 // decode engines), and every prefilled request is handed off to a
@@ -87,8 +89,8 @@ func (r Role) String() string {
 	}
 }
 
-// ReplicaSpec is one homogeneous slice of a fleet: Count replicas built
-// from System, serving as Role.
+// ReplicaSpec is one homogeneous slice of a fleet: Count replicas of
+// System, serving as Role, that price through one cluster.System.
 type ReplicaSpec struct {
 	System cluster.Config
 	Count  int
@@ -136,6 +138,12 @@ func (c *Config) validateFleet() error {
 	// behind a handoff.
 	if !finiteNonNeg(c.Interconnect.LatencySeconds) {
 		return fmt.Errorf("serve: Interconnect.LatencySeconds must be non-negative and finite, got %g", c.Interconnect.LatencySeconds)
+	}
+	// Zero bandwidth is the no-fabric value and +Inf free transfers. A
+	// NaN or negative one would read as no fabric too, silently turning
+	// migration and stealing off.
+	if !(c.Interconnect.BytesPerSecond >= 0) {
+		return fmt.Errorf("serve: Interconnect.BytesPerSecond must be non-negative (0 = no fabric), got %g", c.Interconnect.BytesPerSecond)
 	}
 	if prefill > 0 && !c.Interconnect.Usable() {
 		return fmt.Errorf("serve: disaggregated fleet (RolePrefill replicas) needs a usable Interconnect to hand KV off")
@@ -186,14 +194,13 @@ type FleetStats struct {
 }
 
 // prefillServer is a dense prompt-processing engine with a FIFO busy
-// window: requests serialize on it, each charged the system's
+// window: requests serialize on it, each charged its spec's
 // PrefillSeconds.
 type prefillServer struct {
-	sys  *cluster.System
-	free float64 // time the server next becomes available
-	busy float64 // total busy seconds
+	sys  *cluster.System // its spec's shared System
+	free float64         // time the server next becomes available
+	busy float64         // total busy seconds
 	reqs int
-	spec int
 	// slow, when positive, multiplies every prompt's duration — the
 	// colocated half of a replica's transient slowdown fault (faults.go).
 	slow float64
@@ -217,8 +224,8 @@ func (p *prefillServer) serve(at float64, contextTokens int) float64 {
 }
 
 // fleetReplica is one decode-capable fleet replica: the advancement
-// replica plus its fleet spec index and, for unified replicas, the
-// colocated prefill engine.
+// replica plus its fleet spec index (its System is systems[spec]) and,
+// for unified replicas, the colocated prefill engine.
 type fleetReplica struct {
 	replica
 	spec int
@@ -253,9 +260,12 @@ type fleetSim struct {
 	placement Placement
 	// placeView is the FleetView every placement decision searches.
 	placeView placeView
-	decoders  []*fleetReplica
-	prefills  []*prefillServer
-	held      deque[job]
+	// systems holds one cluster.System per fleet spec: every replica and
+	// prefill server of the spec prices through it.
+	systems  []*cluster.System
+	decoders []*fleetReplica
+	prefills []*prefillServer
+	held     deque[job]
 	// views holds the incrementally maintained scheduler indexes and
 	// autoscale aggregates (views.go), kept in step with every engine
 	// call and lifecycle change via touch/setState.
@@ -322,13 +332,17 @@ func newFleetSim(cfg Config, n int) (*fleetSim, error) {
 		} else if b != bpt {
 			return nil, fmt.Errorf("serve: fleet spec %d: KV bytes/token %d differs from %d; KV is not portable across the fleet", si, b, bpt)
 		}
+		// Pricing depends only on the configuration, and one Run drives
+		// every engine from one goroutine, so the spec's replicas share
+		// one System and its stepper's memo.
+		sys, err := cluster.New(spec.System)
+		if err != nil {
+			return nil, err
+		}
+		fs.systems = append(fs.systems, sys)
 		for c := 0; c < spec.Count; c++ {
-			sys, err := cluster.New(spec.System)
-			if err != nil {
-				return nil, err
-			}
 			if spec.Role == RolePrefill {
-				fs.prefills = append(fs.prefills, &prefillServer{sys: sys, spec: si})
+				fs.prefills = append(fs.prefills, &prefillServer{sys: sys})
 				continue
 			}
 			eng, err := sys.NewEngine()
@@ -336,9 +350,9 @@ func newFleetSim(cfg Config, n int) (*fleetSim, error) {
 				return nil, err
 			}
 			eng.SetHorizon(cfg.leapHorizon)
-			fr := &fleetReplica{replica: replica{sys: sys, eng: eng}, spec: si}
+			fr := &fleetReplica{replica: replica{eng: eng}, spec: si}
 			if spec.Role == RoleUnified {
-				fr.pre = &prefillServer{sys: sys, spec: si}
+				fr.pre = &prefillServer{sys: sys}
 			}
 			fs.decoders = append(fs.decoders, fr)
 			if cfg.Autoscaler == nil || c < spec.Min {
@@ -495,7 +509,7 @@ func (fs *fleetSim) considerMigration(di int, v workload.Request) error {
 	kvTokens := v.Context + gen
 	bytes := int64(kvTokens) * fs.bpt
 	transfer := fs.transferSeconds(bytes)
-	recompute := d.sys.PrefillSeconds(kvTokens)
+	recompute := fs.systems[d.spec].PrefillSeconds(kvTokens)
 	if f := fs.slowFactor(di); f > 1 {
 		recompute *= f // a degraded replica recomputes slower, too
 	}
@@ -716,7 +730,7 @@ func (fs *fleetSim) deliver(dst int, j job, now float64) error {
 			return nil
 		}
 		if fs.cfg.IncludePrefill {
-			j.rec.prefill = d.sys.PrefillSeconds(j.rec.req.Context)
+			j.rec.prefill = fs.systems[d.spec].PrefillSeconds(j.rec.req.Context)
 		}
 	}
 	j.rec.replica = dst
@@ -1000,7 +1014,7 @@ func (fs *fleetSim) report(arrivals []workload.Arrival) (*Report, error) {
 	secs := make([]float64, len(fs.decoders))
 	hourly := make([]float64, len(fs.decoders))
 	for i, d := range fs.decoders {
-		hourly[i] = d.sys.CostPerHour()
+		hourly[i] = fs.systems[d.spec].CostPerHour()
 	}
 	if fs.auto == nil && fs.fstats == nil {
 		for i := range fs.decoders {

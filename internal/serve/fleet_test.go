@@ -376,6 +376,10 @@ func TestFleetValidate(t *testing.T) {
 			Interconnect: timing.DefaultInterconnect()}},
 		{"disaggregated without fabric", Config{Fleet: []ReplicaSpec{
 			{System: testSystem(), Count: 1, Role: RolePrefill}, base}}},
+		{"NaN bandwidth", Config{Fleet: []ReplicaSpec{base},
+			Interconnect: timing.Interconnect{BytesPerSecond: math.NaN()}}},
+		{"negative bandwidth", Config{Fleet: []ReplicaSpec{base},
+			Interconnect: timing.Interconnect{BytesPerSecond: -1}}},
 	}
 	for _, c := range cases {
 		if err := c.cfg.Validate(); err == nil {
@@ -386,6 +390,10 @@ func TestFleetValidate(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Errorf("unified single-replica fleet rejected: %v", err)
 	}
+	ok.Interconnect.BytesPerSecond = math.Inf(1) // free transfers
+	if err := ok.Validate(); err != nil {
+		t.Errorf("fleet with an infinite-bandwidth fabric rejected: %v", err)
+	}
 	// KV portability is checked at build time: mixing models whose KV
 	// layouts differ cannot share a fleet.
 	big := testSystem()
@@ -393,6 +401,43 @@ func TestFleetValidate(t *testing.T) {
 	mixed := Config{Fleet: []ReplicaSpec{base, {System: big, Count: 1, Role: RoleUnified}}}
 	if _, err := Run(context.Background(), mixed, tinyArrivals(1)); err == nil {
 		t.Error("fleet with mismatched KV bytes/token accepted")
+	}
+}
+
+// TestFleetSpecSharesOneSystem: a fleet builds one cluster.System per
+// ReplicaSpec. Every dedicated and colocated prefill server of a spec
+// prices through its spec's System, every decode replica names its
+// spec, and two specs never share a System, even with equal configs.
+func TestFleetSpecSharesOneSystem(t *testing.T) {
+	cfg := Config{Fleet: []ReplicaSpec{
+		{System: testSystem(), Count: 2, Role: RolePrefill},
+		{System: testSystem(), Count: 3, Role: RoleUnified},
+		{System: testSystem(), Count: 2, Role: RoleUnified},
+	}, Interconnect: timing.DefaultInterconnect()}
+	fs, err := newFleetSim(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := fs.prefills; p[0].sys != p[1].sys {
+		t.Error("the prefill servers of one spec price through different Systems")
+	}
+	d := fs.decoders
+	if d[0].pre.sys != d[1].pre.sys || d[0].pre.sys != d[2].pre.sys || d[3].pre.sys != d[4].pre.sys {
+		t.Error("the colocated prefill servers of one spec price through different Systems")
+	}
+	if fs.prefills[0].sys == d[0].pre.sys || d[0].pre.sys == d[3].pre.sys {
+		t.Error("two specs share a System")
+	}
+	if len(fs.systems) != len(cfg.Fleet) {
+		t.Fatalf("built %d Systems for %d specs", len(fs.systems), len(cfg.Fleet))
+	}
+	if fs.systems[0] != fs.prefills[0].sys {
+		t.Error("the prefill spec's System is not the one its servers price through")
+	}
+	for i, want := range []int{1, 1, 1, 2, 2} {
+		if d[i].spec != want || fs.systems[d[i].spec] != d[i].pre.sys {
+			t.Errorf("decode replica %d: spec %d, want %d and its spec's System", i, d[i].spec, want)
+		}
 	}
 }
 

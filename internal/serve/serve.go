@@ -80,8 +80,8 @@ func (s SLO) Met(ttft, tbt float64) bool {
 // need explicit Fleet specs, and Report.Fleet stays nil.
 type Config struct {
 	// System is the shorthand's replica template: every replica is an
-	// independent cluster.System built from it, serving as RoleDecode.
-	// Every backend is servable — PIM systems admit against
+	// Engine of the one cluster.System built from it, serving as
+	// RoleDecode. Every backend is servable — PIM systems admit against
 	// their static/DPA allocator, the GPU baseline against its paged
 	// pool (see cluster.System.NewEngine). Ignored when Fleet is set.
 	System cluster.Config

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"pimphony/internal/workload"
@@ -91,4 +92,24 @@ func BenchmarkFleetPlacement(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkFleetBuild measures fleet construction: each op builds a
+// 1,000-replica fleet of one CENT spec (its System, one Engine per
+// replica and the scheduler views), and B/replica and allocs/replica
+// are the cost of one replica.
+func BenchmarkFleetBuild(b *testing.B) {
+	const replicas = 1000
+	cfg := Config{Fleet: []ReplicaSpec{{System: testSystem(), Count: replicas, Role: RoleUnified}}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for b.Loop() {
+		if _, err := newFleetSim(cfg, 64); err != nil {
+			b.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	built := float64(b.N * replicas)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/built, "B/replica")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/built, "allocs/replica")
 }

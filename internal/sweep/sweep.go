@@ -1,10 +1,10 @@
 // Package sweep is the deterministic worker-pool engine behind every
 // parameter sweep in the repository: the experiment drivers
 // (internal/experiments), the serving studies (internal/serve), the
-// incremental technique study (internal/core), the pipelined stepper's
-// prefetch (internal/backend) and the grid modes of cmd/pimphony-bench
-// and cmd/pimphony-sim all fan their independent simulation points
-// through Run.
+// incremental technique study (internal/core) and the grid modes of
+// cmd/pimphony-bench and cmd/pimphony-sim all fan their independent
+// simulation points through Run. A point never prices concurrently
+// inside itself: its decode steppers run on the point's goroutine.
 //
 // The engine guarantees that parallel execution is observationally
 // identical to the sequential loop it replaces: results come back in
