@@ -208,6 +208,14 @@ func main() {
 	if *turns < 1 {
 		fatalf("-turns must be at least 1, got %d", *turns)
 	}
+	// The fleet would reject these only when its first table row runs,
+	// in its own units. 0 GiB/s is no fabric and +Inf free transfers.
+	if !(*icGbps >= 0) {
+		fatalf("-ic-gbps must be a non-negative bandwidth in GiB/s (0 = no fabric), got %g", *icGbps)
+	}
+	if !(*icLatUs >= 0) || math.IsInf(*icLatUs, 1) {
+		fatalf("-ic-lat-us must be a non-negative, finite latency in µs, got %g", *icLatUs)
+	}
 	// Probe whether the backend owns its allocator (the GPU's paged
 	// pool): the -alloc/-capacity static-vs-dpa toggles act through the
 	// technique-selected allocator and are inapplicable there — derived

@@ -36,9 +36,11 @@ func TestMain(m *testing.M) {
 // "-retries -5" ran with an unlimited retry budget and a KV budget
 // rounding to 0 bytes ran on the whole pool, all with exit status 0;
 // kv=inf failed on a "negative" budget. Each is now a validation error,
-// while "-retries -1" still runs with an unlimited budget. Unknown
-// policy, placement, autoscaler and allocator names keep their error
-// text.
+// while "-retries -1" still runs with an unlimited budget. A bad
+// -ic-gbps or -ic-lat-us fails as that flag, in its unit, rather than
+// as the fleet's Interconnect field once the first table row runs; 0
+// GiB/s still runs with no fabric. Unknown policy, placement, autoscaler
+// and allocator names keep their error text.
 func TestCLIExitStatus(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -52,10 +54,10 @@ func TestCLIExitStatus(t *testing.T) {
 		{[]string{"-fleet", "cent:unified:2", "-mtbf", "nan", "-rate", "1", "-n", "4"}, false, "-mtbf must be a non-negative number"},
 		{[]string{"-fleet", "cent:unified:2", "-rate", "4", "-n", "20", "-mtbf", "5", "-decode", "32", "-retries", "-5"}, false, "-retries must be a retry count or -1"},
 		{[]string{"-fleet", "cent:unified:2", "-rate", "4", "-n", "20", "-mtbf", "5", "-decode", "32", "-retries", "-1"}, true, "2uni"},
-		{[]string{"-fleet", "neupims:prefill:1,cent:decode:2", "-ic-lat-us", "nan", "-rate", "1", "-n", "4"}, false, "LatencySeconds must be non-negative and finite"},
-		{[]string{"-fleet", "neupims:prefill:1,cent:decode:2", "-ic-lat-us", "-5", "-rate", "1", "-n", "4"}, false, "LatencySeconds must be non-negative and finite"},
-		{[]string{"-fleet", "cent:unified:2", "-ic-gbps", "nan", "-n", "4", "-rate", "1"}, false, "BytesPerSecond must be non-negative"},
-		{[]string{"-fleet", "cent:unified:2", "-ic-gbps", "-1", "-n", "4", "-rate", "1"}, false, "BytesPerSecond must be non-negative"},
+		{[]string{"-fleet", "neupims:prefill:1,cent:decode:2", "-ic-lat-us", "nan", "-rate", "1", "-n", "4"}, false, "-ic-lat-us must be a non-negative, finite latency in µs, got NaN"},
+		{[]string{"-fleet", "neupims:prefill:1,cent:decode:2", "-ic-lat-us", "-5", "-rate", "1", "-n", "4"}, false, "-ic-lat-us must be a non-negative, finite latency in µs, got -5"},
+		{[]string{"-fleet", "cent:unified:2", "-ic-gbps", "nan", "-n", "4", "-rate", "1"}, false, "-ic-gbps must be a non-negative bandwidth in GiB/s (0 = no fabric), got NaN"},
+		{[]string{"-fleet", "cent:unified:2", "-ic-gbps", "-1", "-n", "4", "-rate", "1"}, false, "-ic-gbps must be a non-negative bandwidth in GiB/s (0 = no fabric), got -1"},
 		{[]string{"-fleet", "cent:unified:2", "-ic-gbps", "0", "-n", "4", "-rate", "1"}, true, "2uni"},
 		{[]string{"-turns", "0", "-n", "4", "-rate", "1"}, false, "-turns must be at least 1"},
 		{[]string{"-kv-budget", "1e-12", "-rate", "1", "-n", "4"}, false, "at least one byte"},

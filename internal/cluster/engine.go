@@ -22,6 +22,10 @@ import (
 // completed — from which the caller reconstructs per-request admission
 // and completion timestamps.
 //
+// The engine owns its replica's simulated time (Clock): Leap adds each
+// iteration's duration to it once, in iteration order, and Wait moves an
+// idle engine forward to work that arrives later.
+//
 // The engine also owns the serving-side failure mode static allocation
 // buys its way out of by over-reserving: under DPA, lazy chunk growth
 // can exhaust the pool mid-decode. When a request cannot grow, the
@@ -31,6 +35,8 @@ import (
 // decode engine, stalling the iteration by that prefill time.
 type Engine struct {
 	sys *System
+	// clock is the engine's simulated time in seconds (see Clock).
+	clock float64
 	// pool tracks every admitted request's KV: DPA chunks, static T_max
 	// regions or the GPU's one-token pages.
 	pool *memory.Pool
@@ -82,13 +88,12 @@ type Engine struct {
 	attnE, fcE energy.Breakdown
 	// scratch buffers reused across Leap calls (the decode loop's
 	// allocation diet): the batch snapshot, the Generated event list,
-	// the batch-order token counts the stepper prices and advances, the
-	// leap's ID list and its iteration durations.
+	// the batch-order token counts the stepper prices and advances, and
+	// the leap's ID list.
 	batchScratch []*entry
 	genScratch   []int
 	tokScratch   []int
 	idScratch    []int
-	secScratch   []float64
 	// cost is the iteration the stepper last priced. It lives here
 	// rather than in Leap's frame because a pointer passed through the
 	// Stepper interface escapes, which would allocate it on every call.
@@ -115,16 +120,20 @@ type entry struct {
 }
 
 // StepResult reports what one Leap call did: one decode iteration, or a
-// stable batch's run of event-free iterations.
+// stable batch's run of event-free iterations. The call's last iteration
+// ends at the engine's Clock.
 type StepResult struct {
-	// Seconds is the simulated duration of the call's iterations — the
-	// decode steps plus any KV recompute charged for re-admitted
-	// preempted requests (RecomputeSeconds); zero when the engine was
-	// idle (no admitted requests).
-	Seconds float64
+	// Iterations is the number of decode iterations the call priced:
+	// one, more for a leap, zero when the engine was idle (no admitted
+	// requests). Every ID in Generated emitted one token per iteration.
+	Iterations int
+	// FirstEnd is the engine clock at the end of the call's first
+	// iteration, when the tokens it produced were emitted (a request's
+	// first token among them); zero for an idle call.
+	FirstEnd float64
 	// RecomputeSeconds is the KV-rebuild time charged this call for
-	// preempted requests re-entering the batch (already included in
-	// Seconds and in the first iteration's IterSeconds).
+	// preempted requests re-entering the batch (already included in the
+	// first iteration's duration).
 	RecomputeSeconds float64
 	// Batch is the number of active requests that decoded this call.
 	Batch int
@@ -140,12 +149,6 @@ type StepResult struct {
 	// slice's backing array is reused by the next Leap call — consume it
 	// before advancing again (copy it to retain).
 	Generated []int
-	// IterSeconds lists each iteration's duration in order (their sum is
-	// Seconds); it is empty only for an idle call. Every ID in Generated
-	// emitted one token per iteration; serving callers replay the
-	// durations to reconstruct exact per-token timestamps inside a leap.
-	// Like Generated, the backing array is reused by the next Leap call.
-	IterSeconds []float64
 	// Preempted lists requests evicted back to the queue this call
 	// because the pool could not grow the batch. Their KV chunks are
 	// freed; tokens already generated stay generated (the KV behind them
@@ -253,6 +256,19 @@ func (e *Engine) Pending() int { return len(e.pending) }
 
 // Idle reports whether the engine has no work at all.
 func (e *Engine) Idle() bool { return len(e.active) == 0 && len(e.pending) == 0 }
+
+// Clock is the engine's simulated time in seconds: the end of its last
+// iteration, or the later time Wait moved it to while idle.
+func (e *Engine) Clock() float64 { return e.clock }
+
+// Wait moves an idle engine's clock forward to t, so work that reaches
+// it at t starts no earlier. It never moves a clock back and leaves a
+// busy engine alone.
+func (e *Engine) Wait(t float64) {
+	if e.Idle() && e.clock < t {
+		e.clock = t
+	}
+}
 
 // OutstandingTokens is the decode work still owed: remaining generation
 // tokens across active requests plus the full generation length of every
@@ -447,11 +463,11 @@ func (e *Engine) preemptYoungest() (*entry, error) {
 // prices the active batch's next iteration — or, when the batch is
 // stable, every iteration up to its event horizon — grows every request
 // by the tokens it generated and retires the ones that reached their
-// generation length. now is the caller's current simulated time and
-// until the time it is advancing toward: the call stops with the first
-// iteration that ends at or past until (until <= now prices exactly one
-// iteration), so clocks and event timestamps are bit-identical however
-// the caller bounds its calls.
+// generation length. The call starts at the engine's Clock and advances
+// it by each iteration's duration toward until: it stops with the first
+// iteration that ends at or past until (until <= Clock prices exactly
+// one iteration), so clocks and event timestamps are bit-identical
+// however the caller bounds its calls.
 //
 // A call that admits, or whose bound is already reached, prices one
 // iteration. Otherwise it prices up to leapDistance iterations, the
@@ -464,7 +480,7 @@ func (e *Engine) preemptYoungest() (*entry, error) {
 // admissible) returns a zero StepResult; a pending request that cannot
 // be admitted even into an empty system is an error, as is a batch that
 // can neither generate, complete nor preempt (KV livelock).
-func (e *Engine) Leap(ctx context.Context, now, until float64) (StepResult, error) {
+func (e *Engine) Leap(ctx context.Context, until float64) (StepResult, error) {
 	s := e.sys
 	var res StepResult
 	if err := ctx.Err(); err != nil {
@@ -507,7 +523,7 @@ func (e *Engine) Leap(ctx context.Context, now, until float64) (StepResult, erro
 		return res, nil // idle
 	}
 	n := 1
-	if res.Admitted == nil && now < until {
+	if res.Admitted == nil && e.clock < until {
 		n = max(e.leapDistance(), 1)
 	}
 	e.sampleCapacity()
@@ -515,26 +531,25 @@ func (e *Engine) Leap(ctx context.Context, now, until float64) (StepResult, erro
 	// it fixes once, then prices each iteration and advances the token
 	// counts in place.
 	s.stepper.Start(e.liveTokens(batch))
-	res.IterSeconds = e.secScratch[:0]
 	recompute := res.RecomputeSeconds
-	for i := 0; i < n && (i == 0 || now < until); i++ {
+	for i := 0; i < n && (i == 0 || e.clock < until); i++ {
 		if err := s.stepper.Next(&e.cost); err != nil {
 			return res, err
 		}
-		sec := e.account(&e.cost, recompute)
+		e.account(&e.cost, recompute)
 		recompute = 0 // the first iteration carries the charge
-		res.IterSeconds = append(res.IterSeconds, sec)
-		res.Seconds += sec
-		now += sec
+		if i == 0 {
+			res.FirstEnd = e.clock
+		}
+		res.Iterations++
 	}
-	e.secScratch = res.IterSeconds
 	// Advance every request still active by one token per iteration,
 	// growing its KV to the exact live token count. A multi-iteration
 	// leap stays inside the pool's growth budget, so its one Grow per
 	// request cannot fail. A failed Grow after one iteration (DPA pool
 	// exhausted) preempts the youngest admitted request and retries
 	// until the grower succeeds or is itself the victim.
-	iters := len(res.IterSeconds)
+	iters := res.Iterations
 	simTokens.Add(int64(iters * len(batch)))
 	res.Generated = e.genScratch[:0]
 	for _, en := range batch {
@@ -593,10 +608,10 @@ func (e *Engine) liveTokens(batch []*entry) []int {
 }
 
 // account books one priced iteration: the utilization counters,
-// energy, the time scale, the totals, blocked time and the step count.
-// It returns the iteration's duration, including the recompute charge
-// for re-admitted requests.
-func (e *Engine) account(cost *backend.StepCost, recompute float64) float64 {
+// energy, the time scale, the totals, blocked time, the step count and
+// the clock, which it advances by the iteration's duration, including
+// the recompute charge for re-admitted requests.
+func (e *Engine) account(cost *backend.StepCost, recompute float64) {
 	e.busy += cost.Stats.Busy
 	e.span += cost.Stats.Cycles
 	e.channels = cost.Stats.Channels
@@ -614,7 +629,7 @@ func (e *Engine) account(cost *backend.StepCost, recompute float64) float64 {
 		e.blockedSec += sec
 	}
 	e.steps++
-	return sec
+	e.clock += sec
 }
 
 // retire releases the batch members still active that reached their

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"math"
-	"reflect"
 	"testing"
 
 	"pimphony/internal/workload"
@@ -22,8 +21,9 @@ func fleetReqs() []workload.Request {
 
 // TestLeapHorizonMatchesStepEventStream pins the SetHorizon clamp: a
 // clamped leap drain must produce the identical flattened iteration
-// trace as the naive one-iteration loop, at every clamp width, while never
-// aggregating more iterations than the clamp allows.
+// trace, every reported clock included, as the naive one-iteration
+// loop, at every clamp width, while never aggregating more iterations
+// than the clamp allows.
 func TestLeapHorizonMatchesStepEventStream(t *testing.T) {
 	cfg := engineConfig(t, PIMphony())
 	ref := drainTrace(t, engineFor(t, cfg, fleetReqs()), false)
@@ -35,18 +35,17 @@ func TestLeapHorizonMatchesStepEventStream(t *testing.T) {
 			if i > 1_000_000 {
 				t.Fatal("engine did not drain")
 			}
-			res, err := e.Leap(context.Background(), 0, math.Inf(1))
+			res, err := e.Leap(context.Background(), math.Inf(1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.IterSeconds) > h {
-				t.Fatalf("horizon %d: leap aggregated %d iterations", h, len(res.IterSeconds))
+			if res.Iterations > h {
+				t.Fatalf("horizon %d: leap aggregated %d iterations", h, res.Iterations)
 			}
-			got = append(got, flatten(res)...)
+			got = append(got, flatten(t, res, e.Clock())...)
 		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("horizon %d: clamped leap trace diverges from single stepping (%d vs %d iterations)",
-				h, len(got), len(ref))
+		if d := diffTrace(ref, got); d != "" {
+			t.Errorf("horizon %d: clamped leap trace diverges from single stepping: %s", h, d)
 		}
 	}
 }
@@ -64,7 +63,7 @@ func TestEngineEnergyLeapEquivalence(t *testing.T) {
 		if i > 1_000_000 {
 			t.Fatal("engine did not drain")
 		}
-		if _, err := leap.Leap(context.Background(), 0, math.Inf(1)); err != nil {
+		if _, err := leap.Leap(context.Background(), math.Inf(1)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -106,8 +106,8 @@ func TestEngineStepEvents(t *testing.T) {
 	if len(res.Generated) != 1 || len(res.Completed) != 0 || res.Batch != 1 {
 		t.Fatalf("step 1: %+v", res)
 	}
-	if res.Seconds <= 0 {
-		t.Fatal("step 1 took no time")
+	if res.Iterations != 1 || e.Clock() <= 0 || res.FirstEnd != e.Clock() {
+		t.Fatalf("step 1: %d iterations ending at %g (first at %g); want one that takes time", res.Iterations, e.Clock(), res.FirstEnd)
 	}
 	// Mid-flight arrival joins at the next step boundary.
 	if err := e.Enqueue(workload.Request{ID: 2, Context: 4096, Decode: 1}); err != nil {
@@ -128,10 +128,59 @@ func TestEngineStepEvents(t *testing.T) {
 		t.Fatal("engine should be idle")
 	}
 	// Idle steps are free and report nothing.
+	clock := e.Clock()
 	res, err = refStep(context.Background(), e)
-	if err != nil || res.Seconds != 0 || res.Batch != 0 {
-		t.Fatalf("idle step: %+v, %v", res, err)
+	if err != nil || res.Iterations != 0 || res.Batch != 0 || e.Clock() != clock {
+		t.Fatalf("idle step: %+v, clock %g -> %g, %v", res, clock, e.Clock(), err)
 	}
+}
+
+// TestEngineWait: Wait moves an idle engine's clock forward, never back,
+// and leaves an engine with queued or admitted work alone; the next
+// call's iteration starts at the clock Wait left.
+func TestEngineWait(t *testing.T) {
+	sys, err := New(engineConfig(t, PIMphony()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := sys.NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := func(what string, clock float64) {
+		t.Helper()
+		if e.Clock() != clock {
+			t.Fatalf("%s: clock %g, want %g", what, e.Clock(), clock)
+		}
+	}
+	want("new engine", 0)
+	e.Wait(2)
+	want("idle wait forward", 2)
+	e.Wait(1)
+	want("idle wait back", 2)
+	if err := e.Enqueue(workload.Request{ID: 1, Context: 4096, Decode: 3}); err != nil {
+		t.Fatal(err)
+	}
+	e.Wait(5)
+	want("wait with a queued request", 2)
+	res, err := e.Leap(context.Background(), e.Clock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iterations != 1 || !(res.FirstEnd > 2) || e.Clock() != res.FirstEnd {
+		t.Fatalf("first call from t=2: %d iterations, first ending at %g, clock %g", res.Iterations, res.FirstEnd, e.Clock())
+	}
+	busy := e.Clock()
+	e.Wait(busy + 10)
+	want("wait with an admitted request", busy)
+	for !e.Idle() {
+		if _, err := e.Leap(context.Background(), math.Inf(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	end := e.Clock()
+	e.Wait(end + 10)
+	want("wait after draining", end+10)
 }
 
 func TestEngineEnqueueErrors(t *testing.T) {
@@ -278,7 +327,7 @@ func TestEngineRejectsOversized(t *testing.T) {
 	if _, err := refStep(context.Background(), e); err == nil {
 		t.Error("un-admittable head of queue should error")
 	}
-	if _, err := e.Leap(context.Background(), 0, math.Inf(1)); err == nil {
+	if _, err := e.Leap(context.Background(), math.Inf(1)); err == nil {
 		t.Error("un-admittable head of queue should error from Leap")
 	}
 }

@@ -16,9 +16,12 @@ import (
 // stepTrace is the flattened per-iteration event stream of an engine
 // drain: one entry per decode iteration, in simulation order, with the
 // admission/preemption/completion events attached to the iteration that
-// produced them (a leap expands to one entry per iteration).
+// produced them (a leap expands to one entry per iteration). End is the
+// engine clock at the iteration's end, where the call reports one
+// (clocked): the end of its first and of its last iteration.
 type stepTrace struct {
-	Seconds   float64
+	End       float64
+	clocked   bool
 	Batch     int
 	Admitted  []int
 	Generated []int
@@ -37,25 +40,52 @@ func ids(reqs []workload.Request) []int {
 	return out
 }
 
-// flatten expands one engine result into its iterations. A
-// one-iteration result carries all its events. A leap expands to
-// Generated on every iteration and Completed on the last, and carries no
-// admission or preemption, which a leap never makes: a leap that
-// admitted or preempted would diverge from the reference trace.
-func flatten(res StepResult) []stepTrace {
-	if len(res.IterSeconds) == 1 {
-		return []stepTrace{{Seconds: res.Seconds, Batch: res.Batch,
+// flatten expands one engine call into its iterations; end is the
+// engine's clock after the call. A one-iteration result carries all its
+// events, and its two clocks must agree. A leap expands to Generated on
+// every iteration and Completed on the last, and carries no admission
+// or preemption, which a leap never makes: a leap that admitted or
+// preempted would diverge from the reference trace.
+func flatten(t *testing.T, res StepResult, end float64) []stepTrace {
+	t.Helper()
+	if res.Iterations == 1 {
+		if res.FirstEnd != end {
+			t.Fatalf("one-iteration call reports its iteration ending at %g and at %g", res.FirstEnd, end)
+		}
+		return []stepTrace{{End: end, clocked: true, Batch: res.Batch,
 			Admitted: ids(res.Admitted), Generated: append([]int(nil), res.Generated...),
 			Preempted: ids(res.Preempted), Completed: ids(res.Completed)}}
 	}
-	out := make([]stepTrace, len(res.IterSeconds))
-	for i, sec := range res.IterSeconds {
-		out[i] = stepTrace{Seconds: sec, Batch: res.Batch, Generated: append([]int(nil), res.Generated...)}
+	out := make([]stepTrace, res.Iterations)
+	for i := range out {
+		out[i] = stepTrace{Batch: res.Batch, Generated: append([]int(nil), res.Generated...)}
 	}
 	if n := len(out); n > 0 {
+		out[0].End, out[0].clocked = res.FirstEnd, true
+		out[n-1].End, out[n-1].clocked = end, true
 		out[n-1].Completed = ids(res.Completed)
 	}
 	return out
+}
+
+// diffTrace describes the first iteration where a trace diverges from
+// the reference trace, or returns "" when none does. Batch and events
+// must match on every iteration, and every clock the trace reports must
+// be bit-identical to the reference clock at that iteration.
+func diffTrace(ref, got []stepTrace) string {
+	if len(ref) != len(got) {
+		return fmt.Sprintf("trace lengths diverged: reference %d vs leap %d iterations", len(ref), len(got))
+	}
+	for i, g := range got {
+		r := ref[i]
+		if !g.clocked {
+			r.End, r.clocked = g.End, false
+		}
+		if !reflect.DeepEqual(r, g) {
+			return fmt.Sprintf("iteration %d diverged:\nreference %+v\nleap      %+v", i, r, g)
+		}
+	}
+	return ""
 }
 
 // refStep is the naive reference decode loop the engine's Leap must
@@ -105,8 +135,8 @@ func refStep(ctx context.Context, e *Engine) (StepResult, error) {
 	if err := s.stepper.Next(&cost); err != nil {
 		return res, err
 	}
-	res.Seconds = e.account(&cost, res.RecomputeSeconds)
-	res.IterSeconds = []float64{res.Seconds}
+	e.account(&cost, res.RecomputeSeconds) // advances the clock
+	res.Iterations, res.FirstEnd = 1, e.clock
 	for _, en := range batch {
 		if !en.admitted {
 			continue // evicted earlier this step
@@ -158,14 +188,14 @@ func drainTrace(t *testing.T, e *Engine, leap bool) []stepTrace {
 		var res StepResult
 		var err error
 		if leap {
-			res, err = e.Leap(context.Background(), 0, math.Inf(1))
+			res, err = e.Leap(context.Background(), math.Inf(1))
 		} else {
 			res, err = refStep(context.Background(), e)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, flatten(res)...)
+		out = append(out, flatten(t, res, e.Clock())...)
 	}
 	return out
 }
@@ -198,10 +228,11 @@ func engineOn(t *testing.T, sys *System, reqs []workload.Request) *Engine {
 
 // TestLeapMatchesStepEventStream pins the fast-forward contract at the
 // engine level: draining via Leap must produce the identical flattened
-// iteration trace — same per-iteration durations, same events on the
-// same iterations — and identical aggregate counters as the naive
-// one-step loop, including under DPA preemption pressure and on the GPU
-// baseline's paged pool.
+// iteration trace — the same events on the same iterations, and every
+// clock a call reports bit-identical to the naive loop's at that
+// iteration — and identical aggregate counters and final clock as the
+// naive one-step loop, including under DPA preemption pressure and on
+// the GPU baseline's paged pool.
 func TestLeapMatchesStepEventStream(t *testing.T) {
 	long := func(cfg Config) Config {
 		cfg.DecodeWindow = 8
@@ -234,22 +265,15 @@ func TestLeapMatchesStepEventStream(t *testing.T) {
 			fast := engineFor(t, c.cfg, c.reqs)
 			nt := drainTrace(t, naive, false)
 			ft := drainTrace(t, fast, true)
-			if !reflect.DeepEqual(nt, ft) {
-				if len(nt) != len(ft) {
-					t.Fatalf("trace lengths diverged: naive %d vs leap %d iterations", len(nt), len(ft))
-				}
-				for i := range nt {
-					if !reflect.DeepEqual(nt[i], ft[i]) {
-						t.Fatalf("iteration %d diverged:\nnaive %+v\nleap  %+v", i, nt[i], ft[i])
-					}
-				}
+			if d := diffTrace(nt, ft); d != "" {
+				t.Fatal(d)
 			}
 			if c.name == "pim-dpa-preempting" && naive.Preemptions() == 0 {
 				t.Fatal("scenario did not exercise preemption")
 			}
 			// Aggregates must agree exactly too.
 			if naive.Generated() != fast.Generated() || naive.Steps() != fast.Steps() ||
-				naive.BusySeconds() != fast.BusySeconds() ||
+				naive.Clock() != fast.Clock() || naive.BusySeconds() != fast.BusySeconds() ||
 				naive.Preemptions() != fast.Preemptions() ||
 				naive.BlockedSeconds() != fast.BlockedSeconds() ||
 				naive.RecomputeSeconds() != fast.RecomputeSeconds() ||
@@ -257,9 +281,9 @@ func TestLeapMatchesStepEventStream(t *testing.T) {
 				naive.MaxActive() != fast.MaxActive() ||
 				naive.PeakLiveBytes() != fast.PeakLiveBytes() ||
 				naive.PeakReservedBytes() != fast.PeakReservedBytes() {
-				t.Errorf("aggregates diverged:\nnaive gen=%d steps=%d busy=%g preempt=%d blocked=%g recomp=%g\nleap  gen=%d steps=%d busy=%g preempt=%d blocked=%g recomp=%g",
-					naive.Generated(), naive.Steps(), naive.BusySeconds(), naive.Preemptions(), naive.BlockedSeconds(), naive.RecomputeSeconds(),
-					fast.Generated(), fast.Steps(), fast.BusySeconds(), fast.Preemptions(), fast.BlockedSeconds(), fast.RecomputeSeconds())
+				t.Errorf("aggregates diverged:\nnaive gen=%d steps=%d clock=%g busy=%g preempt=%d blocked=%g recomp=%g\nleap  gen=%d steps=%d clock=%g busy=%g preempt=%d blocked=%g recomp=%g",
+					naive.Generated(), naive.Steps(), naive.Clock(), naive.BusySeconds(), naive.Preemptions(), naive.BlockedSeconds(), naive.RecomputeSeconds(),
+					fast.Generated(), fast.Steps(), fast.Clock(), fast.BusySeconds(), fast.Preemptions(), fast.BlockedSeconds(), fast.RecomputeSeconds())
 			}
 		})
 	}
@@ -274,50 +298,64 @@ func withDecode(reqs []workload.Request, base int) []workload.Request {
 
 // TestLeapRespectsUntil: a leap advancing toward a time bound must stop
 // with the first iteration that crosses it — the property that keeps
-// arrival admission timing identical to one iteration per call.
+// arrival admission timing identical to one iteration per call — and
+// every clock it reports must be the naive loop's at that iteration.
 func TestLeapRespectsUntil(t *testing.T) {
+	ctx := context.Background()
 	cfg := engineConfig(t, PIMphony())
-	e := engineFor(t, cfg, []workload.Request{{ID: 1, Context: 4096, Decode: 64}})
+	reqs := []workload.Request{{ID: 1, Context: 4096, Decode: 64}}
+	// ref[i] is the naive loop's clock at the end of iteration i.
+	var ref []float64
+	for naive := engineFor(t, cfg, reqs); !naive.Idle(); {
+		if _, err := refStep(ctx, naive); err != nil {
+			t.Fatal(err)
+		}
+		ref = append(ref, naive.Clock())
+	}
+	e := engineFor(t, cfg, reqs)
 	// The admitting call prices one iteration, however far its bound.
-	res, err := e.Leap(context.Background(), 0, math.Inf(1))
+	res, err := e.Leap(ctx, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	perStep := res.Seconds
-	if len(res.IterSeconds) != 1 {
-		t.Fatalf("admitting call leapt %d iterations", len(res.IterSeconds))
+	if res.Iterations != 1 {
+		t.Fatalf("admitting call leapt %d iterations", res.Iterations)
+	}
+	if res.FirstEnd != ref[0] || e.Clock() != ref[0] {
+		t.Fatalf("admitting call reports clocks %g and %g, want %g", res.FirstEnd, e.Clock(), ref[0])
 	}
 	// Advance toward a bound ~3.5 iterations out: the leap must stop
 	// after the 4th iteration (the one that crosses), not run to the
 	// completion horizon.
-	until := perStep * 3.5
-	res, err = e.Leap(context.Background(), 0, until)
-	if err != nil {
+	until := e.Clock() + ref[0]*3.5
+	if res, err = e.Leap(ctx, until); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.IterSeconds) != 4 {
-		t.Fatalf("leap ran %d iterations toward a 3.5-iteration bound, want 4", len(res.IterSeconds))
+	if res.Iterations != 4 {
+		t.Fatalf("leap ran %d iterations toward a 3.5-iteration bound, want 4", res.Iterations)
 	}
-	var clock float64
-	for _, d := range res.IterSeconds[:3] {
-		clock += d
+	if res.FirstEnd != ref[1] || e.Clock() != ref[4] {
+		t.Fatalf("leap reports clocks %g and %g, want %g and %g", res.FirstEnd, e.Clock(), ref[1], ref[4])
 	}
-	if clock >= until {
-		t.Fatal("leap kept running after crossing the bound")
+	if ref[3] >= until || ref[4] < until {
+		t.Fatal("leap did not stop with the iteration that crossed its bound")
 	}
 	// A bound already reached prices exactly one iteration.
-	if res, err = e.Leap(context.Background(), 1, 1); err != nil {
+	if res, err = e.Leap(ctx, e.Clock()); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.IterSeconds) != 1 {
-		t.Fatalf("call bounded at its start ran %d iterations, want 1", len(res.IterSeconds))
+	if res.Iterations != 1 {
+		t.Fatalf("call bounded at its start ran %d iterations, want 1", res.Iterations)
+	}
+	if res.FirstEnd != ref[5] || e.Clock() != ref[5] {
+		t.Fatalf("call bounded at its start reports clocks %g and %g, want %g", res.FirstEnd, e.Clock(), ref[5])
 	}
 }
 
 // TestLeapDrainsStableBatchInOneCall: nothing but completion bounds a
 // lone static-allocation request's leap, so it drains in two calls —
 // the admitting iteration, then one leap to completion — with the same
-// trace as the naive loop.
+// trace and clocks as the naive loop.
 func TestLeapDrainsStableBatchInOneCall(t *testing.T) {
 	cfg := engineConfig(t, Technique{TCP: true, DCS: true}) // static allocation
 	reqs := []workload.Request{{ID: 1, Context: 4000, Decode: 300}}
@@ -326,16 +364,16 @@ func TestLeapDrainsStableBatchInOneCall(t *testing.T) {
 	var got []stepTrace
 	calls := 0
 	for ; !e.Idle() && calls < 10; calls++ {
-		res, err := e.Leap(context.Background(), 0, math.Inf(1))
+		res, err := e.Leap(context.Background(), math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, flatten(res)...)
+		got = append(got, flatten(t, res, e.Clock())...)
 	}
 	if calls != 2 {
 		t.Errorf("drained in %d calls, want 2 (admission, then one leap)", calls)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("leap trace diverges from the naive loop (%d vs %d iterations)", len(got), len(want))
+	if d := diffTrace(want, got); d != "" {
+		t.Error(d)
 	}
 }

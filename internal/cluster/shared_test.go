@@ -12,19 +12,20 @@ import (
 )
 
 // leapRecord is everything one Leap call reports, copied out of the
-// engine's reused scratch.
+// engine's reused scratch, and the engine's clock after it.
 type leapRecord struct {
-	Seconds, RecomputeSeconds float64
-	Batch                     int
-	Admitted, Preempted       []int
-	Completed, Generated      []int
-	IterSeconds               []float64
+	Iterations                      int
+	FirstEnd, End, RecomputeSeconds float64
+	Batch                           int
+	Admitted, Preempted             []int
+	Completed, Generated            []int
 }
 
-func record(res StepResult) leapRecord {
-	return leapRecord{Seconds: res.Seconds, RecomputeSeconds: res.RecomputeSeconds, Batch: res.Batch,
+func record(res StepResult, end float64) leapRecord {
+	return leapRecord{Iterations: res.Iterations, FirstEnd: res.FirstEnd, End: end,
+		RecomputeSeconds: res.RecomputeSeconds, Batch: res.Batch,
 		Admitted: ids(res.Admitted), Preempted: ids(res.Preempted), Completed: ids(res.Completed),
-		Generated: append([]int(nil), res.Generated...), IterSeconds: append([]float64(nil), res.IterSeconds...)}
+		Generated: append([]int(nil), res.Generated...)}
 }
 
 // TestSharedSystemMatchesOwnSystems pins what a serving fleet spec
@@ -34,8 +35,8 @@ func record(res StepResult) leapRecord {
 // three engines that each own a System through the same calls in the
 // same order: one-iteration calls, leaps cut by a time bound, and leaps
 // to the event horizon, with preemption under a tight DPA pool. Every
-// StepResult, each engine's energy and its counters must be
-// bit-identical.
+// StepResult, the two engines' clocks after every call, each engine's
+// energy and its counters must be bit-identical.
 func TestSharedSystemMatchesOwnSystems(t *testing.T) {
 	qmsum := func(seed int64, n, decode int) []workload.Request {
 		return withDecode(workload.NewGenerator(workload.QMSum(), seed).Batch(n), decode)
@@ -84,7 +85,6 @@ func TestSharedSystemMatchesOwnSystems(t *testing.T) {
 				t.Fatal(err)
 			}
 			var shared, own [3]*Engine
-			var clocks [3]float64
 			for i, reqs := range c.reqs {
 				shared[i] = engineOn(t, sys, reqs)
 				own[i] = engineFor(t, c.cfg, reqs)
@@ -100,26 +100,24 @@ func TestSharedSystemMatchesOwnSystems(t *testing.T) {
 						continue
 					}
 					busy = true
-					now := clocks[i]
-					until := now + bounds[(call+i)%len(bounds)]
-					res, err := shared[i].Leap(ctx, now, until)
+					until := shared[i].Clock() + bounds[(call+i)%len(bounds)]
+					res, err := shared[i].Leap(ctx, until)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got := record(res)
-					res, err = own[i].Leap(ctx, now, until)
+					got := record(res, shared[i].Clock())
+					res, err = own[i].Leap(ctx, until)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if want := record(res); !reflect.DeepEqual(got, want) {
+					if want := record(res, own[i].Clock()); !reflect.DeepEqual(got, want) {
 						t.Fatalf("engine %d, call %d: shared System\n%+v\nown System\n%+v", i, call, got, want)
 					}
-					if n := len(got.IterSeconds); n == 1 {
+					if n := got.Iterations; n == 1 {
 						single++
 					} else if n > 1 {
 						multi++
 					}
-					clocks[i] += got.Seconds
 				}
 			}
 			if single == 0 || multi == 0 {

@@ -24,72 +24,46 @@ type record struct {
 	failed  bool
 }
 
-// replica is one decode engine plus its private clock.
-type replica struct {
-	eng   *cluster.Engine
-	clock float64
-}
-
-// tracker owns the per-request records and the replica-advancement
-// machinery — how an engine is driven and how its event stream becomes
+// tracker owns the per-request records and how an engine call becomes
 // per-token timestamps. It is the half of the simulator that does not
 // know about routing, so placement, handoff and migration policies can
-// differ while the advancement semantics — and therefore every
-// timestamp — stay shared and byte-identical.
+// differ while every timestamp — read off the engine's clock — stays
+// shared and byte-identical.
 type tracker struct {
 	recs map[int]*record
 }
 
-// step advances a replica by one engine call — a single decode
-// iteration, or a multi-iteration leap bounded by t (the time the
-// replica is advancing toward) — and stamps the resulting events with
-// the replica's clock. The engine result is returned so the scheduler
-// can react to per-call events (migration decisions, completions).
-func (tk *tracker) step(ctx context.Context, r *replica, t float64) (cluster.StepResult, error) {
-	res, err := r.eng.Leap(ctx, r.clock, t)
+// step advances an engine by one call — a single decode iteration, or a
+// multi-iteration leap bounded by t (the time the replica is advancing
+// toward) — and stamps the resulting events. The engine result is
+// returned so the scheduler can react to per-call events (migration
+// decisions, completions).
+func (tk *tracker) step(ctx context.Context, eng *cluster.Engine, t float64) (cluster.StepResult, error) {
+	res, err := eng.Leap(ctx, t)
 	if err != nil {
 		return res, err
 	}
-	if res.Batch == 0 {
-		return res, nil // idle; the caller advances the clock to the next event
-	}
-	tk.apply(res, r)
+	tk.apply(res, eng.Clock())
 	return res, nil
 }
 
-// apply folds one engine result — single-iteration or an aggregated
-// leap — into the per-request records. Replaying IterSeconds keeps
-// every per-token timestamp identical however the calls are bounded:
-// the clock accumulates iteration by iteration, and a request's first
-// token is stamped at the end of the iteration that produced it (its
-// token count reaching one — not the first==0 sentinel, which a first
-// iteration ending at simulated time exactly zero would leave unset for
-// later tokens to re-stamp).
-func (tk *tracker) apply(res cluster.StepResult, r *replica) {
-	// The clock accumulates iteration by iteration (the float addition
-	// order is what keeps a leap bit-identical to one iteration per
-	// call), but the per-request fold factors out: a leap has no
-	// mid-leap batch changes, so every Generated id gains exactly
-	// len(IterSeconds) tokens and a request's count can only reach one
-	// on the leap's first iteration.
-	end := r.clock
-	firstEnd := end
-	for i, d := range res.IterSeconds {
-		end += d
-		if i == 0 {
-			firstEnd = end
-		}
-	}
-	n := len(res.IterSeconds)
+// apply folds one engine call into the per-request records; end is the
+// engine's clock after the call. A call has no mid-call batch changes,
+// so every Generated id gains res.Iterations tokens, and a request's
+// count can only reach one on the call's first iteration: its first
+// token is stamped at res.FirstEnd. The token count decides, not the
+// first==0 sentinel, which a first iteration ending at simulated time
+// exactly zero would leave unset for later tokens to re-stamp.
+// Completions are stamped at the call's end.
+func (tk *tracker) apply(res cluster.StepResult, end float64) {
 	for _, id := range res.Generated {
 		rec := tk.recs[id]
 		if rec.tokens == 0 {
-			rec.first = firstEnd
+			rec.first = res.FirstEnd
 		}
-		rec.tokens += n
+		rec.tokens += res.Iterations
 	}
 	for _, q := range res.Completed {
 		tk.recs[q.ID].done = end
 	}
-	r.clock = end
 }

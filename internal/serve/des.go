@@ -1,7 +1,7 @@
 // The discrete-event spine under the serving simulator. Every run —
 // the Config{System, Replicas, Policy} shorthand and every explicit
 // fleet — plays out on one loop over three sources of work, each
-// replica keeping an independent clock:
+// replica's engine keeping an independent clock:
 //
 //   - the arrival cursor, over the validated, time-sorted schedule;
 //   - the event heap: prefill handoffs, migration and steal landings,
@@ -45,15 +45,17 @@
 // Exactness. Every per-token timestamp is bit-identical across leap
 // bounds and granularities because engine advancement composes:
 // cluster.Engine.Leap prices the same per-iteration sequence of (batch,
-// tokens) no matter where the until clamp partitions it, and
-// tracker.apply replays IterSeconds one float addition at a time in
-// iteration order. A partition boundary inserted where no enqueue,
-// admission or retirement happens (the only thing a shorter bound
-// adds) therefore changes which Leap call prices an iteration, but
-// never what the iteration costs or when it ends. A leap horizon of 1
-// (the unexported Config.leapHorizon the tests set) prices one
-// iteration per pop in global clock order whatever the bound, which
-// makes it the reference. The equivalence suite
+// tokens) no matter where the until clamp partitions it, and there is
+// one accumulation of time, inside Leap, which adds each iteration's
+// duration to the engine's clock in iteration order. tracker.apply only
+// reads that clock: a first token at the end of a call's first
+// iteration, completions at its last. A partition boundary inserted
+// where no enqueue, admission or retirement happens (the only thing a
+// shorter bound adds) therefore changes which Leap call prices an
+// iteration, but never what the iteration costs or when it ends. A
+// leap horizon of 1 (the unexported Config.leapHorizon the tests set)
+// prices one iteration per pop in global clock order whatever the
+// bound, which makes it the reference. The equivalence suite
 // (equiv_test.go) pins this across backends, allocators, placements,
 // horizons and sweep parallelism.
 package serve
@@ -193,13 +195,13 @@ type scheduler interface {
 	idleWork() (bool, error)
 }
 
-// spine is the discrete-event core: the per-request tracker, the
-// replica set with independent clocks, the two heaps and the cursor
-// over the arrival schedule.
+// spine is the discrete-event core: the per-request tracker, one
+// engine per decode replica, each with its own clock, the two heaps and
+// the cursor over the arrival schedule.
 type spine struct {
 	tracker
-	replicas []*replica
-	sched    scheduler
+	engines []*cluster.Engine
+	sched   scheduler
 	// events holds the global events in flight; seq numbers them in
 	// push order.
 	events eventQueue
@@ -222,22 +224,26 @@ type spine struct {
 
 // initReady gives every replica its ready entry, not yet queued.
 func (s *spine) initReady() {
-	s.readyAt = make([]event, len(s.replicas))
+	s.readyAt = make([]event, len(s.engines))
 	for i := range s.readyAt {
 		s.readyAt[i] = event{kind: evReady, seq: i, dst: i, index: -1}
 	}
 }
 
-// schedule validates a timed arrival schedule — finite times sorted by
-// At, unique request IDs, prompts of at least one token (serve prices a
-// prompt's prefill and KV transfer before any engine sees it) — records
-// every request (one allocation for all of them) and points the arrival
-// cursor at its head.
+// schedule validates a timed arrival schedule — finite, non-negative
+// times sorted by At (simulated time starts at zero), unique request
+// IDs, prompts of at least one token (serve prices a prompt's prefill
+// and KV transfer before any engine sees it) — records every request
+// (one allocation for all of them) and points the arrival cursor at its
+// head.
 func (s *spine) schedule(arrivals []workload.Arrival) error {
 	recs := make([]record, len(arrivals))
 	for i, a := range arrivals {
 		if math.IsNaN(a.At) || math.IsInf(a.At, 0) {
 			return fmt.Errorf("serve: arrival %d at non-finite time %g", i, a.At)
+		}
+		if a.At < 0 {
+			return fmt.Errorf("serve: arrival %d at negative time %g; simulated time starts at 0", i, a.At)
 		}
 		if a.Req.Context < 1 {
 			return fmt.Errorf("serve: request %d has context %d; a prompt needs at least one token",
@@ -287,13 +293,13 @@ func (s *spine) push(kind eventKind, rec *record, gen, dst int, at float64) {
 // gains work or its clock moves; waking an armed replica is safe.
 func (s *spine) wake(i int) {
 	e := &s.readyAt[i]
-	if s.replicas[i].eng.Idle() {
+	if s.engines[i].Idle() {
 		if e.index >= 0 {
 			heap.Remove(&s.ready, e.index)
 		}
 		return
 	}
-	e.at = s.replicas[i].clock
+	e.at = s.engines[i].Clock()
 	if e.index < 0 {
 		heap.Push(&s.ready, e)
 		return
@@ -304,8 +310,8 @@ func (s *spine) wake(i int) {
 // busyCount reports how many replicas still hold work.
 func (s *spine) busyCount() int {
 	n := 0
-	for _, r := range s.replicas {
-		if !r.eng.Idle() {
+	for _, eng := range s.engines {
+		if !eng.Idle() {
 			n++
 		}
 	}
@@ -369,8 +375,8 @@ func (s *spine) run(ctx context.Context) error {
 func (s *spine) advanceReady(ctx context.Context, global float64) error {
 	e := s.ready[0]
 	i := e.dst
-	d := s.replicas[i]
-	if d.eng.Idle() {
+	eng := s.engines[i]
+	if eng.Idle() {
 		heap.Pop(&s.ready)
 		return nil
 	}
@@ -379,8 +385,8 @@ func (s *spine) advanceReady(ctx context.Context, global float64) error {
 	// mismatch means a replica advanced without re-arming), and no entry
 	// fires behind the scheduler clock (a heap dispatched something out
 	// of order).
-	if e.at != d.clock {
-		return fmt.Errorf("serve: replica %d ready entry at t=%g fired off its clock t=%g", i, e.at, d.clock)
+	if e.at != eng.Clock() {
+		return fmt.Errorf("serve: replica %d ready entry at t=%g fired off its clock t=%g", i, e.at, eng.Clock())
 	}
 	if e.at < s.clock {
 		return fmt.Errorf("serve: replica %d ready entry at t=%g fired behind the scheduler clock t=%g", i, e.at, s.clock)
@@ -394,8 +400,8 @@ func (s *spine) advanceReady(ctx context.Context, global float64) error {
 			}
 		}
 	}
-	before := d.clock
-	res, err := s.step(ctx, d, until)
+	before := eng.Clock()
+	res, err := s.step(ctx, eng, until)
 	if err != nil {
 		return err
 	}
@@ -403,13 +409,13 @@ func (s *spine) advanceReady(ctx context.Context, global float64) error {
 	// move — would re-arm this entry at the same timestamp forever (the
 	// classic symptom: a stolen or misplaced request queued on a replica
 	// that can never admit it). Fail loudly instead of spinning.
-	if res.Batch == 0 && !d.eng.Idle() && d.clock == before {
+	if res.Batch == 0 && !eng.Idle() && eng.Clock() == before {
 		return fmt.Errorf("serve: replica %d stalled at t=%g with %d queued requests it cannot admit",
-			i, d.clock, d.eng.Pending())
+			i, before, eng.Pending())
 	}
 	s.wake(i)
 	if err := s.sched.onStep(i, res); err != nil {
 		return err
 	}
-	return s.sched.react(d.clock)
+	return s.sched.react(eng.Clock())
 }

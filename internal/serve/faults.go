@@ -431,9 +431,7 @@ func (fs *fleetSim) clearFault(c *faultChain, at float64) {
 		// (the timeline and ScaleUps count autoscaler actions only).
 		fs.setState(i, stateOnline)
 		fs.onlineSince[i] = at
-		if d := fs.decoders[i]; d.eng.Idle() && d.clock < at {
-			d.clock = at
-		}
+		fs.decoders[i].eng.Wait(at)
 	case FaultSlowdown:
 		stack := fs.slowStack[c.replica]
 		for k, sc := range stack {

@@ -33,8 +33,8 @@
 //     zero-progress request from the most backlogged replica, paying
 //     the prompt-KV transfer.
 //
-// The simulation runs on the discrete-event spine (des.go): replicas
-// advance their own clocks via the tracker, and a global event
+// The simulation runs on the discrete-event spine (des.go): each
+// replica's engine advances its own clock, and a global event
 // (arrival, handoff completion, migration/steal landing, timer) is
 // dispatched only once every busy replica has simulated up to it; a
 // leap stops with the iteration that reaches the next global event, so
@@ -223,11 +223,11 @@ func (p *prefillServer) serve(at float64, contextTokens int) float64 {
 	return p.free
 }
 
-// fleetReplica is one decode-capable fleet replica: the advancement
-// replica plus its fleet spec index (its System is systems[spec]) and,
-// for unified replicas, the colocated prefill engine.
+// fleetReplica is one decode-capable fleet replica: its engine, its
+// fleet spec index (its System is systems[spec]) and, for unified
+// replicas, the colocated prefill engine.
 type fleetReplica struct {
-	replica
+	eng  *cluster.Engine
 	spec int
 	pre  *prefillServer // non-nil only for RoleUnified
 }
@@ -326,6 +326,7 @@ func newFleetSim(cfg Config, n int) (*fleetSim, error) {
 		fs.placement = KVHeadroom()
 	}
 	bpt := int64(-1)
+	var engines []*cluster.Engine
 	for si, spec := range cfg.Fleet {
 		if b := spec.System.Model.KVBytesPerToken(); bpt < 0 {
 			bpt = b
@@ -350,7 +351,8 @@ func newFleetSim(cfg Config, n int) (*fleetSim, error) {
 				return nil, err
 			}
 			eng.SetHorizon(cfg.leapHorizon)
-			fr := &fleetReplica{replica: replica{eng: eng}, spec: si}
+			engines = append(engines, eng)
+			fr := &fleetReplica{eng: eng, spec: si}
 			if spec.Role == RoleUnified {
 				fr.pre = &prefillServer{sys: sys}
 			}
@@ -371,14 +373,10 @@ func newFleetSim(cfg Config, n int) (*fleetSim, error) {
 	fs.evalSched, _ = cfg.Autoscaler.(evalScheduler)
 	fs.eval = event{kind: evScaleEval, dst: -1, index: -1}
 	fs.total = n
-	reps := make([]*replica, len(fs.decoders))
-	for i, d := range fs.decoders {
-		reps[i] = &d.replica
-	}
 	fs.spine = spine{
-		tracker:  tracker{recs: make(map[int]*record, n)},
-		replicas: reps,
-		sched:    fs,
+		tracker: tracker{recs: make(map[int]*record, n)},
+		engines: engines,
+		sched:   fs,
 	}
 	fs.initReady()
 	fs.placeView.fs = fs
@@ -409,14 +407,14 @@ func (fs *fleetSim) onStep(di int, res cluster.StepResult) error {
 		// The tracker has applied the call, so a record whose token count
 		// equals the call's iterations got its first token here.
 		for _, id := range res.Generated {
-			if fs.recs[id].tokens == len(res.IterSeconds) {
+			if fs.recs[id].tokens == res.Iterations {
 				fs.waiting--
 			}
 		}
 	}
 	if len(res.Completed) > 0 {
 		fs.finished += len(res.Completed)
-		fs.autoscale(fs.decoders[di].clock)
+		fs.autoscale(fs.decoders[di].eng.Clock())
 	}
 	if len(res.Preempted) == 0 || !fs.cfg.Migrate || !fs.ic.Usable() {
 		return nil
@@ -540,7 +538,7 @@ func (fs *fleetSim) considerMigration(di int, v workload.Request) error {
 	fs.stats.TransferSeconds += transfer
 	fs.incoming[dst]++
 	fs.touch(dst)
-	fs.push(evMigrated, fs.recs[v.ID], gen, dst, d.clock+transfer)
+	fs.push(evMigrated, fs.recs[v.ID], gen, dst, d.eng.Clock()+transfer)
 	return nil
 }
 
@@ -705,22 +703,20 @@ func (fs *fleetSim) place(rec *record) int {
 }
 
 // deliver hands a placed job to decoder dst at the scheduler time now.
-// The replica is taken at now: an idle destination's clock is pulled up
-// to now first (the lazy counterpart of an every-event idle-clock
-// sweep), so the ready entry wake arms lands at now, not at a stale
-// idle timestamp, even when the job first takes the replica's
-// colocated prefill server. A job that still owes its prompt pass runs it on a unified replica's colocated
-// prefill server, whose transfer-free handoff lands it back here
-// prefilled; a decode replica of a fleet without prefill servers takes
-// it at once, its prompt prefilled outside the fleet, and
-// IncludePrefill charges that prefill to the request's TTFT and E2E.
+// The replica is taken at now: an idle destination's engine waits until
+// now first (Engine.Wait), so the ready entry wake arms lands at now,
+// not at a stale idle timestamp, even when the job first takes the
+// replica's colocated prefill server. A job that still owes its prompt
+// pass runs it on a unified replica's colocated prefill server, whose
+// transfer-free handoff lands it back here prefilled; a decode replica
+// of a fleet without prefill servers takes it at once, its prompt
+// prefilled outside the fleet, and IncludePrefill charges that prefill
+// to the request's TTFT and E2E.
 // A job whose KV a crash lost re-admits through the engine's recompute
 // path; every other job resumes at its progress (zero for a fresh one).
 func (fs *fleetSim) deliver(dst int, j job, now float64) error {
 	d := fs.decoders[dst]
-	if d.eng.Idle() && d.clock < now {
-		d.clock = now
-	}
+	d.eng.Wait(now)
 	if !j.prefilled {
 		if d.pre != nil {
 			end := d.pre.serve(now, j.rec.req.Context)
@@ -827,8 +823,8 @@ func (fs *fleetSim) trySteal(now float64) error {
 		bytes := int64(r.Context) * fs.bpt
 		transfer := fs.transferSeconds(bytes)
 		at := now
-		if s.clock > at {
-			at = s.clock
+		if c := s.eng.Clock(); c > at {
+			at = c
 		}
 		fs.stats.Steals++
 		fs.stats.TransferBytes += bytes
@@ -941,14 +937,12 @@ func (fs *fleetSim) provision(now float64, k int) int {
 }
 
 // setOnline completes a provision: the replica joins the online pool
-// at t, with its idle clock pulled up so its first work starts no
+// at t, its idle engine waiting until t so its first work starts no
 // earlier than its arrival into the pool.
 func (fs *fleetSim) setOnline(i int, t float64) {
 	fs.setState(i, stateOnline)
 	fs.onlineSince[i] = t
-	if d := fs.decoders[i]; d.eng.Idle() && d.clock < t {
-		d.clock = t
-	}
+	fs.decoders[i].eng.Wait(t)
 	fs.recordScale(t, +1)
 }
 
@@ -992,7 +986,7 @@ func (fs *fleetSim) recordScale(at float64, delta int) {
 
 // report folds the shared per-request records plus the fleet extras.
 func (fs *fleetSim) report(arrivals []workload.Arrival) (*Report, error) {
-	rep, err := foldReport(fs.recs, arrivals, fs.cfg.SLO, fs.placement.Name(), fs.replicas)
+	rep, end, err := foldReport(fs.recs, arrivals, fs.cfg.SLO, fs.placement.Name(), fs.engines)
 	if err != nil {
 		return nil, err
 	}
@@ -1008,35 +1002,18 @@ func (fs *fleetSim) report(arrivals []workload.Arrival) (*Report, error) {
 		}
 	}
 	// Provisioning: decode replicas for their online seconds — the
-	// whole makespan for a fixed fleet, the provision-to-drain integral
-	// for an autoscaled one — plus dedicated prefill servers, kept
-	// online for the whole run.
+	// provision-to-drain integral, with every interval still open closed
+	// at the makespan's end, so a replica online since the first arrival
+	// is charged exactly MakespanSeconds — plus dedicated prefill
+	// servers, kept online for the whole run.
 	secs := make([]float64, len(fs.decoders))
 	hourly := make([]float64, len(fs.decoders))
 	for i, d := range fs.decoders {
 		hourly[i] = fs.systems[d.spec].CostPerHour()
-	}
-	if fs.auto == nil && fs.fstats == nil {
-		for i := range fs.decoders {
-			secs[i] = rep.MakespanSeconds
+		if fs.state[i] == stateOnline {
+			fs.closeOnline(i, end)
 		}
-	} else {
-		// Close the still-open online intervals at the exact makespan
-		// end (recomputed here as foldReport computes it, so a replica
-		// online since the first arrival is charged bit-identically to
-		// the fixed fleet's MakespanSeconds).
-		end := fs.firstArrival
-		for _, a := range arrivals {
-			if rec := fs.recs[a.Req.ID]; rec.done+rec.prefill > end {
-				end = rec.done + rec.prefill
-			}
-		}
-		for i := range fs.decoders {
-			if fs.state[i] == stateOnline {
-				fs.closeOnline(i, end)
-			}
-			secs[i] = fs.onlineSecs[i]
-		}
+		secs[i] = fs.onlineSecs[i]
 	}
 	var prefillDollars float64
 	for _, p := range fs.prefills {

@@ -13,10 +13,10 @@
 // classic load balancer in front of N identical decode engines.
 //
 // The simulation is a discrete-event simulation on the spine (des.go):
-// each replica advances its own clock by the duration of its decode
-// iterations, and a global event (an arrival, a KV landing, a timer) is
-// dispatched only once every busy replica has simulated up to it.
-// Between events a replica does not step one iteration at a time —
+// each replica's engine advances its own clock by the duration of its
+// decode iterations, and a global event (an arrival, a KV landing, a
+// timer) is dispatched only once every busy replica has simulated up to
+// it. Between events a replica does not step one iteration at a time —
 // cluster.Engine.Leap fast-forwards a stable batch through its
 // analytically computed event horizon in one call, as far as the
 // scheduler lets replicas run independently — but every optimization is
@@ -346,9 +346,9 @@ type Report struct {
 }
 
 // Run serves a timed arrival schedule to completion and reports the SLO
-// metrics. Arrivals must be sorted by At, at finite times, with unique
-// request IDs; every request needs a prompt of at least one token and a
-// positive Decode length.
+// metrics. Arrivals must be sorted by At, at finite, non-negative
+// times, with unique request IDs; every request needs a prompt of at
+// least one token and a positive Decode length.
 func Run(ctx context.Context, cfg Config, arrivals []workload.Arrival) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -369,17 +369,19 @@ func Run(ctx context.Context, cfg Config, arrivals []workload.Arrival) (*Report,
 	return fs.report(arrivals)
 }
 
-// foldReport turns per-request records and replica counters into a
+// foldReport turns per-request records and engine counters into a
 // Report: how work reached a replica never changes how its latencies
-// are scored.
+// are scored. It also returns the makespan's end, the last completion
+// (prefill included) of a request that did not fail, or the first
+// arrival if there is none.
 func foldReport(recs map[int]*record, arrivals []workload.Arrival, slo SLO, policyName string,
-	replicas []*replica) (*Report, error) {
+	engines []*cluster.Engine) (*Report, float64, error) {
 	rep := &Report{
 		Policy:      policyName,
-		Replicas:    len(replicas),
+		Replicas:    len(engines),
 		Requests:    len(recs),
 		OfferedRate: workload.OfferedRate(arrivals),
-		PerReplica:  make([]ReplicaStats, len(replicas)),
+		PerReplica:  make([]ReplicaStats, len(engines)),
 	}
 	firstArrival := arrivals[0].At
 	var lastDone float64
@@ -399,7 +401,7 @@ func foldReport(recs map[int]*record, arrivals []workload.Arrival, slo SLO, poli
 			continue
 		}
 		if rec.done == 0 {
-			return nil, fmt.Errorf("serve: request %d never completed", a.Req.ID)
+			return nil, 0, fmt.Errorf("serve: request %d never completed", a.Req.ID)
 		}
 		ttft := rec.first - rec.arrival + rec.prefill
 		var tbt float64
@@ -422,20 +424,20 @@ func foldReport(recs map[int]*record, arrivals []workload.Arrival, slo SLO, poli
 		st.Requests++
 		st.Tokens += rec.tokens
 	}
-	for i, r := range replicas {
+	for i, eng := range engines {
 		st := &rep.PerReplica[i]
-		st.Steps = r.eng.Steps()
-		st.BusySeconds = r.eng.BusySeconds()
-		st.Utilization = r.eng.Utilization()
-		st.MaxActive = r.eng.MaxActive()
-		st.Preemptions = r.eng.Preemptions()
-		st.BlockedSeconds = r.eng.BlockedSeconds()
-		st.RecomputeSeconds = r.eng.RecomputeSeconds()
-		st.PeakLiveBytes = r.eng.PeakLiveBytes()
-		st.PeakReservedBytes = r.eng.PeakReservedBytes()
+		st.Steps = eng.Steps()
+		st.BusySeconds = eng.BusySeconds()
+		st.Utilization = eng.Utilization()
+		st.MaxActive = eng.MaxActive()
+		st.Preemptions = eng.Preemptions()
+		st.BlockedSeconds = eng.BlockedSeconds()
+		st.RecomputeSeconds = eng.RecomputeSeconds()
+		st.PeakLiveBytes = eng.PeakLiveBytes()
+		st.PeakReservedBytes = eng.PeakReservedBytes()
 
 		c := &rep.Capacity
-		c.PoolBytes = r.eng.KVPoolBytes()
+		c.PoolBytes = eng.KVPoolBytes()
 		if st.PeakLiveBytes > c.PeakLiveBytes {
 			c.PeakLiveBytes = st.PeakLiveBytes
 		}
@@ -467,15 +469,15 @@ func foldReport(recs map[int]*record, arrivals []workload.Arrival, slo SLO, poli
 	// Decode energy, accumulated in replica index order (the float
 	// addition order is pinned — the fleet tables hash it).
 	var picoJoules float64
-	for _, r := range replicas {
-		ae, fe := r.eng.Energy()
+	for _, eng := range engines {
+		ae, fe := eng.Energy()
 		picoJoules += ae.Total() + fe.Total()
 	}
 	rep.Energy.DecodeJoules = picoJoules * 1e-12
 	if allTokens > 0 {
 		rep.Energy.JoulesPerToken = picoJoules * 1e-12 / float64(allTokens)
 	}
-	return rep, nil
+	return rep, lastDone, nil
 }
 
 // priceReport fills the dollar half of Report.Energy: decode replicas

@@ -231,17 +231,21 @@ func TestRunErrors(t *testing.T) {
 // TestRunRejectsNonFiniteArrivalTimes: a NaN time passes the schedule's
 // sort check (every comparison with NaN is false), and an infinite one
 // can never be reached, so both must be rejected before the run starts.
-// Each case runs against a deadline, so a regression fails instead of
-// hanging the suite.
+// So must a negative one, as input naming the arrival and its time, not
+// as a DES invariant firing behind the scheduler clock. Each case runs
+// against a deadline, so a regression fails instead of hanging the
+// suite.
 func TestRunRejectsNonFiniteArrivalTimes(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		at   [3]float64
+		want string // a substring of the error, when set
 	}{
-		{"nan first", [3]float64{math.NaN(), 0.1, 0.2}},
-		{"nan mid", [3]float64{0, math.NaN(), 0.2}},
-		{"+inf last", [3]float64{0, 0.1, math.Inf(1)}},
-		{"-inf first", [3]float64{math.Inf(-1), 0.1, 0.2}},
+		{"nan first", [3]float64{math.NaN(), 0.1, 0.2}, ""},
+		{"nan mid", [3]float64{0, math.NaN(), 0.2}, ""},
+		{"+inf last", [3]float64{0, 0.1, math.Inf(1)}, ""},
+		{"-inf first", [3]float64{math.Inf(-1), 0.1, 0.2}, ""},
+		{"negative", [3]float64{-100, -99.9, 0.2}, "arrival 0 at negative time -100"},
 	} {
 		arr := make([]workload.Arrival, len(c.at))
 		for i, at := range c.at {
@@ -256,6 +260,8 @@ func TestRunRejectsNonFiniteArrivalTimes(t *testing.T) {
 		case err := <-done:
 			if err == nil {
 				t.Errorf("%s: schedule accepted", c.name)
+			} else if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: error %q does not contain %q", c.name, err, c.want)
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("%s: still running after 10 s", c.name)
@@ -597,12 +603,11 @@ func TestFastForwardEquivalence(t *testing.T) {
 // token count, not the zero-value of record.first, decides.
 func TestApplyStampsFirstTokenByCount(t *testing.T) {
 	tk := &tracker{recs: map[int]*record{7: {}}}
-	r := &replica{} // clock 0
 	// A zero-duration iteration generates token 1 at t=0.
-	tk.apply(cluster.StepResult{Seconds: 0, IterSeconds: []float64{0}, Batch: 1, Generated: []int{7}}, r)
+	tk.apply(cluster.StepResult{Iterations: 1, FirstEnd: 0, Batch: 1, Generated: []int{7}}, 0)
 	// A later iteration generates token 2 at t=5 — it must NOT re-stamp
 	// the first-token time.
-	tk.apply(cluster.StepResult{Seconds: 5, IterSeconds: []float64{5}, Batch: 1, Generated: []int{7}}, r)
+	tk.apply(cluster.StepResult{Iterations: 1, FirstEnd: 5, Batch: 1, Generated: []int{7}}, 5)
 	rec := tk.recs[7]
 	if rec.tokens != 2 {
 		t.Fatalf("counted %d tokens, want 2", rec.tokens)
@@ -610,15 +615,12 @@ func TestApplyStampsFirstTokenByCount(t *testing.T) {
 	if rec.first != 0 {
 		t.Errorf("first-token time re-stamped to %g, want 0 (the end of the iteration that produced token 1)", rec.first)
 	}
-	if r.clock != 5 {
-		t.Errorf("clock %g, want 5", r.clock)
-	}
-	// Multi-iteration results stamp the first token at the end of the
-	// iteration that produced it, not the leap's end.
+	// A three-iteration leap from t=1 stamps the first token at the end
+	// of its first iteration, not the leap's end, and its completion at
+	// the leap's end.
 	tk2 := &tracker{recs: map[int]*record{1: {}}}
-	r2 := &replica{clock: 1}
-	tk2.apply(cluster.StepResult{Seconds: 3, IterSeconds: []float64{1, 1, 1},
-		Batch: 1, Generated: []int{1}, Completed: []workload.Request{{ID: 1}}}, r2)
+	tk2.apply(cluster.StepResult{Iterations: 3, FirstEnd: 2, Batch: 1, Generated: []int{1},
+		Completed: []workload.Request{{ID: 1}}}, 4)
 	rec = tk2.recs[1]
 	if rec.tokens != 3 {
 		t.Fatalf("leap counted %d tokens, want 3", rec.tokens)
@@ -626,7 +628,7 @@ func TestApplyStampsFirstTokenByCount(t *testing.T) {
 	if rec.first != 2 {
 		t.Errorf("leap first-token time %g, want 2 (end of iteration 1)", rec.first)
 	}
-	if rec.done != 4 || r2.clock != 4 {
-		t.Errorf("leap completion %g / clock %g, want 4 / 4", rec.done, r2.clock)
+	if rec.done != 4 {
+		t.Errorf("leap completion %g, want 4 (the leap's end)", rec.done)
 	}
 }

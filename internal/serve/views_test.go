@@ -481,12 +481,12 @@ func TestViewsOracle(t *testing.T) {
 			}
 			i := busy[next(len(busy))]
 			d := fs.decoders[i]
-			res, err := fs.step(ctx, &d.replica, math.Inf(1))
+			res, err := fs.step(ctx, d.eng, math.Inf(1))
 			if err != nil {
 				t.Fatalf("op %d: step replica %d: %v", op, i, err)
 			}
-			if d.clock > now {
-				now = d.clock
+			if c := d.eng.Clock(); c > now {
+				now = c
 			}
 			if err := fs.onStep(i, res); err != nil {
 				t.Fatalf("op %d: onStep: %v", op, err)
@@ -589,13 +589,13 @@ func TestShorthandViewsOracle(t *testing.T) {
 			}
 			i := busy[next(len(busy))]
 			d := fs.decoders[i]
-			res, err := fs.step(ctx, &d.replica, math.Inf(1))
+			res, err := fs.step(ctx, d.eng, math.Inf(1))
 			if err != nil {
 				t.Fatalf("op %d: step replica %d: %v", op, i, err)
 			}
 			preempted += len(res.Preempted)
-			if d.clock > now {
-				now = d.clock
+			if c := d.eng.Clock(); c > now {
+				now = c
 			}
 			if err := fs.onStep(i, res); err != nil {
 				t.Fatalf("op %d: onStep: %v", op, err)
