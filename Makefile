@@ -10,7 +10,7 @@ BACKEND_COVER_MIN ?= 80
 # placement seams (make cover-serve / CI).
 SERVE_COVER_MIN ?= 85
 
-.PHONY: all fmt fmt-check vet api-lint staticcheck build examples test test-short race-serve race-pricing fuzz-smoke fleet autoscale megafleet resilience bench bench-check bench-baseline cover cover-serve ci
+.PHONY: all fmt fmt-check vet api-lint staticcheck build examples test test-short race-serve race-pricing fuzz-smoke fleet autoscale megafleet resilience bench bench-check bench-baseline perfbench-check cover cover-serve ci
 
 all: build
 
@@ -137,6 +137,16 @@ bench-check:
 bench-baseline:
 	$(GO) run ./cmd/pimphony-bench -short -gate-emit bench/baseline.json
 
+# perfbench is its own module, so `go test ./...` never builds it: vet
+# and unit-test it, then run every workload for about a second at seeds
+# 1 and 2. run.sh exits non-zero when the build fails, a child crashes,
+# a repetition's digest or work counter differs from the first, or an
+# output check fails.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
+	bash perfbench/run.sh -seed 1 -seconds 1 -trace 0
+	bash perfbench/run.sh -seed 2 -seconds 1 -trace 0
+
 # Coverage: a whole-tree profile (coverage.out, the CI artifact) plus a
 # gate on the system-backend seam — internal/backend below
 # $(BACKEND_COVER_MIN)% statement coverage fails the target. The backend
@@ -173,4 +183,4 @@ cover-serve:
 			exit bad; \
 		}' coverage-serve.out || { echo "serve spine coverage below $(SERVE_COVER_MIN)%" >&2; exit 1; }
 
-ci: fmt-check vet api-lint staticcheck build examples test-short race-serve race-pricing bench bench-check cover cover-serve
+ci: fmt-check vet api-lint staticcheck build examples test-short race-serve race-pricing bench bench-check perfbench-check cover cover-serve

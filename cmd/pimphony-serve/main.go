@@ -194,9 +194,18 @@ func main() {
 		sysCfg.KVBudgetBytes = budget
 	}
 	// NaN fails every comparison, so "-mtbf nan" would otherwise run
-	// fault-free without a word.
-	if !(*mtbf >= 0) {
-		fatalf("-mtbf must be a non-negative number of seconds (0 disables), got %g", *mtbf)
+	// fault-free without a word. The fault plan and the fleet would
+	// reject the rest only when the first table row runs, in their own
+	// field names, and a NaN -mttr or -warmup not at all while faults or
+	// autoscaling are off.
+	if !(*mtbf >= 0) || math.IsInf(*mtbf, 1) {
+		fatalf("-mtbf must be a non-negative number of seconds (0 disables) and finite, got %g", *mtbf)
+	}
+	if !(*mttr >= 0) || math.IsInf(*mttr, 1) {
+		fatalf("-mttr must be a non-negative, finite number of seconds, got %g", *mttr)
+	}
+	if !(*warmup >= 0) || math.IsInf(*warmup, 1) {
+		fatalf("-warmup must be a non-negative, finite number of seconds, got %g", *warmup)
 	}
 	// The fault plan reads any negative budget as unlimited, so "-retries
 	// -5" would otherwise run with no budget at all.

@@ -49,7 +49,10 @@ func TestCLIExitStatus(t *testing.T) {
 	}{
 		{[]string{"-fleet", "cent:decode:2", "-rate", "1"}, true, "2dec"},
 		{[]string{"-rate", "nan", "-n", "4"}, false, "must be positive and finite"},
-		{[]string{"-fleet", "cent:unified:2", "-mtbf", "5", "-mttr", "nan", "-rate", "1", "-n", "4"}, false, "MTTRSeconds must be non-negative and finite"},
+		{[]string{"-fleet", "cent:unified:2", "-mtbf", "5", "-mttr", "nan", "-rate", "1", "-n", "4"}, false, "-mttr must be a non-negative, finite number of seconds, got NaN"},
+		{[]string{"-fleet", "cent:unified:2", "-mtbf", "5", "-mttr", "-1", "-rate", "1", "-n", "4"}, false, "-mttr must be a non-negative, finite number of seconds, got -1"},
+		{[]string{"-fleet", "cent:unified:2", "-mtbf", "inf", "-rate", "1", "-n", "4"}, false, "-mtbf must be a non-negative number of seconds (0 disables) and finite, got +Inf"},
+		{[]string{"-fleet", "cent:unified:2", "-autoscale", "slo", "-warmup", "nan", "-rate", "1", "-n", "4"}, false, "-warmup must be a non-negative, finite number of seconds, got NaN"},
 		{[]string{"-fleet", "cent:unified:2", "-mtbf", "5", "-fault-mode", "slow", "-rate", "1", "-n", "4", "-slo-ttft", "nan"}, false, "SLO targets must be non-negative"},
 		{[]string{"-fleet", "cent:unified:2", "-mtbf", "nan", "-rate", "1", "-n", "4"}, false, "-mtbf must be a non-negative number"},
 		{[]string{"-fleet", "cent:unified:2", "-rate", "4", "-n", "20", "-mtbf", "5", "-decode", "32", "-retries", "-5"}, false, "-retries must be a retry count or -1"},

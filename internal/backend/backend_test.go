@@ -416,6 +416,8 @@ func TestStepMatchesReference(t *testing.T) {
 		// interior requires the first iteration's critical path on
 		// neither channel 0 nor the last.
 		interior bool
+		// long leaps over the fixed batch for 100 iterations twice.
+		long bool
 	}{
 		{name: "pim-baseline", be: pimOnly, env: pimEnv(m, Baseline()), n: 5},
 		{name: "pim-pimphony", be: pimOnly, env: pimEnv(m, PIMphony()), n: 5},
@@ -440,14 +442,36 @@ func TestStepMatchesReference(t *testing.T) {
 		// critical path, so the channel-0 shortcut must not apply.
 		{name: "pim-negative-delta", be: pimOnly, env: pimEnv(m, PIMphony()), n: 3,
 			ctxs: []int{2113, 2164}, interior: true},
+		// Long leaps span several channel periods of TCP runs, from
+		// negative-delta and sub-channel prompts. On 32 channels with
+		// 16-score softmax tiles a tile edge ends every run, at or
+		// before the channel wrap; on the 8-channel DIMM a channel
+		// wrap often ends it first.
+		{name: "pim-pimphony-long-one", be: pimOnly, env: pimEnv(m, PIMphony()), n: 1,
+			ctxs: []int{2113}, long: true},
+		{name: "pim-pimphony-long", be: pimOnly, env: pimEnv(m, PIMphony()), n: 3,
+			ctxs: []int{10, 2113, 2164}, long: true},
+		{name: "pim-tcp-only-long-one", be: pimOnly, env: pimEnv(m, Technique{TCP: true}), n: 1,
+			ctxs: []int{2164}, long: true},
+		{name: "pim-tcp-only-long", be: pimOnly, env: pimEnv(m, Technique{TCP: true}), n: 3,
+			ctxs: []int{10, 2113, 2164}, long: true},
+		{name: "dimm-pimphony-long-one", be: dimmPIM, env: dimmEnv(m, PIMphony()), n: 1,
+			ctxs: []int{2113}, long: true},
+		{name: "dimm-pimphony-long", be: dimmPIM, env: dimmEnv(m, PIMphony()), n: 3,
+			ctxs: []int{10, 2113, 2164}, long: true},
 	}
 	// The leaps start at these steps and end where the next starts, the
 	// last at step 48: one-iteration leaps, and multi-iteration leaps
-	// across the batch changes at steps 20 and 30.
-	starts := []int{0, 1, 4, 20, 21, 30, 47}
-	const steps = 48
+	// across the batch changes at steps 20 and 30. A long case leaps
+	// once for one iteration and then twice for 100.
+	shortStarts, shortSteps := []int{0, 1, 4, 20, 21, 30, 47}, 48
+	longStarts, longSteps := []int{0, 1, 101}, 201
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			starts, steps := shortStarts, shortSteps
+			if c.long {
+				starts, steps = longStarts, longSteps
+			}
 			if err := c.be.Validate(c.env); err != nil {
 				t.Fatalf("config invalid: %v", err)
 			}

@@ -83,12 +83,13 @@ func (r *refStepper) Step(toks []int) (StepCost, error) {
 // HBM/GPU energy outside the module model, so its share is zero.
 func refEnergy(env *Env, hosted bool, cost StepCost, batch int) (attn, fc energy.Breakdown) {
 	attnCycles := timing.Cycles(cost.Seconds * cost.AttnShare * cyclesPerSecond)
-	attn = energy.Default().ForAggregate(env.Dev, cost.Stats.MACs, cost.Stats.IOBytes, cost.Stats.ActPre,
+	m := energy.Default()
+	attn = m.ForAggregate(&env.Dev, cost.Stats.MACs, cost.Stats.IOBytes, cost.Stats.ActPre,
 		cost.Stats.Channels, attnCycles).Scale(float64(env.Modules))
 	if hosted {
 		return attn, energy.Breakdown{}
 	}
-	return attn, fcEnergy(env, energy.Default(), batch)
+	return attn, fcEnergy(env, m, batch)
 }
 
 // stage returns the per-stage time in seconds for a micro-batch, its

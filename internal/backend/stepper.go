@@ -16,6 +16,10 @@ import (
 // long as each leap's Start and Next calls end before the next leap
 // starts: each cluster.System owns exactly one, and every Engine built
 // from that System shares it. It is not safe for concurrent use.
+//
+// Within a leap a Stepper may price an iteration from the one before it
+// (the PIM stepper's TCP runs), so every leap begins with Start, even
+// one over the batch the last leap priced.
 type Stepper interface {
 	// Start begins a leap over toks, each batch member's current KV
 	// length (prompt plus generated tokens) in batch order. The stepper
@@ -39,6 +43,14 @@ type Stepper interface {
 // fold is integer arithmetic over the priced values. Pipeline systems
 // price one request-granular micro-batch per request and fold them
 // (pipelined).
+//
+// Under TCP at PP = 1 and token shard 1 a full price also opens a run:
+// the iterations after it in which no request changes its two slice
+// prices or its softmax tile count. Across a run every counter grows by
+// a fixed integer per iteration and the critical path is a prefix
+// maximum of the full price's channel sums, so each of its iterations
+// costs a few integer adds (advance) before the stage fold and energy
+// every iteration pays.
 type pimStepper struct {
 	env     *Env
 	fc      fcFunc
@@ -51,6 +63,7 @@ type pimStepper struct {
 	capTokens  int // HFP force-split channel capacity
 	sc         perfmodel.Sched
 	tcp        bool
+	runs       bool // TCP at PP = 1 and token shard 1: full prices open runs
 	baseline   bool
 	hosted     bool // a host runs FC: no module FC energy
 	queries    int
@@ -69,7 +82,7 @@ type pimStepper struct {
 	latIdx  []int32
 	batch   []batchCost // by batch size
 	batchOK []bool
-	chSum   []timing.Cycles // per-channel scratch
+	chSum   []timing.Cycles // per-channel scratch; a run's prefix maxima (see tcpRun)
 	red     timing.Cycles   // TCP's per-head SV reduction, constant per system
 	deltas  []tcpDelta      // TCP scratch: each request's extra-slice delta
 
@@ -85,6 +98,11 @@ type pimStepper struct {
 	fcE        energy.Breakdown
 	cyc        timing.Cycles
 	sec, share float64
+
+	// layer is the current iteration's per-layer attention stats at
+	// PP = 1, which a run advances in place, and run the open run.
+	layer Stats
+	run   tcpRun
 
 	// Softmax pricing constants resolved once: softmax runs once per
 	// request per iteration, so it reads no Device per call. (A
@@ -112,13 +130,27 @@ type tcpDelta struct {
 	d   timing.Cycles
 }
 
+// tcpRun is what a full TCP price fixes for the iterations after it
+// that the same prices cover: how many are left and how many have gone
+// (k), the per-iteration increments of Busy, MACs, IOBytes and ActPre
+// (d), the softmax and reduction cycles on top of the channel maximum
+// (resid), and whether a delta was negative, in which case chSum holds
+// the prefix maxima of the full price's channel sums.
+type tcpRun struct {
+	left, k int
+	d       Stats
+	resid   timing.Cycles
+	peaks   bool
+}
+
 func newPIMStepper(env *Env, b *pimBackend) *pimStepper {
 	kvHeads, tokenShard := headGeometry(env)
 	sc, baseline := schedKind(env)
 	s := &pimStepper{
 		env: env, fc: b.fc, combine: b.combine,
 		kvHeads: kvHeads, tokenShard: tokenShard, layers: env.Model.Layers / env.PP,
-		tcp: env.Tech.TCP, sc: sc, baseline: baseline, hosted: b.hosted,
+		tcp: env.Tech.TCP, runs: env.Tech.TCP && env.PP == 1 && tokenShard == 1,
+		sc: sc, baseline: baseline, hosted: b.hosted,
 		queries: env.Model.GQAGroup, emod: energy.Default(),
 		lats:  make([]perfmodel.Latency, 1),
 		chSum: make([]timing.Cycles, env.Dev.Channels),
@@ -136,17 +168,17 @@ func newPIMStepper(env *Env, b *pimBackend) *pimStepper {
 
 // softmax is the EPU cost of a softmax over `scores` values: a fixed
 // base plus a per-tile marginal (the EPU streams score tiles from the
-// GPR).
-func (s *pimStepper) softmax(scores int) timing.Cycles {
+// GPR). It also returns how many more scores the same tiles hold.
+func (s *pimStepper) softmax(scores int) (timing.Cycles, int) {
 	tiles := (scores + s.softEPT - 1) / s.softEPT
-	return s.softBase + timing.Cycles(tiles)*s.softPerTile
+	return s.softBase + timing.Cycles(tiles)*s.softPerTile, tiles*s.softEPT - scores
 }
 
 // Start implements Stepper. A pipelined leap prices one request per
 // micro-batch, so its stage costs are those of a batch of one; its FC
 // energy is the whole batch's.
 func (s *pimStepper) Start(toks []int) {
-	s.toks, s.cyc = toks, -1
+	s.toks, s.cyc, s.run.left = toks, -1, 0
 	bc := s.batchCost(len(toks))
 	s.fcE = bc.fcE
 	if s.env.PP > 1 {
@@ -165,20 +197,42 @@ func (s *pimStepper) Next(c *StepCost) error {
 			return err
 		}
 	} else {
-		if err := s.attention(s.toks, &c.Stats); err != nil {
+		if s.run.left > 0 {
+			s.advance()
+		} else if err := s.attention(s.toks, &s.layer); err != nil {
 			return err
 		}
+		c.Stats = s.layer
 		s.stage(c)
 	}
 	env := s.env
 	attnCycles := timing.Cycles(c.Seconds * c.AttnShare * cyclesPerSecond)
-	c.AttnEnergy = s.emod.ForAggregate(env.Dev, c.Stats.MACs, c.Stats.IOBytes, c.Stats.ActPre,
+	c.AttnEnergy = s.emod.ForAggregate(&env.Dev, c.Stats.MACs, c.Stats.IOBytes, c.Stats.ActPre,
 		c.Stats.Channels, attnCycles).Scale(float64(env.Modules))
 	c.FCEnergy = s.fcE
 	for i := range s.toks {
 		s.toks[i]++
 	}
 	return nil
+}
+
+// advance prices the open run's next iteration from the last. Every
+// request's rem has grown by one, so each counter grows by its
+// increment, and after k iterations channel ch carries what channel
+// ch-k carried at the full price (channel 0's below k): the channel
+// maximum is the prefix maximum over channels 0..C-1-k, and with no
+// negative delta it stays on channel 0.
+func (s *pimStepper) advance() {
+	r, st := &s.run, &s.layer
+	r.left--
+	r.k++
+	st.Busy += r.d.Busy
+	st.MACs += r.d.MACs
+	st.IOBytes += r.d.IOBytes
+	st.ActPre += r.d.ActPre
+	if r.peaks {
+		st.Cycles = s.chSum[len(s.chSum)-1-r.k] + r.resid
+	}
 }
 
 // stage folds one micro-batch's per-layer attention stats in c.Stats
@@ -294,9 +348,16 @@ func (s *pimStepper) attention(toks []int, st *Stats) error {
 		// per-channel sums are never walked per request: a request adds
 		// C0 to every channel and its delta C1-C0 to channels below its
 		// rem, so sums[ch] = ΣC0 + Σ_{rem>ch}(C1-C0), all integer cycles.
-		var base0, extra, busy, softSum timing.Cycles
-		var macs, io, ap int64
+		//
+		// A request with rem ≥ 1 keeps both slice prices for C-rem more
+		// iterations (the last with base+1 tokens on every channel), one
+		// with rem = 0 for none, and its softmax tile count while its
+		// last tile has room: the run is the least of these, and each
+		// of its iterations adds every request's C1-C0 counters once.
+		var base0, extra, busy, softSum, dBusy timing.Cycles
+		var macs, io, ap, dMACs, dIO, dAP int64
 		var negative bool
+		run := channels - 1
 		deltas := s.deltas[:0]
 		heads := timing.Cycles(s.kvHeads)
 		kh := int64(s.kvHeads)
@@ -331,6 +392,9 @@ func (s *pimStepper) attention(toks []int, st *Stats) error {
 				extra += d
 				negative = negative || d < 0
 				deltas = append(deltas, tcpDelta{rem: rem, d: d})
+				run = min(run, channels-rem)
+			} else {
+				run = 0
 			}
 			n1 := int64(rem)
 			n0 := int64(channels - rem)
@@ -341,7 +405,13 @@ func (s *pimStepper) attention(toks []int, st *Stats) error {
 			macs += (macs1*n1 + macs0*n0) * kh
 			io += (io1*n1 + io0*n0) * kh
 			ap += (ap1*n1 + ap0*n0) * kh
-			softSum += s.softmax(t)
+			dBusy += (mac1 - mac0) * heads
+			dMACs += (macs1 - macs0) * kh
+			dIO += (io1 - io0) * kh
+			dAP += (ap1 - ap0) * kh
+			sm, room := s.softmax(t)
+			softSum += sm
+			run = min(run, room)
 		}
 		s.deltas = deltas
 		st.Busy, st.MACs, st.IOBytes, st.ActPre = busy, macs, io, ap
@@ -349,25 +419,22 @@ func (s *pimStepper) attention(toks []int, st *Stats) error {
 		// only fall as ch grows, so channel 0 holds the maximum. A
 		// negative delta (base+1 tokens priced below base at a
 		// quantization-bucket edge) can move it, so then accumulate a
-		// rem-indexed delta histogram and fold the channel max in one
-		// sweep.
+		// rem-indexed delta histogram and sweep the sums up from channel
+		// 0, leaving each channel's prefix maximum in chSum for the run.
 		maxCh := base0 + extra
 		if negative {
-			dd := s.chSum // zeroed by the previous sweep (or by make)
+			dd := s.chSum
+			clear(dd)
 			for _, x := range deltas {
 				dd[x.rem] += x.d
 			}
-			var suffix timing.Cycles
-			maxCh = 0
-			for ch := channels - 1; ch >= 0; ch-- {
-				if v := base0 + suffix; v > maxCh {
-					maxCh = v
-				}
-				suffix += dd[ch]
-				dd[ch] = 0
+			sum := maxCh
+			for ch, d := range dd {
+				sum -= d
+				maxCh = max(maxCh, sum)
+				dd[ch] = maxCh
 			}
 		}
-		st.Cycles = maxCh
 		// EPU softmax: one per (request, query head) on this module,
 		// spread over the EPU lanes. TCP also pays one SV reduction per
 		// (request, KV head); the HUB reduces completed heads while the
@@ -375,8 +442,12 @@ func (s *pimStepper) attention(toks []int, st *Stats) error {
 		// residue is exposed (the paper measures < 0.2% of attention
 		// latency).
 		qHeads := s.kvHeads * env.Model.GQAGroup
-		st.Cycles += softSum * timing.Cycles(qHeads) / epuLanes
-		st.Cycles += s.red * timing.Cycles(len(toks)*s.kvHeads) / epuLanes
+		resid := softSum*timing.Cycles(qHeads)/epuLanes + s.red*timing.Cycles(len(toks)*s.kvHeads)/epuLanes
+		st.Cycles = maxCh + resid
+		if s.runs {
+			s.run = tcpRun{left: run, resid: resid, peaks: negative,
+				d: Stats{Busy: dBusy, MACs: dMACs, IOBytes: dIO, ActPre: dAP}}
+		}
 		return nil
 	}
 	sums := s.chSum
@@ -429,7 +500,8 @@ func (s *pimStepper) attention(toks []int, st *Stats) error {
 	var softmax timing.Cycles
 	qHeads := s.kvHeads * env.Model.GQAGroup
 	for _, tok := range toks {
-		softmax += s.softmax((tok+s.tokenShard-1)/s.tokenShard) * timing.Cycles(qHeads)
+		sm, _ := s.softmax((tok + s.tokenShard - 1) / s.tokenShard)
+		softmax += sm * timing.Cycles(qHeads)
 	}
 	st.Cycles += softmax / epuLanes
 	return nil

@@ -77,8 +77,10 @@ func GridDollars(joules float64) float64 {
 }
 
 // ForAggregate computes energy from pre-aggregated counts (the cluster
-// simulator path, where stacks are not materialised per channel).
-func (m Model) ForAggregate(dev timing.Device, macs, ioBytes, actPre int64, busyChannels int, cycles timing.Cycles) Breakdown {
+// simulator path, where stacks are not materialised per channel). The
+// serving hot path prices every iteration through it, so it takes the
+// model and the device by pointer rather than copying them per call.
+func (m *Model) ForAggregate(dev *timing.Device, macs, ioBytes, actPre int64, busyChannels int, cycles timing.Cycles) Breakdown {
 	seconds := float64(cycles) / m.CyclesPerSecond
 	return Breakdown{
 		MAC:        float64(macs) * m.MACpJ,

@@ -30,7 +30,7 @@ func TestBreakdownArithmetic(t *testing.T) {
 func stackEnergy(m Model, dev timing.Device, s *pim.Stack, res *sched.Result) Breakdown {
 	c := s.Counts()
 	ioBytes := int64(c[pim.WRINP]+c[pim.RDOUT]) * int64(dev.TileBytes)
-	return m.ForAggregate(dev, int64(c[pim.MAC]), ioBytes, int64(c[pim.ACT]), 1, res.Total)
+	return m.ForAggregate(&dev, int64(c[pim.MAC]), ioBytes, int64(c[pim.ACT]), 1, res.Total)
 }
 
 // TestBackgroundShareCollapsesWithDCS reproduces the Fig. 16 mechanism:
@@ -75,7 +75,7 @@ func TestBackgroundShareCollapsesWithDCS(t *testing.T) {
 func TestForAggregateConsistency(t *testing.T) {
 	dev := timing.AiM16()
 	m := Default()
-	b := m.ForAggregate(dev, 1000, 32000, 10, 16, 100000)
+	b := m.ForAggregate(&dev, 1000, 32000, 10, 16, 100000)
 	if b.MAC != 1000*m.MACpJ {
 		t.Errorf("MAC energy = %f", b.MAC)
 	}
@@ -94,8 +94,8 @@ func TestForAggregateConsistency(t *testing.T) {
 func TestLongerRuntimeCostsMoreBackground(t *testing.T) {
 	dev := timing.AiM16()
 	m := Default()
-	short := m.ForAggregate(dev, 100, 100, 1, 16, 1000)
-	long := m.ForAggregate(dev, 100, 100, 1, 16, 100000)
+	short := m.ForAggregate(&dev, 100, 100, 1, 16, 1000)
+	long := m.ForAggregate(&dev, 100, 100, 1, 16, 100000)
 	if long.Background <= short.Background {
 		t.Error("background energy must scale with runtime")
 	}
