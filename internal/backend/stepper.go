@@ -445,8 +445,11 @@ func (s *pimStepper) attention(toks []int, st *Stats) error {
 		resid := softSum*timing.Cycles(qHeads)/epuLanes + s.red*timing.Cycles(len(toks)*s.kvHeads)/epuLanes
 		st.Cycles = maxCh + resid
 		if s.runs {
-			s.run = tcpRun{left: run, resid: resid, peaks: negative,
-				d: Stats{Busy: dBusy, MACs: dMACs, IOBytes: dIO, ActPre: dAP}}
+			// Field by field: a struct literal here costs a zeroing and a
+			// copy on every full price.
+			r := &s.run
+			r.left, r.k, r.resid, r.peaks = run, 0, resid, negative
+			r.d.Busy, r.d.MACs, r.d.IOBytes, r.d.ActPre = dBusy, dMACs, dIO, dAP
 		}
 		return nil
 	}
