@@ -139,13 +139,16 @@ bench-baseline:
 
 # perfbench is its own module, so `go test ./...` never builds it: vet
 # and unit-test it, then run every workload for about a second at seeds
-# 1 and 2. run.sh exits non-zero when the build fails, a child crashes,
-# a repetition's digest or work counter differs from the first, or an
-# output check fails.
+# 1 and 2, and batch-ladder alone at seeds 3 to 12. run.sh exits
+# non-zero when the build fails, a child crashes, a repetition's digest
+# or work counter differs from the first, or an output check fails.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 	bash perfbench/run.sh -seed 1 -seconds 1 -trace 0
 	bash perfbench/run.sh -seed 2 -seconds 1 -trace 0
+	for s in 3 4 5 6 7 8 9 10 11 12; do \
+		bash perfbench/run.sh -workload batch-ladder -seed $$s -seconds 1 -trace 0 || exit 1; \
+	done
 
 # Coverage: a whole-tree profile (coverage.out, the CI artifact) plus a
 # gate on the system-backend seam — internal/backend below

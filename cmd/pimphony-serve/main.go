@@ -217,6 +217,21 @@ func main() {
 	if *turns < 1 {
 		fatalf("-turns must be at least 1, got %d", *turns)
 	}
+	// The library would reject these only when the first table row
+	// runs: an SLO in its own seconds, a zero generation length as its
+	// first request's, and no requests as an empty schedule.
+	if !(*sloTTFT >= 0) || math.IsInf(*sloTTFT, 1) {
+		fatalf("-slo-ttft must be a non-negative, finite number of milliseconds (0 disables), got %g", *sloTTFT)
+	}
+	if !(*sloTBT >= 0) || math.IsInf(*sloTBT, 1) {
+		fatalf("-slo-tbt must be a non-negative, finite number of milliseconds (0 disables), got %g", *sloTBT)
+	}
+	if *decode < 1 {
+		fatalf("-decode must be at least 1 token, got %d", *decode)
+	}
+	if *turns == 1 && *n < 1 {
+		fatalf("-n must be at least 1 request, got %d", *n)
+	}
 	// The fleet would reject these only when its first table row runs,
 	// in its own units. 0 GiB/s is no fabric and +Inf free transfers.
 	if !(*icGbps >= 0) {

@@ -39,8 +39,11 @@ func TestMain(m *testing.M) {
 // while "-retries -1" still runs with an unlimited budget. A bad
 // -ic-gbps or -ic-lat-us fails as that flag, in its unit, rather than
 // as the fleet's Interconnect field once the first table row runs; 0
-// GiB/s still runs with no fabric. Unknown policy, placement, autoscaler
-// and allocator names keep their error text.
+// GiB/s still runs with no fabric. A bad -slo-ttft or -slo-tbt fails as
+// that flag, in milliseconds, and -decode 0 or -n 0 as that flag, rather
+// than as the library's first request or empty schedule; -n does not
+// bind multi-turn sessions. Unknown policy, placement, autoscaler and
+// allocator names keep their error text.
 func TestCLIExitStatus(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -53,7 +56,13 @@ func TestCLIExitStatus(t *testing.T) {
 		{[]string{"-fleet", "cent:unified:2", "-mtbf", "5", "-mttr", "-1", "-rate", "1", "-n", "4"}, false, "-mttr must be a non-negative, finite number of seconds, got -1"},
 		{[]string{"-fleet", "cent:unified:2", "-mtbf", "inf", "-rate", "1", "-n", "4"}, false, "-mtbf must be a non-negative number of seconds (0 disables) and finite, got +Inf"},
 		{[]string{"-fleet", "cent:unified:2", "-autoscale", "slo", "-warmup", "nan", "-rate", "1", "-n", "4"}, false, "-warmup must be a non-negative, finite number of seconds, got NaN"},
-		{[]string{"-fleet", "cent:unified:2", "-mtbf", "5", "-fault-mode", "slow", "-rate", "1", "-n", "4", "-slo-ttft", "nan"}, false, "SLO targets must be non-negative"},
+		{[]string{"-fleet", "cent:unified:2", "-mtbf", "5", "-fault-mode", "slow", "-rate", "1", "-n", "4", "-slo-ttft", "nan"}, false, "-slo-ttft must be a non-negative, finite number of milliseconds (0 disables), got NaN"},
+		{[]string{"-slo-ttft", "-5", "-rate", "1", "-n", "4"}, false, "-slo-ttft must be a non-negative, finite number of milliseconds (0 disables), got -5"},
+		{[]string{"-slo-tbt", "inf", "-rate", "1", "-n", "4"}, false, "-slo-tbt must be a non-negative, finite number of milliseconds (0 disables), got +Inf"},
+		{[]string{"-slo-ttft", "0", "-slo-tbt", "0", "-rate", "1", "-n", "4"}, true, "SLO ttft<=0ms tbt<=0ms"},
+		{[]string{"-decode", "0", "-rate", "1", "-n", "4"}, false, "-decode must be at least 1 token, got 0"},
+		{[]string{"-n", "0", "-rate", "1"}, false, "-n must be at least 1 request, got 0"},
+		{[]string{"-n", "0", "-turns", "2", "-sessions", "2", "-rate", "1"}, true, "2 sessions x 2 turns"},
 		{[]string{"-fleet", "cent:unified:2", "-mtbf", "nan", "-rate", "1", "-n", "4"}, false, "-mtbf must be a non-negative number"},
 		{[]string{"-fleet", "cent:unified:2", "-rate", "4", "-n", "20", "-mtbf", "5", "-decode", "32", "-retries", "-5"}, false, "-retries must be a retry count or -1"},
 		{[]string{"-fleet", "cent:unified:2", "-rate", "4", "-n", "20", "-mtbf", "5", "-decode", "32", "-retries", "-1"}, true, "2uni"},

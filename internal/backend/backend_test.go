@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -286,6 +287,11 @@ func TestGPUStepMatchesRoofline(t *testing.T) {
 	if toks[0] != batch[0].Context+3 {
 		t.Errorf("gpu leap left toks at %v, want each prompt plus 3", toks)
 	}
+	// Zero is the GPU's floor: true for every iteration, and it gains
+	// nothing.
+	if f := st.Floor(len(batch)); f != 0 {
+		t.Errorf("gpu floor %g, want 0", f)
+	}
 }
 
 // TestIterEnergyPerBackend: every stepper prices its iteration's
@@ -383,7 +389,11 @@ func TestAllocatorFallbackSelection(t *testing.T) {
 // included) and batch changes between leaps. Its memo must end up
 // holding exactly the per-channel token counts the reference priced: a
 // stepper that priced a shape its fold never uses would add a cold
-// simulation without changing a price.
+// simulation without changing a price. Every iteration must also cost at
+// least the stepper's Floor for its batch size, and where a case names a
+// tightness, its cheapest iteration must lie within that factor of the
+// floor: a floor set too high fails the first check, one gone loose the
+// second.
 func TestStepMatchesReference(t *testing.T) {
 	m := model.LLM7B32K()
 	gqa := model.LLM7B128KGQA()
@@ -418,6 +428,8 @@ func TestStepMatchesReference(t *testing.T) {
 		interior bool
 		// long leaps over the fixed batch for 100 iterations twice.
 		long bool
+		// tight, when set, bounds the least Seconds/Floor ratio.
+		tight float64
 	}{
 		{name: "pim-baseline", be: pimOnly, env: pimEnv(m, Baseline()), n: 5},
 		{name: "pim-pimphony", be: pimOnly, env: pimEnv(m, PIMphony()), n: 5},
@@ -459,6 +471,13 @@ func TestStepMatchesReference(t *testing.T) {
 			ctxs: []int{2113}, long: true},
 		{name: "dimm-pimphony-long", be: dimmPIM, env: dimmEnv(m, PIMphony()), n: 3,
 			ctxs: []int{10, 2113, 2164}, long: true},
+		// One request of one token: attention is nearly free, so the
+		// floor must sit within a few parts in 10,000 of the iteration
+		// (measured 1.0003 on DIMM-PIM, 1.0009 on xPU+PIM).
+		{name: "dimm-pimphony-one-token", be: dimmPIM, env: dimmEnv(m, PIMphony()), n: 1,
+			ctxs: []int{1}, tight: 1.0005},
+		{name: "xpu-pimphony-one-token", be: xpuPIM, env: pimEnv(m, PIMphony()), n: 1,
+			ctxs: []int{1}, tight: 1.0015},
 	}
 	// The leaps start at these steps and end where the next starts, the
 	// last at step 48: one-iteration leaps, and multi-iteration leaps
@@ -486,6 +505,7 @@ func TestStepMatchesReference(t *testing.T) {
 				batch[i].Context = ctx
 			}
 			var toks, refToks []int
+			least := math.Inf(1) // the least Seconds/Floor ratio
 			for li, start := range starts {
 				end := steps
 				if li+1 < len(starts) {
@@ -521,12 +541,20 @@ func TestStepMatchesReference(t *testing.T) {
 					if got != want {
 						t.Fatalf("step %d (leap from step %d) diverged:\nstepper   %+v\nreference %+v", step, start, got, want)
 					}
+					floor := st.Floor(len(batch))
+					if !(floor > 0) || got.Seconds < floor {
+						t.Fatalf("step %d of a %d-request batch costs %.17g s; its floor is %.17g", step, len(batch), got.Seconds, floor)
+					}
+					least = min(least, got.Seconds/floor)
 				}
 				for i, r := range batch {
 					if toks[i] != r.Context+end {
 						t.Fatalf("leap from step %d left request %d at %d tokens, want %d", start, i, toks[i], r.Context+end)
 					}
 				}
+			}
+			if c.tight > 0 && least > c.tight {
+				t.Errorf("cheapest iteration costs %.6f floors, want at most %g", least, c.tight)
 			}
 			memo := st.(*pimStepper)
 			var memoized int

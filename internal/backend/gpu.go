@@ -70,6 +70,10 @@ func (s *gpuStepper) Next(c *StepCost) error {
 	return nil
 }
 
+// Floor implements Stepper. Zero is a true bound that gains nothing: no
+// leap of a GPU replica runs past its lockstep bound.
+func (*gpuStepper) Floor(int) float64 { return 0 }
+
 func (gpu) PrefillSeconds(env *Env, context int) float64 {
 	g := xpu.A100()
 	flops := prefillFlops(env.Model, context)

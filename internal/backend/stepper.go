@@ -29,6 +29,10 @@ type Stepper interface {
 	// Next prices the leap's current iteration, energy included, into c
 	// and then adds one token to each batch member.
 	Next(c *StepCost) error
+	// Floor is a lower bound on the Seconds of any iteration over a
+	// batch of that many requests, whatever their token counts. It reads
+	// no leap state, so it may be called between leaps.
+	Floor(batch int) float64
 }
 
 // pimStepper is the iteration pricer of the PIM-attention backends.
@@ -286,6 +290,22 @@ func (s *pimStepper) pipelined(c *StepCost) error {
 	c.AttnShare /= float64(len(toks))
 	c.Seconds = sum + float64(s.env.PP-1)*longest
 	return nil
+}
+
+// Floor implements Stepper: the iteration priced with no attention
+// time. Both layer compositions grow with attention time, and float
+// rounding is monotone, so every iteration over batch requests costs at
+// least this. At PP = 1 it is stage's fold with zero attention cycles;
+// a pipelined iteration sums batch stages of one request plus PP-1
+// bubbles, each at least a one-request stage with zero attention. FC
+// pricing is analytic, so Floor never touches perfmodel.
+func (s *pimStepper) Floor(batch int) float64 {
+	if s.env.PP > 1 {
+		bc := s.batchCost(1)
+		return float64((batch+s.env.PP-1)*s.layers) * s.combine(0, bc.fc, bc.sync)
+	}
+	bc := s.batchCost(batch)
+	return s.combine(0, bc.fc, bc.sync) * float64(s.layers)
 }
 
 // batchCost memoizes what a batch size fixes for a leap.

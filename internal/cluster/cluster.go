@@ -289,7 +289,7 @@ func (s *System) RunCtx(ctx context.Context, reqs []workload.Request) (*Report, 
 	// also ends once every request has retired (truncated at T_max) and
 	// the queue is empty.
 	for e.Steps() < s.cfg.DecodeWindow && !e.Idle() {
-		if _, err := e.Leap(ctx, e.Clock()); err != nil {
+		if _, err := e.Leap(ctx, e.Clock(), e.Clock()); err != nil {
 			return nil, err
 		}
 	}

@@ -71,10 +71,10 @@ type Engine struct {
 	peakLive     int64
 	peakReserved int64
 	// horizon optionally clamps how many iterations one Leap may
-	// aggregate (0 = unbounded). Leap's until bound already ends every
-	// leap at the caller's next event, so the clamp changes only how
-	// many calls price the same iterations; the equivalence suites vary
-	// it to pin that.
+	// aggregate (0 = unbounded). Leap's bounds already end every leap at
+	// the caller's next event, so the clamp changes only how many calls
+	// price the same iterations; the equivalence suites vary it to pin
+	// that.
 	horizon int
 	// timeScale multiplies every priced duration (decode iterations and
 	// KV recompute charges) — the fleet's transient-slowdown fault mode.
@@ -464,12 +464,15 @@ func (e *Engine) preemptYoungest() (*entry, error) {
 // stable, every iteration up to its event horizon — grows every request
 // by the tokens it generated and retires the ones that reached their
 // generation length. The call starts at the engine's Clock and advances
-// it by each iteration's duration toward until: it stops with the first
-// iteration that ends at or past until (until <= Clock prices exactly
-// one iteration), so clocks and event timestamps are bit-identical
-// however the caller bounds its calls.
+// it by each iteration's duration. Iteration i runs if it is the first,
+// if it starts before until, or if it is quiet (i below leapDistance's
+// quiet count, so it can neither admit, complete, truncate nor fail to
+// grow) and starts before quiet. A call whose bounds are both reached
+// (until and quiet <= Clock) prices exactly one iteration, and clocks
+// and event timestamps are bit-identical however the caller bounds its
+// calls.
 //
-// A call that admits, or whose bound is already reached, prices one
+// A call that admits, or whose bounds are already reached, prices one
 // iteration. Otherwise it prices up to leapDistance iterations, the
 // analytic horizon within which nothing can admit, complete, truncate or
 // fail to grow; a SetHorizon clamp caps that count further. When a
@@ -480,7 +483,7 @@ func (e *Engine) preemptYoungest() (*entry, error) {
 // admissible) returns a zero StepResult; a pending request that cannot
 // be admitted even into an empty system is an error, as is a batch that
 // can neither generate, complete nor preempt (KV livelock).
-func (e *Engine) Leap(ctx context.Context, until float64) (StepResult, error) {
+func (e *Engine) Leap(ctx context.Context, until, quiet float64) (StepResult, error) {
 	s := e.sys
 	var res StepResult
 	if err := ctx.Err(); err != nil {
@@ -522,9 +525,10 @@ func (e *Engine) Leap(ctx context.Context, until float64) (StepResult, error) {
 		}
 		return res, nil // idle
 	}
-	n := 1
-	if res.Admitted == nil && e.clock < until {
-		n = max(e.leapDistance(), 1)
+	n, q := 1, 0
+	if res.Admitted == nil && (e.clock < until || e.clock < quiet) {
+		n, q = e.leapDistance()
+		n = max(n, 1)
 	}
 	e.sampleCapacity()
 	// The batch is fixed for the whole leap: the stepper resolves what
@@ -532,7 +536,7 @@ func (e *Engine) Leap(ctx context.Context, until float64) (StepResult, error) {
 	// counts in place.
 	s.stepper.Start(e.liveTokens(batch))
 	recompute := res.RecomputeSeconds
-	for i := 0; i < n && (i == 0 || e.clock < until); i++ {
+	for i := 0; i < n && (i == 0 || e.clock < until || (i < q && e.clock < quiet)); i++ {
 		if err := s.stepper.Next(&e.cost); err != nil {
 			return res, err
 		}
@@ -653,38 +657,65 @@ func (e *Engine) retire(batch []*entry) ([]workload.Request, error) {
 	return done, nil
 }
 
-// leapDistance is the analytic event horizon of a non-empty batch: how
-// many iterations can run before one may admit, complete, truncate or
-// fail to grow. The horizon is the minimum over every active request of
-// its tokens to completion and to T_max truncation, then the SetHorizon
-// clamp, and over the batch of the pool's lockstep growth budget (the
-// next chunk/page allocation — the preemption trigger), which the pool
-// need only probe up to the bound so far. Zero when the next iteration
-// may admit a pending request.
-func (e *Engine) leapDistance() int {
+// leapDistance is the analytic event horizon of a non-empty batch. It
+// returns n, how many iterations a leap may run before one may admit,
+// complete, truncate or fail to grow, and q, how many of the next
+// iterations are quiet: they can neither admit, complete, truncate at
+// T_max nor fail to grow, so a call ending after one of them reports no
+// admission, completion or preemption. d, the minimum over every active
+// request of its tokens to completion and to T_max truncation, counts
+// the iteration that completes, and the pool's lockstep growth budget g
+// (the next chunk/page allocation that may fail — the preemption
+// trigger), probed up to d, counts the iterations before the one that
+// may fail. So n is min(d, g), then the SetHorizon clamp, and q is
+// min(d-1, g). Both are zero when the next iteration may admit a pending
+// request.
+func (e *Engine) leapDistance() (n, q int) {
 	if e.wouldAdmit() {
-		return 0
+		return 0, 0
 	}
 	tmax := e.sys.tmax()
-	n := math.MaxInt
+	d := math.MaxInt
 	ids := e.idScratch[:0]
 	for _, en := range e.active {
-		if d := en.req.Decode - en.gen; d < n {
-			n = d // next completion
-		}
-		if d := tmax - (en.req.Context + en.gen); d < n {
-			n = d // T_max truncation
-		}
+		d = min(d, en.req.Decode-en.gen, tmax-(en.req.Context+en.gen))
 		ids = append(ids, en.req.ID)
 	}
 	e.idScratch = ids
+	n = d
+	if d > 1 {
+		n = e.pool.GrowBudget(ids, d) // next allocation boundary (chunk/page growth)
+	}
+	q = min(d-1, n)
 	if e.horizon > 0 && n > e.horizon {
 		n = e.horizon
 	}
-	if n < 2 {
-		return n
+	return n, q
+}
+
+// QuietUntil is a lower bound on the start of the engine's next
+// iteration that may admit, complete, truncate or preempt: +Inf when the
+// engine is idle, its Clock when that may be the next iteration (a
+// queued request may admit, or nothing is admitted yet), and otherwise
+// its Clock plus leapDistance's quiet iterations at the stepper's Floor
+// for the batch. The bound is reduced by a relative 1e-9, so float
+// rounding over q additions to the clock cannot overtake it. It holds
+// until the engine's state changes: an enqueue, a withdrawal that
+// uncovers an admissible request behind a blocked queue head, or a
+// smaller SetTimeScale can lower it.
+func (e *Engine) QuietUntil() float64 {
+	if e.Idle() {
+		return math.Inf(1)
 	}
-	return e.pool.GrowBudget(ids, n) // next allocation boundary (chunk/page growth)
+	if len(e.active) == 0 {
+		return e.clock
+	}
+	_, q := e.leapDistance()
+	if q == 0 {
+		return e.clock
+	}
+	t := e.clock + float64(q)*e.sys.stepper.Floor(len(e.active))*e.timeScale
+	return max(e.clock, t-t*1e-9)
 }
 
 // SetHorizon clamps every subsequent Leap to at most n iterations

@@ -50,7 +50,7 @@ func BenchmarkEngineStep(b *testing.B) {
 			e = benchEngine(b, sys)
 			b.StartTimer()
 		}
-		if _, err := e.Leap(context.Background(), e.Clock()); err != nil {
+		if _, err := e.Leap(context.Background(), e.Clock(), e.Clock()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -72,7 +72,7 @@ func BenchmarkEngineLeap(b *testing.B) {
 			e = benchEngine(b, sys)
 			b.StartTimer()
 		}
-		if _, err := e.Leap(context.Background(), math.Inf(1)); err != nil {
+		if _, err := e.Leap(context.Background(), math.Inf(1), math.Inf(1)); err != nil {
 			b.Fatal(err)
 		}
 	}

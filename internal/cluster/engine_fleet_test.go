@@ -35,7 +35,7 @@ func TestLeapHorizonMatchesStepEventStream(t *testing.T) {
 			if i > 1_000_000 {
 				t.Fatal("engine did not drain")
 			}
-			res, err := e.Leap(context.Background(), math.Inf(1))
+			res, err := e.Leap(context.Background(), math.Inf(1), math.Inf(1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +63,7 @@ func TestEngineEnergyLeapEquivalence(t *testing.T) {
 		if i > 1_000_000 {
 			t.Fatal("engine did not drain")
 		}
-		if _, err := leap.Leap(context.Background(), math.Inf(1)); err != nil {
+		if _, err := leap.Leap(context.Background(), math.Inf(1), math.Inf(1)); err != nil {
 			t.Fatal(err)
 		}
 	}

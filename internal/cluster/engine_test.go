@@ -163,7 +163,7 @@ func TestEngineWait(t *testing.T) {
 	}
 	e.Wait(5)
 	want("wait with a queued request", 2)
-	res, err := e.Leap(context.Background(), e.Clock())
+	res, err := e.Leap(context.Background(), e.Clock(), e.Clock())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestEngineWait(t *testing.T) {
 	e.Wait(busy + 10)
 	want("wait with an admitted request", busy)
 	for !e.Idle() {
-		if _, err := e.Leap(context.Background(), math.Inf(1)); err != nil {
+		if _, err := e.Leap(context.Background(), math.Inf(1), math.Inf(1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -327,7 +327,7 @@ func TestEngineRejectsOversized(t *testing.T) {
 	if _, err := refStep(context.Background(), e); err == nil {
 		t.Error("un-admittable head of queue should error")
 	}
-	if _, err := e.Leap(context.Background(), math.Inf(1)); err == nil {
+	if _, err := e.Leap(context.Background(), math.Inf(1), math.Inf(1)); err == nil {
 		t.Error("un-admittable head of queue should error from Leap")
 	}
 }

@@ -188,7 +188,7 @@ func drainTrace(t *testing.T, e *Engine, leap bool) []stepTrace {
 		var res StepResult
 		var err error
 		if leap {
-			res, err = e.Leap(context.Background(), math.Inf(1))
+			res, err = e.Leap(context.Background(), math.Inf(1), math.Inf(1))
 		} else {
 			res, err = refStep(context.Background(), e)
 		}
@@ -226,14 +226,18 @@ func engineOn(t *testing.T, sys *System, reqs []workload.Request) *Engine {
 	return e
 }
 
-// TestLeapMatchesStepEventStream pins the fast-forward contract at the
-// engine level: draining via Leap must produce the identical flattened
-// iteration trace — the same events on the same iterations, and every
-// clock a call reports bit-identical to the naive loop's at that
-// iteration — and identical aggregate counters and final clock as the
-// naive one-step loop, including under DPA preemption pressure and on
-// the GPU baseline's paged pool.
-func TestLeapMatchesStepEventStream(t *testing.T) {
+// leapCase is one engine configuration with the requests it drains.
+type leapCase struct {
+	name string
+	cfg  Config
+	reqs []workload.Request
+}
+
+// leapOracleCases are the configurations the engine-level leap oracles
+// drain: DPA and static pools, a queue the static pool admits one at a
+// time, mid-decode preemption under a tight DPA pool, T_max truncation,
+// the GPU baseline's paged pool and DIMM-PIM.
+func leapOracleCases(t *testing.T) []leapCase {
 	long := func(cfg Config) Config {
 		cfg.DecodeWindow = 8
 		return cfg
@@ -243,11 +247,7 @@ func TestLeapMatchesStepEventStream(t *testing.T) {
 	static := long(engineConfig(t, Technique{TCP: true, DCS: true}))
 	static.TMaxOverride = 8192
 	static.KVBudgetBytes = 4100 << 20 // admits one at a time
-	cases := []struct {
-		name string
-		cfg  Config
-		reqs []workload.Request
-	}{
+	return []leapCase{
 		{"pim-dpa", long(engineConfig(t, PIMphony())), withDecode(workload.NewGenerator(workload.QMSum(), 42).Batch(10), 37)},
 		{"pim-static-queued", static, withDecode(workload.Uniform(4096, 3).Batch(4), 60)},
 		{"pim-dpa-preempting", tightDPA, []workload.Request{
@@ -259,6 +259,17 @@ func TestLeapMatchesStepEventStream(t *testing.T) {
 			Model: model.LLM7B32K(), Tech: PIMphony(), DecodeWindow: 4},
 			withDecode(workload.NewGenerator(workload.QMSum(), 9).Batch(6), 45)},
 	}
+}
+
+// TestLeapMatchesStepEventStream pins the fast-forward contract at the
+// engine level: draining via Leap must produce the identical flattened
+// iteration trace — the same events on the same iterations, and every
+// clock a call reports bit-identical to the naive loop's at that
+// iteration — and identical aggregate counters and final clock as the
+// naive one-step loop, including under DPA preemption pressure and on
+// the GPU baseline's paged pool.
+func TestLeapMatchesStepEventStream(t *testing.T) {
+	cases := leapOracleCases(t)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			naive := engineFor(t, c.cfg, c.reqs)
@@ -314,7 +325,7 @@ func TestLeapRespectsUntil(t *testing.T) {
 	}
 	e := engineFor(t, cfg, reqs)
 	// The admitting call prices one iteration, however far its bound.
-	res, err := e.Leap(ctx, math.Inf(1))
+	res, err := e.Leap(ctx, math.Inf(1), math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +339,7 @@ func TestLeapRespectsUntil(t *testing.T) {
 	// after the 4th iteration (the one that crosses), not run to the
 	// completion horizon.
 	until := e.Clock() + ref[0]*3.5
-	if res, err = e.Leap(ctx, until); err != nil {
+	if res, err = e.Leap(ctx, until, until); err != nil {
 		t.Fatal(err)
 	}
 	if res.Iterations != 4 {
@@ -341,7 +352,7 @@ func TestLeapRespectsUntil(t *testing.T) {
 		t.Fatal("leap did not stop with the iteration that crossed its bound")
 	}
 	// A bound already reached prices exactly one iteration.
-	if res, err = e.Leap(ctx, e.Clock()); err != nil {
+	if res, err = e.Leap(ctx, e.Clock(), e.Clock()); err != nil {
 		t.Fatal(err)
 	}
 	if res.Iterations != 1 {
@@ -364,7 +375,7 @@ func TestLeapDrainsStableBatchInOneCall(t *testing.T) {
 	var got []stepTrace
 	calls := 0
 	for ; !e.Idle() && calls < 10; calls++ {
-		res, err := e.Leap(context.Background(), math.Inf(1))
+		res, err := e.Leap(context.Background(), math.Inf(1), math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,5 +386,148 @@ func TestLeapDrainsStableBatchInOneCall(t *testing.T) {
 	}
 	if d := diffTrace(want, got); d != "" {
 		t.Error(d)
+	}
+}
+
+// reacted reports whether a call admitted, completed or preempted: the
+// outcomes a fleet scheduler reacts to.
+func reacted(res StepResult) bool {
+	return len(res.Admitted)+len(res.Completed)+len(res.Preempted) > 0
+}
+
+// TestQuietUntilBoundsReactingIterations is the oracle of the quiet
+// bound: stepping an engine one iteration per call, every iteration that
+// admits, completes or preempts starts at or after every QuietUntil
+// taken since the last enqueue. Half of each case's requests arrive
+// mid-drain, one every third call, and each case also runs under
+// SetTimeScale(2).
+func TestQuietUntilBoundsReactingIterations(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range leapOracleCases(t) {
+		for _, scale := range []float64{1, 2} {
+			t.Run(fmt.Sprintf("%s/x%g", c.name, scale), func(t *testing.T) {
+				head := (len(c.reqs) + 1) / 2
+				e := engineFor(t, c.cfg, c.reqs[:head])
+				e.SetTimeScale(scale)
+				late := c.reqs[head:]
+				bound, quiet, reacting := math.Inf(-1), 0, 0
+				for call := 0; !e.Idle() || len(late) > 0; call++ {
+					if call > 1_000_000 {
+						t.Fatal("engine did not drain")
+					}
+					if len(late) > 0 && (call%3 == 2 || e.Idle()) {
+						if err := e.Enqueue(late[0]); err != nil {
+							t.Fatal(err)
+						}
+						late = late[1:]
+						bound = math.Inf(-1) // an enqueue may admit at the next iteration
+					}
+					q := e.QuietUntil()
+					if q < e.Clock() {
+						t.Fatalf("call %d: QuietUntil %g below the clock %g", call, q, e.Clock())
+					}
+					bound = max(bound, q)
+					start := e.Clock()
+					res, err := e.Leap(ctx, start, start)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Iterations != 1 {
+						t.Fatalf("call %d bounded at its start ran %d iterations", call, res.Iterations)
+					}
+					if !reacted(res) {
+						quiet++
+						continue
+					}
+					reacting++
+					if start < bound {
+						t.Fatalf("call %d: iteration starting at %.17g admitted %d, completed %d, preempted %d; an earlier QuietUntil was %.17g",
+							call, start, len(res.Admitted), len(res.Completed), len(res.Preempted), bound)
+					}
+				}
+				if quiet == 0 || reacting == 0 {
+					t.Fatalf("drain had %d quiet and %d reacting iterations; the oracle needs both", quiet, reacting)
+				}
+				if !math.IsInf(e.QuietUntil(), 1) {
+					t.Fatalf("idle engine's QuietUntil is %g, want +Inf", e.QuietUntil())
+				}
+			})
+		}
+	}
+}
+
+// TestQuietLeapsMatchStepEventStream drains every leap-oracle case with
+// calls bounded at their own start but with an unbounded quiet bound:
+// past its first iteration, each call runs only quiet iterations. The
+// trace and clocks must match the naive loop's, and a call of more than
+// one iteration must report no admission, completion or preemption.
+func TestQuietLeapsMatchStepEventStream(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range leapOracleCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			want := drainTrace(t, engineFor(t, c.cfg, c.reqs), false)
+			e := engineFor(t, c.cfg, c.reqs)
+			var got []stepTrace
+			multi := 0
+			for call := 0; !e.Idle(); call++ {
+				if call > 1_000_000 {
+					t.Fatal("engine did not drain")
+				}
+				res, err := e.Leap(ctx, e.Clock(), math.Inf(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Iterations > 1 {
+					multi++
+					if reacted(res) {
+						t.Fatalf("call %d leapt %d quiet iterations but admitted %d, completed %d, preempted %d",
+							call, res.Iterations, len(res.Admitted), len(res.Completed), len(res.Preempted))
+					}
+				}
+				got = append(got, flatten(t, res, e.Clock())...)
+			}
+			if d := diffTrace(want, got); d != "" {
+				t.Fatal(d)
+			}
+			if multi == 0 && c.name != "pim-dpa-preempting" {
+				t.Fatal("no call leapt past its first iteration")
+			}
+		})
+	}
+}
+
+// TestWithdrawCanLowerQuietUntil: withdrawing a blocked queue head can
+// uncover an admissible request behind it (admission is strict FCFS), so
+// a withdrawal can lower QuietUntil to the clock; a fleet scheduler must
+// re-read the bound after one.
+func TestWithdrawCanLowerQuietUntil(t *testing.T) {
+	cfg := engineConfig(t, PIMphony())
+	cfg.KVBudgetBytes = 4100 << 20 // about 8,200 tokens
+	e := engineFor(t, cfg, []workload.Request{
+		{ID: 1, Context: 4096, Decode: 8},
+		{ID: 2, Context: 4096, Decode: 100}, // cannot reach its horizon beside request 1
+		{ID: 3, Context: 100, Decode: 8},    // fits, but queues behind request 2
+	})
+	res, err := e.Leap(context.Background(), e.Clock(), e.Clock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Admitted) != 1 || e.Pending() != 2 {
+		t.Fatalf("admitted %d with %d queued, want 1 and 2", len(res.Admitted), e.Pending())
+	}
+	if before := e.QuietUntil(); !(before > e.Clock()) {
+		t.Fatalf("QuietUntil %g with a blocked queue head, want past the clock %g", before, e.Clock())
+	}
+	if _, _, err := e.Withdraw(2); err != nil {
+		t.Fatal(err)
+	}
+	if after := e.QuietUntil(); after != e.Clock() {
+		t.Fatalf("QuietUntil %g after the blocked head left, want the clock %g", after, e.Clock())
+	}
+	if res, err = e.Leap(context.Background(), e.Clock(), math.Inf(1)); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Admitted) != 1 || res.Admitted[0].ID != 3 {
+		t.Fatalf("next call admitted %v, want request 3", ids(res.Admitted))
 	}
 }

@@ -101,12 +101,12 @@ func TestSharedSystemMatchesOwnSystems(t *testing.T) {
 					}
 					busy = true
 					until := shared[i].Clock() + bounds[(call+i)%len(bounds)]
-					res, err := shared[i].Leap(ctx, until)
+					res, err := shared[i].Leap(ctx, until, until)
 					if err != nil {
 						t.Fatal(err)
 					}
 					got := record(res, shared[i].Clock())
-					res, err = own[i].Leap(ctx, until)
+					res, err = own[i].Leap(ctx, until, until)
 					if err != nil {
 						t.Fatal(err)
 					}

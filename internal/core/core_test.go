@@ -222,7 +222,7 @@ func TestGPUEngineThroughCore(t *testing.T) {
 		if i > 100 {
 			t.Fatal("engine did not drain")
 		}
-		if _, err := e.Leap(context.Background(), e.Clock()); err != nil {
+		if _, err := e.Leap(context.Background(), e.Clock(), e.Clock()); err != nil {
 			t.Fatal(err)
 		}
 	}

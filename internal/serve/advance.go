@@ -34,12 +34,12 @@ type tracker struct {
 }
 
 // step advances an engine by one call — a single decode iteration, or a
-// multi-iteration leap bounded by t (the time the replica is advancing
-// toward) — and stamps the resulting events. The engine result is
-// returned so the scheduler can react to per-call events (migration
-// decisions, completions).
-func (tk *tracker) step(ctx context.Context, eng *cluster.Engine, t float64) (cluster.StepResult, error) {
-	res, err := eng.Leap(ctx, t)
+// multi-iteration leap bounded by until and, for its quiet iterations,
+// by quiet (see cluster.Engine.Leap) — and stamps the resulting events.
+// The engine result is returned so the scheduler can react to per-call
+// events (migration decisions, completions).
+func (tk *tracker) step(ctx context.Context, eng *cluster.Engine, until, quiet float64) (cluster.StepResult, error) {
+	res, err := eng.Leap(ctx, until, quiet)
 	if err != nil {
 		return res, err
 	}

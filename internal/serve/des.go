@@ -9,6 +9,10 @@
 //   - the ready heap: one entry per busy replica at its clock, ordered
 //     by clock and then replica index.
 //
+// A fourth heap, the quiet heap, holds one entry per busy replica at
+// its quiet bound (see Coupled below); it only bounds leaps and never
+// pops.
+//
 // The next global entry is the cursor or the event-heap top, found
 // without a scan. At equal timestamps the cursor goes first (arrivals
 // hold the lowest sequence numbers of the run), then global events in
@@ -19,45 +23,69 @@
 // entries behind it pop first.
 //
 // Popping a ready entry advances its replica by one engine call, and
-// the bound of that call comes from the scheduler:
+// the bounds of that call come from the scheduler. An iteration is
+// quiet when it can neither admit, complete, truncate at T_max nor
+// need a KV chunk the pool may lack: an engine call made only of quiet
+// iterations reports nothing onStep or react act on.
 //
 //   - Decoupled: the scheduler cannot act on one replica in reaction to
 //     another's engine call — no migration or stealing over a usable
 //     interconnect, no autoscaler, and no held request waiting for
 //     headroom. Replicas then share no state between global events, so
 //     the replica leaps straight to the next global entry.
-//   - Coupled: otherwise the scheduler reacts to every engine-call
-//     boundary (preemptions become migrations, completions free
-//     headroom for held requests, idle replicas steal), so the replica
-//     leaps only to the next entry of either heap — the next global
-//     entry or the next-lagging replica's clock — and busy replicas
-//     advance in global clock order.
+//   - Coupled: otherwise the scheduler reacts to engine calls that
+//     admit, complete or preempt (preemptions become migrations,
+//     completions free headroom for held requests and give the
+//     autoscaler a decision, idle replicas steal). The replica's quiet
+//     iterations leap up to the next global entry and every other busy
+//     replica's quiet bound, cluster.Engine.QuietUntil: a lower bound
+//     on the start of that replica's next iteration that may react.
+//     The one iteration of the call that may react stops, as in
+//     lockstep, at the next-lagging replica's clock. So busy replicas
+//     reach every reaction in global clock order.
 //
-// The bound is re-derived at every pop, so a run flips between the two
-// as its held queue fills and drains.
+// The bounds are re-derived at every pop, so a run flips between the
+// two as its held queue fills and drains.
 //
 // The heaps hold only work in flight, so a push or pop costs the
 // logarithm of the work in flight, not of the schedule. Each replica's
-// ready entry is one reusable entry that wake moves in place
+// ready and quiet entries are reusable entries that wake moves in place
 // (heap.Fix), and so is the fleet's scale-evaluation timer (armEval),
 // so re-arming leaves no stale entry behind.
 //
 // Exactness. Every per-token timestamp is bit-identical across leap
 // bounds and granularities because engine advancement composes:
 // cluster.Engine.Leap prices the same per-iteration sequence of (batch,
-// tokens) no matter where the until clamp partitions it, and there is
-// one accumulation of time, inside Leap, which adds each iteration's
+// tokens) no matter where its bounds partition it, and there is one
+// accumulation of time, inside Leap, which adds each iteration's
 // duration to the engine's clock in iteration order. tracker.apply only
 // reads that clock: a first token at the end of a call's first
 // iteration, completions at its last. A partition boundary inserted
 // where no enqueue, admission or retirement happens (the only thing a
 // shorter bound adds) therefore changes which Leap call prices an
-// iteration, but never what the iteration costs or when it ends. A
-// leap horizon of 1 (the unexported Config.leapHorizon the tests set)
+// iteration, but never what the iteration costs or when it ends.
+//
+// Lookahead changes no decision either. Take a replica Q whose
+// iteration [a, t] may react. Every other busy replica R runs its quiet
+// iterations only while they start before QuietUntil(Q) <= a, and its
+// iteration that may react only while it starts before the
+// next-lagging clock, so Q's reaction at t sees R at R's first
+// boundary at or after a, as it would in lockstep; and a call after
+// which the scheduler would find nothing to do need not stop for it.
+// This holds as long as every queued quiet bound is at most its
+// engine's QuietUntil, so wake re-reads the bound wherever one can fall
+// (an engine call, an enqueue, a withdrawal that uncovers an admissible
+// request behind a blocked queue head, a slowdown recovering). A bound
+// a change only raises (a crash emptying the engine, a heavier
+// slowdown) is still a true bound when left stale; re-reading it only
+// lets other replicas leap further.
+//
+// A leap horizon of 1 (the unexported Config.leapHorizon the tests set)
 // prices one iteration per pop in global clock order whatever the
-// bound, which makes it the reference. The equivalence suite
+// bounds, which makes it the reference. The equivalence suite
 // (equiv_test.go) pins this across backends, allocators, placements,
-// horizons and sweep parallelism.
+// fleet sizes, horizons and sweep parallelism, and lookahead_test.go
+// checks that a quiet engine call leaves the scheduler nothing to do.
 package serve
 
 import (
@@ -137,10 +165,10 @@ type event struct {
 	index int
 }
 
-// eventQueue is a min-heap on (at, seq). The event heap and the ready
-// heap are both eventQueues: the first orders global events by time and
-// then push order, the second ready entries by clock and then replica
-// index.
+// eventQueue is a min-heap on (at, seq). The event heap, the ready heap
+// and the quiet heap are all eventQueues: the first orders global events
+// by time and then push order, the other two per-replica entries by
+// time and then replica index.
 type eventQueue []*event
 
 func (q eventQueue) Len() int { return len(q) }
@@ -169,6 +197,32 @@ func (q *eventQueue) Pop() any {
 	e.index = -1
 	*q = old[:n-1]
 	return e
+}
+
+// arm queues a reusable entry, or moves it in place when it is queued.
+func (q *eventQueue) arm(e *event) {
+	if e.index < 0 {
+		heap.Push(q, e)
+		return
+	}
+	heap.Fix(q, e.index)
+}
+
+// drop takes a reusable entry off the queue if it is queued.
+func (q *eventQueue) drop(e *event) {
+	if e.index >= 0 {
+		heap.Remove(q, e.index)
+	}
+}
+
+// below is the earliest time in the queue once its top is set aside:
+// the earlier of the top's two children, +Inf when it has none.
+func (q eventQueue) below() float64 {
+	at := math.Inf(1)
+	for c := 1; c <= 2 && c < len(q); c++ {
+		at = min(at, q[c].at)
+	}
+	return at
 }
 
 // scheduler is the policy half plugged into the spine: how events are
@@ -206,10 +260,11 @@ type spine struct {
 	// push order.
 	events eventQueue
 	seq    int
-	// ready holds one entry per busy replica, at its clock; readyAt is
-	// the backing store, one reusable entry per replica.
-	ready   eventQueue
-	readyAt []event
+	// ready holds one entry per busy replica, at its clock, and quiet one
+	// per busy replica at its quiet bound (see wake); readyAt and quietAt
+	// are their backing stores, one reusable entry per replica each.
+	ready, quiet     eventQueue
+	readyAt, quietAt []event
 	// arrivals is the validated schedule, sorted by time; cursor indexes
 	// the first arrival not yet dispatched, and arrival is the entry each
 	// one is dispatched through (reused, so a dispatched arrival leaves
@@ -222,11 +277,14 @@ type spine struct {
 	clock float64
 }
 
-// initReady gives every replica its ready entry, not yet queued.
+// initReady gives every replica its ready and quiet entries, not yet
+// queued.
 func (s *spine) initReady() {
 	s.readyAt = make([]event, len(s.engines))
+	s.quietAt = make([]event, len(s.engines))
 	for i := range s.readyAt {
 		s.readyAt[i] = event{kind: evReady, seq: i, dst: i, index: -1}
+		s.quietAt[i] = s.readyAt[i]
 	}
 }
 
@@ -287,24 +345,36 @@ func (s *spine) push(kind eventKind, rec *record, gen, dst int, at float64) {
 	heap.Push(&s.events, &event{at: at, seq: s.seq, kind: kind, rec: rec, gen: gen, dst: dst})
 }
 
-// wake keeps replica i's ready entry in step with its engine: armed at
-// its clock while it holds work (moved in place when already queued),
-// taken off the ready heap once it is idle. Call it whenever a replica
-// gains work or its clock moves; waking an armed replica is safe.
+// wake keeps replica i's two entries in step with its engine: armed
+// while it holds work (moved in place when already queued), taken off
+// both heaps once it is idle. The ready entry sits at the engine's
+// clock. The quiet entry sits at the engine's QuietUntil while the
+// scheduler is coupled, and at its clock otherwise: the clock never moves
+// back, so it bounds every later QuietUntil, and the entry stays a true
+// bound if the run turns coupled before the replica is woken again.
+//
+// Call it whenever a replica gains work, its clock moves or its quiet
+// bound can fall: after every engine call, on delivery, when a withdrawal
+// may uncover an admissible request behind a blocked queue head, and when
+// a slowdown recovers. Waking an armed replica is safe. A bound left
+// stale by a change that only raises it (a crash emptying the engine, a
+// heavier slowdown) is still a true bound; waking then only lets other
+// replicas leap further.
 func (s *spine) wake(i int) {
-	e := &s.readyAt[i]
-	if s.engines[i].Idle() {
-		if e.index >= 0 {
-			heap.Remove(&s.ready, e.index)
-		}
+	eng := s.engines[i]
+	r, q := &s.readyAt[i], &s.quietAt[i]
+	if eng.Idle() {
+		s.ready.drop(r)
+		s.quiet.drop(q)
 		return
 	}
-	e.at = s.engines[i].Clock()
-	if e.index < 0 {
-		heap.Push(&s.ready, e)
-		return
+	r.at = eng.Clock()
+	q.at = r.at
+	if s.sched.coupled() {
+		q.at = eng.QuietUntil()
 	}
-	heap.Fix(&s.ready, e.index)
+	s.ready.arm(r)
+	s.quiet.arm(q)
 }
 
 // busyCount reports how many replicas still hold work.
@@ -368,16 +438,17 @@ func (s *spine) run(ctx context.Context) error {
 
 // advanceReady runs the ready-heap top: its replica advances by one
 // engine call bounded by the next global entry (global is its time) —
-// and, while the scheduler is coupled, by the next-lagging replica's
-// clock — then the scheduler reacts to the step. The entry of a replica
-// that drained since it was armed (withdrawn or crashed) is dropped;
-// wake queues it again when work returns.
+// and, while the scheduler is coupled, its iterations that may react by
+// the next-lagging replica's clock and its quiet ones by every other
+// busy replica's quiet bound — then the scheduler reacts to the step.
+// The entries of a replica that drained since it was armed (withdrawn
+// or crashed) are dropped; wake queues them again when work returns.
 func (s *spine) advanceReady(ctx context.Context, global float64) error {
 	e := s.ready[0]
 	i := e.dst
 	eng := s.engines[i]
 	if eng.Idle() {
-		heap.Pop(&s.ready)
+		s.wake(i)
 		return nil
 	}
 	// DES invariants, checked on every pop: a ready entry sits exactly
@@ -391,17 +462,20 @@ func (s *spine) advanceReady(ctx context.Context, global float64) error {
 	if e.at < s.clock {
 		return fmt.Errorf("serve: replica %d ready entry at t=%g fired behind the scheduler clock t=%g", i, e.at, s.clock)
 	}
-	until := global
+	until, quiet := global, global
 	if s.sched.coupled() {
-		// The next-lagging replica is the smaller child of the top.
-		for _, c := range [2]int{1, 2} {
-			if c < len(s.ready) && s.ready[c].at < until {
-				until = s.ready[c].at
-			}
+		// The next-lagging replica is the smaller child of the ready top.
+		// The earliest other quiet bound is the quiet top, or the smaller
+		// of its children when the top is this replica's own entry.
+		until = min(until, s.ready.below())
+		if q := s.quiet[0]; q.dst != i {
+			quiet = min(quiet, q.at)
+		} else {
+			quiet = min(quiet, s.quiet.below())
 		}
 	}
 	before := eng.Clock()
-	res, err := s.step(ctx, eng, until)
+	res, err := s.step(ctx, eng, until, quiet)
 	if err != nil {
 		return err
 	}

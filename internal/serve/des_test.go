@@ -62,14 +62,16 @@ func (h *heapAudit) onStep(i int, res cluster.StepResult) error {
 	return h.fleetSim.onStep(i, res)
 }
 
-// callCounter counts the engine calls the spine makes.
+// callCounter counts the engine calls the spine makes and the
+// iterations they price.
 type callCounter struct {
 	*fleetSim
-	calls int
+	calls, iterations int
 }
 
 func (c *callCounter) onStep(i int, res cluster.StepResult) error {
 	c.calls++
+	c.iterations += res.Iterations
 	return c.fleetSim.onStep(i, res)
 }
 

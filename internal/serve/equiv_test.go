@@ -220,6 +220,35 @@ func TestFaultedSpineEquivalence(t *testing.T) {
 	})
 }
 
+// TestLargeFleetSpineEquivalence pins the spine where a quiet leap's
+// bound is the least of many busy replicas' quiet bounds: six decoders
+// that migrate and steal under crashes and under slowdowns, and an
+// SLO-autoscaled fleet of eight. Unclamped leaps, one iteration per call
+// and other leap horizons must agree byte for byte.
+func TestLargeFleetSpineEquivalence(t *testing.T) {
+	for _, c := range serve.LargeFleets(t) {
+		t.Run(c.Name, func(t *testing.T) {
+			mk := func(horizon int) string {
+				rep := mustRun(t, serve.WithLeapHorizon(c.Config(), horizon), c.Arrivals)
+				simtest.CheckInvariants(t, rep, c.Arrivals)
+				if f := rep.Fleet; f.Migrations+f.Steals+f.ScaleUps == 0 {
+					t.Fatalf("vacuous run: no migration, steal or scale-up: %+v", f)
+				}
+				if rep.Faults != nil && rep.Faults.Crashes+rep.Faults.Slowdowns == 0 {
+					t.Fatalf("vacuous run: no fault fired: %+v", rep.Faults)
+				}
+				return simtest.Fingerprint(rep)
+			}
+			leap := mk(0)
+			for _, horizon := range []int{1, 5, 64} {
+				if clamped := mk(horizon); clamped != leap {
+					t.Errorf("leap horizon %d changed the report", horizon)
+				}
+			}
+		})
+	}
+}
+
 // TestEqualTimestampPermutationInvariance is the metamorphic
 // event-order oracle: two arrivals at the same timestamp that route to
 // different replicas commute — swapping their order in the schedule

@@ -351,6 +351,7 @@ func (fs *fleetSim) applySlow(i int) {
 		}
 	}
 	fs.touch(i)
+	fs.wake(i) // a recovering slowdown lowers the quiet bound
 }
 
 // applyLink re-derives the fleet-wide interconnect factor from the
@@ -390,6 +391,7 @@ func (fs *fleetSim) applyFault(c *faultChain, at float64) error {
 		// view contributions (its pre-crash load), so the aggregates stay
 		// consistent without an intermediate touch.
 		fs.setState(i, stateFailed)
+		fs.wake(i)
 		c.applied, c.failedAt = true, at
 		fs.fstats.Crashes++
 		fs.fstats.LostKVBytes += liveKV

@@ -49,7 +49,6 @@
 package serve
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -533,6 +532,7 @@ func (fs *fleetSim) considerMigration(di int, v workload.Request) error {
 		return err
 	}
 	fs.touch(di)
+	fs.wake(di)
 	fs.stats.Migrations++
 	fs.stats.TransferBytes += bytes
 	fs.stats.TransferSeconds += transfer
@@ -820,6 +820,7 @@ func (fs *fleetSim) trySteal(now float64) error {
 			return err
 		}
 		fs.touch(src)
+		fs.wake(src)
 		bytes := int64(r.Context) * fs.bpt
 		transfer := fs.transferSeconds(bytes)
 		at := now
@@ -869,11 +870,7 @@ func (fs *fleetSim) armEval(now, at float64) {
 	}
 	fs.seq++
 	e.at, e.seq = at, fs.seq
-	if e.index >= 0 {
-		heap.Fix(&fs.events, e.index)
-	} else {
-		heap.Push(&fs.events, e)
-	}
+	fs.events.arm(e)
 }
 
 // view snapshots the fleet for one autoscaling decision, entirely from

@@ -481,7 +481,7 @@ func TestViewsOracle(t *testing.T) {
 			}
 			i := busy[next(len(busy))]
 			d := fs.decoders[i]
-			res, err := fs.step(ctx, d.eng, math.Inf(1))
+			res, err := fs.step(ctx, d.eng, math.Inf(1), math.Inf(1))
 			if err != nil {
 				t.Fatalf("op %d: step replica %d: %v", op, i, err)
 			}
@@ -589,7 +589,7 @@ func TestShorthandViewsOracle(t *testing.T) {
 			}
 			i := busy[next(len(busy))]
 			d := fs.decoders[i]
-			res, err := fs.step(ctx, d.eng, math.Inf(1))
+			res, err := fs.step(ctx, d.eng, math.Inf(1), math.Inf(1))
 			if err != nil {
 				t.Fatalf("op %d: step replica %d: %v", op, i, err)
 			}
